@@ -2,8 +2,8 @@
 
 Adaptive Gauss-Kronrod quadrature on lines, half-lines and finite intervals
 with declared singular abscissae, sign-change bisection for monotone
-functions, the principal complex logarithm, central finite differences and a
-deterministic 64-bit-seeded generator.
+functions, the principal complex logarithm, polynomial extrapolation to zero
+and a deterministic 64-bit-seeded generator.
 
 Integrands passed to :func:`integrate_adaptive` must accept a numpy array of
 abscissae and return an array of values (real or complex).
@@ -24,7 +24,6 @@ __all__ = [
     "integrate_adaptive",
     "bisect_monotone",
     "principal_log",
-    "central_diff",
     "richardson_zero",
     "make_rng",
 ]
@@ -289,11 +288,6 @@ def principal_log(z):
     if out.ndim == 0:
         return complex(out)
     return out
-
-
-def central_diff(fn, x, h):
-    """Second-order central difference of ``fn`` at ``x`` with step ``h``."""
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
 def richardson_zero(ts, ys):

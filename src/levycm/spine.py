@@ -18,19 +18,15 @@ import numpy as np
 from .errors import DomainError, SpineUndefinedError
 from .numerics import bisect_monotone, richardson_zero
 from .report import VerifyReport
-from .rogers import (
-    PhiRep,
-    eval_f,
-    eval_f_prime,
-    f_limits,
-    is_constant,
-)
+from .rogers import PhiRep, eval_f, eval_f_prime, is_constant
 
 __all__ = [
     "SpinePoint",
     "SpineTable",
     "theta_at",
     "lambda_at",
+    "SpineSamples",
+    "solve_spine",
     "build_spine_table",
     "classify_point",
     "spine_invariant_report",
@@ -108,10 +104,16 @@ def theta_at(spec, r, angle_tol=1e-12):
 
 
 def _axis_lambda(spec, r, side):
-    """Boundary profile value via an extrapolated approach f(eps + i side r)."""
-    ladder = np.array([1e-4, 1e-5, 1e-6]) * r
-    vals = np.array([eval_f(spec, complex(t, side * r)) for t in ladder])
-    return float(richardson_zero(ladder, vals).real)
+    """Boundary profile value via an extrapolated approach f(eps + i side r).
+
+    ``r`` and ``side`` are scalars or arrays of one shape; all ladder points
+    go to ``eval_f`` in one call.
+    """
+    ladder = np.array([1e-4, 1e-5, 1e-6])
+    xi = np.empty(ladder.shape + np.shape(r), dtype=complex)
+    xi.real = np.multiply.outer(ladder, r)
+    xi.imag = np.multiply(side, r)
+    return np.real(richardson_zero(ladder, eval_f(spec, xi)))
 
 
 def _lambda_flagged(spec, r, angle_tol=ANGLE_TOL):
@@ -127,9 +129,98 @@ def _lambda_flagged(spec, r, angle_tol=ANGLE_TOL):
             )
         return lam, theta, ""
     side = 1.0 if theta > 0.0 else -1.0
-    lam = _axis_lambda(spec, r, side)
+    lam = float(_axis_lambda(spec, r, side))
     flag = "" if abs(theta) == half else "boundary-interpolated"
     return lam, theta, flag
+
+
+def _theta_array(spec, r, angle_tol=1e-12):
+    """``theta_at`` at every radius of ``r``, by one lockstep bisection.
+
+    Each radius follows the scalar rules step for step: the same bracket,
+    constant-sign and exact-zero returns, midpoints and stopping tests as
+    ``theta_at`` with ``bisect_monotone``.  Each step evaluates im f at the
+    midpoints of all radii still bisecting in one ``eval_f`` call.
+    """
+
+    def g(rr, alpha):
+        return eval_f(spec, rr * np.exp(1j * alpha)).imag
+
+    half = 0.5 * math.pi
+    lo = np.full(r.shape, -half + _EDGE)
+    hi = np.full(r.shape, half - _EDGE)
+    glo, ghi = g(r, lo), g(r, hi)
+    ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
+    theta = np.select(ends, [-half, half, lo, hi], np.nan)
+    idx = np.flatnonzero(~np.logical_or.reduce(ends))
+    for _ in range(200):  # bisect_monotone's max_iter
+        l, h = lo[idx], hi[idx]
+        mid = 0.5 * (l + h)
+        go = (h - l > angle_tol) & (mid > l) & (mid < h)
+        theta[idx[~go]] = 0.5 * (l[~go] + h[~go])
+        idx, mid = idx[go], mid[go]
+        if not idx.size:
+            break
+        gm = g(r[idx], mid)
+        neg, zero = gm < 0.0, gm == 0.0
+        theta[idx[zero]] = mid[zero]
+        lo[idx[neg]] = mid[neg]
+        up = ~neg & ~zero
+        hi[idx[up]] = mid[up]
+        idx = idx[~zero]
+    theta[idx] = 0.5 * (lo[idx] + hi[idx])
+    return theta
+
+
+@dataclass(frozen=True)
+class SpineSamples:
+    """The spine at an array of radii; every field is aligned with the radii."""
+
+    theta: np.ndarray
+    zeta: np.ndarray
+    lam: np.ndarray
+    in_Z: np.ndarray
+    flag: np.ndarray  # "boundary-interpolated" or "", as in SpinePoint
+
+
+def solve_spine(spec, radii, angle_tol=ANGLE_TOL):
+    """Spine angle, point, profile, Z membership and flag at every radius.
+
+    The array form of ``_lambda_flagged`` with the same rules: angles from
+    one lockstep bisection (``_theta_array``), profile values from one
+    ``eval_f`` call on the Z points and one on the axis ladders of the
+    others.  Single radii are cheaper through ``theta_at``/``lambda_at``.
+    """
+    if is_constant(spec):
+        raise SpineUndefinedError("constant exponents have no spine")
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1:
+        raise DomainError("solve_spine needs a 1-d array of radii")
+    if not np.all(r > 0.0):
+        raise DomainError("solve_spine needs r > 0")
+    half = 0.5 * math.pi
+    theta = _theta_array(spec, r)
+    in_z = np.abs(theta) < half - angle_tol
+    on_axis = np.abs(theta) == half
+    zeta = r * np.exp(1j * theta)
+    zeta.real[on_axis] = 0.0
+    zeta.imag[on_axis] = np.copysign(r[on_axis], theta[on_axis])
+
+    lam = np.empty(r.shape)
+    if in_z.any():
+        v = eval_f(spec, zeta[in_z])
+        lam[in_z] = v.real
+        off = np.flatnonzero(np.abs(v.imag) > 1e-8 * (1.0 + np.abs(v.real)))
+        if off.size:
+            k = off[0]
+            raise DomainError(
+                f"profile evaluation off the spine at r={r[in_z][k]}: f(zeta)={v[k]}"
+            )
+    out = ~in_z
+    if out.any():
+        lam[out] = _axis_lambda(spec, r[out], np.where(theta[out] > 0.0, 1.0, -1.0))
+    flag = np.where(out & ~on_axis, "boundary-interpolated", "")
+    return SpineSamples(theta, zeta, lam, in_z, flag)
 
 
 def lambda_at(spec, r, angle_tol=ANGLE_TOL):
@@ -162,15 +253,18 @@ def build_spine_table(spec, r_min, r_max, n, angle_tol=ANGLE_TOL):
     if n < 16:
         raise DomainError("need n >= 16")
     radii = np.geomspace(r_min, r_max, int(n))
-    points = []
-    for r in radii:
-        lam, theta, flag = _lambda_flagged(spec, float(r), angle_tol)
-        if abs(theta) == 0.5 * math.pi:
-            zeta = complex(0.0, math.copysign(r, theta))
-        else:
-            zeta = r * cmath.exp(1j * theta)
-        in_z = abs(theta) < 0.5 * math.pi - angle_tol
-        points.append(SpinePoint(float(r), theta, zeta, lam, in_z, flag))
+    s = solve_spine(spec, radii, angle_tol)
+    points = [
+        SpinePoint(*fields)
+        for fields in zip(
+            radii.tolist(),
+            s.theta.tolist(),
+            s.zeta.tolist(),
+            s.lam.tolist(),
+            s.in_Z.tolist(),
+            s.flag.tolist(),
+        )
+    ]
 
     mask = [p.in_Z for p in points]
     intervals = []
@@ -367,14 +461,3 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
 
     return rep
 
-
-def lambda_endpoint_consistency(table: SpineTable, spec, rel_tol=1e-4):
-    """Relative gaps between the profile endpoints and f(0+), f(inf-)."""
-    lim = f_limits(spec)
-    lam = table.lambdas()
-    out = {}
-    if math.isfinite(lim.f_at_zero) and lim.f_at_zero > 0.0:
-        out["zero"] = abs(lam[0] - lim.f_at_zero) / lim.f_at_zero
-    if math.isfinite(lim.f_at_infinity):
-        out["inf"] = abs(lam[-1] - lim.f_at_infinity) / lim.f_at_infinity
-    return out

@@ -5,16 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from levycm import DomainError, LevyAtomic, SpineUndefinedError, eval_f, f_limits
+from levycm import (
+    DomainError,
+    LevyAtomic,
+    PhiRep,
+    PhiTable,
+    SpineUndefinedError,
+    eval_f,
+    f_limits,
+    shift_spec,
+)
 from levycm.numerics import make_rng
+from levycm.specio import SHOWCASE
 from levycm.spine import (
+    _lambda_flagged,
     build_spine_table,
     classify_point,
     lambda_at,
+    solve_spine,
     spine_invariant_report,
     theta_at,
 )
 from levycm.verify import default_spine_range
+
+from conftest import showcase
 
 SYMMETRIC = LevyAtomic(a=1.0)  # f = xi^2
 
@@ -49,6 +63,69 @@ class TestLambdaAt:
 
     def test_bm_drift_axis(self, fig_a):
         assert lambda_at(fig_a, 0.5) == pytest.approx(0.375, rel=1e-10)
+
+
+class TestSolveSpine:
+    """The lockstep array solve against the per-radius scalar path."""
+
+    @staticmethod
+    def _assert_matches_scalar(spec, radii):
+        s = solve_spine(spec, radii)
+        for k, r in enumerate(radii.tolist()):
+            lam, theta, flag = _lambda_flagged(spec, r)
+            assert abs(s.theta[k] - theta) <= 1e-12
+            assert bool(s.in_Z[k]) == (abs(theta) < 0.5 * math.pi - 1e-7)
+            assert s.flag[k] == flag
+            assert abs(s.lam[k] - lam) <= 1e-12 * abs(lam)
+            assert abs(abs(s.zeta[k]) - r) <= 1e-12 * r
+        return s
+
+    @pytest.mark.parametrize("tau", [0.0, 0.2, 2.0])
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_presets(self, name, tau):
+        spec = shift_spec(SHOWCASE[name], tau)
+        lo, hi = default_spine_range(spec)
+        self._assert_matches_scalar(spec, np.geomspace(lo, hi, 64))
+
+    def test_symmetric(self):
+        s = self._assert_matches_scalar(SYMMETRIC, np.geomspace(0.1, 10.0, 64))
+        assert s.in_Z.all()
+
+    def test_bm_drift_on_axis(self, fig_a):
+        # below r = 1 the spine runs along +i r and theta is pi/2 exactly
+        radii = np.geomspace(0.05, 0.95, 64)
+        s = self._assert_matches_scalar(fig_a, radii)
+        assert np.all(s.theta == 0.5 * math.pi)
+        assert not s.in_Z.any()
+        assert np.all(s.zeta == 1j * radii)
+
+    def test_piecewise_constant_phirep(self):
+        table = PhiTable((-2.0, 0.0, 3.0), (0.4 * math.pi, 0.7 * math.pi), "piecewise-constant")
+        spec = PhiRep(1.3, table)
+        lo, hi = default_spine_range(spec)
+        self._assert_matches_scalar(spec, np.geomspace(lo, hi, 64))
+
+    @pytest.mark.parametrize("letter", ["a", "g"])
+    def test_table_matches_per_radius_points(self, letter):
+        spec = showcase(letter)
+        lo, hi = default_spine_range(spec)
+        table = build_spine_table(spec, lo, hi, 128)
+        for p in table.points:
+            lam, theta, flag = _lambda_flagged(spec, p.r)
+            assert abs(p.theta - theta) <= 1e-12
+            assert p.in_Z == (abs(theta) < 0.5 * math.pi - 1e-7)
+            assert p.flag == flag
+            assert abs(p.lam - lam) <= 1e-12 * abs(lam)
+            if abs(theta) == 0.5 * math.pi:
+                assert p.zeta == complex(0.0, math.copysign(p.r, theta))
+            else:
+                assert abs(p.zeta - p.r * np.exp(1j * theta)) <= 1e-12 * p.r
+
+    def test_rejects_bad_input(self, fig_a):
+        with pytest.raises(SpineUndefinedError):
+            solve_spine(LevyAtomic(c=1.0), np.array([1.0]))
+        with pytest.raises(DomainError):
+            solve_spine(fig_a, np.array([1.0, 0.0]))
 
 
 class TestSpineTable:

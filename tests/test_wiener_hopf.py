@@ -13,6 +13,7 @@ from levycm import (
     PhiRep,
     PhiTable,
     eval_f,
+    shift_spec,
 )
 from levycm.numerics import make_rng
 from levycm.wiener_hopf import (
@@ -126,6 +127,29 @@ class TestProduct:
         prod = wh_product(F_SIG, "bd", x, x)
         direct = complex(plus.eval(x + 0.0j) * minus.eval(x + 0.0j)).real
         assert prod == pytest.approx(direct, rel=1e-5)
+
+
+class TestSpineRouteShiftOracle:
+    """Spine route on shifted bm_drift (b = 1) across the tau range of a tau-scan."""
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_ratio(self, fig_a, side, tau):
+        spec = shift_spec(fig_a, tau)
+        for x1, x2 in ((0.3, 2.5), (4.0, 0.6)):
+            want = closed_form_factors("bm_drift", side, x1, b=1.0, sigma=tau) / closed_form_factors(
+                "bm_drift", side, x2, b=1.0, sigma=tau
+            )
+            assert wh_ratio(spec, "spine", side, x1, x2) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
+    def test_product(self, fig_a, tau):
+        spec = shift_spec(fig_a, tau)
+        for x1, x2 in ((0.3, 2.5), (1.2, 1.2)):
+            want = closed_form_factors("bm_drift", "plus", x1, b=1.0, sigma=tau) * closed_form_factors(
+                "bm_drift", "minus", x2, b=1.0, sigma=tau
+            )
+            assert wh_product(spec, "spine", x1, x2) == pytest.approx(want, rel=1e-8)
 
 
 class TestFactorizationCheck:
