@@ -338,8 +338,9 @@ def sup_tail(spec, sigma, x, eps_ladder=None):
     """P(sup over an Exp(sigma) horizon > x) by Stieltjes inversion.
 
     The representing density m(t) = -lim im g(-t + i eps) is extrapolated
-    along a four-point epsilon ladder proportional to (1 + t), clamped at
-    zero from below, and Laplace-transformed by adaptive quadrature.
+    along a four-point epsilon ladder proportional to (1 + t) and
+    Laplace-transformed as-is by adaptive quadrature; only the final tail
+    value is clamped into [0, 1].
     """
     return _sup_evaluator(spec, sigma, eps_ladder).tail(x)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
     RogersViolationError,
     ValidationError,
 )
-from .numerics import QuadratureConfig, integrate_adaptive, richardson_zero
+from .numerics import richardson_zero
 from .report import VerifyReport
 
 __all__ = [
@@ -122,6 +123,147 @@ class PhiTable:
         else:
             out = np.interp(s, bp, vals)
         return out if out.ndim else float(out)
+
+    @cached_property
+    def _sides(self):
+        """The kernels of phi(t) and phi(-t), t > 0, built once per table."""
+        return _phi_side(self, 1.0), _phi_side(self, -1.0)
+
+
+_BLOCK = 1 << 16  # points x cells per block of kernel temporaries
+
+
+class _AngleSide:
+    """One side of a boundary angle, integrated exactly cell by cell.
+
+    phi(t) on t > 0 is ``phi_in`` on (0, t[0]), linear from phi[k] to
+    phi[k+1] on [t[k], t[k+1]] (equal abscissae make a jump) and ``phi_out``
+    beyond t[-1].  :meth:`exponent` returns
+
+        E(z) = (1/pi) int_0^inf phi(t) (1/(1+t) - 1/(z+t)) dt
+
+    off the cut z in (-inf, 0]; a Wiener-Hopf factor is exp(E) up to a
+    constant, and a PhiRep exponent is E+(-i xi) + E-(i xi).  On a cell
+    [a, b] = [a, a + w] with phi = pa + dphi (t - a)/w,
+
+        int_a^b phi/(z+t) dt = pa L + dphi (1 - L/x),  x = w/(z+a), L = log1p(x),
+
+    which, unlike the antiderivative in alpha + beta t, stays exact on the
+    narrow jump cells of estimated tables.  Cells with phi = 0 at both ends
+    are dropped, which keeps values on the cut free of winding where phi
+    vanishes around t = -z.
+    """
+
+    def __init__(self, t, phi, phi_in, phi_out):
+        t = np.asarray(t, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        self.phi_zero = float(phi_in if t[0] > 0.0 else phi[0])  # phi(0+)
+        self.phi_out = float(phi_out)
+        self.t_out = float(t[-1])
+        t = np.concatenate([[0.0], t])
+        p = np.concatenate([[phi_in], phi])
+        keep = (t[1:] > t[:-1]) & ((p[:-1] != 0.0) | (p[1:] != 0.0))
+        self.a, self.b = t[:-1][keep], t[1:][keep]
+        self.pa, self.pb = p[:-1][keep], p[1:][keep]
+        self.w = self.b - self.a
+        self.dphi = self.pb - self.pa
+        self.slope = self.dphi / self.w
+        # z-free constants: int phi/(1+t) over the cells, and E(0)
+        self.j_one = float(self._cell_sums(np.ones(1, dtype=complex), prime=False)[0].real)
+        inner = self.a > 0.0
+        x = self.w[inner] / self.a[inner]
+        lg = np.log1p(x)
+        j_zero = np.sum(self.pa[inner] * lg + self.dphi[inner] * (1.0 - lg / x))
+        j_zero += np.sum(self.dphi[~inner])
+        outer = 0.0
+        if self.phi_out != 0.0 and self.t_out > 0.0:
+            outer = self.phi_out * math.log(self.t_out / (1.0 + self.t_out))
+        self.e_zero = float(self.j_one - j_zero + outer) / math.pi
+        if self.phi_zero > 1e-9:
+            self.e_zero = -math.inf
+
+    def _cell_sums(self, z, prime):
+        """Sum over cells of int phi/(z+t) dt (or of int phi/(z+t)^2 dt), per point."""
+        out = np.empty(z.shape, dtype=complex)
+        rows = max(1, _BLOCK // max(1, len(self.a)))
+        for lo in range(0, len(z), rows):
+            zb = z[lo : lo + rows, None]
+            zi = zb.imag
+            yr = zb.real + self.a  # y = z + a
+            d = self.w / (yr * yr + zi * zi)
+            xr = yr * d  # x = w/y
+            r2 = self.w * d  # |x|^2
+            # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
+            with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
+                lr = 0.5 * np.log1p(2.0 * xr + r2)
+            li = np.arctan2(-zi * d, 1.0 + xr)
+            far = r2 >= 0.25
+            if far.any():
+                rr, cc = np.nonzero(far)
+                zf = zb[rr, 0]
+                lf = np.log((zf + self.b[cc]) / (zf + self.a[cc]))
+                lr[far], li[far] = lf.real, lf.imag
+            if prime:
+                y, lg = yr + 1j * zi, lr + 1j * li
+                terms = self.pa / y - self.pb / (zb + self.b) + self.slope * lg
+                out[lo : lo + rows] = terms.sum(axis=1)
+                continue
+            # pa L + dphi (1 - L/x) = dphi + L (pa - slope y), as 1/x = y/w
+            c = self.pa - self.slope * yr
+            sz = self.slope * zi
+            re = (lr * c + li * sz).sum(axis=1) + self.dphi.sum()
+            out[lo : lo + rows] = re + 1j * (li * c - lr * sz).sum(axis=1)
+        return out
+
+    def exponent(self, z):
+        """E(z) at complex z (scalar or array).
+
+        E(0) = -inf where phi(0+) > 1e-9; below that, the constant part of
+        phi on a cell touching t = 0 is dropped as negligible (its integral
+        diverges there).
+        """
+        z = np.asarray(z, dtype=complex)
+        zv = z.reshape(-1)
+        n_nonzero = np.count_nonzero(zv)
+        if n_nonzero < zv.size:
+            out = np.full(zv.shape, self.e_zero, dtype=complex)
+            if n_nonzero:
+                nz = zv != 0.0
+                out[nz] = self.exponent(zv[nz])
+            return out.reshape(z.shape)
+        val = self.j_one - self._cell_sums(zv, prime=False)
+        if self.phi_out != 0.0:
+            val += self.phi_out * np.log((zv + self.t_out) / (1.0 + self.t_out))
+        return (val / math.pi).reshape(z.shape)
+
+    def exponent_prime(self, z):
+        """E'(z) = (1/pi) int_0^inf phi(t)/(z+t)^2 dt at complex z != 0."""
+        z = np.asarray(z, dtype=complex)
+        zv = z.reshape(-1)
+        val = self._cell_sums(zv, prime=True)
+        if self.phi_out != 0.0:
+            val += self.phi_out / (zv + self.t_out)
+        return (val / math.pi).reshape(z.shape)
+
+
+def _phi_side(table: PhiTable, sign):
+    """The kernel of phi(sign t), t > 0, read off a table.
+
+    A cell straddling s = 0 is split at its value there, as ``value_at``
+    interpolates it; a piecewise-constant table is a polyline with a jump at
+    every interior breakpoint.
+    """
+    bp = sign * np.asarray(table.breakpoints)
+    vals = np.asarray(table.values)
+    if sign < 0.0:
+        bp, vals = bp[::-1], vals[::-1]
+    if table.interpolation == PW_CONSTANT:
+        phi0 = vals[min(max(np.searchsorted(bp, 0.0, side="right") - 1, 0), len(vals) - 1)]
+        bp, vals = np.repeat(bp, 2)[1:-1], np.repeat(vals, 2)
+    else:
+        phi0 = np.interp(0.0, bp, vals)
+    pos = bp > 0.0
+    return _AngleSide(np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), phi0, vals[-1])
 
 
 @dataclass(frozen=True)
@@ -253,121 +395,16 @@ def _rational_core(spec: RationalProduct, xi):
     return val
 
 
-def _phirep_cells(table: PhiTable):
-    """Cells (s_lo, s_hi, phi_lo, phi_hi) plus the two extrapolation values."""
-    bp = table.breakpoints
-    if table.interpolation == PW_CONSTANT:
-        vals = table.values
-        cells = [(bp[k], bp[k + 1], vals[k], vals[k]) for k in range(len(vals))]
-        lo_ext, hi_ext = vals[0], vals[-1]
-    else:
-        vals = table.values
-        cells = [
-            (bp[k], bp[k + 1], vals[k], vals[k + 1]) for k in range(len(bp) - 1)
-        ]
-        lo_ext, hi_ext = vals[0], vals[-1]
-    return cells, lo_ext, hi_ext
-
-
-def _phi_kernel_antideriv(xi, s):
-    """Antiderivative of (xi/(xi+is) - 1/(1+s))/s on s > 0 (principal branch)."""
-    return np.log1p(s) - np.log(xi + 1j * s)
-
-
-def _phi_kernel_antideriv_neg(xi, sigma):
-    """Antiderivative of (xi/(xi-i sigma) - 1/(1+sigma))/sigma on sigma > 0."""
-    return np.log1p(sigma) - np.log(xi - 1j * sigma)
-
-
-def _exp_span(xi, l, h):
-    """int_l^h (xi/(xi+is) - 1/(1+|s|)) ds/|s| for constant phi = 1.
-
-    Endpoints may be 0 or +-inf; the interval may straddle 0 (the kernel is
-    integrable there).
-    """
-    log_xi = np.log(xi)
-
-    def pos(a, b):
-        hi_v = -0.5j * math.pi if b == math.inf else _phi_kernel_antideriv(xi, b)
-        lo_v = -log_xi if a == 0.0 else _phi_kernel_antideriv(xi, a)
-        return hi_v - lo_v
-
-    def neg(a, b):
-        lo_v = 0.5j * math.pi if a == -math.inf else _phi_kernel_antideriv_neg(xi, -a)
-        hi_v = -log_xi if b == 0.0 else _phi_kernel_antideriv_neg(xi, -b)
-        return lo_v - hi_v
-
-    out = 0.0 + 0.0j
-    if l < 0.0:
-        out = out + neg(l, min(h, 0.0))
-    if h > 0.0:
-        out = out + pos(max(l, 0.0), h)
-    return out
-
-
-def _phirep_exponent_const(table: PhiTable, xi):
-    """Exponent integral for a piecewise-constant table, in closed form.
-
-    Cells with phi = 0 contribute nothing and are skipped, which also keeps
-    the principal-branch antiderivative differences free of winding when
-    evaluating exactly on the imaginary axis (the cell at -im(xi) must carry
-    phi = 0 for such points to be in the domain).
-    """
-    cells, lo_ext, hi_ext = _phirep_cells(table)
-    s_min, s_max = table.breakpoints[0], table.breakpoints[-1]
-
-    total = 0.0 + 0.0j
-    for s_lo, s_hi, phi, _ in cells:
-        if phi != 0.0:
-            total = total + phi * _exp_span(xi, s_lo, s_hi)
-    if lo_ext != 0.0:
-        total = total + lo_ext * _exp_span(xi, -math.inf, s_min)
-    if hi_ext != 0.0:
-        total = total + hi_ext * _exp_span(xi, s_max, math.inf)
-    return total / math.pi
-
-
-def _phirep_exponent_quad(spec: PhiRep, xi):
-    """Exponent integral for a piecewise-linear table via adaptive quadrature."""
-    table = spec.phi
-    bp = table.breakpoints
-    s_min, s_max = bp[0], bp[-1]
-    sing = {0.0}
-    axis_s = -xi.imag if isinstance(xi, complex) else None
-    if xi.real == 0.0 and axis_s is not None:
-        sing.add(axis_s)
-
-    def integrand(s):
-        phi = table.value_at(s)
-        return (xi / (xi + 1j * s) - 1.0 / (1.0 + np.abs(s))) * phi / np.abs(s)
-
-    cfg = QuadratureConfig(
-        rel_tol=1e-11,
-        abs_tol=1e-13,
-        max_subdivisions=4000,
-        singular_points=tuple(sorted(p for p in sing if s_min < p < s_max)),
-    )
-    val, _ = integrate_adaptive(integrand, (s_min, s_max), cfg)
-
-    _, lo_ext, hi_ext = _phirep_cells(table)
-    if lo_ext != 0.0:
-        val += lo_ext * _exp_span(xi, -math.inf, s_min)
-    if hi_ext != 0.0:
-        val += hi_ext * _exp_span(xi, s_max, math.inf)
-    return val / math.pi
+def _phirep_exponent(table: PhiTable, xi):
+    """(1/pi) int (xi/(xi+is) - 1/(1+|s|)) phi(s)/|s| ds = E+(-i xi) + E-(i xi)."""
+    xi = np.asarray(xi, dtype=complex)
+    plus, minus = table._sides
+    return plus.exponent(-1j * xi) + minus.exponent(1j * xi)
 
 
 def _phirep_core(spec: PhiRep, xi):
-    if spec.phi.interpolation == PW_CONSTANT:
-        return spec.c * np.exp(_phirep_exponent_const(spec.phi, xi))
-    if isinstance(xi, np.ndarray):
-        out = np.empty(xi.shape, dtype=complex)
-        flat = xi.ravel()
-        res = out.ravel()
-        for k in range(flat.size):
-            res[k] = spec.c * cmath.exp(_phirep_exponent_quad(spec, complex(flat[k])))
-        return out
-    return spec.c * cmath.exp(_phirep_exponent_quad(spec, complex(xi)))
+    val = spec.c * np.exp(_phirep_exponent(spec.phi, xi))
+    return val if isinstance(xi, np.ndarray) else complex(val)
 
 
 def _eval_core(spec, xi):
@@ -483,48 +520,11 @@ def _prime_core(spec, xi):
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
 
 
-def _prime_span(xi, l, h):
-    """int_l^h i sign(s) / (xi + i s)^2 ds with endpoints possibly 0 or +-inf."""
-
-    def at(s):
-        return 1.0 / (xi + 1j * s)
-
-    out = 0.0 + 0.0j
-    if l < 0.0:
-        b = min(h, 0.0)
-        out = out + at(b) - (0.0 if l == -math.inf else at(l))
-    if h > 0.0:
-        a = max(l, 0.0)
-        out = out + at(a) - (0.0 if h == math.inf else at(h))
-    return out
-
-
 def _phirep_log_prime(spec: PhiRep, xi):
-    """(log f)'(xi) = (1/pi) int i sign(s) phi(s) / (xi + i s)^2 ds."""
-    table = spec.phi
-    s_min, s_max = table.breakpoints[0], table.breakpoints[-1]
-    _, lo_ext, hi_ext = _phirep_cells(table)
-
-    if table.interpolation == PW_CONSTANT:
-        cells, _, _ = _phirep_cells(table)
-        total = 0.0 + 0.0j
-        for s_lo, s_hi, phi, _ in cells:
-            if phi != 0.0:
-                total += phi * _prime_span(xi, s_lo, s_hi)
-    else:
-        def integrand(s):
-            return 1j * np.sign(s) * table.value_at(s) / (xi + 1j * s) ** 2
-
-        total, _ = integrate_adaptive(
-            integrand,
-            (s_min, s_max),
-            QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13, singular_points=(0.0,)),
-        )
-    if lo_ext != 0.0:
-        total += lo_ext * _prime_span(xi, -math.inf, s_min)
-    if hi_ext != 0.0:
-        total += hi_ext * _prime_span(xi, s_max, math.inf)
-    return total / math.pi
+    """(log f)'(xi) = -i E+'(-i xi) + i E-'(i xi)."""
+    xi = np.asarray(xi, dtype=complex)
+    plus, minus = spec.phi._sides
+    return 1j * (minus.exponent_prime(1j * xi) - plus.exponent_prime(-1j * xi))
 
 
 def eval_f_prime(spec, xi):
@@ -682,50 +682,17 @@ def _rational_limits(spec: RationalProduct):
 
 
 def _phirep_limits(spec: PhiRep):
-    table = spec.phi
-    bp = np.asarray(table.breakpoints)
-    cells, lo_ext, hi_ext = _phirep_cells(table)
-
-    # f(0+) = c exp(-(1/pi) int phi(s) / (|s| (1+|s|)) ds); diverges -> 0
-    near_zero = table.value_at(np.array([-1e-300, 1e-300]))
-    inner_diverges = bool(np.any(np.asarray(near_zero) > 1e-12))
-    if bp[0] > 0.0 and lo_ext > 1e-12:
-        inner_diverges = True
-    if bp[-1] < 0.0 and hi_ext > 1e-12:
-        inner_diverges = True
-    if inner_diverges:
+    plus, minus = spec.phi._sides
+    # f(0+) = c exp(E+(0) + E-(0)); diverges to 0 unless phi vanishes at 0
+    if max(plus.phi_zero, minus.phi_zero) > 1e-12:
         zero = 0.0
     else:
-        def integrand0(s):
-            return table.value_at(s) / (np.abs(s) * (1.0 + np.abs(s)))
-
-        val, _ = integrate_adaptive(
-            integrand0,
-            (float(bp[0]), float(bp[-1])),
-            QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14, singular_points=(0.0,)),
-        )
-        # constant tails
-        s_hi = float(bp[-1])
-        s_lo = float(bp[0])
-        if s_hi > 0.0 and hi_ext > 0.0:
-            val += hi_ext * math.log((1.0 + s_hi) / s_hi)
-        if s_lo < 0.0 and lo_ext > 0.0:
-            val += lo_ext * math.log((1.0 - s_lo) / (-s_lo))
-        zero = spec.c * math.exp(-val.real / math.pi)
-
+        zero = spec.c * math.exp(plus.e_zero + minus.e_zero)
     # f(inf-) = c exp((1/pi) int phi(s) / (1+|s|) ds); diverges -> inf
-    if hi_ext > 1e-12 or lo_ext > 1e-12:
+    if max(plus.phi_out, minus.phi_out) > 1e-12:
         inf = math.inf
     else:
-        def integrand1(s):
-            return table.value_at(s) / (1.0 + np.abs(s))
-
-        val, _ = integrate_adaptive(
-            integrand1,
-            (float(bp[0]), float(bp[-1])),
-            QuadratureConfig(rel_tol=1e-10, abs_tol=1e-14),
-        )
-        inf = spec.c * math.exp(val.real / math.pi)
+        inf = spec.c * math.exp((plus.j_one + minus.j_one) / math.pi)
     return LimitsResult(zero, inf)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -29,7 +28,10 @@ from .errors import (
 from .numerics import QuadratureConfig, integrate_adaptive, principal_log
 from .report import VerifyReport
 from .rogers import (
+    PW_CONSTANT,
     PhiTable,
+    _AngleSide,
+    _phi_side,
     axis_feature_points,
     estimate_phi,
     eval_f,
@@ -42,7 +44,6 @@ from .spine import _lambda_flagged, solve_spine
 __all__ = [
     "build_phi_table",
     "FactorHandle",
-    "wh_eval_from_phi",
     "wh_ratio",
     "wh_product",
     "factorization_check",
@@ -57,10 +58,6 @@ __all__ = [
 PLUS = "plus"
 MINUS = "minus"
 _METHODS = ("bd", "spine", "phi")
-
-# 8-point Gauss-Legendre rule on [-1, 1], used per phi-table cell
-_GX, _GW = np.polynomial.legendre.leggauss(8)
-
 
 # ---------------------------------------------------------------------------
 # boundary-angle table construction
@@ -136,241 +133,64 @@ def build_phi_table(
 # ---------------------------------------------------------------------------
 
 
-def _table_polyline(table: PhiTable):
-    """Breakpoint/value polyline; constant tables become a tight staircase."""
-    bp = np.asarray(table.breakpoints)
-    if table.interpolation == "piecewise-linear":
-        return bp, np.asarray(table.values)
-    s_pts, v_pts = [], []
-    vals = table.values
-    for k, v in enumerate(vals):
-        lo, hi = bp[k], bp[k + 1]
-        gap = 1e-13 * max(abs(lo), abs(hi), 1e-300)
-        s_pts.extend([lo, hi - gap])
-        v_pts.extend([v, v])
-    s = np.asarray(s_pts)
-    v = np.asarray(v_pts)
-    keep = np.concatenate([[True], np.diff(s) > 0])
-    return s[keep], v[keep]
+def _factor_side(table: PhiTable, side):
+    """The boundary-angle kernel of one factor.
 
-
-class _SideData:
-    """Per-side cell and Gauss-node arrays for the one-sided CBF exponent."""
-
-    def __init__(self, table: PhiTable, side):
-        s_all, v_all = _table_polyline(table)
-        if side == MINUS:
-            s_all, v_all = -s_all[::-1], v_all[::-1]
-        mask = s_all > 0.0
-        s = s_all[mask]
-        p = v_all[mask]
-        # The inner gap (0, s_first) continues the side's innermost value
-        # (handled by the constant inner tail); no cross-zero interpolation.
-        if len(s) < 2:
-            flat = float(np.interp(1.0, s_all, v_all)) if len(s_all) else 0.0
-            s = np.array([1e-6, 1e6])
-            p = np.array([flat, flat])
-        self.s_bp = s
-        self.phi_bp = p
-        self.u_bp = np.log(s)
-        self.s_lo = float(s[0])
-        self.s_hi = float(s[-1])
-        self.phi_lo = float(p[0])
-        self.phi_hi = float(p[-1])
-
-        u0, u1 = self.u_bp[:-1], self.u_bp[1:]
-        half = 0.5 * (u1 - u0)
-        mid = 0.5 * (u1 + u0)
-        un = mid[:, None] + half[:, None] * _GX[None, :]
-        wn = half[:, None] * _GW[None, :]
-        sn = np.exp(un)
-        self.s_nodes = sn.ravel()
-        self.w_nodes = wn.ravel()
-        self.phi_nodes = np.interp(self.s_nodes, s, p)
-        self.node_start = np.arange(len(u0)) * len(_GX)
-        # kernel decomposition: sum w phi (xi/(xi+s) - 1/(1+s))
-        #   = (A - C0) - sum b_k / (xi + s_k),   b_k = w_k phi_k s_k
-        wp = self.w_nodes * self.phi_nodes
-        self.b_nodes = wp * self.s_nodes
-        self.cum_a = np.concatenate([[0.0], np.cumsum(wp)])
-        self.cum_c = np.concatenate([[0.0], np.cumsum(wp / (1.0 + self.s_nodes))])
-
-    def _tails(self, xi):
-        """Constant-phi tails on (0, s_lo] and [s_hi, inf)."""
-        xi = np.asarray(xi, dtype=complex)
-        out = np.zeros(xi.shape, dtype=complex)
-        zero = xi == 0.0
-        if self.phi_lo > 0.0:
-            if bool(np.any(zero)):
-                if self.phi_lo > 1e-9:
-                    raise DomainError("factor vanishes at 0 (phi has inner support)")
-                # negligible inner mass; drop the inner tail at xi = 0
-                nz = ~zero
-                out[nz] += self.phi_lo * (
-                    np.log(xi[nz]) + np.log((1.0 + self.s_lo) / (xi[nz] + self.s_lo))
-                )
-            else:
-                out += self.phi_lo * (
-                    np.log(xi) + np.log((1.0 + self.s_lo) / (xi + self.s_lo))
-                )
-        if self.phi_hi != 0.0:
-            out += self.phi_hi * np.log((xi + self.s_hi) / (1.0 + self.s_hi))
-        return out
-
-    def exponent(self, xi):
-        """(1/pi) int_0^inf (xi/(xi+s) - 1/(1+s)) phi(s)/s ds, vectorized."""
-        xi = np.asarray(xi, dtype=complex)
-        scalar = xi.ndim == 0
-        xiv = np.atleast_1d(xi).ravel()
-        if np.any((xiv.real < 0.0) & (xiv.imag == 0.0)):
-            raise DomainError("factor evaluation on the cut (-inf, 0]")
-        near = (xiv.real < 0.0) & (np.abs(xiv.imag) < 0.5 * np.abs(xiv.real))
-        out = np.empty(xiv.shape, dtype=complex)
-        safe = ~near
-        if safe.any():
-            out[safe] = self._exponent_safe(xiv[safe])
-        if near.any():
-            idx = np.flatnonzero(near)
-            # batch near-cut points whose windows overlap (one shared
-            # partition; the union of graded fans refines each point's own)
-            u_ts = np.log(-xiv[idx].real)
-            order = idx[np.argsort(u_ts)]
-            u_sorted = np.log(-xiv[order].real)
-            start = 0
-            for k in range(1, len(order) + 1):
-                if k == len(order) or u_sorted[k] - u_sorted[start] > 0.4:
-                    batch = order[start:k]
-                    out[batch] = self._exponent_nearcut_batch(xiv[batch])
-                    start = k
-        return complex(out[0]) if scalar else out.reshape(xi.shape)
-
-    @staticmethod
-    def _pole_sum(xiv, s, b):
-        """sum_k b_k / (xi + s_k) per xi, chunked to bound temporaries."""
-        out = np.empty(xiv.shape, dtype=complex)
-        chunk = max(1, int(6e6 // max(1, len(s))))
-        for lo in range(0, len(xiv), chunk):
-            den = xiv[lo : lo + chunk, None] + s[None, :]
-            np.divide(b[None, :], den, out=den)
-            out[lo : lo + chunk] = den.sum(axis=1)
-        return out
-
-    @staticmethod
-    def _kernel_sum(xi_col, s, w, phi):
-        wp = w * phi
-        a = float(np.sum(wp))
-        c0 = float(np.sum(wp / (1.0 + s)))
-        return (a - c0) - _SideData._pole_sum(xi_col[:, 0], s, wp * s)
-
-    def _exponent_safe(self, xiv):
-        a = self.cum_a[-1]
-        c0 = self.cum_c[-1]
-        out = (a - c0) - self._pole_sum(xiv, self.s_nodes, self.b_nodes)
-        return (out + self._tails(xiv)) / math.pi
-
-    def _exponent_nearcut_batch(self, xis):
-        """Near-cut points sharing one refined partition around s = -re(xi).
-
-        Every table breakpoint in the window stays a panel cut (phi kinks
-        and jump-hugging nodes), and each point contributes a geometric fan
-        of cuts around its own pole abscissa; the union partition refines
-        each individual fan, so 8-point Gauss per sub-panel stays accurate
-        for all points at once.
-        """
-        ts = -xis.real
-        epss = np.abs(xis.imag)
-        u_ts = np.log(ts)
-        u_list = self.u_bp.tolist()
-        n_cells = len(u_list) - 1
-        c_lo = max(0, bisect_right(u_list, float(u_ts.min()) - 0.8) - 1)
-        c_hi = min(n_cells, bisect_left(u_list, float(u_ts.max()) + 0.8))
-        # full-table sum minus the window part (prefix sums make the
-        # xi-independent pieces O(1); the pole sums cancel exactly)
-        a_tot, c_tot = self.cum_a[-1], self.cum_c[-1]
-        total = (a_tot - c_tot) - self._pole_sum(xis, self.s_nodes, self.b_nodes)
-        if c_hi > c_lo:
-            n0 = self.node_start[c_lo]
-            n1 = self.node_start[c_hi - 1] + len(_GX)
-            a_win = self.cum_a[n1] - self.cum_a[n0]
-            c_win = self.cum_c[n1] - self.cum_c[n0]
-            total -= (a_win - c_win) - self._pole_sum(
-                xis, self.s_nodes[n0:n1], self.b_nodes[n0:n1]
-            )
-        if c_hi > c_lo:
-            a, b = float(self.u_bp[c_lo]), float(self.u_bp[c_hi])
-            cuts = {a, b}
-            cuts.update(float(u) for u in self.u_bp[c_lo + 1 : c_hi])
-            for u_t, t, eps in zip(u_ts, ts, epss):
-                delta = max(eps / max(t, 1e-300), 1e-12) * 0.5
-                if a < u_t < b:
-                    cuts.add(float(u_t))
-                for sgn in (-1.0, 1.0):
-                    d = delta
-                    x = u_t + sgn * d
-                    while a < x < b and d < (b - a):
-                        cuts.add(float(x))
-                        d *= 3.0
-                        x = u_t + sgn * d
-            cuts = np.asarray(sorted(cuts))
-            half = 0.5 * np.diff(cuts)
-            mid = 0.5 * (cuts[:-1] + cuts[1:])
-            sn = np.exp(mid[:, None] + half[:, None] * _GX[None, :]).ravel()
-            wn = (half[:, None] * _GW[None, :]).ravel()
-            pn = np.interp(sn, self.s_bp, self.phi_bp)
-            total = total + self._kernel_sum(xis[:, None], sn, wn, pn)
-        return (total + self._tails(xis)) / math.pi
+    Piecewise-linear tables use the side's own breakpoints: the inner gap
+    (0, s_first) continues the innermost value, with no interpolation across
+    s = 0.  A side with fewer than two breakpoints is flat at phi(1).
+    """
+    sign = 1.0 if side == PLUS else -1.0
+    if table.interpolation == PW_CONSTANT:
+        return _phi_side(table, sign)
+    s_all = sign * np.asarray(table.breakpoints)
+    v_all = np.asarray(table.values)
+    if side == MINUS:
+        s_all, v_all = s_all[::-1], v_all[::-1]
+    mask = s_all > 0.0
+    s, p = s_all[mask], v_all[mask]
+    if len(s) < 2:
+        s, p = np.ones(1), np.full(1, np.interp(1.0, s_all, v_all))
+    return _AngleSide(s, p, p[0], p[-1])
 
 
 class FactorHandle:
     """Evaluator for one Wiener-Hopf factor under c+ = c- = sqrt(c).
 
     The representation constant c is anchored at xi = 1 so that the two
-    factors reconstruct f exactly there.  ``scale_override`` replaces the
-    sqrt(c) normalization; ratios and products against the complementary
-    1/kappa handle are unchanged by such a rescaling.
+    factors reconstruct f exactly there.  Ratios and products against the
+    complementary handle are unchanged when ``scale`` is multiplied by some
+    kappa and the other handle's divided by it.
     """
 
-    def __init__(self, spec, side, table=None, scale_override=None):
+    def __init__(self, spec, side, table=None):
         if side not in (PLUS, MINUS):
             raise ValueError("side must be 'plus' or 'minus'")
         self.spec = spec
         self.side = side
         self.table = table if table is not None else get_phi_table(spec)
-        self._plus = _SideData(self.table, PLUS)
-        self._minus = _SideData(self.table, MINUS)
-        self._data = self._plus if side == PLUS else self._minus
+        self._side = _factor_side(self.table, side)
+        other = _factor_side(self.table, MINUS if side == PLUS else PLUS)
         # anchor: f(1) = c exp(E+(-i) + E-(i)) under f(xi) = f+(-i xi) f-(i xi)
+        z_own = -1j if side == PLUS else 1j
+        e_tot = self._side.exponent(z_own) + other.exponent(-z_own)
         f1 = eval_f(spec, 1.0 + 0.0j)
-        e_tot = self._plus.exponent(complex(0.0, -1.0)) + self._minus.exponent(
-            complex(0.0, 1.0)
-        )
         self.c_const = abs(f1 * cmath.exp(-complex(e_tot)))
         self.scale = math.sqrt(self.c_const)
-        if scale_override is not None:
-            self.scale = float(scale_override)
 
     def eval(self, xi):
-        """Factor value at xi off (-inf, 0]; complete Bernstein in xi."""
+        """Factor value at xi off (-inf, 0]; complete Bernstein in xi.
+
+        At xi = 0 the factor is 0 where phi has inner support (E(0) = -inf).
+        """
         xi = np.asarray(xi, dtype=complex)
-        scalar = xi.ndim == 0
-        xiv = np.atleast_1d(xi).ravel()
-        out = np.empty(xiv.shape, dtype=complex)
-        zero = xiv == 0.0
-        if zero.any() and self._data.phi_lo > 1e-9:
-            out[zero] = 0.0
-            rest = ~zero
-        else:
-            rest = np.ones(xiv.shape, dtype=bool)
-        if rest.any():
-            out[rest] = self.scale * np.exp(self._data.exponent(xiv[rest]))
-        return complex(out[0]) if scalar else out.reshape(xi.shape)
+        left = xi.real < 0.0
+        if left.any() and (xi.imag[left] == 0.0).any():
+            raise DomainError("factor evaluation on the cut (-inf, 0]")
+        out = self.scale * np.exp(self._side.exponent(xi))
+        return complex(out) if xi.ndim == 0 else out
 
     __call__ = eval
-
-
-def wh_eval_from_phi(handle: FactorHandle, xi):
-    """Evaluate a factor from its cached boundary-angle table."""
-    return handle.eval(xi)
 
 
 _PHI_CACHE: dict = {}
@@ -403,9 +223,8 @@ def factor_pair(spec, kappa=1.0):
     table = get_phi_table(spec)
     plus = FactorHandle(spec, PLUS, table)
     minus = FactorHandle(spec, MINUS, table)
-    if kappa != 1.0:
-        plus = FactorHandle(spec, PLUS, table, scale_override=plus.scale * kappa)
-        minus = FactorHandle(spec, MINUS, table, scale_override=minus.scale / kappa)
+    plus.scale *= kappa
+    minus.scale /= kappa
     return plus, minus
 
 

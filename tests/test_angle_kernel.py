@@ -1,0 +1,172 @@
+"""The closed-form boundary-angle kernel against a 40-digit per-cell oracle.
+
+Both the PhiRep exponent and the Wiener-Hopf factors are exp of one-sided
+integrals E(z) = (1/pi) int_0^inf phi(t) (1/(1+t) - 1/(z+t)) dt over a
+polyline phi.  The oracle sums the textbook antiderivative of each linear
+cell, (alpha - beta) log(1+t) - (alpha - beta z) log(z+t), in mpmath at 40
+digits, where its cancellation on narrow cells costs nothing that matters.
+"""
+
+import functools
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from levycm import PhiRep, PhiTable, eval_f, eval_f_prime
+from levycm.specio import SHOWCASE
+from levycm.wiener_hopf import get_factor_handle, get_phi_table
+
+DIGITS = 40
+
+# the linear table of tests/test_stress.py and a constant one
+LIN5 = PhiRep(1.2, PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"))
+CONST = PhiRep(1.0, PhiTable((-3.0, -0.5, 0.7, 4.0), (0.4, 1.9, 0.8), "piecewise-constant"))
+
+
+def _lin200():
+    """A ~200-breakpoint linear table from smooth seeded profiles."""
+    rng = np.random.default_rng(2024)
+    u = np.sort(rng.uniform(math.log(1e-2), math.log(1e2), 100))
+    ph = rng.uniform(0.0, 2.0 * math.pi, 4)
+
+    def profile(v, p1, p2):
+        return 1.3 + 0.4 * np.sin(0.7 * v + p1) + 0.2 * np.sin(1.9 * v + p2)
+
+    bp = np.concatenate([-np.exp(u[::-1]), np.exp(u)])
+    vals = np.concatenate([profile(u[::-1], ph[0], ph[1]), profile(u, ph[2], ph[3])])
+    return PhiRep(1.0, PhiTable(tuple(bp), tuple(vals), "piecewise-linear"))
+
+
+@functools.lru_cache(maxsize=None)
+def _log1p(t, prec):
+    with mp.workprec(prec):
+        return mp.log1p(t)
+
+
+def _mp_side(cells, z, prime=False):
+    """E(z), or E'(z), of one side given as cells (a, b, alpha, beta) in t >= 0.
+
+    phi = alpha + beta t on [a, b]; an infinite cell has beta = 0.
+    """
+    z = mp.mpc(z)
+    logs = {}  # log(z + t) per endpoint, shared by neighbouring cells
+
+    def anti(t, alpha, beta):
+        if t == mp.inf:
+            return mp.mpf(0)
+        if t not in logs:
+            logs[t] = mp.log(z + t)
+        lg = logs[t]
+        if prime:  # int (alpha + beta t)/(z+t)^2 dt
+            return beta * lg - (alpha - beta * z) / (z + t)
+        return (alpha - beta) * _log1p(t, mp.mp.prec) - (alpha - beta * z) * lg
+
+    total = mp.fsum(anti(b, al, be) - anti(a, al, be) for a, b, al, be in cells)
+    return total / mp.pi
+
+
+def _mp_table_cells(table):
+    """(a, b, alpha, beta) per cell of phi(s), with the constant extrapolation."""
+    bp = [mp.mpf(b) for b in table.breakpoints]
+    vals = [mp.mpf(v) for v in table.values]
+    linear = table.interpolation == "piecewise-linear"
+    for k in range(len(bp) - 1):
+        beta = (vals[k + 1] - vals[k]) / (bp[k + 1] - bp[k]) if linear else mp.mpf(0)
+        yield bp[k], bp[k + 1], vals[k] - beta * bp[k], beta
+    yield -mp.inf, bp[0], vals[0], mp.mpf(0)
+    yield bp[-1], mp.inf, vals[-1], mp.mpf(0)
+
+
+def _mp_phirep_sides(table):
+    """Cells of phi(t) and phi(-t) on t >= 0; a cell straddling 0 is split there."""
+    plus, minus = [], []
+    for a, b, alpha, beta in _mp_table_cells(table):
+        if b > 0:
+            plus.append((max(a, mp.mpf(0)), b, alpha, beta))
+        if a < 0:
+            minus.append((max(-b, mp.mpf(0)), -a, alpha, -beta))
+    return plus, minus
+
+
+def _mp_phirep(spec, xi, prime=False):
+    """f(xi), or f'(xi), from exp(E+(-i xi) + E-(i xi)); the left half-plane by reflection."""
+    xi = complex(xi)
+    if xi.real < 0.0:
+        val = _mp_phirep(spec, -xi.conjugate(), prime).conjugate()
+        return -val if prime else val
+    with mp.workdps(DIGITS):
+        plus, minus = _mp_phirep_sides(spec.phi)
+        x = mp.mpc(xi)
+        f = spec.c * mp.exp(_mp_side(plus, -1j * x) + _mp_side(minus, 1j * x))
+        if prime:
+            f *= 1j * (_mp_side(minus, 1j * x, True) - _mp_side(plus, -1j * x, True))
+        return complex(f)
+
+
+def _mp_factor_cells(table, side):
+    """A factor's cells: the side's own breakpoints, the inner gap at the innermost value."""
+    bp = np.asarray(table.breakpoints)
+    vals = np.asarray(table.values)
+    if side == "minus":
+        bp, vals = -bp[::-1], vals[::-1]
+    s = [mp.mpf(x) for x in bp[bp > 0.0]]
+    p = [mp.mpf(v) for v in vals[bp > 0.0]]
+    cells = [(mp.mpf(0), s[0], p[0], mp.mpf(0)), (s[-1], mp.inf, p[-1], mp.mpf(0))]
+    for k in range(len(s) - 1):
+        beta = (p[k + 1] - p[k]) / (s[k + 1] - s[k])
+        cells.append((s[k], s[k + 1], p[k] - beta * s[k], beta))
+    return cells, bp[bp > 0.0]
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def _points(rng, n):
+    """n seeded points per half-plane, |xi| in [0.05, 20]."""
+    r = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 2 * n))
+    xi = r * np.exp(1j * rng.uniform(-1.45, 1.45, 2 * n))
+    xi[1::2] = -np.conj(xi[1::2])
+    return xi
+
+
+class TestPhiRepOracle:
+    @pytest.mark.parametrize("name", ["lin5", "const", "lin200"])
+    def test_eval_f(self, name):
+        spec = {"lin5": LIN5, "const": CONST, "lin200": _lin200()}[name]
+        xi = np.append(_points(np.random.default_rng(7), 4), [0.05 + 2.0j, 0.05 - 2.0j])
+        got = eval_f(spec, xi)
+        for k, x in enumerate(xi):
+            assert _rel(got[k], _mp_phirep(spec, x)) <= 1e-12, (name, x)
+
+    @pytest.mark.parametrize("per_side", [1, 2, 4, 15])
+    def test_eval_f_prime_arrays(self, per_side):
+        """Array calls with several points per half-plane, LIN5."""
+        xi = _points(np.random.default_rng(per_side), per_side)
+        got = eval_f_prime(LIN5, xi)
+        for k, x in enumerate(xi):
+            assert _rel(got[k], eval_f_prime(LIN5, complex(x))) <= 1e-12
+            assert _rel(got[k], _mp_phirep(LIN5, x, prime=True)) <= 1e-12, x
+
+
+class TestFactorOracle:
+    """Factor exponents on estimated tables: far, near the cut, just above breakpoints."""
+
+    @pytest.mark.parametrize("name", ["rational_three_arcs", "bm_drift"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_exponent(self, name, side):
+        spec = SHOWCASE[name]
+        handle = get_factor_handle(spec, side)
+        with mp.workdps(DIGITS):
+            cells, s = _mp_factor_cells(get_phi_table(spec), side)
+        far = [0.3 + 0.4j, 2.5 - 1.0j, 40.0 + 3.0j]
+        near = [-t + 1j * eta * (1.0 + t) for t in (0.2, 1.7, 9.0) for eta in (3e-3, 1e-4)]
+        above = [-x + 1j * 1e-9 * x for x in s[[len(s) // 4, len(s) // 2, 3 * len(s) // 4]]]
+        z = np.array(far + near + above)
+        got = handle.eval(z) / handle.scale
+        with mp.workdps(DIGITS):
+            want = [complex(mp.exp(_mp_side(cells, zk))) for zk in z]
+        for k, zk in enumerate(z):
+            assert _rel(got[k], want[k]) <= 1e-12, (name, side, zk)

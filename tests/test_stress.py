@@ -106,7 +106,7 @@ class TestTemporalRatioCrossIdentity:
 
 class TestLinearPhiTables:
     def test_linear_table_evaluation_and_factors(self):
-        """A genuinely piecewise-linear boundary angle, quadrature route."""
+        """A genuinely piecewise-linear boundary angle, closed-form cell route."""
         table = PhiTable(
             (-5.0, -1.0, 0.5, 2.0, 8.0),
             (0.2, 1.4, 0.9, 2.0, 0.6),

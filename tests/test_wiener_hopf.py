@@ -23,7 +23,6 @@ from levycm.wiener_hopf import (
     factorization_check,
     get_phi_table,
     get_spine_engine,
-    wh_eval_from_phi,
     wh_product,
     wh_ratio,
 )
@@ -41,7 +40,7 @@ class TestPhiEval:
     def test_square_plus_factor_is_identity(self):
         # phi = pi on both sides: f+ = c+ xi with c+ = sqrt(c) = 1
         handle = FactorHandle(SYMMETRIC, "plus")
-        assert complex(wh_eval_from_phi(handle, 3.0 + 0.0j)).real == pytest.approx(
+        assert complex(handle.eval(3.0 + 0.0j)).real == pytest.approx(
             3.0, rel=1e-8
         )
 
