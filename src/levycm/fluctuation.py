@@ -28,7 +28,8 @@ from .errors import (
     MethodUnsupportedError,
     ValidationError,
 )
-from .numerics import QuadratureConfig, integrate_adaptive, principal_log, richardson_zero
+from .numerics import QuadratureConfig, gk15, gk15_nodes, integrate_adaptive, principal_log
+from .numerics import refine_panels, richardson_zero
 from .report import VerifyReport
 from .rogers import (
     DerivedExponent,
@@ -274,47 +275,10 @@ class _SupTailEvaluator:
 
     def _build_nodes(self):
         """Adaptive Gauss-Kronrod node table for integrals against m(t)."""
-        from .numerics import _GAUSS_IDX, _WG, _WK, _XK
-
-        import heapq
-
         edges = np.concatenate([[0.0], np.geomspace(1e-5, 1e5, 81)])
-        heap = []
-        counter = 0
-        total = 0.0
-        panels = {}
-
-        def make(lo, hi):
-            nonlocal counter, total
-            c = 0.5 * (lo + hi)
-            h = 0.5 * (hi - lo)
-            tn = c + h * _XK
-            mn = self.density(tn)
-            k = h * float(np.sum(_WK * mn))
-            gq = h * float(np.sum(_WG * mn[_GAUSS_IDX]))
-            err = abs(k - gq)
-            panels[counter] = (tn, h * _WK, mn)
-            heapq.heappush(heap, (-err, counter, lo, hi))
-            total += err
-            counter += 1
-
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            make(float(lo), float(hi))
-        splits = 0
-        while total > 3e-7 and heap and splits < 400:
-            neg_err, key, lo, hi = heapq.heappop(heap)
-            del panels[key]
-            total -= -neg_err
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                continue
-            make(lo, mid)
-            make(mid, hi)
-            splits += 1
-        t_all = np.concatenate([p[0] for p in panels.values()])
-        w_all = np.concatenate([p[1] for p in panels.values()])
-        m_all = np.concatenate([p[2] for p in panels.values()])
-        self._nodes = (t_all, w_all, m_all)
+        res = refine_panels(gk15(self.density), edges[:-1], edges[1:], 3e-7, max_splits=400)
+        t, w = gk15_nodes(res.lo, res.hi)
+        self._nodes = (t.ravel(), w.ravel(), res.rows.ravel())
 
     def tail(self, x):
         x = float(x)
@@ -328,10 +292,17 @@ class _SupTailEvaluator:
 
 
 def _sup_evaluator(spec, sigma, eps_ladder=None):
+    """The cached evaluator; a set-up that failed is cached as its message."""
     key = (spec, float(sigma), eps_ladder)
     if key not in _SUP_CACHE:
-        _SUP_CACHE[key] = _SupTailEvaluator(spec, sigma, eps_ladder)
-    return _SUP_CACHE[key]
+        try:
+            _SUP_CACHE[key] = _SupTailEvaluator(spec, sigma, eps_ladder)
+        except DomainError as exc:
+            _SUP_CACHE[key] = str(exc)
+    hit = _SUP_CACHE[key]
+    if isinstance(hit, str):
+        raise DomainError(hit)
+    return hit
 
 
 def sup_tail(spec, sigma, x, eps_ladder=None):

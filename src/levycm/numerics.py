@@ -1,9 +1,12 @@
 """Shared numerical kernels.
 
-Adaptive Gauss-Kronrod quadrature on lines, half-lines and finite intervals
-with declared singular abscissae, sign-change bisection for monotone
-functions, the principal complex logarithm, polynomial extrapolation to zero
-and a deterministic 64-bit-seeded generator.
+One batched adaptive panel engine (:func:`refine_panels`), which runs every
+adaptive quadrature of the package: Gauss-Kronrod quadrature on lines,
+half-lines and finite intervals with declared singular abscissae, the spine
+Stieltjes integrals and the supremum-tail node table.  Also sign-change
+bisection for monotone functions, the principal complex logarithm,
+polynomial extrapolation to zero and a deterministic 64-bit-seeded
+generator.
 
 Integrands passed to :func:`integrate_adaptive` must accept a numpy array of
 abscissae and return an array of values (real or complex).
@@ -11,7 +14,6 @@ abscissae and return an array of values (real or complex).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +23,10 @@ from .errors import DomainError, QuadratureError
 
 __all__ = [
     "QuadratureConfig",
+    "PanelSum",
+    "refine_panels",
+    "gk15",
+    "gk15_nodes",
     "integrate_adaptive",
     "bisect_monotone",
     "principal_log",
@@ -95,86 +101,117 @@ class QuadratureConfig:
         object.__setattr__(self, "singular_points", pts)
 
 
-def _gk15(fn, lo, hi):
-    """One Gauss-Kronrod panel; returns (kronrod, |kronrod - gauss|, scale)."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    vals = np.asarray(fn(c + h * _XK))
-    k = h * np.sum(_WK * vals)
-    g = h * np.sum(_WG * vals[_GAUSS_IDX])
-    scale = abs(h) * float(np.sum(_WK * np.abs(vals)))
-    return k, abs(k - g), scale
+@dataclass(frozen=True)
+class PanelSum:
+    """Summed value and error of :func:`refine_panels` and its final panels."""
+
+    value: complex
+    err: float
+    converged: bool
+    splits: int
+    lo: np.ndarray
+    hi: np.ndarray
+    rows: np.ndarray
 
 
-def _integrate_jobs(jobs, cfg):
-    """Adaptive refinement over a list of (fn, lo, hi) panel jobs."""
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    total_scale = 0.0
-    counter = 0
-    for fn, lo, hi in jobs:
-        val, err, scale = _gk15(fn, lo, hi)
-        total += val
-        total_err += err
-        total_scale += scale
-        heapq.heappush(heap, (-err, counter, fn, lo, hi, val))
-        counter += 1
+def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
+    """Adaptive refinement of the panels [lo, hi] in batched rounds.
 
-    n_splits = 0
+    ``estimate(lo, hi)`` maps arrays of panels to per-panel values, error
+    estimates and rows (a 2-d array, one row per panel); it is called once
+    on the initial panels and once per round on the new halves.  Each round
+    splits at their midpoints the panels whose error is at least half the
+    largest: at most the fewest largest whose errors cover the excess of the
+    summed error over max(abs_tol, rel_tol |sum|), and at most the splits
+    left in ``max_splits``.  Left halves replace their parents and right
+    halves are appended.  A panel at floating-point resolution is never
+    split and keeps its estimate in the sum.
+
+    Stops converged when the summed error meets the goal, and unconverged
+    when ``max_splits`` is used up or no splittable panel has error left.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    value, err, rows = estimate(lo, hi)
+    splits = 0
     while True:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= tol or not heap:
+        err_sum = float(err.sum())
+        goal = max(abs_tol, rel_tol * abs(value.sum()))
+        mid = 0.5 * (lo + hi)
+        open_err = np.where((lo < mid) & (mid < hi), err, -1.0)
+        top = open_err.max()
+        if err_sum <= goal or splits >= max_splits or not top > 0.0:
             break
-        if n_splits >= cfg.max_subdivisions:
-            raise QuadratureError(total, total_err)
-        neg_err, _, fn, lo, hi, old_val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Panel at floating-point resolution; keep its estimate.
-            continue
-        v1, e1, s1 = _gk15(fn, lo, mid)
-        v2, e2, s2 = _gk15(fn, mid, hi)
-        total += (v1 + v2) - old_val
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, counter, fn, lo, mid, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, fn, mid, hi, v2))
-        counter += 1
-        n_splits += 1
-
-    total_err = max(total_err, 1e-16 * total_scale)
-    return total, total_err
-
-
-def _sqrt_wrap_left(fn, anchor):
-    """Absorb an inverse-square-root singularity at the left endpoint."""
-
-    def wrapped(v):
-        return fn(anchor + v * v) * (2.0 * v)
-
-    return wrapped
-
-
-def _sqrt_wrap_right(fn, anchor):
-    def wrapped(v):
-        return fn(anchor - v * v) * (2.0 * v)
-
-    return wrapped
-
-
-def _segment_jobs(fn, lo, hi, sing_left, sing_right):
-    """Panel jobs for [lo, hi], sqrt-absorbing declared singular endpoints."""
-    if not sing_left and not sing_right:
-        return [(fn, lo, hi)]
-    if sing_left and sing_right:
-        mid = 0.5 * (lo + hi)
-        return _segment_jobs(fn, lo, mid, True, False) + _segment_jobs(
-            fn, mid, hi, False, True
+        worst = np.flatnonzero(open_err >= 0.5 * top)
+        worst = worst[np.argsort(-err[worst], kind="stable")]
+        cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
+        sel = worst[: min(cover, max_splits - splits)]
+        m = len(sel)
+        v2, e2, r2 = estimate(
+            np.concatenate([lo[sel], mid[sel]]), np.concatenate([mid[sel], hi[sel]])
         )
-    if sing_left:
-        return [(_sqrt_wrap_left(fn, lo), 0.0, math.sqrt(hi - lo))]
-    return [(_sqrt_wrap_right(fn, hi), 0.0, math.sqrt(hi - lo))]
+        lo, hi = np.append(lo, mid[sel]), np.append(hi, hi[sel])
+        hi[sel] = mid[sel]
+        value[sel], err[sel], rows[sel] = v2[:m], e2[:m], r2[:m]
+        value, err = np.append(value, v2[m:]), np.append(err, e2[m:])
+        rows = np.concatenate([rows, r2[m:]])
+        splits += m
+    return PanelSum(value.sum(), err_sum, err_sum <= goal, splits, lo, hi, rows)
+
+
+def gk15_nodes(lo, hi):
+    """Kronrod nodes and weights of the panels [lo, hi], one row per panel."""
+    h = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + h[:, None] * _XK, h[:, None] * _WK
+
+
+def gk15(fn):
+    """Gauss-Kronrod 15 panel estimate for :func:`refine_panels`.
+
+    Calls the vectorized ``fn`` once on every panel's 15 nodes; returns the
+    Kronrod values, |Kronrod - Gauss| and the node values as rows.
+    """
+
+    def estimate(lo, hi):
+        x, w = gk15_nodes(lo, hi)
+        rows = np.asarray(fn(x.ravel())).reshape(x.shape)
+        k = np.sum(w * rows, axis=1)
+        g = 0.5 * (hi - lo) * (rows[:, _GAUSS_IDX] @ _WG)
+        return k, np.abs(k - g), rows
+
+    return estimate
+
+
+def _piecewise_axis(fn, cuts, singular):
+    """Lay the segments between ``cuts`` end to end on one parameter axis.
+
+    Each segment is mapped plainly, or by x = anchor +- v^2 beside a
+    singular end (both ends singular: halved first), which absorbs an
+    inverse square-root singularity there; the map is continuous and
+    increasing.  The axis origin sits at the piece end nearest x = 0, so
+    that a singular point there is resolved as finely as floating point
+    allows.  Returns the integrand on the axis and the pieces' (lo, hi).
+    """
+    pieces = []  # (x_lo, x_hi, kind); kind -1/+1: singular left/right end
+    for a, b in zip(cuts, cuts[1:]):
+        left, right = a in singular, b in singular
+        if left and right:
+            pieces += [(a, 0.5 * (a + b), -1), (0.5 * (a + b), b, 1)]
+        else:
+            pieces.append((a, b, int(right) - int(left)))
+    x_lo, x_hi, kind = map(np.array, zip(*pieces))
+    starts = np.concatenate([[0.0], np.cumsum(np.where(kind, np.sqrt(x_hi - x_lo), x_hi - x_lo))])
+    starts -= starts[np.argmin(np.abs(np.append(x_lo, x_hi[-1])))]
+    ref = np.where(kind == 1, starts[1:], starts[:-1])  # v = 0 on the axis
+    anchor = np.where(kind == 1, x_hi, x_lo)  # and its image
+
+    def mapped(p):
+        j = np.clip(np.searchsorted(starts, p, side="right") - 1, 0, len(pieces) - 1)
+        d, sq = p - ref[j], kind[j] != 0
+        x = np.where(sq, anchor[j] - kind[j] * d * d, anchor[j] + d)
+        return fn(x) * np.where(sq, 2.0 * np.abs(d), 1.0)
+
+    return mapped, starts[:-1], starts[1:]
 
 
 def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
@@ -184,8 +221,10 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     the config's declared singular points, where the domain is split and the
     adjacent panels get a square-root-absorbing substitution.  Infinite
     domains are compactified first: s = tan(u) for the full line and
-    s = a + t/(1-t) for half-lines; the images of infinity are always treated
-    as (potentially) singular endpoints.
+    s = o +- t/(1-t) from the finite end o of a half-line; the images of
+    infinity are always treated as (potentially) singular endpoints.  All
+    segments are refined together by :func:`refine_panels` with
+    Gauss-Kronrod 15 panels.
 
     Returns ``(value, err_estimate)``; raises :class:`QuadratureError` with
     the partial value attached when ``max_subdivisions`` is exhausted.
@@ -194,52 +233,32 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
         cfg = QuadratureConfig()
     a, b = domain
     sing = [s for s in cfg.singular_points if math.isfinite(s)]
-
     if math.isinf(a) and math.isinf(b):
         fn = lambda u: integrand(np.tan(u)) / np.cos(u) ** 2
         lo, hi = -0.5 * math.pi, 0.5 * math.pi
-        interior = sorted(math.atan(s) for s in sing)
-        endpoint_sing = {lo, hi}
-    elif math.isinf(b):
-        fn = lambda t: integrand(a + t / (1.0 - t)) / (1.0 - t) ** 2
+        singular = {lo, hi, *(math.atan(s) for s in sing)}
+    elif math.isinf(a) or math.isinf(b):
+        o, sgn = (a, 1.0) if math.isinf(b) else (b, -1.0)  # s = o +- t/(1-t)
+        fn = lambda t: integrand(o + sgn * t / (1.0 - t)) / (1.0 - t) ** 2
         lo, hi = 0.0, 1.0
-        interior = sorted((s - a) / (1.0 + (s - a)) for s in sing if s > a)
-        endpoint_sing = {hi}
-        if a in cfg.singular_points:
-            endpoint_sing.add(lo)
-    elif math.isinf(a):
-        flipped = lambda s: integrand(-s)
-        return integrate_adaptive(
-            flipped,
-            (-b, math.inf),
-            QuadratureConfig(
-                cfg.rel_tol,
-                cfg.abs_tol,
-                cfg.max_subdivisions,
-                tuple(sorted(-s for s in cfg.singular_points)),
-            ),
-        )
+        singular = {hi, *(d / (1.0 + d) for d in (sgn * (s - o) for s in sing) if d >= 0.0)}
     else:
         fn = integrand
         lo, hi = float(a), float(b)
-        interior = sorted(s for s in sing if lo < s < hi)
-        endpoint_sing = set()
-        if lo in cfg.singular_points:
-            endpoint_sing.add(lo)
-        if hi in cfg.singular_points:
-            endpoint_sing.add(hi)
-
+        singular = set(sing)
     if lo >= hi:
         raise ValueError("empty or inverted integration domain")
 
-    cuts = [lo] + [u for u in interior if lo < u < hi] + [hi]
-    jobs = []
-    for seg_lo, seg_hi in zip(cuts, cuts[1:]):
-        left_sing = seg_lo in endpoint_sing or seg_lo in interior
-        right_sing = seg_hi in endpoint_sing or seg_hi in interior
-        jobs.extend(_segment_jobs(fn, seg_lo, seg_hi, left_sing, right_sing))
-
-    return _integrate_jobs(jobs, cfg)
+    cuts = sorted({lo, hi, *(u for u in singular if lo < u < hi)})
+    mapped, p_lo, p_hi = _piecewise_axis(fn, cuts, singular)
+    res = refine_panels(
+        gk15(mapped), p_lo, p_hi, cfg.abs_tol, cfg.rel_tol, max_splits=cfg.max_subdivisions
+    )
+    value = complex(res.value)
+    if not res.converged:
+        raise QuadratureError(value, res.err)
+    _, w = gk15_nodes(res.lo, res.hi)
+    return value, max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
 
 
 def bisect_monotone(g, lo, hi, tol=1e-12, max_iter=200):

@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     MethodUnsupportedError,
 )
-from .numerics import QuadratureConfig, integrate_adaptive, principal_log
+from .numerics import QuadratureConfig, integrate_adaptive, principal_log, refine_panels
 from .report import VerifyReport
 from .rogers import (
     PW_CONSTANT,
@@ -293,14 +293,14 @@ def _bd_product(spec, x1, x2):
 # ---------------------------------------------------------------------------
 
 
-def _stieltjes_panels(g, v, i0, im, i1):
-    """Stieltjes trapezoid with one Richardson level on panels (i0, im, i1).
+def _stieltjes_panels(g0, gm, g1, v0, vm, v1):
+    """Stieltjes trapezoid with one Richardson level on panels (lo, mid, hi).
 
-    ``g`` and ``v`` are sampled at point indices; each panel runs from point
-    i0 to point i1 with midpoint im.  Returns (values, error estimates).
+    ``g`` and ``v`` are sampled at each panel's ends and midpoint.  Returns
+    (values, error estimates).
     """
-    t1 = 0.5 * (g[i0] + g[i1]) * (v[i1] - v[i0])
-    t2 = 0.5 * (g[i0] + g[im]) * (v[im] - v[i0]) + 0.5 * (g[im] + g[i1]) * (v[i1] - v[im])
+    t1 = 0.5 * (g0 + g1) * (v1 - v0)
+    t2 = 0.5 * (g0 + gm) * (vm - v0) + 0.5 * (gm + g1) * (v1 - vm)
     return (4.0 * t2 - t1) / 3.0, np.abs(t2 - t1) / 3.0
 
 
@@ -311,8 +311,11 @@ class SpineStieltjes:
     d lambda / (lambda + tau); products add a pi indicator on (0, R) and a
     (tau + lambda(R)) prefactor.  Spine samples are cached per log-radius
     and solved in batches (``solve_spine``).  Panels in log r are split at
-    the jump radii |x1|, |x2| and R and refined in rounds (Richardson on the
-    Stieltjes trapezoid), each round splitting a batch of the worst panels.
+    the jump radii |x1|, |x2| and R and refined in the rounds of
+    :func:`~levycm.numerics.refine_panels` (Richardson on the Stieltjes
+    trapezoid), each round splitting a batch of the worst panels.  The
+    refinement goal ``rel_goal`` is absolute, and the loop stops at
+    ``max_splits`` without meeting it on every preset.
     """
 
     def __init__(self, spec, base_step=0.05):
@@ -358,11 +361,12 @@ class SpineStieltjes:
         """int_0^inf g(r) d log(lambda(r) + tau) for real tau >= 0.
 
         Stieltjes trapezoid with one Richardson level per panel.  The grid
-        and every panel midpoint are sampled in one batch.  Then, in rounds,
-        each panel whose error estimate is at least half the largest is
-        split in two -- at most the fewest largest ones whose estimates cover the
-        excess over the goal, and at most the splits left in ``max_splits``
-        -- and the new midpoints are sampled in one batch.
+        is sampled in one batch; the rounds come from
+        :func:`~levycm.numerics.refine_panels` (each splits the panels whose
+        error estimate is at least half the largest, at most the fewest that
+        cover the excess over the goal and at most the splits left in
+        ``max_splits``), and each round samples only its new midpoints, in
+        one batch.  Panel ends are read from the samples already taken.
 
         ``rel_goal`` bounds the summed error estimate absolutely (it is not
         scaled by the integral).  When ``max_splits`` runs out first, the
@@ -372,45 +376,33 @@ class SpineStieltjes:
         estimate)``.
         """
         grid = self._grid(scales, jumps)
-        n = len(grid)
 
         def sample(u):
             zeta, lam = self._tl(u)
             return gfun(zeta, np.exp(u)), np.log(lam + tau)
 
-        # points: the grid, then one midpoint per panel, then two per split
-        u = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])])
-        g, v = sample(u)
-        i0 = np.arange(n - 1)
-        i1, im = i0 + 1, i0 + n
-        value, err = _stieltjes_panels(g, v, i0, im, i1)
-        splits = 0
-        err_sum = float(err.sum())
-        while err_sum > rel_goal and splits < max_splits:
-            worst = np.flatnonzero(err >= 0.5 * err.max())
-            worst = worst[np.argsort(-err[worst], kind="stable")]
-            cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - rel_goal)) + 1
-            sel = worst[: min(cover, max_splits - splits)]
-            m = len(sel)
-            mid = im[sel]
-            q = np.concatenate([0.5 * (u[i0[sel]] + u[mid]), 0.5 * (u[mid] + u[i1[sel]])])
-            gq, vq = sample(q)
-            new_l = len(u) + np.arange(m)
-            u, g, v = np.append(u, q), np.append(g, gq), np.append(v, vq)
-            # left halves replace their parents, right halves are appended
-            i0 = np.append(i0, mid)
-            im = np.append(im, new_l + m)
-            i1 = np.append(i1, i1[sel])
-            i1[sel], im[sel] = mid, new_l
-            redo = np.append(sel, np.arange(len(value), len(i0)))
-            value, err = np.append(value, np.empty(m)), np.append(err, np.empty(m))
-            value[redo], err[redo] = _stieltjes_panels(g, v, i0[redo], im[redo], i1[redo])
-            splits += m
-            err_sum = float(err.sum())
-        total = float(value.sum())
+        # the grid and the first midpoints in one spine batch; later reads hit the cache
+        self._tl(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+        g_grid, v_grid = sample(grid)
+        # the points sampled so far, sorted by u; every panel end is one of
+        # them, so a round samples only its new midpoints
+        u_k, g_k, v_k = grid, g_grid, v_grid
+
+        def estimate(lo, hi):
+            nonlocal u_k, g_k, v_k
+            mid = 0.5 * (lo + hi)
+            gm, vm = sample(mid)
+            i0, i1 = np.searchsorted(u_k, lo), np.searchsorted(u_k, hi)
+            value, err = _stieltjes_panels(g_k[i0], gm, g_k[i1], v_k[i0], vm, v_k[i1])
+            at = np.searchsorted(u_k, mid)
+            u_k, g_k, v_k = np.insert(u_k, at, mid), np.insert(g_k, at, gm), np.insert(v_k, at, vm)
+            return value, err, np.empty((len(lo), 0))
+
+        res = refine_panels(estimate, grid[:-1], grid[1:], rel_goal, max_splits=max_splits)
+        total = float(res.value)
 
         # tails: g -> g0_lim linearly in r at 0+ and g -> 0 like 1/r at inf
-        g_lo, v_lo, v_1 = float(g[0]), float(v[0]), float(v[1])
+        g_lo, v_lo, v_1 = float(g_grid[0]), float(v_grid[0]), float(v_grid[1])
         du0 = float(grid[1] - grid[0])
         if g0_lim is None:
             g0_lim = g_lo
@@ -423,10 +415,10 @@ class SpineStieltjes:
                     "spine integral diverges: g(0+) != 0 with f(0+) + tau = 0"
                 )
             total += (g_lo - g0_lim) * (v_1 - v_lo) / du0
-        g_hi, v_hi, v_2 = float(g[n - 1]), float(v[n - 1]), float(v[n - 2])
+        g_hi, v_hi, v_2 = float(g_grid[-1]), float(v_grid[-1]), float(v_grid[-2])
         du1 = float(grid[-1] - grid[-2])
         total += g_hi * (v_hi - v_2) / du1
-        return total, err_sum
+        return total, res.err
 
     @staticmethod
     def _ratio_kernel(x1, x2, side):

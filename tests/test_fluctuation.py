@@ -30,7 +30,7 @@ from levycm.fluctuation import (
     sup_tail,
 )
 from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
-from levycm.wiener_hopf import factor_pair
+from levycm.wiener_hopf import FactorHandle, factor_pair
 
 from conftest import showcase, upper_half_samples
 
@@ -169,6 +169,19 @@ class TestSupTail:
     def test_argument_validated(self):
         with pytest.raises(DomainError):
             sup_tail(BM, 0.5, 0.0)
+
+    def test_failed_setup_is_not_redone(self, fig_b, monkeypatch):
+        """f_sigma^+(0) = 0 on stable_asym: the second call raises from the cache."""
+        with pytest.raises(DomainError) as first:
+            sup_tail(fig_b, 0.61, 1.0)
+        calls = []
+        orig = FactorHandle.eval
+        monkeypatch.setattr(FactorHandle, "eval", lambda h, xi: calls.append(xi) or orig(h, xi))
+        with pytest.raises(DomainError) as second:
+            sup_tail(fig_b, 0.61, 2.0)
+        assert calls == []
+        assert second.value is not first.value
+        assert str(second.value) == str(first.value)
 
 
 class TestCmCbfCheck:

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levycm import numerics
 from levycm.errors import DomainError, QuadratureError
 from levycm.numerics import (
     QuadratureConfig,
     bisect_monotone,
+    gk15,
     integrate_adaptive,
     make_rng,
     principal_log,
+    refine_panels,
     richardson_zero,
 )
 
@@ -25,12 +28,15 @@ class TestIntegrateAdaptive:
         assert abs(val - math.pi) <= 10 * err + 1e-15
 
     def test_half_gamma(self):
-        """Integrable inverse-square-root endpoint on a half line."""
-        cfg = QuadratureConfig(singular_points=(0.0,))
-        val, _ = integrate_adaptive(
-            lambda s: np.exp(-s) * s**-0.5, (0.0, math.inf), cfg
-        )
-        assert abs(val - math.sqrt(math.pi)) < 1e-12
+        """Integrable inverse-square-root endpoints: a half line, both ends of [0, 1]."""
+        cases = [
+            (lambda s: np.exp(-s) * s**-0.5, (0.0, math.inf), (0.0,), math.sqrt(math.pi)),
+            (lambda s: (s * (1.0 - s)) ** -0.5, (0.0, 1.0), (0.0, 1.0), math.pi),
+        ]
+        for f, domain, sing, want in cases:
+            cfg = QuadratureConfig(singular_points=sing)
+            val, _ = integrate_adaptive(f, domain, cfg)
+            assert abs(val - want) < 1e-12
 
     def test_poles_on_opposite_sides(self):
         """1/(z-i) - 1/(z+i) integrates to 2 pi i along the real line."""
@@ -71,6 +77,75 @@ class TestIntegrateAdaptive:
             )
         assert math.isfinite(exc.value.err_estimate)
         assert abs(exc.value.value) > 0.0
+
+    def test_integrand_gets_every_panel_at_once(self, monkeypatch):
+        """One integrand call on the initial panels, then one per round."""
+        results = []
+        engine = numerics.refine_panels
+
+        def recorded(*args, **kwargs):
+            results.append(engine(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(numerics, "refine_panels", recorded)
+        sizes = []
+
+        def f(s):
+            sizes.append(len(s))
+            return 1.0 / (1e-2 + (s - 0.3) ** 2)
+
+        val, _ = integrate_adaptive(f, (-math.inf, math.inf))
+        assert abs(val.real - 10.0 * math.pi) < 1e-9
+        splits = results[0].splits
+        assert splits > 0
+        assert all(n % 15 == 0 for n in sizes)
+        assert len(sizes) <= 1 + splits
+        assert sum(sizes) == sizes[0] + 30 * splits
+
+
+def _widths(lo, hi):
+    """Panel estimate for the engine tests: value hi - lo, error 1e-3 per unit width."""
+    return hi - lo, 1e-3 * (hi - lo), np.zeros((len(lo), 1))
+
+
+class TestRefinePanels:
+    def test_resolution_panel_kept_unsplit(self):
+        """A panel floating point cannot split keeps its estimate and blocks convergence."""
+        tiny_hi = np.nextafter(1.0, 2.0)
+
+        def estimate(lo, hi):
+            value, err, rows = _widths(lo, hi)
+            at_resolution = lo == 1.0
+            return np.where(at_resolution, 5.0, value), np.where(at_resolution, 1.0, err), rows
+
+        res = refine_panels(estimate, [1.0, 2.0], [tiny_hi, 3.0], abs_tol=0.5, max_splits=20)
+        assert not res.converged
+        assert res.splits == 20
+        assert res.value == 6.0
+        kept = np.flatnonzero(res.lo == 1.0)
+        assert len(kept) == 1 and res.hi[kept[0]] == tiny_hi
+        alone = refine_panels(estimate, [1.0], [tiny_hi], abs_tol=0.5, max_splits=20)
+        assert (alone.value, alone.splits, alone.converged) == (5.0, 0, False)
+
+    def test_max_splits_returns_unconverged(self):
+        """The summed error never falls; the engine stops at max_splits and raises nothing."""
+        res = refine_panels(_widths, [0.0], [8.0], abs_tol=1e-6, max_splits=7)
+        assert not res.converged
+        assert res.splits == 7
+        assert len(res.lo) == 8
+        assert res.value == 8.0
+        assert res.err == pytest.approx(8e-3)
+        assert res.rows.shape == (8, 1)
+
+    def test_converges_on_goal(self):
+        """GK15 panels of a smooth integrand meet a relative goal and tile the interval."""
+        res = refine_panels(gk15(np.exp), [0.0], [4.0], 0.0, 1e-13, max_splits=100)
+        assert res.converged
+        assert res.err <= 1e-13 * abs(res.value)
+        assert res.value == pytest.approx(math.expm1(4.0), rel=1e-13)
+        order = np.argsort(res.lo)
+        assert res.lo[order][0] == 0.0 and res.hi[order][-1] == 4.0
+        np.testing.assert_array_equal(res.lo[order][1:], res.hi[order][:-1])
 
 
 class TestBisectMonotone:
