@@ -198,10 +198,12 @@ def _cmd_mc(args):
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.write("sup_value,argmax_time,horizon,killed\n")
-            for s in samples:
+            for sup, tmax, horizon, killed in zip(
+                samples.sup_value, samples.argmax_time, samples.horizon, samples.killed
+            ):
                 fh.write(
-                    f"{format_float(s.sup_value)},{format_float(s.argmax_time)},"
-                    f"{format_float(s.horizon)},{1 if s.killed else 0}\n"
+                    f"{format_float(sup)},{format_float(tmax)},"
+                    f"{format_float(horizon)},{1 if killed else 0}\n"
                 )
     queries = []
     for xi in args.laplace or []:

@@ -6,7 +6,13 @@ be simulated without time discretization.  The supremum over an independent
 exponential horizon is computed exactly: linear pieces via their endpoints
 and Brownian pieces via inverse-CDF sampling of the bridge maximum, with
 the maximum's location drawn from its exact conditional law (a two-piece
-inverse-Gaussian mixture).
+inverse-Gaussian mixture), only for the piece that attains the supremum.
+
+Paths are simulated a shard at a time in one array pass: all jump counts,
+times and sizes of the shard, then all segments of all its paths, with
+per-path reductions for the supremum and its first attaining candidate.
+Samples come back as columns in one ``SupSamples`` record, deterministic
+for a fixed (seed, shard_size).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import MethodUnsupportedError, ValidationError
 from .rogers import LevyAtomic, compensator_drift, eval_f
 
 __all__ = [
-    "SupSample",
+    "SupSamples",
     "McEstimate",
     "LaplaceQuery",
     "TailQuery",
@@ -31,11 +37,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SupSample:
-    sup_value: float
-    argmax_time: float
-    horizon: float
-    killed: bool
+class SupSamples:
+    """Exact-path samples as columns: entry i of every array is path i."""
+
+    sup_value: np.ndarray
+    argmax_time: np.ndarray
+    horizon: np.ndarray
+    killed: np.ndarray
+
+    def __len__(self):
+        return len(self.sup_value)
 
 
 @dataclass(frozen=True)
@@ -99,7 +110,7 @@ def _ig_sample(rng, mu, lam):
 
 def _bridge_max(rng, w, var_dt):
     """Maximum above the start of a Brownian bridge with increment w."""
-    u = rng.uniform(size=np.shape(w)) if np.ndim(w) else rng.uniform()
+    u = rng.uniform(size=np.shape(w))
     return 0.5 * (w + np.sqrt(w * w - 2.0 * var_dt * np.log(u)))
 
 
@@ -133,12 +144,16 @@ def _bridge_argmax(rng, m, w, dt, v):
 
 
 def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
-    """Supremum and argmax-time samples over Exp(sigma) horizons.
+    """Supremum and argmax-time samples over Exp(sigma) horizons, as columns.
 
-    Deterministic for a fixed (seed, shard_size): shard k uses the child
-    generator seeded by (seed, k) and shards are concatenated in order.
-    Killing (rate c) truncates the horizon; the supremum is over the
-    lifetime.
+    Returns one ``SupSamples`` record with an entry per path.  Each shard of
+    at most ``shard_size`` paths is simulated in one array pass by the child
+    generator seeded by (seed, k) for shard k, and shards are concatenated
+    in order, so the output is identical run to run for a fixed
+    (seed, shard_size), and every complete shard is the same in any run
+    that reaches it.  Values differ from versions that sampled one path at
+    a time: the random stream is consumed in another order.  Killing
+    (rate c) truncates the horizon; the supremum is over the lifetime.
     """
     if not isinstance(spec, LevyAtomic):
         raise MethodUnsupportedError(
@@ -147,21 +162,23 @@ def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
     if not sigma > 0.0:
         raise ValidationError("sigma", "must be positive")
     n = int(n)
+    if n < 1:
+        raise ValidationError("n", "need at least one path")
     rates, scales, signs = _mixture(spec)
     drift = spec.b - compensator_drift(spec)
     _validate_decomposition(spec, drift, rates, scales, signs)
-    out = []
+    blocks = []
     n_shards = (n + shard_size - 1) // shard_size
     for shard in range(n_shards):
         m = min(shard_size, n - shard * shard_size)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), shard])))
         if len(rates) == 0:
-            out.extend(_simulate_diffusion_block(spec, drift, sigma, m, rng))
+            blocks.append(_simulate_diffusion_block(spec, drift, sigma, m, rng))
         else:
-            out.extend(
+            blocks.append(
                 _simulate_jump_block(spec, drift, rates, scales, signs, sigma, m, rng)
             )
-    return out
+    return SupSamples(*(np.concatenate(col) for col in zip(*blocks)))
 
 
 def _horizons(spec, sigma, m, rng):
@@ -184,55 +201,85 @@ def _simulate_diffusion_block(spec, drift, sigma, m, rng):
         w = drift * horizon + np.sqrt(v * horizon) * rng.standard_normal(m)
         sup = _bridge_max(rng, w, v * horizon)
         tmax = _bridge_argmax(rng, sup, w, horizon, v)
-    return [
-        SupSample(float(s), float(t), float(h), bool(k))
-        for s, t, h, k in zip(sup, tmax, horizon, killed)
-    ]
+    return sup, tmax, horizon, killed
+
+
+def _path_cumsum(step, first):
+    """Running sums of ``step`` restarted at each path's first entry.
+
+    Subtracting the previous path's total at each restart keeps the running
+    sum at the scale of one path, not of the whole shard.
+    """
+    restart = step.copy()
+    restart[first[1:]] -= np.add.reduceat(step, first)[:-1]
+    return np.cumsum(restart)
 
 
 def _simulate_jump_block(spec, drift, rates, scales, signs, sigma, m, rng):
+    """Jump paths: every segment of every path of the shard at once.
+
+    Path i has counts[i] jumps and counts[i] + 1 segments, stored from
+    first[i] on; its last segment ends at the horizon and has no jump.  Each
+    segment offers two candidates in time order, its in-segment maximum and
+    the value right after its jump; the supremum is the largest candidate
+    (at least 0) and the argmax belongs to the first candidate attaining it.
+    """
     horizon, killed = _horizons(spec, sigma, m, rng)
     v = 2.0 * spec.a
     total_rate = float(np.sum(rates))
-    probs = rates / total_rate
-    out = []
-    for i in range(m):
-        T = float(horizon[i])
-        n_jumps = rng.poisson(total_rate * T)
-        times = np.sort(rng.uniform(0.0, T, size=n_jumps))
-        comps = rng.choice(len(rates), size=n_jumps, p=probs)
-        sizes = signs[comps] * rng.exponential(1.0 / scales[comps])
-        best = 0.0
-        t_best = 0.0
-        x = 0.0
-        t_prev = 0.0
-        for k in range(n_jumps + 1):
-            t_next = float(times[k]) if k < n_jumps else T
-            dt = t_next - t_prev
-            if dt > 0.0:
-                if v > 0.0:
-                    w = drift * dt + math.sqrt(v * dt) * rng.standard_normal()
-                    m_rel = float(_bridge_max(rng, w, v * dt))
-                    if x + m_rel > best:
-                        best = x + m_rel
-                        t_best = t_prev + float(
-                            _bridge_argmax(rng, np.array(m_rel), np.array(w), np.array(dt), v)
-                        )
-                    x += w
-                else:
-                    x_end = x + drift * dt
-                    if max(x, x_end) > best:
-                        best = max(x, x_end)
-                        t_best = t_next if drift > 0.0 else t_prev
-                    x = x_end
-            if k < n_jumps:
-                x += float(sizes[k])
-                if x > best:
-                    best = x
-                    t_best = t_next
-            t_prev = t_next
-        out.append(SupSample(best, t_best, T, bool(killed[i])))
-    return out
+    counts = rng.poisson(total_rate * horizon)
+    path = np.repeat(np.arange(m), counts)
+    u = rng.uniform(size=path.size) * horizon[path]
+    comps = rng.choice(len(rates), size=path.size, p=rates / total_rate)
+    # sizes are i.i.d. and independent of the times: sorting the times alone suffices
+    sizes = signs[comps] * rng.exponential(size=path.size) / scales[comps]
+    times = u[np.lexsort((u, path))]
+
+    n_seg = counts + 1
+    first = np.cumsum(n_seg) - n_seg
+    last = first + counts
+    has_jump = np.ones(path.size + m, dtype=bool)
+    has_jump[last] = False
+    end = np.empty(has_jump.size)
+    end[has_jump] = times
+    end[last] = horizon
+    begin = np.empty_like(end)
+    begin[1:] = end[:-1]
+    begin[first] = 0.0
+    dt = end - begin
+    jump = np.zeros_like(end)
+    jump[has_jump] = sizes
+
+    if v > 0.0:
+        w = drift * dt + np.sqrt(v * dt) * rng.standard_normal(dt.size)
+        rise = _bridge_max(rng, w, v * dt)
+    else:
+        w = drift * dt
+        rise = np.maximum(w, 0.0)
+    after = _path_cumsum(w + jump, first)  # value right after each segment's jump
+    start = np.empty_like(after)
+    start[1:] = after[:-1]
+    start[first] = 0.0
+
+    cand = np.empty(2 * dt.size)
+    cand[0::2] = start + rise
+    cand[1::2] = after
+    cand[2 * last + 1] = -np.inf
+    sup = np.maximum(np.maximum.reduceat(cand, 2 * first), 0.0)
+    hit = cand == np.repeat(sup, 2 * n_seg)
+    win = np.minimum.reduceat(np.where(hit, np.arange(cand.size), cand.size), 2 * first)
+
+    tmax = np.zeros(m)
+    pos = np.flatnonzero(sup > 0.0)
+    seg = win[pos] // 2
+    # a jump candidate is attained at the segment end, and so is a linear
+    # piece's that wins: with drift <= 0 it would tie the candidate before it
+    tmax[pos] = end[seg]
+    if v > 0.0:
+        inner = win[pos] % 2 == 0
+        pos, seg = pos[inner], seg[inner]
+        tmax[pos] = begin[seg] + _bridge_argmax(rng, rise[seg], w[seg], dt[seg], v)
+    return sup, tmax, horizon, killed
 
 
 def mc_estimates(samples, queries, seed=0):
@@ -242,11 +289,10 @@ def mc_estimates(samples, queries, seed=0):
     kill rate is part of the exponent, so analytic comparisons against the
     same spec match this convention.
     """
-    if not samples:
-        raise ValidationError("samples", "need a non-empty sample list")
-    sup = np.array([s.sup_value for s in samples])
-    tmax = np.array([s.argmax_time for s in samples])
     n = len(samples)
+    if n == 0:
+        raise ValidationError("samples", "need at least one sample")
+    sup, tmax = samples.sup_value, samples.argmax_time
     out = []
     for q in queries:
         if isinstance(q, LaplaceQuery):

@@ -261,18 +261,21 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     return value, max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
 
 
-def bisect_monotone(g, lo, hi, tol=1e-12, max_iter=200):
+def bisect_monotone(g, lo, hi, tol=1e-12, max_iter=200, *, glo=None, ghi=None):
     """Root of a nondecreasing ``g`` on [lo, hi] by sign bisection.
 
     If g has constant sign on the interval, the matching endpoint is
     returned: ``lo`` when g > 0 throughout, ``hi`` when g < 0 throughout.
     Only signs are used, so any function with a single upward sign change
-    is acceptable.
+    is acceptable.  A caller that has already evaluated g(lo) or g(hi)
+    passes it as ``glo``/``ghi`` and that endpoint is not evaluated again.
     """
     if lo >= hi:
         raise ValueError("bisect_monotone requires lo < hi")
-    glo = g(lo)
-    ghi = g(hi)
+    if glo is None:
+        glo = g(lo)
+    if ghi is None:
+        ghi = g(hi)
     if glo > 0.0 and ghi > 0.0:
         return lo
     if glo < 0.0 and ghi < 0.0:

@@ -99,8 +99,7 @@ def theta_at(spec, r, angle_tol=1e-12):
         return -0.5 * math.pi
     if glo < 0.0 and ghi < 0.0:
         return 0.5 * math.pi
-    root = bisect_monotone(g, lo, hi, tol=angle_tol)
-    return root
+    return bisect_monotone(g, lo, hi, tol=angle_tol, glo=glo, ghi=ghi)
 
 
 def _axis_lambda(spec, r, side):
@@ -237,9 +236,11 @@ def _refine_z_boundary(spec, r_in, r_out, angle_tol):
         return abs(theta_at(spec, r)) - (half - angle_tol)
 
     lo, hi = (r_in, r_out) if r_in < r_out else (r_out, r_in)
-    sign_flip = 1.0 if b(hi) > b(lo) else -1.0
-    root = bisect_monotone(lambda r: sign_flip * b(r), lo, hi, tol=1e-12 * hi)
-    return root
+    blo, bhi = b(lo), b(hi)
+    sign_flip = 1.0 if bhi > blo else -1.0
+    return bisect_monotone(
+        lambda r: sign_flip * b(r), lo, hi, tol=1e-12 * hi, glo=sign_flip * blo, ghi=sign_flip * bhi
+    )
 
 
 def build_spine_table(spec, r_min, r_max, n, angle_tol=ANGLE_TOL):

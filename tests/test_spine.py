@@ -15,6 +15,7 @@ from levycm import (
     f_limits,
     shift_spec,
 )
+from levycm import numerics, spine
 from levycm.numerics import make_rng
 from levycm.specio import SHOWCASE
 from levycm.spine import (
@@ -44,6 +45,27 @@ class TestThetaAt:
 
     def test_bm_drift_axis_hugging(self, fig_a):
         assert theta_at(fig_a, 0.5) == 0.5 * math.pi
+
+    def test_endpoints_evaluated_once(self, fig_a, monkeypatch):
+        """Each bracket end is evaluated once, then one point per bisection step."""
+        points, steps = [], []
+
+        def counting_eval_f(spec, xi):
+            points.append(xi)
+            return eval_f(spec, xi)
+
+        def counting_bisect(g, lo, hi, *args, **kwargs):
+            def step(alpha):
+                assert lo < alpha < hi
+                steps.append(alpha)
+                return g(alpha)
+
+            return numerics.bisect_monotone(step, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(spine, "eval_f", counting_eval_f)
+        monkeypatch.setattr(spine, "bisect_monotone", counting_bisect)
+        assert theta_at(fig_a, math.sqrt(2.0)) == pytest.approx(math.pi / 4, abs=1e-11)
+        assert steps and len(points) == 2 + len(steps)
 
     def test_constant_rejected(self):
         with pytest.raises(SpineUndefinedError):
