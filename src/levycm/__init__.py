@@ -27,7 +27,6 @@ from .numerics import (
 )
 from .report import Check, VerifyReport
 from .rogers import (
-    DerivedExponent,
     LevyAtomic,
     LimitsResult,
     PhiRep,

@@ -188,7 +188,7 @@ def _cmd_fluct(args):
             }
     else:
         raise ValidationError("query", f"unknown fluct query {args.query!r}")
-    _emit({"query": q, "value": value, "method_chain": chain, "err_estimate": 1e-6}, args.out)
+    _emit({"query": q, "value": value, "method_chain": chain}, args.out)
     return 0
 
 

@@ -26,13 +26,13 @@ from .errors import (
     DomainError,
     InversionInstabilityError,
     MethodUnsupportedError,
+    QuadratureError,
     ValidationError,
 )
 from .numerics import QuadratureConfig, gk15, gk15_nodes, integrate_adaptive, principal_log
 from .numerics import refine_panels, richardson_zero
 from .report import VerifyReport
 from .rogers import (
-    DerivedExponent,
     eval_f,
     f_limits,
     is_compound_poisson,
@@ -41,9 +41,7 @@ from .rogers import (
 from .wiener_hopf import (
     MINUS,
     PLUS,
-    FactorHandle,
     get_factor_handle,
-    get_phi_table,
     get_spine_engine,
     wh_ratio,
 )
@@ -274,9 +272,14 @@ class _SupTailEvaluator:
         return m
 
     def _build_nodes(self):
-        """Adaptive Gauss-Kronrod node table for integrals against m(t)."""
+        """Adaptive Gauss-Kronrod node table for integrals against m(t).
+
+        Raises :class:`QuadratureError` when 400 splits miss the goal.
+        """
         edges = np.concatenate([[0.0], np.geomspace(1e-5, 1e5, 81)])
         res = refine_panels(gk15(self.density), edges[:-1], edges[1:], 3e-7, max_splits=400)
+        if not res.converged:
+            raise QuadratureError(complex(res.value), res.err)
         t, w = gk15_nodes(res.lo, res.hi)
         self._nodes = (t.ravel(), w.ravel(), res.rows.ravel())
 
@@ -405,20 +408,12 @@ def kappa_xi_function(spec, tau, side=PLUS):
 def kappa_ratio_xi_function(spec, tau1, tau2, side=PLUS):
     """xi -> kappa^side(tau1, xi)/kappa^side(tau2, xi) up to a constant.
 
-    The ratio equals the matching factor of the derived Rogers function
-    (tau1 + f)/(tau2 + f), evaluated from its own boundary-angle table, so
-    complex xi off (-inf, 0] are admitted.
+    Evaluated as the quotient of the two shifted factor handles, whose
+    tables are cached, so complex xi off (-inf, 0] are admitted.
     """
-    tau1 = float(tau1)
-    tau2 = float(tau2)
-
-    def fn(xi):
-        base = eval_f(spec, xi)
-        return (tau1 + base) / (tau2 + base)
-
-    g_spec = DerivedExponent(fn, label=f"ratio-shift({tau1},{tau2})")
-    handle = FactorHandle(g_spec, side)
-    return handle.eval
+    num = get_factor_handle(shift_spec(spec, float(tau1)), side)
+    den = get_factor_handle(shift_spec(spec, float(tau2)), side)
+    return lambda xi: num.eval(xi) / den.eval(xi)
 
 
 def sigma_stieltjes_function(spec, xi, side=PLUS):

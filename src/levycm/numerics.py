@@ -27,6 +27,7 @@ __all__ = [
     "refine_panels",
     "gk15",
     "gk15_nodes",
+    "gk15_sums",
     "integrate_adaptive",
     "bisect_monotone",
     "principal_log",
@@ -165,6 +166,16 @@ def gk15_nodes(lo, hi):
     return (0.5 * (lo + hi))[:, None] + h[:, None] * _XK, h[:, None] * _WK
 
 
+def gk15_sums(lo, hi, w, rows):
+    """Kronrod sums and |Kronrod - Gauss| of node values ``rows`` on the panels [lo, hi].
+
+    ``w`` are the Kronrod weights from :func:`gk15_nodes`, one row per panel.
+    """
+    k = np.sum(w * rows, axis=1)
+    g = 0.5 * (hi - lo) * (rows[:, _GAUSS_IDX] @ _WG)
+    return k, np.abs(k - g)
+
+
 def gk15(fn):
     """Gauss-Kronrod 15 panel estimate for :func:`refine_panels`.
 
@@ -175,9 +186,7 @@ def gk15(fn):
     def estimate(lo, hi):
         x, w = gk15_nodes(lo, hi)
         rows = np.asarray(fn(x.ravel())).reshape(x.shape)
-        k = np.sum(w * rows, axis=1)
-        g = 0.5 * (hi - lo) * (rows[:, _GAUSS_IDX] @ _WG)
-        return k, np.abs(k - g), rows
+        return (*gk15_sums(lo, hi, w, rows), rows)
 
     return estimate
 

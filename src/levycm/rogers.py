@@ -45,7 +45,6 @@ __all__ = [
     "RationalFactor",
     "PhiRep",
     "ShiftedSpec",
-    "DerivedExponent",
     "LimitsResult",
     "validate_spec",
     "eval_f",
@@ -349,21 +348,6 @@ class ShiftedSpec:
     shift: float
 
 
-@dataclass(frozen=True, eq=False)
-class DerivedExponent:
-    """Wrap an arbitrary evaluator as a Rogers-function-like object.
-
-    Used internally for derived functions such as (tau1 + f)/(tau2 + f);
-    not part of the spec-file schema and never validated structurally.
-    """
-
-    fn: object
-    label: str = "derived"
-
-    def __hash__(self):
-        return id(self)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -419,8 +403,6 @@ def _eval_core(spec, xi):
         return _phirep_core(spec, xi)
     if isinstance(spec, ShiftedSpec):
         return spec.shift + _eval_core(spec.base, xi)
-    if isinstance(spec, DerivedExponent):
-        return spec.fn(xi)
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
 
 
@@ -514,9 +496,6 @@ def _prime_core(spec, xi):
         return _phirep_core(spec, xi) * _phirep_log_prime(spec, xi)
     if isinstance(spec, ShiftedSpec):
         return _prime_core(spec.base, xi)
-    if isinstance(spec, DerivedExponent):
-        h = 1e-6 * (1.0 + np.abs(xi))
-        return (spec.fn(xi + h) - spec.fn(xi - h)) / (2.0 * h)
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
 
 
@@ -754,8 +733,6 @@ def _structural_validate(spec):
         if spec.shift < 0.0:
             raise ValidationError("shift", "must be >= 0")
         return ShiftedSpec(_structural_validate(spec.base), spec.shift)
-    if isinstance(spec, DerivedExponent):
-        return spec
     raise ValidationError("type", f"not a Rogers spec: {type(spec).__name__}")
 
 

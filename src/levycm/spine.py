@@ -102,17 +102,45 @@ def theta_at(spec, r, angle_tol=1e-12):
     return bisect_monotone(g, lo, hi, tol=angle_tol, glo=glo, ghi=ghi)
 
 
+_LADDER = np.array([1e-4, 1e-5, 1e-6])  # eps of the axis approach eps r + i side r
+
+
+def _axis_points(r, side):
+    """The ladder points eps r + i side r, one row per eps."""
+    xi = np.empty(_LADDER.shape + np.shape(r), dtype=complex)
+    xi.real = np.multiply.outer(_LADDER, r)
+    xi.imag = np.multiply(side, r)
+    return xi
+
+
 def _axis_lambda(spec, r, side):
     """Boundary profile value via an extrapolated approach f(eps + i side r).
 
     ``r`` and ``side`` are scalars or arrays of one shape; all ladder points
     go to ``eval_f`` in one call.
     """
-    ladder = np.array([1e-4, 1e-5, 1e-6])
-    xi = np.empty(ladder.shape + np.shape(r), dtype=complex)
-    xi.real = np.multiply.outer(ladder, r)
-    xi.imag = np.multiply(side, r)
-    return np.real(richardson_zero(ladder, eval_f(spec, xi)))
+    return np.real(richardson_zero(_LADDER, eval_f(spec, _axis_points(r, side))))
+
+
+def _profile_slope(spec, r, s):
+    """d lambda / d log r at the radii ``r`` of the spine samples ``s``.
+
+    On Z, im f(zeta(r)) = 0 gives theta' = -Im w / Re w for w = f'(zeta) zeta,
+    so the slope is Re w - theta' Im w = |w|^2 / Re w.  Off Z the profile is
+    f(+-i r) and the slope r Re(+-i f'(+-i r)) is extrapolated along the
+    ladder of ``_axis_lambda``.
+    """
+    slope = np.empty(r.shape)
+    z = s.in_Z
+    if z.any():
+        w = eval_f_prime(spec, s.zeta[z]) * s.zeta[z]
+        slope[z] = np.abs(w) ** 2 / w.real
+    out = ~z
+    if out.any():
+        r_out, side = r[out], np.where(s.theta[out] > 0.0, 1.0, -1.0)
+        d = 1j * side * r_out * eval_f_prime(spec, _axis_points(r_out, side))
+        slope[out] = np.real(richardson_zero(_LADDER, d))
+    return slope
 
 
 def _lambda_flagged(spec, r, angle_tol=ANGLE_TOL):

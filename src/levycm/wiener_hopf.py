@@ -24,8 +24,16 @@ from .errors import (
     ConventionViolationError,
     DomainError,
     MethodUnsupportedError,
+    QuadratureError,
 )
-from .numerics import QuadratureConfig, integrate_adaptive, principal_log, refine_panels
+from .numerics import (
+    QuadratureConfig,
+    gk15_nodes,
+    gk15_sums,
+    integrate_adaptive,
+    principal_log,
+    refine_panels,
+)
 from .report import VerifyReport
 from .rogers import (
     PW_CONSTANT,
@@ -39,7 +47,7 @@ from .rogers import (
     is_constant,
     is_degenerate,
 )
-from .spine import _lambda_flagged, solve_spine
+from .spine import _profile_slope, solve_spine
 
 __all__ = [
     "build_phi_table",
@@ -293,132 +301,105 @@ def _bd_product(spec, x1, x2):
 # ---------------------------------------------------------------------------
 
 
-def _stieltjes_panels(g0, gm, g1, v0, vm, v1):
-    """Stieltjes trapezoid with one Richardson level on panels (lo, mid, hi).
-
-    ``g`` and ``v`` are sampled at each panel's ends and midpoint.  Returns
-    (values, error estimates).
-    """
-    t1 = 0.5 * (g0 + g1) * (v1 - v0)
-    t2 = 0.5 * (g0 + gm) * (vm - v0) + 0.5 * (gm + g1) * (v1 - vm)
-    return (4.0 * t2 - t1) / 3.0, np.abs(t2 - t1) / 3.0
+# absolute goal on the spine exponent int g d log(lambda + tau); at 1e-10
+# rational_three_arcs_tight ratios miss the bd route by 7.7e-10
+_SPINE_ABS_TOL = 1e-12
+_SPINE_MAX_SPLITS = 2000
+_SPINE_PAD = 40.0  # log-radius margin of the panels beyond the kernel's scales
+# misses of log(lambda + tau) below this are the noise of the spine solve
+# (angles bisected to 1e-12, amplified near the cut): they still enter the
+# value but not the error, which they would hold above the goal
+_SPINE_NOISE = 1e-10
 
 
 class SpineStieltjes:
-    """Riemann-Stieltjes integrals of angle differences against d log lambda.
+    """Riemann-Stieltjes integrals of angle differences against d log(lambda + tau).
 
     Ratios integrate Arg(zeta(r) -+ i x1) - Arg(zeta(r) -+ i x2) against
     d lambda / (lambda + tau); products add a pi indicator on (0, R) and a
-    (tau + lambda(R)) prefactor.  Spine samples are cached per log-radius
-    and solved in batches (``solve_spine``).  Panels in log r are split at
-    the jump radii |x1|, |x2| and R and refined in the rounds of
-    :func:`~levycm.numerics.refine_panels` (Richardson on the Stieltjes
-    trapezoid), each round splitting a batch of the worst panels.  The
-    refinement goal ``rel_goal`` is absolute, and the loop stops at
-    ``max_splits`` without meeting it on every preset.
+    (tau + lambda(R)) prefactor.  One integrator serves every tau, real
+    >= 0 or complex off the cut: Gauss-Kronrod 15 panels in u = log r on
+    g(u) lambda'(u) / (lambda(u) + tau), with the exact profile slope
+    lambda' (``spine._profile_slope``), refined by
+    :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12 on
+    the exponent; a missed goal raises :class:`QuadratureError`.  Spine
+    samples (zeta, lambda, lambda') are cached per log-radius and solved in
+    batches (``solve_spine``); nodes of identical panels are identical, so
+    a family evaluated at many tau reuses the spine solves of the first.
     """
 
-    def __init__(self, spec, base_step=0.05):
+    def __init__(self, spec):
         if is_constant(spec) or is_degenerate(spec):
             raise MethodUnsupportedError(
                 "spine factorization needs a non-degenerate exponent"
             )
         self.spec = spec
-        self.base_step = base_step
-        self._cache: dict = {}  # log-radius -> (zeta, lambda)
-        lim = f_limits(spec)
-        self.f_zero = lim.f_at_zero
+        self._cache: dict = {}  # log-radius -> (zeta, lambda, d lambda / d log r)
+        self.f_zero = f_limits(spec).f_at_zero
+        self._features = tuple(abs(p) for p in axis_feature_points(spec))
 
     def _tl(self, u):
-        """(zeta, lambda) arrays at log-radii ``u``; misses are solved in one batch."""
+        """(zeta, lambda, lambda') arrays at log-radii ``u``; misses are solved in one batch."""
         keys = u.tolist()
         cache = self._cache
         missing = list(dict.fromkeys(k for k in keys if k not in cache))
         if missing:
-            s = solve_spine(self.spec, np.exp(missing))
-            cache.update(zip(missing, zip(s.zeta.tolist(), s.lam.tolist())))
-        zeta, lam = zip(*map(cache.__getitem__, keys))
-        return np.array(zeta), np.array(lam)
+            r = np.exp(missing)
+            s = solve_spine(self.spec, r)
+            slope = _profile_slope(self.spec, r, s)
+            cache.update(zip(missing, zip(s.zeta.tolist(), s.lam.tolist(), slope.tolist())))
+        return tuple(map(np.array, zip(*map(cache.__getitem__, keys))))
 
-    def _grid(self, scales, jumps):
-        """Log-radius grid snapped to absolute multiples of base_step.
+    def _integral(self, gfun, scales, jumps, tau):
+        """int_0^inf g(r) d log(lambda(r) + tau) for tau >= 0 or complex tau off the cut.
 
-        Grid points within 2e-12 of a jump's log-radius give way to a pair
-        of points 1e-12 either side of it.
+        The initial panels have unit width on integer u = log r from
+        log(min scales) - 40 to log(max scales) + 40 and are split at the
+        log-radii of the jumps of g and of the spec's axis features: the
+        spine makes narrow excursions into Z around poles on the axis, and
+        GK nodes crowd at panel ends.  A panel's estimate is Kronrod on
+        g v' with v = log(lambda + tau), plus a check against v at the panel
+        ends: what the Kronrod sum of v' misses (a sliver beside a Z
+        boundary where lambda' blows up, or the small step of lambda at the
+        ANGLE_TOL edge of Z) is added at g of the centre node, and the spread
+        of g over the panel times the miss is added to the error.
+
+        Below the range g is taken constant at its value at the lower end,
+        which adds g (log(lambda + tau) - log(f(0+) + tau)) there (nothing
+        when f(0+) + tau = 0, where g(0+) must vanish); above it g decays
+        like 1/r and is dropped.  Raises :class:`QuadratureError` when the
+        refinement misses its goal.
         """
-        u_lo = math.log(min(scales)) - 13.0
-        u_hi = math.log(max(scales)) + 13.0
-        k_lo = math.floor(u_lo / self.base_step)
-        k_hi = math.ceil(u_hi / self.base_step)
-        pts = np.arange(k_lo, k_hi + 1) * self.base_step
-        nudge = 1e-12
-        for rj in jumps:
-            uj = math.log(rj)
-            pts = np.append(pts[np.abs(pts - uj) >= 2 * nudge], (uj - nudge, uj + nudge))
-        return np.unique(pts)
-
-    def _integral(self, gfun, g0_lim, tau, scales, jumps, rel_goal=1e-8, max_splits=6000):
-        """int_0^inf g(r) d log(lambda(r) + tau) for real tau >= 0.
-
-        Stieltjes trapezoid with one Richardson level per panel.  The grid
-        is sampled in one batch; the rounds come from
-        :func:`~levycm.numerics.refine_panels` (each splits the panels whose
-        error estimate is at least half the largest, at most the fewest that
-        cover the excess over the goal and at most the splits left in
-        ``max_splits``), and each round samples only its new midpoints, in
-        one batch.  Panel ends are read from the samples already taken.
-
-        ``rel_goal`` bounds the summed error estimate absolutely (it is not
-        scaled by the integral).  When ``max_splits`` runs out first, the
-        loop stops without meeting the goal and returns its estimate as is;
-        at the 3e-9 that ``ratio`` and ``product`` pass, this happens on
-        every preset for most arguments.  Returns ``(value, summed error
-        estimate)``.
-        """
-        grid = self._grid(scales, jumps)
-
-        def sample(u):
-            zeta, lam = self._tl(u)
-            return gfun(zeta, np.exp(u)), np.log(lam + tau)
-
-        # the grid and the first midpoints in one spine batch; later reads hit the cache
-        self._tl(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
-        g_grid, v_grid = sample(grid)
-        # the points sampled so far, sorted by u; every panel end is one of
-        # them, so a round samples only its new midpoints
-        u_k, g_k, v_k = grid, g_grid, v_grid
+        u_lo = math.floor(math.log(min(scales)) - _SPINE_PAD)
+        u_hi = math.ceil(math.log(max(scales)) + _SPINE_PAD)
+        cuts = np.log(jumps + self._features)
+        edges = np.union1d(np.arange(u_lo, u_hi + 1.0), cuts[(cuts > u_lo) & (cuts < u_hi)])
 
         def estimate(lo, hi):
-            nonlocal u_k, g_k, v_k
-            mid = 0.5 * (lo + hi)
-            gm, vm = sample(mid)
-            i0, i1 = np.searchsorted(u_k, lo), np.searchsorted(u_k, hi)
-            value, err = _stieltjes_panels(g_k[i0], gm, g_k[i1], v_k[i0], vm, v_k[i1])
-            at = np.searchsorted(u_k, mid)
-            u_k, g_k, v_k = np.insert(u_k, at, mid), np.insert(g_k, at, gm), np.insert(v_k, at, vm)
-            return value, err, np.empty((len(lo), 0))
+            x, w = gk15_nodes(lo, hi)
+            n = x.size
+            u = np.concatenate([x.ravel(), lo, hi])
+            zeta, lam, slope = self._tl(u)
+            g = gfun(zeta, np.exp(u))
+            g_nodes = g[:n].reshape(x.shape)
+            dv = (slope[:n] / (lam[:n] + tau)).reshape(x.shape)
+            rows = g_nodes * dv
+            value, err = gk15_sums(lo, hi, w, rows)
+            v_lo, v_hi = np.log(lam[n:] + tau).reshape(2, -1)
+            missed = v_hi - v_lo - np.sum(w * dv, axis=1)
+            spread = np.ptp(np.column_stack([g_nodes, g[n:].reshape(2, -1).T]), axis=1)
+            err += spread * np.where(np.abs(missed) > _SPINE_NOISE, np.abs(missed), 0.0)
+            return value + g_nodes[:, 7] * missed, err, rows  # node 7: the centre
 
-        res = refine_panels(estimate, grid[:-1], grid[1:], rel_goal, max_splits=max_splits)
-        total = float(res.value)
-
-        # tails: g -> g0_lim linearly in r at 0+ and g -> 0 like 1/r at inf
-        g_lo, v_lo, v_1 = float(g_grid[0]), float(v_grid[0]), float(v_grid[1])
-        du0 = float(grid[1] - grid[0])
-        if g0_lim is None:
-            g0_lim = g_lo
-        if self.f_zero + tau > 0.0:
-            v_zero = math.log(self.f_zero + tau)
-            total += g0_lim * (v_lo - v_zero) + 0.5 * (g_lo - g0_lim) * (v_lo - v_zero)
-        else:
-            if abs(g0_lim) > 1e-12:
-                raise MethodUnsupportedError(
-                    "spine integral diverges: g(0+) != 0 with f(0+) + tau = 0"
-                )
-            total += (g_lo - g0_lim) * (v_1 - v_lo) / du0
-        g_hi, v_hi, v_2 = float(g_grid[-1]), float(v_grid[-1]), float(v_grid[-2])
-        du1 = float(grid[-1] - grid[-2])
-        total += g_hi * (v_hi - v_2) / du1
-        return total, res.err
+        res = refine_panels(estimate, edges[:-1], edges[1:], _SPINE_ABS_TOL, max_splits=_SPINE_MAX_SPLITS)
+        if not res.converged:
+            raise QuadratureError(complex(res.value), res.err)
+        total = res.value
+        if self.f_zero + tau != 0.0:
+            zeta, lam, _ = self._tl(edges[:1])
+            g_lo = gfun(zeta, np.exp(edges[:1]))[0]
+            total += g_lo * (np.log(lam[0] + tau) - np.log(self.f_zero + tau))
+        return total
 
     @staticmethod
     def _ratio_kernel(x1, x2, side):
@@ -442,100 +423,47 @@ class SpineStieltjes:
         jumps = tuple(x for x in (x1, x2, R) if x > 0.0)
         return gfun, jumps + (1.0,), jumps
 
-    def ratio(self, x1, x2, side, tau=0.0, rel_goal=3e-9):
-        """f_tau^side(x1) / f_tau^side(x2) for real tau >= 0; x = 0 allowed."""
+    def ratio(self, x1, x2, side, tau=0.0):
+        """f_tau^side(x1) / f_tau^side(x2); x = 0 allowed.
+
+        Real tau >= 0 gives a float, complex tau off the cut a complex.
+        """
         x1 = float(x1)
         x2 = float(x2)
         if x1 == x2:
-            return 1.0
+            return _exp(0.0 * tau)  # 1, typed like tau
+        if min(x1, x2) == 0.0 and self.f_zero + tau == 0.0:
+            raise MethodUnsupportedError("ratio against xi = 0 needs f(0+) + tau > 0")
         sgn = 1.0 if side == PLUS else -1.0
-        if min(x1, x2) > 0.0:
-            g0_lim = 0.0
-        else:
-            if self.f_zero + tau <= 0.0:
-                raise MethodUnsupportedError(
-                    "ratio against xi = 0 needs f(0+) + tau > 0"
-                )
-            g0_lim = None  # finite spine-dependent limit; g(r_lo) is used
-        gfun, scales, jumps = self._ratio_kernel(x1, x2, side)
-        val, _ = self._integral(gfun, g0_lim, float(tau), scales, jumps, rel_goal)
-        return math.exp(-sgn * val / math.pi)
+        val = self._integral(*self._ratio_kernel(x1, x2, side), tau)
+        return _exp(-sgn * val / math.pi)
 
-    def product(self, x1, x2, R, tau=0.0, rel_goal=3e-9):
+    def product(self, x1, x2, R, tau=0.0):
         """f_tau^+(x1) f_tau^-(x2); R >= 0 picks the representation split."""
         x1 = float(x1)
         x2 = float(x2)
         R = float(R)
         if R == 0.0:
-            if self.f_zero + tau <= 0.0:
+            if self.f_zero + tau == 0.0:
                 raise ConventionViolationError("R = 0 requires f(0+) + tau > 0")
             lam_R = self.f_zero
         else:
-            lam_R, _, _ = _lambda_flagged(self.spec, R)
-        g0_lim = -math.pi if R == 0.0 else 0.0
-        gfun, scales, jumps = self._product_kernel(x1, x2, R)
-        val, _ = self._integral(gfun, g0_lim, float(tau), scales, jumps, rel_goal)
-        return (tau + lam_R) * math.exp(-val / math.pi)
-
-    # -- fixed-grid families, evaluable at complex tau ---------------------
+            lam_R = float(self._tl(np.array([math.log(R)]))[1][0])
+        val = self._integral(*self._product_kernel(x1, x2, R), tau)
+        return (tau + lam_R) * _exp(-val / math.pi)
 
     def ratio_family(self, x1, x2, side):
         """Callable tau -> f_tau^side(x1)/f_tau^side(x2), tau off (-inf, 0]."""
-        x1 = float(x1)
-        x2 = float(x2)
-        sgn = 1.0 if side == PLUS else -1.0
-        g, lam, grid = self._samples(*self._ratio_kernel(x1, x2, side))
-        g0_lim = 0.0 if min(x1, x2) > 0.0 else float(g[0])
-        return _StieltjesFamily(g, lam, grid, g0_lim, self.f_zero, -sgn / math.pi)
+        return lambda tau: self.ratio(x1, x2, side, tau)
 
     def product_family(self, x1, x2, R):
         """Callable tau -> f_tau^+(x1) f_tau^-(x2) with the split at R."""
-        x1 = float(x1)
-        x2 = float(x2)
-        R = float(R)
-        lam_R = self.f_zero if R == 0.0 else _lambda_flagged(self.spec, R)[0]
-        g0_lim = -math.pi if R == 0.0 else 0.0
-        g, lam, grid = self._samples(*self._product_kernel(x1, x2, R))
-        fam = _StieltjesFamily(g, lam, grid, g0_lim, self.f_zero, -1.0 / math.pi)
-        return lambda tau: (tau + lam_R) * fam(tau)
-
-    def _samples(self, gfun, scales, jumps):
-        grid = self._grid(scales, jumps)
-        zeta, lam = self._tl(grid)
-        return gfun(zeta, np.exp(grid)), lam, grid
+        return lambda tau: self.product(x1, x2, R, tau)
 
 
-class _StieltjesFamily:
-    """exp(coef int g d log(lambda + tau)) over a fixed sampled spine grid."""
-
-    def __init__(self, g, lam, grid, g0_lim, f_zero, coef):
-        self.g = g
-        self.lam = lam
-        self.du0 = float(grid[1] - grid[0])
-        self.du1 = float(grid[-1] - grid[-2])
-        self.g0 = g0_lim
-        self.f_zero = f_zero
-        self.coef = coef
-
-    def __call__(self, tau):
-        v = np.log(self.lam + tau + 0.0j) if isinstance(tau, complex) else np.log(self.lam + tau)
-        mids = 0.5 * (self.g[:-1] + self.g[1:])
-        total = np.sum(mids * np.diff(v))
-        finite_zero = self.f_zero + (tau.real if isinstance(tau, complex) else tau) > 0.0
-        if isinstance(tau, complex) and tau.imag != 0.0:
-            finite_zero = True
-        if finite_zero:
-            v_zero = (
-                cmath.log(self.f_zero + tau)
-                if isinstance(tau, complex)
-                else math.log(self.f_zero + tau)
-            )
-            total += self.g0 * (v[0] - v_zero) + 0.5 * (self.g[0] - self.g0) * (v[0] - v_zero)
-        else:
-            total += (self.g[0] - self.g0) * (v[1] - v[0]) / self.du0
-        total += self.g[-1] * (v[-1] - v[-2]) / self.du1
-        out = np.exp(self.coef * total)
-        return complex(out) if isinstance(tau, complex) else float(np.real(out))
+def _exp(v):
+    """exp of a spine exponent: float for a real one, complex for a complex one."""
+    return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,13 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.5, rel=1e-8)
 
+    def test_fluct_artifact_has_no_made_up_error(self, capsys, tmp_path):
+        spec = tmp_path / "bm.json"
+        spec.write_text('{"type": "levy_atomic", "a": 0.5}')
+        code, out = run_cli(capsys, "fluct", str(spec), "sup-tail", "--sigma", "0.5", "--x", "1")
+        assert code == 0
+        assert set(json.loads(out)) == {"query", "value", "method_chain"}
+
     def test_fluct_kappa_ratio_both_directions(self, capsys, tmp_path):
         spec = tmp_path / "bm.json"
         spec.write_text('{"type": "levy_atomic", "a": 0.5}')

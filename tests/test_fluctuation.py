@@ -10,11 +10,13 @@ from levycm import (
     DomainError,
     LevyAtomic,
     MethodUnsupportedError,
+    QuadratureError,
     ValidationError,
     eval_f,
     f_limits,
     shift_spec,
 )
+from levycm import fluctuation
 from levycm.fluctuation import (
     CmCheckConfig,
     cm_cbf_check,
@@ -30,7 +32,7 @@ from levycm.fluctuation import (
     sup_tail,
 )
 from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
-from levycm.wiener_hopf import FactorHandle, factor_pair
+from levycm.wiener_hopf import FactorHandle, factor_pair, wh_ratio
 
 from conftest import showcase, upper_half_samples
 
@@ -63,6 +65,16 @@ class TestKappaRatioXi:
         got = kappa_ratio_xi(drift, 0.0, 1.0, 2.0, method="spine")
         # f = -i xi: f+(xi) = c+ xi, ratio 1/2
         assert got == pytest.approx(0.5, rel=1e-8)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_xi_function_against_bd(self, side):
+        spec = showcase("g")  # rational_three_arcs
+        h = kappa_ratio_xi_function(spec, 0.5, 2.0, side)
+        lo, hi = shift_spec(spec, 0.5), shift_spec(spec, 2.0)
+        for x in (0.3, 0.7, 2.5, 6.0):
+            got = complex(h(complex(x)) / h(1.0 + 0.0j)).real
+            want = wh_ratio(lo, "bd", side, x, 1.0) / wh_ratio(hi, "bd", side, x, 1.0)
+            assert got == pytest.approx(want, rel=1e-6), x
 
     def test_cbf_in_first_argument(self):
         h = kappa_ratio_xi_function(BM_DRIFT, 0.5, 2.0)
@@ -170,6 +182,14 @@ class TestSupTail:
         with pytest.raises(DomainError):
             sup_tail(BM, 0.5, 0.0)
 
+    def test_unconverged_nodes_raise(self, monkeypatch):
+        real = fluctuation.refine_panels
+        monkeypatch.setattr(
+            fluctuation, "refine_panels", lambda *a, **kw: real(*a, **{**kw, "max_splits": 1})
+        )
+        with pytest.raises(QuadratureError):
+            fluctuation._SupTailEvaluator(BM, 0.5).tail(1.0)
+
     def test_failed_setup_is_not_redone(self, fig_b, monkeypatch):
         """f_sigma^+(0) = 0 on stable_asym: the second call raises from the cache."""
         with pytest.raises(DomainError) as first:
@@ -237,6 +257,44 @@ class TestSpaceTimeFactorization:
             lhs = tau + eval_f(spec, complex(xi))
             rhs = plus.eval(-1j * xi) * minus.eval(1j * xi)
             assert abs(lhs - rhs) / abs(lhs) < 1e-3
+
+
+def _bm_factor(b, tau, side, x):
+    """Factor of xi^2/2 - i b xi + tau at x, complex tau allowed, up to sqrt(1/2)."""
+    root = cmath.sqrt(b * b + 2.0 * tau)
+    return x + (root - b if side == "plus" else root + b)
+
+
+class TestSpineFamiliesClosedForm:
+    """The spine tau-families on Brownian motion against its quadratic factors."""
+
+    TAUS = tuple(upper_half_samples(make_rng(44), 20)) + (0.3, 1.0, 4.0)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_ratio_family(self, b):
+        spec = LevyAtomic(a=0.5, b=b)
+        for x1, x2 in ((0.5, 2.0), (0.0, 1.0)):
+            for side in ("plus", "minus"):
+                fam = kappa_tau_ratio_family(spec, x1, x2, side)
+                for tau in self.TAUS:
+                    want = _bm_factor(b, tau, side, x1) / _bm_factor(b, tau, side, x2)
+                    assert fam(tau) == pytest.approx(want, rel=1e-8), (x1, x2, side, tau)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_product_family(self, b):
+        fam = kappa_product_family(LevyAtomic(a=0.5, b=b), 0.5, 2.0)
+        for tau in self.TAUS:
+            want = 0.5 * _bm_factor(b, tau, "plus", 0.5) * _bm_factor(b, tau, "minus", 2.0)
+            assert fam(tau) == pytest.approx(want, rel=1e-8), tau
+
+    @pytest.mark.parametrize("b", [0.0, 1.0])
+    def test_sigma_family(self, b):
+        spec = LevyAtomic(a=0.5, b=b)
+        for side in ("plus", "minus"):
+            h = sigma_stieltjes_function(spec, 1.0, side)
+            for sigma in self.TAUS:
+                want = _bm_factor(b, sigma, side, 0.0) / (sigma * _bm_factor(b, sigma, side, 1.0))
+                assert h(sigma) == pytest.approx(want, rel=1e-8), (side, sigma)
 
 
 class TestConeFamilies:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from levycm import LevyAtomic, PhiRep, PhiTable, eval_f, f_limits, validate_spec
+from levycm import LevyAtomic, PhiRep, PhiTable, eval_f, f_limits, is_degenerate, validate_spec
 from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
 from levycm.numerics import make_rng
 from levycm.wiener_hopf import factorization_check, wh_ratio
@@ -56,6 +56,20 @@ class TestRandomAtomicSpecs:
             bd = wh_ratio(spec, "bd", side, x1, x2)
             phi = wh_ratio(spec, "phi", side, x1, x2)
             assert abs(phi - bd) <= 1e-3 * abs(bd), (k, spec, side, x1, x2)
+
+    def test_spine_against_bd(self):
+        """Narrow spine excursions into Z around axis poles and slivers beside Z boundaries."""
+        rng = make_rng(9008)
+        for k in range(12):
+            spec = _random_atomic(rng)
+            x1 = math.exp(rng.uniform(math.log(0.3), math.log(4.0)))
+            x2 = math.exp(rng.uniform(math.log(0.3), math.log(4.0)))
+            side = "plus" if rng.random() < 0.5 else "minus"
+            if is_degenerate(spec):
+                continue
+            bd = wh_ratio(spec, "bd", side, x1, x2)
+            got = wh_ratio(spec, "spine", side, x1, x2)
+            assert got == pytest.approx(bd, rel=1e-10), (k, spec, side, x1, x2)
 
     def test_clustered_atoms(self):
         """A near-coincident pole/zero pair must not destabilize anything."""

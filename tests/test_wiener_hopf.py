@@ -12,9 +12,12 @@ from levycm import (
     MethodUnsupportedError,
     PhiRep,
     PhiTable,
+    QuadratureError,
     eval_f,
     shift_spec,
 )
+from levycm import wiener_hopf
+from levycm.fluctuation import kappa_ratio_xi
 from levycm.numerics import make_rng
 from levycm.wiener_hopf import (
     FactorHandle,
@@ -27,7 +30,7 @@ from levycm.wiener_hopf import (
     wh_ratio,
 )
 
-from conftest import half_plane_samples, showcase, upper_half_samples
+from conftest import LETTERS, half_plane_samples, showcase, upper_half_samples
 
 SYMMETRIC = LevyAtomic(a=1.0)  # f = xi^2, factors c xi on both sides
 # BM with drift b and constant shift 1: quadratic factorization oracle
@@ -149,6 +152,37 @@ class TestSpineRouteShiftOracle:
                 "bm_drift", "minus", x2, b=1.0, sigma=tau
             )
             assert wh_product(spec, "spine", x1, x2) == pytest.approx(want, rel=1e-8)
+
+
+class TestSpineRouteBdOracle:
+    """Spine ratios and products on every preset against the bd route."""
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_ratio_and_product(self, letter):
+        spec = showcase(letter)
+        engine = get_spine_engine(spec)
+        for tau in (0.0, 0.5):
+            shifted = shift_spec(spec, tau)
+            for side in ("plus", "minus"):
+                want = wh_ratio(shifted, "bd", side, 0.7, 2.3)
+                got = engine.ratio(0.7, 2.3, side, tau)
+                assert got == pytest.approx(want, rel=1e-10), (tau, side)
+            want = wh_product(shifted, "bd", 0.7, 2.3)
+            assert engine.product(0.7, 2.3, 1.1, tau) == pytest.approx(want, rel=1e-10), tau
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("letter", ["b", "d"])
+    def test_ratio_against_zero_at_small_tau(self, letter, side):
+        """f(0+) = 0: at tau = 1e-3 the lower tail of the panels still counts."""
+        spec = showcase(letter)
+        got = get_spine_engine(spec).ratio(0.0, 1.0, side, 1e-3)
+        want = kappa_ratio_xi(spec, 1e-3, 0.0, 1.0, side, method="bd")
+        assert got == pytest.approx(want, rel=1e-8)
+
+    def test_unconverged_raises(self, fig_a, monkeypatch):
+        monkeypatch.setattr(wiener_hopf, "_SPINE_MAX_SPLITS", 0)
+        with pytest.raises(QuadratureError):
+            wiener_hopf.SpineStieltjes(fig_a).ratio(0.7, 2.3, "plus")
 
 
 class TestFactorizationCheck:
