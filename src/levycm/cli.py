@@ -21,7 +21,7 @@ from .montecarlo import (
     mc_estimates,
     simulate_sup_samples,
 )
-from .rogers import eval_f, validate_spec
+from .rogers import eval_f, shift_spec, validate_spec
 from .specio import (
     complex_to_dict,
     dumps_canonical,
@@ -32,7 +32,7 @@ from .specio import (
 )
 from .spine import build_spine_table
 from .verify import SUITES, default_spine_range, run_suite
-from .wiener_hopf import wh_product, wh_ratio
+from .wiener_hopf import factor_pair, wh_product, wh_ratio
 
 __all__ = ["main"]
 
@@ -108,12 +108,8 @@ def _cmd_spine(args):
 def _cmd_factor(args):
     spec = validate_spec(load_spec(args.spec))
     if args.tau:
-        from .rogers import shift_spec
-
         spec = shift_spec(spec, args.tau)
     if args.product:
-        from .wiener_hopf import factor_pair
-
         if args.method not in ("bd", "spine"):
             raise ValidationError("method", "products support methods 'bd' and 'spine'")
         value = wh_product(spec, args.method, args.xi1, args.xi2)

@@ -41,6 +41,7 @@ from .rogers import (
 from .wiener_hopf import (
     MINUS,
     PLUS,
+    _bd_ratio,
     get_factor_handle,
     get_spine_engine,
     wh_ratio,
@@ -143,8 +144,6 @@ def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
             return get_spine_engine(shifted).ratio(xi1, xi2, side)
         except MethodUnsupportedError:
             pass
-    from .wiener_hopf import _bd_ratio
-
     return _bd_ratio(shifted, side, xi1, xi2)
 
 

@@ -825,38 +825,39 @@ def axis_feature_points(spec):
     return tuple(sorted(p for p in pts if p != 0.0))
 
 
-def estimate_phi(spec, s, eps_ladder=None):
+# offsets t of the horizontal approach t - i s, relative to |s|
+_PHI_LADDER = np.array([1e-3, 1e-4, 1e-5])
+
+
+def estimate_phi(spec, s):
     """Boundary angle phi(s) = -sign(s) lim_{t->0+} Arg f(t - i s), in [0, pi].
 
-    Approaches the axis horizontally along t - i s and extrapolates the
-    argument to t = 0 with a polynomial ladder fit.  ``eps_ladder`` holds
-    the absolute offsets; the default is {1e-3, 1e-4, 1e-5} scaled by the
-    distance of -is from the origin (so the approach stays non-tangential
-    at every scale).
+    ``s`` is a nonzero scalar (a float is returned) or an array.  Every
+    point approaches the axis horizontally at t in {1e-3, 1e-4, 1e-5} |s|
+    (non-tangential at every scale), all in one :func:`eval_f` call.  A
+    point's finite, nonzero values are unwrapped and extrapolated to t = 0
+    with :func:`~levycm.numerics.richardson_zero`; a point with none raises
+    :class:`EstimationError`.
     """
-    s = float(s)
-    if s == 0.0:
+    s_arr = np.asarray(s, dtype=float)
+    if (s_arr == 0.0).any():
         raise DomainError("phi is defined for s != 0")
-    if eps_ladder is None:
-        scale = min(abs(s), 1.0 + abs(s))
-        eps_ladder = tuple(t * scale for t in (1e-3, 1e-4, 1e-5))
-    ladder = np.asarray(eps_ladder, dtype=float)
-    ts, args = [], []
-    for t in ladder:
-        try:
-            v = eval_f(spec, complex(t, -s))
-        except (DomainError, OverflowError, ZeroDivisionError):
-            continue
-        if v == 0.0 or not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            continue
-        ts.append(t)
-        args.append(cmath.phase(v))
-    if not ts:
-        raise EstimationError(f"boundary angle estimation failed at s={s}")
-    args = np.unwrap(np.asarray(args))
-    val = float(richardson_zero(np.asarray(ts), args))
-    phi = -math.copysign(1.0, s) * val
-    return min(max(phi, 0.0), math.pi)
+    s_flat = s_arr.ravel()
+    ts = _PHI_LADDER[:, None] * np.abs(s_flat)
+    with np.errstate(all="ignore"):
+        v = eval_f(spec, ts - 1j * s_flat)
+    ok = np.isfinite(v) & (v != 0.0)
+    if not ok.any(axis=0).all():
+        raise EstimationError(f"boundary angle estimation failed at s={s_flat[~ok.any(axis=0)]}")
+    args = np.angle(v)
+    val = np.empty(s_flat.size)
+    # one fit per pattern of usable ladder rows (almost always all three)
+    patterns, which = np.unique(ok, axis=1, return_inverse=True)
+    for k, rows in enumerate(patterns.T):
+        cols = which == k
+        val[cols] = richardson_zero(ts[rows][:, cols], np.unwrap(args[rows][:, cols], axis=0))
+    phi = np.clip(-np.sign(s_flat) * val, 0.0, math.pi)
+    return float(phi[0]) if s_arr.ndim == 0 else phi.reshape(s_arr.shape)
 
 
 # ---------------------------------------------------------------------------

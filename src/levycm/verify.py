@@ -32,6 +32,7 @@ from .rogers import (
     is_compound_poisson,
     is_degenerate,
     levy_density,
+    shift_spec,
     validate_spec,
 )
 from .spine import build_spine_table, spine_invariant_report, theta_at
@@ -199,17 +200,10 @@ def suite_fluct(spec, tol=1e-3, seed=20260809):
     """Space-time factorization sampling and property-family spot checks."""
     rep = VerifyReport("fluctuation")
     rng = make_rng(seed)
-    plus_by_tau = {}
-    f0 = f_limits(spec).f_at_zero
     for k in range(10):
         tau = math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
         xi_r = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
-        from .rogers import shift_spec
-
-        shifted = shift_spec(spec, tau)
-        if tau not in plus_by_tau:
-            plus_by_tau[tau] = factor_pair(shifted)
-        p, m = plus_by_tau[tau]
+        p, m = factor_pair(shift_spec(spec, tau))
         lhs = tau + eval_f(spec, complex(xi_r))
         rhs = p.eval(-1j * xi_r) * m.eval(1j * xi_r)
         rel = abs(lhs - rhs) / abs(lhs)

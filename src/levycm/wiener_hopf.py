@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     ConventionViolationError,
     DomainError,
+    EstimationError,
     MethodUnsupportedError,
     QuadratureError,
 )
@@ -72,68 +73,64 @@ _METHODS = ("bd", "spine", "phi")
 # ---------------------------------------------------------------------------
 
 
-def build_phi_table(
-    spec,
-    s_min=1e-6,
-    s_max=1e6,
-    n_base=512,
-    refine_tol=2e-7,
-    min_width=1e-10,
-    max_points=40000,
-):
-    """Estimate the boundary angle on log grids over +-[s_min, s_max].
+# seed grid: 512 log cells per side over [1e-6, 1e6], plus rings around the axis features
+_PHI_S_MIN = 1e-6
+_PHI_S_MAX = 1e6
+_PHI_N_BASE = 512
+_PHI_RINGS = np.array([1e-3, 1e-6, 1e-9])
+# cell test |phi_mid - interp| * min(log-width, 1): a local integral-error proxy
+_PHI_REFINE_TOL = 2e-7
+_PHI_MIN_WIDTH = 1e-10  # relative width below which a cell is not examined
+_PHI_MAX_POINTS = 40000  # refinement estimates per table
 
-    Cells failing a width-weighted midpoint-interpolation test (local
-    integral-error proxy |phi_mid - interp| * cell log-width) are split
-    recursively, which localizes jumps of phi (zeros and poles of f on the
-    imaginary axis) to relative width ``min_width`` and resolves kinks
-    adaptively.  Returns a piecewise-linear :class:`PhiTable`.
+
+def build_phi_table(spec):
+    """Piecewise-linear :class:`PhiTable` of the boundary angle over +-[1e-6, 1e6].
+
+    The seed grid is log-spaced on each side of s = 0 (no cell crosses it)
+    with points at relative distance 1e-3, 1e-6 and 1e-9 on both sides of
+    every axis feature, so that narrow jump pairs cannot hide inside one
+    cell.  It is refined one level at a time: every cell wider than 1e-10
+    relative gets its geometric midpoint, all midpoints of a level are
+    estimated in one :func:`estimate_phi` call, and a cell is split where
+    the width-weighted interpolation error |phi_mid - interp| *
+    min(log-width, 1) exceeds 2e-7.  This localizes jumps of phi (zeros
+    and poles of f on the imaginary axis) and resolves kinks.  Raises
+    :class:`EstimationError` when the 40 000-estimate budget runs out with
+    cells still to examine.
     """
-    out_s, out_phi = [], []
-    budget = [max_points]
-
-    def refine(s_lo, s_hi, p_lo, p_hi, sink):
-        if budget[0] <= 0 or (s_hi - s_lo) <= min_width * min(abs(s_lo), abs(s_hi)):
-            return
-        s_mid = math.copysign(math.sqrt(s_lo * s_hi), s_lo)
-        p_mid = estimate_phi(spec, s_mid)
-        budget[0] -= 1
-        w = (s_mid - s_lo) / (s_hi - s_lo)
-        p_interp = (1.0 - w) * p_lo + w * p_hi
-        width_u = math.log(s_hi / s_lo) if s_lo > 0 else math.log(s_lo / s_hi)
-        if abs(p_mid - p_interp) * min(abs(width_u), 1.0) > refine_tol:
-            refine(s_lo, s_mid, p_lo, p_mid, sink)
-            sink.append((s_mid, p_mid))
-            refine(s_mid, s_hi, p_mid, p_hi, sink)
-        else:
-            sink.append((s_mid, p_mid))
-
-    features = axis_feature_points(spec)
-    for sign in (-1.0, 1.0):
-        pts = set((sign * np.geomspace(s_min, s_max, n_base + 1)).tolist())
-        for fpt in features:
-            if math.copysign(1.0, fpt) != sign or not s_min < abs(fpt) < s_max:
-                continue
-            for rel in (1e-3, 1e-6, 1e-9):
-                pts.add(fpt * (1.0 + rel))
-                pts.add(fpt * (1.0 - rel))
-        grid = np.sort(np.asarray(sorted(pts)))
-        phis = [estimate_phi(spec, float(s)) for s in grid]
-        for k in range(len(grid) - 1):
-            out_s.append(float(grid[k]))
-            out_phi.append(phis[k])
-            sink = []
-            refine(float(grid[k]), float(grid[k + 1]), phis[k], phis[k + 1], sink)
-            out_s.extend(s for s, _ in sink)
-            out_phi.extend(p for _, p in sink)
-        out_s.append(float(grid[-1]))
-        out_phi.append(phis[-1])
-
-    order = np.argsort(out_s)
-    s_arr = np.asarray(out_s)[order]
-    p_arr = np.clip(np.asarray(out_phi)[order], 0.0, math.pi)
-    keep = np.concatenate([[True], np.diff(s_arr) > 0])
-    return PhiTable(tuple(s_arr[keep]), tuple(p_arr[keep]), "piecewise-linear")
+    base = np.geomspace(_PHI_S_MIN, _PHI_S_MAX, _PHI_N_BASE + 1)
+    f = np.asarray(axis_feature_points(spec), dtype=float)
+    f = f[(np.abs(f) > _PHI_S_MIN) & (np.abs(f) < _PHI_S_MAX), None]
+    rings = f * np.concatenate([1.0 + _PHI_RINGS, 1.0 - _PHI_RINGS])
+    s = np.unique(np.concatenate([-base, base, rings.ravel()]))
+    p = estimate_phi(spec, s)
+    s_out, p_out = [s], [p]
+    start = np.delete(np.arange(s.size - 1), np.searchsorted(s, 0.0) - 1)  # no cell across s = 0
+    lo, hi, p_lo, p_hi = s[start], s[start + 1], p[start], p[start + 1]
+    budget = _PHI_MAX_POINTS
+    while True:
+        wide = hi - lo > _PHI_MIN_WIDTH * np.minimum(np.abs(lo), np.abs(hi))
+        lo, hi, p_lo, p_hi = lo[wide], hi[wide], p_lo[wide], p_hi[wide]
+        if not lo.size:
+            break
+        if lo.size > budget:
+            raise EstimationError(f"phi table refinement needs more than {_PHI_MAX_POINTS} estimates")
+        budget -= lo.size
+        mid = np.copysign(np.sqrt(lo * hi), lo)
+        p_mid = estimate_phi(spec, mid)
+        w = (mid - lo) / (hi - lo)
+        width_u = np.log(np.where(lo > 0.0, hi / lo, lo / hi))
+        miss = np.abs(p_mid - ((1.0 - w) * p_lo + w * p_hi))
+        split = miss * np.minimum(width_u, 1.0) > _PHI_REFINE_TOL
+        s_out.append(mid)
+        p_out.append(p_mid)
+        mid, p_mid = mid[split], p_mid[split]
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        p_lo, p_hi = np.concatenate([p_lo[split], p_mid]), np.concatenate([p_mid, p_hi[split]])
+    s_all, keep = np.unique(np.concatenate(s_out), return_index=True)
+    p_all = np.clip(np.concatenate(p_out)[keep], 0.0, math.pi)
+    return PhiTable(tuple(s_all), tuple(p_all), "piecewise-linear")
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +203,10 @@ _ENGINE_CACHE: dict = {}
 _HANDLE_CACHE: dict = {}
 
 
-def get_phi_table(spec, **kwargs):
-    key = (spec, tuple(sorted(kwargs.items())))
-    if key not in _PHI_CACHE:
-        _PHI_CACHE[key] = build_phi_table(spec, **kwargs)
-    return _PHI_CACHE[key]
+def get_phi_table(spec):
+    if spec not in _PHI_CACHE:
+        _PHI_CACHE[spec] = build_phi_table(spec)
+    return _PHI_CACHE[spec]
 
 
 def get_factor_handle(spec, side) -> "FactorHandle":

@@ -7,6 +7,7 @@ import pytest
 
 from levycm import (
     DomainError,
+    EstimationError,
     LevyAtomic,
     PhiRep,
     PhiTable,
@@ -25,9 +26,10 @@ from levycm import (
     levy_density,
     validate_spec,
 )
-from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
+from levycm import rogers
+from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng, richardson_zero
 
-from conftest import half_plane_samples
+from conftest import half_plane_samples, showcase
 
 # bounded spec equal to xi / (xi + i): one atom with compensating drift
 BOUNDED = LevyAtomic(a=0.0, b=0.5, c=0.0, atoms=((1.0, math.pi),))
@@ -220,6 +222,52 @@ class TestEstimatePhi:
         want = (0.3, 0.0, 2.4)
         for s, expect in zip(mids, want):
             assert estimate_phi(spec, s) == pytest.approx(expect, abs=5e-3)
+
+    S_SIDE = np.geomspace(1e-3, 1e3, 101)
+
+    @pytest.mark.parametrize(
+        "spec,plus,minus",
+        [
+            (LevyAtomic(a=1.0), math.pi, math.pi),
+            (LevyAtomic(b=1.0), math.pi, 0.0),
+            (showcase("b"), math.atan(2.0), math.atan(0.5)),
+        ],
+        ids=["gaussian", "drift", "stable_asym"],
+    )
+    def test_array_closed_forms(self, spec, plus, minus):
+        s = np.concatenate([-self.S_SIDE[::-1], self.S_SIDE]).reshape(2, -1)
+        got = estimate_phi(spec, s)
+        assert got.shape == s.shape
+        np.testing.assert_allclose(got[0], minus, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(got[1], plus, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_unusable_ladder_value_dropped_per_point(self, fig_c, monkeypatch, row):
+        """A NaN at one ladder value of one point refits that point alone."""
+        s = np.concatenate([-self.S_SIDE, self.S_SIDE])
+        full = estimate_phi(fig_c, s)
+        j = 150  # on the s > 0 side, so phi = -(the fitted argument)
+        real_eval_f = rogers.eval_f
+
+        def eval_f_with_nan(spec, xi):
+            v = real_eval_f(spec, xi)
+            v[row, j] = np.nan
+            return v
+
+        monkeypatch.setattr(rogers, "eval_f", eval_f_with_nan)
+        got = estimate_phi(fig_c, s)
+        others = np.arange(s.size) != j
+        assert np.array_equal(got[others], full[others])
+        ts = np.delete(np.array([1e-3, 1e-4, 1e-5]) * s[j], row)
+        args = np.unwrap(np.angle(real_eval_f(fig_c, ts - 1j * s[j])))
+        want = min(max(-float(richardson_zero(ts, args)), 0.0), math.pi)
+        assert want != full[j]
+        assert got[j] == pytest.approx(want, abs=1e-15)
+
+    def test_no_usable_ladder_value_raises(self):
+        # f overflows to infinity at every ladder value
+        with pytest.raises(EstimationError):
+            estimate_phi(LevyAtomic(a=1e300), 1e5)
 
 
 class TestFunctionBounds:

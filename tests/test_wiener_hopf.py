@@ -8,6 +8,7 @@ import pytest
 
 from levycm import (
     DomainError,
+    EstimationError,
     LevyAtomic,
     MethodUnsupportedError,
     PhiRep,
@@ -18,7 +19,9 @@ from levycm import (
 )
 from levycm import wiener_hopf
 from levycm.fluctuation import kappa_ratio_xi
-from levycm.numerics import make_rng
+from levycm.numerics import make_rng, richardson_zero
+from levycm.rogers import axis_feature_points
+from levycm.specio import SHOWCASE
 from levycm.wiener_hopf import (
     FactorHandle,
     closed_form_factors,
@@ -37,6 +40,76 @@ SYMMETRIC = LevyAtomic(a=1.0)  # f = xi^2, factors c xi on both sides
 F_SIG = LevyAtomic(a=0.5, b=1.0, c=1.0)
 R_PLUS = math.sqrt(3.0) - 1.0
 R_MINUS = math.sqrt(3.0) + 1.0
+PW_CONST_PHIREP = PhiRep(
+    1.5, PhiTable((-4.0, -1.0, 0.5, 2.0, 7.0), (0.3, 1.1, 0.0, 2.4), "piecewise-constant")
+)
+
+
+def _loop_phi(spec, s):
+    """Reference: one scalar eval_f per ladder value, failures skipped."""
+    ts, args = [], []
+    for t in (1e-3 * abs(s), 1e-4 * abs(s), 1e-5 * abs(s)):
+        try:
+            v = eval_f(spec, complex(t, -s))
+        except (DomainError, OverflowError, ZeroDivisionError):
+            continue
+        if v == 0.0 or not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            continue
+        ts.append(t)
+        args.append(cmath.phase(v))
+    if not ts:
+        raise EstimationError(f"no usable ladder value at s={s}")
+    val = float(richardson_zero(np.asarray(ts), np.unwrap(np.asarray(args))))
+    return min(max(-math.copysign(1.0, s) * val, 0.0), math.pi)
+
+
+def _recursive_phi_table(spec):
+    """Reference: the phi table refined cell by cell, depth first."""
+    out_s, out_phi = [], []
+    budget = [40000]
+
+    def refine(s_lo, s_hi, p_lo, p_hi, sink):
+        if budget[0] <= 0 or (s_hi - s_lo) <= 1e-10 * min(abs(s_lo), abs(s_hi)):
+            return
+        s_mid = math.copysign(math.sqrt(s_lo * s_hi), s_lo)
+        p_mid = _loop_phi(spec, s_mid)
+        budget[0] -= 1
+        w = (s_mid - s_lo) / (s_hi - s_lo)
+        p_interp = (1.0 - w) * p_lo + w * p_hi
+        width_u = math.log(s_hi / s_lo) if s_lo > 0 else math.log(s_lo / s_hi)
+        if abs(p_mid - p_interp) * min(abs(width_u), 1.0) > 2e-7:
+            refine(s_lo, s_mid, p_lo, p_mid, sink)
+            sink.append((s_mid, p_mid))
+            refine(s_mid, s_hi, p_mid, p_hi, sink)
+        else:
+            sink.append((s_mid, p_mid))
+
+    features = axis_feature_points(spec)
+    for sign in (-1.0, 1.0):
+        pts = set((sign * np.geomspace(1e-6, 1e6, 513)).tolist())
+        for fpt in features:
+            if math.copysign(1.0, fpt) != sign or not 1e-6 < abs(fpt) < 1e6:
+                continue
+            for rel in (1e-3, 1e-6, 1e-9):
+                pts.add(fpt * (1.0 + rel))
+                pts.add(fpt * (1.0 - rel))
+        grid = np.sort(np.asarray(sorted(pts)))
+        phis = [_loop_phi(spec, float(s)) for s in grid]
+        for k in range(len(grid) - 1):
+            out_s.append(float(grid[k]))
+            out_phi.append(phis[k])
+            sink = []
+            refine(float(grid[k]), float(grid[k + 1]), phis[k], phis[k + 1], sink)
+            out_s.extend(s for s, _ in sink)
+            out_phi.extend(p for _, p in sink)
+        out_s.append(float(grid[-1]))
+        out_phi.append(phis[-1])
+    assert budget[0] > 0, "reference table truncated by its budget"
+    order = np.argsort(out_s)
+    s_arr = np.asarray(out_s)[order]
+    p_arr = np.clip(np.asarray(out_phi)[order], 0.0, math.pi)
+    keep = np.concatenate([[True], np.diff(s_arr) > 0])
+    return s_arr[keep], p_arr[keep]
 
 
 class TestPhiEval:
@@ -62,6 +135,25 @@ class TestPhiEval:
         handle = FactorHandle(SYMMETRIC, "plus")
         with pytest.raises(DomainError):
             handle.eval(-1.0 + 0.0j)
+
+
+class TestPhiTable:
+    @pytest.mark.parametrize(
+        "spec",
+        [*SHOWCASE.values(), shift_spec(SHOWCASE["rational_three_arcs"], 0.5), PW_CONST_PHIREP],
+        ids=[*SHOWCASE, "rational_three_arcs+0.5", "phirep_pw_constant"],
+    )
+    def test_matches_recursive_builder(self, spec):
+        """Level-by-level refinement lands on the depth-first builder's breakpoints."""
+        want_s, want_phi = _recursive_phi_table(spec)
+        table = wiener_hopf.build_phi_table(spec)
+        assert np.array_equal(np.asarray(table.breakpoints), want_s)
+        np.testing.assert_allclose(table.values, want_phi, rtol=0.0, atol=1e-10)
+
+    def test_exhausted_budget_raises(self, fig_a, monkeypatch):
+        monkeypatch.setattr(wiener_hopf, "_PHI_MAX_POINTS", 100)
+        with pytest.raises(EstimationError):
+            wiener_hopf.build_phi_table(fig_a)
 
 
 class TestRatio:
