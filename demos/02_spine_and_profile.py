@@ -7,8 +7,6 @@ drive the factorization machinery.  Writes one PNG per spec if matplotlib
 is importable, and always prints the interval structure.
 """
 
-import numpy as np
-
 from levycm.spine import build_spine_table, spine_invariant_report
 from levycm.specio import SHOWCASE
 from levycm.verify import default_spine_range
@@ -30,7 +28,7 @@ for name, spec in SHOWCASE.items():
     print(f"{'':28s} invariants: {rep.summary()}")
 
     if plt is not None:
-        zs = np.array([p.zeta for p in table.points if p.in_Z])
+        zs = table.zetas()[table.in_z_mask()]
         fig, ax = plt.subplots(1, 2, figsize=(9, 4))
         if len(zs):
             ax[0].plot(zs.real, zs.imag, ".", ms=2)

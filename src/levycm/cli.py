@@ -74,23 +74,14 @@ def _cmd_eval(args):
 
 def _cmd_spine(args):
     spec = validate_spec(load_spec(args.spec))
-    if args.rmin is None or args.rmax is None:
-        args.rmin, args.rmax = default_spine_range(spec)
-    table = build_spine_table(spec, args.rmin, args.rmax, args.n)
+    r_lo, r_hi = default_spine_range(spec)
+    r_min = r_lo if args.rmin is None else args.rmin
+    r_max = r_hi if args.rmax is None else args.rmax
+    table = build_spine_table(spec, r_min, r_max, args.n)
+    s = table.samples
     rows = ["r,theta,re_zeta,im_zeta,lambda,in_Z"]
-    for p in table.points:
-        rows.append(
-            ",".join(
-                [
-                    format_float(p.r),
-                    format_float(p.theta),
-                    format_float(p.zeta.real),
-                    format_float(p.zeta.imag),
-                    format_float(p.lam),
-                    "1" if p.in_Z else "0",
-                ]
-            )
-        )
+    for *values, in_z in zip(s.r, s.theta, s.zeta.real, s.zeta.imag, s.lam, s.in_Z):
+        rows.append(",".join([*map(format_float, values), "1" if in_z else "0"]))
     csv_text = "\n".join(rows) + "\n"
     out_csv = args.out or "spine.csv"
     with open(out_csv, "w") as fh:
@@ -98,7 +89,7 @@ def _cmd_spine(args):
     _emit(
         {
             "csv": out_csv,
-            "grid": {"r_min": args.rmin, "r_max": args.rmax, "n": args.n},
+            "grid": {"r_min": r_min, "r_max": r_max, "n": args.n},
             "z_intervals": [[lo, hi] for lo, hi in table.z_intervals],
         }
     )

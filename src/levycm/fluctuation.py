@@ -35,7 +35,6 @@ from .report import VerifyReport
 from .rogers import (
     eval_f,
     f_limits,
-    is_compound_poisson,
     shift_spec,
 )
 from .wiener_hopf import (
@@ -192,15 +191,8 @@ def kappa_circ(spec, tau):
     """
     if tau < 0.0:
         raise DomainError("tau must be >= 0")
-    if not is_compound_poisson(spec):
-        lim = f_limits(spec)
-        if not math.isfinite(lim.f_at_infinity):
-            return 1.0
-        # bounded exponents are compound Poisson with kill; fall through
     lam = f_limits(spec).f_at_infinity
-    if not math.isfinite(lam):
-        return 1.0
-    return (tau + lam) / (1.0 + lam)
+    return (tau + lam) / (1.0 + lam) if math.isfinite(lam) else 1.0
 
 
 def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):

@@ -736,7 +736,10 @@ def _structural_validate(spec):
     raise ValidationError("type", f"not a Rogers spec: {type(spec).__name__}")
 
 
-def validate_spec(spec, n_samples=256):
+_VALIDATE_RADII = 16  # log-spaced radii, 1e-6 to 1e6, of the sampled Rogers check
+
+
+def validate_spec(spec):
     """Structural checks, canonical ordering, then sampled necessary checks.
 
     Samples re(f(xi)/xi) on a log-polar grid in the right half-plane and
@@ -757,8 +760,7 @@ def validate_spec(spec, n_samples=256):
             witness = cmath.exp(-sgn * 1j * (0.5 * math.pi - 1e-6))
             ratio = eval_f(spec, witness) / witness
             raise RogersViolationError(witness, float(ratio.real))
-    n_radii = max(8, int(n_samples) // 16)
-    radii = np.geomspace(1e-6, 1e6, n_radii)
+    radii = np.geomspace(1e-6, 1e6, _VALIDATE_RADII)
     angles = np.concatenate(
         [
             np.linspace(-0.5 * math.pi + 1e-2, 0.5 * math.pi - 1e-2, 14),
@@ -865,14 +867,17 @@ def estimate_phi(spec, s):
 # ---------------------------------------------------------------------------
 
 
-def check_function_bounds(spec, samples, fd_slack=1e-3) -> VerifyReport:
+_FD_SLACK = 1e-3  # relative slack of the log-derivative bound for the difference quotient
+
+
+def check_function_bounds(spec, samples) -> VerifyReport:
     """Check the wedge, magnitude-sandwich and log-derivative bounds.
 
     For each sample xi in the open right half-plane:
 
     * -pi/2 + Arg xi <= Arg f(xi) <= pi/2 + Arg xi,
     * the two-sided magnitude sandwich against |f(r)| with r = |xi|,
-    * |f'(xi)/f(xi)| <= pi/re(xi) (1 + fd_slack), derivative by central
+    * |f'(xi)/f(xi)| <= pi/re(xi) (1 + _FD_SLACK), derivative by central
       finite difference with step 1e-6 |xi|.
 
     Failures become report entries; nothing is raised.
@@ -901,7 +906,7 @@ def check_function_bounds(spec, samples, fd_slack=1e-3) -> VerifyReport:
 
         h = 1e-6 * r
         fp = (eval_f(spec, xi + h) - eval_f(spec, xi - h)) / (2.0 * h)
-        bound = math.pi / xi.real * (1.0 + fd_slack)
+        bound = math.pi / xi.real * (1.0 + _FD_SLACK)
         ratio = abs(fp / f) if f != 0.0 else math.inf
         rep.add(
             f"log-derivative[{k}]",

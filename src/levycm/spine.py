@@ -21,7 +21,6 @@ from .report import VerifyReport
 from .rogers import PhiRep, eval_f, eval_f_prime, is_constant
 
 __all__ = [
-    "SpinePoint",
     "SpineTable",
     "theta_at",
     "lambda_at",
@@ -41,42 +40,49 @@ ON_SPINE = "on_spine"
 
 ANGLE_TOL = 1e-7  # |theta| < pi/2 - ANGLE_TOL defines membership in Z
 _EDGE = 1e-9  # bisection never evaluates closer to the axis than this
+_THETA_TOL = 1e-12  # bisection width of the spine angle
 
 
 @dataclass(frozen=True)
-class SpinePoint:
-    r: float
-    theta: float
-    zeta: complex
-    lam: float
-    in_Z: bool
-    flag: str = ""
+class SpineSamples:
+    """The spine at an array of radii ``r``; every field is aligned with ``r``."""
+
+    r: np.ndarray
+    theta: np.ndarray
+    zeta: np.ndarray
+    lam: np.ndarray
+    in_Z: np.ndarray
+    flag: np.ndarray  # "boundary-interpolated" where the profile is extrapolated, else ""
 
 
 @dataclass(frozen=True)
 class SpineTable:
-    points: tuple
+    """Spine samples on a grid, their Z intervals and boundary continuity checks.
+
+    The accessors return the stored sample arrays, not copies.
+    """
+
+    samples: SpineSamples
     z_intervals: tuple
-    grid_meta: tuple  # (r_min, r_max, n)
     boundary_checks: tuple = ()  # (r_star, rel_mismatch) per Z boundary
 
     def radii(self):
-        return np.array([p.r for p in self.points])
+        return self.samples.r
 
     def thetas(self):
-        return np.array([p.theta for p in self.points])
+        return self.samples.theta
 
     def lambdas(self):
-        return np.array([p.lam for p in self.points])
+        return self.samples.lam
 
     def zetas(self):
-        return np.array([p.zeta for p in self.points])
+        return self.samples.zeta
 
     def in_z_mask(self):
-        return np.array([p.in_Z for p in self.points])
+        return self.samples.in_Z
 
 
-def theta_at(spec, r, angle_tol=1e-12):
+def theta_at(spec, r):
     """Spine angle theta(r): the sign-change angle of Arg f(r e^{i alpha}).
 
     Arg f and im f share their sign off the cut, so bisection acts on im f.
@@ -99,7 +105,7 @@ def theta_at(spec, r, angle_tol=1e-12):
         return -0.5 * math.pi
     if glo < 0.0 and ghi < 0.0:
         return 0.5 * math.pi
-    return bisect_monotone(g, lo, hi, tol=angle_tol, glo=glo, ghi=ghi)
+    return bisect_monotone(g, lo, hi, tol=_THETA_TOL, glo=glo, ghi=ghi)
 
 
 _LADDER = np.array([1e-4, 1e-5, 1e-6])  # eps of the axis approach eps r + i side r
@@ -122,31 +128,31 @@ def _axis_lambda(spec, r, side):
     return np.real(richardson_zero(_LADDER, eval_f(spec, _axis_points(r, side))))
 
 
-def _profile_slope(spec, r, s):
-    """d lambda / d log r at the radii ``r`` of the spine samples ``s``.
+def _profile_slope(spec, s):
+    """d lambda / d log r at the radii of the spine samples ``s``.
 
     On Z, im f(zeta(r)) = 0 gives theta' = -Im w / Re w for w = f'(zeta) zeta,
     so the slope is Re w - theta' Im w = |w|^2 / Re w.  Off Z the profile is
     f(+-i r) and the slope r Re(+-i f'(+-i r)) is extrapolated along the
     ladder of ``_axis_lambda``.
     """
-    slope = np.empty(r.shape)
+    slope = np.empty(s.r.shape)
     z = s.in_Z
     if z.any():
         w = eval_f_prime(spec, s.zeta[z]) * s.zeta[z]
         slope[z] = np.abs(w) ** 2 / w.real
     out = ~z
     if out.any():
-        r_out, side = r[out], np.where(s.theta[out] > 0.0, 1.0, -1.0)
+        r_out, side = s.r[out], np.where(s.theta[out] > 0.0, 1.0, -1.0)
         d = 1j * side * r_out * eval_f_prime(spec, _axis_points(r_out, side))
         slope[out] = np.real(richardson_zero(_LADDER, d))
     return slope
 
 
-def _lambda_flagged(spec, r, angle_tol=ANGLE_TOL):
+def _lambda_flagged(spec, r):
     theta = theta_at(spec, r)
     half = 0.5 * math.pi
-    if abs(theta) < half - angle_tol:
+    if abs(theta) < half - ANGLE_TOL:
         zeta = r * cmath.exp(1j * theta)
         v = eval_f(spec, zeta)
         lam = v.real
@@ -161,7 +167,7 @@ def _lambda_flagged(spec, r, angle_tol=ANGLE_TOL):
     return lam, theta, flag
 
 
-def _theta_array(spec, r, angle_tol=1e-12):
+def _theta_array(spec, r):
     """``theta_at`` at every radius of ``r``, by one lockstep bisection.
 
     Each radius follows the scalar rules step for step: the same bracket,
@@ -183,7 +189,7 @@ def _theta_array(spec, r, angle_tol=1e-12):
     for _ in range(200):  # bisect_monotone's max_iter
         l, h = lo[idx], hi[idx]
         mid = 0.5 * (l + h)
-        go = (h - l > angle_tol) & (mid > l) & (mid < h)
+        go = (h - l > _THETA_TOL) & (mid > l) & (mid < h)
         theta[idx[~go]] = 0.5 * (l[~go] + h[~go])
         idx, mid = idx[go], mid[go]
         if not idx.size:
@@ -199,18 +205,7 @@ def _theta_array(spec, r, angle_tol=1e-12):
     return theta
 
 
-@dataclass(frozen=True)
-class SpineSamples:
-    """The spine at an array of radii; every field is aligned with the radii."""
-
-    theta: np.ndarray
-    zeta: np.ndarray
-    lam: np.ndarray
-    in_Z: np.ndarray
-    flag: np.ndarray  # "boundary-interpolated" or "", as in SpinePoint
-
-
-def solve_spine(spec, radii, angle_tol=ANGLE_TOL):
+def solve_spine(spec, radii):
     """Spine angle, point, profile, Z membership and flag at every radius.
 
     The array form of ``_lambda_flagged`` with the same rules: angles from
@@ -227,7 +222,7 @@ def solve_spine(spec, radii, angle_tol=ANGLE_TOL):
         raise DomainError("solve_spine needs r > 0")
     half = 0.5 * math.pi
     theta = _theta_array(spec, r)
-    in_z = np.abs(theta) < half - angle_tol
+    in_z = np.abs(theta) < half - ANGLE_TOL
     on_axis = np.abs(theta) == half
     zeta = r * np.exp(1j * theta)
     zeta.real[on_axis] = 0.0
@@ -247,21 +242,21 @@ def solve_spine(spec, radii, angle_tol=ANGLE_TOL):
     if out.any():
         lam[out] = _axis_lambda(spec, r[out], np.where(theta[out] > 0.0, 1.0, -1.0))
     flag = np.where(out & ~on_axis, "boundary-interpolated", "")
-    return SpineSamples(theta, zeta, lam, in_z, flag)
+    return SpineSamples(r, theta, zeta, lam, in_z, flag)
 
 
-def lambda_at(spec, r, angle_tol=ANGLE_TOL):
+def lambda_at(spec, r):
     """Monotone profile lambda(r) = f(zeta(r)), extended by continuity."""
-    lam, _, _ = _lambda_flagged(spec, float(r), angle_tol)
+    lam, _, _ = _lambda_flagged(spec, float(r))
     return lam
 
 
-def _refine_z_boundary(spec, r_in, r_out, angle_tol):
-    """Radius where |theta| crosses pi/2 - angle_tol, between a Z and a non-Z point."""
+def _refine_z_boundary(spec, r_in, r_out):
+    """Radius where |theta| crosses pi/2 - ANGLE_TOL, between a Z and a non-Z point."""
     half = 0.5 * math.pi
 
     def b(r):
-        return abs(theta_at(spec, r)) - (half - angle_tol)
+        return abs(theta_at(spec, r)) - (half - ANGLE_TOL)
 
     lo, hi = (r_in, r_out) if r_in < r_out else (r_out, r_in)
     blo, bhi = b(lo), b(hi)
@@ -271,7 +266,7 @@ def _refine_z_boundary(spec, r_in, r_out, angle_tol):
     )
 
 
-def build_spine_table(spec, r_min, r_max, n, angle_tol=ANGLE_TOL):
+def build_spine_table(spec, r_min, r_max, n):
     """Sample the spine on a log-spaced grid and assemble Z intervals.
 
     Profile continuity at each Z boundary is verified by extrapolating the
@@ -282,55 +277,33 @@ def build_spine_table(spec, r_min, r_max, n, angle_tol=ANGLE_TOL):
     if n < 16:
         raise DomainError("need n >= 16")
     radii = np.geomspace(r_min, r_max, int(n))
-    s = solve_spine(spec, radii, angle_tol)
-    points = [
-        SpinePoint(*fields)
-        for fields in zip(
-            radii.tolist(),
-            s.theta.tolist(),
-            s.zeta.tolist(),
-            s.lam.tolist(),
-            s.in_Z.tolist(),
-            s.flag.tolist(),
-        )
-    ]
+    s = solve_spine(spec, radii)
 
-    mask = [p.in_Z for p in points]
+    # runs of Z: +1 steps of the False-padded mask open them, -1 steps close them
+    steps = np.diff(np.concatenate(([0], s.in_Z.astype(np.int8), [0])))
     intervals = []
-    boundary_checks = []
-    k = 0
-    while k < len(points):
-        if mask[k]:
-            start = k
-            while k + 1 < len(points) and mask[k + 1]:
-                k += 1
-            lo = points[start].r
-            hi = points[k].r
-            if start > 0:
-                lo = _refine_z_boundary(spec, points[start].r, points[start - 1].r, angle_tol)
-            if k + 1 < len(points):
-                hi = _refine_z_boundary(spec, points[k].r, points[k + 1].r, angle_tol)
-            intervals.append((lo, hi))
-        k += 1
+    for first, last in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1):
+        lo, hi = radii[first], radii[last]
+        if first > 0:
+            lo = _refine_z_boundary(spec, lo, radii[first - 1])
+        if last + 1 < radii.size:
+            hi = _refine_z_boundary(spec, hi, radii[last + 1])
+        intervals.append((float(lo), float(hi)))
 
+    boundary_checks = []
     for lo, hi in intervals:
         for r_star, inner in ((lo, +1.0), (hi, -1.0)):
             if not (radii[0] < r_star < radii[-1]):
                 continue
             delta = 1e-4
-            lam_in = [lambda_at(spec, r_star * (1.0 - inner * d), angle_tol) for d in (delta, 2 * delta)]
-            lam_out = [lambda_at(spec, r_star * (1.0 + inner * d), angle_tol) for d in (delta, 2 * delta)]
+            lam_in = [lambda_at(spec, r_star * (1.0 - inner * d)) for d in (delta, 2 * delta)]
+            lam_out = [lambda_at(spec, r_star * (1.0 + inner * d)) for d in (delta, 2 * delta)]
             at_in = 2.0 * lam_in[0] - lam_in[1]
             at_out = 2.0 * lam_out[0] - lam_out[1]
             mism = abs(at_in - at_out) / (1.0 + abs(at_in))
             boundary_checks.append((r_star, mism))
 
-    return SpineTable(
-        points=tuple(points),
-        z_intervals=tuple(intervals),
-        grid_meta=(float(r_min), float(r_max), int(n)),
-        boundary_checks=tuple(boundary_checks),
-    )
+    return SpineTable(s, tuple(intervals), tuple(boundary_checks))
 
 
 def classify_point(spec, xi):
@@ -364,6 +337,11 @@ def classify_point(spec, xi):
     return ON_SPINE
 
 
+def _min_or_zero(margins):
+    """Worst margin of a check, 0 when it has no samples."""
+    return float(np.min(margins)) if margins.size else 0.0
+
+
 def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
     """Geometric invariant suite on a sampled spine.
 
@@ -376,96 +354,63 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
     the |log lambda| envelope.
     """
     rep = VerifyReport("spine-invariants")
-    pts = table.points
-    if len(pts) < 64:
+    s = table.samples
+    if s.r.size < 64:
         raise DomainError("spine_invariant_report needs a table with n >= 64")
     slack = 1.1
-    u = np.log(table.radii())
+    r, theta, lam, in_z = s.r, s.theta, s.lam, s.in_Z
+    u = np.log(r)
     h = u[1] - u[0]
-    theta = table.thetas()
-    lam = table.lambdas()
-    in_z = table.in_z_mask()
+    z2 = in_z[:-1] & in_z[1:]  # cells with both ends in Z
+    z3 = z2[:-1] & in_z[2:]  # consecutive triples in Z
 
     # curvature bound at interior Z points
-    worst = math.inf
-    for k in range(1, len(pts) - 1):
-        if not (in_z[k - 1] and in_z[k] and in_z[k + 1]):
-            continue
-        d1 = (theta[k + 1] - theta[k - 1]) / (2.0 * h)
-        d2 = (theta[k + 1] - 2.0 * theta[k] + theta[k - 1]) / h**2
-        bound = slack * 9.0 * (d1 * d1 + 1.0) / math.cos(theta[k])
-        worst = min(worst, (bound - abs(d2)) / bound)
-    rep.add("curvature-bound", 0.0 if worst is math.inf else worst, tol=1e-12)
+    t_lo, t_mid, t_hi = theta[:-2][z3], theta[1:-1][z3], theta[2:][z3]
+    d1 = (t_hi - t_lo) / (2.0 * h)
+    d2 = (t_hi - 2.0 * t_mid + t_lo) / h**2
+    bound = slack * 9.0 * (d1 * d1 + 1.0) / np.cos(t_mid)
+    rep.add("curvature-bound", _min_or_zero((bound - np.abs(d2)) / bound), tol=1e-12)
 
     # polyline length within annuli [L, 2L]
-    seg_mid = []
-    seg_len = []
-    for k in range(len(pts) - 1):
-        if in_z[k] and in_z[k + 1]:
-            seg_mid.append(0.5 * (pts[k].r + pts[k + 1].r))
-            seg_len.append(abs(pts[k + 1].zeta - pts[k].zeta))
-    seg_mid = np.array(seg_mid)
-    seg_len = np.array(seg_len)
-    worst = math.inf
-    worst_r = None
-    for L in table.radii()[:: max(1, len(pts) // 64)]:
-        if 2.0 * L > pts[-1].r:
-            break
-        inside = (seg_mid >= L) & (seg_mid <= 2.0 * L)
-        length = float(seg_len[inside].sum())
-        margin = (300.0 * L - length) / (300.0 * L)
-        if margin < worst:
-            worst, worst_r = margin, float(L)
-    rep.add(
-        "annulus-length",
-        0.0 if worst is math.inf else worst,
-        {"r": worst_r},
-        tol=1e-12,
-    )
+    seg_mid = (0.5 * (r[:-1] + r[1:]))[z2]
+    seg_len = np.abs(np.diff(s.zeta))[z2]
+    ls = r[:: max(1, r.size // 64)]
+    ls = ls[2.0 * ls <= r[-1]]
+    inside = (seg_mid >= ls[:, None]) & (seg_mid <= 2.0 * ls[:, None])
+    margin = (300.0 * ls - np.where(inside, seg_len, 0.0).sum(axis=1)) / (300.0 * ls)
+    worst_r = float(ls[np.argmin(margin)]) if ls.size else None
+    rep.add("annulus-length", _min_or_zero(margin), {"r": worst_r}, tol=1e-12)
 
     # total variation of theta over log-windows of width log(1 + sqrt 2)
     window = math.log(1.0 + math.sqrt(2.0))
-    dtheta = np.where(in_z[:-1] & in_z[1:], np.abs(np.diff(theta)), 0.0)
-    worst = math.inf
-    for k in range(len(pts) - 1):
-        hi = u[k] + window
-        j = np.searchsorted(u, hi, side="right") - 1
-        var = float(dtheta[k:j].sum())
-        worst = min(worst, (140.0 - var) / 140.0)
-    rep.add("angle-variation", 0.0 if worst is math.inf else worst, tol=1e-12)
+    dtheta = np.abs(np.diff(theta))
+    var = np.concatenate(([0.0], np.cumsum(np.where(z2, dtheta, 0.0))))
+    ends = np.searchsorted(u, u[:-1] + window, side="right") - 1
+    rep.add("angle-variation", _min_or_zero((140.0 - (var[ends] - var[:-1])) / 140.0), tol=1e-12)
 
     # profile monotone: nondecreasing overall, strictly increasing inside Z
     dlam = np.diff(lam)
     scale = 1.0 + np.abs(lam[:-1])
     rep.add("profile-nondecreasing", float(np.min(dlam / scale)), tol=1e-11)
-    z_pairs = in_z[:-1] & in_z[1:]
-    if z_pairs.any():
-        rep.add("profile-strict-on-Z", float(np.min(dlam[z_pairs])), tol=0.0)
+    if z2.any():
+        rep.add("profile-strict-on-Z", float(np.min(dlam[z2])), tol=0.0)
 
     # angle continuity: where one cell has |dtheta/du| <= 1, the derivative
     # stays below 2 on the next cell within the local trust window
-    worst = math.inf
-    for k in range(len(pts) - 2):
-        if not (in_z[k] and in_z[k + 1] and in_z[k + 2]):
-            continue
-        rate_here = abs(theta[k + 1] - theta[k]) / h
-        window = math.cos(theta[k + 1]) / 90.0
-        if rate_here <= 1.0 and h <= window:
-            rate_next = abs(theta[k + 2] - theta[k + 1]) / h
-            worst = min(worst, (2.0 * slack - rate_next) / (2.0 * slack))
-    rep.add("angle-continuity", 0.0 if worst is math.inf else worst, tol=1e-12)
+    rate = dtheta / h
+    trusted = z3 & (rate[:-1] <= 1.0) & (h <= np.cos(theta[1:-1]) / 90.0)
+    rep.add(
+        "angle-continuity",
+        _min_or_zero((2.0 * slack - rate[1:][trusted]) / (2.0 * slack)),
+        tol=1e-12,
+    )
 
     # log-derivative bound on the spine
-    worst = math.inf
-    for k in range(len(pts)):
-        if not in_z[k]:
-            continue
-        z = pts[k].zeta
-        ratio = abs(eval_f_prime(spec, z) / eval_f(spec, z))
-        bound = slack * math.pi / abs(z)
-        worst = min(worst, (bound - ratio) / bound)
-    if worst is not math.inf:
-        rep.add("spine-log-derivative", worst, tol=1e-12)
+    if in_z.any():
+        z = s.zeta[in_z]
+        ratio = np.abs(eval_f_prime(spec, z) / eval_f(spec, z))
+        bound = slack * math.pi / np.abs(z)
+        rep.add("spine-log-derivative", float(np.min((bound - ratio) / bound)), tol=1e-12)
 
     # profile continuity across Z boundaries
     for r_star, mism in table.boundary_checks:
@@ -478,15 +423,13 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
 
     # |log lambda| envelope (exponential-representation constant available)
     if isinstance(spec, PhiRep):
-        worst = math.inf
+        pos = lam > 0.0
         logc = abs(math.log(spec.c))
-        for k in range(len(pts)):
-            if lam[k] <= 0.0:
-                continue
-            r = pts[k].r
-            bound = slack * (logc + math.sqrt(2.0 * math.pi) * (1.0 + r) / math.sqrt(r))
-            worst = min(worst, (bound - abs(math.log(lam[k]))) / bound)
-        rep.add("log-profile-envelope", 0.0 if worst is math.inf else worst, tol=1e-12)
+        bound = slack * (logc + math.sqrt(2.0 * math.pi) * (1.0 + r[pos]) / np.sqrt(r[pos]))
+        rep.add(
+            "log-profile-envelope",
+            _min_or_zero((bound - np.abs(np.log(lam[pos]))) / bound),
+            tol=1e-12,
+        )
 
     return rep
-

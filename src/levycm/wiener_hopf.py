@@ -342,7 +342,7 @@ class SpineStieltjes:
         if missing:
             r = np.exp(missing)
             s = solve_spine(self.spec, r)
-            slope = _profile_slope(self.spec, r, s)
+            slope = _profile_slope(self.spec, s)
             cache.update(zip(missing, zip(s.zeta.tolist(), s.lam.tolist(), slope.tolist())))
         return tuple(map(np.array, zip(*map(cache.__getitem__, keys))))
 

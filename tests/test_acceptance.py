@@ -108,15 +108,14 @@ class TestAcceptance:
 
     def test_03_spine_closed_form(self, fig_a, fig_g):
         """Closed-form spine of the drifted diffusion; arc count of gallery g."""
-        table = build_spine_table(fig_a, 0.1, 10.0, 200)
-        dev_im = 0.0
-        dev_lam = 0.0
-        for p in table.points:
-            if p.in_Z and p.r >= 1.0 + 1e-6:
-                dev_im = max(dev_im, abs(p.zeta.imag - 1.0))
-                dev_lam = max(dev_lam, abs(p.lam - 0.5 * p.r**2))
-            elif p.r <= 1.0 - 1e-9:
-                dev_lam = max(dev_lam, abs(p.lam - (p.r - 0.5 * p.r**2)))
+        s = build_spine_table(fig_a, 0.1, 10.0, 200).samples
+        upper = s.in_Z & (s.r >= 1.0 + 1e-6)
+        lower = ~upper & (s.r <= 1.0 - 1e-9)
+        dev_im = np.max(np.abs(s.zeta[upper].imag - 1.0), initial=0.0)
+        dev_lam = max(
+            np.max(np.abs(s.lam[upper] - 0.5 * s.r[upper] ** 2), initial=0.0),
+            np.max(np.abs(s.lam[lower] - (s.r[lower] - 0.5 * s.r[lower] ** 2)), initial=0.0),
+        )
         lo, hi = default_spine_range(fig_g)
         arcs = len(build_spine_table(fig_g, lo, hi, 400).z_intervals)
         ok = dev_im < 1e-8 and dev_lam < 1e-8 and arcs == 3

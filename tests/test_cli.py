@@ -8,7 +8,16 @@ import pytest
 
 from levycm.cli import main
 from levycm.rogers import validate_spec
-from levycm.specio import SHOWCASE, load_spec, save_spec, spec_from_dict, spec_to_dict
+from levycm.specio import (
+    SHOWCASE,
+    format_float,
+    load_spec,
+    save_spec,
+    spec_from_dict,
+    spec_to_dict,
+)
+from levycm.spine import build_spine_table
+from levycm.verify import default_spine_range
 
 
 def run_cli(capsys, *args):
@@ -97,6 +106,30 @@ class TestCommands:
             r, theta, re_z, im_z, lam, in_z = line.split(",")
             if float(r) > 1.0 + 1e-6 and in_z == "1":
                 assert abs(float(im_z) - 1.0) < 1e-6
+        s = build_spine_table(SHOWCASE["bm_drift"], 0.1, 10.0, 200).samples
+        columns = zip(s.r, s.theta, s.zeta.real, s.zeta.imag, s.lam, s.in_Z)
+        assert lines[1:] == [
+            ",".join([*map(format_float, values), "1" if in_z else "0"])
+            for *values, in_z in columns
+        ]
+
+    @pytest.mark.parametrize("given", ["--rmin", "--rmax"])
+    def test_spine_keeps_given_range_end(self, capsys, tmp_path, given):
+        """One range end given: it is kept, the other comes from the default range."""
+        value = {"--rmin": 0.5, "--rmax": 20.0}[given]
+        code, out = run_cli(
+            capsys, "spine", "preset:bm_drift", given, str(value), "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        lo, hi = default_spine_range(SHOWCASE["bm_drift"])
+        assert (grid["r_min"], grid["r_max"]) == ((value, hi) if given == "--rmin" else (lo, value))
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_verify_spine_suite(self, capsys, name):
+        code, out = run_cli(capsys, "verify", f"preset:{name}", "--suite", "spine")
+        assert code == 0
+        assert json.loads(out)["n_failures"] == 0
 
     def test_factor_oracle(self, capsys):
         code, out = run_cli(

@@ -12,11 +12,13 @@ from levycm import (
     PhiTable,
     SpineUndefinedError,
     eval_f,
+    eval_f_prime,
     f_limits,
     shift_spec,
 )
 from levycm import numerics, spine
 from levycm.numerics import make_rng
+from levycm.report import VerifyReport
 from levycm.specio import SHOWCASE
 from levycm.spine import (
     _lambda_flagged,
@@ -32,6 +34,10 @@ from levycm.verify import default_spine_range
 from conftest import showcase
 
 SYMMETRIC = LevyAtomic(a=1.0)  # f = xi^2
+PWC = PhiRep(1.3, PhiTable((-2.0, 0.0, 3.0), (0.4 * math.pi, 0.7 * math.pi), "piecewise-constant"))
+LIN5 = PhiRep(
+    1.2, PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear")
+)
 
 
 class TestThetaAt:
@@ -122,26 +128,24 @@ class TestSolveSpine:
         assert np.all(s.zeta == 1j * radii)
 
     def test_piecewise_constant_phirep(self):
-        table = PhiTable((-2.0, 0.0, 3.0), (0.4 * math.pi, 0.7 * math.pi), "piecewise-constant")
-        spec = PhiRep(1.3, table)
-        lo, hi = default_spine_range(spec)
-        self._assert_matches_scalar(spec, np.geomspace(lo, hi, 64))
+        lo, hi = default_spine_range(PWC)
+        self._assert_matches_scalar(PWC, np.geomspace(lo, hi, 64))
 
     @pytest.mark.parametrize("letter", ["a", "g"])
     def test_table_matches_per_radius_points(self, letter):
         spec = showcase(letter)
         lo, hi = default_spine_range(spec)
-        table = build_spine_table(spec, lo, hi, 128)
-        for p in table.points:
-            lam, theta, flag = _lambda_flagged(spec, p.r)
-            assert abs(p.theta - theta) <= 1e-12
-            assert p.in_Z == (abs(theta) < 0.5 * math.pi - 1e-7)
-            assert p.flag == flag
-            assert abs(p.lam - lam) <= 1e-12 * abs(lam)
+        s = build_spine_table(spec, lo, hi, 128).samples
+        for k, r in enumerate(s.r.tolist()):
+            lam, theta, flag = _lambda_flagged(spec, r)
+            assert abs(s.theta[k] - theta) <= 1e-12
+            assert s.in_Z[k] == (abs(theta) < 0.5 * math.pi - 1e-7)
+            assert s.flag[k] == flag
+            assert abs(s.lam[k] - lam) <= 1e-12 * abs(lam)
             if abs(theta) == 0.5 * math.pi:
-                assert p.zeta == complex(0.0, math.copysign(p.r, theta))
+                assert s.zeta[k] == complex(0.0, math.copysign(r, theta))
             else:
-                assert abs(p.zeta - p.r * np.exp(1j * theta)) <= 1e-12 * p.r
+                assert abs(s.zeta[k] - r * np.exp(1j * theta)) <= 1e-12 * r
 
     def test_rejects_bad_input(self, fig_a):
         with pytest.raises(SpineUndefinedError):
@@ -157,14 +161,14 @@ class TestSpineTable:
         lo, hi = table.z_intervals[0]
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(10.0)
-        for p in table.points:
-            if p.in_Z and p.r >= 1.0 + 1e-6:
-                assert abs(p.zeta.imag - 1.0) < 1e-8
-                assert p.theta == pytest.approx(math.asin(1.0 / p.r), abs=1e-8)
+        s = table.samples
+        upper = s.in_Z & (s.r >= 1.0 + 1e-6)
+        assert np.all(np.abs(s.zeta[upper].imag - 1.0) < 1e-8)
+        assert s.theta[upper] == pytest.approx(np.arcsin(1.0 / s.r[upper]), abs=1e-8)
 
     def test_symmetric_all_interior(self):
         table = build_spine_table(SYMMETRIC, 0.1, 10.0, 64)
-        assert all(p.in_Z for p in table.points)
+        assert table.in_z_mask().all()
         assert np.allclose(table.thetas(), 0.0, atol=1e-12)
         np.testing.assert_allclose(table.lambdas(), table.radii() ** 2, rtol=1e-12)
 
@@ -191,8 +195,8 @@ class TestSpineTable:
             table = build_spine_table(spec, lo, hi, 128)
             lam = table.lambdas()
             assert np.all(np.diff(lam) > -1e-11 * (1.0 + np.abs(lam[:-1])))
-            for p in table.points:
-                assert abs(abs(p.zeta) - p.r) <= 1e-12 * p.r
+            r = table.radii()
+            assert np.all(np.abs(np.abs(table.zetas()) - r) <= 1e-12 * r)
 
     def test_profile_endpoints_reach_limits(self, fig_c):
         lim = f_limits(fig_c)
@@ -225,11 +229,10 @@ class TestClassifyPoint:
         """Midpoints between adjacent spine samples agree with both ends."""
         table = build_spine_table(fig_a, 0.2, 5.0, 64)
         rng = make_rng(21)
-        pts = [p for p in table.points if p.in_Z]
+        zs = table.zetas()[table.in_z_mask()].tolist()
         for _ in range(20):
-            k = rng.integers(0, len(pts) - 1)
-            a, b = pts[k], pts[k + 1]
-            mid = 0.5 * (a.zeta + b.zeta) * (1.0 + 0.05j)  # nudge off the curve
+            k = rng.integers(0, len(zs) - 1)
+            mid = 0.5 * (zs[k] + zs[k + 1]) * (1.0 + 0.05j)  # nudge off the curve
             got = classify_point(fig_a, mid)
             up = eval_f(fig_a, mid).imag > 0
             assert got == ("D_plus" if up else "D_minus")
@@ -260,6 +263,145 @@ class TestInvariantSuite:
         small = build_spine_table(fig_a, 0.1, 10.0, 32)
         with pytest.raises(DomainError):
             spine_invariant_report(small, fig_a)
+
+
+def _loop_z_intervals(spec, radii, in_z):
+    """Z runs by a per-sample walk, each inner end refined (the former builder)."""
+    r = radii.tolist()
+    intervals = []
+    k = 0
+    while k < len(r):
+        if in_z[k]:
+            start = k
+            while k + 1 < len(r) and in_z[k + 1]:
+                k += 1
+            lo, hi = r[start], r[k]
+            if start > 0:
+                lo = spine._refine_z_boundary(spec, r[start], r[start - 1])
+            if k + 1 < len(r):
+                hi = spine._refine_z_boundary(spec, r[k], r[k + 1])
+            intervals.append((lo, hi))
+        k += 1
+    return tuple(intervals)
+
+
+def _loop_invariant_report(table, spec):
+    """The invariant report by per-sample loops with scalar evaluations (the former report)."""
+    rep = VerifyReport("spine-invariants")
+    radii, zetas = table.radii(), table.zetas()
+    n = radii.size
+    slack = 1.1
+    u = np.log(radii)
+    h = u[1] - u[0]
+    theta = table.thetas()
+    lam = table.lambdas()
+    in_z = table.in_z_mask()
+
+    worst = math.inf
+    for k in range(1, n - 1):
+        if not (in_z[k - 1] and in_z[k] and in_z[k + 1]):
+            continue
+        d1 = (theta[k + 1] - theta[k - 1]) / (2.0 * h)
+        d2 = (theta[k + 1] - 2.0 * theta[k] + theta[k - 1]) / h**2
+        bound = slack * 9.0 * (d1 * d1 + 1.0) / math.cos(theta[k])
+        worst = min(worst, (bound - abs(d2)) / bound)
+    rep.add("curvature-bound", 0.0 if worst is math.inf else worst, tol=1e-12)
+
+    seg_mid = []
+    seg_len = []
+    for k in range(n - 1):
+        if in_z[k] and in_z[k + 1]:
+            seg_mid.append(0.5 * (radii[k] + radii[k + 1]))
+            seg_len.append(abs(complex(zetas[k + 1]) - complex(zetas[k])))
+    seg_mid = np.array(seg_mid)
+    seg_len = np.array(seg_len)
+    worst = math.inf
+    worst_r = None
+    for L in radii[:: max(1, n // 64)]:
+        if 2.0 * L > radii[-1]:
+            break
+        inside = (seg_mid >= L) & (seg_mid <= 2.0 * L)
+        length = float(seg_len[inside].sum())
+        margin = (300.0 * L - length) / (300.0 * L)
+        if margin < worst:
+            worst, worst_r = margin, float(L)
+    rep.add("annulus-length", 0.0 if worst is math.inf else worst, {"r": worst_r}, tol=1e-12)
+
+    window = math.log(1.0 + math.sqrt(2.0))
+    dtheta = np.where(in_z[:-1] & in_z[1:], np.abs(np.diff(theta)), 0.0)
+    worst = math.inf
+    for k in range(n - 1):
+        j = np.searchsorted(u, u[k] + window, side="right") - 1
+        worst = min(worst, (140.0 - float(dtheta[k:j].sum())) / 140.0)
+    rep.add("angle-variation", 0.0 if worst is math.inf else worst, tol=1e-12)
+
+    dlam = np.diff(lam)
+    scale = 1.0 + np.abs(lam[:-1])
+    rep.add("profile-nondecreasing", float(np.min(dlam / scale)), tol=1e-11)
+    z_pairs = in_z[:-1] & in_z[1:]
+    if z_pairs.any():
+        rep.add("profile-strict-on-Z", float(np.min(dlam[z_pairs])), tol=0.0)
+
+    worst = math.inf
+    for k in range(n - 2):
+        if not (in_z[k] and in_z[k + 1] and in_z[k + 2]):
+            continue
+        rate_here = abs(theta[k + 1] - theta[k]) / h
+        if rate_here <= 1.0 and h <= math.cos(theta[k + 1]) / 90.0:
+            rate_next = abs(theta[k + 2] - theta[k + 1]) / h
+            worst = min(worst, (2.0 * slack - rate_next) / (2.0 * slack))
+    rep.add("angle-continuity", 0.0 if worst is math.inf else worst, tol=1e-12)
+
+    worst = math.inf
+    for k in range(n):
+        if not in_z[k]:
+            continue
+        z = complex(zetas[k])
+        ratio = abs(eval_f_prime(spec, z) / eval_f(spec, z))
+        bound = slack * math.pi / abs(z)
+        worst = min(worst, (bound - ratio) / bound)
+    if worst is not math.inf:
+        rep.add("spine-log-derivative", worst, tol=1e-12)
+
+    for r_star, mism in table.boundary_checks:
+        witness = {"r": r_star, "mismatch": mism}
+        rep.add("profile-continuity", (1e-6 - mism) / 1e-6, witness, tol=1e-12)
+
+    if isinstance(spec, PhiRep):
+        worst = math.inf
+        logc = abs(math.log(spec.c))
+        for k in range(n):
+            if lam[k] <= 0.0:
+                continue
+            r = radii[k]
+            bound = slack * (logc + math.sqrt(2.0 * math.pi) * (1.0 + r) / math.sqrt(r))
+            worst = min(worst, (bound - abs(math.log(lam[k]))) / bound)
+        rep.add("log-profile-envelope", 0.0 if worst is math.inf else worst, tol=1e-12)
+    return rep
+
+
+REFERENCE_CASES = [
+    (f"{name}@{tau}", shift_spec(SHOWCASE[name], tau))
+    for name in sorted(SHOWCASE)
+    for tau in (0.0, 0.2, 2.0)
+] + [("piecewise-constant", PWC), ("lin5", LIN5)]
+
+
+class TestInvariantReference:
+    """Column table and array report against the per-sample loops they replaced."""
+
+    @pytest.mark.parametrize("label,spec", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+    def test_matches_loops(self, label, spec):
+        lo, hi = default_spine_range(spec)
+        table = build_spine_table(spec, lo, hi, 256)
+        assert table.z_intervals == _loop_z_intervals(spec, table.radii(), table.in_z_mask())
+        got = spine_invariant_report(table, spec).checks
+        want = _loop_invariant_report(table, spec).checks
+        assert [(c.name, c.passed, c.witness) for c in got] == [
+            (c.name, c.passed, c.witness) for c in want
+        ]
+        for g, w in zip(got, want):
+            assert abs(g.margin - w.margin) <= 1e-12, g.name
 
 
 class TestWindingIntegral:
