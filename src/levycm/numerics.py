@@ -191,15 +191,15 @@ def gk15(fn):
     return estimate
 
 
-def _piecewise_axis(fn, cuts, singular):
-    """Lay the segments between ``cuts`` end to end on one parameter axis.
+def _piecewise_axis(cuts, singular):
+    """Lay the segments between ``cuts`` end to end on one parameter axis p.
 
     Each segment is mapped plainly, or by x = anchor +- v^2 beside a
     singular end (both ends singular: halved first), which absorbs an
     inverse square-root singularity there; the map is continuous and
     increasing.  The axis origin sits at the piece end nearest x = 0, so
     that a singular point there is resolved as finely as floating point
-    allows.  Returns the integrand on the axis and the pieces' (lo, hi).
+    allows.  Returns the map p -> (x, dx/dp) and the pieces' (lo, hi) in p.
     """
     pieces = []  # (x_lo, x_hi, kind); kind -1/+1: singular left/right end
     for a, b in zip(cuts, cuts[1:]):
@@ -214,13 +214,13 @@ def _piecewise_axis(fn, cuts, singular):
     ref = np.where(kind == 1, starts[1:], starts[:-1])  # v = 0 on the axis
     anchor = np.where(kind == 1, x_hi, x_lo)  # and its image
 
-    def mapped(p):
+    def to_x(p):
         j = np.clip(np.searchsorted(starts, p, side="right") - 1, 0, len(pieces) - 1)
         d, sq = p - ref[j], kind[j] != 0
         x = np.where(sq, anchor[j] - kind[j] * d * d, anchor[j] + d)
-        return fn(x) * np.where(sq, 2.0 * np.abs(d), 1.0)
+        return x, np.where(sq, 2.0 * np.abs(d), 1.0)
 
-    return mapped, starts[:-1], starts[1:]
+    return to_x, starts[:-1], starts[1:]
 
 
 def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
@@ -259,7 +259,12 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
         raise ValueError("empty or inverted integration domain")
 
     cuts = sorted({lo, hi, *(u for u in singular if lo < u < hi)})
-    mapped, p_lo, p_hi = _piecewise_axis(fn, cuts, singular)
+    to_x, p_lo, p_hi = _piecewise_axis(cuts, singular)
+
+    def mapped(p):
+        x, dx = to_x(p)
+        return fn(x) * dx
+
     res = refine_panels(
         gk15(mapped), p_lo, p_hi, cfg.abs_tol, cfg.rel_tol, max_splits=cfg.max_subdivisions
     )

@@ -447,8 +447,10 @@ def eval_f(spec, xi):
     """
     if isinstance(xi, np.ndarray):
         xi = np.asarray(xi, dtype=complex)
-        out = np.empty(xi.shape, dtype=complex)
         right = xi.real > 0.0
+        if right.all():  # the common case needs no masks
+            return np.asarray(_eval_core(spec, xi), dtype=complex)
+        out = np.empty(xi.shape, dtype=complex)
         left = xi.real < 0.0
         axis = ~right & ~left
         if right.any():

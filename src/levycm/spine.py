@@ -186,23 +186,39 @@ def _theta_array(spec, r):
     ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
     theta = np.select(ends, [-half, half, lo, hi], np.nan)
     idx = np.flatnonzero(~np.logical_or.reduce(ends))
+    _lockstep_bisect(lambda idx, mid: g(r[idx], mid), lo, hi, _THETA_TOL, theta, idx)
+    return theta
+
+
+def _lockstep_bisect(g, lo, hi, tol, out, idx):
+    """Bisect the brackets [lo, hi] listed in ``idx`` in lockstep; results go to ``out``.
+
+    Each bracket follows the midpoint loop of ``bisect_monotone`` step for
+    step: g < 0 moves lo up, an exact zero is the result, anything else
+    moves hi down; a bracket stops with its midpoint at width ``tol``
+    (scalar or per bracket), when the midpoint is not strictly inside, or
+    after 200 steps.  ``g(idx, mid)`` evaluates the midpoints of all open
+    brackets in one call.  ``lo`` and ``hi`` are updated in place.
+    """
+    tol = np.broadcast_to(tol, lo.shape)
     for _ in range(200):  # bisect_monotone's max_iter
         l, h = lo[idx], hi[idx]
         mid = 0.5 * (l + h)
-        go = (h - l > _THETA_TOL) & (mid > l) & (mid < h)
-        theta[idx[~go]] = 0.5 * (l[~go] + h[~go])
-        idx, mid = idx[go], mid[go]
+        go = (h - l > tol[idx]) & (mid > l) & (mid < h)
+        if not go.all():
+            out[idx[~go]] = 0.5 * (l[~go] + h[~go])
+            idx, mid = idx[go], mid[go]
         if not idx.size:
-            break
-        gm = g(r[idx], mid)
+            return
+        gm = g(idx, mid)
         neg, zero = gm < 0.0, gm == 0.0
-        theta[idx[zero]] = mid[zero]
         lo[idx[neg]] = mid[neg]
-        up = ~neg & ~zero
+        up = ~(neg | zero)
         hi[idx[up]] = mid[up]
-        idx = idx[~zero]
-    theta[idx] = 0.5 * (lo[idx] + hi[idx])
-    return theta
+        if zero.any():
+            out[idx[zero]] = mid[zero]
+            idx = idx[~zero]
+    out[idx] = 0.5 * (lo[idx] + hi[idx])
 
 
 def solve_spine(spec, radii):
@@ -251,19 +267,39 @@ def lambda_at(spec, r):
     return lam
 
 
-def _refine_z_boundary(spec, r_in, r_out):
-    """Radius where |theta| crosses pi/2 - ANGLE_TOL, between a Z and a non-Z point."""
-    half = 0.5 * math.pi
+def _z_sign(spec, r, side):
+    """A value with the sign of |theta(r)| - (pi/2 - ANGLE_TOL) where theta lies on ``side``.
 
-    def b(r):
-        return abs(theta_at(spec, r)) - (half - ANGLE_TOL)
+    ``side`` (+-1) is the side of the axis towards which the spine leaves Z.
+    As im f(r e^{i alpha}) is nondecreasing in alpha, -side im f on the ray
+    alpha = side (pi/2 - ANGLE_TOL) has that sign: one ``eval_f`` call for
+    all radii, with ``r`` and ``side`` broadcast together.
+    """
+    ray = np.exp(1j * side * (0.5 * math.pi - ANGLE_TOL))
+    return -side * eval_f(spec, r * ray).imag
 
-    lo, hi = (r_in, r_out) if r_in < r_out else (r_out, r_in)
-    blo, bhi = b(lo), b(hi)
-    sign_flip = 1.0 if bhi > blo else -1.0
-    return bisect_monotone(
-        lambda r: sign_flip * b(r), lo, hi, tol=1e-12 * hi, glo=sign_flip * blo, ghi=sign_flip * bhi
-    )
+
+def _z_boundaries(spec, lo, hi, side, b_lo, b_hi):
+    """Radii where |theta| crosses pi/2 - ANGLE_TOL, one per bracket [lo, hi].
+
+    ``b_lo`` and ``b_hi`` carry the signs of |theta| - (pi/2 - ANGLE_TOL) at
+    the bracket ends and ``side`` the side where the spine leaves Z.  All
+    brackets are bisected in lockstep, one ``_z_sign`` call on the
+    midpoints per step, each following ``bisect_monotone`` on sign_flip b
+    with tol 1e-12 hi, where sign_flip makes b rise from lo to hi.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    flip = np.where(b_hi > b_lo, 1.0, -1.0)
+    glo, ghi = flip * b_lo, flip * b_hi
+    ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
+    out = np.select(ends, [lo, hi, lo, hi], np.nan)
+    idx = np.flatnonzero(~np.logical_or.reduce(ends))
+
+    def g(idx, mid):
+        return flip[idx] * _z_sign(spec, mid, side[idx])
+
+    _lockstep_bisect(g, lo, hi, 1e-12 * hi, out, idx)
+    return out
 
 
 def build_spine_table(spec, r_min, r_max, n):
@@ -279,31 +315,37 @@ def build_spine_table(spec, r_min, r_max, n):
     radii = np.geomspace(r_min, r_max, int(n))
     s = solve_spine(spec, radii)
 
-    # runs of Z: +1 steps of the False-padded mask open them, -1 steps close them
+    # runs of Z: +1 steps of the False-padded mask open them, -1 steps close
+    # them; each inner end is refined towards its non-Z neighbour
     steps = np.diff(np.concatenate(([0], s.in_Z.astype(np.int8), [0])))
-    intervals = []
-    for first, last in zip(np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1):
-        lo, hi = radii[first], radii[last]
-        if first > 0:
-            lo = _refine_z_boundary(spec, lo, radii[first - 1])
-        if last + 1 < radii.size:
-            hi = _refine_z_boundary(spec, hi, radii[last + 1])
-        intervals.append((float(lo), float(hi)))
+    first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
+    ends = np.concatenate([first, last])
+    nbr = np.concatenate([first - 1, last + 1])
+    inner = (nbr >= 0) & (nbr < radii.size)
+    bounds = radii[ends]
+    z, out = ends[inner], nbr[inner]
+    lo, hi = np.minimum(z, out), np.maximum(z, out)
+    b = np.abs(s.theta) - (0.5 * math.pi - ANGLE_TOL)
+    side = np.where(s.theta[out] > 0.0, 1.0, -1.0)
+    bounds[inner] = _z_boundaries(spec, radii[lo], radii[hi], side, b[lo], b[hi])
+    intervals = [(float(a), float(c)) for a, c in zip(bounds[: first.size], bounds[first.size :])]
 
-    boundary_checks = []
-    for lo, hi in intervals:
-        for r_star, inner in ((lo, +1.0), (hi, -1.0)):
-            if not (radii[0] < r_star < radii[-1]):
-                continue
-            delta = 1e-4
-            lam_in = [lambda_at(spec, r_star * (1.0 - inner * d)) for d in (delta, 2 * delta)]
-            lam_out = [lambda_at(spec, r_star * (1.0 + inner * d)) for d in (delta, 2 * delta)]
-            at_in = 2.0 * lam_in[0] - lam_in[1]
-            at_out = 2.0 * lam_out[0] - lam_out[1]
-            mism = abs(at_in - at_out) / (1.0 + abs(at_in))
-            boundary_checks.append((r_star, mism))
+    # profile continuity at each boundary inside the grid: lambda extrapolated
+    # to it from outside and from inside Z, from r (1 -+ d) at d = 1e-4, 2e-4
+    # (one solve)
+    stars = np.array(intervals).reshape(-1)
+    inward = np.tile([1.0, -1.0], len(intervals))
+    keep = (radii[0] < stars) & (stars < radii[-1])
+    stars, inward = stars[keep], inward[keep]
+    boundary_checks = ()
+    if stars.size:
+        d = np.array([-1e-4, -2e-4, 1e-4, 2e-4])
+        lam = solve_spine(spec, (stars[:, None] * (1.0 + np.outer(inward, d))).ravel()).lam
+        at_out, at_in = (2.0 * lam[0::2] - lam[1::2]).reshape(-1, 2).T
+        mism = np.abs(at_out - at_in) / (1.0 + np.abs(at_out))
+        boundary_checks = tuple(zip(stars.tolist(), mism.tolist()))
 
-    return SpineTable(s, tuple(intervals), tuple(boundary_checks))
+    return SpineTable(s, tuple(intervals), boundary_checks)
 
 
 def classify_point(spec, xi):

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .numerics import (
     QuadratureConfig,
+    _piecewise_axis,
     gk15_nodes,
     gk15_sums,
     integrate_adaptive,
@@ -48,7 +49,7 @@ from .rogers import (
     is_constant,
     is_degenerate,
 )
-from .spine import _profile_slope, solve_spine
+from .spine import _profile_slope, _z_boundaries, _z_sign, solve_spine
 
 __all__ = [
     "build_phi_table",
@@ -306,6 +307,8 @@ _SPINE_PAD = 40.0  # log-radius margin of the panels beyond the kernel's scales
 # (angles bisected to 1e-12, amplified near the cut): they still enter the
 # value but not the error, which they would hold above the goal
 _SPINE_NOISE = 1e-10
+_Z_SCAN_STEP = 1.0 / 16.0  # log-radius step of the grid that brackets the Z boundaries
+_Z_MERGE = 1e-12  # the locator's resolution in log r
 
 
 class SpineStieltjes:
@@ -314,14 +317,15 @@ class SpineStieltjes:
     Ratios integrate Arg(zeta(r) -+ i x1) - Arg(zeta(r) -+ i x2) against
     d lambda / (lambda + tau); products add a pi indicator on (0, R) and a
     (tau + lambda(R)) prefactor.  One integrator serves every tau, real
-    >= 0 or complex off the cut: Gauss-Kronrod 15 panels in u = log r on
-    g(u) lambda'(u) / (lambda(u) + tau), with the exact profile slope
-    lambda' (``spine._profile_slope``), refined by
-    :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12 on
+    >= 0 or complex off the cut: Gauss-Kronrod 15 panels in u = log r,
+    with the Z boundaries as edges, on g(u) lambda'(u) / (lambda(u) + tau)
+    with the exact profile slope lambda' (``spine._profile_slope``), refined
+    by :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12 on
     the exponent; a missed goal raises :class:`QuadratureError`.  Spine
     samples (zeta, lambda, lambda') are cached per log-radius and solved in
     batches (``solve_spine``); nodes of identical panels are identical, so
-    a family evaluated at many tau reuses the spine solves of the first.
+    a family evaluated at many tau reuses the spine solves and the Z
+    boundaries of the first.
     """
 
     def __init__(self, spec):
@@ -331,6 +335,7 @@ class SpineStieltjes:
             )
         self.spec = spec
         self._cache: dict = {}  # log-radius -> (zeta, lambda, d lambda / d log r)
+        self._z_cache: dict = {}  # (u_lo, u_hi) -> log-radii of the Z boundaries
         self.f_zero = f_limits(spec).f_at_zero
         self._features = tuple(abs(p) for p in axis_feature_points(spec))
 
@@ -346,19 +351,45 @@ class SpineStieltjes:
             cache.update(zip(missing, zip(s.zeta.tolist(), s.lam.tolist(), slope.tolist())))
         return tuple(map(np.array, zip(*map(cache.__getitem__, keys))))
 
+    def _z_edges(self, u_lo, u_hi):
+        """Sorted log-radii of the Z boundaries in [u_lo, u_hi] bracketed by a scan at step 1/16.
+
+        The two ray signs of ``spine._z_sign`` are evaluated on the grid in
+        one call, and each sign change is refined by ``spine._z_boundaries``.
+        The result depends on the range alone, so every tau reuses it.
+        """
+        key = (u_lo, u_hi)
+        if key not in self._z_cache:
+            r = np.exp(np.arange(u_lo / _Z_SCAN_STEP, u_hi / _Z_SCAN_STEP + 1.0) * _Z_SCAN_STEP)
+            sides = np.array([[1.0], [-1.0]])
+            b = _z_sign(self.spec, r, sides)
+            row, k = np.nonzero((b[:, :-1] > 0.0) != (b[:, 1:] > 0.0))
+            rb = _z_boundaries(self.spec, r[k], r[k + 1], sides[row, 0], b[row, k], b[row, k + 1])
+            self._z_cache[key] = np.unique(np.log(rb))
+        return self._z_cache[key]
+
     def _integral(self, gfun, scales, jumps, tau):
         """int_0^inf g(r) d log(lambda(r) + tau) for tau >= 0 or complex tau off the cut.
 
-        The initial panels have unit width on integer u = log r from
-        log(min scales) - 40 to log(max scales) + 40 and are split at the
-        log-radii of the jumps of g and of the spec's axis features: the
-        spine makes narrow excursions into Z around poles on the axis, and
-        GK nodes crowd at panel ends.  A panel's estimate is Kronrod on
-        g v' with v = log(lambda + tau), plus a check against v at the panel
-        ends: what the Kronrod sum of v' misses (a sliver beside a Z
-        boundary where lambda' blows up, or the small step of lambda at the
-        ANGLE_TOL edge of Z) is added at g of the centre node, and the spread
-        of g over the panel times the miss is added to the error.
+        The panels cover u = log r from log(min scales) - 40 to
+        log(max scales) + 40.  Their edges are the integers, the log-radii of
+        the jumps of g and of the spec's axis features (the spine makes
+        narrow excursions into Z around poles on the axis, and GK nodes crowd
+        at panel ends), and the Z boundaries u* that ``_z_edges`` locates; a
+        boundary within 1e-12 of a cut is moved onto the cut, so that a jump
+        of g stays where it is.  At u* the spine leaves the axis with a
+        square-root kink in theta, so zeta, g and lambda' are smooth in
+        sqrt|u - u*| on the Z side, and lambda' jumps there.  The panels
+        beside u* are therefore mapped by u = u* +- v^2
+        (``numerics._piecewise_axis``) and integrated in v.  A Z interval the
+        scan misses is resolved by the refinement alone.
+
+        A panel's estimate is Kronrod on g dv/dp with v = log(lambda + tau)
+        on the panel axis p, plus a check against v at the panel ends: what
+        the Kronrod sum of dv/dp misses (the small step of lambda at the
+        ANGLE_TOL edge of Z, or an unlocated Z boundary) is added at g of
+        the centre node, and the spread of g over the panel times the miss
+        is added to the error.
 
         Below the range g is taken constant at its value at the lower end,
         which adds g (log(lambda + tau) - log(f(0+) + tau)) there (nothing
@@ -370,15 +401,22 @@ class SpineStieltjes:
         u_hi = math.ceil(math.log(max(scales)) + _SPINE_PAD)
         cuts = np.log(jumps + self._features)
         edges = np.union1d(np.arange(u_lo, u_hi + 1.0), cuts[(cuts > u_lo) & (cuts < u_hi)])
+        # a Z boundary within the locator's resolution of a cut is that cut:
+        # a jump of g stays exactly where it is
+        zb = self._z_edges(u_lo, u_hi)
+        near = edges[np.abs(edges[:, None] - zb).argmin(axis=0)]
+        zb = np.where(np.abs(near - zb) <= _Z_MERGE, near, zb)
+        edges = np.union1d(edges, zb)
+        to_u, p_lo, p_hi = _piecewise_axis(edges.tolist(), set(zb.tolist()))
 
         def estimate(lo, hi):
             x, w = gk15_nodes(lo, hi)
             n = x.size
-            u = np.concatenate([x.ravel(), lo, hi])
+            u, du = to_u(np.concatenate([x.ravel(), lo, hi]))
             zeta, lam, slope = self._tl(u)
             g = gfun(zeta, np.exp(u))
             g_nodes = g[:n].reshape(x.shape)
-            dv = (slope[:n] / (lam[:n] + tau)).reshape(x.shape)
+            dv = (slope[:n] * du[:n] / (lam[:n] + tau)).reshape(x.shape)
             rows = g_nodes * dv
             value, err = gk15_sums(lo, hi, w, rows)
             v_lo, v_hi = np.log(lam[n:] + tau).reshape(2, -1)
@@ -387,7 +425,7 @@ class SpineStieltjes:
             err += spread * np.where(np.abs(missed) > _SPINE_NOISE, np.abs(missed), 0.0)
             return value + g_nodes[:, 7] * missed, err, rows  # node 7: the centre
 
-        res = refine_panels(estimate, edges[:-1], edges[1:], _SPINE_ABS_TOL, max_splits=_SPINE_MAX_SPLITS)
+        res = refine_panels(estimate, p_lo, p_hi, _SPINE_ABS_TOL, max_splits=_SPINE_MAX_SPLITS)
         if not res.converged:
             raise QuadratureError(complex(res.value), res.err)
         total = res.value

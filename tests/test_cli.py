@@ -131,6 +131,12 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["n_failures"] == 0
 
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_verify_wh_suite(self, capsys, name):
+        code, out = run_cli(capsys, "verify", f"preset:{name}", "--suite", "wh")
+        assert code == 0
+        assert json.loads(out)["n_failures"] == 0
+
     def test_factor_oracle(self, capsys):
         code, out = run_cli(
             capsys,

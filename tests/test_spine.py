@@ -166,6 +166,12 @@ class TestSpineTable:
         assert np.all(np.abs(s.zeta[upper].imag - 1.0) < 1e-8)
         assert s.theta[upper] == pytest.approx(np.arcsin(1.0 / s.r[upper]), abs=1e-8)
 
+    def test_quadratic_over_pole_boundary(self, fig_e):
+        lo, hi = default_spine_range(fig_e)
+        table = build_spine_table(fig_e, lo, hi, 256)
+        ends = [r for iv in table.z_intervals for r in iv if lo < r < hi]
+        assert ends == [pytest.approx(4.0, abs=1e-9)]
+
     def test_symmetric_all_interior(self):
         table = build_spine_table(SYMMETRIC, 0.1, 10.0, 64)
         assert table.in_z_mask().all()
@@ -265,6 +271,21 @@ class TestInvariantSuite:
             spine_invariant_report(small, fig_a)
 
 
+def _refine_z_boundary(spec, r_in, r_out):
+    """Where |theta| crosses pi/2 - ANGLE_TOL, by scalar bisection of theta_at (the former locator)."""
+    half = 0.5 * math.pi
+
+    def b(r):
+        return abs(theta_at(spec, r)) - (half - spine.ANGLE_TOL)
+
+    lo, hi = (r_in, r_out) if r_in < r_out else (r_out, r_in)
+    blo, bhi = b(lo), b(hi)
+    sign_flip = 1.0 if bhi > blo else -1.0
+    return numerics.bisect_monotone(
+        lambda r: sign_flip * b(r), lo, hi, tol=1e-12 * hi, glo=sign_flip * blo, ghi=sign_flip * bhi
+    )
+
+
 def _loop_z_intervals(spec, radii, in_z):
     """Z runs by a per-sample walk, each inner end refined (the former builder)."""
     r = radii.tolist()
@@ -277,9 +298,9 @@ def _loop_z_intervals(spec, radii, in_z):
                 k += 1
             lo, hi = r[start], r[k]
             if start > 0:
-                lo = spine._refine_z_boundary(spec, r[start], r[start - 1])
+                lo = _refine_z_boundary(spec, r[start], r[start - 1])
             if k + 1 < len(r):
-                hi = spine._refine_z_boundary(spec, r[k], r[k + 1])
+                hi = _refine_z_boundary(spec, r[k], r[k + 1])
             intervals.append((lo, hi))
         k += 1
     return tuple(intervals)
@@ -378,6 +399,27 @@ def _loop_invariant_report(table, spec):
             worst = min(worst, (bound - abs(math.log(lam[k]))) / bound)
         rep.add("log-profile-envelope", 0.0 if worst is math.inf else worst, tol=1e-12)
     return rep
+
+
+class TestZBoundaryLocator:
+    """The lockstep locator against closed-form boundaries and the scalar reference."""
+
+    @pytest.mark.parametrize("letter,r_star", [("a", 1.0), ("e", 4.0)])
+    def test_closed_form(self, letter, r_star):
+        spec = showcase(letter)
+        brackets = [(0.8 * r_star, 1.1 * r_star), (0.95 * r_star, 1.3 * r_star)]
+        lo, hi = (np.array(col) for col in zip(*brackets))
+        th_lo = np.array([theta_at(spec, r) for r in lo])
+        th_hi = np.array([theta_at(spec, r) for r in hi])
+        b_lo = np.abs(th_lo) - (0.5 * math.pi - spine.ANGLE_TOL)
+        b_hi = np.abs(th_hi) - (0.5 * math.pi - spine.ANGLE_TOL)
+        assert np.all((b_lo < 0.0) != (b_hi < 0.0))
+        side = np.sign(np.where(b_lo < 0.0, th_hi, th_lo))
+        got = spine._z_boundaries(spec, lo, hi, side, b_lo, b_hi)
+        assert got == pytest.approx(r_star, abs=1e-9)
+        for k, (a, c) in enumerate(brackets):
+            r_in, r_out = (a, c) if b_lo[k] < 0.0 else (c, a)
+            assert got[k] == _refine_z_boundary(spec, r_in, r_out)
 
 
 REFERENCE_CASES = [

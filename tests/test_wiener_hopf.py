@@ -22,6 +22,8 @@ from levycm.fluctuation import kappa_ratio_xi
 from levycm.numerics import make_rng, richardson_zero
 from levycm.rogers import axis_feature_points
 from levycm.specio import SHOWCASE
+from levycm.spine import build_spine_table
+from levycm.verify import default_spine_range
 from levycm.wiener_hopf import (
     FactorHandle,
     closed_form_factors,
@@ -275,6 +277,85 @@ class TestSpineRouteBdOracle:
         monkeypatch.setattr(wiener_hopf, "_SPINE_MAX_SPLITS", 0)
         with pytest.raises(QuadratureError):
             wiener_hopf.SpineStieltjes(fig_a).ratio(0.7, 2.3, "plus")
+
+
+class TestSpineZEdges:
+    """Z boundaries as panel edges of the spine integral."""
+
+    @pytest.mark.parametrize(
+        "letter,x1,x2,max_rounds",
+        [
+            ("g", 0.3, 1.5, 20),  # 56 rounds without Z edges
+            ("e", 0.5, 4.0, 10),  # x2 on the Z boundary: 36 rounds when the two edges stay apart
+        ],
+    )
+    def test_cold_ratio_rounds(self, letter, x1, x2, max_rounds, monkeypatch):
+        spec = showcase(letter)
+        rounds = []
+        refine = wiener_hopf.refine_panels
+
+        def counted(estimate, *args, **kwargs):
+            def est(lo, hi):
+                rounds.append(lo.size)
+                return estimate(lo, hi)
+
+            return refine(est, *args, **kwargs)
+
+        monkeypatch.setattr(wiener_hopf, "refine_panels", counted)
+        got = wiener_hopf.SpineStieltjes(spec).ratio(x1, x2, "plus", 0.2)
+        assert len(rounds) <= max_rounds
+        want = wh_ratio(shift_spec(spec, 0.2), "bd", "plus", x1, x2)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_edges_match_table(self, letter):
+        spec = showcase(letter)
+        lo, hi = default_spine_range(spec)
+        table = build_spine_table(spec, lo, hi, 256)
+        r0, r1 = table.radii()[0], table.radii()[-1]
+        want = np.array([r for iv in table.z_intervals for r in iv if r0 < r < r1])
+        u = wiener_hopf.SpineStieltjes(spec)._z_edges(math.floor(math.log(lo)), math.ceil(math.log(hi)))
+        got = np.exp(u)
+        got = got[(got > r0) & (got < r1)]
+        assert got.size == want.size
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# x on a Z boundary: bm_drift at r = 1, quadratic_over_pole at 4, rational_pole_pair at 7
+_ON_Z_BOUNDARY = {"a": 1.0, "e": 4.0, "f": 7.0}
+
+
+class TestSpineRandomBdOracle:
+    """Seeded spine-vs-bd draws over the tau and x ranges of the wh_cold benchmark."""
+
+    @staticmethod
+    def _draws(letter):
+        rng = make_rng(100 + ord(letter))
+        draws = []
+        for _ in range(2):
+            tau_lo, tau_hi = ((0.1, 0.3), (1.0, 3.0))[rng.integers(2)]
+            tau = math.exp(rng.uniform(math.log(tau_lo), math.log(tau_hi)))
+            side = ("plus", "minus")[rng.integers(2)]
+            x1 = math.exp(rng.uniform(math.log(0.2), 0.0))
+            x2 = math.exp(rng.uniform(0.0, math.log(5.0)))
+            draws.append((tau, side, x1, x2))
+        if letter in _ON_Z_BOUNDARY:
+            tau, side, x1, x2 = draws[0]
+            xb = _ON_Z_BOUNDARY[letter]
+            draws += [(tau, side, xb, x2), (tau, "minus" if side == "plus" else "plus", x1, xb)]
+        return draws
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_ratio_and_product(self, letter):
+        spec = showcase(letter)
+        engine = get_spine_engine(spec)
+        for tau, side, x1, x2 in self._draws(letter):
+            shifted = shift_spec(spec, tau)
+            want = wh_ratio(shifted, "bd", side, x1, x2)
+            assert engine.ratio(x1, x2, side, tau) == pytest.approx(want, rel=1e-10), (tau, side, x1, x2)
+            want = wh_product(shifted, "bd", x1, x2)
+            got = engine.product(x1, x2, math.sqrt(x1 * x2), tau)
+            assert got == pytest.approx(want, rel=1e-10), (tau, x1, x2)
 
 
 class TestFactorizationCheck:

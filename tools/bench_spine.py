@@ -1,0 +1,121 @@
+"""Before/after record for the Z-boundary panel edges of the spine integrator.
+
+Compares two checkouts of the repository, a parent and a change:
+
+* ``bench/run.py --trace 0`` end-to-end metrics for each workload and seed,
+  run in each checkout's own directory, alternating which side runs first;
+* per preset, one cold spine ratio ``ratio(0.3, 1.5, "plus", tau=0.2)`` on a
+  fresh ``SpineStieltjes``: its refinement rounds (``estimate`` calls of
+  ``refine_panels``), spine points solved (radii passed to ``solve_spine``)
+  and the median wall time of five cold repeats.
+
+    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_10.json \\
+        [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
+
+The probe runs this file again with ``--probe`` in a fresh interpreter
+whose ``PYTHONPATH`` is the checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+from statistics import median
+
+RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
+REPEATS = 5
+
+
+def probe():
+    """Rounds, spine points and ms of the cold spine ratio on every preset (JSON on stdout)."""
+    import numpy as np
+
+    from levycm import wiener_hopf
+    from levycm.specio import SHOWCASE
+
+    count = {"rounds": 0, "points": 0}
+    refine, solve = wiener_hopf.refine_panels, wiener_hopf.solve_spine
+
+    def counted_refine(estimate, *args, **kwargs):
+        def est(lo, hi):
+            count["rounds"] += 1
+            return estimate(lo, hi)
+
+        return refine(est, *args, **kwargs)
+
+    def counted_solve(spec, radii):
+        count["points"] += np.size(radii)
+        return solve(spec, radii)
+
+    wiener_hopf.refine_panels, wiener_hopf.solve_spine = counted_refine, counted_solve
+    x1, x2, side, tau = RATIO
+    out = {}
+    for name in sorted(SHOWCASE):
+        times = []
+        for _ in range(REPEATS):
+            count.update(rounds=0, points=0)
+            t0 = time.perf_counter()
+            value = wiener_hopf.SpineStieltjes(SHOWCASE[name]).ratio(x1, x2, side, tau)
+            times.append(time.perf_counter() - t0)
+        out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
+                     "ms": 1e3 * median(times), "value": value}
+    print(json.dumps(out))
+
+
+def run_probe(root):
+    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+    res = subprocess.run([sys.executable, __file__, "--probe"], env=env, cwd=root,
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def run_bench(root, workload, seed, seconds):
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    res = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    doc = json.loads(res.stdout.splitlines()[-1])
+    metrics = {k: v["value"] for k, v in doc["metrics"].items()}
+    return {"correct": doc["correct"], "attempted": doc["attempted"], "failed": doc["failed"], **metrics}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--out", default="BENCH_10.json")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--workloads", nargs="+", default=["wh_cold"])
+    ap.add_argument("--seconds", type=float, default=10.0)
+    args = ap.parse_args(argv)
+    if args.probe:
+        probe()
+        return
+    if not (args.parent and args.change):
+        ap.error("PARENT_DIR and CHANGE_DIR are required")
+    sides = {"parent": args.parent, "change": args.change}
+    doc = {
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "platform": platform.platform()},
+        "spine_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3],
+                        "repeats": REPEATS},
+        "presets": {side: run_probe(root) for side, root in sides.items()},
+        "bench": {w: {side: {} for side in sides} for w in args.workloads},
+    }
+    for w in args.workloads:
+        for k, seed in enumerate(args.seeds):
+            order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                doc["bench"][w][side][str(seed)] = run_bench(sides[side], w, seed, args.seconds)
+                print(w, seed, side, doc["bench"][w][side][str(seed)], file=sys.stderr)
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
