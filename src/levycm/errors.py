@@ -44,7 +44,7 @@ class MethodUnsupportedError(LevycmError):
 
 
 class EstimationError(LevycmError):
-    """Boundary-limit estimation failed at every ladder point."""
+    """A boundary value on the imaginary axis is not finite, even beside a pole."""
 
 
 class SpineUndefinedError(LevycmError):

@@ -33,7 +33,6 @@ from .errors import (
     RogersViolationError,
     ValidationError,
 )
-from .numerics import richardson_zero
 from .report import VerifyReport
 
 __all__ = [
@@ -428,8 +427,7 @@ def _axis_value(spec, xi):
             raise DomainError(f"xi={xi} lies on the boundary support (phi > 0)")
     if isinstance(spec, ShiftedSpec):
         return spec.shift + _axis_value(spec.base, xi)
-    val = _eval_core(spec, xi)
-    val = complex(val)
+    val = complex(_eval_core(spec, xi))
     if not (math.isfinite(val.real) and math.isfinite(val.imag)):
         raise DomainError(f"evaluation not finite at xi={xi}")
     if abs(val.imag) > 1e-9 * (1.0 + abs(val)) or val.real <= 0.0:
@@ -829,39 +827,44 @@ def axis_feature_points(spec):
     return tuple(sorted(p for p in pts if p != 0.0))
 
 
-# offsets t of the horizontal approach t - i s, relative to |s|
-_PHI_LADDER = np.array([1e-3, 1e-4, 1e-5])
+_AXIS_NUDGE = 1e-13  # relative offset t/|y| of the retry at a pole on the axis
+
+
+def _axis_limit(spec, y, prime=False):
+    """f (or f' if ``prime``) at real part exactly +0.0 and real ``y``: the boundary value.
+
+    On a branch cut every term picks one signed zero, so a value may be the
+    conjugate edge's, on which |Arg f| and re(i f') agree.  Non-finite values
+    (a pole on the axis) are retried once at 1e-13 |y| + i y, the horizontal
+    approach; still non-finite raises :class:`EstimationError`.
+    """
+    y = np.asarray(y, dtype=float)
+    xi = np.zeros(y.size, dtype=complex)
+    xi.imag = y.ravel()
+    core = _prime_core if prime else _eval_core
+    with np.errstate(all="ignore"):
+        v = np.asarray(core(spec, xi), dtype=complex)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            xi[bad] += _AXIS_NUDGE * np.abs(xi.imag[bad])
+            v[bad] = core(spec, xi[bad])
+    if not np.isfinite(v).all():
+        raise EstimationError(f"boundary value not finite at y={xi.imag[~np.isfinite(v)]}")
+    return v.reshape(y.shape)
 
 
 def estimate_phi(spec, s):
     """Boundary angle phi(s) = -sign(s) lim_{t->0+} Arg f(t - i s), in [0, pi].
 
-    ``s`` is a nonzero scalar (a float is returned) or an array.  Every
-    point approaches the axis horizontally at t in {1e-3, 1e-4, 1e-5} |s|
-    (non-tangential at every scale), all in one :func:`eval_f` call.  A
-    point's finite, nonzero values are unwrapped and extrapolated to t = 0
-    with :func:`~levycm.numerics.richardson_zero`; a point with none raises
-    :class:`EstimationError`.
+    ``s`` is a nonzero scalar (a float is returned) or an array.  The limit
+    is |Arg| of the boundary value f(+0 - i s) (:func:`_axis_limit`), one
+    evaluation per point, all in one call.
     """
     s_arr = np.asarray(s, dtype=float)
     if (s_arr == 0.0).any():
         raise DomainError("phi is defined for s != 0")
-    s_flat = s_arr.ravel()
-    ts = _PHI_LADDER[:, None] * np.abs(s_flat)
-    with np.errstate(all="ignore"):
-        v = eval_f(spec, ts - 1j * s_flat)
-    ok = np.isfinite(v) & (v != 0.0)
-    if not ok.any(axis=0).all():
-        raise EstimationError(f"boundary angle estimation failed at s={s_flat[~ok.any(axis=0)]}")
-    args = np.angle(v)
-    val = np.empty(s_flat.size)
-    # one fit per pattern of usable ladder rows (almost always all three)
-    patterns, which = np.unique(ok, axis=1, return_inverse=True)
-    for k, rows in enumerate(patterns.T):
-        cols = which == k
-        val[cols] = richardson_zero(ts[rows][:, cols], np.unwrap(args[rows][:, cols], axis=0))
-    phi = np.clip(-np.sign(s_flat) * val, 0.0, math.pi)
-    return float(phi[0]) if s_arr.ndim == 0 else phi.reshape(s_arr.shape)
+    phi = np.abs(np.angle(_axis_limit(spec, -s_arr)))
+    return float(phi) if s_arr.ndim == 0 else phi
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpineUndefinedError
-from .numerics import bisect_monotone, richardson_zero
+from .numerics import bisect_monotone
 from .report import VerifyReport
-from .rogers import PhiRep, eval_f, eval_f_prime, is_constant
+from .rogers import PhiRep, _axis_limit, eval_f, eval_f_prime, is_constant
 
 __all__ = [
     "SpineTable",
@@ -108,24 +108,12 @@ def theta_at(spec, r):
     return bisect_monotone(g, lo, hi, tol=_THETA_TOL, glo=glo, ghi=ghi)
 
 
-_LADDER = np.array([1e-4, 1e-5, 1e-6])  # eps of the axis approach eps r + i side r
-
-
-def _axis_points(r, side):
-    """The ladder points eps r + i side r, one row per eps."""
-    xi = np.empty(_LADDER.shape + np.shape(r), dtype=complex)
-    xi.real = np.multiply.outer(_LADDER, r)
-    xi.imag = np.multiply(side, r)
-    return xi
-
-
 def _axis_lambda(spec, r, side):
-    """Boundary profile value via an extrapolated approach f(eps + i side r).
+    """Profile value off Z: re f(+0 + i side r), the boundary value on the axis.
 
-    ``r`` and ``side`` are scalars or arrays of one shape; all ladder points
-    go to ``eval_f`` in one call.
+    ``r`` and ``side`` are scalars or arrays of one shape.
     """
-    return np.real(richardson_zero(_LADDER, eval_f(spec, _axis_points(r, side))))
+    return np.real(_axis_limit(spec, np.multiply(side, r)))
 
 
 def _profile_slope(spec, s):
@@ -133,8 +121,8 @@ def _profile_slope(spec, s):
 
     On Z, im f(zeta(r)) = 0 gives theta' = -Im w / Re w for w = f'(zeta) zeta,
     so the slope is Re w - theta' Im w = |w|^2 / Re w.  Off Z the profile is
-    f(+-i r) and the slope r Re(+-i f'(+-i r)) is extrapolated along the
-    ladder of ``_axis_lambda``.
+    re f(+-i r) and the slope is r re(+-i f'(+-i r)), with f' the boundary
+    value on the axis.
     """
     slope = np.empty(s.r.shape)
     z = s.in_Z
@@ -143,9 +131,8 @@ def _profile_slope(spec, s):
         slope[z] = np.abs(w) ** 2 / w.real
     out = ~z
     if out.any():
-        r_out, side = s.r[out], np.where(s.theta[out] > 0.0, 1.0, -1.0)
-        d = 1j * side * r_out * eval_f_prime(spec, _axis_points(r_out, side))
-        slope[out] = np.real(richardson_zero(_LADDER, d))
+        y = np.where(s.theta[out] > 0.0, 1.0, -1.0) * s.r[out]
+        slope[out] = np.real(1j * y * _axis_limit(spec, y, prime=True))
     return slope
 
 
@@ -226,8 +213,8 @@ def solve_spine(spec, radii):
 
     The array form of ``_lambda_flagged`` with the same rules: angles from
     one lockstep bisection (``_theta_array``), profile values from one
-    ``eval_f`` call on the Z points and one on the axis ladders of the
-    others.  Single radii are cheaper through ``theta_at``/``lambda_at``.
+    ``eval_f`` call on the Z points and one boundary evaluation on the axis
+    for the others.  Single radii are cheaper through ``theta_at``/``lambda_at``.
     """
     if is_constant(spec):
         raise SpineUndefinedError("constant exponents have no spine")
@@ -391,7 +378,8 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
     the curvature bound |T''| <= 9 (T'^2 + 1)/cos T in log coordinates, the
     length-in-annulus bound 300 r, total variation of the spine angle at
     most 140 per log-window of width log(1+sqrt 2), monotonicity of the
-    profile, the on-spine log-derivative bound pi/|zeta|, profile
+    profile, angle continuity (on two steps of cos T / 90 beside each Z
+    sample), the on-spine log-derivative bound pi/|zeta|, profile
     continuity at Z boundaries, and for exponential-representation specs
     the |log lambda| envelope.
     """
@@ -437,13 +425,18 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
     if z2.any():
         rep.add("profile-strict-on-Z", float(np.min(dlam[z2])), tol=0.0)
 
-    # angle continuity: where one cell has |dtheta/du| <= 1, the derivative
-    # stays below 2 on the next cell within the local trust window
-    rate = dtheta / h
-    trusted = z3 & (rate[:-1] <= 1.0) & (h <= np.cos(theta[1:-1]) / 90.0)
+    # angle continuity: two steps of cos(theta)/90 in log r from each Z sample
+    # (one solve); where both stay in Z and the first has |dtheta/du| <= 1,
+    # the second has a rate below 2
+    k = np.flatnonzero(in_z)
+    hk = np.cos(theta[k]) / 90.0
+    step = solve_spine(spec, np.concatenate([r[k] * np.exp(hk), r[k] * np.exp(2.0 * hk)]))
+    t1, t2 = step.theta.reshape(2, -1)
+    rate1, rate2 = np.abs(t1 - theta[k]) / hk, np.abs(t2 - t1) / hk
+    trusted = step.in_Z[: k.size] & step.in_Z[k.size :] & (rate1 <= 1.0)
     rep.add(
         "angle-continuity",
-        _min_or_zero((2.0 * slack - rate[1:][trusted]) / (2.0 * slack)),
+        _min_or_zero((2.0 * slack - rate2[trusted]) / (2.0 * slack)),
         tol=1e-12,
     )
 

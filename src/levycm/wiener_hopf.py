@@ -82,6 +82,7 @@ _PHI_RINGS = np.array([1e-3, 1e-6, 1e-9])
 # cell test |phi_mid - interp| * min(log-width, 1): a local integral-error proxy
 _PHI_REFINE_TOL = 2e-7
 _PHI_MIN_WIDTH = 1e-10  # relative width below which a cell is not examined
+_PHI_JUMP = 0.25  # midpoint miss (rad) that marks a jump, split down to the width floor
 _PHI_MAX_POINTS = 40000  # refinement estimates per table
 
 
@@ -95,8 +96,9 @@ def build_phi_table(spec):
     relative gets its geometric midpoint, all midpoints of a level are
     estimated in one :func:`estimate_phi` call, and a cell is split where
     the width-weighted interpolation error |phi_mid - interp| *
-    min(log-width, 1) exceeds 2e-7.  This localizes jumps of phi (zeros
-    and poles of f on the imaginary axis) and resolves kinks.  Raises
+    min(log-width, 1) exceeds 2e-7 (kinks) or the miss exceeds 0.25 rad:
+    a jump of phi (a zero or pole of f on the imaginary axis) is a sharp
+    step, split down to the width floor.  Raises
     :class:`EstimationError` when the 40 000-estimate budget runs out with
     cells still to examine.
     """
@@ -123,7 +125,7 @@ def build_phi_table(spec):
         w = (mid - lo) / (hi - lo)
         width_u = np.log(np.where(lo > 0.0, hi / lo, lo / hi))
         miss = np.abs(p_mid - ((1.0 - w) * p_lo + w * p_hi))
-        split = miss * np.minimum(width_u, 1.0) > _PHI_REFINE_TOL
+        split = (miss * np.minimum(width_u, 1.0) > _PHI_REFINE_TOL) | (miss > _PHI_JUMP)
         s_out.append(mid)
         p_out.append(p_mid)
         mid, p_mid = mid[split], p_mid[split]

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,8 +27,7 @@ from levycm import (
     levy_density,
     validate_spec,
 )
-from levycm import rogers
-from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng, richardson_zero
+from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
 
 from conftest import half_plane_samples, showcase
 
@@ -241,33 +241,40 @@ class TestEstimatePhi:
         np.testing.assert_allclose(got[0], minus, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(got[1], plus, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("row", [0, 1, 2])
-    def test_unusable_ladder_value_dropped_per_point(self, fig_c, monkeypatch, row):
-        """A NaN at one ladder value of one point refits that point alone."""
-        s = np.concatenate([-self.S_SIDE, self.S_SIDE])
-        full = estimate_phi(fig_c, s)
-        j = 150  # on the s > 0 side, so phi = -(the fitted argument)
-        real_eval_f = rogers.eval_f
-
-        def eval_f_with_nan(spec, xi):
-            v = real_eval_f(spec, xi)
-            v[row, j] = np.nan
-            return v
-
-        monkeypatch.setattr(rogers, "eval_f", eval_f_with_nan)
-        got = estimate_phi(fig_c, s)
-        others = np.arange(s.size) != j
-        assert np.array_equal(got[others], full[others])
-        ts = np.delete(np.array([1e-3, 1e-4, 1e-5]) * s[j], row)
-        args = np.unwrap(np.angle(real_eval_f(fig_c, ts - 1j * s[j])))
-        want = min(max(-float(richardson_zero(ts, args)), 0.0), math.pi)
-        assert want != full[j]
-        assert got[j] == pytest.approx(want, abs=1e-15)
-
-    def test_no_usable_ladder_value_raises(self):
-        # f overflows to infinity at every ladder value
+    def test_non_finite_boundary_value_raises(self):
+        # f overflows to infinity on the axis and at the retry beside it
         with pytest.raises(EstimationError):
             estimate_phi(LevyAtomic(a=1e300), 1e5)
+
+    def test_pole_on_axis_is_right_angle(self):
+        # xi^2/(i xi + 2) has a simple pole at xi = 2i: the horizontal approach gives pi/2
+        assert estimate_phi(showcase("e"), -2.0) == pytest.approx(0.5 * math.pi, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            PhiTable((-4.0, -1.0, 0.5, 2.0, 7.0), (0.3, 1.1, 0.0, 2.4), "piecewise-constant"),
+            PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"),
+        ],
+        ids=["pw_constant", "linear5"],
+    )
+    def test_phirep_table_exact(self, table):
+        """The boundary value of a PhiRep exponent is its table, away from the breakpoints."""
+        s = np.geomspace(1e-3, 1e3, 401)
+        s = np.concatenate([-s[::-1], s])
+        bp = np.asarray(table.breakpoints)
+        s = s[np.min(np.abs(s[:, None] / bp - 1.0), axis=1) > 1e-3]
+        got = estimate_phi(PhiRep(1.5, table), s)
+        np.testing.assert_allclose(got, table.value_at(s), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [3, 5, 6, 9])
+    def test_tempered_branch_points_against_mpmath(self, fig_c, k):
+        """(-i xi + 1)^(1/2) + 3 (i xi + 19)^(1/2) beside its branch points s = 1 and s = -19."""
+        for s in (1.0 + 10.0**-k, 1.0 - 10.0**-k, -19.0 * (1.0 + 10.0**-k), -19.0 * (1.0 - 10.0**-k)):
+            with mp.workdps(40):
+                xi = mp.mpc(mp.mpf(10) ** -60, -mp.mpf(s))  # t -> 0+ far below 40 digits
+                want = float(abs(mp.arg(mp.sqrt(-1j * xi + 1) + 3 * mp.sqrt(1j * xi + 19))))
+            assert estimate_phi(fig_c, s) == pytest.approx(want, abs=1e-14), s
 
 
 class TestFunctionBounds:

@@ -1,6 +1,7 @@
 """Spine angle, monotone profile, region classification, invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ class TestSolveSpine:
             else:
                 assert abs(s.zeta[k] - r * np.exp(1j * theta)) <= 1e-12 * r
 
+    @pytest.mark.parametrize("tau", [0.0, 0.2])
+    def test_bm_drift_axis_profile_closed_form(self, fig_a, tau):
+        """Off Z, lambda = f(i side r) = -a r^2 + b side r + c and its slope is r (b side - 2 a r)."""
+        spec = shift_spec(fig_a, tau)
+        s = solve_spine(spec, np.geomspace(0.05, 0.95, 40))
+        assert not s.in_Z.any()
+        side = np.sign(s.theta)
+        lam = -spec.a * s.r**2 + spec.b * side * s.r + spec.c
+        slope = s.r * (spec.b * side - 2.0 * spec.a * s.r)
+        np.testing.assert_allclose(s.lam, lam, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(spine._profile_slope(spec, s), slope, rtol=1e-13, atol=0.0)
+
     def test_rejects_bad_input(self, fig_a):
         with pytest.raises(SpineUndefinedError):
             solve_spine(LevyAtomic(c=1.0), np.array([1.0]))
@@ -265,6 +278,35 @@ class TestInvariantSuite:
         assert rep.passed, rep.failures()
         assert len(table.z_intervals) == 3
 
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_angle_continuity_samples_every_z_interval(self, name):
+        """With no sample the check reads exactly 0; every preset with a Z interval checks some."""
+        spec = SHOWCASE[name]
+        lo, hi = default_spine_range(spec)
+        table = build_spine_table(spec, lo, hi, 256)
+        if not table.z_intervals:
+            pytest.skip("no Z interval in the default range")
+        check = [c for c in spine_invariant_report(table, spec).checks if c.name == "angle-continuity"][0]
+        assert check.passed and check.margin > 0.0
+
+    def test_angle_continuity_catches_a_kink(self, fig_a, monkeypatch):
+        table = build_spine_table(fig_a, 0.1, 10.0, 200)
+        s = table.samples
+        k = int(np.argmin(np.abs(s.r - 3.0)))
+        assert s.in_Z[k]
+        # theta gains slope 10 in log r from between the second and third sample of point k
+        u0 = math.log(s.r[k]) + 1.5 * math.cos(s.theta[k]) / 90.0
+        solve = spine.solve_spine
+
+        def kinked(spec, radii):
+            out = solve(spec, radii)
+            return replace(out, theta=out.theta + 10.0 * np.maximum(np.log(out.r) - u0, 0.0))
+
+        assert spine_invariant_report(table, fig_a).passed
+        monkeypatch.setattr(spine, "solve_spine", kinked)
+        rep = spine_invariant_report(table, fig_a)
+        assert [c.name for c in rep.checks if not c.passed] == ["angle-continuity"]
+
     def test_needs_dense_table(self, fig_a):
         small = build_spine_table(fig_a, 0.1, 10.0, 32)
         with pytest.raises(DomainError):
@@ -364,13 +406,17 @@ def _loop_invariant_report(table, spec):
         rep.add("profile-strict-on-Z", float(np.min(dlam[z_pairs])), tol=0.0)
 
     worst = math.inf
-    for k in range(n - 2):
-        if not (in_z[k] and in_z[k + 1] and in_z[k + 2]):
+    edge = 0.5 * math.pi - spine.ANGLE_TOL
+    for k in range(n):
+        if not in_z[k]:
             continue
-        rate_here = abs(theta[k + 1] - theta[k]) / h
-        if rate_here <= 1.0 and h <= math.cos(theta[k + 1]) / 90.0:
-            rate_next = abs(theta[k + 2] - theta[k + 1]) / h
-            worst = min(worst, (2.0 * slack - rate_next) / (2.0 * slack))
+        hk = math.cos(theta[k]) / 90.0
+        t1 = theta_at(spec, radii[k] * math.exp(hk))
+        if abs(t1) >= edge or abs(t1 - theta[k]) / hk > 1.0:
+            continue
+        t2 = theta_at(spec, radii[k] * math.exp(2.0 * hk))
+        if abs(t2) < edge:
+            worst = min(worst, (2.0 * slack - abs(t2 - t1) / hk) / (2.0 * slack))
     rep.add("angle-continuity", 0.0 if worst is math.inf else worst, tol=1e-12)
 
     worst = math.inf

@@ -17,9 +17,9 @@ from levycm import (
     eval_f,
     shift_spec,
 )
-from levycm import wiener_hopf
+from levycm import rogers, wiener_hopf
 from levycm.fluctuation import kappa_ratio_xi
-from levycm.numerics import make_rng, richardson_zero
+from levycm.numerics import make_rng
 from levycm.rogers import axis_feature_points
 from levycm.specio import SHOWCASE
 from levycm.spine import build_spine_table
@@ -42,27 +42,30 @@ SYMMETRIC = LevyAtomic(a=1.0)  # f = xi^2, factors c xi on both sides
 F_SIG = LevyAtomic(a=0.5, b=1.0, c=1.0)
 R_PLUS = math.sqrt(3.0) - 1.0
 R_MINUS = math.sqrt(3.0) + 1.0
+# presets whose boundary angle is a step function with values in {0, pi}
+STEP_ANGLE = (
+    "bm_drift",
+    "quadratic_over_pole",
+    "rational_pole_pair",
+    "rational_three_arcs",
+    "rational_three_arcs_tight",
+)
 PW_CONST_PHIREP = PhiRep(
     1.5, PhiTable((-4.0, -1.0, 0.5, 2.0, 7.0), (0.3, 1.1, 0.0, 2.4), "piecewise-constant")
 )
 
 
 def _loop_phi(spec, s):
-    """Reference: one scalar eval_f per ladder value, failures skipped."""
-    ts, args = [], []
-    for t in (1e-3 * abs(s), 1e-4 * abs(s), 1e-5 * abs(s)):
+    """Reference: |Arg| of one scalar boundary value f(+0 - i s), retried beside a pole."""
+    for t in (0.0, 1e-13 * abs(s)):
         try:
-            v = eval_f(spec, complex(t, -s))
-        except (DomainError, OverflowError, ZeroDivisionError):
+            with np.errstate(all="ignore"):
+                v = complex(rogers._eval_core(spec, complex(t, -s)))
+        except (OverflowError, ZeroDivisionError):
             continue
-        if v == 0.0 or not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            continue
-        ts.append(t)
-        args.append(cmath.phase(v))
-    if not ts:
-        raise EstimationError(f"no usable ladder value at s={s}")
-    val = float(richardson_zero(np.asarray(ts), np.unwrap(np.asarray(args))))
-    return min(max(-math.copysign(1.0, s) * val, 0.0), math.pi)
+        if math.isfinite(v.real) and math.isfinite(v.imag):
+            return abs(cmath.phase(v))
+    raise EstimationError(f"boundary value not finite at s={s}")
 
 
 def _recursive_phi_table(spec):
@@ -79,7 +82,8 @@ def _recursive_phi_table(spec):
         w = (s_mid - s_lo) / (s_hi - s_lo)
         p_interp = (1.0 - w) * p_lo + w * p_hi
         width_u = math.log(s_hi / s_lo) if s_lo > 0 else math.log(s_lo / s_hi)
-        if abs(p_mid - p_interp) * min(abs(width_u), 1.0) > 2e-7:
+        miss = abs(p_mid - p_interp)
+        if miss * min(abs(width_u), 1.0) > 2e-7 or miss > 0.25:
             refine(s_lo, s_mid, p_lo, p_mid, sink)
             sink.append((s_mid, p_mid))
             refine(s_mid, s_hi, p_mid, p_hi, sink)
@@ -151,6 +155,22 @@ class TestPhiTable:
         table = wiener_hopf.build_phi_table(spec)
         assert np.array_equal(np.asarray(table.breakpoints), want_s)
         np.testing.assert_allclose(table.values, want_phi, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(SHOWCASE[n] for n in STEP_ANGLE),
+            LevyAtomic(a=0.0, b=0.8, c=0.0, atoms=((2.0, 3.0), (-1.5, 2.0))),
+            LevyAtomic(a=0.3, b=-0.2, c=0.0, atoms=((1.0, 2.0), (-2.0, 4.0))),
+        ],
+        ids=[*STEP_ANGLE, "jump", "jump_gauss"],
+    )
+    def test_piecewise_constant_angles_match_bd(self, spec):
+        """phi is a step function in {0, pi} here: the table route meets the bd route at 1e-10."""
+        for side in ("plus", "minus"):
+            for x1, x2 in ((0.3, 1.5), (2.0, 0.7), (5.0, 0.1)):
+                want = wh_ratio(spec, "bd", side, x1, x2)
+                assert wh_ratio(spec, "phi", side, x1, x2) == pytest.approx(want, rel=1e-10)
 
     def test_exhausted_budget_raises(self, fig_a, monkeypatch):
         monkeypatch.setattr(wiener_hopf, "_PHI_MAX_POINTS", 100)

@@ -1,4 +1,4 @@
-"""Before/after record for the Z-boundary panel edges of the spine integrator.
+"""Before/after record of the benchmark and of per-preset spine and phi-table probes.
 
 Compares two checkouts of the repository, a parent and a change:
 
@@ -7,9 +7,11 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset, one cold spine ratio ``ratio(0.3, 1.5, "plus", tau=0.2)`` on a
   fresh ``SpineStieltjes``: its refinement rounds (``estimate`` calls of
   ``refine_panels``), spine points solved (radii passed to ``solve_spine``)
-  and the median wall time of five cold repeats.
+  and the median wall time of five cold repeats;
+* per preset and shift tau in ``PHI_TAUS``, the median wall time of five
+  ``build_phi_table`` calls and the table's breakpoint count.
 
-    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_10.json \\
+    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_11.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
 
 The probe runs this file again with ``--probe`` in a fresh interpreter
@@ -29,14 +31,15 @@ from pathlib import Path
 from statistics import median
 
 RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
+PHI_TAUS = (0.0, 0.2)
 REPEATS = 5
 
 
 def probe():
-    """Rounds, spine points and ms of the cold spine ratio on every preset (JSON on stdout)."""
+    """Spine-ratio and phi-table figures for every preset (JSON on stdout)."""
     import numpy as np
 
-    from levycm import wiener_hopf
+    from levycm import shift_spec, wiener_hopf
     from levycm.specio import SHOWCASE
 
     count = {"rounds": 0, "points": 0}
@@ -64,7 +67,16 @@ def probe():
             value = wiener_hopf.SpineStieltjes(SHOWCASE[name]).ratio(x1, x2, side, tau)
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
-                     "ms": 1e3 * median(times), "value": value}
+                     "ms": 1e3 * median(times), "value": value, "phi_table": {}}
+        for phi_tau in PHI_TAUS:
+            spec = shift_spec(SHOWCASE[name], phi_tau)
+            times = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                table = wiener_hopf.build_phi_table(spec)
+                times.append(time.perf_counter() - t0)
+            out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
+                                                    "breakpoints": len(table.breakpoints)}
     print(json.dumps(out))
 
 
@@ -89,7 +101,7 @@ def main(argv=None):
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--out", default="BENCH_10.json")
+    ap.add_argument("--out", default="BENCH_11.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workloads", nargs="+", default=["wh_cold"])
     ap.add_argument("--seconds", type=float, default=10.0)
@@ -105,6 +117,7 @@ def main(argv=None):
                     "platform": platform.platform()},
         "spine_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3],
                         "repeats": REPEATS},
+        "phi_table_taus": list(PHI_TAUS),
         "presets": {side: run_probe(root) for side, root in sides.items()},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
