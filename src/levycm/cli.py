@@ -132,7 +132,7 @@ def _cmd_fluct(args):
     chain = []
     if args.query == "sup-laplace":
         value = pr_laplace(spec, args.sigma, 0.0, args.xi, args.side)
-        chain = ["kappa_ratio_xi"]
+        chain = ["kappa_ratio_xi"] if args.xi > 0.0 else []  # pr_laplace skips a ratio at 0
         q = {"query": "sup-laplace", "sigma": args.sigma, "xi": args.xi, "side": args.side}
     elif args.query == "sup-tail":
         value = sup_tail(spec, args.sigma, args.x)
@@ -140,7 +140,7 @@ def _cmd_fluct(args):
         q = {"query": "sup-tail", "sigma": args.sigma, "x": args.x}
     elif args.query == "pr":
         value = pr_laplace(spec, args.sigma, args.tau, args.xi, args.side)
-        chain = ["kappa_ratio_tau", "kappa_ratio_xi"]
+        chain = [n for n, a in (("kappa_ratio_tau", args.tau), ("kappa_ratio_xi", args.xi)) if a]
         q = {
             "query": "pr",
             "sigma": args.sigma,

@@ -29,7 +29,7 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
-from .numerics import QuadratureConfig, gk15, gk15_nodes, integrate_adaptive, principal_log
+from .numerics import _LRU, QuadratureConfig, gk15, gk15_nodes, integrate_adaptive, principal_log
 from .numerics import refine_panels, richardson_zero
 from .report import VerifyReport
 from .rogers import (
@@ -146,12 +146,16 @@ def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
     return _bd_ratio(shifted, side, xi1, xi2)
 
 
+_TAU_RATIOS = _LRU(4096)  # (spec, xi, tau1, tau2, side) -> ratio, 0.2 kB each besides the spec
+
+
 def kappa_ratio_tau(spec, xi, tau1, tau2, side=PLUS):
     """kappa^side(tau1, xi) / kappa^side(tau2, xi) for an unbounded exponent.
 
     Evaluates exp(A0/2 + (1/pi) int_0^inf (xi (A - A0) +- z B)/(xi^2 + z^2) dz)
     with A + iB the principal log of (tau1 + f(z))/(tau2 + f(z)); the A0
     term carries the Poisson-kernel mass that survives the xi -> 0 limit.
+    Memoized on (spec, xi, tau1, tau2, side); a call that raises stores nothing.
     """
     if tau1 < 0.0 or tau2 < 0.0:
         raise DomainError("temporal arguments must be >= 0")
@@ -160,6 +164,10 @@ def kappa_ratio_tau(spec, xi, tau1, tau2, side=PLUS):
         raise DomainError("xi must be >= 0")
     if tau1 == tau2:
         return 1.0
+    return _TAU_RATIOS.get((spec, xi, tau1, tau2, side), _tau_ratio, spec, xi, tau1, tau2, side)
+
+
+def _tau_ratio(spec, xi, tau1, tau2, side):
     lim = f_limits(spec)
     if math.isfinite(lim.f_at_infinity):
         raise MethodUnsupportedError(
@@ -200,7 +208,9 @@ def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):
 
     Computed as [kappa(sigma,0)/kappa(tau+sigma,0)] x
     [kappa(tau+sigma,0)/kappa(tau+sigma,xi)]; the minus side gives the
-    matching infimum transform.
+    matching infimum transform.  The first factor is skipped at tau = 0, the
+    second at xi = 0; both are memoized (``_TAU_RATIOS``, and on the bd route
+    ``wiener_hopf._BD_RATIOS``), so a repeated query integrates nothing.
     """
     q = SpaceTimeQuery(float(sigma), float(tau), float(xi), side)
     value = 1.0
@@ -216,7 +226,7 @@ def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):
 # ---------------------------------------------------------------------------
 
 _SUP_LADDER = (3e-3, 1e-3, 3e-4, 1e-4)
-_SUP_CACHE: dict = {}
+_SUP_CACHE = _LRU(64)  # (spec, sigma, eps_ladder) -> evaluator or message, 0.04 MB each
 
 
 class _SupTailEvaluator:
@@ -285,15 +295,16 @@ class _SupTailEvaluator:
         return min(max(val, 0.0), 1.0)
 
 
+def _sup_setup(spec, sigma, eps_ladder):
+    try:
+        return _SupTailEvaluator(spec, sigma, eps_ladder)
+    except DomainError as exc:
+        return str(exc)
+
+
 def _sup_evaluator(spec, sigma, eps_ladder=None):
-    """The cached evaluator; a set-up that failed is cached as its message."""
-    key = (spec, float(sigma), eps_ladder)
-    if key not in _SUP_CACHE:
-        try:
-            _SUP_CACHE[key] = _SupTailEvaluator(spec, sigma, eps_ladder)
-        except DomainError as exc:
-            _SUP_CACHE[key] = str(exc)
-    hit = _SUP_CACHE[key]
+    """The evaluator of (spec, sigma) via ``_SUP_CACHE``; a failed set-up is kept as its message."""
+    hit = _SUP_CACHE.get((spec, float(sigma), eps_ladder), _sup_setup, spec, sigma, eps_ladder)
     if isinstance(hit, str):
         raise DomainError(hit)
     return hit

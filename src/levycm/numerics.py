@@ -5,8 +5,9 @@ adaptive quadrature of the package: Gauss-Kronrod quadrature on lines,
 half-lines and finite intervals with declared singular abscissae, the spine
 Stieltjes integrals and the supremum-tail node table.  Also sign-change
 bisection for monotone functions, the principal complex logarithm,
-polynomial extrapolation to zero and a deterministic 64-bit-seeded
-generator.
+polynomial extrapolation to zero, a deterministic 64-bit-seeded
+generator and :class:`_LRU`, the bounded memo behind every cached result of
+the package.
 
 Integrands passed to :func:`integrate_adaptive` must accept a numpy array of
 abscissae and return an array of values (real or complex).
@@ -348,3 +349,61 @@ def richardson_zero(ts, ys):
 def make_rng(seed):
     """Deterministic 64-bit-seeded generator (PCG64); reproducible per seed."""
     return np.random.Generator(np.random.PCG64(int(seed)))
+
+
+class _LRU:
+    """A bounded memo; past ``maxsize`` entries the least recently used is evicted.
+
+    ``get(key, build, *args)`` returns the value stored under ``key`` or
+    stores and returns ``build(*args)``; a build that raises stores nothing.
+    ``hits`` and ``misses`` count ``get`` calls since the last ``clear()``.
+    ``key in memo`` and ``len(memo)`` neither count nor refresh an entry.
+    Entries are links [prev, next, key, value] of a circular list, oldest
+    first after the root, so a hit hashes the key once: one dict lookup,
+    then the link moves to the newest end.
+    """
+
+    __slots__ = ("maxsize", "hits", "misses", "_links", "_root")
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self._links = {}
+        self._root = []
+        self.clear()
+
+    def get(self, key, build, *args):
+        link = self._links.get(key)
+        root = self._root
+        if link is not None:
+            prev, nxt, _, value = link
+            prev[1] = nxt
+            nxt[0] = prev
+            last = root[0]
+            last[1] = root[0] = link
+            link[0] = last
+            link[1] = root
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = build(*args)
+        last = root[0]
+        last[1] = root[0] = self._links[key] = [last, root, key, value]
+        if len(self._links) > self.maxsize:
+            oldest = root[1]
+            root[1] = oldest[1]
+            oldest[1][0] = root
+            del self._links[oldest[2]]
+        return value
+
+    def __contains__(self, key):
+        return key in self._links
+
+    def __len__(self):
+        return len(self._links)
+
+    def clear(self):
+        """Drop every entry and zero the counters."""
+        self._links.clear()
+        self._root[:] = [self._root, self._root, None, None]
+        self.hits = 0
+        self.misses = 0

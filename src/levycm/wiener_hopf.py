@@ -28,6 +28,7 @@ from .errors import (
     QuadratureError,
 )
 from .numerics import (
+    _LRU,
     QuadratureConfig,
     _piecewise_axis,
     gk15_nodes,
@@ -201,28 +202,24 @@ class FactorHandle:
     __call__ = eval
 
 
-_PHI_CACHE: dict = {}
-_ENGINE_CACHE: dict = {}
-_HANDLE_CACHE: dict = {}
+_PHI_CACHE = _LRU(64)  # spec -> table, 0.14-0.25 MB each (README, "Caching")
+_HANDLE_CACHE = _LRU(64)  # (spec, side) -> handle, up to 0.11 MB besides its table
+_ENGINE_CACHE = _LRU(16)  # spec -> engine, 0.3-0.4 MB of spine samples after one ratio
 
 
 def get_phi_table(spec):
-    if spec not in _PHI_CACHE:
-        _PHI_CACHE[spec] = build_phi_table(spec)
-    return _PHI_CACHE[spec]
+    """The cached :func:`build_phi_table` of ``spec``."""
+    return _PHI_CACHE.get(spec, build_phi_table, spec)
 
 
 def get_factor_handle(spec, side) -> "FactorHandle":
-    key = (spec, side)
-    if key not in _HANDLE_CACHE:
-        _HANDLE_CACHE[key] = FactorHandle(spec, side, get_phi_table(spec))
-    return _HANDLE_CACHE[key]
+    """The cached :class:`FactorHandle` of one side, on the cached phi table."""
+    return _HANDLE_CACHE.get((spec, side), lambda: FactorHandle(spec, side, get_phi_table(spec)))
 
 
 def get_spine_engine(spec) -> "SpineStieltjes":
-    if spec not in _ENGINE_CACHE:
-        _ENGINE_CACHE[spec] = SpineStieltjes(spec)
-    return _ENGINE_CACHE[spec]
+    """The cached :class:`SpineStieltjes` of ``spec``; its spine samples live as long as it does."""
+    return _ENGINE_CACHE.get(spec, SpineStieltjes, spec)
 
 
 def factor_pair(spec, kappa=1.0):
@@ -243,6 +240,7 @@ def factor_pair(spec, kappa=1.0):
 _BD_CFG = QuadratureConfig(
     rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=6000, singular_points=(0.0,)
 )
+_BD_RATIOS = _LRU(4096)  # (spec, side, x1, x2) -> ratio, 0.2 kB each besides the spec
 
 
 def _bd_exponent(spec, poles_upper, poles_lower, log_shift=0.0):
@@ -266,8 +264,13 @@ def _bd_exponent(spec, poles_upper, poles_lower, log_shift=0.0):
 
 
 def _bd_ratio(spec, side, x1, x2):
+    """f^side(x1)/f^side(x2) by the contour route, memoized on the arguments."""
     if x1 == x2:
         return 1.0
+    return _BD_RATIOS.get((spec, side, x1, x2), _bd_ratio_integral, spec, side, x1, x2)
+
+
+def _bd_ratio_integral(spec, side, x1, x2):
     if x1 > 0.0 and x2 > 0.0:
         if side == PLUS:
             val, _ = _bd_exponent(spec, [(x1, 1.0), (x2, -1.0)], [])
@@ -336,6 +339,7 @@ class SpineStieltjes:
                 "spine factorization needs a non-degenerate exponent"
             )
         self.spec = spec
+        # unbounded, freed with the engine: an LRU would tax every _tl lookup
         self._cache: dict = {}  # log-radius -> (zeta, lambda, d lambda / d log r)
         self._z_cache: dict = {}  # (u_lo, u_hi) -> log-radii of the Z boundaries
         self.f_zero = f_limits(spec).f_at_zero

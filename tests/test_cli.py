@@ -166,6 +166,24 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.5, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "query,args,chain",
+        [
+            ("pr", ("--tau", "0", "--xi", "1"), ["kappa_ratio_xi"]),
+            ("pr", ("--tau", "1.5", "--xi", "0"), ["kappa_ratio_tau"]),
+            ("pr", ("--tau", "1.5", "--xi", "1"), ["kappa_ratio_tau", "kappa_ratio_xi"]),
+            ("pr", ("--tau", "0", "--xi", "0"), []),
+            ("sup-laplace", ("--xi", "1"), ["kappa_ratio_xi"]),
+            ("sup-laplace", ("--xi", "0"), []),
+        ],
+    )
+    def test_fluct_chain_lists_computed_ratios(self, capsys, tmp_path, query, args, chain):
+        spec = tmp_path / "bm.json"
+        spec.write_text('{"type": "levy_atomic", "a": 0.5}')
+        code, out = run_cli(capsys, "fluct", str(spec), query, "--sigma", "0.5", *args)
+        assert code == 0
+        assert json.loads(out)["method_chain"] == chain
+
     def test_fluct_artifact_has_no_made_up_error(self, capsys, tmp_path):
         spec = tmp_path / "bm.json"
         spec.write_text('{"type": "levy_atomic", "a": 0.5}')

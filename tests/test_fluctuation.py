@@ -16,7 +16,7 @@ from levycm import (
     f_limits,
     shift_spec,
 )
-from levycm import fluctuation
+from levycm import fluctuation, wiener_hopf
 from levycm.fluctuation import (
     CmCheckConfig,
     cm_cbf_check,
@@ -161,6 +161,60 @@ class TestPrLaplace:
     def test_cp_temporal_rejected(self):
         with pytest.raises(MethodUnsupportedError):
             pr_laplace(CP_UNIT, 0.5, 1.0, 1.0)
+
+
+# the six (xi, tau) joint queries of an exact-path Monte Carlo job
+MC_QUERIES = tuple((xi, tau) for xi in (0.5, 1.0, 2.0) for tau in (0.0, 1.0))
+
+
+class TestPrLaplaceReuse:
+    """pr_laplace integrates each of its two ratios once per argument set."""
+
+    @staticmethod
+    def _count_integrals(monkeypatch):
+        calls = []
+        for module in (fluctuation, wiener_hopf):
+            real = module.integrate_adaptive
+            monkeypatch.setattr(
+                module, "integrate_adaptive", lambda *a, real=real, **k: calls.append(1) or real(*a, **k)
+            )
+        return calls
+
+    @staticmethod
+    def _clear_ratio_memos():
+        fluctuation._TAU_RATIOS.clear()
+        wiener_hopf._BD_RATIOS.clear()
+
+    def test_mc_job_work(self, monkeypatch):
+        """Cold: 3 spatial ratios at tau = 0, 1 temporal and 3 spatial at tau = 1."""
+        self._clear_ratio_memos()
+        calls = self._count_integrals(monkeypatch)
+        cold = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
+        assert len(calls) == 7
+        calls.clear()
+        again = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
+        assert calls == []
+        assert again == cold
+
+    def test_values_after_clear_are_bitwise_equal(self):
+        cached = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
+        cached.append(kappa_ratio_tau(BM_DRIFT, 0.5, 2.0, 0.5, "minus"))
+        self._clear_ratio_memos()
+        fresh = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
+        fresh.append(kappa_ratio_tau(BM_DRIFT, 0.5, 2.0, 0.5, "minus"))
+        assert [v.hex() for v in fresh] == [v.hex() for v in cached]
+
+    def test_memo_keys(self):
+        self._clear_ratio_memos()
+        pr_laplace(HYPER_CP, 0.7, 1.0, 0.5)
+        assert (HYPER_CP, 0.0, 1.0 + 0.7, 0.7, "plus") in fluctuation._TAU_RATIOS
+        assert (shift_spec(HYPER_CP, 1.0 + 0.7), "plus", 0.5, 0.0) in wiener_hopf._BD_RATIOS
+        assert len(fluctuation._TAU_RATIOS) == len(wiener_hopf._BD_RATIOS) == 1
+
+    def test_failed_ratio_not_cached(self):
+        with pytest.raises(MethodUnsupportedError):
+            kappa_ratio_tau(CP_UNIT, 0.0, 1.5, 0.5)
+        assert (CP_UNIT, 0.0, 1.5, 0.5, "plus") not in fluctuation._TAU_RATIOS
 
 
 class TestSupTail:

@@ -1,6 +1,7 @@
 """Quadrature, bisection and principal-branch kernels."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from levycm import numerics
 from levycm.errors import DomainError, QuadratureError
 from levycm.numerics import (
+    _LRU,
     QuadratureConfig,
     bisect_monotone,
     gk15,
@@ -221,6 +223,74 @@ class TestRichardson:
         ts = np.array([1e-2, 1e-3, 1e-4])
         ys = 3.0 + 2.0 * ts - 7.0 * ts * ts
         assert abs(richardson_zero(ts, ys) - 3.0) < 1e-12
+
+
+class TestLRU:
+    def test_bound_holds(self):
+        memo = _LRU(3)
+        for k in range(10):
+            memo.get(k, lambda k=k: k * k)
+        assert len(memo) == 3
+        assert [k in memo for k in range(10)] == [False] * 7 + [True] * 3
+
+    def test_least_recently_used_evicted_first(self):
+        memo = _LRU(3)
+        for k in "abc":
+            memo.get(k, str.upper, k)
+        assert memo.get("a", pytest.fail) == "A"  # a hit refreshes "a"
+        memo.get("d", str.upper, "d")
+        assert "b" not in memo
+        assert all(k in memo for k in "acd")
+        memo.get("e", str.upper, "e")
+        assert "c" not in memo and "a" in memo
+
+    def test_hits_and_misses(self):
+        memo = _LRU(2)
+        built = []
+        build = lambda k: built.append(k) or -k  # noqa: E731
+        got = [memo.get(k, build, k) for k in (1, 1, 2, 1, 3, 2, 2)]
+        assert got == [-1, -1, -2, -1, -3, -2, -2]
+        assert built == [1, 2, 3, 2]  # 2 was evicted by 3, after 1 was refreshed
+        assert (memo.hits, memo.misses) == (3, 4)
+        assert 1 not in memo and 3 in memo and len(memo) == 2
+        assert (memo.hits, memo.misses) == (3, 4)  # probes count nothing
+
+    def test_clear_empties(self):
+        memo = _LRU(4)
+        for k in range(3):
+            memo.get(k, int, k)
+        memo.get(0, int, 0)
+        memo.clear()
+        assert len(memo) == 0 and 0 not in memo
+        assert (memo.hits, memo.misses) == (0, 0)
+        assert memo.get(0, lambda: "rebuilt") == "rebuilt"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.lists(st.integers(0, 8), max_size=60))
+    def test_matches_reference_lru(self, maxsize, keys):
+        """Same entries, hits and misses as an OrderedDict LRU after every call."""
+        memo, ref, hits = _LRU(maxsize), OrderedDict(), 0
+        for k in keys:
+            assert memo.get(k, str, k) == str(k)
+            if k in ref:
+                hits += 1
+                ref.move_to_end(k)
+            else:
+                ref[k] = str(k)
+                if len(ref) > maxsize:
+                    ref.popitem(last=False)
+            assert [j for j in range(9) if j in memo] == sorted(ref)
+        assert (memo.hits, memo.misses, len(memo)) == (hits, len(keys) - hits, len(ref))
+
+    def test_failed_build_stores_nothing(self):
+        def fail():
+            raise DomainError("no")
+
+        memo = _LRU(4)
+        with pytest.raises(DomainError):
+            memo.get("k", fail)
+        assert "k" not in memo and len(memo) == 0
+        assert memo.misses == 1
 
 
 class TestRng:

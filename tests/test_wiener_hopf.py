@@ -17,9 +17,9 @@ from levycm import (
     eval_f,
     shift_spec,
 )
-from levycm import rogers, wiener_hopf
+from levycm import fluctuation, rogers, wiener_hopf
 from levycm.fluctuation import kappa_ratio_xi
-from levycm.numerics import make_rng
+from levycm.numerics import _LRU, make_rng
 from levycm.rogers import axis_feature_points
 from levycm.specio import SHOWCASE
 from levycm.spine import build_spine_table
@@ -29,6 +29,7 @@ from levycm.wiener_hopf import (
     closed_form_factors,
     factor_pair,
     factorization_check,
+    get_factor_handle,
     get_phi_table,
     get_spine_engine,
     wh_product,
@@ -479,3 +480,10 @@ class TestCrossMethodInvariants:
 
     def test_phi_table_cached(self, fig_a):
         assert get_phi_table(fig_a) is get_phi_table(fig_a)
+
+    def test_every_cache_is_a_bounded_memo(self, fig_a):
+        get_factor_handle(fig_a, "plus")
+        memos = (wiener_hopf._PHI_CACHE, wiener_hopf._HANDLE_CACHE, wiener_hopf._ENGINE_CACHE,
+                 wiener_hopf._BD_RATIOS, fluctuation._SUP_CACHE, fluctuation._TAU_RATIOS)
+        assert all(isinstance(m, _LRU) and 0 <= len(m) <= m.maxsize for m in memos)
+        assert fig_a in wiener_hopf._PHI_CACHE and (fig_a, "plus") in wiener_hopf._HANDLE_CACHE

@@ -9,9 +9,12 @@ Compares two checkouts of the repository, a parent and a change:
   ``refine_panels``), spine points solved (radii passed to ``solve_spine``)
   and the median wall time of five cold repeats;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
-  ``build_phi_table`` calls and the table's breakpoint count.
+  ``build_phi_table`` calls and the table's breakpoint count;
+* per case of the ``mc_exact`` workload, one cold and one repeated job
+  (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
+  the six joint queries): ``integrate_adaptive`` calls and wall time of each.
 
-    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_11.json \\
+    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_12.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
 
 The probe runs this file again with ``--probe`` in a fresh interpreter
@@ -33,15 +36,56 @@ from statistics import median
 RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
 PHI_TAUS = (0.0, 0.2)
 REPEATS = 5
+MC_PATHS = 2000  # paths per job, as in the mc_exact workload
+_HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
+# (label, LevyAtomic keywords, sigma): the cases of the mc_exact workload
+MC_CASES = (
+    ("diffusion", dict(a=0.5, b=0.5), 0.5),
+    ("jump", dict(a=0.0, b=0.8, c=0.0, atoms=_HYPER_ATOMS), 0.7),
+    ("jump_gauss", dict(a=0.3, b=-0.2, c=0.0, atoms=((1.0, 2.0), (-2.0, 4.0))), 0.6),
+)
+
+
+def mc_work():
+    """Per mc_exact case: integrate_adaptive calls and ms of a cold and a repeated job."""
+    from levycm import LevyAtomic, fluctuation, wiener_hopf
+    from levycm.montecarlo import JointQuery, mc_estimates, simulate_sup_samples
+
+    calls = [0]
+
+    def counted(fn):
+        def traced(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+
+        return traced
+
+    for module in (fluctuation, wiener_hopf):
+        module.integrate_adaptive = counted(module.integrate_adaptive)
+    queries = [JointQuery(xi, tau) for xi in (0.5, 1.0, 2.0) for tau in (0.0, 1.0)]
+    out = {}
+    for label, kwargs, sigma in MC_CASES:
+        spec = LevyAtomic(**kwargs)
+        out[label] = {}
+        for run in ("cold", "repeat"):
+            calls[0] = 0
+            t0 = time.perf_counter()
+            samples = simulate_sup_samples(spec, sigma, MC_PATHS, 1)
+            mc_estimates(samples, queries, seed=1)
+            for q in queries:
+                fluctuation.pr_laplace(spec, sigma, q.tau, q.xi)
+            out[label][run] = {"integrals": calls[0], "ms": 1e3 * (time.perf_counter() - t0)}
+    return out
 
 
 def probe():
-    """Spine-ratio and phi-table figures for every preset (JSON on stdout)."""
+    """Monte Carlo job work, then spine-ratio and phi-table figures per preset (JSON on stdout)."""
     import numpy as np
 
     from levycm import shift_spec, wiener_hopf
     from levycm.specio import SHOWCASE
 
+    mc = mc_work()  # first, while every cache is cold
     count = {"rounds": 0, "points": 0}
     refine, solve = wiener_hopf.refine_panels, wiener_hopf.solve_spine
 
@@ -77,7 +121,7 @@ def probe():
                 times.append(time.perf_counter() - t0)
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
                                                     "breakpoints": len(table.breakpoints)}
-    print(json.dumps(out))
+    print(json.dumps({"presets": out, "mc_job": mc}))
 
 
 def run_probe(root):
@@ -101,7 +145,7 @@ def main(argv=None):
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--out", default="BENCH_11.json")
+    ap.add_argument("--out", default="BENCH_12.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workloads", nargs="+", default=["wh_cold"])
     ap.add_argument("--seconds", type=float, default=10.0)
@@ -112,13 +156,16 @@ def main(argv=None):
     if not (args.parent and args.change):
         ap.error("PARENT_DIR and CHANGE_DIR are required")
     sides = {"parent": args.parent, "change": args.change}
+    probes = {side: run_probe(root) for side, root in sides.items()}
     doc = {
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "spine_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3],
                         "repeats": REPEATS},
         "phi_table_taus": list(PHI_TAUS),
-        "presets": {side: run_probe(root) for side, root in sides.items()},
+        "presets": {side: p["presets"] for side, p in probes.items()},
+        "mc_job_paths": MC_PATHS,
+        "mc_job": {side: p["mc_job"] for side, p in probes.items()},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
     for w in args.workloads:
