@@ -181,7 +181,8 @@ def _tau_ratio(spec, xi, tau1, tau2, side):
     sgn = 1.0 if side == PLUS else -1.0
 
     def integrand(z):
-        L = principal_log((tau1 + eval_f(spec, z + 0.0j)) / (tau2 + eval_f(spec, z + 0.0j)))
+        f = eval_f(spec, z + 0.0j)
+        L = principal_log((tau1 + f) / (tau2 + f))
         return (xi * (L.real - a0) + sgn * z * L.imag) / (xi * xi + z * z)
 
     cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=4000,

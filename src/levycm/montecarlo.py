@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MethodUnsupportedError, ValidationError
-from .rogers import LevyAtomic, compensator_drift, eval_f
+from .rogers import LevyAtomic
 
 __all__ = [
     "SupSamples",
@@ -75,25 +75,10 @@ class JointQuery:
 
 
 def _mixture(spec: LevyAtomic):
-    """Jump mixture: per-atom rates w_j/(pi |s_j|) and Exp(|s_j|) sizes."""
-    rates = np.array([w / (math.pi * abs(s)) for s, w in spec.atoms])
-    scales = np.array([abs(s) for s, _ in spec.atoms])
-    signs = np.array([math.copysign(1.0, s) for s, _ in spec.atoms])
-    return rates, scales, signs
-
-
-def _validate_decomposition(spec: LevyAtomic, drift, rates, scales, signs):
-    """Reconstruct the exponent from path ingredients and compare to eval_f."""
-    for xi in (0.7 + 0.3j, 1.3 - 0.9j):
-        val = spec.a * xi * xi - 1j * drift * xi + spec.c
-        # compound Poisson part: sum rate_j (1 - E e^{i xi J_j})
-        for rate, sc, sg in zip(rates, scales, signs):
-            val += rate * (1.0 - sc / (sc - 1j * sg * xi))
-        ref = eval_f(spec, xi)
-        if abs(val - ref) > 1e-9 * (1.0 + abs(ref)):
-            raise ValidationError(
-                "atoms", f"path decomposition mismatch at xi={xi}: {val} vs {ref}"
-            )
+    """Jump mixture from the spec's decomposition: rates, Exp(|s_j|) scales and signs."""
+    _, jumps = spec._jumps
+    locs = np.array([s for s, _ in jumps])
+    return np.array([rate for _, rate in jumps]), np.abs(locs), np.sign(locs)
 
 
 def _ig_sample(rng, mu, lam):
@@ -165,8 +150,7 @@ def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
     if n < 1:
         raise ValidationError("n", "need at least one path")
     rates, scales, signs = _mixture(spec)
-    drift = spec.b - compensator_drift(spec)
-    _validate_decomposition(spec, drift, rates, scales, signs)
+    drift = spec._jumps[0]
     blocks = []
     n_shards = (n + shard_size - 1) // shard_size
     for shard in range(n_shards):

@@ -283,6 +283,17 @@ class LevyAtomic:
             self, "atoms", tuple((float(s), float(w)) for s, w in self.atoms)
         )
 
+    @cached_property
+    def _jumps(self):
+        """(drift, ((s, rate), ...)): f = a xi^2 - i drift xi + c + sum rate xi/(xi + i s).
+
+        drift = b - compensator_drift is the path drift between jumps, and
+        the atom at s is a jump rate w/(pi |s|) with Exp(|s|) sizes of sign s.
+        """
+        return self.b - compensator_drift(self), tuple(
+            (s, w / (math.pi * abs(s))) for s, w in self.atoms
+        )
+
 
 @dataclass(frozen=True)
 class StableTerm:
@@ -353,11 +364,10 @@ class ShiftedSpec:
 
 
 def _atomic_core(spec: LevyAtomic, xi):
-    val = spec.a * xi * xi - 1j * spec.b * xi + spec.c
-    for s, w in spec.atoms:
-        val = val + (w / abs(s) / math.pi) * (
-            xi / (xi + 1j * s) + 1j * xi * math.copysign(1.0, s) / (1.0 + abs(s))
-        )
+    drift, jumps = spec._jumps
+    val = spec.a * xi * xi - 1j * drift * xi + spec.c
+    for s, rate in jumps:
+        val = val + rate * xi / (xi + 1j * s)
     return val
 
 
@@ -403,10 +413,6 @@ def _eval_core(spec, xi):
     if isinstance(spec, ShiftedSpec):
         return spec.shift + _eval_core(spec.base, xi)
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
-
-
-def _atomic_axis_poles(spec: LevyAtomic):
-    return tuple(-s for s, _ in spec.atoms)  # xi = -i s is the pole of the atom at s
 
 
 def _axis_value(spec, xi):
@@ -473,11 +479,10 @@ def eval_f(spec, xi):
 
 def _prime_core(spec, xi):
     if isinstance(spec, LevyAtomic):
-        val = 2.0 * spec.a * xi - 1j * spec.b
-        for s, w in spec.atoms:
-            val = val + (w / abs(s) / math.pi) * (
-                1j * s / (xi + 1j * s) ** 2 + 1j * math.copysign(1.0, s) / (1.0 + abs(s))
-            )
+        drift, jumps = spec._jumps
+        val = 2.0 * spec.a * xi - 1j * drift
+        for s, rate in jumps:
+            val = val + rate * 1j * s / (xi + 1j * s) ** 2
         return val
     if isinstance(spec, StableSum):
         val = np.zeros_like(xi) if isinstance(xi, np.ndarray) else 0.0 + 0.0j
@@ -609,16 +614,8 @@ class LimitsResult:
 
 def f_limits(spec) -> LimitsResult:
     if isinstance(spec, LevyAtomic):
-        zero = spec.c
-        if spec.a == 0.0 and abs(spec.b - compensator_drift(spec)) <= 1e-12 * (
-            1.0 + abs(spec.b)
-        ):
-            inf = spec.c + total_jump_rate(spec)
-        elif spec.a == 0.0 and spec.b == 0.0 and not spec.atoms:
-            inf = spec.c
-        else:
-            inf = math.inf
-        return LimitsResult(zero, inf)
+        inf = spec.c + total_jump_rate(spec) if is_compound_poisson(spec) else math.inf
+        return LimitsResult(spec.c, inf)
     if isinstance(spec, StableSum):
         zero = sum(t.w * t.m**t.alpha for t in spec.terms)
         inf = math.inf if any(t.w > 0.0 for t in spec.terms) else zero

@@ -203,72 +203,31 @@ def save_spec(spec, path):
 # bundled showcase exponents
 # ---------------------------------------------------------------------------
 
-SHOWCASE = {
-    # xi^2/2 - i xi: Brownian motion with unit drift
-    "bm_drift": LevyAtomic(a=0.5, b=1.0),
-    # 2 (-i xi)^1/2 + (i xi)^1/2: strictly stable, alpha = 1/2
-    "stable_asym": StableSum(
-        (StableTerm(2.0, 0.0, 0.5, "minus-i"), StableTerm(1.0, 0.0, 0.5, "plus-i"))
-    ),
-    # (-i xi + 1)^1/2 + 3 (i xi + 19)^1/2: asymmetric tempered stable
-    "tempered_stable": StableSum(
-        (StableTerm(1.0, 1.0, 0.5, "minus-i"), StableTerm(3.0, 19.0, 0.5, "plus-i"))
-    ),
-    # 8 (-i xi)^1/5 + (i xi)^4/5: mixed stable orders
-    "stable_mixed": StableSum(
-        (StableTerm(8.0, 0.0, 0.2, "minus-i"), StableTerm(1.0, 0.0, 0.8, "plus-i"))
-    ),
-    # xi^2 / (i xi + 2)
-    "quadratic_over_pole": RationalProduct(
-        1.0,
-        (
-            RationalFactor("minus-i", 0.0, 1),
-            RationalFactor("plus-i", 0.0, 1),
-            RationalFactor("plus-i", 2.0, -1),
-        ),
-    ),
-    # (-i xi)/(-i xi + 2) * (i xi)/(i xi + 0.5) * (i xi + 14)
-    "rational_pole_pair": RationalProduct(
-        1.0,
-        (
-            RationalFactor("minus-i", 0.0, 1),
-            RationalFactor("minus-i", 2.0, -1),
-            RationalFactor("plus-i", 0.0, 1),
-            RationalFactor("plus-i", 0.5, -1),
-            RationalFactor("plus-i", 14.0, 1),
-        ),
-    ),
-    # three separated spine arcs
-    "rational_three_arcs": RationalProduct(
-        1.0,
-        (
-            RationalFactor("minus-i", 0.5, 1),
-            RationalFactor("minus-i", 1.0, -1),
-            RationalFactor("plus-i", 0.0, 1),
-            RationalFactor("plus-i", 0.05, -1),
-            RationalFactor("plus-i", 1.25, 1),
-            RationalFactor("plus-i", 1.26, -1),
-            RationalFactor("plus-i", 30.0, 1),
-        ),
-    ),
-    # as above with the upper pair nearly merged
-    "rational_three_arcs_tight": RationalProduct(
-        1.0,
-        (
-            RationalFactor("minus-i", 0.5, 1),
-            RationalFactor("minus-i", 1.0, -1),
-            RationalFactor("plus-i", 0.0, 1),
-            RationalFactor("plus-i", 0.06, -1),
-            RationalFactor("plus-i", 0.95, 1),
-            RationalFactor("plus-i", 0.97, -1),
-            RationalFactor("plus-i", 30.0, 1),
-        ),
-    ),
-}
+# the order is fixed: benchmark draws follow preset_names()
+_PRESET_NAMES = (
+    "bm_drift",
+    "stable_asym",
+    "tempered_stable",
+    "stable_mixed",
+    "quadratic_over_pole",
+    "rational_pole_pair",
+    "rational_three_arcs",
+    "rational_three_arcs_tight",
+)
+
+
+def preset_path(name):
+    """Path of a bundled preset JSON file."""
+    if name not in _PRESET_NAMES:
+        raise ValidationError("preset", f"unknown preset {name!r}")
+    return resources.files("levycm").joinpath(f"presets/{name}.json")
+
+
+SHOWCASE = {n: spec_from_dict(json.loads(preset_path(n).read_text())) for n in _PRESET_NAMES}
 
 
 def preset_names():
-    return tuple(SHOWCASE)
+    return _PRESET_NAMES
 
 
 def preset(name):
@@ -277,9 +236,3 @@ def preset(name):
     except KeyError:
         raise ValidationError("preset", f"unknown preset {name!r}; known: {', '.join(SHOWCASE)}")
 
-
-def preset_path(name):
-    """Path of a bundled preset JSON file."""
-    if name not in SHOWCASE:
-        raise ValidationError("preset", f"unknown preset {name!r}")
-    return resources.files("levycm").joinpath(f"presets/{name}.json")

@@ -122,13 +122,15 @@ def _profile_slope(spec, s):
     On Z, im f(zeta(r)) = 0 gives theta' = -Im w / Re w for w = f'(zeta) zeta,
     so the slope is Re w - theta' Im w = |w|^2 / Re w.  Off Z the profile is
     re f(+-i r) and the slope is r re(+-i f'(+-i r)), with f' the boundary
-    value on the axis.
+    value on the axis.  Where w is 0 in floating point (far out on a bounded
+    exponent) the slope is 0.
     """
     slope = np.empty(s.r.shape)
     z = s.in_Z
     if z.any():
         w = eval_f_prime(spec, s.zeta[z]) * s.zeta[z]
-        slope[z] = np.abs(w) ** 2 / w.real
+        aw = np.abs(w)
+        slope[z] = np.divide(aw * aw, w.real, out=np.zeros(aw.shape), where=aw > 0.0)
     out = ~z
     if out.any():
         y = np.where(s.theta[out] > 0.0, 1.0, -1.0) * s.r[out]

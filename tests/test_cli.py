@@ -7,11 +7,13 @@ import os
 import pytest
 
 from levycm.cli import main
-from levycm.rogers import validate_spec
+from levycm.rogers import LevyAtomic, compensator_drift, validate_spec
 from levycm.specio import (
     SHOWCASE,
     format_float,
     load_spec,
+    preset_names,
+    preset_path,
     save_spec,
     spec_from_dict,
     spec_to_dict,
@@ -38,6 +40,20 @@ class TestSpecIo:
 
     def test_preset_loading(self):
         assert load_spec("preset:bm_drift") == SHOWCASE["bm_drift"]
+
+    def test_presets_are_the_bundled_files(self):
+        assert preset_names() == (
+            "bm_drift",
+            "stable_asym",
+            "tempered_stable",
+            "stable_mixed",
+            "quadratic_over_pole",
+            "rational_pole_pair",
+            "rational_three_arcs",
+            "rational_three_arcs_tight",
+        )
+        for name in preset_names():
+            assert SHOWCASE[name] == load_spec(str(preset_path(name)))
 
     def test_phi_table_round_trip(self, tmp_path):
         from levycm import PhiRep, PhiTable
@@ -134,6 +150,15 @@ class TestCommands:
     @pytest.mark.parametrize("name", sorted(SHOWCASE))
     def test_verify_wh_suite(self, capsys, name):
         code, out = run_cli(capsys, "verify", f"preset:{name}", "--suite", "wh")
+        assert code == 0
+        assert json.loads(out)["n_failures"] == 0
+
+    def test_verify_wh_suite_compound_poisson(self, capsys, tmp_path):
+        """b = compensator drift: the spine route must not lose f to cancellation."""
+        atoms = ((2.0, 3.0), (-1.5, 2.0))
+        path = tmp_path / "cp.json"
+        save_spec(LevyAtomic(b=compensator_drift(LevyAtomic(atoms=atoms)), atoms=atoms), path)
+        code, out = run_cli(capsys, "verify", str(path), "--suite", "wh")
         assert code == 0
         assert json.loads(out)["n_failures"] == 0
 

@@ -14,13 +14,15 @@ from levycm import (
     PhiRep,
     PhiTable,
     QuadratureError,
+    RationalFactor,
+    RationalProduct,
     eval_f,
     shift_spec,
 )
 from levycm import fluctuation, rogers, wiener_hopf
 from levycm.fluctuation import kappa_ratio_xi
 from levycm.numerics import _LRU, make_rng
-from levycm.rogers import axis_feature_points
+from levycm.rogers import axis_feature_points, compensator_drift
 from levycm.specio import SHOWCASE
 from levycm.spine import build_spine_table
 from levycm.verify import default_spine_range
@@ -269,12 +271,30 @@ class TestSpineRouteShiftOracle:
             assert wh_product(spec, "spine", x1, x2) == pytest.approx(want, rel=1e-8)
 
 
-class TestSpineRouteBdOracle:
-    """Spine ratios and products on every preset against the bd route."""
+_CP_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
+# bounded exponents (finite f(inf)) beside the presets: far out on the spine f is flat to rounding
+BOUNDED = {
+    # hyperexponential compound Poisson, b = compensator drift
+    "cp_hyper": LevyAtomic(b=compensator_drift(LevyAtomic(atoms=_CP_ATOMS)), atoms=_CP_ATOMS),
+    # (-i xi)/(-i xi + 1) * (i xi)/(i xi + 2), f(inf) = 1
+    "rational_bounded": RationalProduct(
+        1.0,
+        (
+            RationalFactor("minus-i", 0.0, 1),
+            RationalFactor("minus-i", 1.0, -1),
+            RationalFactor("plus-i", 0.0, 1),
+            RationalFactor("plus-i", 2.0, -1),
+        ),
+    ),
+}
 
-    @pytest.mark.parametrize("letter", sorted(LETTERS))
+
+class TestSpineRouteBdOracle:
+    """Spine ratios and products on every preset and two bounded specs against the bd route."""
+
+    @pytest.mark.parametrize("letter", [*sorted(LETTERS), *BOUNDED])
     def test_ratio_and_product(self, letter):
-        spec = showcase(letter)
+        spec = BOUNDED[letter] if letter in BOUNDED else showcase(letter)
         engine = get_spine_engine(spec)
         for tau in (0.0, 0.5):
             shifted = shift_spec(spec, tau)
