@@ -29,7 +29,7 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
-from .numerics import _LRU, QuadratureConfig, gk15, gk15_nodes, integrate_adaptive, principal_log
+from .numerics import _LRU, QuadratureConfig, gk15, gk15_nodes, principal_log
 from .numerics import refine_panels, richardson_zero
 from .report import VerifyReport
 from .rogers import (
@@ -40,7 +40,7 @@ from .rogers import (
 from .wiener_hopf import (
     MINUS,
     PLUS,
-    _bd_ratio,
+    _bd_exponent,
     get_factor_handle,
     get_spine_engine,
     wh_ratio,
@@ -110,7 +110,7 @@ class CmCheckConfig:
 
 
 def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
-    """kappa^side(tau, xi1) / kappa^side(tau, xi2) via the shifted factors.
+    """kappa^side(tau, xi1) / kappa^side(tau, xi2): :func:`wh_ratio` of tau + f.
 
     ``xi = 0`` is admitted when tau + f(0+) > 0 (continuity).  A spine
     request on a spec whose shift is degenerate falls back to the contour
@@ -118,35 +118,17 @@ def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
     """
     if tau < 0.0:
         raise DomainError("tau must be >= 0")
-    xi1 = float(xi1)
-    xi2 = float(xi2)
-    if xi1 < 0.0 or xi2 < 0.0:
-        raise DomainError("spatial arguments must be >= 0")
-    if xi1 == xi2:
-        return 1.0
     shifted = shift_spec(spec, float(tau))
-    if min(xi1, xi2) > 0.0:
-        try:
-            return wh_ratio(shifted, method, side, xi1, xi2)
-        except MethodUnsupportedError:
-            if method == "spine":
-                return wh_ratio(shifted, "bd", side, xi1, xi2)
+    try:
+        return wh_ratio(shifted, method, side, xi1, xi2)
+    except MethodUnsupportedError:
+        if method != "spine":
             raise
-    # one argument at zero
-    if not f_limits(shifted).f_at_zero > 0.0:
-        raise DomainError("ratio against xi = 0 needs tau + f(0+) > 0")
-    if method == "phi":
-        handle = get_factor_handle(shifted, side)
-        return float((handle.eval(complex(xi1)) / handle.eval(complex(xi2))).real)
-    if method == "spine":
-        try:
-            return get_spine_engine(shifted).ratio(xi1, xi2, side)
-        except MethodUnsupportedError:
-            pass
-    return _bd_ratio(shifted, side, xi1, xi2)
+        return wh_ratio(shifted, "bd", side, xi1, xi2)
 
 
 _TAU_RATIOS = _LRU(4096)  # (spec, xi, tau1, tau2, side) -> ratio, 0.2 kB each besides the spec
+_TAU_CFG = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=4000, singular_points=(0.0,))
 
 
 def kappa_ratio_tau(spec, xi, tau1, tau2, side=PLUS):
@@ -178,17 +160,16 @@ def _tau_ratio(spec, xi, tau1, tau2, side):
     if tau1 + f0 <= 0.0 or tau2 + f0 <= 0.0:
         raise DomainError("tau + f(0+) must be positive for both arguments")
     a0 = math.log((tau1 + f0) / (tau2 + f0))
-    sgn = 1.0 if side == PLUS else -1.0
 
-    def integrand(z):
+    def log_f(z):
         f = eval_f(spec, z + 0.0j)
-        L = principal_log((tau1 + f) / (tau2 + f))
-        return (xi * (L.real - a0) + sgn * z * L.imag) / (xi * xi + z * z)
+        return principal_log((tau1 + f) / (tau2 + f)) - a0
 
-    cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=4000,
-                           singular_points=(0.0,))
-    val, _ = integrate_adaptive(integrand, (0.0, math.inf), cfg)
-    return math.exp(0.5 * a0 + val.real / math.pi)
+    if side == PLUS:
+        val, _ = _bd_exponent(log_f, [(xi, 1.0)], [], _TAU_CFG)
+    else:
+        val, _ = _bd_exponent(log_f, [], [(xi, -1.0)], _TAU_CFG)
+    return math.exp(0.5 * a0 + val)
 
 
 def kappa_circ(spec, tau):

@@ -869,9 +869,6 @@ def estimate_phi(spec, s):
 # ---------------------------------------------------------------------------
 
 
-_FD_SLACK = 1e-3  # relative slack of the log-derivative bound for the difference quotient
-
-
 def check_function_bounds(spec, samples) -> VerifyReport:
     """Check the wedge, magnitude-sandwich and log-derivative bounds.
 
@@ -879,8 +876,7 @@ def check_function_bounds(spec, samples) -> VerifyReport:
 
     * -pi/2 + Arg xi <= Arg f(xi) <= pi/2 + Arg xi,
     * the two-sided magnitude sandwich against |f(r)| with r = |xi|,
-    * |f'(xi)/f(xi)| <= pi/re(xi) (1 + _FD_SLACK), derivative by central
-      finite difference with step 1e-6 |xi|.
+    * |f'(xi)/f(xi)| <= pi/re(xi), with the exact derivative :func:`eval_f_prime`.
 
     Failures become report entries; nothing is raised.
     """
@@ -906,9 +902,8 @@ def check_function_bounds(spec, samples) -> VerifyReport:
             margin = min(abs(f) - lower, upper - abs(f)) / upper
         rep.add(f"magnitude-sandwich[{k}]", margin, {"xi": str(xi)}, tol=1e-12)
 
-        h = 1e-6 * r
-        fp = (eval_f(spec, xi + h) - eval_f(spec, xi - h)) / (2.0 * h)
-        bound = math.pi / xi.real * (1.0 + _FD_SLACK)
+        fp = eval_f_prime(spec, xi)
+        bound = math.pi / xi.real
         ratio = abs(fp / f) if f != 0.0 else math.inf
         rep.add(
             f"log-derivative[{k}]",

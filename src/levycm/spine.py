@@ -52,7 +52,6 @@ class SpineSamples:
     zeta: np.ndarray
     lam: np.ndarray
     in_Z: np.ndarray
-    flag: np.ndarray  # "boundary-interpolated" where the profile is extrapolated, else ""
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def _profile_slope(spec, s):
     return slope
 
 
-def _lambda_flagged(spec, r):
+def _lambda_theta(spec, r):
     theta = theta_at(spec, r)
     half = 0.5 * math.pi
     if abs(theta) < half - ANGLE_TOL:
@@ -149,11 +148,9 @@ def _lambda_flagged(spec, r):
             raise DomainError(
                 f"profile evaluation off the spine at r={r}: f(zeta)={v}"
             )
-        return lam, theta, ""
+        return lam, theta
     side = 1.0 if theta > 0.0 else -1.0
-    lam = float(_axis_lambda(spec, r, side))
-    flag = "" if abs(theta) == half else "boundary-interpolated"
-    return lam, theta, flag
+    return float(_axis_lambda(spec, r, side)), theta
 
 
 def _theta_array(spec, r):
@@ -211,9 +208,9 @@ def _lockstep_bisect(g, lo, hi, tol, out, idx):
 
 
 def solve_spine(spec, radii):
-    """Spine angle, point, profile, Z membership and flag at every radius.
+    """Spine angle, point, profile and Z membership at every radius.
 
-    The array form of ``_lambda_flagged`` with the same rules: angles from
+    The array form of ``_lambda_theta`` with the same rules: angles from
     one lockstep bisection (``_theta_array``), profile values from one
     ``eval_f`` call on the Z points and one boundary evaluation on the axis
     for the others.  Single radii are cheaper through ``theta_at``/``lambda_at``.
@@ -246,14 +243,12 @@ def solve_spine(spec, radii):
     out = ~in_z
     if out.any():
         lam[out] = _axis_lambda(spec, r[out], np.where(theta[out] > 0.0, 1.0, -1.0))
-    flag = np.where(out & ~on_axis, "boundary-interpolated", "")
-    return SpineSamples(r, theta, zeta, lam, in_z, flag)
+    return SpineSamples(r, theta, zeta, lam, in_z)
 
 
 def lambda_at(spec, r):
     """Monotone profile lambda(r) = f(zeta(r)), extended by continuity."""
-    lam, _, _ = _lambda_flagged(spec, float(r))
-    return lam
+    return _lambda_theta(spec, float(r))[0]
 
 
 def _z_sign(spec, r, side):

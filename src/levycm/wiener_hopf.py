@@ -243,59 +243,47 @@ _BD_CFG = QuadratureConfig(
 _BD_RATIOS = _LRU(4096)  # (spec, side, x1, x2) -> ratio, 0.2 kB each besides the spec
 
 
-def _bd_exponent(spec, poles_upper, poles_lower, log_shift=0.0):
-    """(1/2 pi i) int kern(z) (log f(z) - log_shift) dz along the real line.
+def _bd_exponent(log_f, poles_upper, poles_lower, cfg=_BD_CFG):
+    """(1/pi) int_0^inf im(kern(x) log_f(x)) dx and its error estimate.
 
-    ``poles_upper`` lists (a, sign) for terms sign/(z - i a) with a >= 0,
-    ``poles_lower`` lists (b, sign) for terms sign/(z + i b) with b >= 0.
+    kern(x) sums sign/(x - i a) over ``poles_upper`` (a, sign) and
+    sign/(x + i b) over ``poles_lower`` (b, sign), with a, b >= 0.  On the
+    real line kern(-x) = -conj kern(x), and log_f(-x) = conj log_f(x) by the
+    reflection f(-xi) = conj f(xi), so this is the contour integral
+    (1/2 pi i) int_R kern(z) log_f(z) dz at half the points.
     """
 
-    def integrand(z):
-        z = np.asarray(z, dtype=complex)
-        kern = np.zeros_like(z)
+    def integrand(x):
+        kern = 0.0
         for a, sgn in poles_upper:
-            kern = kern + sgn / (z - 1j * a)
+            kern = kern + sgn / (x - 1j * a)
         for b, sgn in poles_lower:
-            kern = kern + sgn / (z + 1j * b)
-        return kern * (principal_log(eval_f(spec, z)) - log_shift)
+            kern = kern + sgn / (x + 1j * b)
+        return (kern * log_f(x)).imag
 
-    val, err = integrate_adaptive(integrand, (-math.inf, math.inf), _BD_CFG)
-    return val / (2j * math.pi), err / (2.0 * math.pi)
+    val, err = integrate_adaptive(integrand, (0.0, math.inf), cfg)
+    return val.real / math.pi, err / math.pi
+
+
+def _log_f(spec, shift=0.0):
+    """x -> log f(x) - shift on the real line."""
+    return lambda x: principal_log(eval_f(spec, x + 0.0j)) - shift
 
 
 def _bd_ratio(spec, side, x1, x2):
-    """f^side(x1)/f^side(x2) by the contour route, memoized on the arguments."""
-    if x1 == x2:
-        return 1.0
-    return _BD_RATIOS.get((spec, side, x1, x2), _bd_ratio_integral, spec, side, x1, x2)
-
-
-def _bd_ratio_integral(spec, side, x1, x2):
-    if x1 > 0.0 and x2 > 0.0:
-        if side == PLUS:
-            val, _ = _bd_exponent(spec, [(x1, 1.0), (x2, -1.0)], [])
-        else:
-            val, _ = _bd_exponent(spec, [], [(x2, 1.0), (x1, -1.0)])
-        return math.exp(val.real)
-    # One endpoint at zero: both poles approach the contour from the same
-    # side, so the half-residue contributions cancel once log f(0) is
-    # subtracted and the z = 0 singularity becomes removable.
-    x = x1 if x2 == 0.0 else x2
-    f0 = f_limits(spec).f_at_zero
-    if not f0 > 0.0:
-        raise DomainError("ratio against xi = 0 needs f(0+) > 0")
-    log_f0 = math.log(f0)
+    # against xi = 0 the pole at 0 sits on the contour; with log f(0+)
+    # subtracted the singularity there is removable
+    shift = math.log(f_limits(spec).f_at_zero) if min(x1, x2) == 0.0 else 0.0
     if side == PLUS:
-        val, _ = _bd_exponent(spec, [(x, 1.0), (0.0, -1.0)], [], log_shift=log_f0)
+        val, _ = _bd_exponent(_log_f(spec, shift), [(x1, 1.0), (x2, -1.0)], [])
     else:
-        val, _ = _bd_exponent(spec, [], [(0.0, 1.0), (x, -1.0)], log_shift=log_f0)
-    ratio = math.exp(val.real)
-    return ratio if x2 == 0.0 else 1.0 / ratio
+        val, _ = _bd_exponent(_log_f(spec, shift), [], [(x2, 1.0), (x1, -1.0)])
+    return math.exp(val)
 
 
 def _bd_product(spec, x1, x2):
-    val, _ = _bd_exponent(spec, [(x1, 1.0)], [(x2, -1.0)])
-    return math.exp(val.real)
+    val, _ = _bd_exponent(_log_f(spec), [(x1, 1.0)], [(x2, -1.0)])
+    return math.exp(val)
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +500,32 @@ def _exp(v):
 
 
 def wh_ratio(spec, method, side, xi1, xi2):
-    """f^side(xi1) / f^side(xi2) by the requested method; normalization-free."""
+    """f^side(xi1) / f^side(xi2) by the requested method; normalization-free.
+
+    ``xi = 0`` is admitted where f(0+) > 0 (continuity).  Equal arguments
+    and constant exponents, whose factors are constant, give 1.0.  The bd
+    route is memoized on (spec, side, xi1, xi2).
+    """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     if side not in (PLUS, MINUS):
         raise ValueError("side must be 'plus' or 'minus'")
     xi1 = float(xi1)
     xi2 = float(xi2)
-    if xi1 <= 0.0 or xi2 <= 0.0:
-        raise DomainError("wh_ratio needs xi1, xi2 > 0")
-    if is_constant(spec):
-        raise MethodUnsupportedError("constant exponents have no factorization")
+    if xi1 < 0.0 or xi2 < 0.0:
+        raise DomainError("spatial arguments must be >= 0")
+    if xi1 == xi2 or is_constant(spec):
+        return 1.0
+    if min(xi1, xi2) == 0.0 and not f_limits(spec).f_at_zero > 0.0:
+        raise DomainError("ratio against xi = 0 needs f(0+) > 0")
     if method == "phi":
         handle = get_factor_handle(spec, side)
-        return float((handle.eval(complex(xi1)) / handle.eval(complex(xi2))).real)
+        v1, v2 = handle.eval(complex(xi1)), handle.eval(complex(xi2))
+        if v1 == 0.0 or v2 == 0.0:
+            raise DomainError("the phi-route factor vanishes at xi = 0 (phi has inner support)")
+        return float((v1 / v2).real)
     if method == "bd":
-        return _bd_ratio(spec, side, xi1, xi2)
+        return _BD_RATIOS.get((spec, side, xi1, xi2), _bd_ratio, spec, side, xi1, xi2)
     return get_spine_engine(spec).ratio(xi1, xi2, side)
 
 

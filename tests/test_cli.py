@@ -6,8 +6,9 @@ import os
 
 import pytest
 
+from levycm import verify
 from levycm.cli import main
-from levycm.rogers import LevyAtomic, compensator_drift, validate_spec
+from levycm.rogers import LevyAtomic, LimitsResult, compensator_drift, validate_spec
 from levycm.specio import (
     SHOWCASE,
     format_float,
@@ -233,6 +234,19 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.sqrt(2.0), rel=1e-8)
 
+    @pytest.mark.parametrize("xi1,xi2", [("1", "0"), ("0", "1")])
+    @pytest.mark.parametrize("name", ["stable_asym", "stable_mixed"])
+    def test_fluct_phi_route_at_zero_is_a_domain_error(self, capsys, name, xi1, xi2):
+        """phi has inner support there, so the phi-route factor vanishes at xi = 0."""
+        code, out = run_cli(
+            capsys, "fluct", f"preset:{name}", "kappa-ratio",
+            "--tau", "0.5", "--xi1", xi1, "--xi2", xi2, "--method", "phi",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["code"] == "DomainError"
+        assert set(doc) == {"code", "message", "field"}
+
     def test_mc_deterministic_artifact(self, capsys, tmp_path):
         args = (
             "mc",
@@ -271,12 +285,26 @@ class TestCommands:
         assert lines[0] == "sup_value,argmax_time,horizon,killed"
         assert len(lines) == 101
 
-    def test_verify_core_passes(self, capsys):
-        code, out = run_cli(capsys, "verify", "preset:bm_drift", "--suite", "core")
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_verify_core_passes(self, capsys, name):
+        code, out = run_cli(capsys, "verify", f"preset:{name}", "--suite", "core")
         assert code == 0
         doc = json.loads(out)
         assert doc["n_failures"] == 0
         assert doc["suite"] == "core"
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_verify_core_limit_zero_catches_a_wrong_limit(self, monkeypatch, name):
+        """f(0+) reported 1e-4 off must fail the limit-zero check, and only it."""
+        real = verify.f_limits
+
+        def off(spec):
+            lim = real(spec)
+            return LimitsResult(lim.f_at_zero + 1e-4, lim.f_at_infinity)
+
+        monkeypatch.setattr(verify, "f_limits", off)
+        rep = verify.suite_core(SHOWCASE[name])
+        assert [c.name for c in rep.failures()] == ["limit-zero"]
 
     def test_verify_reports_failures(self, capsys, tmp_path):
         # a valid spec checked against an absurd tolerance still writes a report

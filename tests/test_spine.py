@@ -22,7 +22,7 @@ from levycm.numerics import make_rng
 from levycm.report import VerifyReport
 from levycm.specio import SHOWCASE
 from levycm.spine import (
-    _lambda_flagged,
+    _lambda_theta,
     build_spine_table,
     classify_point,
     lambda_at,
@@ -101,10 +101,9 @@ class TestSolveSpine:
     def _assert_matches_scalar(spec, radii):
         s = solve_spine(spec, radii)
         for k, r in enumerate(radii.tolist()):
-            lam, theta, flag = _lambda_flagged(spec, r)
+            lam, theta = _lambda_theta(spec, r)
             assert abs(s.theta[k] - theta) <= 1e-12
             assert bool(s.in_Z[k]) == (abs(theta) < 0.5 * math.pi - 1e-7)
-            assert s.flag[k] == flag
             assert abs(s.lam[k] - lam) <= 1e-12 * abs(lam)
             assert abs(abs(s.zeta[k]) - r) <= 1e-12 * r
         return s
@@ -138,10 +137,9 @@ class TestSolveSpine:
         lo, hi = default_spine_range(spec)
         s = build_spine_table(spec, lo, hi, 128).samples
         for k, r in enumerate(s.r.tolist()):
-            lam, theta, flag = _lambda_flagged(spec, r)
+            lam, theta = _lambda_theta(spec, r)
             assert abs(s.theta[k] - theta) <= 1e-12
             assert s.in_Z[k] == (abs(theta) < 0.5 * math.pi - 1e-7)
-            assert s.flag[k] == flag
             assert abs(s.lam[k] - lam) <= 1e-12 * abs(lam)
             if abs(theta) == 0.5 * math.pi:
                 assert s.zeta[k] == complex(0.0, math.copysign(r, theta))

@@ -10,15 +10,21 @@ Compares two checkouts of the repository, a parent and a change:
   and the median wall time of five cold repeats;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
   ``build_phi_table`` calls and the table's breakpoint count;
+* per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
+  0.2), "bd", "plus", 0.3, 1.5)`` and of one cold ``kappa_ratio_tau`` at
+  ``TAU_RATIO``: ``eval_f`` points and ``integrate_adaptive`` calls;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): ``integrate_adaptive`` calls and wall time of each.
 
-    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_12.json \\
+    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_14.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
 
 The probe runs this file again with ``--probe`` in a fresh interpreter
-whose ``PYTHONPATH`` is the checkout's ``src``.
+whose ``PYTHONPATH`` is the checkout's ``src``; its last stdout line is
+one JSON object.  Library functions are counted by wrapping them in each
+module that holds them, so one tool serves checkouts that import them
+in different places.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from statistics import median
 
 RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
 PHI_TAUS = (0.0, 0.2)
+TAU_RATIO = (0.3, 1.2, 0.2, "plus")  # xi, tau1, tau2, side
 REPEATS = 5
 MC_PATHS = 2000  # paths per job, as in the mc_exact workload
 _HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
@@ -46,22 +53,51 @@ MC_CASES = (
 )
 
 
-def mc_work():
-    """Per mc_exact case: integrate_adaptive calls and ms of a cold and a repeated job."""
-    from levycm import LevyAtomic, fluctuation, wiener_hopf
-    from levycm.montecarlo import JointQuery, mc_estimates, simulate_sup_samples
+def count_calls(name, weight=lambda *args: 1):
+    """Wrap ``name`` in the contour modules that hold it; returns the running count.
 
-    calls = [0]
+    ``weight(*args)`` is what one call adds (1: calls).
+    """
+    from levycm import fluctuation, wiener_hopf
 
-    def counted(fn):
-        def traced(*args, **kwargs):
-            calls[0] += 1
+    count = [0]
+    for module in (fluctuation, wiener_hopf):
+        fn = getattr(module, name, None)
+        if fn is None:
+            continue
+
+        def traced(*args, fn=fn, **kwargs):
+            count[0] += weight(*args)
             return fn(*args, **kwargs)
 
-        return traced
+        setattr(module, name, traced)
+    return count
 
-    for module in (fluctuation, wiener_hopf):
-        module.integrate_adaptive = counted(module.integrate_adaptive)
+
+def contour_work(spec, integrals, points):
+    """Integrals and eval_f points of one cold bd ratio at tau = 0.2 and one cold kappa_ratio_tau."""
+    from levycm import fluctuation, shift_spec, wiener_hopf
+
+    wiener_hopf._BD_RATIOS.clear()
+    fluctuation._TAU_RATIOS.clear()
+    x1, x2, side, tau = RATIO
+    xi, tau1, tau2, tau_side = TAU_RATIO
+    out = {}
+    for label, call in (
+        ("bd_ratio", lambda: wiener_hopf.wh_ratio(shift_spec(spec, tau), "bd", side, x1, x2)),
+        ("tau_ratio", lambda: fluctuation.kappa_ratio_tau(spec, xi, tau1, tau2, tau_side)),
+    ):
+        integrals[0] = points[0] = 0
+        value = call()
+        out[label] = {"integrals": integrals[0], "eval_f_points": points[0], "value": value}
+    return out
+
+
+def mc_work(calls):
+    """Per mc_exact case: integrate_adaptive calls and ms of a cold and a repeated job."""
+    from levycm import LevyAtomic, fluctuation
+    from levycm.montecarlo import JointQuery, mc_estimates, simulate_sup_samples
+
     queries = [JointQuery(xi, tau) for xi in (0.5, 1.0, 2.0) for tau in (0.0, 1.0)]
     out = {}
     for label, kwargs, sigma in MC_CASES:
@@ -85,7 +121,9 @@ def probe():
     from levycm import shift_spec, wiener_hopf
     from levycm.specio import SHOWCASE
 
-    mc = mc_work()  # first, while every cache is cold
+    integrals = count_calls("integrate_adaptive")
+    points = count_calls("eval_f", lambda spec, xi: np.size(xi))
+    mc = mc_work(integrals)  # first, while every cache is cold
     count = {"rounds": 0, "points": 0}
     refine, solve = wiener_hopf.refine_panels, wiener_hopf.solve_spine
 
@@ -111,7 +149,8 @@ def probe():
             value = wiener_hopf.SpineStieltjes(SHOWCASE[name]).ratio(x1, x2, side, tau)
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
-                     "ms": 1e3 * median(times), "value": value, "phi_table": {}}
+                     "ms": 1e3 * median(times), "value": value, "phi_table": {},
+                     "contour": contour_work(SHOWCASE[name], integrals, points)}
         for phi_tau in PHI_TAUS:
             spec = shift_spec(SHOWCASE[name], phi_tau)
             times = []
@@ -145,7 +184,7 @@ def main(argv=None):
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--out", default="BENCH_12.json")
+    ap.add_argument("--out", default="BENCH_14.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workloads", nargs="+", default=["wh_cold"])
     ap.add_argument("--seconds", type=float, default=10.0)
@@ -163,6 +202,8 @@ def main(argv=None):
         "spine_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3],
                         "repeats": REPEATS},
         "phi_table_taus": list(PHI_TAUS),
+        "contour": {"bd_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3]},
+                    "tau_ratio": dict(zip(("xi", "tau1", "tau2", "side"), TAU_RATIO))},
         "presets": {side: p["presets"] for side, p in probes.items()},
         "mc_job_paths": MC_PATHS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
