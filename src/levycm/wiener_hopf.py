@@ -406,7 +406,7 @@ class SpineStieltjes:
         def estimate(lo, hi):
             x, w = gk15_nodes(lo, hi)
             n = x.size
-            u, du = to_u(np.concatenate([x.ravel(), lo, hi]))
+            u, du, _ = to_u(np.concatenate([x.ravel(), lo, hi]))
             zeta, lam, slope = self._tl(u)
             g = gfun(zeta, np.exp(u))
             g_nodes = g[:n].reshape(x.shape)

@@ -94,14 +94,15 @@ class TestKappaRatioTau:
         assert kappa_ratio_tau(BM, 1.0, 2.0, 1.0) == pytest.approx(want, rel=1e-10)
 
     def test_drift_both_sides(self):
-        plus = kappa_ratio_tau(BM_DRIFT, 0.0, 2.0, 1.0, side="plus")
-        minus = kappa_ratio_tau(BM_DRIFT, 0.0, 2.0, 1.0, side="minus")
-        assert plus == pytest.approx(
-            (math.sqrt(5.0) - 1.0) / (math.sqrt(3.0) - 1.0), rel=1e-10
-        )
-        assert minus == pytest.approx(
-            (math.sqrt(5.0) + 1.0) / (math.sqrt(3.0) + 1.0), rel=1e-10
-        )
+        for xi in (0.0, 0.01, 100.0):
+            plus = kappa_ratio_tau(BM_DRIFT, xi, 2.0, 1.0, side="plus")
+            minus = kappa_ratio_tau(BM_DRIFT, xi, 2.0, 1.0, side="minus")
+            assert plus == pytest.approx(
+                (xi + math.sqrt(5.0) - 1.0) / (xi + math.sqrt(3.0) - 1.0), rel=1e-10
+            ), xi
+            assert minus == pytest.approx(
+                (xi + math.sqrt(5.0) + 1.0) / (xi + math.sqrt(3.0) + 1.0), rel=1e-10
+            ), xi
 
     def test_equal_arguments(self):
         assert kappa_ratio_tau(BM, 1.0, 0.7, 0.7) == 1.0

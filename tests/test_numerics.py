@@ -71,6 +71,28 @@ class TestIntegrateAdaptive:
             assert abs(val.real - exact) <= 10.0 * err + 1e-13
             assert abs(val.real - exact) < 1e-8 * (1.0 + abs(exact))
 
+    @pytest.mark.parametrize("p", [1.2, 1.3])
+    def test_heavy_tail_abscissae_stay_finite(self, p):
+        """A half-line tail heavier than 1/x^1.5: 1 - t near t = 1 never rounds to 0.
+
+        The call meets the default relative tolerance, or raises with a
+        finite partial value and error estimate.
+        """
+        finite = []
+
+        def f(x):
+            finite.append(bool(np.all(np.isfinite(x))))
+            return (1.0 + x) ** -p
+
+        want = 1.0 / (p - 1.0)
+        try:
+            val, _ = integrate_adaptive(f, (0.0, math.inf))
+        except QuadratureError as exc:
+            assert math.isfinite(abs(exc.value)) and math.isfinite(exc.err_estimate)
+        else:
+            assert abs(val - want) <= 1e-10 * want
+        assert finite and all(finite)
+
     def test_nonconvergence_carries_partial_value(self):
         cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=3)
         with pytest.raises(QuadratureError) as exc:

@@ -21,8 +21,8 @@ from levycm import (
     shift_spec,
     validate_spec,
 )
-from levycm import fluctuation, rogers, wiener_hopf
-from levycm.fluctuation import kappa_ratio_xi
+from levycm import fluctuation, numerics, rogers, wiener_hopf
+from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
 from levycm.numerics import _LRU, make_rng
 from levycm.rogers import axis_feature_points, compensator_drift
 from levycm.specio import SHOWCASE
@@ -491,6 +491,52 @@ class TestRatioEntryPoint:
                     kappa_ratio_xi(spec, 0.5, x1, x2, side, method="phi")
         bd = kappa_ratio_xi(spec, 0.5, 0.0, 1.0, method="bd")
         assert kappa_ratio_xi(spec, 0.5, 0.0, 1.0, method="spine") == pytest.approx(bd, rel=1e-10)
+
+
+class TestBdContourSeed:
+    """Cold contour integrals on the graded seed mesh of numerics.integrate_adaptive."""
+
+    @pytest.mark.parametrize(
+        "name", ["bm_drift", "rational_three_arcs", "tempered_stable", "stable_asym"]
+    )
+    def test_cold_rounds(self, name, monkeypatch):
+        """A cold bd ratio and a cold temporal ratio each take at most 6 estimates.
+
+        Without the seed, refinement reaches the ends one level per round.
+        """
+        rounds = []
+        refine = numerics.refine_panels
+
+        def counted(estimate, *args, **kwargs):
+            def est(lo, hi):
+                rounds[-1] += 1
+                return estimate(lo, hi)
+
+            return refine(est, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "refine_panels", counted)
+        spec = SHOWCASE[name]
+        for side in ("plus", "minus"):
+            wiener_hopf._BD_RATIOS.clear()
+            fluctuation._TAU_RATIOS.clear()
+            for call in (lambda: wh_ratio(shift_spec(spec, 0.2), "bd", side, 0.3, 1.5),
+                         lambda: kappa_ratio_tau(spec, 0.3, 1.2, 0.2, side)):
+                rounds.append(0)
+                call()
+        assert len(rounds) == 4 and max(rounds) <= 6, rounds
+
+    @pytest.mark.parametrize("s", [1e-2, 1e2])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_half_stable_scaling(self, s, side):
+        """f(s xi) = s^(1/2) f(xi) on the strictly 1/2-stable stable_asym moves the graded ends."""
+        spec = SHOWCASE["stable_asym"]
+        r = s**-0.5
+        for xi, tau1, tau2 in ((0.7, 1.3, 0.4), (2.0, 0.2, 3.0)):
+            want = kappa_ratio_tau(spec, xi, tau1 * r, tau2 * r, side)
+            assert kappa_ratio_tau(spec, s * xi, tau1, tau2, side) == pytest.approx(want, rel=1e-11)
+        for x1, x2 in ((0.3, 1.5), (2.0, 0.05)):
+            want = wh_ratio(spec, "bd", side, x1, x2)
+            assert wh_ratio(spec, "bd", side, s * x1, s * x2) == pytest.approx(want, rel=1e-11)
 
 
 class TestFactorizationCheck:

@@ -12,12 +12,13 @@ Compares two checkouts of the repository, a parent and a change:
   ``build_phi_table`` calls and the table's breakpoint count;
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
   0.2), "bd", "plus", 0.3, 1.5)`` and of one cold ``kappa_ratio_tau`` at
-  ``TAU_RATIO``: ``eval_f`` points and ``integrate_adaptive`` calls;
+  ``TAU_RATIO``: ``integrate_adaptive`` calls, refinement rounds (``eval_f``
+  calls: one per panel estimate) and ``eval_f`` points;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): ``integrate_adaptive`` calls and wall time of each.
 
-    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_14.json \\
+    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_15.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
 
 The probe runs this file again with ``--probe`` in a fresh interpreter
@@ -74,8 +75,8 @@ def count_calls(name, weight=lambda *args: 1):
     return count
 
 
-def contour_work(spec, integrals, points):
-    """Integrals and eval_f points of one cold bd ratio at tau = 0.2 and one cold kappa_ratio_tau."""
+def contour_work(spec, integrals, rounds, points):
+    """Integrals, rounds and eval_f points of a cold bd ratio at tau = 0.2 and a cold kappa_ratio_tau."""
     from levycm import fluctuation, shift_spec, wiener_hopf
 
     wiener_hopf._BD_RATIOS.clear()
@@ -87,9 +88,10 @@ def contour_work(spec, integrals, points):
         ("bd_ratio", lambda: wiener_hopf.wh_ratio(shift_spec(spec, tau), "bd", side, x1, x2)),
         ("tau_ratio", lambda: fluctuation.kappa_ratio_tau(spec, xi, tau1, tau2, tau_side)),
     ):
-        integrals[0] = points[0] = 0
+        integrals[0] = rounds[0] = points[0] = 0
         value = call()
-        out[label] = {"integrals": integrals[0], "eval_f_points": points[0], "value": value}
+        out[label] = {"integrals": integrals[0], "rounds": rounds[0], "eval_f_points": points[0],
+                      "value": value}
     return out
 
 
@@ -122,6 +124,7 @@ def probe():
     from levycm.specio import SHOWCASE
 
     integrals = count_calls("integrate_adaptive")
+    rounds = count_calls("eval_f")
     points = count_calls("eval_f", lambda spec, xi: np.size(xi))
     mc = mc_work(integrals)  # first, while every cache is cold
     count = {"rounds": 0, "points": 0}
@@ -150,7 +153,7 @@ def probe():
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
-                     "contour": contour_work(SHOWCASE[name], integrals, points)}
+                     "contour": contour_work(SHOWCASE[name], integrals, rounds, points)}
         for phi_tau in PHI_TAUS:
             spec = shift_spec(SHOWCASE[name], phi_tau)
             times = []
@@ -184,7 +187,7 @@ def main(argv=None):
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--out", default="BENCH_14.json")
+    ap.add_argument("--out", default="BENCH_15.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workloads", nargs="+", default=["wh_cold"])
     ap.add_argument("--seconds", type=float, default=10.0)
