@@ -10,7 +10,6 @@ from .errors import (
     ConventionViolationError,
     DomainError,
     EstimationError,
-    InversionInstabilityError,
     LevycmError,
     MethodUnsupportedError,
     QuadratureError,

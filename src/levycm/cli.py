@@ -130,6 +130,8 @@ def _cmd_factor(args):
 def _cmd_fluct(args):
     spec = validate_spec(load_spec(args.spec))
     chain = []
+    if args.query in ("sup-laplace", "pr") and args.xi is None:
+        raise ValidationError("xi", f"{args.query} needs --xi")
     if args.query == "sup-laplace":
         value = pr_laplace(spec, args.sigma, 0.0, args.xi, args.side)
         chain = ["kappa_ratio_xi"] if args.xi > 0.0 else []  # pr_laplace skips a ratio at 0

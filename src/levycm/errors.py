@@ -53,7 +53,3 @@ class SpineUndefinedError(LevycmError):
 
 class ConventionViolationError(LevycmError):
     """An operation was invoked outside its stated convention (e.g. R=0 with f(0+)=0)."""
-
-
-class InversionInstabilityError(LevycmError):
-    """Stieltjes inversion produced significantly negative densities."""

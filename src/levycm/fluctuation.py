@@ -11,8 +11,9 @@ and never computed.  The key identities:
   activity L = jump rate + kill rate, and 1 otherwise,
 * E exp(-xi sup - tau argmax) = kappa^+(sigma, 0) / kappa^+(tau + sigma, xi)
   over an independent exponential horizon with intensity sigma,
-* the supremum tail is recovered by Stieltjes inversion of
-  g(xi) = (1 - f_sigma^+(0)/f_sigma^+(xi)) / xi.
+* the supremum tail is the Laplace transform of the representing measure of
+  g(xi) = (1 - f_sigma^+(0)/f_sigma^+(xi)) / xi, whose density and atoms
+  follow from f_sigma^+(-t + i0) = conj f_sigma(+0 - it) / f_sigma^-(t).
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    InversionInstabilityError,
     MethodUnsupportedError,
     QuadratureError,
     ValidationError,
 )
-from .numerics import _LRU, QuadratureConfig, gk15, gk15_nodes, principal_log
-from .numerics import refine_panels, richardson_zero
+from .numerics import _LRU, QuadratureConfig, bisect_monotone, gk15, gk15_nodes, principal_log
+from .numerics import refine_panels
 from .report import VerifyReport
 from .rogers import (
+    _axis_limit,
     eval_f,
     f_limits,
     shift_spec,
@@ -204,103 +205,101 @@ def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):
 
 
 # ---------------------------------------------------------------------------
-# supremum tail via Stieltjes inversion
+# supremum tail from the Wiener-Hopf boundary identity
 # ---------------------------------------------------------------------------
 
-_SUP_LADDER = (3e-3, 1e-3, 3e-4, 1e-4)
-_SUP_CACHE = _LRU(64)  # (spec, sigma, eps_ladder) -> evaluator or message, 0.04 MB each
+_SUP_CACHE = _LRU(64)  # (spec, sigma, None) -> evaluator or message, 0.02 MB each (README)
 
 
 class _SupTailEvaluator:
-    """Density of the Stieltjes measure of g(xi) = (1 - f+(0)/f+(xi))/xi.
+    """Representing measure of g(xi) = (1 - f+(0)/f+(xi))/xi, f = f_sigma.
 
-    The extrapolated density oscillates mildly around spectral atoms (the
-    ladder fit rings there); those lobes carry canceling signed mass, so
-    they are integrated as-is rather than clamped, and only the final tail
-    value is clamped into [0, 1].  A density is declared unstable when its
-    negative part exceeds both the extrapolation-noise scale and a few
-    percent of the local ladder magnitude.
+    By f+(-t + i0) = conj f(+0 - it) / f-(t) it has the density
+    m(t) = f(0+) [f-(t)/f-(0)] |im f(+0 - it)| / (t |f(+0 - it)|^2) >= 0
+    and an atom f(0+) [f-(t0)/f-(0)] / (t0 re(i f'(+0 - it0))) at each zero
+    t0 > 0 of f(-it).  Nodes ``t`` and coefficients ``c`` (w m / pi, then
+    ``atoms`` and ``masses``) give P(M > x) = sum c exp(-x t).  Raises
+    :class:`DomainError` where the phi-route f-(0) vanishes.
     """
 
-    def __init__(self, spec, sigma, eps_ladder=None):
+    def __init__(self, spec, sigma):
         if not sigma > 0.0:
             raise DomainError("sigma must be positive")
-        self.sigma = float(sigma)
-        shifted = shift_spec(spec, self.sigma)
-        self.handle = get_factor_handle(shifted, PLUS)
-        self.f_plus_0 = complex(self.handle.eval(0.0 + 0.0j)).real
-        if not self.f_plus_0 > 0.0:
-            raise DomainError("f_sigma^+(0) must be positive")
-        self.ladder = tuple(eps_ladder) if eps_ladder is not None else _SUP_LADDER
-        self._nodes = None
+        self.spec = shift_spec(spec, float(sigma))
+        self.handle = get_factor_handle(self.spec, MINUS)
+        self.f_minus_0 = complex(self.handle.eval(0.0 + 0.0j)).real
+        if not self.f_minus_0 > 0.0:
+            raise DomainError("f_sigma^-(0) must be positive")
+        self.f_zero = f_limits(self.spec).f_at_zero
+        self.atoms = self._zeros()
+        slope = (1j * _axis_limit(self.spec, -self.atoms, prime=True)).real
+        self.masses = self.f_zero * self._ratio(self.atoms) / (self.atoms * slope)
+        t, c = self._build_nodes()
+        self.t, self.c = np.concatenate([t, self.atoms]), np.concatenate([c, self.masses])
 
-    def g(self, xi):
-        return (1.0 - self.f_plus_0 / self.handle.eval(xi)) / xi
+    def _ratio(self, t):
+        """f-(t)/f-(0) at an array of t >= 0, in one handle evaluation."""
+        return self.handle.eval(t).real / self.f_minus_0
+
+    def _zeros(self):
+        """Zeros t0 > 0 of f(-it), bisected in the cells of the phi table (split there to 1e-10
+        relative) where f(+0 - is) is real at both ends and falls from > 0 to <= 0 (a pole rises).
+        """
+        s = np.asarray(self.handle.table.breakpoints)
+        s = s[s > 0.0]
+        v = _axis_limit(self.spec, -s)
+        real = v.imag == 0.0
+        cells = np.flatnonzero(real[:-1] & real[1:] & (v.real[:-1] > 0.0) & (v.real[1:] <= 0.0))
+
+        def g(t):
+            return -float(_axis_limit(self.spec, -t).real)
+
+        return np.array([bisect_monotone(g, s[k], s[k + 1], 0.0) for k in cells], dtype=float)
 
     def density(self, t):
-        """Extrapolated density m(t) of the representing measure (signed)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        etas = np.asarray(self.ladder)
-        xi = -t[None, :] + 1j * etas[:, None] * (1.0 + t[None, :])
-        vals = -np.imag(self.g(xi.ravel())).reshape(xi.shape)
-        m = richardson_zero(etas, vals)
-        allowed = 1e-6 * (1.0 + np.sum(np.abs(vals), axis=0)) + 0.1 * np.max(
-            np.abs(vals), axis=0
-        )
-        if np.any(m < -allowed):
-            k = int(np.argmin(m + allowed))
-            raise InversionInstabilityError(
-                f"extrapolated density {m[k]:.3e} at t={t[k]:.6g}"
-            )
-        return m
+        """Density m(t) >= 0 of the measure at an array of t > 0; 0 where f(+0 - it) is real."""
+        v = _axis_limit(self.spec, -t)
+        im = np.abs(v.imag)
+        return self.f_zero * self._ratio(t) * im / (t * np.where(im > 0.0, np.abs(v) ** 2, 1.0))
 
     def _build_nodes(self):
-        """Adaptive Gauss-Kronrod node table for integrals against m(t).
-
-        Raises :class:`QuadratureError` when 400 splits miss the goal.
-        """
+        """Gauss-Kronrod nodes t and coefficients w m(t)/pi; :class:`QuadratureError` past 400 splits."""
         edges = np.concatenate([[0.0], np.geomspace(1e-5, 1e5, 81)])
         res = refine_panels(gk15(self.density), edges[:-1], edges[1:], 3e-7, max_splits=400)
         if not res.converged:
             raise QuadratureError(complex(res.value), res.err)
         t, w = gk15_nodes(res.lo, res.hi)
-        self._nodes = (t.ravel(), w.ravel(), res.rows.ravel())
+        return t.ravel(), (w * res.rows).ravel() / math.pi
 
     def tail(self, x):
-        x = float(x)
         if not x > 0.0:
             raise DomainError("sup_tail needs x > 0")
-        if self._nodes is None:
-            self._build_nodes()
-        t, w, m = self._nodes
-        val = float(np.sum(w * np.exp(-x * t) * m)) / math.pi
-        return min(max(val, 0.0), 1.0)
+        return min(max(float(np.dot(self.c, np.exp(-x * self.t))), 0.0), 1.0)
 
 
-def _sup_setup(spec, sigma, eps_ladder):
+def _sup_setup(spec, sigma):
     try:
-        return _SupTailEvaluator(spec, sigma, eps_ladder)
+        return _SupTailEvaluator(spec, sigma)
     except DomainError as exc:
         return str(exc)
 
 
-def _sup_evaluator(spec, sigma, eps_ladder=None):
+def _sup_evaluator(spec, sigma):
     """The evaluator of (spec, sigma) via ``_SUP_CACHE``; a failed set-up is kept as its message."""
-    hit = _SUP_CACHE.get((spec, float(sigma), eps_ladder), _sup_setup, spec, sigma, eps_ladder)
+    hit = _SUP_CACHE.get((spec, float(sigma), None), _sup_setup, spec, sigma)
     if isinstance(hit, str):
         raise DomainError(hit)
     return hit
 
 
-def sup_tail(spec, sigma, x, eps_ladder=None):
-    """P(sup over an Exp(sigma) horizon > x) by Stieltjes inversion.
+def sup_tail(spec, sigma, x):
+    """P(sup over an Exp(sigma) horizon > x) = sum over the measure of g of exp(-x t).
 
-    The representing density m(t) = -lim im g(-t + i eps) is extrapolated
-    along a four-point epsilon ladder proportional to (1 + t) and
-    Laplace-transformed as-is by adaptive quadrature; only the final tail
-    value is clamped into [0, 1].
+    The measure's density and atoms are exact boundary values of f_sigma
+    and phi-route ratios f_sigma^-(t)/f_sigma^-(0) (:class:`_SupTailEvaluator`);
+    the tail is a sum of nonnegative terms, clamped into [0, 1].
     """
-    return _sup_evaluator(spec, sigma, eps_ladder).tail(x)
+    return _sup_evaluator(spec, sigma).tail(x)
 
 
 # ---------------------------------------------------------------------------

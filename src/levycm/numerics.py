@@ -5,9 +5,9 @@ adaptive quadrature of the package: Gauss-Kronrod quadrature on lines,
 half-lines and finite intervals with declared singular abscissae (seeded
 with panels graded toward infinity and s = 0), the spine Stieltjes integrals
 and the supremum-tail node table.  Also sign-change bisection for monotone
-functions, the principal complex logarithm, polynomial extrapolation to
-zero, a deterministic 64-bit-seeded generator and :class:`_LRU`, the
-bounded memo behind every cached result of the package.
+functions, the principal complex logarithm, a deterministic 64-bit-seeded
+generator and :class:`_LRU`, the bounded memo behind every cached result of
+the package.
 
 Integrands passed to :func:`integrate_adaptive` must accept a numpy array of
 abscissae and return an array of values (real or complex).
@@ -32,7 +32,6 @@ __all__ = [
     "integrate_adaptive",
     "bisect_monotone",
     "principal_log",
-    "richardson_zero",
     "make_rng",
 ]
 
@@ -364,25 +363,6 @@ def principal_log(z):
     out = np.log(z)
     if out.ndim == 0:
         return complex(out)
-    return out
-
-
-def richardson_zero(ts, ys):
-    """Polynomial extrapolation of samples (t_i, y_i) to t = 0.
-
-    Exact for polynomials of degree < len(ts); used for one-sided boundary
-    limits along epsilon ladders.
-    """
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys)
-    n = len(ts)
-    out = ys[0] * 0
-    for j in range(n):
-        lj = 1.0
-        for k in range(n):
-            if k != j:
-                lj *= ts[k] / (ts[k] - ts[j])
-        out = out + lj * ys[j]
     return out
 
 

@@ -51,6 +51,11 @@ def half_plane_samples(rng, n, r_lo=0.05, r_hi=20.0, pad=0.05):
     return r * np.exp(1j * ang)
 
 
+def sup_laplace(evaluator, xi):
+    """E exp(-xi sup) from a sup_tail evaluator: 1 - xi sum c / (xi + t)."""
+    return 1.0 - xi * np.sum(evaluator.c / (xi + evaluator.t))
+
+
 def upper_half_samples(rng, n, r_lo=0.1, r_hi=10.0, pad=0.15):
     r = np.exp(rng.uniform(np.log(r_lo), np.log(r_hi), n))
     ang = rng.uniform(pad, np.pi - pad, n)

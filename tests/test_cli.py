@@ -210,6 +210,12 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["method_chain"] == chain
 
+    @pytest.mark.parametrize("query", ["sup-laplace", "pr"])
+    def test_fluct_without_xi_is_a_validation_error(self, capsys, query):
+        code, out = run_cli(capsys, "fluct", "preset:bm_drift", query, "--sigma", "0.5")
+        assert code == 2
+        assert json.loads(out)["field"] == "xi"
+
     def test_fluct_artifact_has_no_made_up_error(self, capsys, tmp_path):
         spec = tmp_path / "bm.json"
         spec.write_text('{"type": "levy_atomic", "a": 0.5}')

@@ -34,7 +34,7 @@ from levycm.fluctuation import (
 from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
 from levycm.wiener_hopf import FactorHandle, factor_pair, wh_ratio
 
-from conftest import showcase, upper_half_samples
+from conftest import showcase, sup_laplace, upper_half_samples
 
 BM = LevyAtomic(a=0.5)  # f = xi^2 / 2
 BM_DRIFT = LevyAtomic(a=0.5, b=1.0)
@@ -42,6 +42,8 @@ BM_DRIFT = LevyAtomic(a=0.5, b=1.0)
 CP_UNIT = LevyAtomic(a=0.0, b=0.5, c=0.0, atoms=((1.0, math.pi),))
 # two-sided hyperexponential compound Poisson with drift
 HYPER_CP = LevyAtomic(a=0.0, b=0.8, c=0.0, atoms=((2.0, 3.0), (-1.5, 2.0)))
+# the jump_gauss spec of the benchmark's Monte Carlo workload
+JUMP_GAUSS = LevyAtomic(a=0.3, b=-0.2, atoms=((1.0, 2.0), (-2.0, 4.0)))
 
 
 class TestKappaRatioXi:
@@ -219,8 +221,8 @@ class TestPrLaplaceReuse:
 
 class TestSupTail:
     def test_bm_exponential_law(self):
-        for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-            assert sup_tail(BM, 0.5, x) == pytest.approx(math.exp(-x), abs=1e-6)
+        for x in (0.1, 0.5, 1.0, 2.0, 5.0, 7.5, 10.0):
+            assert sup_tail(BM, 0.5, x) == pytest.approx(math.exp(-x), abs=1e-10)
 
     def test_small_argument_approaches_one(self):
         assert sup_tail(BM, 0.5, 0.01) > 0.985
@@ -242,10 +244,10 @@ class TestSupTail:
             fluctuation, "refine_panels", lambda *a, **kw: real(*a, **{**kw, "max_splits": 1})
         )
         with pytest.raises(QuadratureError):
-            fluctuation._SupTailEvaluator(BM, 0.5).tail(1.0)
+            fluctuation._SupTailEvaluator(showcase("c"), 0.5)
 
     def test_failed_setup_is_not_redone(self, fig_b, monkeypatch):
-        """f_sigma^+(0) = 0 on stable_asym: the second call raises from the cache."""
+        """The phi-route f_sigma^-(0) is 0 on stable_asym: the second call raises from the cache."""
         with pytest.raises(DomainError) as first:
             sup_tail(fig_b, 0.61, 1.0)
         calls = []
@@ -256,6 +258,22 @@ class TestSupTail:
         assert calls == []
         assert second.value is not first.value
         assert str(second.value) == str(first.value)
+
+
+class TestCorollaryA:
+    """P(sup > x) is completely monotone: the measure behind it is nonnegative."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("name", ["a", "c", "e", "f", "g", "h", "hyper_cp", "jump_gauss"])
+    def test_measure_certificate(self, name, sigma):
+        spec = {"hyper_cp": HYPER_CP, "jump_gauss": JUMP_GAUSS}.get(name) or showcase(name)
+        ev = fluctuation._sup_evaluator(spec, sigma)
+        assert np.all(ev.density(np.geomspace(1e-4, 1e4, 2001)) >= 0.0)
+        assert np.all(ev.masses > 0.0)
+        assert np.sum(ev.c) <= 1.0 + 1e-10
+        tol = 2e-6 if name == "c" else 1e-10  # c: the phi ratio's own error
+        for xi in (0.5, 2.0):
+            assert sup_laplace(ev, xi) == pytest.approx(pr_laplace(spec, sigma, 0.0, xi), abs=tol)
 
 
 class TestCmCbfCheck:

@@ -19,7 +19,6 @@ from levycm.numerics import (
     make_rng,
     principal_log,
     refine_panels,
-    richardson_zero,
 )
 
 
@@ -238,13 +237,6 @@ class TestPrincipalLog:
         z = rng.uniform(-3, 3, 50) + 1j * rng.uniform(-3, 3, 50)
         z = z[~((z.imag == 0) & (z.real <= 0))]
         np.testing.assert_allclose(np.exp(principal_log(z)), z, rtol=1e-14)
-
-
-class TestRichardson:
-    def test_exact_for_quadratics(self):
-        ts = np.array([1e-2, 1e-3, 1e-4])
-        ys = 3.0 + 2.0 * ts - 7.0 * ts * ts
-        assert abs(richardson_zero(ts, ys) - 3.0) < 1e-12
 
 
 class TestLRU:

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from levycm import LevyAtomic, PhiRep, PhiTable, eval_f, f_limits, is_degenerate, validate_spec
-from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
+from levycm import fluctuation
+from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi, pr_laplace
 from levycm.numerics import make_rng
 from levycm.wiener_hopf import factorization_check, wh_ratio
 
-from conftest import half_plane_samples
+from conftest import half_plane_samples, sup_laplace
 
 
 def _random_atomic(rng):
@@ -79,6 +80,17 @@ class TestRandomAtomicSpecs:
         rng = make_rng(9003)
         rep = factorization_check(spec, half_plane_samples(rng, 10, 0.2, 5.0), tol=1e-3)
         assert rep.passed, rep.failures()
+
+    def test_sup_tail_laplace_identity(self):
+        """The sup_tail measure against E exp(-xi sup) by the contour route."""
+        rng = make_rng(9010)
+        for k in range(12):
+            spec = _random_atomic(rng)
+            sigma = math.exp(rng.uniform(math.log(0.2), math.log(3.0)))
+            ev = fluctuation._sup_evaluator(spec, sigma)
+            for xi in (0.5, 2.0):
+                want = pr_laplace(spec, sigma, 0.0, xi)
+                assert abs(sup_laplace(ev, xi) - want) <= 1e-9, (k, spec, sigma, xi)
 
 
 class TestTemporalRatioCrossIdentity:

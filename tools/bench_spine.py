@@ -14,6 +14,9 @@ Compares two checkouts of the repository, a parent and a change:
   0.2), "bd", "plus", 0.3, 1.5)`` and of one cold ``kappa_ratio_tau`` at
   ``TAU_RATIO``: ``integrate_adaptive`` calls, refinement rounds (``eval_f``
   calls: one per panel estimate) and ``eval_f`` points;
+* per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
+  evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
+  node count, atom count and total mass, or the name of the exception;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): ``integrate_adaptive`` calls and wall time of each.
@@ -43,6 +46,7 @@ from statistics import median
 RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
 PHI_TAUS = (0.0, 0.2)
 TAU_RATIO = (0.3, 1.2, 0.2, "plus")  # xi, tau1, tau2, side
+SUP_SIGMA = 0.5
 REPEATS = 5
 MC_PATHS = 2000  # paths per job, as in the mc_exact workload
 _HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
@@ -95,6 +99,19 @@ def contour_work(spec, integrals, rounds, points):
     return out
 
 
+def sup_work(spec):
+    """Set-up ms, quadrature nodes, atoms and total mass of a cold sup_tail evaluator, or the exception name."""
+    from levycm import LevycmError, fluctuation
+
+    t0 = time.perf_counter()
+    try:
+        ev = fluctuation._sup_evaluator(spec, SUP_SIGMA)
+    except LevycmError as exc:
+        return {"error": type(exc).__name__}
+    return {"ms": 1e3 * (time.perf_counter() - t0), "nodes": int(ev.t.size - ev.atoms.size),
+            "atoms": int(ev.atoms.size), "total_mass": float(ev.c.sum())}
+
+
 def mc_work(calls):
     """Per mc_exact case: integrate_adaptive calls and ms of a cold and a repeated job."""
     from levycm import LevyAtomic, fluctuation
@@ -117,7 +134,7 @@ def mc_work(calls):
 
 
 def probe():
-    """Monte Carlo job work, then spine-ratio and phi-table figures per preset (JSON on stdout)."""
+    """Monte Carlo job work, then spine-ratio, contour, sup_tail and phi-table figures per preset (JSON on stdout)."""
     import numpy as np
 
     from levycm import shift_spec, wiener_hopf
@@ -153,7 +170,8 @@ def probe():
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
-                     "contour": contour_work(SHOWCASE[name], integrals, rounds, points)}
+                     "contour": contour_work(SHOWCASE[name], integrals, rounds, points),
+                     "sup_tail": sup_work(SHOWCASE[name])}
         for phi_tau in PHI_TAUS:
             spec = shift_spec(SHOWCASE[name], phi_tau)
             times = []
@@ -205,6 +223,7 @@ def main(argv=None):
         "spine_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3],
                         "repeats": REPEATS},
         "phi_table_taus": list(PHI_TAUS),
+        "sup_tail_sigma": SUP_SIGMA,
         "contour": {"bd_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3]},
                     "tau_ratio": dict(zip(("xi", "tau1", "tau2", "side"), TAU_RATIO))},
         "presets": {side: p["presets"] for side, p in probes.items()},
