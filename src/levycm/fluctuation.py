@@ -76,9 +76,9 @@ class SpaceTimeQuery:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValidationError("sigma", "killing intensity must be positive")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValidationError("tau", "must be >= 0")
-        if self.xi < 0.0:
+        if not self.xi >= 0.0:
             raise ValidationError("xi", "must be >= 0")
         if self.side not in (PLUS, MINUS):
             raise ValidationError("side", "must be 'plus' or 'minus'")
@@ -117,7 +117,7 @@ def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
     request on a spec whose shift is degenerate falls back to the contour
     method transparently.
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError("tau must be >= 0")
     shifted = shift_spec(spec, float(tau))
     try:
@@ -140,10 +140,10 @@ def kappa_ratio_tau(spec, xi, tau1, tau2, side=PLUS):
     term carries the Poisson-kernel mass that survives the xi -> 0 limit.
     Memoized on (spec, xi, tau1, tau2, side); a call that raises stores nothing.
     """
-    if tau1 < 0.0 or tau2 < 0.0:
+    if not (tau1 >= 0.0 and tau2 >= 0.0):
         raise DomainError("temporal arguments must be >= 0")
     xi = float(xi)
-    if xi < 0.0:
+    if not xi >= 0.0:
         raise DomainError("xi must be >= 0")
     if tau1 == tau2:
         return 1.0
@@ -218,8 +218,9 @@ class _SupTailEvaluator:
     m(t) = f(0+) [f-(t)/f-(0)] |im f(+0 - it)| / (t |f(+0 - it)|^2) >= 0
     and an atom f(0+) [f-(t0)/f-(0)] / (t0 re(i f'(+0 - it0))) at each zero
     t0 > 0 of f(-it).  Nodes ``t`` and coefficients ``c`` (w m / pi, then
-    ``atoms`` and ``masses``) give P(M > x) = sum c exp(-x t).  Raises
-    :class:`DomainError` where the phi-route f-(0) vanishes.
+    ``atoms`` and ``masses``; only the pairs with c != 0) give
+    P(M > x) = sum c exp(-x t).  Raises :class:`DomainError` where the
+    phi-route f-(0) vanishes.
     """
 
     def __init__(self, spec, sigma):
@@ -235,7 +236,8 @@ class _SupTailEvaluator:
         slope = (1j * _axis_limit(self.spec, -self.atoms, prime=True)).real
         self.masses = self.f_zero * self._ratio(self.atoms) / (self.atoms * slope)
         t, c = self._build_nodes()
-        self.t, self.c = np.concatenate([t, self.atoms]), np.concatenate([c, self.masses])
+        t, c = np.concatenate([t, self.atoms]), np.concatenate([c, self.masses])
+        self.t, self.c = t[c != 0.0], c[c != 0.0]
 
     def _ratio(self, t):
         """f-(t)/f-(0) at an array of t >= 0, in one handle evaluation."""
@@ -370,16 +372,16 @@ def kappa_tau_ratio_family(spec, xi1, xi2, side=PLUS):
     Uses the spine Stieltjes representation, which is analytic in tau; with
     xi1 <= xi2 the result is a complete Bernstein function of tau.
     """
-    return get_spine_engine(spec).ratio_family(float(xi1), float(xi2), side)
+    engine = get_spine_engine(spec)
+    return lambda tau: engine.ratio(xi1, xi2, side, tau)
 
 
 def kappa_product_family(spec, xi1, xi2, R=None):
     """tau -> kappa-circle(tau) kappa^+(tau, xi1) kappa^-(tau, xi2)."""
     if R is None:
         R = math.sqrt(max(float(xi1), 1e-6) * max(float(xi2), 1e-6))
-    prod = get_spine_engine(spec).product_family(float(xi1), float(xi2), float(R))
-    f0 = f_limits(spec).f_at_zero
-    return lambda tau: prod(tau) / (1.0 + f0)
+    engine, f0 = get_spine_engine(spec), f_limits(spec).f_at_zero
+    return lambda tau: engine.product(xi1, xi2, R, tau) / (1.0 + f0)
 
 
 def kappa_xi_function(spec, tau, side=PLUS):
@@ -401,5 +403,5 @@ def kappa_ratio_xi_function(spec, tau1, tau2, side=PLUS):
 
 def sigma_stieltjes_function(spec, xi, side=PLUS):
     """sigma -> kappa(sigma,0)/(sigma kappa(sigma,xi)); a Stieltjes function."""
-    fam = get_spine_engine(spec).ratio_family(0.0, float(xi), side)
-    return lambda sigma: fam(sigma) / sigma
+    engine = get_spine_engine(spec)
+    return lambda sigma: engine.ratio(0.0, xi, side, sigma) / sigma

@@ -415,66 +415,15 @@ def _eval_core(spec, xi):
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
 
 
-def _axis_value(spec, xi):
-    """Boundary value on the imaginary axis; must land in (0, inf)."""
-    y = xi.imag
-    if y == 0.0:
-        lim = f_limits(spec)
-        if math.isfinite(lim.f_at_zero) and lim.f_at_zero > 0.0:
-            return complex(lim.f_at_zero)
-        raise DomainError("xi = 0 is outside the domain of this spec")
-    s_star = -y
-    if isinstance(spec, LevyAtomic) and any(
-        s == s_star for s, _ in spec.atoms
-    ):
-        raise DomainError(f"xi={xi} is a pole of the spectral measure")
-    if isinstance(spec, PhiRep):
-        if spec.phi.value_at(s_star) > 1e-9:
-            raise DomainError(f"xi={xi} lies on the boundary support (phi > 0)")
-    if isinstance(spec, ShiftedSpec):
-        return spec.shift + _axis_value(spec.base, xi)
-    val = complex(_eval_core(spec, xi))
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise DomainError(f"evaluation not finite at xi={xi}")
-    if abs(val.imag) > 1e-9 * (1.0 + abs(val)) or val.real <= 0.0:
-        raise DomainError(f"xi={xi} is outside the domain (boundary value {val} not in (0, inf))")
-    return complex(val.real)
-
-
 def eval_f(spec, xi):
     """Evaluate the exponent at ``xi`` (complex scalar or array).
 
     Points with re(xi) < 0 use the reflection f(-conj(xi)) = conj(f(xi)).
-    Points exactly on the imaginary axis are admitted only where the
-    function extends continuously with a value in (0, inf); otherwise a
+    Points on the imaginary axis are admitted only where the boundary value
+    there is finite and in (0, inf) (:func:`_axis_values`); otherwise a
     :class:`DomainError` is raised.
     """
-    if isinstance(xi, np.ndarray):
-        xi = np.asarray(xi, dtype=complex)
-        right = xi.real > 0.0
-        if right.all():  # the common case needs no masks
-            return np.asarray(_eval_core(spec, xi), dtype=complex)
-        out = np.empty(xi.shape, dtype=complex)
-        left = xi.real < 0.0
-        axis = ~right & ~left
-        if right.any():
-            out[right] = _eval_core(spec, xi[right])
-        if left.any():
-            out[left] = np.conj(_eval_core(spec, -np.conj(xi[left])))
-        if axis.any():
-            flat_idx = np.flatnonzero(axis.ravel())
-            res = out.ravel()
-            src = xi.ravel()
-            for k in flat_idx:
-                res[k] = _axis_value(spec, complex(src[k]))
-        return out
-
-    xi = complex(xi)
-    if xi.real > 0.0:
-        return complex(_eval_core(spec, xi))
-    if xi.real < 0.0:
-        return complex(np.conj(_eval_core(spec, -xi.conjugate())))
-    return _axis_value(spec, xi)
+    return _evaluate(spec, xi, prime=False)
 
 
 def _prime_core(spec, xi):
@@ -512,20 +461,40 @@ def _phirep_log_prime(spec: PhiRep, xi):
 
 
 def eval_f_prime(spec, xi):
-    """Derivative f'(xi); reflection f'(-conj(xi)) = -conj(f'(xi)) on the left."""
-    if isinstance(xi, np.ndarray):
-        xi = np.asarray(xi, dtype=complex)
-        out = np.empty(xi.shape, dtype=complex)
-        right = xi.real >= 0.0
-        if right.any():
-            out[right] = _prime_core(spec, xi[right])
-        if (~right).any():
-            out[~right] = -np.conj(_prime_core(spec, -np.conj(xi[~right])))
-        return out
-    xi = complex(xi)
-    if xi.real >= 0.0:
-        return complex(_prime_core(spec, xi))
-    return complex(-np.conj(_prime_core(spec, -xi.conjugate())))
+    """Derivative f'(xi); reflection f'(-conj(xi)) = -conj(f'(xi)) on the left.
+
+    On the imaginary axis f' is admitted where :func:`eval_f` is and is finite.
+    """
+    return _evaluate(spec, xi, prime=True)
+
+
+def _evaluate(spec, xi, prime):
+    """f (f' if ``prime``): the family core on re xi > 0, its reflection (conj, or -conj
+    for f') on re xi < 0, and :func:`_axis_values` for all axis points in one call."""
+    core = _prime_core if prime else _eval_core
+    if not isinstance(xi, np.ndarray):
+        xi = complex(xi)
+        if xi.real > 0.0:
+            return complex(core(spec, xi))
+        if xi.real < 0.0:
+            v = np.conj(core(spec, -xi.conjugate()))
+            return complex(-v if prime else v)
+        return complex(_axis_values(spec, np.array([xi.imag]), prime)[0])
+    xi = np.asarray(xi, dtype=complex)
+    right = xi.real > 0.0
+    if right.all():  # the common case needs no masks
+        return np.asarray(core(spec, xi), dtype=complex)
+    out = np.empty(xi.shape, dtype=complex)
+    left = xi.real < 0.0
+    axis = ~right & ~left
+    if right.any():
+        out[right] = core(spec, xi[right])
+    if left.any():
+        v = np.conj(core(spec, -np.conj(xi[left])))
+        out[left] = -v if prime else v
+    if axis.any():
+        out[axis] = _axis_values(spec, xi.imag[axis], prime)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +796,31 @@ def axis_feature_points(spec):
 _AXIS_NUDGE = 1e-13  # relative offset t/|y| of the retry at a pole on the axis
 
 
+def _on_axis(y):
+    """The points +0.0 + i y, flattened, for a float array y: where boundary values are read."""
+    xi = np.zeros(y.size, dtype=complex)
+    xi.imag = y.ravel()
+    return xi
+
+
+def _axis_values(spec, y, prime):
+    """f (f' if ``prime``) at +0.0 + i y, y a 1-d float array, where f there (f(0+) at y = 0)
+    is finite, real to 1e-9 (1 + |f|) and > 0, and f' finite; f returns its real part.
+    Elsewhere (a pole, a branch cut, the support of phi) :class:`DomainError` is raised."""
+    xi = _on_axis(y)
+    with np.errstate(all="ignore"):
+        f = np.asarray(_eval_core(spec, xi), dtype=complex)
+        if not y.all():
+            f[y == 0.0] = f_limits(spec).f_at_zero
+        ok = np.isfinite(f) & (np.abs(f.imag) <= 1e-9 * (1.0 + np.abs(f))) & (f.real > 0.0)
+        v = np.asarray(_prime_core(spec, xi), dtype=complex) if prime else f.real + 0.0j
+        ok &= np.isfinite(v)
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        raise DomainError(f"xi={xi[k]} is outside the domain (boundary value {f[k]} not in (0, inf))")
+    return v
+
+
 def _axis_limit(spec, y, prime=False):
     """f (or f' if ``prime``) at real part exactly +0.0 and real ``y``: the boundary value.
 
@@ -836,8 +830,7 @@ def _axis_limit(spec, y, prime=False):
     approach; still non-finite raises :class:`EstimationError`.
     """
     y = np.asarray(y, dtype=float)
-    xi = np.zeros(y.size, dtype=complex)
-    xi.imag = y.ravel()
+    xi = _on_axis(y)
     core = _prime_core if prime else _eval_core
     with np.errstate(all="ignore"):
         v = np.asarray(core(spec, xi), dtype=complex)

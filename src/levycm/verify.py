@@ -8,11 +8,12 @@ and exits nonzero when any check fails.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 
 import numpy as np
 
-from .errors import DomainError, MethodUnsupportedError
+from .errors import DomainError, MethodUnsupportedError, ValidationError
 from .fluctuation import (
     CmCheckConfig,
     cm_cbf_check,
@@ -50,6 +51,12 @@ __all__ = [
 ]
 
 
+_SEED = 20260809  # the sample stream of every suite
+_SPINE_N = 256  # spine table samples of suite_spine
+_MC_SIGMA, _MC_N = 0.7, 50000  # killing rate and path count of suite_mc
+_LK_POINTS = 10  # real points of the Levy-Khintchine check
+
+
 def _half_plane_samples(rng, n, r_lo=0.05, r_hi=20.0):
     r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n))
     ang = rng.uniform(-0.5 * math.pi + 0.05, 0.5 * math.pi - 0.05, n)
@@ -64,10 +71,10 @@ def default_spine_range(spec):
     return max(lo, 1e-4), min(hi, 1e4)
 
 
-def suite_core(spec, tol=1e-10, seed=20260809):
+def suite_core(spec, tol=1e-10):
     """Conjugation symmetry, analytic bounds, structural consistency."""
     rep = VerifyReport("core")
-    rng = make_rng(seed)
+    rng = make_rng(_SEED)
     xi = _half_plane_samples(rng, 100)
     f_right = eval_f(spec, xi)
     f_left = eval_f(spec, -np.conj(xi))
@@ -95,7 +102,7 @@ def suite_core(spec, tol=1e-10, seed=20260809):
     return rep
 
 
-def _levy_khintchine_consistency(spec: LevyAtomic, n_points=10):
+def _levy_khintchine_consistency(spec: LevyAtomic):
     """eval_f against direct quadrature of the jump-integral form."""
     rep = VerifyReport("levy-khintchine")
     s_min = min(abs(s) for s, _ in spec.atoms)
@@ -111,7 +118,7 @@ def _levy_khintchine_consistency(spec: LevyAtomic, n_points=10):
 
         return integrand
 
-    xs = np.linspace(0.3, 3.0, n_points)
+    xs = np.linspace(0.3, 3.0, _LK_POINTS)
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, singular_points=(0.0,))
     for k, xi in enumerate(xs):
         jump_part, _ = integrate_adaptive(make_integrand(float(xi)), (-math.inf, math.inf), cfg)
@@ -122,14 +129,14 @@ def _levy_khintchine_consistency(spec: LevyAtomic, n_points=10):
     return rep
 
 
-def suite_spine(spec, tol=1e-6, n=256, seed=20260809):
+def suite_spine(spec):
     """Spine table, geometric invariants, the angular sign property."""
     rep = VerifyReport("spine")
     r_lo, r_hi = default_spine_range(spec)
-    table = build_spine_table(spec, r_lo, r_hi, n)
+    table = build_spine_table(spec, r_lo, r_hi, _SPINE_N)
     rep.extend(spine_invariant_report(table, spec))
 
-    rng = make_rng(seed)
+    rng = make_rng(_SEED)
     bad = 0.0
     for _ in range(20):
         r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
@@ -149,10 +156,10 @@ def suite_spine(spec, tol=1e-6, n=256, seed=20260809):
     return rep
 
 
-def suite_wh(spec, tol=1e-4, seed=20260809):
+def suite_wh(spec, tol=1e-4):
     """Cross-method agreement, factorization, CBF sampling, normalization."""
     rep = VerifyReport("wiener-hopf")
-    rng = make_rng(seed)
+    rng = make_rng(_SEED)
     degenerate = is_degenerate(spec)
     for k in range(6):
         x1 = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
@@ -197,10 +204,10 @@ def suite_wh(spec, tol=1e-4, seed=20260809):
     return rep
 
 
-def suite_fluct(spec, tol=1e-3, seed=20260809):
+def suite_fluct(spec, tol=1e-3):
     """Space-time factorization sampling and property-family spot checks."""
     rep = VerifyReport("fluctuation")
-    rng = make_rng(seed)
+    rng = make_rng(_SEED)
     for k in range(10):
         tau = math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
         xi_r = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
@@ -247,20 +254,20 @@ def _kappa_circ_quadrature(lam, tau):
     return math.exp(val.real)
 
 
-def suite_mc(spec, tol=3.0, sigma=0.7, n=50000, seed=20260809):
+def suite_mc(spec, tol=3.0):
     """Monte Carlo cross-validation against the analytic transforms."""
     rep = VerifyReport("monte-carlo")
     if not isinstance(spec, LevyAtomic):
         raise MethodUnsupportedError("mc suite needs an atomic-measure spec")
-    samples = simulate_sup_samples(spec, sigma, n, seed)
+    samples = simulate_sup_samples(spec, _MC_SIGMA, _MC_N, _SEED)
     queries = [LaplaceQuery(0.5), LaplaceQuery(1.0), LaplaceQuery(2.0), JointQuery(1.0, 1.0)]
-    ests = mc_estimates(samples, queries, seed=seed)
+    ests = mc_estimates(samples, queries, seed=_SEED)
     for est in ests:
         if est.query.startswith("laplace"):
             xi = float(est.query.split("=")[1].rstrip(")"))
-            ana = pr_laplace(spec, sigma, 0.0, xi)
+            ana = pr_laplace(spec, _MC_SIGMA, 0.0, xi)
         else:
-            ana = pr_laplace(spec, sigma, 1.0, 1.0)
+            ana = pr_laplace(spec, _MC_SIGMA, 1.0, 1.0)
         z = abs(est.mean - ana) / est.std_error if est.std_error > 0 else 0.0
         rep.add(est.query, tol - z, {"mc": est.mean, "analytic": ana, "z": z}, tol=0.0)
     return rep
@@ -278,5 +285,8 @@ SUITES = {
 def run_suite(name, spec, **kwargs):
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+    unknown = sorted(set(kwargs) - set(inspect.signature(SUITES[name]).parameters))
+    if unknown:
+        raise ValidationError(unknown[0], f"suite {name!r} takes no option {unknown[0]!r}")
     spec = validate_spec(spec)
     return SUITES[name](spec, **kwargs)

@@ -480,14 +480,6 @@ class SpineStieltjes:
         val = self._integral(*self._product_kernel(x1, x2, R), tau)
         return (tau + lam_R) * _exp(-val / math.pi)
 
-    def ratio_family(self, x1, x2, side):
-        """Callable tau -> f_tau^side(x1)/f_tau^side(x2), tau off (-inf, 0]."""
-        return lambda tau: self.ratio(x1, x2, side, tau)
-
-    def product_family(self, x1, x2, R):
-        """Callable tau -> f_tau^+(x1) f_tau^-(x2) with the split at R."""
-        return lambda tau: self.product(x1, x2, R, tau)
-
 
 def _exp(v):
     """exp of a spine exponent: float for a real one, complex for a complex one."""
@@ -512,7 +504,7 @@ def wh_ratio(spec, method, side, xi1, xi2):
         raise ValueError("side must be 'plus' or 'minus'")
     xi1 = float(xi1)
     xi2 = float(xi2)
-    if xi1 < 0.0 or xi2 < 0.0:
+    if not (xi1 >= 0.0 and xi2 >= 0.0):
         raise DomainError("spatial arguments must be >= 0")
     if xi1 == xi2 or is_constant(spec):
         return 1.0

@@ -216,6 +216,29 @@ class TestCommands:
         assert code == 2
         assert json.loads(out)["field"] == "xi"
 
+    @pytest.mark.parametrize(
+        "args,code,field",
+        [
+            (("fluct", "pr", "--tau", "0", "--xi", "nan"), "validation", "xi"),
+            (("fluct", "pr", "--tau", "nan", "--xi", "0"), "validation", "tau"),
+            (("factor", "--xi1", "nan", "--xi2", "1"), "DomainError", ""),
+        ],
+        ids=["pr-xi", "pr-tau", "factor-xi1"],
+    )
+    def test_nan_argument_is_an_input_error(self, capsys, args, code, field):
+        command, *rest = args
+        exit_code, out = run_cli(capsys, command, "preset:bm_drift", *rest)
+        assert exit_code == 2
+        doc = json.loads(out)
+        assert set(doc) == {"code", "message", "field"}
+        assert (doc["code"], doc["field"]) == (code, field)
+
+    def test_verify_rejects_an_option_the_suite_lacks(self, capsys):
+        code, out = run_cli(capsys, "verify", "preset:bm_drift", "--suite", "spine", "--tol", "1e-3")
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["code"], doc["field"]) == ("validation", "tol")
+
     def test_fluct_artifact_has_no_made_up_error(self, capsys, tmp_path):
         spec = tmp_path / "bm.json"
         spec.write_text('{"type": "levy_atomic", "a": 0.5}')

@@ -165,6 +165,28 @@ class TestPrLaplace:
         with pytest.raises(MethodUnsupportedError):
             pr_laplace(CP_UNIT, 0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("tau,xi", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_argument_rejected(self, tau, xi):
+        with pytest.raises(ValidationError):
+            pr_laplace(BM_DRIFT, 0.5, tau, xi)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wh_ratio(BM_DRIFT, "bd", "plus", math.nan, 1.0),
+        lambda: wh_ratio(BM_DRIFT, "bd", "plus", 1.0, math.nan),
+        lambda: kappa_ratio_tau(BM_DRIFT, math.nan, 1.0, 2.0),
+        lambda: kappa_ratio_tau(BM_DRIFT, 1.0, math.nan, 2.0),
+        lambda: kappa_ratio_tau(BM_DRIFT, 1.0, 1.0, math.nan),
+        lambda: kappa_ratio_xi(BM_DRIFT, math.nan, 1.0, 2.0),
+    ],
+    ids=["wh-xi1", "wh-xi2", "tau-xi", "tau-tau1", "tau-tau2", "xi-tau"],
+)
+def test_nan_argument_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
 
 # the six (xi, tau) joint queries of an exact-path Monte Carlo job
 MC_QUERIES = tuple((xi, tau) for xi in (0.5, 1.0, 2.0) for tau in (0.0, 1.0))
@@ -237,6 +259,12 @@ class TestSupTail:
     def test_argument_validated(self):
         with pytest.raises(DomainError):
             sup_tail(BM, 0.5, 0.0)
+
+    def test_zero_density_keeps_the_atom_only(self, fig_a):
+        """The density of bm_drift's measure is 0 at every node: one (t, c) pair is left."""
+        ev = fluctuation._sup_evaluator(fig_a, 0.5)
+        assert ev.t.size == ev.c.size == 1
+        assert ev.t[0] == ev.atoms[0] and ev.c[0] == ev.masses[0]
 
     def test_unconverged_nodes_raise(self, monkeypatch):
         real = fluctuation.refine_panels

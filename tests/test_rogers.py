@@ -1,6 +1,7 @@
 """Spec validation, evaluation, limits and boundary angles."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -25,9 +26,12 @@ from levycm import (
     is_degenerate,
     is_symmetric,
     levy_density,
+    shift_spec,
     validate_spec,
 )
 from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
+from levycm.rogers import _axis_limit
+from levycm.specio import SHOWCASE
 
 from conftest import half_plane_samples, showcase
 
@@ -123,6 +127,43 @@ class TestEval:
         spec = PhiRep(2.0, table)
         for xi in (0.5 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j, 0.3 - 2.0j):
             assert eval_f(spec, xi) == pytest.approx(2.0 * xi**1.2, rel=1e-12)
+
+
+class TestAxisRule:
+    """eval_f and eval_f_prime read the axis at +0.0 + iy, as the boundary values do."""
+
+    @pytest.mark.parametrize(
+        "name,y",
+        [
+            ("quadratic_over_pole", -0.3),
+            ("quadratic_over_pole", -0.5),
+            ("rational_pole_pair", -0.1),
+            ("rational_pole_pair", 0.1),
+        ],
+    )
+    def test_shifted_value_is_the_boundary_value(self, name, y):
+        """sigma + f is in (0, inf) there although the unshifted f is negative."""
+        spec = shift_spec(SHOWCASE[name], 0.5)
+        want = _axis_limit(spec, np.array([y])).real[0]
+        assert want > 0.0
+        assert abs(eval_f(spec, complex(0.0, y)) - want) <= 1e-15 * want
+        got = eval_f(spec, np.array([1.0 + 1.0j, complex(0.0, y), -1.0 + 1.0j]))
+        assert abs(got[1] - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize(
+        "spec,xi",
+        [
+            (LevyAtomic(atoms=((1, 2),)), -1.0j),
+            (LevyAtomic(atoms=((1, 2),)), np.array([1.0 + 0.0j, -1.0j])),
+            (SHOWCASE["quadratic_over_pole"], 0.0j),
+        ],
+        ids=["atom-pole", "atom-pole-array", "zero"],
+    )
+    def test_prime_outside_the_domain_raises(self, spec, xi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                eval_f_prime(spec, xi)
 
 
 class TestLevyDensity:
