@@ -180,7 +180,7 @@ def kappa_circ(spec, tau):
     kill rate) equals f(inf-), and the Frullani integral of the defining
     formula evaluates to (tau + L)/(1 + L).
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise DomainError("tau must be >= 0")
     lam = f_limits(spec).f_at_infinity
     return (tau + lam) / (1.0 + lam) if math.isfinite(lam) else 1.0

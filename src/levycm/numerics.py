@@ -261,8 +261,31 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    a, b = domain
-    sing = [s for s in cfg.singular_points if math.isfinite(s)]
+    key = (*domain, cfg.singular_points)
+    nodes, p_lo, p_hi, seed = _GEOMETRY.get(key, _geometry, *key)
+    skipped = []
+
+    def estimate(lo, hi):  # refine_panels passes the seed panels on as they are
+        w, s, weight, on = seed if lo is p_lo else nodes(lo, hi)
+        skipped.append(not on.all())
+        rows = np.zeros(on.shape, complex)
+        rows[on] = integrand(s[on]) * weight[on]
+        return (*gk15_sums(lo, hi, w, rows), rows)
+
+    res = refine_panels(
+        estimate, p_lo, p_hi, cfg.abs_tol, cfg.rel_tol, max_splits=cfg.max_subdivisions
+    )
+    value = complex(res.value)
+    if not res.converged or any(skipped):
+        raise QuadratureError(value, res.err)
+    _, w = gk15_nodes(res.lo, res.hi)
+    return value, max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
+
+
+def _geometry(a, b, singular_points):
+    """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights,
+    nodes s, weights ds/dp and evaluable nodes, the seed panels and, read-only, the map on them."""
+    sing = [s for s in singular_points if math.isfinite(s)]
     if math.isinf(a) and math.isinf(b):
 
         def to_s(u, gap):  # s = tan(u) and ds/du
@@ -292,27 +315,19 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
 
     cuts = sorted({lo, hi, *(u for u in singular if lo < u < hi)})
     to_x, p_lo, p_hi = _piecewise_axis(cuts, singular, graded)
-    skipped = []
 
-    def mapped(p):
+    def nodes(lo, hi):
+        p, w = gk15_nodes(lo, hi)
         x, dx, gap = to_x(p)
         with np.errstate(all="ignore"):
             s, ds = to_s(x, gap)
             weight = ds * dx
-        on = (weight > 0.0) & (weight < math.inf)
-        skipped.append(not on.all())
-        out = np.zeros(p.shape, complex)
-        out[on] = integrand(s[on]) * weight[on]
-        return out
+        return w, s, weight, (weight > 0.0) & (weight < math.inf)
 
-    res = refine_panels(
-        gk15(mapped), p_lo, p_hi, cfg.abs_tol, cfg.rel_tol, max_splits=cfg.max_subdivisions
-    )
-    value = complex(res.value)
-    if not res.converged or any(skipped):
-        raise QuadratureError(value, res.err)
-    _, w = gk15_nodes(res.lo, res.hi)
-    return value, max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
+    seed = nodes(p_lo, p_hi)
+    for arr in (p_lo, p_hi, *seed):
+        arr.setflags(write=False)
+    return nodes, p_lo, p_hi, seed
 
 
 def bisect_monotone(g, lo, hi, tol=1e-12, max_iter=200, *, glo=None, ghi=None):
@@ -427,3 +442,6 @@ class _LRU:
         self._root[:] = [self._root, self._root, None, None]
         self.hits = 0
         self.misses = 0
+
+
+_GEOMETRY = _LRU(8)  # (a, b, singular points) -> _geometry, 17 kB on a half-line (README)

@@ -187,6 +187,7 @@ class _AngleSide:
         for lo in range(0, len(z), rows):
             zb = z[lo : lo + rows, None]
             zi = zb.imag
+            real = not prime and not zi.any() and (zb.real > 0.0).all()  # then every im L is +-0
             yr = zb.real + self.a  # y = z + a
             d = self.w / (yr * yr + zi * zi)
             xr = yr * d  # x = w/y
@@ -194,7 +195,7 @@ class _AngleSide:
             # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
             with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
                 lr = 0.5 * np.log1p(2.0 * xr + r2)
-            li = np.arctan2(-zi * d, 1.0 + xr)
+            li = np.zeros_like(lr) if real else np.arctan2(-zi * d, 1.0 + xr)
             far = r2 >= 0.25
             if far.any():
                 rr, cc = np.nonzero(far)
@@ -207,10 +208,10 @@ class _AngleSide:
                 out[lo : lo + rows] = terms.sum(axis=1)
                 continue
             # pa L + dphi (1 - L/x) = dphi + L (pa - slope y), as 1/x = y/w
-            c = self.pa - self.slope * yr
-            sz = self.slope * zi
-            re = (lr * c + li * sz).sum(axis=1) + self.dphi.sum()
-            out[lo : lo + rows] = re + 1j * (li * c - lr * sz).sum(axis=1)
+            c, sz = self.pa - self.slope * yr, self.slope * zi
+            re = (lr * c).sum(axis=1) if real else (lr * c + li * sz).sum(axis=1)
+            im = 0.0 if real else (li * c - lr * sz).sum(axis=1)  # li sz = +-0 if real
+            out[lo : lo + rows] = re + self.dphi.sum() + 1j * im
         return out
 
     def exponent(self, z):
@@ -264,6 +265,15 @@ def _phi_side(table: PhiTable, sign):
     return _AngleSide(np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), phi0, vals[-1])
 
 
+def _hash_once(cls):
+    """A spec type whose field hash, computed once, is kept: every memo lookup hashes its spec."""
+    cls._hash = cached_property(cls.__hash__)
+    cls._hash.__set_name__(cls, "_hash")
+    cls.__hash__ = lambda self: self._hash
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class LevyAtomic:
     """Exponent a xi^2 - i b xi + c plus an atomic spectral measure.
@@ -303,6 +313,7 @@ class StableTerm:
     orientation: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class StableSum:
     """Sum of terms w * (-+ i xi + m)^alpha with principal-branch powers."""
@@ -324,6 +335,7 @@ class RationalFactor:
     exponent: int
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RationalProduct:
     """prefactor * prod (+- i xi + m)^(+-1)."""
@@ -342,6 +354,7 @@ class RationalProduct:
         )
 
 
+@_hash_once
 @dataclass(frozen=True)
 class PhiRep:
     """Exponential representation c * exp((1/pi) int kern(xi, s) phi(s)/|s| ds)."""
@@ -350,6 +363,7 @@ class PhiRep:
     phi: PhiTable
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ShiftedSpec:
     """tau + f for a base spec; the shift models killing / temporal Laplace."""
@@ -445,7 +459,15 @@ def _prime_core(spec, xi):
         for f in spec.factors:
             rot = -1j if f.orientation == _MINUS_I else 1j
             logd = logd + f.exponent * rot / (rot * xi + f.m)
-        return val * logd
+        val = val * logd
+        if not np.isfinite(val).all():  # 0 inf where a numerator factor vanishes (on the axis)
+            for k, f in enumerate(spec.factors):
+                rot = -1j if f.orientation == _MINUS_I else 1j
+                zero = (rot * xi + f.m == 0.0) & (f.exponent == 1)
+                if np.any(zero):  # there the product rule leaves rot times the other factors
+                    rest = replace(spec, factors=spec.factors[:k] + spec.factors[k + 1 :])
+                    val[zero] = rot * _rational_core(rest, xi[zero])
+        return val
     if isinstance(spec, PhiRep):
         return _phirep_core(spec, xi) * _phirep_log_prime(spec, xi)
     if isinstance(spec, ShiftedSpec):
@@ -559,7 +581,7 @@ def shift_spec(spec, tau):
     """The spec of tau + f; LevyAtomic absorbs tau into its kill rate."""
     if tau == 0.0:
         return spec
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValidationError("tau", "temporal shift must be nonnegative")
     if isinstance(spec, LevyAtomic):
         return replace(spec, c=spec.c + float(tau))
@@ -696,7 +718,7 @@ def _structural_validate(spec):
         spec.phi.validate()
         return spec
     if isinstance(spec, ShiftedSpec):
-        if spec.shift < 0.0:
+        if not spec.shift >= 0.0:
             raise ValidationError("shift", "must be >= 0")
         return ShiftedSpec(_structural_validate(spec.base), spec.shift)
     raise ValidationError("type", f"not a Rogers spec: {type(spec).__name__}")

@@ -170,3 +170,42 @@ class TestFactorOracle:
             want = [complex(mp.exp(_mp_side(cells, zk))) for zk in z]
         for k, zk in enumerate(z):
             assert _rel(got[k], want[k]) <= 1e-12, (name, side, zk)
+
+
+def _mp_quad_side(cells, z):
+    """(1/pi) int_0^inf phi(t) (1/(1+t) - 1/(z+t)) dt by mpmath quadrature, cell by cell."""
+    z = mp.mpf(z)
+    total = mp.fsum(
+        mp.quad(lambda t, al=al, be=be: (al + be * t) * (1 / (1 + t) - 1 / (z + t)), [a, b])
+        for a, b, al, be in cells
+        if b > a
+    )
+    return total / mp.pi
+
+
+class TestRealArgument:
+    """At real z > 0 (every factor value at real xi) the kernel sums real parts only."""
+
+    Z = np.array([1e-3, 0.05, 0.4, 2.5, 40.0, 1e3])
+
+    @pytest.mark.parametrize("name", ["lin5", "const"])
+    @pytest.mark.parametrize("k", [0, 1], ids=["plus", "minus"])
+    def test_exponent_against_quadrature(self, name, k):
+        """Imaginary part exactly 0; 30-digit quadrature to 1e-13 (CONST has jump cells)."""
+        table = {"lin5": LIN5, "const": CONST}[name].phi
+        side = table._sides[k]
+        got = side.exponent(self.Z)
+        assert (got.imag == 0.0).all()
+        with mp.workdps(30):
+            cells = _mp_phirep_sides(table)[k]
+            want = [float(_mp_quad_side(cells, z)) for z in self.Z]
+        for z, g, w in zip(self.Z, got.real, want):
+            assert abs(g - w) <= 1e-13 * abs(w), (name, k, z)
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["plus", "minus"])
+    def test_real_sum_equals_the_complex_path(self, k):
+        """One complex point in the block sends it down the complex path: same real parts, bitwise."""
+        side = _lin200().phi._sides[k]
+        real = side.exponent(self.Z)
+        mixed = side.exponent(np.append(self.Z, 1.0j))[:-1]
+        assert np.array_equal(real.real, mixed.real)

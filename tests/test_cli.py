@@ -222,8 +222,9 @@ class TestCommands:
             (("fluct", "pr", "--tau", "0", "--xi", "nan"), "validation", "xi"),
             (("fluct", "pr", "--tau", "nan", "--xi", "0"), "validation", "tau"),
             (("factor", "--xi1", "nan", "--xi2", "1"), "DomainError", ""),
+            (("factor", "--xi1", "1", "--xi2", "2", "--tau", "nan"), "validation", "tau"),
         ],
-        ids=["pr-xi", "pr-tau", "factor-xi1"],
+        ids=["pr-xi", "pr-tau", "factor-xi1", "factor-tau"],
     )
     def test_nan_argument_is_an_input_error(self, capsys, args, code, field):
         command, *rest = args

@@ -180,8 +180,10 @@ class TestPrLaplace:
         lambda: kappa_ratio_tau(BM_DRIFT, 1.0, math.nan, 2.0),
         lambda: kappa_ratio_tau(BM_DRIFT, 1.0, 1.0, math.nan),
         lambda: kappa_ratio_xi(BM_DRIFT, math.nan, 1.0, 2.0),
+        lambda: kappa_circ(BM_DRIFT, math.nan),
+        lambda: kappa_circ(CP_UNIT, math.nan),
     ],
-    ids=["wh-xi1", "wh-xi2", "tau-xi", "tau-tau1", "tau-tau2", "xi-tau"],
+    ids=["wh-xi1", "wh-xi2", "tau-xi", "tau-tau1", "tau-tau2", "xi-tau", "circ", "circ-cp"],
 )
 def test_nan_argument_is_a_domain_error(call):
     with pytest.raises(DomainError):

@@ -126,6 +126,40 @@ class TestIntegrateAdaptive:
         assert sum(sizes) == sizes[0] + 30 * splits
 
 
+
+class TestGeometryMemo:
+    """The seed geometry of integrate_adaptive is built once per domain and singular points."""
+
+    @pytest.mark.parametrize(
+        "f,domain,sing",
+        [
+            (lambda s: np.exp(-s) / (0.01 + (s - 1.0) ** 2), (0.0, math.inf), ()),
+            (lambda s: np.exp(-s) * s**-0.5, (0.0, math.inf), (0.0,)),
+            (lambda s: 1.0 / (1e-2 + (s - 0.3) ** 2), (-math.inf, math.inf), (0.0,)),
+        ],
+        ids=["half-line", "half-line-singular", "full-line"],
+    )
+    def test_cold_and_warm_agree(self, f, domain, sing):
+        cfg = QuadratureConfig(singular_points=sing)
+        numerics._GEOMETRY.clear()
+        cold = integrate_adaptive(f, domain, cfg)
+        warm = integrate_adaptive(f, domain, cfg)
+        assert (numerics._GEOMETRY.misses, numerics._GEOMETRY.hits) == (1, 1)
+        assert warm == cold
+
+    def test_entries_read_only_and_keyed_by_singular_points(self):
+        numerics._GEOMETRY.clear()
+        for sing in ((0.0,), (), (0.0,)):
+            integrate_adaptive(lambda s: np.exp(-s), (0.0, math.inf), QuadratureConfig(singular_points=sing))
+        assert (len(numerics._GEOMETRY), numerics._GEOMETRY.misses, numerics._GEOMETRY.hits) == (2, 2, 1)
+        plain = numerics._GEOMETRY.get((0.0, math.inf, ()), None)
+        _, p_lo, p_hi, seed = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        assert not np.array_equal(plain[1], p_lo)
+        for arr in (p_lo, p_hi, *seed):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
 def _widths(lo, hi):
     """Panel estimate for the engine tests: value hi - lo, error 1e-3 per unit width."""
     return hi - lo, 1e-3 * (hi - lo), np.zeros((len(lo), 1))

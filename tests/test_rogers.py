@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from levycm import (
     PhiTable,
     RationalProduct,
     RogersViolationError,
+    ShiftedSpec,
     StableSum,
     ValidationError,
     check_function_bounds,
@@ -29,9 +31,9 @@ from levycm import (
     shift_spec,
     validate_spec,
 )
-from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
+from levycm.numerics import _LRU, QuadratureConfig, integrate_adaptive, make_rng
 from levycm.rogers import _axis_limit
-from levycm.specio import SHOWCASE
+from levycm.specio import SHOWCASE, load_spec, preset_path
 
 from conftest import half_plane_samples, showcase
 
@@ -79,6 +81,38 @@ class TestValidation:
     def test_lone_inverse_factor_rejected(self):
         with pytest.raises(RogersViolationError):
             validate_spec(RationalProduct(1.0, (("plus-i", 2.0, -1),)))
+
+    @pytest.mark.parametrize("name", ["bm_drift", "tempered_stable"])
+    def test_nan_shift_rejected(self, name):
+        with pytest.raises(ValidationError) as exc:
+            shift_spec(SHOWCASE[name], math.nan)
+        assert exc.value.field == "tau"
+        with pytest.raises(ValidationError) as exc:
+            validate_spec(ShiftedSpec(SHOWCASE[name], math.nan))
+        assert exc.value.field == "shift"
+
+
+class TestSpecHash:
+    """A spec's hash is computed once and kept; equality and hash follow the fields."""
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_equal_specs_share_a_memo_entry(self, name):
+        a, b = (load_spec(preset_path(name)) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        memo = _LRU(4)
+        assert memo.get(a, lambda: "built") == memo.get(b, lambda: "rebuilt") == "built"
+        assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_replace_and_shift_hash_like_fresh_specs(self):
+        base = LevyAtomic(a=0.5, b=1.0, c=0.0, atoms=((2.0, 3.0),))
+        hash(base)
+        changed = replace(base, c=0.3)
+        assert changed == shift_spec(base, 0.3) == LevyAtomic(0.5, 1.0, 0.3, ((2.0, 3.0),))
+        assert hash(changed) == hash(LevyAtomic(0.5, 1.0, 0.3, ((2.0, 3.0),))) != hash(base)
+        spec = SHOWCASE["rational_three_arcs"]
+        twice = shift_spec(shift_spec(spec, 0.25), 0.25)
+        assert twice == ShiftedSpec(spec, 0.5) and hash(twice) == hash(ShiftedSpec(spec, 0.5))
+        assert hash(replace(twice, shift=0.25)) == hash(shift_spec(spec, 0.25)) != hash(twice)
 
 
 class TestEval:
@@ -149,6 +183,25 @@ class TestAxisRule:
         assert abs(eval_f(spec, complex(0.0, y)) - want) <= 1e-15 * want
         got = eval_f(spec, np.array([1.0 + 1.0j, complex(0.0, y), -1.0 + 1.0j]))
         assert abs(got[1] - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize(
+        "name", ["quadratic_over_pole", "rational_pole_pair", "rational_three_arcs", "rational_three_arcs_tight"]
+    )
+    def test_prime_where_a_factor_vanishes(self, name):
+        """f = 0.5 at xi = 0, where a numerator factor is 0: f' by the product rule, not 0 inf."""
+        spec = SHOWCASE[name]
+
+        def f(x):
+            val = mp.mpf(spec.prefactor)
+            for fac in spec.factors:
+                val *= ((-1j if fac.orientation == "minus-i" else 1j) * x + fac.m) ** fac.exponent
+            return val + 0.5
+
+        with mp.workdps(30):
+            want = complex(mp.diff(f, 0))
+        shifted = shift_spec(spec, 0.5)
+        for got in (eval_f_prime(shifted, 0.0j), eval_f_prime(shifted, np.array([1.0 + 1.0j, 0.0j]))[1]):
+            assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
 
     @pytest.mark.parametrize(
         "spec,xi",

@@ -20,6 +20,8 @@ Compares two checkouts of the repository, a parent and a change:
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): ``integrate_adaptive`` calls and wall time of each.
+* over the whole probe, the hits and misses of the memo of quadrature
+  geometries (``numerics._GEOMETRY``; null where a checkout has none).
 
     python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_15.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
@@ -137,7 +139,7 @@ def probe():
     """Monte Carlo job work, then spine-ratio, contour, sup_tail and phi-table figures per preset (JSON on stdout)."""
     import numpy as np
 
-    from levycm import shift_spec, wiener_hopf
+    from levycm import numerics, shift_spec, wiener_hopf
     from levycm.specio import SHOWCASE
 
     integrals = count_calls("integrate_adaptive")
@@ -181,7 +183,9 @@ def probe():
                 times.append(time.perf_counter() - t0)
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
                                                     "breakpoints": len(table.breakpoints)}
-    print(json.dumps({"presets": out, "mc_job": mc}))
+    memo = getattr(numerics, "_GEOMETRY", None)  # absent before the seed geometry was cached
+    geometry = None if memo is None else {"hits": memo.hits, "misses": memo.misses}
+    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry}))
 
 
 def run_probe(root):
@@ -229,6 +233,7 @@ def main(argv=None):
         "presets": {side: p["presets"] for side, p in probes.items()},
         "mc_job_paths": MC_PATHS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
+        "geometry_memo": {side: p.get("geometry_memo") for side, p in probes.items()},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
     for w in args.workloads:
