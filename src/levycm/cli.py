@@ -134,7 +134,7 @@ def _cmd_fluct(args):
         raise ValidationError("xi", f"{args.query} needs --xi")
     if args.query == "sup-laplace":
         value = pr_laplace(spec, args.sigma, 0.0, args.xi, args.side)
-        chain = ["kappa_ratio_xi"] if args.xi > 0.0 else []  # pr_laplace skips a ratio at 0
+        chain = ["bd_kappa"] if args.xi else []  # one contour integral; none at xi = 0
         q = {"query": "sup-laplace", "sigma": args.sigma, "xi": args.xi, "side": args.side}
     elif args.query == "sup-tail":
         value = sup_tail(spec, args.sigma, args.x)
@@ -142,7 +142,7 @@ def _cmd_fluct(args):
         q = {"query": "sup-tail", "sigma": args.sigma, "x": args.x}
     elif args.query == "pr":
         value = pr_laplace(spec, args.sigma, args.tau, args.xi, args.side)
-        chain = [n for n, a in (("kappa_ratio_tau", args.tau), ("kappa_ratio_xi", args.xi)) if a]
+        chain = ["bd_kappa"] if args.tau or args.xi else []
         q = {
             "query": "pr",
             "sigma": args.sigma,
@@ -183,6 +183,14 @@ def _cmd_fluct(args):
 
 def _cmd_mc(args):
     spec = validate_spec(load_spec(args.spec))
+    queries = [LaplaceQuery(xi) for xi in args.laplace or []]
+    queries += [TailQuery(x) for x in args.tail or []]
+    for pair in args.joint or []:
+        try:
+            xi, tau = (float(v) for v in pair.split(","))
+        except ValueError as exc:
+            raise ValidationError("joint", f"expected 'xi,tau', got {pair!r}") from exc
+        queries.append(JointQuery(xi, tau))
     samples = simulate_sup_samples(spec, args.sigma, args.n, args.seed)
     if args.dump:
         with open(args.dump, "w") as fh:
@@ -194,14 +202,6 @@ def _cmd_mc(args):
                     f"{format_float(sup)},{format_float(tmax)},"
                     f"{format_float(horizon)},{1 if killed else 0}\n"
                 )
-    queries = []
-    for xi in args.laplace or []:
-        queries.append(LaplaceQuery(xi))
-    for x in args.tail or []:
-        queries.append(TailQuery(x))
-    for pair in args.joint or []:
-        xi, tau = (float(v) for v in pair.split(","))
-        queries.append(JointQuery(xi, tau))
     if not queries:
         queries = [LaplaceQuery(1.0)]
     ests = mc_estimates(samples, queries, seed=args.seed)

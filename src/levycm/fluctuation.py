@@ -7,6 +7,8 @@ and never computed.  The key identities:
 * kappa^side(tau, xi1) / kappa^side(tau, xi2) = f_tau^side(xi1) / f_tau^side(xi2),
 * kappa^+(tau1, xi) / kappa^+(tau2, xi)
     = exp((1/2 pi) int (xi + i z)^{-1} log((tau1 + f(z))/(tau2 + f(z))) dz),
+  and every bd-route product of such factors is one such contour integral
+  (``wiener_hopf._bd_kappa``),
 * kappa-circle(tau) = (tau + L)/(1 + L) for compound Poisson specs with total
   activity L = jump rate + kill rate, and 1 otherwise,
 * E exp(-xi sup - tau argmax) = kappa^+(sigma, 0) / kappa^+(tau + sigma, xi)
@@ -29,19 +31,13 @@ from .errors import (
     QuadratureError,
     ValidationError,
 )
-from .numerics import _LRU, QuadratureConfig, bisect_monotone, gk15, gk15_nodes, principal_log
-from .numerics import refine_panels
+from .numerics import _LRU, bisect_monotone, gk15, gk15_nodes, refine_panels
 from .report import VerifyReport
-from .rogers import (
-    _axis_limit,
-    eval_f,
-    f_limits,
-    shift_spec,
-)
+from .rogers import _axis_limit, f_limits, shift_spec
 from .wiener_hopf import (
     MINUS,
     PLUS,
-    _bd_exponent,
+    _bd_kappa,
     get_factor_handle,
     get_spine_engine,
     wh_ratio,
@@ -74,12 +70,12 @@ class SpaceTimeQuery:
     side: str = PLUS
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValidationError("sigma", "killing intensity must be positive")
-        if not self.tau >= 0.0:
-            raise ValidationError("tau", "must be >= 0")
-        if not self.xi >= 0.0:
-            raise ValidationError("xi", "must be >= 0")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValidationError("sigma", "killing intensity must be finite and positive")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValidationError("tau", "must be finite and >= 0")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValidationError("xi", "must be finite and >= 0")
         if self.side not in (PLUS, MINUS):
             raise ValidationError("side", "must be 'plus' or 'minus'")
 
@@ -117,8 +113,8 @@ def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
     request on a spec whose shift is degenerate falls back to the contour
     method transparently.
     """
-    if not tau >= 0.0:
-        raise DomainError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise DomainError("tau must be finite and >= 0")
     shifted = shift_spec(spec, float(tau))
     try:
         return wh_ratio(shifted, method, side, xi1, xi2)
@@ -128,49 +124,22 @@ def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
         return wh_ratio(shifted, "bd", side, xi1, xi2)
 
 
-_TAU_RATIOS = _LRU(4096)  # (spec, xi, tau1, tau2, side) -> ratio, 0.2 kB each besides the spec
-_TAU_CFG = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=4000, singular_points=(0.0,))
-
-
 def kappa_ratio_tau(spec, xi, tau1, tau2, side=PLUS):
     """kappa^side(tau1, xi) / kappa^side(tau2, xi) for an unbounded exponent.
 
-    Evaluates exp(A0/2 + (1/pi) int_0^inf (xi (A - A0) +- z B)/(xi^2 + z^2) dz)
-    with A + iB the principal log of (tau1 + f(z))/(tau2 + f(z)); the A0
-    term carries the Poisson-kernel mass that survives the xi -> 0 limit.
-    Memoized on (spec, xi, tau1, tau2, side); a call that raises stores nothing.
+    The memoized ``_bd_kappa`` of (side, tau1, xi, +1), (side, tau2, xi, -1):
+    one contour integral of log((tau1 + f)/(tau2 + f)) less its value A0 at
+    f(0+), plus A0/2, the Poisson-kernel mass that survives xi -> 0.
+    Arguments must be finite.
     """
-    if not (tau1 >= 0.0 and tau2 >= 0.0):
-        raise DomainError("temporal arguments must be >= 0")
-    xi = float(xi)
-    if not xi >= 0.0:
-        raise DomainError("xi must be >= 0")
+    tau1, tau2, xi = float(tau1), float(tau2), float(xi)
+    if not (0.0 <= tau1 < math.inf and 0.0 <= tau2 < math.inf):
+        raise DomainError("temporal arguments must be finite and >= 0")
+    if not 0.0 <= xi < math.inf:
+        raise DomainError("xi must be finite and >= 0")
     if tau1 == tau2:
         return 1.0
-    return _TAU_RATIOS.get((spec, xi, tau1, tau2, side), _tau_ratio, spec, xi, tau1, tau2, side)
-
-
-def _tau_ratio(spec, xi, tau1, tau2, side):
-    lim = f_limits(spec)
-    if math.isfinite(lim.f_at_infinity):
-        raise MethodUnsupportedError(
-            "temporal ratios need an unbounded exponent; compound Poisson "
-            "specs route through kappa_circ and the product identity"
-        )
-    f0 = lim.f_at_zero
-    if tau1 + f0 <= 0.0 or tau2 + f0 <= 0.0:
-        raise DomainError("tau + f(0+) must be positive for both arguments")
-    a0 = math.log((tau1 + f0) / (tau2 + f0))
-
-    def log_f(z):
-        f = eval_f(spec, z + 0.0j)
-        return principal_log((tau1 + f) / (tau2 + f)) - a0
-
-    if side == PLUS:
-        val, _ = _bd_exponent(log_f, [(xi, 1.0)], [], _TAU_CFG)
-    else:
-        val, _ = _bd_exponent(log_f, [], [(xi, -1.0)], _TAU_CFG)
-    return math.exp(0.5 * a0 + val)
+    return _bd_kappa(spec, ((side, tau1, xi, 1), (side, tau2, xi, -1)))
 
 
 def kappa_circ(spec, tau):
@@ -189,13 +158,17 @@ def kappa_circ(spec, tau):
 def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):
     """E exp(-xi sup - tau argmax-time) over an Exp(sigma) horizon.
 
-    Computed as [kappa(sigma,0)/kappa(tau+sigma,0)] x
-    [kappa(tau+sigma,0)/kappa(tau+sigma,xi)]; the minus side gives the
-    matching infimum transform.  The first factor is skipped at tau = 0, the
-    second at xi = 0; both are memoized (``_TAU_RATIOS``, and on the bd route
-    ``wiener_hopf._BD_RATIOS``), so a repeated query integrates nothing.
+    This is kappa(sigma,0)/kappa(tau+sigma,xi) (1.0 at tau = xi = 0); the
+    minus side gives the infimum transform.  The bd route is one memoized
+    contour integral, ``_bd_kappa`` of (side, sigma, 0, +1), (side,
+    tau+sigma, xi, -1).  The phi and spine routes multiply
+    :func:`kappa_ratio_tau` (tau > 0) by their spatial ratio (xi > 0).
     """
     q = SpaceTimeQuery(float(sigma), float(tau), float(xi), side)
+    if q.tau == q.xi == 0.0:
+        return 1.0
+    if method == "bd":
+        return _bd_kappa(spec, ((q.side, q.sigma, 0.0, 1), (q.side, q.tau + q.sigma, q.xi, -1)))
     value = 1.0
     if q.tau > 0.0:
         value /= kappa_ratio_tau(spec, 0.0, q.tau + q.sigma, q.sigma, side)

@@ -62,16 +62,29 @@ class McEstimate:
 class LaplaceQuery:
     xi: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.xi < math.inf:
+            raise ValidationError("xi", "must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class TailQuery:
     x: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise ValidationError("x", "must be finite")
 
 
 @dataclass(frozen=True)
 class JointQuery:
     xi: float
     tau: float
+
+    def __post_init__(self):
+        for name in ("xi", "tau"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(name, "must be finite and >= 0")
 
 
 def _mixture(spec: LevyAtomic):

@@ -581,8 +581,8 @@ def shift_spec(spec, tau):
     """The spec of tau + f; LevyAtomic absorbs tau into its kill rate."""
     if tau == 0.0:
         return spec
-    if not tau >= 0.0:
-        raise ValidationError("tau", "temporal shift must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau", "temporal shift must be finite and nonnegative")
     if isinstance(spec, LevyAtomic):
         return replace(spec, c=spec.c + float(tau))
     if isinstance(spec, ShiftedSpec):
@@ -718,8 +718,8 @@ def _structural_validate(spec):
         spec.phi.validate()
         return spec
     if isinstance(spec, ShiftedSpec):
-        if not spec.shift >= 0.0:
-            raise ValidationError("shift", "must be >= 0")
+        if not 0.0 <= spec.shift < math.inf:
+            raise ValidationError("shift", "must be finite and >= 0")
         return ShiftedSpec(_structural_validate(spec.base), spec.shift)
     raise ValidationError("type", f"not a Rogers spec: {type(spec).__name__}")
 

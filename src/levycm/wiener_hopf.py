@@ -16,6 +16,7 @@ are what the public operations return.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -39,10 +40,8 @@ from .numerics import (
 )
 from .report import VerifyReport
 from .rogers import (
-    PW_CONSTANT,
     PhiTable,
     _AngleSide,
-    _phi_side,
     axis_feature_points,
     estimate_phi,
     eval_f,
@@ -143,23 +142,18 @@ def build_phi_table(spec):
 
 
 def _factor_side(table: PhiTable, side):
-    """The boundary-angle kernel of one factor.
+    """The boundary-angle kernel of one factor from a :func:`build_phi_table` table.
 
-    Piecewise-linear tables use the side's own breakpoints: the inner gap
+    It uses the side's own breakpoints (at least 513): the inner gap
     (0, s_first) continues the innermost value, with no interpolation across
-    s = 0.  A side with fewer than two breakpoints is flat at phi(1).
+    s = 0.
     """
-    sign = 1.0 if side == PLUS else -1.0
-    if table.interpolation == PW_CONSTANT:
-        return _phi_side(table, sign)
-    s_all = sign * np.asarray(table.breakpoints)
+    s_all = np.asarray(table.breakpoints)
     v_all = np.asarray(table.values)
     if side == MINUS:
-        s_all, v_all = s_all[::-1], v_all[::-1]
+        s_all, v_all = -s_all[::-1], v_all[::-1]
     mask = s_all > 0.0
     s, p = s_all[mask], v_all[mask]
-    if len(s) < 2:
-        s, p = np.ones(1), np.full(1, np.interp(1.0, s_all, v_all))
     return _AngleSide(s, p, p[0], p[-1])
 
 
@@ -172,12 +166,12 @@ class FactorHandle:
     kappa and the other handle's divided by it.
     """
 
-    def __init__(self, spec, side, table=None):
+    def __init__(self, spec, side):
         if side not in (PLUS, MINUS):
             raise ValueError("side must be 'plus' or 'minus'")
         self.spec = spec
         self.side = side
-        self.table = table if table is not None else get_phi_table(spec)
+        self.table = get_phi_table(spec)
         self._side = _factor_side(self.table, side)
         other = _factor_side(self.table, MINUS if side == PLUS else PLUS)
         # anchor: f(1) = c exp(E+(-i) + E-(i)) under f(xi) = f+(-i xi) f-(i xi)
@@ -214,7 +208,7 @@ def get_phi_table(spec):
 
 def get_factor_handle(spec, side) -> "FactorHandle":
     """The cached :class:`FactorHandle` of one side, on the cached phi table."""
-    return _HANDLE_CACHE.get((spec, side), lambda: FactorHandle(spec, side, get_phi_table(spec)))
+    return _HANDLE_CACHE.get((spec, side), FactorHandle, spec, side)
 
 
 def get_spine_engine(spec) -> "SpineStieltjes":
@@ -223,10 +217,12 @@ def get_spine_engine(spec) -> "SpineStieltjes":
 
 
 def factor_pair(spec, kappa=1.0):
-    """Plus and minus handles with scales kappa sqrt(c) and sqrt(c)/kappa."""
-    table = get_phi_table(spec)
-    plus = FactorHandle(spec, PLUS, table)
-    minus = FactorHandle(spec, MINUS, table)
+    """Plus and minus handles with scales kappa sqrt(c) and sqrt(c)/kappa.
+
+    They are copies of the cached handles, which keep their scales.
+    """
+    plus = copy.copy(get_factor_handle(spec, PLUS))
+    minus = copy.copy(get_factor_handle(spec, MINUS))
     plus.scale *= kappa
     minus.scale /= kappa
     return plus, minus
@@ -236,54 +232,67 @@ def factor_pair(spec, kappa=1.0):
 # Baxter-Donsker route
 # ---------------------------------------------------------------------------
 
-# abs_tol sits above the roundoff floor of near-zero exponents (x1 ~ x2)
+# the one contour integral of every kappa product; abs_tol sits at the roundoff
+# floor of near-zero exponents (x1 ~ x2, tau1 ~ tau2)
 _BD_CFG = QuadratureConfig(
-    rel_tol=1e-12, abs_tol=1e-13, max_subdivisions=6000, singular_points=(0.0,)
+    rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=6000, singular_points=(0.0,)
 )
-_BD_RATIOS = _LRU(4096)  # (spec, side, x1, x2) -> ratio, 0.2 kB each besides the spec
+_BD_KAPPA = _LRU(4096)  # (spec, terms) -> product, ~0.4 kB each besides the spec
 
 
-def _bd_exponent(log_f, poles_upper, poles_lower, cfg=_BD_CFG):
-    """(1/pi) int_0^inf im(kern(x) log_f(x)) dx and its error estimate.
+def _bd_kappa(spec, terms):
+    """prod_k kappa^{side_k}(tau_k, x_k)^{s_k} for ``terms`` (side_k, tau_k, x_k, s_k), s_k = +-1.
 
-    kern(x) sums sign/(x - i a) over ``poles_upper`` (a, sign) and
-    sign/(x + i b) over ``poles_lower`` (b, sign), with a, b >= 0.  On the
-    real line kern(-x) = -conj kern(x), and log_f(-x) = conj log_f(x) by the
-    reflection f(-xi) = conj f(xi), so this is the contour integral
-    (1/2 pi i) int_R kern(z) log_f(z) dz at half the points.
+    With S_tau = log(tau + f(0+)) (0 where tau + f(0+) = 0), the log of the
+    product is (1/2) sum_k s_k S_{tau_k} + (1/pi) int_0^inf im(sum kern g) dx,
+    summed over the poles (side, x): kern = 1/(x - i a) on the plus side and
+    -1/(x + i a) on the minus side, g the principal log of the one quotient
+    prod (tau_k + f)^{s_k} over the terms at the pole, minus their
+    sum s_k S_{tau_k}.  Poles whose quotients agree up to a sign (those of a
+    ratio) share one log, their kernels summed first.  By the reflection
+    f(-x) = conj f(x) this is the contour integral over the real line at
+    half the points.  Different tau_k need an unbounded exponent
+    (:class:`MethodUnsupportedError`) and tau + f(0+) > 0
+    (:class:`DomainError`).  Memoized on (spec, terms); a call that raises
+    stores nothing.
     """
 
-    def integrand(x):
-        kern = 0.0
-        for a, sgn in poles_upper:
-            kern = kern + sgn / (x - 1j * a)
-        for b, sgn in poles_lower:
-            kern = kern + sgn / (x + 1j * b)
-        return (kern * log_f(x)).imag
+    def build():
+        lim = f_limits(spec)
+        taus = {tau for _, tau, _, _ in terms}
+        if len(taus) > 1:
+            if math.isfinite(lim.f_at_infinity):
+                raise MethodUnsupportedError("temporal ratios need an unbounded exponent; compound Poisson "
+                                             "specs route through kappa_circ and the product identity")
+            if min(taus) + lim.f_at_zero <= 0.0:
+                raise DomainError("tau + f(0+) must be positive for every temporal argument")
+        S = {tau: math.log(tau + lim.f_at_zero) if tau + lim.f_at_zero > 0.0 else 0.0 for tau in taus}
+        poles = {}  # (side, x) -> [(tau, s)]
+        for side, tau, x, s in terms:
+            poles.setdefault((side, x), []).append((tau, s))
+        shared = {}  # quotient ((tau, s), ...) led by s = +1 -> [(side, x, sign)]
+        for (side, x), group in poles.items():
+            sign = group[0][1]
+            shared.setdefault(tuple((tau, s * sign) for tau, s in group), []).append((side, x, sign))
+        parts = [(q, sum(s * S[tau] for tau, s in q), p) for q, p in shared.items()]
 
-    val, err = integrate_adaptive(integrand, (0.0, math.inf), cfg)
-    return val.real / math.pi, err / math.pi
+        def integrand(x):
+            f = eval_f(spec, x + 0.0j)
+            total = 0.0
+            for quot, shift, poles_of in parts:
+                kern = 0.0
+                for side, a, sign in poles_of:
+                    kern = kern + (sign / (x - 1j * a) if side == PLUS else -sign / (x + 1j * a))
+                q = quot[0][0] + f
+                for tau, s in quot[1:]:
+                    q = q * (tau + f) if s > 0 else q / (tau + f)
+                total = total + kern * (principal_log(q) - shift)
+            return total.imag
 
+        val, _ = integrate_adaptive(integrand, (0.0, math.inf), _BD_CFG)
+        return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val.real / math.pi)
 
-def _log_f(spec, shift=0.0):
-    """x -> log f(x) - shift on the real line."""
-    return lambda x: principal_log(eval_f(spec, x + 0.0j)) - shift
-
-
-def _bd_ratio(spec, side, x1, x2):
-    # against xi = 0 the pole at 0 sits on the contour; with log f(0+)
-    # subtracted the singularity there is removable
-    shift = math.log(f_limits(spec).f_at_zero) if min(x1, x2) == 0.0 else 0.0
-    if side == PLUS:
-        val, _ = _bd_exponent(_log_f(spec, shift), [(x1, 1.0), (x2, -1.0)], [])
-    else:
-        val, _ = _bd_exponent(_log_f(spec, shift), [], [(x2, 1.0), (x1, -1.0)])
-    return math.exp(val)
-
-
-def _bd_product(spec, x1, x2):
-    val, _ = _bd_exponent(_log_f(spec), [(x1, 1.0)], [(x2, -1.0)])
-    return math.exp(val)
+    return _BD_KAPPA.get((spec, terms), build)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +503,10 @@ def _exp(v):
 def wh_ratio(spec, method, side, xi1, xi2):
     """f^side(xi1) / f^side(xi2) by the requested method; normalization-free.
 
-    ``xi = 0`` is admitted where f(0+) > 0 (continuity).  Equal arguments
-    and constant exponents, whose factors are constant, give 1.0.  The bd
-    route is memoized on (spec, side, xi1, xi2).
+    ``xi = 0`` is admitted where f(0+) > 0 (continuity); arguments must be
+    finite.  Equal arguments and constant exponents, whose factors are
+    constant, give 1.0.  The bd route is the :func:`_bd_kappa` of the terms
+    (side, 0, xi1, +1), (side, 0, xi2, -1), memoized with them.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -504,8 +514,8 @@ def wh_ratio(spec, method, side, xi1, xi2):
         raise ValueError("side must be 'plus' or 'minus'")
     xi1 = float(xi1)
     xi2 = float(xi2)
-    if not (xi1 >= 0.0 and xi2 >= 0.0):
-        raise DomainError("spatial arguments must be >= 0")
+    if not (0.0 <= xi1 < math.inf and 0.0 <= xi2 < math.inf):
+        raise DomainError("spatial arguments must be finite and >= 0")
     if xi1 == xi2 or is_constant(spec):
         return 1.0
     if min(xi1, xi2) == 0.0 and not f_limits(spec).f_at_zero > 0.0:
@@ -517,23 +527,24 @@ def wh_ratio(spec, method, side, xi1, xi2):
             raise DomainError("the phi-route factor vanishes at xi = 0 (phi has inner support)")
         return float((v1 / v2).real)
     if method == "bd":
-        return _BD_RATIOS.get((spec, side, xi1, xi2), _bd_ratio, spec, side, xi1, xi2)
+        return _bd_kappa(spec, ((side, 0.0, xi1, 1), (side, 0.0, xi2, -1)))
     return get_spine_engine(spec).ratio(xi1, xi2, side)
 
 
 def wh_product(spec, method, xi1, xi2, R=None):
-    """f+(xi1) f-(xi2) under c+ c- = c; ``R`` is the spine-route split radius."""
+    """f+(xi1) f-(xi2) under c+ c- = c; ``R`` >= 0 is the spine-route split radius."""
     if method not in ("bd", "spine"):
         raise ValueError("wh_product supports methods 'bd' and 'spine'")
     xi1 = float(xi1)
     xi2 = float(xi2)
-    if xi1 <= 0.0 or xi2 <= 0.0:
-        raise DomainError("wh_product needs xi1, xi2 > 0")
+    if not (0.0 < xi1 < math.inf and 0.0 < xi2 < math.inf):
+        raise DomainError("wh_product needs finite xi1, xi2 > 0")
+    R = math.sqrt(xi1 * xi2) if R is None else float(R)
+    if not 0.0 <= R < math.inf:
+        raise DomainError("the split radius R must be finite and >= 0")
     if method == "bd":
-        return _bd_product(spec, xi1, xi2)
-    if R is None:
-        R = math.sqrt(xi1 * xi2)
-    return get_spine_engine(spec).product(xi1, xi2, float(R))
+        return _bd_kappa(spec, ((PLUS, 0.0, xi1, 1), (MINUS, 0.0, xi2, 1)))
+    return get_spine_engine(spec).product(xi1, xi2, R)
 
 
 def factorization_check(spec, samples, tol=1e-4) -> VerifyReport:

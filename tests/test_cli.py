@@ -195,11 +195,11 @@ class TestCommands:
     @pytest.mark.parametrize(
         "query,args,chain",
         [
-            ("pr", ("--tau", "0", "--xi", "1"), ["kappa_ratio_xi"]),
-            ("pr", ("--tau", "1.5", "--xi", "0"), ["kappa_ratio_tau"]),
-            ("pr", ("--tau", "1.5", "--xi", "1"), ["kappa_ratio_tau", "kappa_ratio_xi"]),
+            ("pr", ("--tau", "0", "--xi", "1"), ["bd_kappa"]),
+            ("pr", ("--tau", "1.5", "--xi", "0"), ["bd_kappa"]),
+            ("pr", ("--tau", "1.5", "--xi", "1"), ["bd_kappa"]),
             ("pr", ("--tau", "0", "--xi", "0"), []),
-            ("sup-laplace", ("--xi", "1"), ["kappa_ratio_xi"]),
+            ("sup-laplace", ("--xi", "1"), ["bd_kappa"]),
             ("sup-laplace", ("--xi", "0"), []),
         ],
     )
@@ -233,6 +233,49 @@ class TestCommands:
         doc = json.loads(out)
         assert set(doc) == {"code", "message", "field"}
         assert (doc["code"], doc["field"]) == (code, field)
+
+    @pytest.mark.parametrize(
+        "args,code,field",
+        [
+            (("factor", "--xi1", "inf", "--xi2", "1"), "DomainError", ""),
+            (("factor", "--xi1", "1", "--xi2", "inf", "--method", "spine"), "DomainError", ""),
+            (("factor", "--xi1", "inf", "--xi2", "1", "--method", "phi"), "DomainError", ""),
+            (("factor", "--product", "--xi1", "nan", "--xi2", "1"), "DomainError", ""),
+            (("factor", "--product", "--xi1", "1", "--xi2", "inf", "--method", "spine"), "DomainError", ""),
+            (("fluct", "pr", "--tau", "inf", "--xi", "1"), "validation", "tau"),
+            (("fluct", "sup-laplace", "--xi", "inf"), "validation", "xi"),
+            (("fluct", "kappa-ratio", "--xi", "1", "--tau1", "inf", "--tau2", "1"), "DomainError", ""),
+            (("factor", "--xi1", "1", "--xi2", "2", "--tau", "inf"), "validation", "tau"),
+            (("fluct", "sup-tail", "--sigma", "inf"), "validation", "tau"),
+        ],
+        ids=["factor-xi1", "factor-spine-xi2", "factor-phi-xi1", "product-xi1", "product-spine-xi2",
+             "pr-tau", "sup-laplace-xi", "kappa-tau1", "factor-tau", "sup-tail-sigma"],
+    )
+    def test_infinite_argument_is_a_quiet_input_error(self, capsys, args, code, field):
+        command, *rest = args
+        exit_code = main([command, "preset:bm_drift", *rest])
+        captured = capsys.readouterr()
+        assert exit_code == 2 and captured.err == ""
+        doc = json.loads(captured.out)
+        assert (doc["code"], doc["field"]) == (code, field)
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (("--joint", "1"), "joint"),
+            (("--joint", "a,b"), "joint"),
+            (("--joint", "nan,1"), "xi"),
+            (("--joint", "1,-2"), "tau"),
+            (("--laplace", "nan"), "xi"),
+            (("--tail", "nan"), "x"),
+        ],
+        ids=["joint-one", "joint-text", "joint-nan", "joint-negative", "laplace-nan", "tail-nan"],
+    )
+    def test_mc_query_validation(self, capsys, args, field):
+        code, out = run_cli(capsys, "mc", "preset:bm_drift", "--sigma", "0.5", "--n", "10", *args)
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["code"], doc["field"]) == ("validation", field)
 
     def test_verify_rejects_an_option_the_suite_lacks(self, capsys):
         code, out = run_cli(capsys, "verify", "preset:bm_drift", "--suite", "spine", "--tol", "1e-3")

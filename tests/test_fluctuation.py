@@ -34,6 +34,8 @@ from levycm.fluctuation import (
 from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
 from levycm.wiener_hopf import FactorHandle, factor_pair, wh_ratio
 
+from levycm.specio import SHOWCASE
+
 from conftest import showcase, sup_laplace, upper_half_samples
 
 BM = LevyAtomic(a=0.5)  # f = xi^2 / 2
@@ -170,6 +172,39 @@ class TestPrLaplace:
         with pytest.raises(ValidationError):
             pr_laplace(BM_DRIFT, 0.5, tau, xi)
 
+    @pytest.mark.parametrize(
+        "sigma,tau,xi", [(0.5, math.inf, 1.0), (0.5, 1.0, math.inf), (math.inf, 1.0, 1.0)]
+    )
+    def test_infinite_argument_rejected(self, monkeypatch, sigma, tau, xi):
+        monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+        with pytest.raises(ValidationError):
+            pr_laplace(BM_DRIFT, sigma, tau, xi)
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_one_integral_is_the_two_ratio_composition(self, name):
+        """kappa(s,0)/kappa(t+s,x) = 1/([kappa(t+s,0)/kappa(s,0)] [kappa(t+s,x)/kappa(t+s,0)])."""
+        spec = SHOWCASE[name]
+        for side in ("plus", "minus"):
+            for tau, xi in ((0.8, 1.3), (1.5, 0.4)):
+                want = 1.0 / (kappa_ratio_tau(spec, 0.0, tau + 0.5, 0.5, side)
+                              * kappa_ratio_xi(spec, tau + 0.5, xi, 0.0, side))
+                got = pr_laplace(spec, 0.5, tau, xi, side)
+                assert got == pytest.approx(want, rel=1e-11), (side, tau, xi)
+
+    def test_bm_drift_closed_form(self):
+        spec = SHOWCASE["bm_drift"]  # xi^2/2 - i xi
+        for side in ("plus", "minus"):
+            for sigma, tau, xi in ((0.5, 0.8, 1.3), (2.0, 0.3, 0.1), (0.7, 4.0, 6.0)):
+                want = _bm_factor(1.0, sigma, side, 0.0) / _bm_factor(1.0, tau + sigma, side, xi)
+                got = pr_laplace(spec, sigma, tau, xi, side)
+                assert got == pytest.approx(want.real, rel=1e-12), (side, sigma, tau, xi)
+
+    def test_cold_query_is_one_integral(self, monkeypatch):
+        wiener_hopf._BD_KAPPA.clear()
+        calls = TestPrLaplaceReuse._count_integrals(monkeypatch)
+        pr_laplace(SHOWCASE["tempered_stable"], 0.5, 0.8, 1.3)
+        assert len(calls) == 1
+
 
 @pytest.mark.parametrize(
     "call",
@@ -182,8 +217,14 @@ class TestPrLaplace:
         lambda: kappa_ratio_xi(BM_DRIFT, math.nan, 1.0, 2.0),
         lambda: kappa_circ(BM_DRIFT, math.nan),
         lambda: kappa_circ(CP_UNIT, math.nan),
+        lambda: kappa_ratio_tau(BM_DRIFT, math.inf, 1.0, 2.0),
+        lambda: kappa_ratio_tau(BM_DRIFT, 1.0, math.inf, 2.0),
+        lambda: kappa_ratio_tau(BM_DRIFT, 1.0, 1.0, math.inf),
+        lambda: kappa_ratio_xi(BM_DRIFT, math.inf, 1.0, 2.0),
+        lambda: kappa_ratio_xi(BM_DRIFT, 1.0, math.inf, 2.0),
     ],
-    ids=["wh-xi1", "wh-xi2", "tau-xi", "tau-tau1", "tau-tau2", "xi-tau", "circ", "circ-cp"],
+    ids=["wh-xi1", "wh-xi2", "tau-xi", "tau-tau1", "tau-tau2", "xi-tau", "circ", "circ-cp",
+         "tau-xi-inf", "tau-tau1-inf", "tau-tau2-inf", "xi-tau-inf", "xi-xi1-inf"],
 )
 def test_nan_argument_is_a_domain_error(call):
     with pytest.raises(DomainError):
@@ -195,28 +236,23 @@ MC_QUERIES = tuple((xi, tau) for xi in (0.5, 1.0, 2.0) for tau in (0.0, 1.0))
 
 
 class TestPrLaplaceReuse:
-    """pr_laplace integrates each of its two ratios once per argument set."""
+    """A bd pr_laplace is one contour integral per argument set, memoized with its terms."""
 
     @staticmethod
     def _count_integrals(monkeypatch):
         calls = []
-        real = wiener_hopf.integrate_adaptive  # every contour integral runs through _bd_exponent
+        real = wiener_hopf.integrate_adaptive  # every contour integral runs through _bd_kappa
         monkeypatch.setattr(
             wiener_hopf, "integrate_adaptive", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         return calls
 
-    @staticmethod
-    def _clear_ratio_memos():
-        fluctuation._TAU_RATIOS.clear()
-        wiener_hopf._BD_RATIOS.clear()
-
     def test_mc_job_work(self, monkeypatch):
-        """Cold: 3 spatial ratios at tau = 0, 1 temporal and 3 spatial at tau = 1."""
-        self._clear_ratio_memos()
+        """Cold: one integral for each of the six queries."""
+        wiener_hopf._BD_KAPPA.clear()
         calls = self._count_integrals(monkeypatch)
         cold = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
-        assert len(calls) == 7
+        assert len(calls) == 6
         calls.clear()
         again = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
         assert calls == []
@@ -225,22 +261,26 @@ class TestPrLaplaceReuse:
     def test_values_after_clear_are_bitwise_equal(self):
         cached = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
         cached.append(kappa_ratio_tau(BM_DRIFT, 0.5, 2.0, 0.5, "minus"))
-        self._clear_ratio_memos()
+        wiener_hopf._BD_KAPPA.clear()
         fresh = [pr_laplace(HYPER_CP, 0.7, tau, xi) for xi, tau in MC_QUERIES]
         fresh.append(kappa_ratio_tau(BM_DRIFT, 0.5, 2.0, 0.5, "minus"))
         assert [v.hex() for v in fresh] == [v.hex() for v in cached]
 
     def test_memo_keys(self):
-        self._clear_ratio_memos()
+        wiener_hopf._BD_KAPPA.clear()
         pr_laplace(HYPER_CP, 0.7, 1.0, 0.5)
-        assert (HYPER_CP, 0.0, 1.0 + 0.7, 0.7, "plus") in fluctuation._TAU_RATIOS
-        assert (shift_spec(HYPER_CP, 1.0 + 0.7), "plus", 0.5, 0.0) in wiener_hopf._BD_RATIOS
-        assert len(fluctuation._TAU_RATIOS) == len(wiener_hopf._BD_RATIOS) == 1
+        kappa_ratio_tau(BM_DRIFT, 0.5, 2.0, 0.5, "minus")
+        assert (HYPER_CP, (("plus", 0.7, 0.0, 1), ("plus", 1.0 + 0.7, 0.5, -1))) in wiener_hopf._BD_KAPPA
+        assert (BM_DRIFT, (("minus", 2.0, 0.5, 1), ("minus", 0.5, 0.5, -1))) in wiener_hopf._BD_KAPPA
+        assert len(wiener_hopf._BD_KAPPA) == 2
 
     def test_failed_ratio_not_cached(self):
+        wiener_hopf._BD_KAPPA.clear()
         with pytest.raises(MethodUnsupportedError):
             kappa_ratio_tau(CP_UNIT, 0.0, 1.5, 0.5)
-        assert (CP_UNIT, 0.0, 1.5, 0.5, "plus") not in fluctuation._TAU_RATIOS
+        with pytest.raises(MethodUnsupportedError):
+            pr_laplace(CP_UNIT, 0.5, 1.0, 1.0)
+        assert len(wiener_hopf._BD_KAPPA) == 0
 
 
 class TestSupTail:

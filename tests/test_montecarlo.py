@@ -171,6 +171,28 @@ class TestContracts:
         with pytest.raises(ValidationError):
             mc_estimates([], [LaplaceQuery(1.0)])
 
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (lambda: LaplaceQuery(math.nan), "xi"),
+            (lambda: LaplaceQuery(math.inf), "xi"),
+            (lambda: LaplaceQuery(-1.0), "xi"),
+            (lambda: TailQuery(math.nan), "x"),
+            (lambda: TailQuery(-math.inf), "x"),
+            (lambda: JointQuery(math.nan, 1.0), "xi"),
+            (lambda: JointQuery(1.0, math.inf), "tau"),
+            (lambda: JointQuery(1.0, -0.5), "tau"),
+        ],
+    )
+    def test_query_arguments_validated(self, make, field):
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert info.value.field == field
+
+    def test_negative_tail_threshold_allowed(self):
+        samples = simulate_sup_samples(BM, 0.5, 100, seed=9)
+        assert mc_estimates(samples, [TailQuery(-1.0)])[0].mean == 1.0
+
     def test_no_paths_rejected(self):
         with pytest.raises(ValidationError):
             simulate_sup_samples(HYPER_CP, 0.5, 0, seed=0)

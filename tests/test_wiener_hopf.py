@@ -241,6 +241,17 @@ class TestProduct:
         with pytest.raises(Exception):
             get_spine_engine(fig_b).product(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("method", ["bd", "spine"])
+    @pytest.mark.parametrize(
+        "xi1,xi2,R",
+        [(math.nan, 1.0, None), (1.0, math.inf, None), (math.inf, 1.0, None), (1.0, 2.0, math.nan),
+         (1.0, 2.0, math.inf)],
+    )
+    def test_non_finite_arguments_rejected(self, monkeypatch, method, xi1, xi2, R):
+        monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+        with pytest.raises(DomainError):
+            wh_product(F_SIG, method, xi1, xi2, R)
+
     def test_consistency_with_direct_value(self):
         # f(xi) = f+(-i xi) f-(i xi) at xi = i x links product and eval
         plus, minus = factor_pair(F_SIG)
@@ -475,6 +486,14 @@ class TestRatioEntryPoint:
                 assert wh_ratio(LevyAtomic(c=1.3), method, side, x1, x2) == 1.0
 
     @pytest.mark.parametrize("method", ["bd", "spine", "phi"])
+    def test_infinite_argument_rejected(self, monkeypatch, method):
+        monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+        for side in ("plus", "minus"):
+            for x1, x2 in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+                with pytest.raises(DomainError):
+                    wh_ratio(F_SIG, method, side, x1, x2)
+
+    @pytest.mark.parametrize("method", ["bd", "spine", "phi"])
     def test_zero_needs_positive_origin_value(self, fig_b, method):
         with pytest.raises(DomainError):
             wh_ratio(fig_b, method, "plus", 0.0, 1.0)
@@ -517,8 +536,7 @@ class TestBdContourSeed:
         monkeypatch.setattr(numerics, "refine_panels", counted)
         spec = SHOWCASE[name]
         for side in ("plus", "minus"):
-            wiener_hopf._BD_RATIOS.clear()
-            fluctuation._TAU_RATIOS.clear()
+            wiener_hopf._BD_KAPPA.clear()
             for call in (lambda: wh_ratio(shift_spec(spec, 0.2), "bd", side, 0.3, 1.5),
                          lambda: kappa_ratio_tau(spec, 0.3, 1.2, 0.2, side)):
                 rounds.append(0)
@@ -537,6 +555,16 @@ class TestBdContourSeed:
         for x1, x2 in ((0.3, 1.5), (2.0, 0.05)):
             want = wh_ratio(spec, "bd", side, x1, x2)
             assert wh_ratio(spec, "bd", side, s * x1, s * x2) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_near_equal_arguments_converge(self, name):
+        """x2 = x1 (1 + 1e-12): an exponent of ~1e-12 meets the absolute goal of 1e-14."""
+        for shift in (0.0, 0.5):
+            spec = shift_spec(SHOWCASE[name], shift)
+            for side in ("plus", "minus"):
+                for x1 in (1e-3, 1.0, 1e3):
+                    got = wh_ratio(spec, "bd", side, x1, x1 * (1.0 + 1e-12))
+                    assert got == pytest.approx(1.0, abs=1e-11), (shift, side, x1)
 
 
 class TestFactorizationCheck:
@@ -622,6 +650,17 @@ class TestCrossMethodInvariants:
                 arg_h = cmath.phase(val)
                 assert -1e-9 <= arg_h <= cmath.phase(complex(z)) + 1e-9
 
+    def test_factor_pair_copies_the_cached_handles(self, fig_a):
+        cached = get_factor_handle(fig_a, "plus"), get_factor_handle(fig_a, "minus")
+        scales = [h.scale for h in cached]
+        alt = factor_pair(fig_a, kappa=7.0)
+        assert [h.scale for h in cached] == scales
+        assert alt[0].scale == 7.0 * scales[0] and alt[1].scale == scales[1] / 7.0
+        z = np.array([0.3, 2.0 + 1.0j, 40.0 - 3.0j])
+        for pair_handle, handle in zip(factor_pair(fig_a), cached):
+            assert pair_handle is not handle
+            assert pair_handle.eval(z).tobytes() == handle.eval(z).tobytes()
+
     def test_normalization_independence(self, fig_a):
         base_p, base_m = factor_pair(fig_a)
         alt_p, alt_m = factor_pair(fig_a, kappa=7.0)
@@ -644,6 +683,6 @@ class TestCrossMethodInvariants:
     def test_every_cache_is_a_bounded_memo(self, fig_a):
         get_factor_handle(fig_a, "plus")
         memos = (wiener_hopf._PHI_CACHE, wiener_hopf._HANDLE_CACHE, wiener_hopf._ENGINE_CACHE,
-                 wiener_hopf._BD_RATIOS, fluctuation._SUP_CACHE, fluctuation._TAU_RATIOS)
+                 wiener_hopf._BD_KAPPA, fluctuation._SUP_CACHE)
         assert all(isinstance(m, _LRU) and 0 <= len(m) <= m.maxsize for m in memos)
         assert fig_a in wiener_hopf._PHI_CACHE and (fig_a, "plus") in wiener_hopf._HANDLE_CACHE

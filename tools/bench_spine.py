@@ -11,9 +11,10 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
   ``build_phi_table`` calls and the table's breakpoint count;
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
-  0.2), "bd", "plus", 0.3, 1.5)`` and of one cold ``kappa_ratio_tau`` at
-  ``TAU_RATIO``: ``integrate_adaptive`` calls, refinement rounds (``eval_f``
-  calls: one per panel estimate) and ``eval_f`` points;
+  0.2), "bd", "plus", 0.3, 1.5)``, of one cold ``kappa_ratio_tau`` at
+  ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR``:
+  ``integrate_adaptive`` calls, refinement rounds (``eval_f`` calls: one
+  per panel estimate) and ``eval_f`` points;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
   node count, atom count and total mass, or the name of the exception;
@@ -48,6 +49,11 @@ from statistics import median
 RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
 PHI_TAUS = (0.0, 0.2)
 TAU_RATIO = (0.3, 1.2, 0.2, "plus")  # xi, tau1, tau2, side
+PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
+# the memos of bd contour integrals: one since the kappa products share one
+# integral, a ratio memo and a temporal-ratio memo before
+CONTOUR_MEMOS = (("wiener_hopf", "_BD_KAPPA"), ("wiener_hopf", "_BD_RATIOS"),
+                 ("fluctuation", "_TAU_RATIOS"))
 SUP_SIGMA = 0.5
 REPEATS = 5
 MC_PATHS = 2000  # paths per job, as in the mc_exact workload
@@ -82,18 +88,24 @@ def count_calls(name, weight=lambda *args: 1):
 
 
 def contour_work(spec, integrals, rounds, points):
-    """Integrals, rounds and eval_f points of a cold bd ratio at tau = 0.2 and a cold kappa_ratio_tau."""
+    """Integrals, rounds and eval_f points of a cold bd ratio at tau = 0.2, a cold
+    kappa_ratio_tau and a cold pr_laplace."""
     from levycm import fluctuation, shift_spec, wiener_hopf
 
-    wiener_hopf._BD_RATIOS.clear()
-    fluctuation._TAU_RATIOS.clear()
+    modules = {"wiener_hopf": wiener_hopf, "fluctuation": fluctuation}
+    memos = [getattr(modules[m], name, None) for m, name in CONTOUR_MEMOS]
     x1, x2, side, tau = RATIO
     xi, tau1, tau2, tau_side = TAU_RATIO
+    sigma, pr_tau, pr_xi, pr_side = PR
     out = {}
     for label, call in (
         ("bd_ratio", lambda: wiener_hopf.wh_ratio(shift_spec(spec, tau), "bd", side, x1, x2)),
         ("tau_ratio", lambda: fluctuation.kappa_ratio_tau(spec, xi, tau1, tau2, tau_side)),
+        ("pr", lambda: fluctuation.pr_laplace(spec, sigma, pr_tau, pr_xi, pr_side)),
     ):
+        for memo in memos:
+            if memo is not None:
+                memo.clear()
         integrals[0] = rounds[0] = points[0] = 0
         value = call()
         out[label] = {"integrals": integrals[0], "rounds": rounds[0], "eval_f_points": points[0],
@@ -229,7 +241,8 @@ def main(argv=None):
         "phi_table_taus": list(PHI_TAUS),
         "sup_tail_sigma": SUP_SIGMA,
         "contour": {"bd_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3]},
-                    "tau_ratio": dict(zip(("xi", "tau1", "tau2", "side"), TAU_RATIO))},
+                    "tau_ratio": dict(zip(("xi", "tau1", "tau2", "side"), TAU_RATIO)),
+                    "pr": dict(zip(("sigma", "tau", "xi", "side"), PR))},
         "presets": {side: p["presets"] for side, p in probes.items()},
         "mc_job_paths": MC_PATHS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
