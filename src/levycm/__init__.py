@@ -7,7 +7,6 @@ cross-validation.
 """
 
 from .errors import (
-    ConventionViolationError,
     DomainError,
     EstimationError,
     LevycmError,

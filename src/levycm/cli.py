@@ -32,7 +32,7 @@ from .specio import (
 )
 from .spine import build_spine_table
 from .verify import SUITES, default_spine_range, run_suite
-from .wiener_hopf import factor_pair, wh_product, wh_ratio
+from .wiener_hopf import wh_product, wh_ratio
 
 __all__ = ["main"]
 
@@ -100,15 +100,12 @@ def _cmd_factor(args):
     spec = validate_spec(load_spec(args.spec))
     if args.tau:
         spec = shift_spec(spec, args.tau)
+    cross_method = "phi" if args.method == "bd" else "bd"
     if args.product:
-        if args.method not in ("bd", "spine"):
-            raise ValidationError("method", "products support methods 'bd' and 'spine'")
         value = wh_product(spec, args.method, args.xi1, args.xi2)
-        plus, minus = factor_pair(spec)
-        cross = complex(plus.eval(args.xi1 + 0j) * minus.eval(args.xi2 + 0j)).real
+        cross = wh_product(spec, cross_method, args.xi1, args.xi2)
     else:
         value = wh_ratio(spec, args.method, args.side, args.xi1, args.xi2)
-        cross_method = "phi" if args.method == "bd" else "bd"
         cross = wh_ratio(spec, cross_method, args.side, args.xi1, args.xi2)
     _emit(
         {

@@ -49,7 +49,3 @@ class EstimationError(LevycmError):
 
 class SpineUndefinedError(LevycmError):
     """The spine is undefined (constant exponent)."""
-
-
-class ConventionViolationError(LevycmError):
-    """An operation was invoked outside its stated convention (e.g. R=0 with f(0+)=0)."""

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    MethodUnsupportedError,
-    QuadratureError,
-    ValidationError,
-)
+from .errors import DomainError, QuadratureError, ValidationError
 from .numerics import _LRU, bisect_monotone, gk15, gk15_nodes, refine_panels
 from .report import VerifyReport
 from .rogers import _axis_limit, f_limits, shift_spec
@@ -109,19 +104,11 @@ class CmCheckConfig:
 def kappa_ratio_xi(spec, tau, xi1, xi2, side=PLUS, method="bd"):
     """kappa^side(tau, xi1) / kappa^side(tau, xi2): :func:`wh_ratio` of tau + f.
 
-    ``xi = 0`` is admitted when tau + f(0+) > 0 (continuity).  A spine
-    request on a spec whose shift is degenerate falls back to the contour
-    method transparently.
+    ``xi = 0`` is admitted when tau + f(0+) > 0 (continuity).
     """
     if not 0.0 <= tau < math.inf:
         raise DomainError("tau must be finite and >= 0")
-    shifted = shift_spec(spec, float(tau))
-    try:
-        return wh_ratio(shifted, method, side, xi1, xi2)
-    except MethodUnsupportedError:
-        if method != "spine":
-            raise
-        return wh_ratio(shifted, "bd", side, xi1, xi2)
+    return wh_ratio(shift_spec(spec, float(tau)), method, side, xi1, xi2)
 
 
 def kappa_ratio_tau(spec, xi, tau1, tau2, side=PLUS):
@@ -197,8 +184,6 @@ class _SupTailEvaluator:
     """
 
     def __init__(self, spec, sigma):
-        if not sigma > 0.0:
-            raise DomainError("sigma must be positive")
         self.spec = shift_spec(spec, float(sigma))
         self.handle = get_factor_handle(self.spec, MINUS)
         self.f_minus_0 = complex(self.handle.eval(0.0 + 0.0j)).real
@@ -247,8 +232,8 @@ class _SupTailEvaluator:
         return t.ravel(), (w * res.rows).ravel() / math.pi
 
     def tail(self, x):
-        if not x > 0.0:
-            raise DomainError("sup_tail needs x > 0")
+        if not 0.0 < x < math.inf:
+            raise DomainError("sup_tail needs finite x > 0")
         return min(max(float(np.dot(self.c, np.exp(-x * self.t))), 0.0), 1.0)
 
 
@@ -274,6 +259,8 @@ def sup_tail(spec, sigma, x):
     and phi-route ratios f_sigma^-(t)/f_sigma^-(0) (:class:`_SupTailEvaluator`);
     the tail is a sum of nonnegative terms, clamped into [0, 1].
     """
+    if not 0.0 < sigma < math.inf:
+        raise ValidationError("sigma", "killing intensity must be finite and positive")
     return _sup_evaluator(spec, sigma).tail(x)
 
 
@@ -346,7 +333,7 @@ def kappa_tau_ratio_family(spec, xi1, xi2, side=PLUS):
     xi1 <= xi2 the result is a complete Bernstein function of tau.
     """
     engine = get_spine_engine(spec)
-    return lambda tau: engine.ratio(xi1, xi2, side, tau)
+    return lambda tau: engine.kappa(((side, tau, xi1, 1), (side, tau, xi2, -1)))
 
 
 def kappa_product_family(spec, xi1, xi2, R=None):
@@ -354,7 +341,7 @@ def kappa_product_family(spec, xi1, xi2, R=None):
     if R is None:
         R = math.sqrt(max(float(xi1), 1e-6) * max(float(xi2), 1e-6))
     engine, f0 = get_spine_engine(spec), f_limits(spec).f_at_zero
-    return lambda tau: engine.product(xi1, xi2, R, tau) / (1.0 + f0)
+    return lambda tau: engine.kappa(((PLUS, tau, xi1, 1), (MINUS, tau, xi2, 1)), R) / (1.0 + f0)
 
 
 def kappa_xi_function(spec, tau, side=PLUS):
@@ -377,4 +364,4 @@ def kappa_ratio_xi_function(spec, tau1, tau2, side=PLUS):
 def sigma_stieltjes_function(spec, xi, side=PLUS):
     """sigma -> kappa(sigma,0)/(sigma kappa(sigma,xi)); a Stieltjes function."""
     engine = get_spine_engine(spec)
-    return lambda sigma: engine.ratio(0.0, xi, side, sigma) / sigma
+    return lambda sigma: engine.kappa(((side, sigma, 0.0, 1), (side, sigma, xi, -1))) / sigma

@@ -157,8 +157,8 @@ def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
         raise MethodUnsupportedError(
             "exact-path simulation supports atomic-measure specs only"
         )
-    if not sigma > 0.0:
-        raise ValidationError("sigma", "must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValidationError("sigma", "must be finite and positive")
     n = int(n)
     if n < 1:
         raise ValidationError("n", "need at least one path")

@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .errors import (
-    ConventionViolationError,
     DomainError,
     EstimationError,
     MethodUnsupportedError,
@@ -314,15 +313,16 @@ _Z_MERGE = 1e-12  # the locator's resolution in log r
 
 
 class SpineStieltjes:
-    """Riemann-Stieltjes integrals of angle differences against d log(lambda + tau).
+    """Riemann-Stieltjes integrals of angle sums against d log(lambda + tau).
 
-    Ratios integrate Arg(zeta(r) -+ i x1) - Arg(zeta(r) -+ i x2) against
-    d lambda / (lambda + tau); products add a pi indicator on (0, R) and a
-    (tau + lambda(R)) prefactor.  One integrator serves every tau, real
-    >= 0 or complex off the cut: Gauss-Kronrod 15 panels in u = log r,
-    with the Z boundaries as edges, on g(u) lambda'(u) / (lambda(u) + tau)
-    with the exact profile slope lambda' (``spine._profile_slope``), refined
-    by :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12 on
+    A product of factors (:meth:`kappa`) integrates a signed sum of
+    Arg(zeta(r) -+ i x_k), plus n pi on (0, R) for a net count n of
+    plus-side factors, against d lambda / (lambda + tau).  One integrator
+    serves every tau, real >= 0 or complex off the cut: Gauss-Kronrod 15
+    panels in u = log r, with the Z boundaries as edges, on
+    g(u) lambda'(u) / (lambda(u) + tau) with the exact profile slope
+    lambda' (``spine._profile_slope``), refined by
+    :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12 on
     the exponent; a missed goal raises :class:`QuadratureError`.  Spine
     samples (zeta, lambda, lambda') are cached per log-radius and solved in
     batches (``solve_spine``); nodes of identical panels are identical, so
@@ -438,56 +438,54 @@ class SpineStieltjes:
             total += g_lo * (np.log(lam[0] + tau) - np.log(self.f_zero + tau))
         return total
 
-    @staticmethod
-    def _ratio_kernel(x1, x2, side):
-        """g(zeta, r), scales and jumps of a ratio f^side(x1)/f^side(x2)."""
-        sgn = 1.0 if side == PLUS else -1.0
-        shift1, shift2 = sgn * 1j * x1, sgn * 1j * x2
+    def kappa(self, terms, R=None):
+        """prod_k kappa^{side_k}(tau, x_k)^{s_k} for ``terms`` (side_k, tau, x_k, s_k), s_k = +-1.
 
-        def gfun(zeta, r):
-            return np.angle(zeta - shift1) - np.angle(zeta - shift2)
-
-        jumps = tuple(x for x in (x1, x2) if x > 0.0)
-        return gfun, jumps + (1.0,), jumps
-
-    @staticmethod
-    def _product_kernel(x1, x2, R):
-        """g(zeta, r), scales and jumps of a product f^+(x1) f^-(x2) split at R."""
-
-        def gfun(zeta, r):
-            return np.angle(zeta - 1j * x1) - np.angle(zeta + 1j * x2) + np.where(r < R, math.pi, 0.0)
-
-        jumps = tuple(x for x in (x1, x2, R) if x > 0.0)
-        return gfun, jumps + (1.0,), jumps
-
-    def ratio(self, x1, x2, side, tau=0.0):
-        """f_tau^side(x1) / f_tau^side(x2); x = 0 allowed.
-
-        Real tau >= 0 gives a float, complex tau off the cut a complex.
+        With sgn_k = +1 on the plus side and -1 on the minus side and n the
+        sum of the plus-side s_k, the value is (tau + lambda(R))^n
+        exp(-(1/pi) int g d log(lambda + tau)) with
+        g(zeta, r) = sum_k s_k sgn_k Arg(zeta - i sgn_k x_k) + n pi 1{r < R}
+        and lambda(0) = f(0+); R >= 0 (1 by default) splits the
+        representation.  The minus-side sum of s_k must be n too, or the
+        product depends on the normalization (:class:`DomainError`).  Terms
+        on one side at one x with opposite s cancel, and an empty product is
+        1.  All terms share one tau (:class:`MethodUnsupportedError`
+        otherwise): real tau >= 0 gives a float, complex tau off the cut a
+        complex.  A factor at x = 0, or R = 0 with n != 0, needs
+        f(0+) + tau != 0 (:class:`DomainError`).
         """
-        x1 = float(x1)
-        x2 = float(x2)
-        if x1 == x2:
+        taus = {tau for _, tau, _, _ in terms}
+        if len(taus) > 1:
+            raise MethodUnsupportedError("spine terms must share one tau")
+        tau = taus.pop() if taus else 0.0
+        net = {}  # (side, x) -> sum of s, in the order of the terms
+        for side, _, x, s in terms:
+            key = (side, float(x))
+            net[key] = net.get(key, 0) + s
+        net = {key: c for key, c in net.items() if c}
+        n = sum(c for (side, _), c in net.items() if side == PLUS)
+        if sum(c for (side, _), c in net.items() if side == MINUS) != n:
+            raise DomainError("a spine product needs equal plus-side and minus-side sums of s")
+        if not net:
             return _exp(0.0 * tau)  # 1, typed like tau
-        if min(x1, x2) == 0.0 and self.f_zero + tau == 0.0:
-            raise MethodUnsupportedError("ratio against xi = 0 needs f(0+) + tau > 0")
-        sgn = 1.0 if side == PLUS else -1.0
-        val = self._integral(*self._ratio_kernel(x1, x2, side), tau)
-        return _exp(-sgn * val / math.pi)
+        R = 1.0 if R is None else float(R)
+        if (any(x == 0.0 for _, x in net) or (n and R == 0.0)) and self.f_zero + tau == 0.0:
+            raise DomainError("a factor at 0 needs f(0+) + tau != 0")
+        parts = []  # (s sgn, i sgn x)
+        for (side, x), c in net.items():
+            sgn = 1.0 if side == PLUS else -1.0
+            parts.append((c * sgn, sgn * 1j * x))
 
-    def product(self, x1, x2, R, tau=0.0):
-        """f_tau^+(x1) f_tau^-(x2); R >= 0 picks the representation split."""
-        x1 = float(x1)
-        x2 = float(x2)
-        R = float(R)
-        if R == 0.0:
-            if self.f_zero + tau == 0.0:
-                raise ConventionViolationError("R = 0 requires f(0+) + tau > 0")
-            lam_R = self.f_zero
-        else:
-            lam_R = float(self._tl(np.array([math.log(R)]))[1][0])
-        val = self._integral(*self._product_kernel(x1, x2, R), tau)
-        return (tau + lam_R) * _exp(-val / math.pi)
+        def gfun(zeta, r):
+            return sum(w * np.angle(zeta - shift) for w, shift in parts) + n * math.pi * (r < R)
+
+        jumps = tuple(x for _, x in net if x > 0.0) + ((R,) if n and R > 0.0 else ())
+        prefactor = 1.0
+        if n:
+            lam_R = self.f_zero if R == 0.0 else float(self._tl(np.array([math.log(R)]))[1][0])
+            prefactor = (tau + lam_R) ** n
+        val = self._integral(gfun, jumps + (1.0,), jumps, tau)
+        return prefactor * _exp(-val / math.pi)
 
 
 def _exp(v):
@@ -500,13 +498,35 @@ def _exp(v):
 # ---------------------------------------------------------------------------
 
 
+def _kappa(spec, method, terms, R=None):
+    """prod_k kappa^{side_k}(tau_k, x_k)^{s_k} for ``terms`` (side_k, tau_k, x_k, s_k) by one route.
+
+    bd is :func:`_bd_kappa`, spine :meth:`SpineStieltjes.kappa` (with the
+    split radius ``R``), and phi the quotient of the cached handles' values
+    at the terms with s = +1 over those with s = -1, read at tau = 0;
+    :class:`DomainError` where a phi-route factor is 0 (phi has inner
+    support and the factor vanishes at x = 0).
+    """
+    if method == "bd":
+        return _bd_kappa(spec, terms)
+    if method == "spine":
+        return get_spine_engine(spec).kappa(terms, R)
+    num = den = 1.0
+    for side, _, x, s in terms:
+        v = get_factor_handle(spec, side).eval(complex(x))
+        if v == 0.0:
+            raise DomainError("the phi-route factor vanishes at xi = 0 (phi has inner support)")
+        num, den = (num * v, den) if s > 0 else (num, den * v)
+    return float((num / den).real)
+
+
 def wh_ratio(spec, method, side, xi1, xi2):
     """f^side(xi1) / f^side(xi2) by the requested method; normalization-free.
 
     ``xi = 0`` is admitted where f(0+) > 0 (continuity); arguments must be
     finite.  Equal arguments and constant exponents, whose factors are
-    constant, give 1.0.  The bd route is the :func:`_bd_kappa` of the terms
-    (side, 0, xi1, +1), (side, 0, xi2, -1), memoized with them.
+    constant, give 1.0.  Otherwise it is the :func:`_kappa` of the terms
+    (side, 0, xi1, +1), (side, 0, xi2, -1).
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -520,21 +540,16 @@ def wh_ratio(spec, method, side, xi1, xi2):
         return 1.0
     if min(xi1, xi2) == 0.0 and not f_limits(spec).f_at_zero > 0.0:
         raise DomainError("ratio against xi = 0 needs f(0+) > 0")
-    if method == "phi":
-        handle = get_factor_handle(spec, side)
-        v1, v2 = handle.eval(complex(xi1)), handle.eval(complex(xi2))
-        if v1 == 0.0 or v2 == 0.0:
-            raise DomainError("the phi-route factor vanishes at xi = 0 (phi has inner support)")
-        return float((v1 / v2).real)
-    if method == "bd":
-        return _bd_kappa(spec, ((side, 0.0, xi1, 1), (side, 0.0, xi2, -1)))
-    return get_spine_engine(spec).ratio(xi1, xi2, side)
+    return _kappa(spec, method, ((side, 0.0, xi1, 1), (side, 0.0, xi2, -1)))
 
 
 def wh_product(spec, method, xi1, xi2, R=None):
-    """f+(xi1) f-(xi2) under c+ c- = c; ``R`` >= 0 is the spine-route split radius."""
-    if method not in ("bd", "spine"):
-        raise ValueError("wh_product supports methods 'bd' and 'spine'")
+    """f+(xi1) f-(xi2) under c+ c- = c: the :func:`_kappa` of (plus, 0, xi1, +1), (minus, 0, xi2, +1).
+
+    ``R`` >= 0 is the spine-route split radius, sqrt(xi1 xi2) by default.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     xi1 = float(xi1)
     xi2 = float(xi2)
     if not (0.0 < xi1 < math.inf and 0.0 < xi2 < math.inf):
@@ -542,9 +557,7 @@ def wh_product(spec, method, xi1, xi2, R=None):
     R = math.sqrt(xi1 * xi2) if R is None else float(R)
     if not 0.0 <= R < math.inf:
         raise DomainError("the split radius R must be finite and >= 0")
-    if method == "bd":
-        return _bd_kappa(spec, ((PLUS, 0.0, xi1, 1), (MINUS, 0.0, xi2, 1)))
-    return get_spine_engine(spec).product(xi1, xi2, R)
+    return _kappa(spec, method, ((PLUS, 0.0, xi1, 1), (MINUS, 0.0, xi2, 1)), R)
 
 
 def factorization_check(spec, samples, tol=1e-4) -> VerifyReport:

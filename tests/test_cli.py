@@ -11,6 +11,7 @@ from levycm.cli import main
 from levycm.rogers import LevyAtomic, LimitsResult, compensator_drift, validate_spec
 from levycm.specio import (
     SHOWCASE,
+    dumps_canonical,
     format_float,
     load_spec,
     preset_names,
@@ -21,6 +22,7 @@ from levycm.specio import (
 )
 from levycm.spine import build_spine_table
 from levycm.verify import default_spine_range
+from levycm.wiener_hopf import factor_pair, wh_product
 
 
 def run_cli(capsys, *args):
@@ -183,6 +185,29 @@ class TestCommands:
         want = math.sqrt(3.0) / (1.0 + math.sqrt(3.0))
         assert json.loads(out)["value"] == pytest.approx(want, rel=1e-8)
 
+    def test_factor_product_artifact(self, capsys):
+        """The bd product against f+(xi1) f-(xi2) of the cached phi-route handles, byte for byte."""
+        code, out = run_cli(capsys, "factor", "preset:bm_drift", "--product", "--xi1", "1", "--xi2", "2")
+        assert code == 0
+        value = wh_product(SHOWCASE["bm_drift"], "bd", 1.0, 2.0)
+        plus, minus = factor_pair(SHOWCASE["bm_drift"])
+        cross = complex(plus.eval(1.0 + 0j) * minus.eval(2.0 + 0j)).real
+        want = {"method": "bd", "side": "plus", "xi1": 1.0, "xi2": 2.0, "tau": 0.0, "product": True,
+                "value": value, "err_estimate": abs(value - cross)}
+        assert out == dumps_canonical(want, indent=2) + "\n"
+
+    @pytest.mark.parametrize("method,cross", [("spine", "bd"), ("phi", "bd")])
+    def test_factor_product_cross_route(self, capsys, method, cross):
+        code, out = run_cli(
+            capsys, "factor", "preset:stable_mixed", "--product", "--xi1", "0.7", "--xi2", "2.3",
+            "--method", method,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        value = wh_product(SHOWCASE["stable_mixed"], method, 0.7, 2.3)
+        assert doc["value"] == value
+        assert doc["err_estimate"] == abs(value - wh_product(SHOWCASE["stable_mixed"], cross, 0.7, 2.3))
+
     def test_fluct_pr(self, capsys, tmp_path):
         spec = tmp_path / "bm.json"
         spec.write_text('{"type": "levy_atomic", "a": 0.5}')
@@ -246,10 +271,13 @@ class TestCommands:
             (("fluct", "sup-laplace", "--xi", "inf"), "validation", "xi"),
             (("fluct", "kappa-ratio", "--xi", "1", "--tau1", "inf", "--tau2", "1"), "DomainError", ""),
             (("factor", "--xi1", "1", "--xi2", "2", "--tau", "inf"), "validation", "tau"),
-            (("fluct", "sup-tail", "--sigma", "inf"), "validation", "tau"),
+            (("fluct", "sup-tail", "--sigma", "inf"), "validation", "sigma"),
+            (("fluct", "sup-tail", "--sigma", "0.5", "--x", "inf"), "DomainError", ""),
+            (("mc", "--sigma", "inf", "--n", "10"), "validation", "sigma"),
         ],
         ids=["factor-xi1", "factor-spine-xi2", "factor-phi-xi1", "product-xi1", "product-spine-xi2",
-             "pr-tau", "sup-laplace-xi", "kappa-tau1", "factor-tau", "sup-tail-sigma"],
+             "pr-tau", "sup-laplace-xi", "kappa-tau1", "factor-tau", "sup-tail-sigma", "sup-tail-x",
+             "mc-sigma"],
     )
     def test_infinite_argument_is_a_quiet_input_error(self, capsys, args, code, field):
         command, *rest = args

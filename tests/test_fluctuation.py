@@ -64,11 +64,12 @@ class TestKappaRatioXi:
             assert got == pytest.approx(want, rel=1e-6), method
 
     def test_degenerate_shift_falls_back(self):
-        # pure drift with tau = 0 has no spine; the contour route answers
+        # pure drift with tau = 0 has no spine: the spine route raises, the contour route answers
         drift = LevyAtomic(b=1.0)
-        got = kappa_ratio_xi(drift, 0.0, 1.0, 2.0, method="spine")
+        with pytest.raises(MethodUnsupportedError):
+            kappa_ratio_xi(drift, 0.0, 1.0, 2.0, method="spine")
         # f = -i xi: f+(xi) = c+ xi, ratio 1/2
-        assert got == pytest.approx(0.5, rel=1e-8)
+        assert kappa_ratio_xi(drift, 0.0, 1.0, 2.0) == pytest.approx(0.5, rel=1e-8)
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_xi_function_against_bd(self, side):
@@ -301,6 +302,17 @@ class TestSupTail:
     def test_argument_validated(self):
         with pytest.raises(DomainError):
             sup_tail(BM, 0.5, 0.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(DomainError):
+            sup_tail(BM, 0.5, x)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0])
+    def test_killing_rate_validated(self, sigma):
+        with pytest.raises(ValidationError) as exc:
+            sup_tail(BM, sigma, 1.0)
+        assert exc.value.field == "sigma"
 
     def test_zero_density_keeps_the_atom_only(self, fig_a):
         """The density of bm_drift's measure is 0 at every node: one (t, c) pair is left."""

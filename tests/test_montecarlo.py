@@ -197,6 +197,12 @@ class TestContracts:
         with pytest.raises(ValidationError):
             simulate_sup_samples(HYPER_CP, 0.5, 0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0])
+    def test_killing_rate_validated(self, sigma):
+        with pytest.raises(ValidationError) as info:
+            simulate_sup_samples(HYPER_CP, sigma, 10, seed=0)
+        assert info.value.field == "sigma"
+
     def test_trivial_queries(self):
         samples = simulate_sup_samples(BM, 0.5, 2000, seed=9)
         tail0, lap0 = mc_estimates(samples, [TailQuery(0.0), LaplaceQuery(0.0)])

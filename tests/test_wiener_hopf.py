@@ -238,10 +238,19 @@ class TestProduct:
             )
 
     def test_zero_split_needs_positive_origin_value(self, fig_b):
-        with pytest.raises(Exception):
-            get_spine_engine(fig_b).product(1.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            get_spine_engine(fig_b).kappa((("plus", 0.0, 1.0, 1), ("minus", 0.0, 1.0, 1)), 0.0)
 
-    @pytest.mark.parametrize("method", ["bd", "spine"])
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_phi_route_against_bd(self, letter):
+        """The phi product f+(x1) f-(x2) of the cached handles, as ``levycm factor --product`` checks it."""
+        for tau in (0.0, 0.5):
+            spec = shift_spec(showcase(letter), tau)
+            for x1, x2 in ((0.7, 2.3), (1.0, 1.0), (0.2, 5.0)):
+                want = wh_product(spec, "bd", x1, x2)
+                assert wh_product(spec, "phi", x1, x2) == pytest.approx(want, rel=1e-6), (tau, x1, x2)
+
+    @pytest.mark.parametrize("method", ["bd", "spine", "phi"])
     @pytest.mark.parametrize(
         "xi1,xi2,R",
         [(math.nan, 1.0, None), (1.0, math.inf, None), (math.inf, 1.0, None), (1.0, 2.0, math.nan),
@@ -313,24 +322,58 @@ class TestSpineRouteBdOracle:
             shifted = shift_spec(spec, tau)
             for side in ("plus", "minus"):
                 want = wh_ratio(shifted, "bd", side, 0.7, 2.3)
-                got = engine.ratio(0.7, 2.3, side, tau)
+                got = engine.kappa(((side, tau, 0.7, 1), (side, tau, 2.3, -1)))
                 assert got == pytest.approx(want, rel=1e-10), (tau, side)
             want = wh_product(shifted, "bd", 0.7, 2.3)
-            assert engine.product(0.7, 2.3, 1.1, tau) == pytest.approx(want, rel=1e-10), tau
+            got = engine.kappa((("plus", tau, 0.7, 1), ("minus", tau, 2.3, 1)), 1.1)
+            assert got == pytest.approx(want, rel=1e-10), tau
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     @pytest.mark.parametrize("letter", ["b", "d"])
     def test_ratio_against_zero_at_small_tau(self, letter, side):
         """f(0+) = 0: at tau = 1e-3 the lower tail of the panels still counts."""
         spec = showcase(letter)
-        got = get_spine_engine(spec).ratio(0.0, 1.0, side, 1e-3)
+        got = get_spine_engine(spec).kappa(((side, 1e-3, 0.0, 1), (side, 1e-3, 1.0, -1)))
         want = kappa_ratio_xi(spec, 1e-3, 0.0, 1.0, side, method="bd")
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_unconverged_raises(self, fig_a, monkeypatch):
         monkeypatch.setattr(wiener_hopf, "_SPINE_MAX_SPLITS", 0)
         with pytest.raises(QuadratureError):
-            wiener_hopf.SpineStieltjes(fig_a).ratio(0.7, 2.3, "plus")
+            wiener_hopf.SpineStieltjes(fig_a).kappa((("plus", 0.0, 0.7, 1), ("plus", 0.0, 2.3, -1)))
+
+
+class TestSpineKappa:
+    """One term list for spine ratios, products and their products."""
+
+    @pytest.mark.parametrize("tau", [0.5, 0.7 * cmath.exp(2.2j)])
+    @pytest.mark.parametrize("letter", ["a", "d"])
+    def test_ratio_times_product(self, letter, tau):
+        engine = get_spine_engine(showcase(letter))
+        ratio = (("plus", tau, 0.7, 1), ("plus", tau, 2.3, -1))
+        product = (("plus", tau, 1.3, 1), ("minus", tau, 0.4, 1))
+        want = engine.kappa(ratio) * engine.kappa(product, 1.1)
+        assert engine.kappa(ratio + product, 1.1) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_cancelled_terms_give_one_typed_like_tau(self, fig_a):
+        engine = get_spine_engine(fig_a)
+        for tau in (0.5, 0.5 + 0.2j):
+            got = engine.kappa((("minus", tau, 1.3, 1), ("minus", tau, 1.3, -1)))
+            assert got == 1 and type(got) is type(tau)
+
+    def test_mixed_tau_is_unsupported(self, fig_a):
+        with pytest.raises(MethodUnsupportedError):
+            get_spine_engine(fig_a).kappa((("plus", 0.5, 0.7, 1), ("plus", 1.0, 2.3, -1)))
+
+    def test_unbalanced_sides_are_a_domain_error(self, fig_a):
+        """A lone factor depends on the normalization c+ = c- = sqrt(c)."""
+        with pytest.raises(DomainError):
+            get_spine_engine(fig_a).kappa((("plus", 0.5, 0.7, 1),))
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_zero_argument_needs_positive_origin_value(self, fig_b, side):
+        with pytest.raises(DomainError):
+            get_spine_engine(fig_b).kappa(((side, 0.0, 0.0, 1), (side, 0.0, 1.0, -1)))
 
 
 class TestSpineZEdges:
@@ -356,7 +399,7 @@ class TestSpineZEdges:
             return refine(est, *args, **kwargs)
 
         monkeypatch.setattr(wiener_hopf, "refine_panels", counted)
-        got = wiener_hopf.SpineStieltjes(spec).ratio(x1, x2, "plus", 0.2)
+        got = wiener_hopf.SpineStieltjes(spec).kappa((("plus", 0.2, x1, 1), ("plus", 0.2, x2, -1)))
         assert len(rounds) <= max_rounds
         want = wh_ratio(shift_spec(spec, 0.2), "bd", "plus", x1, x2)
         assert got == pytest.approx(want, rel=1e-10)
@@ -406,9 +449,10 @@ class TestSpineRandomBdOracle:
         for tau, side, x1, x2 in self._draws(letter):
             shifted = shift_spec(spec, tau)
             want = wh_ratio(shifted, "bd", side, x1, x2)
-            assert engine.ratio(x1, x2, side, tau) == pytest.approx(want, rel=1e-10), (tau, side, x1, x2)
+            got = engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
+            assert got == pytest.approx(want, rel=1e-10), (tau, side, x1, x2)
             want = wh_product(shifted, "bd", x1, x2)
-            got = engine.product(x1, x2, math.sqrt(x1 * x2), tau)
+            got = engine.kappa((("plus", tau, x1, 1), ("minus", tau, x2, 1)), math.sqrt(x1 * x2))
             assert got == pytest.approx(want, rel=1e-10), (tau, x1, x2)
 
 

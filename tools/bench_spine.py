@@ -4,8 +4,9 @@ Compares two checkouts of the repository, a parent and a change:
 
 * ``bench/run.py --trace 0`` end-to-end metrics for each workload and seed,
   run in each checkout's own directory, alternating which side runs first;
-* per preset, one cold spine ratio ``ratio(0.3, 1.5, "plus", tau=0.2)`` on a
-  fresh ``SpineStieltjes``: its refinement rounds (``estimate`` calls of
+* per preset, one cold spine ratio f_0.2^+(0.3)/f_0.2^+(1.5) on a fresh
+  ``SpineStieltjes`` (its ``kappa`` of two terms, or ``ratio`` in checkouts
+  before ``kappa``): its refinement rounds (``estimate`` calls of
   ``refine_panels``), spine points solved (radii passed to ``solve_spine``)
   and the median wall time of five cold repeats;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
@@ -85,6 +86,14 @@ def count_calls(name, weight=lambda *args: 1):
 
         setattr(module, name, traced)
     return count
+
+
+def spine_ratio(engine):
+    """The probe's spine ratio: ``kappa`` where the checkout has it, ``ratio`` before."""
+    x1, x2, side, tau = RATIO
+    if hasattr(engine, "kappa"):
+        return engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
+    return engine.ratio(x1, x2, side, tau)
 
 
 def contour_work(spec, integrals, rounds, points):
@@ -173,14 +182,13 @@ def probe():
         return solve(spec, radii)
 
     wiener_hopf.refine_panels, wiener_hopf.solve_spine = counted_refine, counted_solve
-    x1, x2, side, tau = RATIO
     out = {}
     for name in sorted(SHOWCASE):
         times = []
         for _ in range(REPEATS):
             count.update(rounds=0, points=0)
             t0 = time.perf_counter()
-            value = wiener_hopf.SpineStieltjes(SHOWCASE[name]).ratio(x1, x2, side, tau)
+            value = spine_ratio(wiener_hopf.SpineStieltjes(SHOWCASE[name]))
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
