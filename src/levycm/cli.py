@@ -135,7 +135,7 @@ def _cmd_fluct(args):
         q = {"query": "sup-laplace", "sigma": args.sigma, "xi": args.xi, "side": args.side}
     elif args.query == "sup-tail":
         value = sup_tail(spec, args.sigma, args.x)
-        chain = ["stieltjes-inversion"]
+        chain = ["wh_boundary_measure"]  # axis values of f_sigma and the phi-route f_sigma^-
         q = {"query": "sup-tail", "sigma": args.sigma, "x": args.x}
     elif args.query == "pr":
         value = pr_laplace(spec, args.sigma, args.tau, args.xi, args.side)

@@ -113,7 +113,6 @@ class PanelSum:
     value: complex
     err: float
     converged: bool
-    splits: int
     lo: np.ndarray
     hi: np.ndarray
     rows: np.ndarray
@@ -161,7 +160,7 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
         value, err = np.append(value, v2[m:]), np.append(err, e2[m:])
         rows = np.concatenate([rows, r2[m:]])
         splits += m
-    return PanelSum(value.sum(), err_sum, err_sum <= goal, splits, lo, hi, rows)
+    return PanelSum(value.sum(), err_sum, err_sum <= goal, lo, hi, rows)
 
 
 def gk15_nodes(lo, hi):

@@ -56,14 +56,13 @@ class SpineSamples:
 
 @dataclass(frozen=True)
 class SpineTable:
-    """Spine samples on a grid, their Z intervals and boundary continuity checks.
+    """Spine samples on a grid and their Z intervals.
 
     The accessors return the stored sample arrays, not copies.
     """
 
     samples: SpineSamples
     z_intervals: tuple
-    boundary_checks: tuple = ()  # (r_star, rel_mismatch) per Z boundary
 
     def radii(self):
         return self.samples.r
@@ -286,11 +285,25 @@ def _z_boundaries(spec, lo, hi, side, b_lo, b_hi):
     return out
 
 
-def build_spine_table(spec, r_min, r_max, n):
-    """Sample the spine on a log-spaced grid and assemble Z intervals.
+def _z_crossings(spec, r):
+    """Radii where |theta| crosses pi/2 - ANGLE_TOL between consecutive radii of sorted ``r``.
 
-    Profile continuity at each Z boundary is verified by extrapolating the
-    interior and axis evaluations to the boundary radius from either side.
+    The ``_z_sign`` rows of both sides are evaluated at ``r`` in one
+    ``eval_f`` call; each sign change of a row is refined by
+    ``_z_boundaries``.  Crossings come grouped by side, not sorted.
+    """
+    sides = np.array([[1.0], [-1.0]])
+    b = _z_sign(spec, r, sides)
+    row, k = np.nonzero((b[:, :-1] > 0.0) != (b[:, 1:] > 0.0))
+    return _z_boundaries(spec, r[k], r[k + 1], sides[row, 0], b[row, k], b[row, k + 1])
+
+
+def build_spine_table(spec, r_min, r_max, n):
+    """Sample the spine on a log-spaced grid (one ``solve_spine``) and assemble Z intervals.
+
+    The interval ends are the grid ends where the end samples lie in Z and,
+    in order between them, the crossings of ``_z_crossings`` on the grid;
+    every crossing enters or leaves Z, so the ends pair up in turn.
     """
     if not (0.0 < r_min < r_max):
         raise DomainError("need 0 < r_min < r_max")
@@ -298,38 +311,9 @@ def build_spine_table(spec, r_min, r_max, n):
         raise DomainError("need n >= 16")
     radii = np.geomspace(r_min, r_max, int(n))
     s = solve_spine(spec, radii)
-
-    # runs of Z: +1 steps of the False-padded mask open them, -1 steps close
-    # them; each inner end is refined towards its non-Z neighbour
-    steps = np.diff(np.concatenate(([0], s.in_Z.astype(np.int8), [0])))
-    first, last = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1) - 1
-    ends = np.concatenate([first, last])
-    nbr = np.concatenate([first - 1, last + 1])
-    inner = (nbr >= 0) & (nbr < radii.size)
-    bounds = radii[ends]
-    z, out = ends[inner], nbr[inner]
-    lo, hi = np.minimum(z, out), np.maximum(z, out)
-    b = np.abs(s.theta) - (0.5 * math.pi - ANGLE_TOL)
-    side = np.where(s.theta[out] > 0.0, 1.0, -1.0)
-    bounds[inner] = _z_boundaries(spec, radii[lo], radii[hi], side, b[lo], b[hi])
-    intervals = [(float(a), float(c)) for a, c in zip(bounds[: first.size], bounds[first.size :])]
-
-    # profile continuity at each boundary inside the grid: lambda extrapolated
-    # to it from outside and from inside Z, from r (1 -+ d) at d = 1e-4, 2e-4
-    # (one solve)
-    stars = np.array(intervals).reshape(-1)
-    inward = np.tile([1.0, -1.0], len(intervals))
-    keep = (radii[0] < stars) & (stars < radii[-1])
-    stars, inward = stars[keep], inward[keep]
-    boundary_checks = ()
-    if stars.size:
-        d = np.array([-1e-4, -2e-4, 1e-4, 2e-4])
-        lam = solve_spine(spec, (stars[:, None] * (1.0 + np.outer(inward, d))).ravel()).lam
-        at_out, at_in = (2.0 * lam[0::2] - lam[1::2]).reshape(-1, 2).T
-        mism = np.abs(at_out - at_in) / (1.0 + np.abs(at_out))
-        boundary_checks = tuple(zip(stars.tolist(), mism.tolist()))
-
-    return SpineTable(s, tuple(intervals), boundary_checks)
+    cross = np.sort(_z_crossings(spec, radii))
+    ends = np.concatenate([radii[:1][s.in_Z[:1]], cross, radii[-1:][s.in_Z[-1:]]]).tolist()
+    return SpineTable(s, tuple(zip(ends[0::2], ends[1::2])))
 
 
 def classify_point(spec, xi):
@@ -377,8 +361,11 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
     most 140 per log-window of width log(1+sqrt 2), monotonicity of the
     profile, angle continuity (on two steps of cos T / 90 beside each Z
     sample), the on-spine log-derivative bound pi/|zeta|, profile
-    continuity at Z boundaries, and for exponential-representation specs
-    the |log lambda| envelope.
+    continuity at each end of the table's Z intervals inside the grid
+    (lambda at r* (1 -+ d), d = 1e-4 and 2e-4, extrapolated to r* from
+    either side, relative mismatch at most 1e-6), and for
+    exponential-representation specs the |log lambda| envelope.  The
+    samples of both continuity checks come from one ``solve_spine`` call.
     """
     rep = VerifyReport("spine-invariants")
     s = table.samples
@@ -422,20 +409,24 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
     if z2.any():
         rep.add("profile-strict-on-Z", float(np.min(dlam[z2])), tol=0.0)
 
-    # angle continuity: two steps of cos(theta)/90 in log r from each Z sample
-    # (one solve); where both stay in Z and the first has |dtheta/du| <= 1,
-    # the second has a rate below 2
+    # one solve for two continuity checks: two steps of cos(theta)/90 in
+    # log r from each Z sample, and r* (1 -+ d) at d = 1e-4, 2e-4 beside
+    # each Z boundary r* inside the grid (outside Z first)
     k = np.flatnonzero(in_z)
     hk = np.cos(theta[k]) / 90.0
-    step = solve_spine(spec, np.concatenate([r[k] * np.exp(hk), r[k] * np.exp(2.0 * hk)]))
-    t1, t2 = step.theta.reshape(2, -1)
+    ends = np.array(table.z_intervals).reshape(-1)
+    inner = (r[0] < ends) & (ends < r[-1])
+    stars, inward = ends[inner], np.tile([1.0, -1.0], len(table.z_intervals))[inner]
+    near = (stars[:, None] * (1.0 + np.outer(inward, [-1e-4, -2e-4, 1e-4, 2e-4]))).ravel()
+    step = solve_spine(spec, np.concatenate([r[k] * np.exp(hk), r[k] * np.exp(2.0 * hk), near]))
+
+    # angle continuity: where both steps stay in Z and the first has
+    # |dtheta/du| <= 1, the second has a rate below 2
+    t1, t2 = step.theta[: 2 * k.size].reshape(2, -1)
     rate1, rate2 = np.abs(t1 - theta[k]) / hk, np.abs(t2 - t1) / hk
-    trusted = step.in_Z[: k.size] & step.in_Z[k.size :] & (rate1 <= 1.0)
-    rep.add(
-        "angle-continuity",
-        _min_or_zero((2.0 * slack - rate2[trusted]) / (2.0 * slack)),
-        tol=1e-12,
-    )
+    trusted = step.in_Z[: k.size] & step.in_Z[k.size : 2 * k.size] & (rate1 <= 1.0)
+    margin = (2.0 * slack - rate2[trusted]) / (2.0 * slack)
+    rep.add("angle-continuity", _min_or_zero(margin), tol=1e-12)
 
     # log-derivative bound on the spine
     if in_z.any():
@@ -444,14 +435,13 @@ def spine_invariant_report(table: SpineTable, spec) -> VerifyReport:
         bound = slack * math.pi / np.abs(z)
         rep.add("spine-log-derivative", float(np.min((bound - ratio) / bound)), tol=1e-12)
 
-    # profile continuity across Z boundaries
-    for r_star, mism in table.boundary_checks:
-        rep.add(
-            "profile-continuity",
-            (1e-6 - mism) / 1e-6,
-            {"r": r_star, "mismatch": mism},
-            tol=1e-12,
-        )
+    # profile continuity across Z boundaries: lambda extrapolated linearly
+    # to r* from outside and from inside Z
+    beside = step.lam[2 * k.size :].reshape(-1, 4)  # per r*: two radii outside Z, two inside
+    at_out, at_in = (2.0 * beside[:, 0::2] - beside[:, 1::2]).T
+    mism = np.abs(at_out - at_in) / (1.0 + np.abs(at_out))
+    for r_star, m in zip(stars.tolist(), mism.tolist()):
+        rep.add("profile-continuity", (1e-6 - m) / 1e-6, {"r": r_star, "mismatch": m}, tol=1e-12)
 
     # |log lambda| envelope (exponential-representation constant available)
     if isinstance(spec, PhiRep):

@@ -36,7 +36,7 @@ from .rogers import (
     shift_spec,
     validate_spec,
 )
-from .spine import build_spine_table, spine_invariant_report, theta_at
+from .spine import build_spine_table, solve_spine, spine_invariant_report
 from .wiener_hopf import factor_pair, factorization_check, wh_ratio
 
 __all__ = [
@@ -136,17 +136,14 @@ def suite_spine(spec):
     table = build_spine_table(spec, r_lo, r_hi, _SPINE_N)
     rep.extend(spine_invariant_report(table, spec))
 
-    rng = make_rng(_SEED)
-    bad = 0.0
-    for _ in range(20):
-        r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-        alpha = rng.uniform(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3)
-        th = theta_at(spec, r)
-        arg_f = cmath.phase(eval_f(spec, r * cmath.exp(1j * alpha)))
-        if abs(arg_f) > 1e-9 and abs(alpha - th) > 1e-9:
-            if math.copysign(1.0, arg_f) != math.copysign(1.0, alpha - th):
-                bad += 1.0
-    rep.add("angular-sign-rule", -bad, tol=0.0)
+    # 20 draws of (log r, alpha); Arg f has the sign of alpha - theta(r)
+    a = 0.5 * math.pi - 1e-3
+    u, alpha = make_rng(_SEED).uniform([math.log(r_lo), -a], [math.log(r_hi), a], size=(20, 2)).T
+    r = np.exp(u)
+    th = solve_spine(spec, r).theta
+    arg_f = np.angle(eval_f(spec, r * np.exp(1j * alpha)))
+    bad = (np.abs(arg_f) > 1e-9) & (np.abs(alpha - th) > 1e-9) & ((arg_f > 0.0) != (alpha > th))
+    rep.add("angular-sign-rule", -float(np.count_nonzero(bad)), tol=0.0)
 
     lim = f_limits(spec)
     lam = table.lambdas()

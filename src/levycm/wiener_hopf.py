@@ -48,7 +48,7 @@ from .rogers import (
     is_constant,
     is_degenerate,
 )
-from .spine import _profile_slope, _z_boundaries, _z_sign, solve_spine
+from .spine import _profile_slope, _z_crossings, solve_spine
 
 __all__ = [
     "build_phi_table",
@@ -357,18 +357,14 @@ class SpineStieltjes:
     def _z_edges(self, u_lo, u_hi):
         """Sorted log-radii of the Z boundaries in [u_lo, u_hi] bracketed by a scan at step 1/16.
 
-        The two ray signs of ``spine._z_sign`` are evaluated on the grid in
-        one call, and each sign change is refined by ``spine._z_boundaries``.
-        The result depends on the range alone, so every tau reuses it.
+        ``spine._z_crossings`` on the scan grid, the locator that
+        ``build_spine_table`` uses too.  The result depends on the range
+        alone, so every tau reuses it.
         """
         key = (u_lo, u_hi)
         if key not in self._z_cache:
             r = np.exp(np.arange(u_lo / _Z_SCAN_STEP, u_hi / _Z_SCAN_STEP + 1.0) * _Z_SCAN_STEP)
-            sides = np.array([[1.0], [-1.0]])
-            b = _z_sign(self.spec, r, sides)
-            row, k = np.nonzero((b[:, :-1] > 0.0) != (b[:, 1:] > 0.0))
-            rb = _z_boundaries(self.spec, r[k], r[k + 1], sides[row, 0], b[row, k], b[row, k + 1])
-            self._z_cache[key] = np.unique(np.log(rb))
+            self._z_cache[key] = np.unique(np.log(_z_crossings(self.spec, r)))
         return self._z_cache[key]
 
     def _integral(self, gfun, scales, jumps, tau):
@@ -451,8 +447,8 @@ class SpineStieltjes:
         on one side at one x with opposite s cancel, and an empty product is
         1.  All terms share one tau (:class:`MethodUnsupportedError`
         otherwise): real tau >= 0 gives a float, complex tau off the cut a
-        complex.  A factor at x = 0, or R = 0 with n != 0, needs
-        f(0+) + tau != 0 (:class:`DomainError`).
+        complex.  Every x_k must be finite and >= 0, and a factor at x = 0,
+        or R = 0 with n != 0, needs f(0+) + tau != 0 (:class:`DomainError`).
         """
         taus = {tau for _, tau, _, _ in terms}
         if len(taus) > 1:
@@ -460,8 +456,10 @@ class SpineStieltjes:
         tau = taus.pop() if taus else 0.0
         net = {}  # (side, x) -> sum of s, in the order of the terms
         for side, _, x, s in terms:
-            key = (side, float(x))
-            net[key] = net.get(key, 0) + s
+            x = float(x)
+            if not 0.0 <= x < math.inf:
+                raise DomainError("a spine factor needs a finite x >= 0")
+            net[side, x] = net.get((side, x), 0) + s
         net = {key: c for key, c in net.items() if c}
         n = sum(c for (side, _), c in net.items() if side == PLUS)
         if sum(c for (side, _), c in net.items() if side == MINUS) != n:

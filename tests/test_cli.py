@@ -226,6 +226,7 @@ class TestCommands:
             ("pr", ("--tau", "0", "--xi", "0"), []),
             ("sup-laplace", ("--xi", "1"), ["bd_kappa"]),
             ("sup-laplace", ("--xi", "0"), []),
+            ("sup-tail", ("--x", "1"), ["wh_boundary_measure"]),
         ],
     )
     def test_fluct_chain_lists_computed_ratios(self, capsys, tmp_path, query, args, chain):

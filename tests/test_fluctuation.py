@@ -451,6 +451,23 @@ class TestSpineFamiliesClosedForm:
                 assert h(sigma) == pytest.approx(want, rel=1e-8), (side, sigma)
 
 
+class TestSpineFamilyArguments:
+    """The spine families reject xi that is negative or not finite, as their kappa does."""
+
+    @pytest.mark.parametrize("xi", [-1.0, -2.0, math.inf, math.nan])
+    def test_bad_xi_is_a_domain_error(self, xi):
+        families = (
+            (kappa_tau_ratio_family(BM_DRIFT, xi, 1.0), 0.5),
+            (kappa_tau_ratio_family(BM_DRIFT, 0.5, xi, "minus"), 0.5),
+            (kappa_product_family(BM_DRIFT, xi, 2.0), 0.5),
+            (kappa_product_family(BM_DRIFT, 0.5, xi), 0.5),
+            (sigma_stieltjes_function(BM_DRIFT, xi), 1.0),
+        )
+        for fam, tau in families:
+            with pytest.raises(DomainError):
+                fam(tau)
+
+
 class TestConeFamilies:
     def test_kappa_in_xi_is_cbf(self):
         rng = make_rng(41)

@@ -17,7 +17,7 @@ from levycm import (
     f_limits,
     shift_spec,
 )
-from levycm import numerics, spine
+from levycm import numerics, spine, verify
 from levycm.numerics import make_rng
 from levycm.report import VerifyReport
 from levycm.specio import SHOWCASE
@@ -182,6 +182,20 @@ class TestSpineTable:
         table = build_spine_table(fig_e, lo, hi, 256)
         ends = [r for iv in table.z_intervals for r in iv if lo < r < hi]
         assert ends == [pytest.approx(4.0, abs=1e-9)]
+
+    def test_one_solve_per_table(self, fig_e, monkeypatch):
+        """The Z boundaries come from ray signs, not from a second spine solve."""
+        solve, sizes = spine.solve_spine, []
+
+        def counted(spec, radii):
+            sizes.append(len(radii))
+            return solve(spec, radii)
+
+        monkeypatch.setattr(spine, "solve_spine", counted)
+        lo, hi = default_spine_range(fig_e)
+        table = build_spine_table(fig_e, lo, hi, 256)
+        assert any(lo < r < hi for iv in table.z_intervals for r in iv)
+        assert sizes == [256]
 
     def test_symmetric_all_interior(self):
         table = build_spine_table(SYMMETRIC, 0.1, 10.0, 64)
@@ -428,7 +442,15 @@ def _loop_invariant_report(table, spec):
     if worst is not math.inf:
         rep.add("spine-log-derivative", worst, tol=1e-12)
 
-    for r_star, mism in table.boundary_checks:
+    # profile continuity: one solve on the four radii beside each Z boundary
+    # inside the grid, outside Z first (the former builder's check)
+    for r_star, inward in [(b, w) for iv in table.z_intervals for b, w in zip(iv, (1.0, -1.0))]:
+        if not radii[0] < r_star < radii[-1]:
+            continue
+        near = [r_star * (1.0 + inward * d) for d in (-1e-4, -2e-4, 1e-4, 2e-4)]
+        l_out, l_out2, l_in, l_in2 = solve_spine(spec, near).lam
+        at_out, at_in = 2.0 * l_out - l_out2, 2.0 * l_in - l_in2
+        mism = float(abs(at_out - at_in) / (1.0 + abs(at_out)))
         witness = {"r": r_star, "mismatch": mism}
         rep.add("profile-continuity", (1e-6 - mism) / 1e-6, witness, tol=1e-12)
 
@@ -542,3 +564,33 @@ class TestAngularSignRule:
                 arg_f = np.angle(eval_f(spec, r * np.exp(1j * alpha)))
                 if abs(arg_f) > 1e-9:
                     assert math.copysign(1.0, arg_f) == math.copysign(1.0, alpha - th)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    @pytest.mark.parametrize("name", ["bm_drift", "rational_three_arcs", "stable_mixed"])
+    def test_suite_rule_matches_loop(self, name, shift, monkeypatch):
+        """``verify.suite_spine``'s batched rule against its former per-draw loop.
+
+        The angles are shifted by ``shift`` in both, so a wrong spine is
+        counted alike.
+        """
+        spec = SHOWCASE[name]
+        solve = spine.solve_spine
+
+        def shifted(spec, radii):
+            out = solve(spec, radii)
+            return replace(out, theta=out.theta + shift)
+
+        monkeypatch.setattr(verify, "solve_spine", shifted)
+        rule = [c for c in verify.suite_spine(spec).checks if c.name == "angular-sign-rule"]
+        r_lo, r_hi = default_spine_range(spec)
+        rng = make_rng(verify._SEED)
+        bad = 0
+        for _ in range(20):
+            r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+            alpha = rng.uniform(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3)
+            th = theta_at(spec, r) + shift
+            arg_f = float(np.angle(eval_f(spec, r * np.exp(1j * alpha))))
+            if abs(arg_f) > 1e-9 and abs(alpha - th) > 1e-9:
+                bad += math.copysign(1.0, arg_f) != math.copysign(1.0, alpha - th)
+        assert (shift == 0.0) == (bad == 0)
+        assert [c.margin for c in rule] == [-bad]

@@ -375,6 +375,19 @@ class TestSpineKappa:
         with pytest.raises(DomainError):
             get_spine_engine(fig_b).kappa(((side, 0.0, 0.0, 1), (side, 0.0, 1.0, -1)))
 
+    @pytest.mark.parametrize("x", [-1.0, math.inf, math.nan])
+    def test_argument_must_be_finite_and_nonnegative(self, fig_a, x):
+        """Checked in every term, also in one that the others would cancel."""
+        engine = get_spine_engine(fig_a)
+        lists = (
+            (("plus", 0.5, x, 1), ("plus", 0.5, 1.0, -1)),
+            (("minus", 0.5 + 0.2j, 1.0, 1), ("minus", 0.5 + 0.2j, x, -1)),
+            (("plus", 0.5, x, 1), ("plus", 0.5, x, -1)),
+        )
+        for terms in lists:
+            with pytest.raises(DomainError):
+                engine.kappa(terms)
+
 
 class TestSpineZEdges:
     """Z boundaries as panel edges of the spine integral."""

@@ -9,6 +9,9 @@ Compares two checkouts of the repository, a parent and a change:
   before ``kappa``): its refinement rounds (``estimate`` calls of
   ``refine_panels``), spine points solved (radii passed to ``solve_spine``)
   and the median wall time of five cold repeats;
+* per preset, ``build_spine_table`` with ``SPINE_TABLE_N`` samples on
+  ``default_spine_range``: the median wall time of five builds, the
+  number of Z intervals and one build's ``solve_spine`` calls and radii;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
   ``build_phi_table`` calls and the table's breakpoint count;
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
@@ -56,6 +59,7 @@ PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
 CONTOUR_MEMOS = (("wiener_hopf", "_BD_KAPPA"), ("wiener_hopf", "_BD_RATIOS"),
                  ("fluctuation", "_TAU_RATIOS"))
 SUP_SIGMA = 0.5
+SPINE_TABLE_N = 256  # samples of the probe's spine tables, as in the wh_cold workload
 REPEATS = 5
 MC_PATHS = 2000  # paths per job, as in the mc_exact workload
 _HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
@@ -94,6 +98,37 @@ def spine_ratio(engine):
     if hasattr(engine, "kappa"):
         return engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
     return engine.ratio(x1, x2, side, tau)
+
+
+def table_work(spec):
+    """Median ms of ``REPEATS`` spine-table builds, the Z intervals and one build's solves.
+
+    ``spine.solve_spine`` is the builder's global, so it is counted there.
+    """
+    import numpy as np
+
+    from levycm import spine
+    from levycm.verify import default_spine_range
+
+    lo, hi = default_spine_range(spec)
+    solve, radii = spine.solve_spine, []
+
+    def counted_solve(spec, r):
+        radii.append(int(np.size(r)))
+        return solve(spec, r)
+
+    spine.solve_spine = counted_solve
+    try:
+        times = []
+        for _ in range(REPEATS):
+            radii.clear()
+            t0 = time.perf_counter()
+            table = spine.build_spine_table(spec, lo, hi, SPINE_TABLE_N)
+            times.append(time.perf_counter() - t0)
+    finally:
+        spine.solve_spine = solve
+    return {"ms": 1e3 * median(times), "z_intervals": len(table.z_intervals),
+            "solve_calls": len(radii), "solve_radii": sum(radii)}
 
 
 def contour_work(spec, integrals, rounds, points):
@@ -157,7 +192,8 @@ def mc_work(calls):
 
 
 def probe():
-    """Monte Carlo job work, then spine-ratio, contour, sup_tail and phi-table figures per preset (JSON on stdout)."""
+    """Monte Carlo job work, then spine-ratio, spine-table, contour, sup_tail and phi-table figures
+    per preset (JSON on stdout)."""
     import numpy as np
 
     from levycm import numerics, shift_spec, wiener_hopf
@@ -192,6 +228,7 @@ def probe():
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
+                     "spine_table": table_work(SHOWCASE[name]),
                      "contour": contour_work(SHOWCASE[name], integrals, rounds, points),
                      "sup_tail": sup_work(SHOWCASE[name])}
         for phi_tau in PHI_TAUS:
@@ -246,6 +283,7 @@ def main(argv=None):
                     "platform": platform.platform()},
         "spine_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3],
                         "repeats": REPEATS},
+        "spine_table": {"n": SPINE_TABLE_N, "repeats": REPEATS},
         "phi_table_taus": list(PHI_TAUS),
         "sup_tail_sigma": SUP_SIGMA,
         "contour": {"bd_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3]},
