@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpineUndefinedError
-from .numerics import bisect_monotone
 from .report import VerifyReport
 from .rogers import PhiRep, _axis_limit, eval_f, eval_f_prime, is_constant
 
@@ -39,8 +38,8 @@ D_MINUS = "D_minus"
 ON_SPINE = "on_spine"
 
 ANGLE_TOL = 1e-7  # |theta| < pi/2 - ANGLE_TOL defines membership in Z
-_EDGE = 1e-9  # bisection never evaluates closer to the axis than this
-_THETA_TOL = 1e-12  # bisection width of the spine angle
+_EDGE = 1e-9  # the angle solve never evaluates closer to the axis than this
+_THETA_TOL = 1e-12  # final bracket width of the spine angle
 
 
 @dataclass(frozen=True)
@@ -83,27 +82,17 @@ class SpineTable:
 def theta_at(spec, r):
     """Spine angle theta(r): the sign-change angle of Arg f(r e^{i alpha}).
 
-    Arg f and im f share their sign off the cut, so bisection acts on im f.
-    When the sign is constant on (-pi/2, pi/2) the spine runs along the
-    imaginary axis and +-pi/2 is returned exactly.
+    ``_theta_array`` at the one radius r, so that a single angle is bitwise
+    the one ``solve_spine`` returns at r.  When the sign is constant on
+    (-pi/2, pi/2) the spine runs along the imaginary axis and +-pi/2 is
+    returned exactly.
     """
     if is_constant(spec):
         raise SpineUndefinedError("constant exponents have no spine")
     r = float(r)
     if not r > 0.0:
         raise DomainError("theta_at needs r > 0")
-
-    def g(alpha):
-        return eval_f(spec, r * cmath.exp(1j * alpha)).imag
-
-    lo = -0.5 * math.pi + _EDGE
-    hi = 0.5 * math.pi - _EDGE
-    glo, ghi = g(lo), g(hi)
-    if glo > 0.0 and ghi > 0.0:
-        return -0.5 * math.pi
-    if glo < 0.0 and ghi < 0.0:
-        return 0.5 * math.pi
-    return bisect_monotone(g, lo, hi, tol=_THETA_TOL, glo=glo, ghi=ghi)
+    return float(_theta_array(spec, np.array([r]))[0])
 
 
 def _axis_lambda(spec, r, side):
@@ -153,66 +142,87 @@ def _lambda_theta(spec, r):
 
 
 def _theta_array(spec, r):
-    """``theta_at`` at every radius of ``r``, by one lockstep bisection.
+    """Spine angle at every radius of ``r``, by one lockstep root solve.
 
-    Each radius follows the scalar rules step for step: the same bracket,
-    constant-sign and exact-zero returns, midpoints and stopping tests as
-    ``theta_at`` with ``bisect_monotone``.  Each step evaluates im f at the
-    midpoints of all radii still bisecting in one ``eval_f`` call.
+    Arg f and im f share their sign off the cut, and im f(r e^{i alpha}) is
+    nondecreasing in alpha, so the angle is the root of im f in
+    [-pi/2 + _EDGE, pi/2 - _EDGE], found by ``_lockstep_root`` to a final
+    bracket of width 1e-12.  Both ends of every bracket are evaluated in one
+    ``eval_f`` call, then each step evaluates all open brackets in one call.
+    A constant sign gives -pi/2 (im f > 0) or pi/2 (im f < 0) exactly, and
+    an exact zero at an end gives that end.
     """
 
     def g(rr, alpha):
         return eval_f(spec, rr * np.exp(1j * alpha)).imag
 
     half = 0.5 * math.pi
-    lo = np.full(r.shape, -half + _EDGE)
-    hi = np.full(r.shape, half - _EDGE)
-    glo, ghi = g(r, lo), g(r, hi)
+    lo, hi = np.full(r.shape, -half + _EDGE), np.full(r.shape, half - _EDGE)
+    glo, ghi = g(r, np.stack([lo, hi]))
     ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
     theta = np.select(ends, [-half, half, lo, hi], np.nan)
     idx = np.flatnonzero(~np.logical_or.reduce(ends))
-    _lockstep_bisect(lambda idx, mid: g(r[idx], mid), lo, hi, _THETA_TOL, theta, idx)
+    _lockstep_root(lambda idx, x: g(r[idx], x), lo, hi, glo, ghi, _THETA_TOL, theta, idx)
     return theta
 
 
-def _lockstep_bisect(g, lo, hi, tol, out, idx):
-    """Bisect the brackets [lo, hi] listed in ``idx`` in lockstep; results go to ``out``.
+def _lockstep_root(g, lo, hi, glo, ghi, tol, out, idx):
+    """Roots of the brackets [lo, hi] listed in ``idx``, solved in lockstep; results go to ``out``.
 
-    Each bracket follows the midpoint loop of ``bisect_monotone`` step for
-    step: g < 0 moves lo up, an exact zero is the result, anything else
-    moves hi down; a bracket stops with its midpoint at width ``tol``
-    (scalar or per bracket), when the midpoint is not strictly inside, or
-    after 200 steps.  ``g(idx, mid)`` evaluates the midpoints of all open
-    brackets in one call.  ``lo`` and ``hi`` are updated in place.
+    g changes sign on each bracket: ``glo`` and ``ghi`` are its known end
+    values, of opposite signs, and ``g(idx, x)`` evaluates the open
+    brackets ``idx`` at the points ``x`` in one call (never with an empty
+    ``idx``).  Each bracket follows Chandrupatla's hybrid (Adv. Eng. Softw.
+    28, 1997): the next point is the inverse quadratic interpolant through
+    the last three points where that is monotone (phi^2 < xi and
+    (1 - phi)^2 < 1 - xi), the midpoint otherwise, kept at least tol/2
+    inside the bracket.  A bracket wider than width_0 2^{-(k+1)/2} before
+    its step k takes the midpoint, so no bracket takes more than twice the
+    steps of bisection.  A bracket stops with its midpoint at width ``tol``
+    (scalar or per bracket) or when the midpoint is not strictly inside,
+    with the point itself at an exact zero of g, and after 200 steps.
     """
-    tol = np.broadcast_to(tol, lo.shape)
-    for _ in range(200):  # bisect_monotone's max_iter
-        l, h = lo[idx], hi[idx]
-        mid = 0.5 * (l + h)
-        go = (h - l > tol[idx]) & (mid > l) & (mid < h)
+    tol = np.broadcast_to(tol, lo.shape)[idx]
+    a, b, fa, fb = lo[idx], hi[idx], glo[idx], ghi[idx]  # a: the latest point, b: the far end
+    d = b - a
+    w0 = np.abs(d)
+    t = np.full(idx.shape, 0.5)  # the next point is a + t d
+    for k in range(200):
+        w, mid = np.abs(d), 0.5 * (a + b)
+        go = (w > tol) & (mid != a) & (mid != b)
         if not go.all():
-            out[idx[~go]] = 0.5 * (l[~go] + h[~go])
-            idx, mid = idx[go], mid[go]
+            out[idx[~go]] = mid[~go]
+            idx, a, b, d, fa, fb, t, tol, w0, w = (
+                v[go] for v in (idx, a, b, d, fa, fb, t, tol, w0, w)
+            )
         if not idx.size:
             return
-        gm = g(idx, mid)
-        neg, zero = gm < 0.0, gm == 0.0
-        lo[idx[neg]] = mid[neg]
-        up = ~(neg | zero)
-        hi[idx[up]] = mid[up]
-        if zero.any():
-            out[idx[zero]] = mid[zero]
-            idx = idx[~zero]
-    out[idx] = 0.5 * (lo[idx] + hi[idx])
+        tl = 0.5 * tol / w
+        t = np.where(w > w0 * 2.0 ** (-0.5 * (k + 1)), 0.5, np.minimum(np.maximum(t, tl), 1.0 - tl))
+        x = a + t * d
+        gx = g(idx, x)
+        same = (gx < 0.0) == (fa < 0.0)  # x replaces a; otherwise a becomes the far end b
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)  # the point before x
+        b, fb = np.where(gx == 0.0, x, np.where(same, b, a)), np.where(same, fb, fa)
+        a, fa, d = x, gx, b - x  # an exact zero leaves the bracket [x, x]
+        # the interpolant divides by fc - fa, which is 0 where it is not monotone
+        # (phi = 1); those brackets take the midpoint
+        with np.errstate(all="ignore"):
+            dab, dcb = fb - fa, fc - fb
+            xi, phi = -d / (c - b), -dab / dcb
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = fa / dcb * ((c - a) / d * fb / (fc - fa) - fc / dab)
+            t[~iqi] = 0.5
+    out[idx] = 0.5 * (a + b)
 
 
 def solve_spine(spec, radii):
     """Spine angle, point, profile and Z membership at every radius.
 
     The array form of ``_lambda_theta`` with the same rules: angles from
-    one lockstep bisection (``_theta_array``), profile values from one
-    ``eval_f`` call on the Z points and one boundary evaluation on the axis
-    for the others.  Single radii are cheaper through ``theta_at``/``lambda_at``.
+    one lockstep root solve (``_theta_array``, which ``theta_at`` shares),
+    profile values from one ``eval_f`` call on the Z points and one
+    boundary evaluation on the axis for the others.
     """
     if is_constant(spec):
         raise SpineUndefinedError("constant exponents have no spine")
@@ -267,9 +277,10 @@ def _z_boundaries(spec, lo, hi, side, b_lo, b_hi):
 
     ``b_lo`` and ``b_hi`` carry the signs of |theta| - (pi/2 - ANGLE_TOL) at
     the bracket ends and ``side`` the side where the spine leaves Z.  All
-    brackets are bisected in lockstep, one ``_z_sign`` call on the
-    midpoints per step, each following ``bisect_monotone`` on sign_flip b
-    with tol 1e-12 hi, where sign_flip makes b rise from lo to hi.
+    brackets are solved by ``_lockstep_root`` on flip b, where flip makes b
+    rise from lo to hi, to a final bracket of width 1e-12 hi, with one
+    ``_z_sign`` call per step; a constant sign gives the end where the sign
+    change would lie and an exact zero at an end gives that end.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flip = np.where(b_hi > b_lo, 1.0, -1.0)
@@ -278,10 +289,10 @@ def _z_boundaries(spec, lo, hi, side, b_lo, b_hi):
     out = np.select(ends, [lo, hi, lo, hi], np.nan)
     idx = np.flatnonzero(~np.logical_or.reduce(ends))
 
-    def g(idx, mid):
-        return flip[idx] * _z_sign(spec, mid, side[idx])
+    def g(idx, x):
+        return flip[idx] * _z_sign(spec, x, side[idx])
 
-    _lockstep_bisect(g, lo, hi, 1e-12 * hi, out, idx)
+    _lockstep_root(g, lo, hi, glo, ghi, 1e-12 * hi, out, idx)
     return out
 
 

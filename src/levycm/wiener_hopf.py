@@ -305,8 +305,8 @@ _SPINE_ABS_TOL = 1e-12
 _SPINE_MAX_SPLITS = 2000
 _SPINE_PAD = 40.0  # log-radius margin of the panels beyond the kernel's scales
 # misses of log(lambda + tau) below this are the noise of the spine solve
-# (angles bisected to 1e-12, amplified near the cut): they still enter the
-# value but not the error, which they would hold above the goal
+# (angles certified to a 1e-12 bracket, amplified near the cut): they still
+# enter the value but not the error, which they would hold above the goal
 _SPINE_NOISE = 1e-10
 _Z_SCAN_STEP = 1.0 / 16.0  # log-radius step of the grid that brackets the Z boundaries
 _Z_MERGE = 1e-12  # the locator's resolution in log r
@@ -441,15 +441,19 @@ class SpineStieltjes:
         sum of the plus-side s_k, the value is (tau + lambda(R))^n
         exp(-(1/pi) int g d log(lambda + tau)) with
         g(zeta, r) = sum_k s_k sgn_k Arg(zeta - i sgn_k x_k) + n pi 1{r < R}
-        and lambda(0) = f(0+); R >= 0 (1 by default) splits the
-        representation.  The minus-side sum of s_k must be n too, or the
-        product depends on the normalization (:class:`DomainError`).  Terms
-        on one side at one x with opposite s cancel, and an empty product is
-        1.  All terms share one tau (:class:`MethodUnsupportedError`
-        otherwise): real tau >= 0 gives a float, complex tau off the cut a
-        complex.  Every x_k must be finite and >= 0, and a factor at x = 0,
-        or R = 0 with n != 0, needs f(0+) + tau != 0 (:class:`DomainError`).
+        and lambda(0) = f(0+); the split radius R (1 by default) must be
+        finite and >= 0 (:class:`DomainError`, checked before anything
+        else).  The minus-side sum of s_k must be n too, or the product
+        depends on the normalization (:class:`DomainError`).  Terms on one
+        side at one x with opposite s cancel, and an empty product is 1.
+        All terms share one tau (:class:`MethodUnsupportedError` otherwise):
+        real tau >= 0 gives a float, complex tau off the cut a complex.
+        Every x_k must be finite and >= 0, and a factor at x = 0, or R = 0
+        with n != 0, needs f(0+) + tau != 0 (:class:`DomainError`).
         """
+        R = 1.0 if R is None else float(R)
+        if not 0.0 <= R < math.inf:
+            raise DomainError("the split radius R must be finite and >= 0")
         taus = {tau for _, tau, _, _ in terms}
         if len(taus) > 1:
             raise MethodUnsupportedError("spine terms must share one tau")
@@ -466,7 +470,6 @@ class SpineStieltjes:
             raise DomainError("a spine product needs equal plus-side and minus-side sums of s")
         if not net:
             return _exp(0.0 * tau)  # 1, typed like tau
-        R = 1.0 if R is None else float(R)
         if (any(x == 0.0 for _, x in net) or (n and R == 0.0)) and self.f_zero + tau == 0.0:
             raise DomainError("a factor at 0 needs f(0+) + tau != 0")
         parts = []  # (s sgn, i sgn x)

@@ -123,6 +123,14 @@ class TestKappaRatioTau:
         rep = cm_cbf_check(fam, CmCheckConfig("cbf_arg", taus, tol=1e-6))
         assert rep.passed, rep.failures()
 
+    def test_family_near_the_cut(self):
+        """At arg tau = 3.1, 1/(lambda + tau) amplifies the spine-solve noise near u_s; the value
+        still meets the closed form (0.5 + rho)/(2 + rho), rho = sqrt(1 + 2 tau) - 1."""
+        tau = cmath.exp(3.1j)
+        rho = cmath.sqrt(1.0 + 2.0 * tau) - 1.0
+        want = (0.5 + rho) / (2.0 + rho)
+        assert abs(kappa_tau_ratio_family(BM_DRIFT, 0.5, 2.0)(tau) - want) <= 1e-10 * abs(want)
+
 
 class TestKappaCirc:
     def test_non_cp_unity(self, fig_a, fig_b):

@@ -54,25 +54,29 @@ class TestThetaAt:
         assert theta_at(fig_a, 0.5) == 0.5 * math.pi
 
     def test_endpoints_evaluated_once(self, fig_a, monkeypatch):
-        """Each bracket end is evaluated once, then one point per bisection step."""
+        """Both bracket ends in one eval_f call, then one call per lockstep step, never at an end."""
         points, steps = [], []
 
         def counting_eval_f(spec, xi):
-            points.append(xi)
+            points.append(np.angle(xi).ravel())
             return eval_f(spec, xi)
 
-        def counting_bisect(g, lo, hi, *args, **kwargs):
-            def step(alpha):
-                assert lo < alpha < hi
-                steps.append(alpha)
-                return g(alpha)
+        def counting_root(g, *args):
+            def step(idx, x):
+                assert idx.size
+                steps.append(x)
+                return g(idx, x)
 
-            return numerics.bisect_monotone(step, lo, hi, *args, **kwargs)
+            return solver(step, *args)
 
+        solver = spine._lockstep_root
         monkeypatch.setattr(spine, "eval_f", counting_eval_f)
-        monkeypatch.setattr(spine, "bisect_monotone", counting_bisect)
+        monkeypatch.setattr(spine, "_lockstep_root", counting_root)
         assert theta_at(fig_a, math.sqrt(2.0)) == pytest.approx(math.pi / 4, abs=1e-11)
-        assert steps and len(points) == 2 + len(steps)
+        assert steps and len(points) == 1 + len(steps)
+        lo, hi = points[0]
+        assert (lo, hi) == pytest.approx((-0.5 * math.pi + spine._EDGE, 0.5 * math.pi - spine._EDGE))
+        assert all(p.size == 1 and lo < p[0] < hi for p in points[1:])
 
     def test_constant_rejected(self):
         with pytest.raises(SpineUndefinedError):
@@ -81,6 +85,119 @@ class TestThetaAt:
     def test_pure_drift_hugs_axis(self):
         assert theta_at(LevyAtomic(b=1.0), 2.0) == 0.5 * math.pi
         assert theta_at(LevyAtomic(b=-1.0), 2.0) == -0.5 * math.pi
+
+
+def _recorded_root(g, lo, hi, tol):
+    """``_lockstep_root`` on all brackets of ``g``, with every evaluation (x, g) recorded per bracket."""
+    n = lo.size
+    seen = [[] for _ in range(n)]
+
+    def recorded(idx, x):
+        assert idx.size
+        v = g(idx, x)
+        for i, xx, vv in zip(idx.tolist(), x.tolist(), v.tolist()):
+            seen[i].append((xx, vv))
+        return v
+
+    every = np.arange(n)
+    out = np.full(n, np.nan)
+    spine._lockstep_root(recorded, lo, hi, g(every, lo), g(every, hi), tol, out, every)
+    return out, seen
+
+
+class TestLockstepRoot:
+    """The lockstep root solver: certified final brackets in few steps, at most twice bisection's."""
+
+    @staticmethod
+    def _assert_certified(out, seen, lo, hi, tol):
+        """Each result is an exact zero it evaluated, or the midpoint of its final bracket of
+        width <= tol, reached in at most 2 ceil(log2(width_0 / tol)) steps."""
+        tol = np.broadcast_to(tol, lo.shape)
+        for k, points in enumerate(seen):
+            assert len(points) <= 2 * math.ceil(math.log2((hi[k] - lo[k]) / tol[k])), k
+            zeros = [x for x, v in points if v == 0.0]
+            if zeros:
+                assert out[k] == zeros[-1]
+                continue
+            a = max([lo[k]] + [x for x, v in points if v < 0.0])
+            b = min([hi[k]] + [x for x, v in points if v > 0.0])
+            assert b - a <= tol[k] and out[k] == 0.5 * (a + b), k
+
+    def test_bm_drift_closed_form(self, fig_a):
+        """im f(r e^{i alpha}) = r cos(alpha) (r sin(alpha) - 1): theta = arcsin(1/r) for r > 1."""
+        r = np.exp(make_rng(22).uniform(1e-3, math.log(1e3), 200))
+        theta = spine._theta_array(fig_a, r)
+        want = np.arcsin(1.0 / r)
+        assert np.all(np.abs(theta - want) <= 1e-12)
+        assert np.all(theta == [theta_at(fig_a, x) for x in r.tolist()])  # one solver
+
+    @pytest.mark.parametrize(
+        "name,fn",
+        [
+            ("steep", lambda x: np.tanh(1e6 * x)),
+            ("flat", lambda x: x**9),
+            ("step", lambda x: np.where(x < 0.0, -1.0, 1.0)),
+            ("linear", lambda x: x),
+        ],
+    )
+    def test_adversarial(self, name, fn):
+        roots = make_rng(7).uniform(-0.9, 1.9, 64)
+        lo, hi = np.full(64, -1.0), np.full(64, 2.0)
+        out, seen = _recorded_root(lambda idx, x: fn(x - roots[idx]), lo, hi, 1e-12)
+        self._assert_certified(out, seen, lo, hi, 1e-12)
+        assert np.all(np.abs(out - roots) <= 1e-12)
+
+    def test_tolerance_per_bracket(self):
+        tol = np.array([1e-2, 1e-6, 1e-12, 1e-12 * 8.0])
+        lo, hi = np.array([-1.0, -1.0, -1.0, 0.0]), np.array([1.0, 2.0, 3.0, 8.0])
+        roots = np.array([0.3, 0.7, -0.2, 6.1])
+        out, seen = _recorded_root(lambda idx, x: np.expm1(x - roots[idx]), lo, hi, tol)
+        self._assert_certified(out, seen, lo, hi, tol)
+        assert np.all(np.abs(out - roots) <= 0.5 * tol)
+        assert len(seen[0]) < len(seen[1]) < len(seen[2])
+
+    def test_exact_zero_is_the_result(self):
+        """The first point of every bracket is its midpoint; there g is 0 exactly."""
+        roots = np.array([0.0, 0.5])
+        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 1.0])
+        out, seen = _recorded_root(lambda idx, x: x - roots[idx], lo, hi, 1e-12)
+        assert out.tolist() == [0.0, 0.5] and [len(p) for p in seen] == [1, 1]
+
+    def test_no_open_bracket_makes_no_call(self):
+        def g(idx, x):
+            raise AssertionError("g called")
+
+        out, none = np.array([7.0]), np.array([], dtype=int)
+        spine._lockstep_root(g, np.zeros(1), np.ones(1), -np.ones(1), np.ones(1), 1e-12, out, none)
+        assert out.tolist() == [7.0]
+
+    def test_constant_sign_and_end_zeros(self, monkeypatch):
+        """Constant signs give -+pi/2 and an exact zero at an end gives that end, with no step."""
+        half = 0.5 * math.pi
+        # im f per radius: r = 1 and 2 constant signs, r = 3 and 4 zero at an end, r = 5 a root at 0.25
+        cases = {
+            1.0: lambda a: 1.0 + 0.0 * a,
+            2.0: lambda a: -1.0 + 0.0 * a,
+            3.0: lambda a: np.where(a < -1.0, 0.0, 1.0),
+            4.0: lambda a: np.where(a > 1.0, 0.0, -1.0),
+            5.0: lambda a: a - 0.25,
+        }
+        calls = []
+
+        def fake_eval_f(spec, xi):
+            calls.append(np.size(xi))
+            r = np.round(np.abs(xi), 9)
+            alpha = np.angle(xi)
+            out = np.empty(np.shape(xi))
+            for key, fn in cases.items():
+                out[r == key] = fn(alpha[r == key])
+            return 1j * out
+
+        monkeypatch.setattr(spine, "eval_f", fake_eval_f)
+        theta = spine._theta_array(None, np.array(sorted(cases)))
+        assert theta[:4].tolist() == [-half, half, -half + spine._EDGE, half - spine._EDGE]
+        assert abs(theta[4] - 0.25) <= 5e-13
+        assert calls[0] == 10 and all(c == 1 for c in calls[1:])
 
 
 class TestLambdaAt:
@@ -485,7 +602,20 @@ class TestZBoundaryLocator:
         assert got == pytest.approx(r_star, abs=1e-9)
         for k, (a, c) in enumerate(brackets):
             r_in, r_out = (a, c) if b_lo[k] < 0.0 else (c, a)
-            assert got[k] == _refine_z_boundary(spec, r_in, r_out)
+            # both are midpoints of final brackets of width <= 1e-12 hi around one root
+            assert abs(got[k] - _refine_z_boundary(spec, r_in, r_out)) <= 1e-12 * c
+
+
+def _assert_same_z_intervals(got, want, radii):
+    """Equal Z intervals, up to the locators' certified width at a crossing.
+
+    Grid ends are equal; a crossing in the grid cell (r_k, r_k+1] is the
+    midpoint of a final bracket of width <= 1e-12 r_k+1 on either side.
+    """
+    assert len(got) == len(want)
+    g, w = np.array(got, dtype=float).reshape(-1), np.array(want, dtype=float).reshape(-1)
+    hi = radii[np.minimum(np.searchsorted(radii, g), radii.size - 1)]
+    assert np.all(np.abs(g - w) <= 1e-12 * hi), (got, want)
 
 
 REFERENCE_CASES = [
@@ -502,7 +632,8 @@ class TestInvariantReference:
     def test_matches_loops(self, label, spec):
         lo, hi = default_spine_range(spec)
         table = build_spine_table(spec, lo, hi, 256)
-        assert table.z_intervals == _loop_z_intervals(spec, table.radii(), table.in_z_mask())
+        want = _loop_z_intervals(spec, table.radii(), table.in_z_mask())
+        _assert_same_z_intervals(table.z_intervals, want, table.radii())
         got = spine_invariant_report(table, spec).checks
         want = _loop_invariant_report(table, spec).checks
         assert [(c.name, c.passed, c.witness) for c in got] == [

@@ -388,6 +388,20 @@ class TestSpineKappa:
             with pytest.raises(DomainError):
                 engine.kappa(terms)
 
+    @pytest.mark.parametrize("R", [-1.0, math.inf, math.nan])
+    def test_split_radius_must_be_finite_and_nonnegative(self, fig_a, monkeypatch, R):
+        """Checked once, before any spine solve, also where no factor needs R."""
+        monkeypatch.setattr(wiener_hopf, "solve_spine", None)  # nothing is solved
+        engine = wiener_hopf.SpineStieltjes(fig_a)
+        lists = (
+            (("plus", 0.5, 1.0, 1), ("minus", 0.5, 2.0, 1)),
+            (("plus", 0.5, 1.0, 1), ("plus", 0.5, 2.0, -1)),
+            (),
+        )
+        for terms in lists:
+            with pytest.raises(DomainError):
+                engine.kappa(terms, R)
+
 
 class TestSpineZEdges:
     """Z boundaries as panel edges of the spine integral."""

@@ -7,11 +7,13 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset, one cold spine ratio f_0.2^+(0.3)/f_0.2^+(1.5) on a fresh
   ``SpineStieltjes`` (its ``kappa`` of two terms, or ``ratio`` in checkouts
   before ``kappa``): its refinement rounds (``estimate`` calls of
-  ``refine_panels``), spine points solved (radii passed to ``solve_spine``)
-  and the median wall time of five cold repeats;
+  ``refine_panels``), spine points solved (radii passed to ``solve_spine``),
+  its lockstep work (see below) and the median wall time of five cold
+  repeats;
 * per preset, ``build_spine_table`` with ``SPINE_TABLE_N`` samples on
   ``default_spine_range``: the median wall time of five builds, the
-  number of Z intervals and one build's ``solve_spine`` calls and radii;
+  number of Z intervals, one build's ``solve_spine`` calls and radii, and
+  its lockstep work;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
   ``build_phi_table`` calls and the table's breakpoint count;
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
@@ -27,6 +29,12 @@ Compares two checkouts of the repository, a parent and a change:
   the six joint queries): ``integrate_adaptive`` calls and wall time of each.
 * over the whole probe, the hits and misses of the memo of quadrature
   geometries (``numerics._GEOMETRY``; null where a checkout has none).
+
+Lockstep work is counted in the spine's lockstep solver (``_lockstep_root``,
+or ``_lockstep_bisect`` before it), split into the angle solve and the
+Z-crossing refinement (``_z_boundaries``): per part, the lockstep steps
+(evaluations of the open brackets, one ``eval_f`` call each) and the
+points evaluated in them.
 
     python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_15.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
@@ -92,6 +100,52 @@ def count_calls(name, weight=lambda *args: 1):
     return count
 
 
+def count_lockstep(log):
+    """Wrap the spine's lockstep solver: each call appends [part, steps, points] to ``log``.
+
+    Both solvers take the evaluator of the open brackets first.  The part
+    is "z" inside ``_z_boundaries`` and "theta" elsewhere.
+    """
+    import numpy as np
+
+    from levycm import spine
+
+    part = ["theta"]
+    for name in ("_lockstep_root", "_lockstep_bisect"):
+        fn = getattr(spine, name, None)
+        if fn is None:
+            continue
+
+        def traced(g, *args, fn=fn):
+            rec = [part[0], 0, 0]
+            log.append(rec)
+
+            def counted(idx, x):
+                rec[1] += 1
+                rec[2] += int(np.size(x))
+                return g(idx, x)
+
+            return fn(counted, *args)
+
+        setattr(spine, name, traced)
+    z_boundaries = spine._z_boundaries
+
+    def z_traced(*args):
+        part[0] = "z"
+        try:
+            return z_boundaries(*args)
+        finally:
+            part[0] = "theta"
+
+    spine._z_boundaries = z_traced
+
+
+def lockstep_work(log):
+    """Steps and points of the calls in ``log``, per part."""
+    return {f"{part}_{what}": sum(rec[k] for rec in log if rec[0] == part)
+            for part in ("theta", "z") for k, what in ((1, "steps"), (2, "points"))}
+
+
 def spine_ratio(engine):
     """The probe's spine ratio: ``kappa`` where the checkout has it, ``ratio`` before."""
     x1, x2, side, tau = RATIO
@@ -100,8 +154,9 @@ def spine_ratio(engine):
     return engine.ratio(x1, x2, side, tau)
 
 
-def table_work(spec):
-    """Median ms of ``REPEATS`` spine-table builds, the Z intervals and one build's solves.
+def table_work(spec, log):
+    """Median ms of ``REPEATS`` spine-table builds, the Z intervals and one build's solves and
+    lockstep work (``log`` is the list that ``count_lockstep`` fills).
 
     ``spine.solve_spine`` is the builder's global, so it is counted there.
     """
@@ -122,13 +177,14 @@ def table_work(spec):
         times = []
         for _ in range(REPEATS):
             radii.clear()
+            log.clear()
             t0 = time.perf_counter()
             table = spine.build_spine_table(spec, lo, hi, SPINE_TABLE_N)
             times.append(time.perf_counter() - t0)
     finally:
         spine.solve_spine = solve
     return {"ms": 1e3 * median(times), "z_intervals": len(table.z_intervals),
-            "solve_calls": len(radii), "solve_radii": sum(radii)}
+            "solve_calls": len(radii), "solve_radii": sum(radii), "lockstep": lockstep_work(log)}
 
 
 def contour_work(spec, integrals, rounds, points):
@@ -218,17 +274,21 @@ def probe():
         return solve(spec, radii)
 
     wiener_hopf.refine_panels, wiener_hopf.solve_spine = counted_refine, counted_solve
+    log = []
+    count_lockstep(log)
     out = {}
     for name in sorted(SHOWCASE):
         times = []
         for _ in range(REPEATS):
             count.update(rounds=0, points=0)
+            log.clear()
             t0 = time.perf_counter()
             value = spine_ratio(wiener_hopf.SpineStieltjes(SHOWCASE[name]))
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
+                     "lockstep": lockstep_work(log),
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
-                     "spine_table": table_work(SHOWCASE[name]),
+                     "spine_table": table_work(SHOWCASE[name], log),
                      "contour": contour_work(SHOWCASE[name], integrals, rounds, points),
                      "sup_tail": sup_work(SHOWCASE[name])}
         for phi_tau in PHI_TAUS:
