@@ -124,12 +124,12 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     ``estimate(lo, hi)`` maps arrays of panels to per-panel values, error
     estimates and rows (a 2-d array, one row per panel); it is called once
     on the initial panels and once per round on the new halves.  Each round
-    splits at their midpoints the panels whose error is at least half the
-    largest: at most the fewest largest whose errors cover the excess of the
-    summed error over max(abs_tol, rel_tol |sum|), and at most the splits
-    left in ``max_splits``.  Left halves replace their parents and right
-    halves are appended.  A panel at floating-point resolution is never
-    split and keeps its estimate in the sum.
+    splits at their midpoints the fewest largest panels whose errors cover
+    the excess of the summed error over max(abs_tol, rel_tol |sum|) (every
+    open panel with error when none do), within the ``max_splits`` left: a
+    globally adaptive batch (Berntsen, Espelid & Genz, ACM TOMS 17, 1991).
+    Left halves replace their parents and right halves are appended.  A
+    panel at floating-point resolution is never split and keeps its estimate.
 
     Stops converged when the summed error meets the goal, and unconverged
     when ``max_splits`` is used up or no splittable panel has error left.
@@ -142,11 +142,10 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
         err_sum = float(err.sum())
         goal = max(abs_tol, rel_tol * abs(value.sum()))
         mid = 0.5 * (lo + hi)
-        open_err = np.where((lo < mid) & (mid < hi), err, -1.0)
-        top = open_err.max()
-        if err_sum <= goal or splits >= max_splits or not top > 0.0:
+        open_err = np.where((lo < mid) & (mid < hi), err, 0.0)
+        if err_sum <= goal or splits >= max_splits or not open_err.max() > 0.0:
             break
-        worst = np.flatnonzero(open_err >= 0.5 * top)
+        worst = np.flatnonzero(open_err > 0.0)
         worst = worst[np.argsort(-err[worst], kind="stable")]
         cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
         sel = worst[: min(cover, max_splits - splits)]

@@ -350,10 +350,10 @@ def classify_point(spec, xi):
     hugging = half - abs(theta) <= ANGLE_TOL and (theta > 0.0) == up
     if not hugging:
         return D_PLUS if up else D_MINUS
-    # spine touches this axis point; interior iff it hugs a neighbourhood
-    delta = 1e-3
-    near = [theta_at(spec, r * (1.0 - delta)), theta_at(spec, r * (1.0 + delta))]
-    if all(half - abs(t) <= ANGLE_TOL and (t > 0.0) == up for t in near):
+    # spine touches this axis point; interior iff it hugs a neighbourhood,
+    # r (1 -+ 1e-3), both solved in one lockstep batch
+    near = _theta_array(spec, r * np.array([1.0 - 1e-3, 1.0 + 1e-3]))
+    if all(half - abs(t) <= ANGLE_TOL and (t > 0.0) == up for t in near.tolist()):
         return D_MINUS if up else D_PLUS
     return ON_SPINE
 

@@ -197,7 +197,7 @@ class FactorHandle:
 
 _PHI_CACHE = _LRU(64)  # spec -> table, 0.14-0.25 MB each (README, "Caching")
 _HANDLE_CACHE = _LRU(64)  # (spec, side) -> handle, up to 0.11 MB besides its table
-_ENGINE_CACHE = _LRU(16)  # spec -> engine, 0.3-0.4 MB of spine samples after one ratio
+_ENGINE_CACHE = _LRU(16)  # spec -> engine, 60-90 kB of spine sample arrays after one ratio
 
 
 def get_phi_table(spec):
@@ -324,10 +324,11 @@ class SpineStieltjes:
     lambda' (``spine._profile_slope``), refined by
     :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12 on
     the exponent; a missed goal raises :class:`QuadratureError`.  Spine
-    samples (zeta, lambda, lambda') are cached per log-radius and solved in
-    batches (``solve_spine``); nodes of identical panels are identical, so
-    a family evaluated at many tau reuses the spine solves and the Z
-    boundaries of the first.
+    samples (zeta, lambda, lambda') are kept in arrays sorted by log-radius,
+    and each panel estimate solves its misses in one batch
+    (``solve_spine``); nodes of identical panels are identical, so a family
+    evaluated at many tau reuses the spine solves and the Z boundaries of
+    the first.
     """
 
     def __init__(self, spec):
@@ -336,23 +337,31 @@ class SpineStieltjes:
                 "spine factorization needs a non-degenerate exponent"
             )
         self.spec = spec
-        # unbounded, freed with the engine: an LRU would tax every _tl lookup
-        self._cache: dict = {}  # log-radius -> (zeta, lambda, d lambda / d log r)
+        # unbounded, freed with the engine: sorted log-radii u and, aligned
+        # with them, zeta, lambda and d lambda / d log r
+        self._samples = (np.empty(0), np.empty(0, complex), np.empty(0), np.empty(0))
         self._z_cache: dict = {}  # (u_lo, u_hi) -> log-radii of the Z boundaries
         self.f_zero = f_limits(spec).f_at_zero
         self._features = tuple(abs(p) for p in axis_feature_points(spec))
 
     def _tl(self, u):
-        """(zeta, lambda, lambda') arrays at log-radii ``u``; misses are solved in one batch."""
-        keys = u.tolist()
-        cache = self._cache
-        missing = list(dict.fromkeys(k for k in keys if k not in cache))
-        if missing:
-            r = np.exp(missing)
-            s = solve_spine(self.spec, r)
-            slope = _profile_slope(self.spec, s)
-            cache.update(zip(missing, zip(s.zeta.tolist(), s.lam.tolist(), slope.tolist())))
-        return tuple(map(np.array, zip(*map(cache.__getitem__, keys))))
+        """(zeta, lambda, lambda') arrays at log-radii ``u``; misses are solved in one batch.
+
+        A miss is a u that the sorted stored log-radii do not hold; the
+        distinct misses are solved in one ``solve_spine`` call, which works
+        radius by radius, and merged into the stored arrays in order.
+        """
+        known = self._samples[0]
+        j = np.searchsorted(known, u)
+        miss = known[np.minimum(j, known.size - 1)] != u if known.size else np.ones(u.shape, bool)
+        if miss.any():
+            new = np.unique(u[miss])
+            s = solve_spine(self.spec, np.exp(new))
+            at = np.searchsorted(known, new)
+            cols = (new, s.zeta, s.lam, _profile_slope(self.spec, s))
+            self._samples = tuple(np.insert(a, at, c) for a, c in zip(self._samples, cols))
+            j = np.searchsorted(self._samples[0], u)
+        return tuple(a[j] for a in self._samples[1:])
 
     def _z_edges(self, u_lo, u_hi):
         """Sorted log-radii of the Z boundaries in [u_lo, u_hi] bracketed by a scan at step 1/16.

@@ -193,6 +193,22 @@ class TestRefinePanels:
         assert res.err == pytest.approx(8e-3)
         assert res.rows.shape == (8, 1)
 
+    def test_round_splits_whole_cover_set(self):
+        """Errors (4, 1.5, 1.5, 1.5, 1.5) over a goal of 1: only all five cover the excess of 9.
+
+        One round splits all five; the halves carry no error, so it converges there.
+        """
+        sizes = []
+
+        def estimate(lo, hi):
+            sizes.append(lo.size)
+            seed = np.array([4.0, 1.5, 1.5, 1.5, 1.5])[lo.astype(int) % 5]
+            return hi - lo, np.where(hi - lo == 1.0, seed, 0.0), np.zeros((lo.size, 1))
+
+        res = refine_panels(estimate, np.arange(5.0), np.arange(1.0, 6.0), abs_tol=1.0, max_splits=20)
+        assert res.converged and res.err == 0.0
+        assert sizes == [5, 10]
+
     def test_converges_on_goal(self):
         """GK15 panels of a smooth integrand meet a relative goal and tile the interval."""
         res = refine_panels(gk15(np.exp), [0.0], [4.0], 0.0, 1e-13, max_splits=100)

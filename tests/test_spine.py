@@ -369,6 +369,25 @@ class TestClassifyPoint:
         assert classify_point(fig_a, 0.5j) == "D_minus"
         assert classify_point(fig_a, -0.5j) == "D_minus"
 
+    def test_hugging_axis_point_two_solves(self, fig_a, monkeypatch):
+        """The angle at r and both neighbour angles r (1 -+ 1e-3) take two lockstep solves.
+
+        The neighbour batch gives each angle bitwise as ``theta_at`` does.
+        """
+        r = 0.5
+        near = [theta_at(fig_a, r * (1.0 - 1e-3)), theta_at(fig_a, r * (1.0 + 1e-3))]
+        assert near == spine._theta_array(fig_a, r * np.array([1.0 - 1e-3, 1.0 + 1e-3])).tolist()
+        calls = []
+        root = spine._lockstep_root
+
+        def counted(*args):
+            calls.append(args[-1].size)
+            return root(*args)
+
+        monkeypatch.setattr(spine, "_lockstep_root", counted)
+        assert classify_point(fig_a, r * 1j) == "D_minus"
+        assert len(calls) == 2, calls
+
     def test_zero_rejected(self, fig_a):
         with pytest.raises(DomainError):
             classify_point(fig_a, 0.0)

@@ -409,8 +409,9 @@ class TestSpineZEdges:
     @pytest.mark.parametrize(
         "letter,x1,x2,max_rounds",
         [
-            ("g", 0.3, 1.5, 20),  # 56 rounds without Z edges
-            ("e", 0.5, 4.0, 10),  # x2 on the Z boundary: 36 rounds when the two edges stay apart
+            # 56 rounds without Z edges, 11 when a round split only panels within 2x of the largest
+            ("g", 0.3, 1.5, 4),
+            ("e", 0.5, 4.0, 1),  # x2 on the Z boundary: 36 rounds when the two edges stay apart
         ],
     )
     def test_cold_ratio_rounds(self, letter, x1, x2, max_rounds, monkeypatch):
@@ -443,6 +444,55 @@ class TestSpineZEdges:
         got = got[(got > r0) & (got < r1)]
         assert got.size == want.size
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _dict_tl(self, u):
+    """A per-log-radius dict of spine samples, the store SpineStieltjes kept before its sorted arrays."""
+    cache = self.__dict__.setdefault("_dict", {})
+    keys = u.tolist()
+    missing = list(dict.fromkeys(k for k in keys if k not in cache))
+    if missing:
+        s = wiener_hopf.solve_spine(self.spec, np.exp(missing))
+        slope = wiener_hopf._profile_slope(self.spec, s)
+        cache.update(zip(missing, zip(s.zeta.tolist(), s.lam.tolist(), slope.tolist())))
+    return tuple(map(np.array, zip(*map(cache.__getitem__, keys))))
+
+
+class TestSpineSampleStore:
+    """The spine samples of an engine: sorted log-radii and aligned zeta, lambda, lambda'."""
+
+    def test_warm_kappa_solves_nothing(self, fig_g, monkeypatch):
+        engine = wiener_hopf.SpineStieltjes(fig_g)
+        terms = (("plus", 0.2, 0.3, 1), ("plus", 0.2, 1.5, -1))
+        cold = engine.kappa(terms)
+        solves = []
+        solve = wiener_hopf.solve_spine
+        monkeypatch.setattr(wiener_hopf, "solve_spine", lambda spec, r: solves.append(r) or solve(spec, r))
+        assert engine.kappa(terms) == cold
+        assert solves == []
+
+    def test_repeated_unsorted_radii(self, fig_g):
+        """Duplicates and any order, part warm and part cold, give a fresh solve's samples."""
+        engine = wiener_hopf.SpineStieltjes(fig_g)
+        engine._tl(np.array([0.5, -2.0, 3.0]))
+        u = np.array([1.0, -2.0, 0.5, 1.0, -7.5, 3.0, -2.0, 0.25])
+        zeta, lam, slope = engine._tl(u)
+        s = wiener_hopf.solve_spine(fig_g, np.exp(u))
+        np.testing.assert_array_equal(zeta, s.zeta)
+        np.testing.assert_array_equal(lam, s.lam)
+        np.testing.assert_array_equal(slope, wiener_hopf._profile_slope(fig_g, s))
+        assert np.all(np.diff(engine._samples[0]) > 0.0) and engine._samples[0].size == 6
+
+    @pytest.mark.parametrize("letter", ["a", "g"])
+    def test_tau_family_matches_dict_store(self, letter, monkeypatch):
+        """25 tau on one warm engine, bitwise as on an engine with the per-radius dict."""
+        taus = [0.05 * 1.4**k if k % 2 == 0 else 0.1 * 1.3**k * cmath.exp(0.6j * (k % 5)) for k in range(25)]
+        terms = lambda tau: (("plus", tau, 0.5, 1), ("plus", tau, 2.0, -1))
+        engine = wiener_hopf.SpineStieltjes(showcase(letter))
+        got = [engine.kappa(terms(tau)) for tau in taus]
+        monkeypatch.setattr(wiener_hopf.SpineStieltjes, "_tl", _dict_tl)
+        engine = wiener_hopf.SpineStieltjes(showcase(letter))
+        assert got == [engine.kappa(terms(tau)) for tau in taus]
 
 
 # x on a Z boundary: bm_drift at r = 1, quadratic_over_pole at 4, rational_pole_pair at 7
@@ -590,9 +640,11 @@ class TestBdContourSeed:
         "name", ["bm_drift", "rational_three_arcs", "tempered_stable", "stable_asym"]
     )
     def test_cold_rounds(self, name, monkeypatch):
-        """A cold bd ratio and a cold temporal ratio each take at most 6 estimates.
+        """A cold bd ratio and a cold temporal ratio each take at most 2 estimates.
 
-        Without the seed, refinement reaches the ends one level per round.
+        Without the seed, refinement reaches the ends one level per round;
+        with it, but splitting only panels within 2x of the largest error per
+        round, rational_three_arcs took 5.
         """
         rounds = []
         refine = numerics.refine_panels
@@ -612,7 +664,7 @@ class TestBdContourSeed:
                          lambda: kappa_ratio_tau(spec, 0.3, 1.2, 0.2, side)):
                 rounds.append(0)
                 call()
-        assert len(rounds) == 4 and max(rounds) <= 6, rounds
+        assert len(rounds) == 4 and max(rounds) <= 2, rounds
 
     @pytest.mark.parametrize("s", [1e-2, 1e2])
     @pytest.mark.parametrize("side", ["plus", "minus"])
