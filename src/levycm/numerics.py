@@ -126,10 +126,10 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     on the initial panels and once per round on the new halves.  Each round
     splits at their midpoints the fewest largest panels whose errors cover
     the excess of the summed error over max(abs_tol, rel_tol |sum|) (every
-    open panel with error when none do), within the ``max_splits`` left: a
-    globally adaptive batch (Berntsen, Espelid & Genz, ACM TOMS 17, 1991).
-    Left halves replace their parents and right halves are appended.  A
-    panel at floating-point resolution is never split and keeps its estimate.
+    open panel with error when all fall short), within the ``max_splits``
+    left: a globally adaptive batch (Berntsen, Espelid & Genz, ACM TOMS 17,
+    1991).  Left halves replace their parents and right halves are appended.
+    A panel at floating-point resolution is never split and keeps its estimate.
 
     Stops converged when the summed error meets the goal, and unconverged
     when ``max_splits`` is used up or no splittable panel has error left.

@@ -345,12 +345,8 @@ class SpineStieltjes:
         self._features = tuple(abs(p) for p in axis_feature_points(spec))
 
     def _tl(self, u):
-        """(zeta, lambda, lambda') arrays at log-radii ``u``; misses are solved in one batch.
-
-        A miss is a u that the sorted stored log-radii do not hold; the
-        distinct misses are solved in one ``solve_spine`` call, which works
-        radius by radius, and merged into the stored arrays in order.
-        """
+        """(zeta, lambda, lambda') arrays at log-radii ``u``; the distinct misses are solved in
+        one ``solve_spine`` call, which works radius by radius, and merged in sorted order."""
         known = self._samples[0]
         j = np.searchsorted(known, u)
         miss = known[np.minimum(j, known.size - 1)] != u if known.size else np.ones(u.shape, bool)
