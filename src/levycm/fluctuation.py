@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ValidationError
-from .numerics import _LRU, bisect_monotone, gk15, gk15_nodes, refine_panels
+from .numerics import _LRU, _lockstep_root, gk15, gk15_nodes, refine_panels
 from .report import VerifyReport
 from .rogers import _axis_limit, f_limits, shift_spec
 from .wiener_hopf import (
@@ -202,19 +202,19 @@ class _SupTailEvaluator:
         return self.handle.eval(t).real / self.f_minus_0
 
     def _zeros(self):
-        """Zeros t0 > 0 of f(-it), bisected in the cells of the phi table (split there to 1e-10
-        relative) where f(+0 - is) is real at both ends and falls from > 0 to <= 0 (a pole rises).
-        """
+        """Zeros t0 > 0 of f(-it) in the cells of the phi table (split there to 1e-10 relative) where
+        f(+0 - is) is real at both ends and falls from > 0 to <= 0 (a pole rises): one lockstep
+        solve of -re f(+0 - it) (an ``_axis_limit`` call a step) to final brackets of 1e-15 t."""
         s = np.asarray(self.handle.table.breakpoints)
         s = s[s > 0.0]
         v = _axis_limit(self.spec, -s)
         real = v.imag == 0.0
-        cells = np.flatnonzero(real[:-1] & real[1:] & (v.real[:-1] > 0.0) & (v.real[1:] <= 0.0))
+        k = np.flatnonzero(real[:-1] & real[1:] & (v.real[:-1] > 0.0) & (v.real[1:] <= 0.0))
 
-        def g(t):
-            return -float(_axis_limit(self.spec, -t).real)
+        def g(idx, t):
+            return -_axis_limit(self.spec, -t).real
 
-        return np.array([bisect_monotone(g, s[k], s[k + 1], 0.0) for k in cells], dtype=float)
+        return _lockstep_root(g, s[k], s[k + 1], -v.real[k], -v.real[k + 1], 1e-15 * s[k + 1])
 
     def density(self, t):
         """Density m(t) >= 0 of the measure at an array of t > 0; 0 where f(+0 - it) is real."""

@@ -4,10 +4,10 @@ One batched adaptive panel engine (:func:`refine_panels`), which runs every
 adaptive quadrature of the package: Gauss-Kronrod quadrature on lines,
 half-lines and finite intervals with declared singular abscissae (seeded
 with panels graded toward infinity and s = 0), the spine Stieltjes integrals
-and the supremum-tail node table.  Also sign-change bisection for monotone
-functions, the principal complex logarithm, a deterministic 64-bit-seeded
-generator and :class:`_LRU`, the bounded memo behind every cached result of
-the package.
+and the supremum-tail node table.  One lockstep root solver
+(:func:`_lockstep_root`) behind every root of the package.  Also the
+principal complex logarithm, a deterministic 64-bit-seeded generator and
+:class:`_LRU`, the bounded memo behind every cached result of the package.
 
 Integrands passed to :func:`integrate_adaptive` must accept a numpy array of
 abscissae and return an array of values (real or complex).
@@ -328,43 +328,80 @@ def _geometry(a, b, singular_points):
     return nodes, p_lo, p_hi, seed
 
 
+def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
+    """Roots of ``g`` on the brackets [lo, hi], solved in lockstep.
+
+    ``glo`` and ``ghi`` are the known end values, and ``g(idx, x)``
+    evaluates the open brackets ``idx`` at the points ``x`` in one call
+    (never with an empty ``idx``).  A bracket with g > 0 at both ends gives
+    lo, one with g < 0 at both ends hi (the ends where a rising g would
+    change sign), and an exact zero at an end gives that end, with no
+    step.  Each other bracket, where g changes sign either way, follows
+    Chandrupatla's hybrid (Adv. Eng. Softw. 28, 1997): the next point is
+    the inverse quadratic interpolant through the last three points where
+    that is monotone (phi^2 < xi and (1 - phi)^2 < 1 - xi), the midpoint
+    otherwise, kept at least tol/2 inside the bracket.  A bracket wider
+    than width_0 2^{-(k+1)/2} before its step k takes the midpoint, so no
+    bracket takes more than twice the steps of bisection.  A bracket stops
+    with its midpoint at width ``tol`` (scalar or per bracket) or when the
+    midpoint is not strictly inside, with the point itself at an exact zero
+    of g, and after ``max_steps`` steps.  The steps use g only through
+    its signs and ratios of its values, so -g gives the same points.
+    """
+    ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
+    out = np.select(ends, [lo, hi, lo, hi], np.nan)
+    idx = np.flatnonzero(~np.logical_or.reduce(ends))
+    tol = np.broadcast_to(tol, lo.shape)[idx]
+    a, b, fa, fb = lo[idx], hi[idx], glo[idx], ghi[idx]  # a: the latest point, b: the far end
+    d = b - a
+    w0 = np.abs(d)
+    t = np.full(idx.shape, 0.5)  # the next point is a + t d
+    for k in range(max_steps):
+        w, mid = np.abs(d), 0.5 * (a + b)
+        go = (w > tol) & (mid != a) & (mid != b)
+        if not go.all():
+            out[idx[~go]] = mid[~go]
+            idx, a, b, d, fa, fb, t, tol, w0, w = (
+                v[go] for v in (idx, a, b, d, fa, fb, t, tol, w0, w)
+            )
+        if not idx.size:
+            return out
+        tl = 0.5 * tol / w
+        t = np.where(w > w0 * 2.0 ** (-0.5 * (k + 1)), 0.5, np.minimum(np.maximum(t, tl), 1.0 - tl))
+        x = a + t * d
+        gx = g(idx, x)
+        same = (gx < 0.0) == (fa < 0.0)  # x replaces a; otherwise a becomes the far end b
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)  # the point before x
+        b, fb = np.where(gx == 0.0, x, np.where(same, b, a)), np.where(same, fb, fa)
+        a, fa, d = x, gx, b - x  # an exact zero leaves the bracket [x, x]
+        # the interpolant divides by fc - fa, which is 0 where it is not monotone
+        # (phi = 1); those brackets take the midpoint
+        with np.errstate(all="ignore"):
+            dab, dcb = fb - fa, fc - fb
+            xi, phi = -d / (c - b), -dab / dcb
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = fa / dcb * ((c - a) / d * fb / (fc - fa) - fc / dab)
+            t[~iqi] = 0.5
+    out[idx] = 0.5 * (a + b)
+    return out
+
+
 def bisect_monotone(g, lo, hi, tol=1e-12, max_iter=200, *, glo=None, ghi=None):
-    """Root of a nondecreasing ``g`` on [lo, hi] by sign bisection.
+    """Root of a nondecreasing scalar ``g`` on finite [lo, hi]: :func:`_lockstep_root` on one bracket.
 
     If g has constant sign on the interval, the matching endpoint is
     returned: ``lo`` when g > 0 throughout, ``hi`` when g < 0 throughout.
-    Only signs are used, so any function with a single upward sign change
-    is acceptable.  A caller that has already evaluated g(lo) or g(hi)
-    passes it as ``glo``/``ghi`` and that endpoint is not evaluated again.
+    The bracket is kept by signs alone, so any function with a single
+    upward sign change is acceptable.  A caller that has already evaluated
+    g(lo) or g(hi) passes it as ``glo``/``ghi`` and that endpoint is not
+    evaluated again.  ``max_iter`` caps the evaluations inside the interval.
     """
-    if lo >= hi:
-        raise ValueError("bisect_monotone requires lo < hi")
-    if glo is None:
-        glo = g(lo)
-    if ghi is None:
-        ghi = g(hi)
-    if glo > 0.0 and ghi > 0.0:
-        return lo
-    if glo < 0.0 and ghi < 0.0:
-        return hi
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if gm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("bisect_monotone requires finite lo < hi")
+    one = lambda v: np.array([float(v)])
+    ends = one(g(lo) if glo is None else glo), one(g(hi) if ghi is None else ghi)
+    root = _lockstep_root(lambda idx, x: one(g(float(x[0]))), one(lo), one(hi), *ends, tol, max_iter)
+    return float(root[0])
 
 
 def principal_log(z):

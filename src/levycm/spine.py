@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpineUndefinedError
+from .numerics import _lockstep_root
 from .report import VerifyReport
 from .rogers import PhiRep, _axis_limit, eval_f, eval_f_prime, is_constant
 
@@ -90,8 +91,8 @@ def theta_at(spec, r):
     if is_constant(spec):
         raise SpineUndefinedError("constant exponents have no spine")
     r = float(r)
-    if not r > 0.0:
-        raise DomainError("theta_at needs r > 0")
+    if not 0.0 < r < math.inf:
+        raise DomainError("the spine needs a finite radius r > 0")
     return float(_theta_array(spec, np.array([r]))[0])
 
 
@@ -159,61 +160,8 @@ def _theta_array(spec, r):
     half = 0.5 * math.pi
     lo, hi = np.full(r.shape, -half + _EDGE), np.full(r.shape, half - _EDGE)
     glo, ghi = g(r, np.stack([lo, hi]))
-    ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
-    theta = np.select(ends, [-half, half, lo, hi], np.nan)
-    idx = np.flatnonzero(~np.logical_or.reduce(ends))
-    _lockstep_root(lambda idx, x: g(r[idx], x), lo, hi, glo, ghi, _THETA_TOL, theta, idx)
-    return theta
-
-
-def _lockstep_root(g, lo, hi, glo, ghi, tol, out, idx):
-    """Roots of the brackets [lo, hi] listed in ``idx``, solved in lockstep; results go to ``out``.
-
-    g changes sign on each bracket: ``glo`` and ``ghi`` are its known end
-    values, of opposite signs, and ``g(idx, x)`` evaluates the open
-    brackets ``idx`` at the points ``x`` in one call (never with an empty
-    ``idx``).  Each bracket follows Chandrupatla's hybrid (Adv. Eng. Softw.
-    28, 1997): the next point is the inverse quadratic interpolant through
-    the last three points where that is monotone (phi^2 < xi and
-    (1 - phi)^2 < 1 - xi), the midpoint otherwise, kept at least tol/2
-    inside the bracket.  A bracket wider than width_0 2^{-(k+1)/2} before
-    its step k takes the midpoint, so no bracket takes more than twice the
-    steps of bisection.  A bracket stops with its midpoint at width ``tol``
-    (scalar or per bracket) or when the midpoint is not strictly inside,
-    with the point itself at an exact zero of g, and after 200 steps.
-    """
-    tol = np.broadcast_to(tol, lo.shape)[idx]
-    a, b, fa, fb = lo[idx], hi[idx], glo[idx], ghi[idx]  # a: the latest point, b: the far end
-    d = b - a
-    w0 = np.abs(d)
-    t = np.full(idx.shape, 0.5)  # the next point is a + t d
-    for k in range(200):
-        w, mid = np.abs(d), 0.5 * (a + b)
-        go = (w > tol) & (mid != a) & (mid != b)
-        if not go.all():
-            out[idx[~go]] = mid[~go]
-            idx, a, b, d, fa, fb, t, tol, w0, w = (
-                v[go] for v in (idx, a, b, d, fa, fb, t, tol, w0, w)
-            )
-        if not idx.size:
-            return
-        tl = 0.5 * tol / w
-        t = np.where(w > w0 * 2.0 ** (-0.5 * (k + 1)), 0.5, np.minimum(np.maximum(t, tl), 1.0 - tl))
-        x = a + t * d
-        gx = g(idx, x)
-        same = (gx < 0.0) == (fa < 0.0)  # x replaces a; otherwise a becomes the far end b
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)  # the point before x
-        b, fb = np.where(gx == 0.0, x, np.where(same, b, a)), np.where(same, fb, fa)
-        a, fa, d = x, gx, b - x  # an exact zero leaves the bracket [x, x]
-        # the interpolant divides by fc - fa, which is 0 where it is not monotone
-        # (phi = 1); those brackets take the midpoint
-        with np.errstate(all="ignore"):
-            dab, dcb = fb - fa, fc - fb
-            xi, phi = -d / (c - b), -dab / dcb
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = fa / dcb * ((c - a) / d * fb / (fc - fa) - fc / dab)
-            t[~iqi] = 0.5
-    out[idx] = 0.5 * (a + b)
+    theta = _lockstep_root(lambda idx, x: g(r[idx], x), lo, hi, glo, ghi, _THETA_TOL)
+    return np.select([(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0)], [-half, half], theta)
 
 
 def solve_spine(spec, radii):
@@ -229,8 +177,8 @@ def solve_spine(spec, radii):
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1:
         raise DomainError("solve_spine needs a 1-d array of radii")
-    if not np.all(r > 0.0):
-        raise DomainError("solve_spine needs r > 0")
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise DomainError("solve_spine needs finite radii r > 0")
     half = 0.5 * math.pi
     theta = _theta_array(spec, r)
     in_z = np.abs(theta) < half - ANGLE_TOL
@@ -272,41 +220,25 @@ def _z_sign(spec, r, side):
     return -side * eval_f(spec, r * ray).imag
 
 
-def _z_boundaries(spec, lo, hi, side, b_lo, b_hi):
-    """Radii where |theta| crosses pi/2 - ANGLE_TOL, one per bracket [lo, hi].
-
-    ``b_lo`` and ``b_hi`` carry the signs of |theta| - (pi/2 - ANGLE_TOL) at
-    the bracket ends and ``side`` the side where the spine leaves Z.  All
-    brackets are solved by ``_lockstep_root`` on flip b, where flip makes b
-    rise from lo to hi, to a final bracket of width 1e-12 hi, with one
-    ``_z_sign`` call per step; a constant sign gives the end where the sign
-    change would lie and an exact zero at an end gives that end.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    flip = np.where(b_hi > b_lo, 1.0, -1.0)
-    glo, ghi = flip * b_lo, flip * b_hi
-    ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
-    out = np.select(ends, [lo, hi, lo, hi], np.nan)
-    idx = np.flatnonzero(~np.logical_or.reduce(ends))
-
-    def g(idx, x):
-        return flip[idx] * _z_sign(spec, x, side[idx])
-
-    _lockstep_root(g, lo, hi, glo, ghi, 1e-12 * hi, out, idx)
-    return out
-
-
 def _z_crossings(spec, r):
     """Radii where |theta| crosses pi/2 - ANGLE_TOL between consecutive radii of sorted ``r``.
 
     The ``_z_sign`` rows of both sides are evaluated at ``r`` in one
-    ``eval_f`` call; each sign change of a row is refined by
-    ``_z_boundaries``.  Crossings come grouped by side, not sorted.
+    ``eval_f`` call.  Each sign change of a row brackets a crossing, on the
+    side where the spine leaves Z; all brackets are solved by one
+    ``_lockstep_root`` call, with one ``_z_sign`` call per step, to a final
+    bracket of width 1e-12 times its upper end.  Crossings come grouped by
+    side, not sorted.
     """
     sides = np.array([[1.0], [-1.0]])
     b = _z_sign(spec, r, sides)
     row, k = np.nonzero((b[:, :-1] > 0.0) != (b[:, 1:] > 0.0))
-    return _z_boundaries(spec, r[k], r[k + 1], sides[row, 0], b[row, k], b[row, k + 1])
+    side = sides[row, 0]
+
+    def g(idx, x):
+        return _z_sign(spec, x, side[idx])
+
+    return _lockstep_root(g, r[k], r[k + 1], b[row, k], b[row, k + 1], 1e-12 * r[k + 1])
 
 
 def build_spine_table(spec, r_min, r_max, n):
@@ -316,8 +248,8 @@ def build_spine_table(spec, r_min, r_max, n):
     in order between them, the crossings of ``_z_crossings`` on the grid;
     every crossing enters or leaves Z, so the ends pair up in turn.
     """
-    if not (0.0 < r_min < r_max):
-        raise DomainError("need 0 < r_min < r_max")
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError("need 0 < r_min < r_max < inf")
     if n < 16:
         raise DomainError("need n >= 16")
     radii = np.geomspace(r_min, r_max, int(n))
@@ -335,8 +267,8 @@ def classify_point(spec, xi):
     decides.
     """
     xi = complex(xi)
-    if xi == 0.0:
-        raise DomainError("classify_point needs xi != 0")
+    if xi == 0.0 or not cmath.isfinite(xi):
+        raise DomainError("classify_point needs a finite xi != 0")
     if xi.real != 0.0:
         v = eval_f(spec, xi)
         if abs(v.imag) <= 1e-10 * (1.0 + abs(v)):

@@ -452,7 +452,9 @@ class SpineStieltjes:
         depends on the normalization (:class:`DomainError`).  Terms on one
         side at one x with opposite s cancel, and an empty product is 1.
         All terms share one tau (:class:`MethodUnsupportedError` otherwise):
-        real tau >= 0 gives a float, complex tau off the cut a complex.
+        real tau >= 0 gives a float, complex tau off the cut a complex; a
+        tau that is not finite, or a real one with tau + f(0+) < 0, raises
+        :class:`DomainError`.
         Every x_k must be finite and >= 0, and a factor at x = 0, or R = 0
         with n != 0, needs f(0+) + tau != 0 (:class:`DomainError`).
         """
@@ -463,6 +465,8 @@ class SpineStieltjes:
         if len(taus) > 1:
             raise MethodUnsupportedError("spine terms must share one tau")
         tau = taus.pop() if taus else 0.0
+        if not cmath.isfinite(tau) or (not isinstance(tau, complex) and tau + self.f_zero < 0.0):
+            raise DomainError("tau must be finite, with tau + f(0+) >= 0 where it is real")
         net = {}  # (side, x) -> sum of s, in the order of the terms
         for side, _, x, s in terms:
             x = float(x)

@@ -1,4 +1,4 @@
-"""Quadrature, bisection and principal-branch kernels."""
+"""Quadrature, root-solver and principal-branch kernels."""
 
 import math
 from collections import OrderedDict
@@ -12,6 +12,7 @@ from levycm import numerics
 from levycm.errors import DomainError, QuadratureError
 from levycm.numerics import (
     _LRU,
+    _lockstep_root,
     QuadratureConfig,
     bisect_monotone,
     gk15,
@@ -220,7 +221,117 @@ class TestRefinePanels:
         np.testing.assert_array_equal(res.lo[order][1:], res.hi[order][:-1])
 
 
+def _recorded_root(g, lo, hi, tol):
+    """``_lockstep_root`` on all brackets of ``g``, with every evaluation (x, g) recorded per bracket."""
+    seen = [[] for _ in range(lo.size)]
+
+    def recorded(idx, x):
+        assert idx.size
+        v = g(idx, x)
+        for i, xx, vv in zip(idx.tolist(), x.tolist(), v.tolist()):
+            seen[i].append((xx, vv))
+        return v
+
+    every = np.arange(lo.size)
+    return _lockstep_root(recorded, lo, hi, g(every, lo), g(every, hi), tol), seen
+
+
+class TestLockstepRoot:
+    """The lockstep root solver: certified final brackets in few steps, at most twice bisection's."""
+
+    @staticmethod
+    def _assert_certified(out, seen, lo, hi, tol):
+        """Each result is an exact zero it evaluated, or the midpoint of its final bracket of
+        width <= tol, reached in at most 2 ceil(log2(width_0 / tol)) steps."""
+        tol = np.broadcast_to(tol, lo.shape)
+        for k, points in enumerate(seen):
+            assert len(points) <= 2 * math.ceil(math.log2((hi[k] - lo[k]) / tol[k])), k
+            zeros = [x for x, v in points if v == 0.0]
+            if zeros:
+                assert out[k] == zeros[-1]
+                continue
+            a = max([lo[k]] + [x for x, v in points if v < 0.0])
+            b = min([hi[k]] + [x for x, v in points if v > 0.0])
+            assert b - a <= tol[k] and out[k] == 0.5 * (a + b), k
+
+    @pytest.mark.parametrize(
+        "name,fn",
+        [
+            ("steep", lambda x: np.tanh(1e6 * x)),
+            ("flat", lambda x: x**9),
+            ("step", lambda x: np.where(x < 0.0, -1.0, 1.0)),
+            ("linear", lambda x: x),
+        ],
+    )
+    def test_adversarial(self, name, fn):
+        roots = make_rng(7).uniform(-0.9, 1.9, 64)
+        lo, hi = np.full(64, -1.0), np.full(64, 2.0)
+        out, seen = _recorded_root(lambda idx, x: fn(x - roots[idx]), lo, hi, 1e-12)
+        self._assert_certified(out, seen, lo, hi, 1e-12)
+        assert np.all(np.abs(out - roots) <= 1e-12)
+
+    def test_tolerance_per_bracket(self):
+        tol = np.array([1e-2, 1e-6, 1e-12, 1e-12 * 8.0])
+        lo, hi = np.array([-1.0, -1.0, -1.0, 0.0]), np.array([1.0, 2.0, 3.0, 8.0])
+        roots = np.array([0.3, 0.7, -0.2, 6.1])
+        out, seen = _recorded_root(lambda idx, x: np.expm1(x - roots[idx]), lo, hi, tol)
+        self._assert_certified(out, seen, lo, hi, tol)
+        assert np.all(np.abs(out - roots) <= 0.5 * tol)
+        assert len(seen[0]) < len(seen[1]) < len(seen[2])
+
+    def test_exact_zero_is_the_result(self):
+        """The first point of every bracket is its midpoint; there g is 0 exactly."""
+        roots = np.array([0.0, 0.5])
+        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 1.0])
+        out, seen = _recorded_root(lambda idx, x: x - roots[idx], lo, hi, 1e-12)
+        assert out.tolist() == [0.0, 0.5] and [len(p) for p in seen] == [1, 1]
+
+    def test_no_open_bracket_makes_no_call(self):
+        """The end rules, with no step: g > 0 at both ends gives lo, g < 0 at both ends hi,
+        and an exact zero at an end that end (lo where both are)."""
+
+        def g(idx, x):
+            raise AssertionError("g called")
+
+        lo, hi = np.arange(6.0), np.arange(6.0) + 0.5
+        glo = np.array([1.0, -1.0, 0.0, -1.0, 0.0, 2.0])
+        ghi = np.array([2.0, -2.0, 1.0, 0.0, 0.0, 0.0])
+        out = _lockstep_root(g, lo, hi, glo, ghi, 1e-12)
+        assert out.tolist() == [0.0, 1.5, 2.0, 3.5, 4.0, 5.5]
+
+    def test_step_cap(self):
+        """``max_steps`` caps the evaluations; a bracket still open gives its midpoint."""
+        steps = []
+
+        def g(idx, x):
+            steps.append(x[0])
+            return np.tanh(x - 0.3)
+
+        lo, hi, glo, ghi = np.zeros(1), np.ones(1), np.tanh([-0.3]), np.tanh([0.7])
+        full = _lockstep_root(g, lo, hi, glo, ghi, 1e-12)
+        assert len(steps) > 3 and abs(full[0] - 0.3) <= 1e-12
+        steps.clear()
+        capped = _lockstep_root(g, lo, hi, glo, ghi, 1e-12, max_steps=3)
+        xs = np.array(steps)
+        a, b = np.max(xs[xs < 0.3], initial=0.0), np.min(xs[xs > 0.3], initial=1.0)
+        assert len(steps) == 3 and capped[0] == 0.5 * (a + b) and b - a > 1e-12
+
+
 class TestBisectMonotone:
+    def test_is_the_one_bracket_solve(self):
+        """Bitwise ``_lockstep_root`` on the one bracket, with ``max_iter`` as its step cap."""
+        g = lambda x: math.tanh(3.0 * x - 1.2) + 0.1 * x
+        for tol, cap in ((1e-12, 200), (1e-6, 200), (1e-12, 4), (0.0, 200)):
+            want = _lockstep_root(lambda idx, x: np.array([g(x[0])]), np.zeros(1), np.full(1, 2.0),
+                                  np.array([g(0.0)]), np.array([g(2.0)]), tol, cap)
+            assert bisect_monotone(g, 0.0, 2.0, tol, cap) == want[0]
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                       (-math.inf, 0.0), (1.0, 0.0)])
+    def test_needs_finite_ordered_interval(self, lo, hi):
+        with pytest.raises(ValueError):
+            bisect_monotone(lambda x: x, lo, hi)
+
     def test_linear(self):
         assert abs(bisect_monotone(lambda x: x - 1.0, 0.0, 2.0, 1e-12) - 1.0) < 1e-12
 

@@ -87,41 +87,37 @@ class TestThetaAt:
         assert theta_at(LevyAtomic(b=-1.0), 2.0) == -0.5 * math.pi
 
 
-def _recorded_root(g, lo, hi, tol):
-    """``_lockstep_root`` on all brackets of ``g``, with every evaluation (x, g) recorded per bracket."""
-    n = lo.size
-    seen = [[] for _ in range(n)]
+class TestNonFiniteRadius:
+    """Every spine entry point rejects a radius that is not finite."""
 
-    def recorded(idx, x):
-        assert idx.size
-        v = g(idx, x)
-        for i, xx, vv in zip(idx.tolist(), x.tolist(), v.tolist()):
-            seen[i].append((xx, vv))
-        return v
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_theta_at(self, fig_a, r):
+        with pytest.raises(DomainError):
+            theta_at(fig_a, r)
 
-    every = np.arange(n)
-    out = np.full(n, np.nan)
-    spine._lockstep_root(recorded, lo, hi, g(every, lo), g(every, hi), tol, out, every)
-    return out, seen
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_lambda_at(self, fig_a, r):
+        with pytest.raises(DomainError):
+            lambda_at(fig_a, r)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_solve_spine(self, fig_a, r):
+        with pytest.raises(DomainError):
+            solve_spine(fig_a, np.array([1.0, r]))
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_build_spine_table(self, fig_a, r):
+        with pytest.raises(DomainError):
+            build_spine_table(fig_a, 0.1, r, 64)
+
+    @pytest.mark.parametrize("xi", [complex(0.0, math.inf), complex(math.nan, 1.0), complex(1.0, math.nan)])
+    def test_classify_point(self, fig_a, xi):
+        with pytest.raises(DomainError):
+            classify_point(fig_a, xi)
 
 
 class TestLockstepRoot:
-    """The lockstep root solver: certified final brackets in few steps, at most twice bisection's."""
-
-    @staticmethod
-    def _assert_certified(out, seen, lo, hi, tol):
-        """Each result is an exact zero it evaluated, or the midpoint of its final bracket of
-        width <= tol, reached in at most 2 ceil(log2(width_0 / tol)) steps."""
-        tol = np.broadcast_to(tol, lo.shape)
-        for k, points in enumerate(seen):
-            assert len(points) <= 2 * math.ceil(math.log2((hi[k] - lo[k]) / tol[k])), k
-            zeros = [x for x, v in points if v == 0.0]
-            if zeros:
-                assert out[k] == zeros[-1]
-                continue
-            a = max([lo[k]] + [x for x, v in points if v < 0.0])
-            b = min([hi[k]] + [x for x, v in points if v > 0.0])
-            assert b - a <= tol[k] and out[k] == 0.5 * (a + b), k
+    """The lockstep root solver (``numerics._lockstep_root``) as the spine angle uses it."""
 
     def test_bm_drift_closed_form(self, fig_a):
         """im f(r e^{i alpha}) = r cos(alpha) (r sin(alpha) - 1): theta = arcsin(1/r) for r > 1."""
@@ -130,46 +126,6 @@ class TestLockstepRoot:
         want = np.arcsin(1.0 / r)
         assert np.all(np.abs(theta - want) <= 1e-12)
         assert np.all(theta == [theta_at(fig_a, x) for x in r.tolist()])  # one solver
-
-    @pytest.mark.parametrize(
-        "name,fn",
-        [
-            ("steep", lambda x: np.tanh(1e6 * x)),
-            ("flat", lambda x: x**9),
-            ("step", lambda x: np.where(x < 0.0, -1.0, 1.0)),
-            ("linear", lambda x: x),
-        ],
-    )
-    def test_adversarial(self, name, fn):
-        roots = make_rng(7).uniform(-0.9, 1.9, 64)
-        lo, hi = np.full(64, -1.0), np.full(64, 2.0)
-        out, seen = _recorded_root(lambda idx, x: fn(x - roots[idx]), lo, hi, 1e-12)
-        self._assert_certified(out, seen, lo, hi, 1e-12)
-        assert np.all(np.abs(out - roots) <= 1e-12)
-
-    def test_tolerance_per_bracket(self):
-        tol = np.array([1e-2, 1e-6, 1e-12, 1e-12 * 8.0])
-        lo, hi = np.array([-1.0, -1.0, -1.0, 0.0]), np.array([1.0, 2.0, 3.0, 8.0])
-        roots = np.array([0.3, 0.7, -0.2, 6.1])
-        out, seen = _recorded_root(lambda idx, x: np.expm1(x - roots[idx]), lo, hi, tol)
-        self._assert_certified(out, seen, lo, hi, tol)
-        assert np.all(np.abs(out - roots) <= 0.5 * tol)
-        assert len(seen[0]) < len(seen[1]) < len(seen[2])
-
-    def test_exact_zero_is_the_result(self):
-        """The first point of every bracket is its midpoint; there g is 0 exactly."""
-        roots = np.array([0.0, 0.5])
-        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 1.0])
-        out, seen = _recorded_root(lambda idx, x: x - roots[idx], lo, hi, 1e-12)
-        assert out.tolist() == [0.0, 0.5] and [len(p) for p in seen] == [1, 1]
-
-    def test_no_open_bracket_makes_no_call(self):
-        def g(idx, x):
-            raise AssertionError("g called")
-
-        out, none = np.array([7.0]), np.array([], dtype=int)
-        spine._lockstep_root(g, np.zeros(1), np.ones(1), -np.ones(1), np.ones(1), 1e-12, out, none)
-        assert out.tolist() == [7.0]
 
     def test_constant_sign_and_end_zeros(self, monkeypatch):
         """Constant signs give -+pi/2 and an exact zero at an end gives that end, with no step."""
@@ -381,7 +337,7 @@ class TestClassifyPoint:
         root = spine._lockstep_root
 
         def counted(*args):
-            calls.append(args[-1].size)
+            calls.append(args[1].size)
             return root(*args)
 
         monkeypatch.setattr(spine, "_lockstep_root", counted)
@@ -610,17 +566,12 @@ class TestZBoundaryLocator:
     def test_closed_form(self, letter, r_star):
         spec = showcase(letter)
         brackets = [(0.8 * r_star, 1.1 * r_star), (0.95 * r_star, 1.3 * r_star)]
-        lo, hi = (np.array(col) for col in zip(*brackets))
-        th_lo = np.array([theta_at(spec, r) for r in lo])
-        th_hi = np.array([theta_at(spec, r) for r in hi])
-        b_lo = np.abs(th_lo) - (0.5 * math.pi - spine.ANGLE_TOL)
-        b_hi = np.abs(th_hi) - (0.5 * math.pi - spine.ANGLE_TOL)
-        assert np.all((b_lo < 0.0) != (b_hi < 0.0))
-        side = np.sign(np.where(b_lo < 0.0, th_hi, th_lo))
-        got = spine._z_boundaries(spec, lo, hi, side, b_lo, b_hi)
-        assert got == pytest.approx(r_star, abs=1e-9)
+        got = np.concatenate([spine._z_crossings(spec, np.array(br)) for br in brackets])
+        assert got.size == 2 and got == pytest.approx(r_star, abs=1e-9)
+        half = 0.5 * math.pi
         for k, (a, c) in enumerate(brackets):
-            r_in, r_out = (a, c) if b_lo[k] < 0.0 else (c, a)
+            inside = abs(theta_at(spec, a)) < half - spine.ANGLE_TOL
+            r_in, r_out = (a, c) if inside else (c, a)
             # both are midpoints of final brackets of width <= 1e-12 hi around one root
             assert abs(got[k] - _refine_z_boundary(spec, r_in, r_out)) <= 1e-12 * c
 

@@ -388,6 +388,14 @@ class TestSpineKappa:
             with pytest.raises(DomainError):
                 engine.kappa(terms)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, complex(math.nan, 1.0), complex(0.5, math.inf)])
+    def test_tau_must_be_finite_and_not_below_minus_origin_value(self, fig_a, monkeypatch, tau):
+        """A tau that is not finite, or a real one with tau + f(0+) < 0, raises before any spine solve."""
+        monkeypatch.setattr(wiener_hopf, "solve_spine", None)  # nothing is solved
+        engine = wiener_hopf.SpineStieltjes(fig_a)
+        with pytest.raises(DomainError):
+            engine.kappa((("plus", tau, 0.5, 1), ("plus", tau, 2.0, -1)))
+
     @pytest.mark.parametrize("R", [-1.0, math.inf, math.nan])
     def test_split_radius_must_be_finite_and_nonnegative(self, fig_a, monkeypatch, R):
         """Checked once, before any spine solve, also where no factor needs R."""

@@ -5,11 +5,10 @@ Compares two checkouts of the repository, a parent and a change:
 * ``bench/run.py --trace 0`` end-to-end metrics for each workload and seed,
   run in each checkout's own directory, alternating which side runs first;
 * per preset, one cold spine ratio f_0.2^+(0.3)/f_0.2^+(1.5) on a fresh
-  ``SpineStieltjes`` (its ``kappa`` of two terms, or ``ratio`` in checkouts
-  before ``kappa``): its refinement rounds (``estimate`` calls of
-  ``refine_panels``), spine points solved (radii passed to ``solve_spine``),
-  its lockstep work (see below) and the median wall time of five cold
-  repeats;
+  ``SpineStieltjes`` (its ``kappa`` of two terms): its refinement rounds
+  (``estimate`` calls of ``refine_panels``), spine points solved (radii
+  passed to ``solve_spine``), its lockstep work (see below) and the median
+  wall time of five cold repeats;
 * per preset, ``build_spine_table`` with ``SPINE_TABLE_N`` samples on
   ``default_spine_range``: the median wall time of five builds, the
   number of Z intervals, one build's ``solve_spine`` calls and radii, and
@@ -23,18 +22,21 @@ Compares two checkouts of the repository, a parent and a change:
   per panel estimate) and ``eval_f`` points;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
-  node count, atom count and total mass, or the name of the exception;
+  node count, atom count, total mass and the lockstep steps of its atom
+  solve (``zero_steps``; 0 in a checkout whose ``fluctuation`` has no
+  lockstep solver), or the name of the exception;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): ``integrate_adaptive`` calls and wall time of each.
 * over the whole probe, the hits and misses of the memo of quadrature
-  geometries (``numerics._GEOMETRY``; null where a checkout has none).
+  geometries (``numerics._GEOMETRY``).
 
-Lockstep work is counted in the spine's lockstep solver (``_lockstep_root``,
-or ``_lockstep_bisect`` before it), split into the angle solve and the
-Z-crossing refinement (``_z_boundaries``): per part, the lockstep steps
-(evaluations of the open brackets, one ``eval_f`` call each) and the
-points evaluated in them.
+Lockstep work is counted in the lockstep root solver (``_lockstep_root``)
+where ``spine`` and ``fluctuation`` hold it, split into the angle solve,
+the Z-crossing refinement (inside ``_z_crossings``) and, in
+``fluctuation``, the ``sup_tail`` atoms: per part, the lockstep steps
+(evaluations of the open brackets, one ``eval_f`` or ``_axis_limit`` call
+each) and the points evaluated in them.
 
     python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_15.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
@@ -62,10 +64,6 @@ RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
 PHI_TAUS = (0.0, 0.2)
 TAU_RATIO = (0.3, 1.2, 0.2, "plus")  # xi, tau1, tau2, side
 PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
-# the memos of bd contour integrals: one since the kappa products share one
-# integral, a ratio memo and a temporal-ratio memo before
-CONTOUR_MEMOS = (("wiener_hopf", "_BD_KAPPA"), ("wiener_hopf", "_BD_RATIOS"),
-                 ("fluctuation", "_TAU_RATIOS"))
 SUP_SIGMA = 0.5
 SPINE_TABLE_N = 256  # samples of the probe's spine tables, as in the wh_cold workload
 REPEATS = 5
@@ -101,23 +99,25 @@ def count_calls(name, weight=lambda *args: 1):
 
 
 def count_lockstep(log):
-    """Wrap the spine's lockstep solver: each call appends [part, steps, points] to ``log``.
+    """Wrap the lockstep solver: each call appends [part, steps, points] to ``log``.
 
-    Both solvers take the evaluator of the open brackets first.  The part
-    is "z" inside ``_z_boundaries`` and "theta" elsewhere.
+    The part is "zero" in ``fluctuation``; in ``spine`` it is "z" inside
+    ``_z_crossings`` (wrapped in ``spine`` and ``wiener_hopf``, which both
+    call it) and "theta" elsewhere.
     """
     import numpy as np
 
-    from levycm import spine
+    from levycm import fluctuation, spine, wiener_hopf
 
     part = ["theta"]
-    for name in ("_lockstep_root", "_lockstep_bisect"):
-        fn = getattr(spine, name, None)
-        if fn is None:
-            continue
 
-        def traced(g, *args, fn=fn):
-            rec = [part[0], 0, 0]
+    def wrap(module, name, part_of):
+        fn = getattr(module, name, None)  # fluctuation bisected its atoms before it had one
+        if fn is None:
+            return
+
+        def traced(g, *args):
+            rec = [part_of(), 0, 0]
             log.append(rec)
 
             def counted(idx, x):
@@ -127,31 +127,32 @@ def count_lockstep(log):
 
             return fn(counted, *args)
 
-        setattr(spine, name, traced)
-    z_boundaries = spine._z_boundaries
+        setattr(module, name, traced)
+
+    wrap(spine, "_lockstep_root", lambda: part[0])
+    wrap(fluctuation, "_lockstep_root", lambda: "zero")
+    z_crossings = spine._z_crossings
 
     def z_traced(*args):
         part[0] = "z"
         try:
-            return z_boundaries(*args)
+            return z_crossings(*args)
         finally:
             part[0] = "theta"
 
-    spine._z_boundaries = z_traced
+    spine._z_crossings = wiener_hopf._z_crossings = z_traced
 
 
 def lockstep_work(log):
-    """Steps and points of the calls in ``log``, per part."""
+    """Steps and points of the spine calls in ``log``, per part."""
     return {f"{part}_{what}": sum(rec[k] for rec in log if rec[0] == part)
             for part in ("theta", "z") for k, what in ((1, "steps"), (2, "points"))}
 
 
 def spine_ratio(engine):
-    """The probe's spine ratio: ``kappa`` where the checkout has it, ``ratio`` before."""
+    """The probe's spine ratio."""
     x1, x2, side, tau = RATIO
-    if hasattr(engine, "kappa"):
-        return engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
-    return engine.ratio(x1, x2, side, tau)
+    return engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
 
 
 def table_work(spec, log):
@@ -192,8 +193,6 @@ def contour_work(spec, integrals, rounds, points):
     kappa_ratio_tau and a cold pr_laplace."""
     from levycm import fluctuation, shift_spec, wiener_hopf
 
-    modules = {"wiener_hopf": wiener_hopf, "fluctuation": fluctuation}
-    memos = [getattr(modules[m], name, None) for m, name in CONTOUR_MEMOS]
     x1, x2, side, tau = RATIO
     xi, tau1, tau2, tau_side = TAU_RATIO
     sigma, pr_tau, pr_xi, pr_side = PR
@@ -203,9 +202,7 @@ def contour_work(spec, integrals, rounds, points):
         ("tau_ratio", lambda: fluctuation.kappa_ratio_tau(spec, xi, tau1, tau2, tau_side)),
         ("pr", lambda: fluctuation.pr_laplace(spec, sigma, pr_tau, pr_xi, pr_side)),
     ):
-        for memo in memos:
-            if memo is not None:
-                memo.clear()
+        wiener_hopf._BD_KAPPA.clear()
         integrals[0] = rounds[0] = points[0] = 0
         value = call()
         out[label] = {"integrals": integrals[0], "rounds": rounds[0], "eval_f_points": points[0],
@@ -213,17 +210,20 @@ def contour_work(spec, integrals, rounds, points):
     return out
 
 
-def sup_work(spec):
-    """Set-up ms, quadrature nodes, atoms and total mass of a cold sup_tail evaluator, or the exception name."""
+def sup_work(spec, log):
+    """Set-up ms, quadrature nodes, atoms, total mass and atom-solve lockstep steps of a cold
+    sup_tail evaluator, or the exception name (``log`` is the list that ``count_lockstep`` fills)."""
     from levycm import LevycmError, fluctuation
 
+    log.clear()
     t0 = time.perf_counter()
     try:
         ev = fluctuation._sup_evaluator(spec, SUP_SIGMA)
     except LevycmError as exc:
         return {"error": type(exc).__name__}
     return {"ms": 1e3 * (time.perf_counter() - t0), "nodes": int(ev.t.size - ev.atoms.size),
-            "atoms": int(ev.atoms.size), "total_mass": float(ev.c.sum())}
+            "atoms": int(ev.atoms.size), "total_mass": float(ev.c.sum()),
+            "zero_steps": sum(rec[1] for rec in log if rec[0] == "zero")}
 
 
 def mc_work(calls):
@@ -290,7 +290,7 @@ def probe():
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
                      "spine_table": table_work(SHOWCASE[name], log),
                      "contour": contour_work(SHOWCASE[name], integrals, rounds, points),
-                     "sup_tail": sup_work(SHOWCASE[name])}
+                     "sup_tail": sup_work(SHOWCASE[name], log)}
         for phi_tau in PHI_TAUS:
             spec = shift_spec(SHOWCASE[name], phi_tau)
             times = []
@@ -300,8 +300,7 @@ def probe():
                 times.append(time.perf_counter() - t0)
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
                                                     "breakpoints": len(table.breakpoints)}
-    memo = getattr(numerics, "_GEOMETRY", None)  # absent before the seed geometry was cached
-    geometry = None if memo is None else {"hits": memo.hits, "misses": memo.misses}
+    geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
     print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry}))
 
 
@@ -352,7 +351,7 @@ def main(argv=None):
         "presets": {side: p["presets"] for side, p in probes.items()},
         "mc_job_paths": MC_PATHS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
-        "geometry_memo": {side: p.get("geometry_memo") for side, p in probes.items()},
+        "geometry_memo": {side: p["geometry_memo"] for side, p in probes.items()},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
     for w in args.workloads:
