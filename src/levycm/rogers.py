@@ -127,16 +127,21 @@ class PhiTable:
         """The kernels of phi(t) and phi(-t), t > 0, built once per table."""
         return _phi_side(self, 1.0), _phi_side(self, -1.0)
 
+    @cached_property
+    def _pair(self):
+        """Both kernels in one, for the PhiRep exponent."""
+        return _AnglePair(*self._sides)
+
 
 _BLOCK = 1 << 16  # points x cells per block of kernel temporaries
 
 
-class _AngleSide:
-    """One side of a boundary angle, integrated exactly cell by cell.
+class _Cells:
+    """The cells of one or both sides of a boundary angle, integrated exactly cell by cell.
 
     phi(t) on t > 0 is ``phi_in`` on (0, t[0]), linear from phi[k] to
     phi[k+1] on [t[k], t[k+1]] (equal abscissae make a jump) and ``phi_out``
-    beyond t[-1].  :meth:`exponent` returns
+    beyond t[-1].  A side's exponent is
 
         E(z) = (1/pi) int_0^inf phi(t) (1/(1+t) - 1/(z+t)) dt
 
@@ -150,7 +155,109 @@ class _AngleSide:
     narrow jump cells of estimated tables.  Cells with phi = 0 at both ends
     are dropped, which keeps values on the cut free of winding where phi
     vanishes around t = -z.
+
+    The cell arrays ``a``, ``b``, ``pa``, ``pb``, ``w``, ``slope`` hold side
+    k in the columns ``cols[k]``.  The per-side constants are columns with
+    one row per side: ``dsums`` (the sum of dphi), ``j_ones`` (int
+    phi/(1+t)), ``e_zeros`` (E(0)), ``phi_outs`` and ``t_outs``;
+    ``out_rows`` selects the sides with phi_out != 0.
     """
+
+    first = None  # with two sides: True on the first side's columns
+
+    def _cell_sums(self, z, prime):
+        """Per side k, the sum over its cells of int phi/(z+t) dt at the points z[k] (one row of
+        points per side); with ``prime`` also the sum of int phi/(z+t)^2 dt.
+
+        Returns two arrays shaped like z, the second None without ``prime``.
+        All sides take one pass: each cell reads its own side's z, and each
+        side is summed over its own columns, so its sums are bitwise those
+        of a pass over its cells alone.
+        """
+        n = z.shape[1]
+        re_sum, im_sum = np.empty(z.shape), np.zeros(z.shape)
+        der = np.empty(z.shape, dtype=complex) if prime else None
+        rows = max(1, _BLOCK // max(1, len(self.a)))
+        for lo in range(0, n, rows):
+            zk = z[:, lo : lo + rows, None]
+            zb = zk[0] if self.first is None else np.where(self.first, zk[0], zk[1])
+            zi = zb.imag
+            real = not prime and not zk.imag.any() and (zk.real > 0.0).all()  # then every im L is +-0
+            yr = zb.real + self.a  # y = z + a
+            d = self.w / (yr * yr + zi * zi)
+            xr = yr * d  # x = w/y
+            r2 = self.w * d  # |x|^2
+            # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
+            with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
+                lr = 0.5 * np.log1p(2.0 * xr + r2)
+            li = np.zeros_like(lr) if real else np.arctan2(-zi * d, 1.0 + xr)
+            far = r2 >= 0.25
+            if far.any():
+                rr, cc = np.nonzero(far)
+                zf = zb[rr, 0] if self.first is None else zb[rr, cc]
+                lf = np.log((zf + self.b[cc]) / (zf + self.a[cc]))
+                lr[far], li[far] = lf.real, lf.imag
+            # pa L + dphi (1 - L/x) = dphi + L (pa - slope y), as 1/x = y/w
+            c, sz = self.pa - self.slope * yr, self.slope * zi
+            re = lr * c if real else lr * c + li * sz
+            im = None if real else li * c - lr * sz  # li sz = +-0 if real
+            if prime:
+                y, lg = yr + 1j * zi, lr + 1j * li
+                terms = self.pa / y - self.pb / (zb + self.b) + self.slope * lg
+            for k, cols in enumerate(self.cols):
+                np.add.reduce(re[:, cols], axis=1, out=re_sum[k, lo : lo + rows])
+                if not real:
+                    np.add.reduce(im[:, cols], axis=1, out=im_sum[k, lo : lo + rows])
+                if prime:
+                    np.add.reduce(terms[:, cols], axis=1, out=der[k, lo : lo + rows])
+        re_sum += self.dsums
+        return re_sum + 1j * im_sum, der
+
+    def _exponents(self, z, prime=False):
+        """Per side k, E at the points z[k] (one row of points per side) from one kernel pass;
+        with ``prime`` also E'(z) = (1/pi) int_0^inf phi(t)/(z+t)^2 dt.
+
+        Returns two arrays shaped like z, the second None without ``prime``.
+        Every side's z vanishes at the same points (xi = 0 for a PhiRep).
+        There E = E(0): -inf where phi(0+) > 1e-9; below that, the constant
+        part of phi on a cell touching t = 0 is dropped as negligible (its
+        integral diverges there).  E' is not defined there; the kernel's
+        value is returned.
+        """
+        nz = z[0] != 0.0
+        if not prime and not nz.all():
+            out = np.empty(z.shape, dtype=complex)
+            out[...] = self.e_zeros
+            if nz.any():
+                out[:, nz] = self._exponents(z[:, nz])[0]
+            return out, None
+        val, der = self._cell_sums(z, prime)
+        val = self.j_ones - val
+        o = self.out_rows
+        if o is not None:
+            val[o] += self.phi_outs[o] * np.log((z[o] + self.t_outs[o]) / (1.0 + self.t_outs[o]))
+            if prime:
+                der[o] += self.phi_outs[o] / (z[o] + self.t_outs[o])
+        val = val / math.pi
+        if not nz.all():
+            val[:, ~nz] = self.e_zeros
+        return val, (der / math.pi if prime else None)
+
+    @cached_property
+    def out_rows(self):
+        """The sides with phi_out != 0: all (a slice), their row indices, or None."""
+        out = self.phi_outs[:, 0] != 0.0
+        return slice(None) if out.all() else np.flatnonzero(out) if out.any() else None
+
+
+class _AngleSide(_Cells):
+    """One side of a boundary angle: the cells of ``phi`` on the knots ``t`` (see :class:`_Cells`).
+
+    Its constants are also floats: ``phi_zero`` (phi(0+)), ``phi_out``,
+    ``t_out``, ``j_one`` and ``e_zero``.
+    """
+
+    cols = (slice(None),)
 
     def __init__(self, t, phi, phi_in, phi_out):
         t = np.asarray(t, dtype=float)
@@ -164,85 +271,41 @@ class _AngleSide:
         self.a, self.b = t[:-1][keep], t[1:][keep]
         self.pa, self.pb = p[:-1][keep], p[1:][keep]
         self.w = self.b - self.a
-        self.dphi = self.pb - self.pa
-        self.slope = self.dphi / self.w
+        dphi = self.pb - self.pa
+        self.slope = dphi / self.w
+        self.dsums = np.array([[dphi.sum()]])
         # z-free constants: int phi/(1+t) over the cells, and E(0)
-        self.j_one = float(self._cell_sums(np.ones(1, dtype=complex), prime=False)[0].real)
+        self.j_one = float(self._cell_sums(np.ones((1, 1), dtype=complex), False)[0][0, 0].real)
         inner = self.a > 0.0
         x = self.w[inner] / self.a[inner]
         lg = np.log1p(x)
-        j_zero = np.sum(self.pa[inner] * lg + self.dphi[inner] * (1.0 - lg / x))
-        j_zero += np.sum(self.dphi[~inner])
+        j_zero = np.sum(self.pa[inner] * lg + dphi[inner] * (1.0 - lg / x))
+        j_zero += np.sum(dphi[~inner])
         outer = 0.0
         if self.phi_out != 0.0 and self.t_out > 0.0:
             outer = self.phi_out * math.log(self.t_out / (1.0 + self.t_out))
         self.e_zero = float(self.j_one - j_zero + outer) / math.pi
         if self.phi_zero > 1e-9:
             self.e_zero = -math.inf
-
-    def _cell_sums(self, z, prime):
-        """Sum over cells of int phi/(z+t) dt (or of int phi/(z+t)^2 dt), per point."""
-        out = np.empty(z.shape, dtype=complex)
-        rows = max(1, _BLOCK // max(1, len(self.a)))
-        for lo in range(0, len(z), rows):
-            zb = z[lo : lo + rows, None]
-            zi = zb.imag
-            real = not prime and not zi.any() and (zb.real > 0.0).all()  # then every im L is +-0
-            yr = zb.real + self.a  # y = z + a
-            d = self.w / (yr * yr + zi * zi)
-            xr = yr * d  # x = w/y
-            r2 = self.w * d  # |x|^2
-            # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
-            with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
-                lr = 0.5 * np.log1p(2.0 * xr + r2)
-            li = np.zeros_like(lr) if real else np.arctan2(-zi * d, 1.0 + xr)
-            far = r2 >= 0.25
-            if far.any():
-                rr, cc = np.nonzero(far)
-                zf = zb[rr, 0]
-                lf = np.log((zf + self.b[cc]) / (zf + self.a[cc]))
-                lr[far], li[far] = lf.real, lf.imag
-            if prime:
-                y, lg = yr + 1j * zi, lr + 1j * li
-                terms = self.pa / y - self.pb / (zb + self.b) + self.slope * lg
-                out[lo : lo + rows] = terms.sum(axis=1)
-                continue
-            # pa L + dphi (1 - L/x) = dphi + L (pa - slope y), as 1/x = y/w
-            c, sz = self.pa - self.slope * yr, self.slope * zi
-            re = (lr * c).sum(axis=1) if real else (lr * c + li * sz).sum(axis=1)
-            im = 0.0 if real else (li * c - lr * sz).sum(axis=1)  # li sz = +-0 if real
-            out[lo : lo + rows] = re + self.dphi.sum() + 1j * im
-        return out
+        self.j_ones, self.e_zeros, self.phi_outs, self.t_outs = (
+            np.array([[v]]) for v in (self.j_one, self.e_zero, self.phi_out, self.t_out)
+        )
 
     def exponent(self, z):
-        """E(z) at complex z (scalar or array).
-
-        E(0) = -inf where phi(0+) > 1e-9; below that, the constant part of
-        phi on a cell touching t = 0 is dropped as negligible (its integral
-        diverges there).
-        """
+        """E(z) at complex z (scalar or array)."""
         z = np.asarray(z, dtype=complex)
-        zv = z.reshape(-1)
-        n_nonzero = np.count_nonzero(zv)
-        if n_nonzero < zv.size:
-            out = np.full(zv.shape, self.e_zero, dtype=complex)
-            if n_nonzero:
-                nz = zv != 0.0
-                out[nz] = self.exponent(zv[nz])
-            return out.reshape(z.shape)
-        val = self.j_one - self._cell_sums(zv, prime=False)
-        if self.phi_out != 0.0:
-            val += self.phi_out * np.log((zv + self.t_out) / (1.0 + self.t_out))
-        return (val / math.pi).reshape(z.shape)
+        return self._exponents(z.reshape(1, -1))[0][0].reshape(z.shape)
 
-    def exponent_prime(self, z):
-        """E'(z) = (1/pi) int_0^inf phi(t)/(z+t)^2 dt at complex z != 0."""
-        z = np.asarray(z, dtype=complex)
-        zv = z.reshape(-1)
-        val = self._cell_sums(zv, prime=True)
-        if self.phi_out != 0.0:
-            val += self.phi_out / (zv + self.t_out)
-        return (val / math.pi).reshape(z.shape)
+
+class _AnglePair(_Cells):
+    """Both sides of a PhiRep's boundary angle in one set of cells, the plus side's first."""
+
+    def __init__(self, plus, minus):
+        for name in ("a", "b", "pa", "pb", "w", "slope", "dsums", "j_ones", "e_zeros", "phi_outs", "t_outs"):
+            setattr(self, name, np.concatenate([getattr(plus, name), getattr(minus, name)]))
+        n = len(plus.a)
+        self.first = np.arange(len(self.a)) < n
+        self.cols = (slice(0, n), slice(n, None))
 
 
 def _phi_side(table: PhiTable, sign):
@@ -386,7 +449,7 @@ def _atomic_core(spec: LevyAtomic, xi):
 
 
 def _stable_core(spec: StableSum, xi):
-    val = np.zeros_like(xi) if isinstance(xi, np.ndarray) else 0.0 + 0.0j
+    val = np.zeros_like(xi)
     for t in spec.terms:
         rot = -1j if t.orientation == _MINUS_I else 1j
         val = val + t.w * (rot * xi + t.m) ** t.alpha
@@ -394,7 +457,7 @@ def _stable_core(spec: StableSum, xi):
 
 
 def _rational_core(spec: RationalProduct, xi):
-    val = np.full_like(xi, spec.prefactor) if isinstance(xi, np.ndarray) else complex(spec.prefactor)
+    val = np.full_like(xi, spec.prefactor)
     for f in spec.factors:
         rot = -1j if f.orientation == _MINUS_I else 1j
         base = rot * xi + f.m
@@ -402,16 +465,18 @@ def _rational_core(spec: RationalProduct, xi):
     return val
 
 
-def _phirep_exponent(table: PhiTable, xi):
-    """(1/pi) int (xi/(xi+is) - 1/(1+|s|)) phi(s)/|s| ds = E+(-i xi) + E-(i xi)."""
+_ROTATIONS = np.array([[-1j], [1j]])  # the rows -i xi and i xi at which E+ and E- are read
+
+
+def _phirep_core(spec: PhiRep, xi, prime=False):
+    """f = c exp(E+(-i xi) + E-(i xi)), both sides from one kernel pass; with ``prime``,
+    f' = f (log f)' with (log f)' = -i E+'(-i xi) + i E-'(i xi) from the same pass."""
     xi = np.asarray(xi, dtype=complex)
-    plus, minus = table._sides
-    return plus.exponent(-1j * xi) + minus.exponent(1j * xi)
-
-
-def _phirep_core(spec: PhiRep, xi):
-    val = spec.c * np.exp(_phirep_exponent(spec.phi, xi))
-    return val if isinstance(xi, np.ndarray) else complex(val)
+    e, de = spec.phi._pair._exponents(_ROTATIONS * xi.reshape(-1), prime)
+    val = spec.c * np.exp(e[0] + e[1])
+    if prime:
+        val = val * (1j * (de[1] - de[0]))
+    return val.reshape(xi.shape)
 
 
 def _eval_core(spec, xi):
@@ -448,14 +513,14 @@ def _prime_core(spec, xi):
             val = val + rate * 1j * s / (xi + 1j * s) ** 2
         return val
     if isinstance(spec, StableSum):
-        val = np.zeros_like(xi) if isinstance(xi, np.ndarray) else 0.0 + 0.0j
+        val = np.zeros_like(xi)
         for t in spec.terms:
             rot = -1j if t.orientation == _MINUS_I else 1j
             val = val + t.w * t.alpha * rot * (rot * xi + t.m) ** (t.alpha - 1.0)
         return val
     if isinstance(spec, RationalProduct):
         val = _rational_core(spec, xi)
-        logd = np.zeros_like(xi) if isinstance(xi, np.ndarray) else 0.0 + 0.0j
+        logd = np.zeros_like(xi)
         for f in spec.factors:
             rot = -1j if f.orientation == _MINUS_I else 1j
             logd = logd + f.exponent * rot / (rot * xi + f.m)
@@ -469,17 +534,10 @@ def _prime_core(spec, xi):
                     val[zero] = rot * _rational_core(rest, xi[zero])
         return val
     if isinstance(spec, PhiRep):
-        return _phirep_core(spec, xi) * _phirep_log_prime(spec, xi)
+        return _phirep_core(spec, xi, prime=True)
     if isinstance(spec, ShiftedSpec):
         return _prime_core(spec.base, xi)
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
-
-
-def _phirep_log_prime(spec: PhiRep, xi):
-    """(log f)'(xi) = -i E+'(-i xi) + i E-'(i xi)."""
-    xi = np.asarray(xi, dtype=complex)
-    plus, minus = spec.phi._sides
-    return 1j * (minus.exponent_prime(1j * xi) - plus.exponent_prime(-1j * xi))
 
 
 def eval_f_prime(spec, xi):
@@ -491,32 +549,33 @@ def eval_f_prime(spec, xi):
 
 
 def _evaluate(spec, xi, prime):
-    """f (f' if ``prime``): the family core on re xi > 0, its reflection (conj, or -conj
-    for f') on re xi < 0, and :func:`_axis_values` for all axis points in one call."""
+    """f (f' if ``prime``) at the points of ``xi``; a scalar is a 1-element array.
+
+    Every point off the axis takes one family-core call: a point with
+    re xi < 0 is mapped to -conj xi and its value reflected back (conj, or
+    -conj for f').  Axis points take :func:`_axis_values`, all in one call.
+    """
     core = _prime_core if prime else _eval_core
-    if not isinstance(xi, np.ndarray):
-        xi = complex(xi)
-        if xi.real > 0.0:
-            return complex(core(spec, xi))
-        if xi.real < 0.0:
-            v = np.conj(core(spec, -xi.conjugate()))
-            return complex(-v if prime else v)
-        return complex(_axis_values(spec, np.array([xi.imag]), prime)[0])
-    xi = np.asarray(xi, dtype=complex)
-    right = xi.real > 0.0
+    arr = np.asarray(xi, dtype=complex)
+    flat = arr.reshape(-1)
+    right = flat.real > 0.0
     if right.all():  # the common case needs no masks
-        return np.asarray(core(spec, xi), dtype=complex)
-    out = np.empty(xi.shape, dtype=complex)
-    left = xi.real < 0.0
-    axis = ~right & ~left
-    if right.any():
-        out[right] = core(spec, xi[right])
-    if left.any():
-        v = np.conj(core(spec, -np.conj(xi[left])))
-        out[left] = -v if prime else v
-    if axis.any():
-        out[axis] = _axis_values(spec, xi.imag[axis], prime)
-    return out
+        out = np.asarray(core(spec, flat), dtype=complex)
+    else:
+        out = np.empty(flat.shape, dtype=complex)
+        left = flat.real < 0.0
+        off = right | left
+        if off.any():
+            sel = slice(None) if off.all() else off
+            v = np.asarray(core(spec, np.where(left, -np.conj(flat), flat)[sel]), dtype=complex)
+            flip = left[sel]
+            np.conjugate(v, out=v, where=flip)
+            if prime:
+                np.negative(v, out=v, where=flip)
+            out[sel] = v
+        if not off.all():
+            out[~off] = _axis_values(spec, flat.imag[~off], prime)
+    return out.reshape(arr.shape) if isinstance(xi, np.ndarray) else complex(out[0])
 
 
 # ---------------------------------------------------------------------------

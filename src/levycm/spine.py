@@ -126,22 +126,6 @@ def _profile_slope(spec, s):
     return slope
 
 
-def _lambda_theta(spec, r):
-    theta = theta_at(spec, r)
-    half = 0.5 * math.pi
-    if abs(theta) < half - ANGLE_TOL:
-        zeta = r * cmath.exp(1j * theta)
-        v = eval_f(spec, zeta)
-        lam = v.real
-        if abs(v.imag) > 1e-8 * (1.0 + abs(lam)):
-            raise DomainError(
-                f"profile evaluation off the spine at r={r}: f(zeta)={v}"
-            )
-        return lam, theta
-    side = 1.0 if theta > 0.0 else -1.0
-    return float(_axis_lambda(spec, r, side)), theta
-
-
 def _theta_array(spec, r):
     """Spine angle at every radius of ``r``, by one lockstep root solve.
 
@@ -167,10 +151,10 @@ def _theta_array(spec, r):
 def solve_spine(spec, radii):
     """Spine angle, point, profile and Z membership at every radius.
 
-    The array form of ``_lambda_theta`` with the same rules: angles from
-    one lockstep root solve (``_theta_array``, which ``theta_at`` shares),
-    profile values from one ``eval_f`` call on the Z points and one
-    boundary evaluation on the axis for the others.
+    Angles come from one lockstep root solve (``_theta_array``, which
+    ``theta_at`` shares), profile values from one ``eval_f`` call on the Z
+    points (f(zeta) must be real there to 1e-8) and one boundary evaluation
+    on the axis for the others.
     """
     if is_constant(spec):
         raise SpineUndefinedError("constant exponents have no spine")
@@ -204,8 +188,12 @@ def solve_spine(spec, radii):
 
 
 def lambda_at(spec, r):
-    """Monotone profile lambda(r) = f(zeta(r)), extended by continuity."""
-    return _lambda_theta(spec, float(r))[0]
+    """Monotone profile lambda(r) = f(zeta(r)), extended by continuity.
+
+    ``solve_spine`` at the one radius r, so that a single value is bitwise
+    the one it returns at r.
+    """
+    return float(solve_spine(spec, np.array([float(r)])).lam[0])
 
 
 def _z_sign(spec, r, side):

@@ -36,6 +36,7 @@ from .numerics import (
     integrate_adaptive,
     principal_log,
     refine_panels,
+    sorted_unique,
 )
 from .report import VerifyReport
 from .rogers import (
@@ -105,7 +106,7 @@ def build_phi_table(spec):
     f = np.asarray(axis_feature_points(spec), dtype=float)
     f = f[(np.abs(f) > _PHI_S_MIN) & (np.abs(f) < _PHI_S_MAX), None]
     rings = f * np.concatenate([1.0 + _PHI_RINGS, 1.0 - _PHI_RINGS])
-    s = np.unique(np.concatenate([-base, base, rings.ravel()]))
+    s = sorted_unique(np.concatenate([-base, base, rings.ravel()]))
     p = estimate_phi(spec, s)
     s_out, p_out = [s], [p]
     start = np.delete(np.arange(s.size - 1), np.searchsorted(s, 0.0) - 1)  # no cell across s = 0
@@ -130,7 +131,7 @@ def build_phi_table(spec):
         mid, p_mid = mid[split], p_mid[split]
         lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         p_lo, p_hi = np.concatenate([p_lo[split], p_mid]), np.concatenate([p_mid, p_hi[split]])
-    s_all, keep = np.unique(np.concatenate(s_out), return_index=True)
+    s_all, keep = sorted_unique(np.concatenate(s_out), return_index=True)
     p_all = np.clip(np.concatenate(p_out)[keep], 0.0, math.pi)
     return PhiTable(tuple(s_all), tuple(p_all), "piecewise-linear")
 
@@ -351,7 +352,7 @@ class SpineStieltjes:
         j = np.searchsorted(known, u)
         miss = known[np.minimum(j, known.size - 1)] != u if known.size else np.ones(u.shape, bool)
         if miss.any():
-            new = np.unique(u[miss])
+            new = sorted_unique(u[miss])
             s = solve_spine(self.spec, np.exp(new))
             at = np.searchsorted(known, new)
             cols = (new, s.zeta, s.lam, _profile_slope(self.spec, s))
@@ -369,7 +370,7 @@ class SpineStieltjes:
         key = (u_lo, u_hi)
         if key not in self._z_cache:
             r = np.exp(np.arange(u_lo / _Z_SCAN_STEP, u_hi / _Z_SCAN_STEP + 1.0) * _Z_SCAN_STEP)
-            self._z_cache[key] = np.unique(np.log(_z_crossings(self.spec, r)))
+            self._z_cache[key] = sorted_unique(np.log(_z_crossings(self.spec, r)))
         return self._z_cache[key]
 
     def _integral(self, gfun, scales, jumps, tau):
@@ -404,13 +405,13 @@ class SpineStieltjes:
         u_lo = math.floor(math.log(min(scales)) - _SPINE_PAD)
         u_hi = math.ceil(math.log(max(scales)) + _SPINE_PAD)
         cuts = np.log(jumps + self._features)
-        edges = np.union1d(np.arange(u_lo, u_hi + 1.0), cuts[(cuts > u_lo) & (cuts < u_hi)])
+        edges = sorted_unique(np.append(np.arange(u_lo, u_hi + 1.0), cuts[(cuts > u_lo) & (cuts < u_hi)]))
         # a Z boundary within the locator's resolution of a cut is that cut:
         # a jump of g stays exactly where it is
         zb = self._z_edges(u_lo, u_hi)
         near = edges[np.abs(edges[:, None] - zb).argmin(axis=0)]
         zb = np.where(np.abs(near - zb) <= _Z_MERGE, near, zb)
-        edges = np.union1d(edges, zb)
+        edges = sorted_unique(np.append(edges, zb))
         to_u, p_lo, p_hi = _piecewise_axis(edges.tolist(), set(zb.tolist()))
 
         def estimate(lo, hi):

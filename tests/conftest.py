@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from levycm import PhiRep, PhiTable
 from levycm.specio import SHOWCASE
 
 # the eight showcase exponents, keyed by their traditional gallery letters
@@ -18,6 +21,25 @@ LETTERS = {
 
 def showcase(letter):
     return SHOWCASE[LETTERS[letter]]
+
+
+# a linear PhiRep table and a constant one, as in the eval_phirep benchmark
+LIN5 = PhiRep(1.2, PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"))
+CONST = PhiRep(1.0, PhiTable((-3.0, -0.5, 0.7, 4.0), (0.4, 1.9, 0.8), "piecewise-constant"))
+
+
+def lin200():
+    """A ~200-breakpoint linear table from smooth seeded profiles."""
+    rng = np.random.default_rng(2024)
+    u = np.sort(rng.uniform(math.log(1e-2), math.log(1e2), 100))
+    ph = rng.uniform(0.0, 2.0 * math.pi, 4)
+
+    def profile(v, p1, p2):
+        return 1.3 + 0.4 * np.sin(0.7 * v + p1) + 0.2 * np.sin(1.9 * v + p2)
+
+    bp = np.concatenate([-np.exp(u[::-1]), np.exp(u)])
+    vals = np.concatenate([profile(u[::-1], ph[0], ph[1]), profile(u, ph[2], ph[3])])
+    return PhiRep(1.0, PhiTable(tuple(bp), tuple(vals), "piecewise-linear"))
 
 
 @pytest.fixture(scope="session")

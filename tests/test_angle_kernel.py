@@ -14,30 +14,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from levycm import PhiRep, PhiTable, eval_f, eval_f_prime
+from levycm import eval_f, eval_f_prime
 from levycm.specio import SHOWCASE
 from levycm.wiener_hopf import get_factor_handle, get_phi_table
 
+from conftest import CONST, LIN5, lin200
+
 DIGITS = 40
-
-# the linear table of tests/test_stress.py and a constant one
-LIN5 = PhiRep(1.2, PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"))
-CONST = PhiRep(1.0, PhiTable((-3.0, -0.5, 0.7, 4.0), (0.4, 1.9, 0.8), "piecewise-constant"))
-
-
-def _lin200():
-    """A ~200-breakpoint linear table from smooth seeded profiles."""
-    rng = np.random.default_rng(2024)
-    u = np.sort(rng.uniform(math.log(1e-2), math.log(1e2), 100))
-    ph = rng.uniform(0.0, 2.0 * math.pi, 4)
-
-    def profile(v, p1, p2):
-        return 1.3 + 0.4 * np.sin(0.7 * v + p1) + 0.2 * np.sin(1.9 * v + p2)
-
-    bp = np.concatenate([-np.exp(u[::-1]), np.exp(u)])
-    vals = np.concatenate([profile(u[::-1], ph[0], ph[1]), profile(u, ph[2], ph[3])])
-    return PhiRep(1.0, PhiTable(tuple(bp), tuple(vals), "piecewise-linear"))
-
 
 @functools.lru_cache(maxsize=None)
 def _log1p(t, prec):
@@ -135,7 +118,7 @@ def _points(rng, n):
 class TestPhiRepOracle:
     @pytest.mark.parametrize("name", ["lin5", "const", "lin200"])
     def test_eval_f(self, name):
-        spec = {"lin5": LIN5, "const": CONST, "lin200": _lin200()}[name]
+        spec = {"lin5": LIN5, "const": CONST, "lin200": lin200()}[name]
         xi = np.append(_points(np.random.default_rng(7), 4), [0.05 + 2.0j, 0.05 - 2.0j])
         got = eval_f(spec, xi)
         for k, x in enumerate(xi):
@@ -205,7 +188,7 @@ class TestRealArgument:
     @pytest.mark.parametrize("k", [0, 1], ids=["plus", "minus"])
     def test_real_sum_equals_the_complex_path(self, k):
         """One complex point in the block sends it down the complex path: same real parts, bitwise."""
-        side = _lin200().phi._sides[k]
+        side = lin200().phi._sides[k]
         real = side.exponent(self.Z)
         mixed = side.exponent(np.append(self.Z, 1.0j))[:-1]
         assert np.array_equal(real.real, mixed.real)

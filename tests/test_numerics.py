@@ -1,6 +1,9 @@
 """Quadrature, root-solver and principal-branch kernels."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import OrderedDict
 
 import numpy as np
@@ -20,6 +23,7 @@ from levycm.numerics import (
     make_rng,
     principal_log,
     refine_panels,
+    sorted_unique,
 )
 
 
@@ -397,6 +401,38 @@ class TestPrincipalLog:
         z = rng.uniform(-3, 3, 50) + 1j * rng.uniform(-3, 3, 50)
         z = z[~((z.imag == 0) & (z.real <= 0))]
         np.testing.assert_allclose(np.exp(principal_log(z)), z, rtol=1e-14)
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("n", [0, 1, 7, 200])
+    def test_matches_np_unique(self, n):
+        """Values, and first indices by a stable sort, on input with many repeats and signed zeros."""
+        x = np.round(make_rng(n).normal(size=n), 1)
+        x[::5] = -0.0
+        x[1::7] = 0.0
+        want, first = np.unique(x, return_index=True)
+        got, got_first = sorted_unique(x, return_index=True)
+        assert got.tobytes() == want.tobytes() and np.array_equal(got_first, first)
+        assert np.array_equal(sorted_unique(x), np.unique(x))
+
+    def test_cold_routes_leave_numpy_ma_unimported(self):
+        """np.unique imports numpy.ma (~16 ms) on its first call; no cold route of the package does."""
+        code = (
+            "import sys\n"
+            "from levycm import fluctuation, shift_spec, spine, wiener_hopf\n"
+            "from levycm.specio import SHOWCASE\n"
+            "spec = SHOWCASE['rational_three_arcs']\n"
+            "wiener_hopf.wh_ratio(shift_spec(spec, 0.2), 'phi', 'plus', 0.3, 1.5)\n"
+            "wiener_hopf.wh_ratio(shift_spec(spec, 0.2), 'spine', 'plus', 0.3, 1.5)\n"
+            "spine.build_spine_table(spec, 0.01, 100.0, 64)\n"
+            "fluctuation.sup_tail(spec, 0.5, 1.0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(numerics.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False"]
 
 
 class TestLRU:

@@ -35,7 +35,7 @@ from levycm.numerics import _LRU, QuadratureConfig, integrate_adaptive, make_rng
 from levycm.rogers import _axis_limit
 from levycm.specio import SHOWCASE, load_spec, preset_path
 
-from conftest import half_plane_samples, showcase
+from conftest import CONST, LIN5, half_plane_samples, lin200, showcase
 
 # bounded spec equal to xi / (xi + i): one atom with compensating drift
 BOUNDED = LevyAtomic(a=0.0, b=0.5, c=0.0, atoms=((1.0, math.pi),))
@@ -217,6 +217,67 @@ class TestAxisRule:
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
                 eval_f_prime(spec, xi)
+
+
+REFLECTION_SPECS = {
+    **SHOWCASE,
+    **{f"{name}+0.5": shift_spec(spec, 0.5) for name, spec in SHOWCASE.items()},
+    "const": CONST,
+    "lin5": LIN5,
+    "lin200": lin200(),
+}
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).tobytes()
+
+
+class TestReflection:
+    """Both half-planes take one core call: a mixed batch is bitwise its parts, the reflection
+    is exact and a scalar is the 1-element array."""
+
+    @staticmethod
+    def _batch(spec, fn):
+        """24 points alternating between the half-planes, then the admitted axis points of four."""
+        xi = half_plane_samples(make_rng(25), 24)
+        xi[1::2] = -np.conj(xi[1::2])
+        axis = []
+        for y in (-3.0, -0.7, 0.4, 2.5):
+            try:
+                fn(spec, np.array([complex(0.0, y)]))
+                axis.append(complex(0.0, y))
+            except DomainError:
+                pass
+        return np.append(xi, axis)
+
+    @pytest.mark.parametrize("fn", [eval_f, eval_f_prime])
+    @pytest.mark.parametrize("name", sorted(REFLECTION_SPECS))
+    def test_mixed_batch_is_its_parts(self, name, fn):
+        spec = REFLECTION_SPECS[name]
+        xi = self._batch(spec, fn)
+        got = fn(spec, xi)
+        for part in (xi.real > 0.0, xi.real < 0.0, xi.real == 0.0):
+            if part.any():
+                assert _bits(got[part]) == _bits(fn(spec, xi[part])), (name, part)
+
+    @pytest.mark.parametrize("fn", [eval_f, eval_f_prime])
+    @pytest.mark.parametrize("name", sorted(REFLECTION_SPECS))
+    def test_reflection_is_exact(self, name, fn):
+        """f(-conj xi) = conj f(xi) and f'(-conj xi) = -conj f'(xi), bit for bit."""
+        spec = REFLECTION_SPECS[name]
+        xi = self._batch(spec, fn)
+        xi = xi[xi.real != 0.0]
+        want = np.conj(fn(spec, xi))
+        assert _bits(fn(spec, -np.conj(xi))) == _bits(-want if fn is eval_f_prime else want), name
+
+    @pytest.mark.parametrize("fn", [eval_f, eval_f_prime])
+    @pytest.mark.parametrize("name", sorted(REFLECTION_SPECS))
+    def test_scalar_is_the_one_element_array(self, name, fn):
+        spec = REFLECTION_SPECS[name]
+        for x in self._batch(spec, fn).tolist():
+            got = fn(spec, x)
+            assert type(got) is complex
+            assert _bits(got) == _bits(fn(spec, np.array([x]))), (name, x)
 
 
 class TestLevyDensity:

@@ -22,7 +22,6 @@ from levycm.numerics import make_rng
 from levycm.report import VerifyReport
 from levycm.specio import SHOWCASE
 from levycm.spine import (
-    _lambda_theta,
     build_spine_table,
     classify_point,
     lambda_at,
@@ -166,15 +165,24 @@ class TestLambdaAt:
     def test_bm_drift_axis(self, fig_a):
         assert lambda_at(fig_a, 0.5) == pytest.approx(0.375, rel=1e-10)
 
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_is_the_array_solve(self, name):
+        """lambda_at is solve_spine at one radius: bitwise its lambda, in Z and off it."""
+        spec = SHOWCASE[name]
+        r = np.geomspace(*default_spine_range(spec), 40)
+        got = [lambda_at(spec, x) for x in r.tolist()]
+        assert got == [float(solve_spine(spec, np.array([x])).lam[0]) for x in r.tolist()]
+        assert np.array_equal(got, solve_spine(spec, r).lam)
+
 
 class TestSolveSpine:
-    """The lockstep array solve against the per-radius scalar path."""
+    """The lockstep array solve against the per-radius calls."""
 
     @staticmethod
     def _assert_matches_scalar(spec, radii):
         s = solve_spine(spec, radii)
         for k, r in enumerate(radii.tolist()):
-            lam, theta = _lambda_theta(spec, r)
+            lam, theta = lambda_at(spec, r), theta_at(spec, r)
             assert abs(s.theta[k] - theta) <= 1e-12
             assert bool(s.in_Z[k]) == (abs(theta) < 0.5 * math.pi - 1e-7)
             assert abs(s.lam[k] - lam) <= 1e-12 * abs(lam)
@@ -210,7 +218,7 @@ class TestSolveSpine:
         lo, hi = default_spine_range(spec)
         s = build_spine_table(spec, lo, hi, 128).samples
         for k, r in enumerate(s.r.tolist()):
-            lam, theta = _lambda_theta(spec, r)
+            lam, theta = lambda_at(spec, r), theta_at(spec, r)
             assert abs(s.theta[k] - theta) <= 1e-12
             assert s.in_Z[k] == (abs(theta) < 0.5 * math.pi - 1e-7)
             assert abs(s.lam[k] - lam) <= 1e-12 * abs(lam)

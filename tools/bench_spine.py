@@ -29,7 +29,14 @@ Compares two checkouts of the repository, a parent and a change:
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): ``integrate_adaptive`` calls and wall time of each.
 * over the whole probe, the hits and misses of the memo of quadrature
-  geometries (``numerics._GEOMETRY``).
+  geometries (``numerics._GEOMETRY``);
+* L0, per family (one spec each, ``L0_SPECS``): the family-core calls
+  (outermost ``_eval_core``/``_prime_core`` calls) and phi-kernel passes
+  (``_cell_sums`` calls, wrapped on the class of ``rogers`` that defines
+  it) of one ``eval_f`` and one ``eval_f_prime`` on a mixed batch of
+  ``L0_BATCH`` points, half of them in each half-plane, and on one scalar
+  in the left half-plane, with the median wall time of ``L0_REPEATS`` calls
+  (counted without the wrappers).
 
 Lockstep work is counted in the lockstep root solver (``_lockstep_root``)
 where ``spine`` and ``fluctuation`` hold it, split into the angle solve,
@@ -68,6 +75,16 @@ SUP_SIGMA = 0.5
 SPINE_TABLE_N = 256  # samples of the probe's spine tables, as in the wh_cold workload
 REPEATS = 5
 MC_PATHS = 2000  # paths per job, as in the mc_exact workload
+L0_BATCH = 64  # points of the mixed L0 batch, as in the eval_phirep workload
+L0_REPEATS = 200
+# (family, preset name or None, PhiTable arguments of a PhiRep with c = 1.2, shift)
+L0_SPECS = (
+    ("levy_atomic", "bm_drift", None, 0.0),
+    ("stable_sum", "stable_mixed", None, 0.0),
+    ("rational_product", "rational_pole_pair", None, 0.0),
+    ("phi_rep", None, ((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"), 0.0),
+    ("shifted_phi_rep", None, ((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"), 0.5),
+)
 _HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
 # (label, LevyAtomic keywords, sigma): the cases of the mc_exact workload
 MC_CASES = (
@@ -247,6 +264,73 @@ def mc_work(calls):
     return out
 
 
+def l0_work():
+    """Per L0 family: core calls, phi-kernel passes and median us of eval_f and eval_f_prime on
+    the mixed batch and on the scalar."""
+    import numpy as np
+
+    from levycm import PhiRep, PhiTable, eval_f, eval_f_prime, rogers, shift_spec
+    from levycm.specio import SHOWCASE
+
+    rng = np.random.default_rng(25)
+    xi = np.exp(rng.uniform(np.log(0.05), np.log(20.0), L0_BATCH)) * np.exp(1j * rng.uniform(-1.45, 1.45, L0_BATCH))
+    xi[1::2] = -np.conj(xi[1::2])
+    points = {"batch": xi, "scalar": complex(xi[1])}
+    specs = {family: shift_spec(SHOWCASE[preset] if preset else PhiRep(1.2, PhiTable(*table)), shift)
+             for family, preset, table, shift in L0_SPECS}
+    calls = [(family, fn, label) for family in specs for fn in (eval_f, eval_f_prime) for label in points]
+    out = {family: {"eval_f": {}, "eval_f_prime": {}} for family in specs}
+    for family, fn, label in calls:
+        spec, x = specs[family], points[label]
+        fn(spec, x)  # tables and cached spec properties are built outside the timing and the count
+        times = []
+        for _ in range(L0_REPEATS):
+            t0 = time.perf_counter()
+            fn(spec, x)
+            times.append(time.perf_counter() - t0)
+        out[family][fn.__name__][label] = {"us": 1e6 * median(times)}
+
+    count = {"core_calls": 0, "kernel_passes": 0}
+    depth = [0]
+
+    def core(fn):
+        def traced(*args, **kwargs):
+            count["core_calls"] += depth[0] == 0  # a ShiftedSpec's call on its base is the same call
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return traced
+
+    def kernel(fn):
+        def traced(*args, **kwargs):
+            count["kernel_passes"] += 1
+            return fn(*args, **kwargs)
+
+        return traced
+
+    cores = {name: getattr(rogers, name) for name in ("_eval_core", "_prime_core")}
+    kernels = {cls: vars(cls)["_cell_sums"] for cls in vars(rogers).values()
+               if isinstance(cls, type) and "_cell_sums" in vars(cls)}
+    for name, fn in cores.items():
+        setattr(rogers, name, core(fn))
+    for cls, fn in kernels.items():
+        cls._cell_sums = kernel(fn)
+    try:
+        for family, fn, label in calls:
+            count.update(core_calls=0, kernel_passes=0)
+            fn(specs[family], points[label])
+            out[family][fn.__name__][label].update(count)
+    finally:
+        for name, fn in cores.items():
+            setattr(rogers, name, fn)
+        for cls, fn in kernels.items():
+            cls._cell_sums = fn
+    return out
+
+
 def probe():
     """Monte Carlo job work, then spine-ratio, spine-table, contour, sup_tail and phi-table figures
     per preset (JSON on stdout)."""
@@ -301,7 +385,7 @@ def probe():
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
                                                     "breakpoints": len(table.breakpoints)}
     geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
-    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry}))
+    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "l0": l0_work()}))
 
 
 def run_probe(root):
@@ -352,6 +436,8 @@ def main(argv=None):
         "mc_job_paths": MC_PATHS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
         "geometry_memo": {side: p["geometry_memo"] for side, p in probes.items()},
+        "l0_batch": L0_BATCH,
+        "l0": {side: p["l0"] for side, p in probes.items()},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
     for w in args.workloads:
