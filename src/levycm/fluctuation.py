@@ -134,10 +134,10 @@ def kappa_circ(spec, tau):
 
     For a compound Poisson exponent the total activity L (jump rate plus
     kill rate) equals f(inf-), and the Frullani integral of the defining
-    formula evaluates to (tau + L)/(1 + L).
+    formula evaluates to (tau + L)/(1 + L).  ``tau`` must be finite and >= 0.
     """
-    if not tau >= 0.0:
-        raise DomainError("tau must be >= 0")
+    if not 0.0 <= tau < math.inf:
+        raise DomainError("tau must be finite and >= 0")
     lam = f_limits(spec).f_at_infinity
     return (tau + lam) / (1.0 + lam) if math.isfinite(lam) else 1.0
 

@@ -162,6 +162,8 @@ def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
     n = int(n)
     if n < 1:
         raise ValidationError("n", "need at least one path")
+    if shard_size < 1:
+        raise ValidationError("shard_size", "need at least one path per shard")
     rates, scales, signs = _mixture(spec)
     drift = spec._jumps[0]
     blocks = []

@@ -9,6 +9,8 @@ and the supremum-tail node table.  One lockstep root solver
 principal complex logarithm, a sorted unique that keeps ``numpy.ma``
 unimported, a deterministic 64-bit-seeded generator and
 :class:`_LRU`, the bounded memo behind every cached result of the package.
+The work counts of the package's choke points live in one module-level
+dict, read by :func:`work_counts`.
 
 Integrands passed to :func:`integrate_adaptive` must accept a numpy array of
 abscissae and return an array of values (real or complex).
@@ -35,7 +37,29 @@ __all__ = [
     "principal_log",
     "sorted_unique",
     "make_rng",
+    "work_counts",
 ]
+
+# work counts, each incremented at its one choke point (README, "Work counters")
+_WORK = dict.fromkeys((
+    "refine_panels.calls",
+    "refine_panels.rounds",
+    "solve_spine.calls",
+    "solve_spine.radii",
+    "lockstep.steps",
+    "lockstep.points",
+    "eval_f.points",
+    "eval_f.core_calls",
+    "eval_f_prime.core_calls",
+    "phi_kernel.passes",
+), 0)
+
+
+def work_counts():
+    """A snapshot of the package's work counts since import: a copy, so that a difference of
+    two snapshots is the work done between them."""
+    return dict(_WORK)
+
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 _XK = np.array([
@@ -136,6 +160,8 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     Stops converged when the summed error meets the goal, and unconverged
     when ``max_splits`` is used up or no splittable panel has error left.
     """
+    _WORK["refine_panels.calls"] += 1
+    _WORK["refine_panels.rounds"] += 1
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     value, err, rows = estimate(lo, hi)
@@ -152,6 +178,7 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
         cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
         sel = worst[: min(cover, max_splits - splits)]
         m = len(sel)
+        _WORK["refine_panels.rounds"] += 1
         v2, e2, r2 = estimate(
             np.concatenate([lo[sel], mid[sel]]), np.concatenate([mid[sel], hi[sel]])
         )
@@ -371,6 +398,8 @@ def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
         tl = 0.5 * tol / w
         t = np.where(w > w0 * 2.0 ** (-0.5 * (k + 1)), 0.5, np.minimum(np.maximum(t, tl), 1.0 - tl))
         x = a + t * d
+        _WORK["lockstep.steps"] += 1
+        _WORK["lockstep.points"] += idx.size
         gx = g(idx, x)
         same = (gx < 0.0) == (fa < 0.0)  # x replaces a; otherwise a becomes the far end b
         c, fc = np.where(same, a, b), np.where(same, fa, fb)  # the point before x

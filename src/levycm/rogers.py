@@ -33,6 +33,7 @@ from .errors import (
     RogersViolationError,
     ValidationError,
 )
+from .numerics import _WORK
 from .report import VerifyReport
 
 __all__ = [
@@ -174,6 +175,7 @@ class _Cells:
         side is summed over its own columns, so its sums are bitwise those
         of a pass over its cells alone.
         """
+        _WORK["phi_kernel.passes"] += 1
         n = z.shape[1]
         re_sum, im_sum = np.empty(z.shape), np.zeros(z.shape)
         der = np.empty(z.shape, dtype=complex) if prime else None
@@ -556,10 +558,13 @@ def _evaluate(spec, xi, prime):
     -conj for f').  Axis points take :func:`_axis_values`, all in one call.
     """
     core = _prime_core if prime else _eval_core
+    calls = "eval_f_prime.core_calls" if prime else "eval_f.core_calls"
     arr = np.asarray(xi, dtype=complex)
     flat = arr.reshape(-1)
+    _WORK["eval_f.points"] += flat.size
     right = flat.real > 0.0
     if right.all():  # the common case needs no masks
+        _WORK[calls] += 1
         out = np.asarray(core(spec, flat), dtype=complex)
     else:
         out = np.empty(flat.shape, dtype=complex)
@@ -567,6 +572,7 @@ def _evaluate(spec, xi, prime):
         off = right | left
         if off.any():
             sel = slice(None) if off.all() else off
+            _WORK[calls] += 1
             v = np.asarray(core(spec, np.where(left, -np.conj(flat), flat)[sel]), dtype=complex)
             flip = left[sel]
             np.conjugate(v, out=v, where=flip)
@@ -889,6 +895,8 @@ def _axis_values(spec, y, prime):
     is finite, real to 1e-9 (1 + |f|) and > 0, and f' finite; f returns its real part.
     Elsewhere (a pole, a branch cut, the support of phi) :class:`DomainError` is raised."""
     xi = _on_axis(y)
+    _WORK["eval_f.core_calls"] += 1
+    _WORK["eval_f_prime.core_calls"] += prime
     with np.errstate(all="ignore"):
         f = np.asarray(_eval_core(spec, xi), dtype=complex)
         if not y.all():

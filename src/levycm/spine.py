@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpineUndefinedError
-from .numerics import _lockstep_root
+from .numerics import _WORK, _lockstep_root
 from .report import VerifyReport
 from .rogers import PhiRep, _axis_limit, eval_f, eval_f_prime, is_constant
 
@@ -163,6 +163,8 @@ def solve_spine(spec, radii):
         raise DomainError("solve_spine needs a 1-d array of radii")
     if not np.all((r > 0.0) & (r < math.inf)):
         raise DomainError("solve_spine needs finite radii r > 0")
+    _WORK["solve_spine.calls"] += 1
+    _WORK["solve_spine.radii"] += r.size
     half = 0.5 * math.pi
     theta = _theta_array(spec, r)
     in_z = np.abs(theta) < half - ANGLE_TOL

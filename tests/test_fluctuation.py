@@ -226,6 +226,8 @@ class TestPrLaplace:
         lambda: kappa_ratio_xi(BM_DRIFT, math.nan, 1.0, 2.0),
         lambda: kappa_circ(BM_DRIFT, math.nan),
         lambda: kappa_circ(CP_UNIT, math.nan),
+        lambda: kappa_circ(BM_DRIFT, math.inf),
+        lambda: kappa_circ(CP_UNIT, math.inf),
         lambda: kappa_ratio_tau(BM_DRIFT, math.inf, 1.0, 2.0),
         lambda: kappa_ratio_tau(BM_DRIFT, 1.0, math.inf, 2.0),
         lambda: kappa_ratio_tau(BM_DRIFT, 1.0, 1.0, math.inf),
@@ -233,7 +235,8 @@ class TestPrLaplace:
         lambda: kappa_ratio_xi(BM_DRIFT, 1.0, math.inf, 2.0),
     ],
     ids=["wh-xi1", "wh-xi2", "tau-xi", "tau-tau1", "tau-tau2", "xi-tau", "circ", "circ-cp",
-         "tau-xi-inf", "tau-tau1-inf", "tau-tau2-inf", "xi-tau-inf", "xi-xi1-inf"],
+         "circ-inf", "circ-cp-inf", "tau-xi-inf", "tau-tau1-inf", "tau-tau2-inf", "xi-tau-inf",
+         "xi-xi1-inf"],
 )
 def test_nan_argument_is_a_domain_error(call):
     with pytest.raises(DomainError):

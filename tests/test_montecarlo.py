@@ -197,6 +197,12 @@ class TestContracts:
         with pytest.raises(ValidationError):
             simulate_sup_samples(HYPER_CP, 0.5, 0, seed=0)
 
+    @pytest.mark.parametrize("shard_size", [0, -5])
+    def test_shard_size_validated(self, shard_size):
+        with pytest.raises(ValidationError) as info:
+            simulate_sup_samples(HYPER_CP, 0.5, 10, seed=0, shard_size=shard_size)
+        assert info.value.field == "shard_size"
+
     @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0])
     def test_killing_rate_validated(self, sigma):
         with pytest.raises(ValidationError) as info:

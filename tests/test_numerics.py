@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levycm import numerics
+from levycm import LevyAtomic, PhiRep, PhiTable, eval_f, numerics
 from levycm.errors import DomainError, QuadratureError
 from levycm.numerics import (
     _LRU,
@@ -25,6 +25,7 @@ from levycm.numerics import (
     refine_panels,
     sorted_unique,
 )
+from levycm.spine import solve_spine
 
 
 class TestIntegrateAdaptive:
@@ -508,3 +509,53 @@ class TestRng:
         a = make_rng(99).standard_normal(8)
         b = make_rng(99).standard_normal(8)
         np.testing.assert_array_equal(a, b)
+
+
+class TestWorkCounts:
+    """Each counter moves by an exact known amount at its choke point."""
+
+    @staticmethod
+    def _delta(call, *args):
+        before = numerics.work_counts()
+        call(*args)
+        return {k: v - before[k] for k, v in numerics.work_counts().items() if v != before[k]}
+
+    def test_snapshot_is_a_copy(self):
+        counts = numerics.work_counts()
+        counts["lockstep.steps"] += 1
+        assert numerics.work_counts()["lockstep.steps"] == counts["lockstep.steps"] - 1
+
+    def test_solve_spine(self):
+        spec = LevyAtomic(a=0.5, b=0.5)
+        n = self._delta(solve_spine, spec, np.geomspace(0.1, 10.0, 7))
+        assert n["solve_spine.calls"] == 1 and n["solve_spine.radii"] == 7
+
+    def test_integrate_adaptive(self):
+        calls = []
+
+        def f(s):
+            calls.append(s.size)
+            return np.cos(40.0 * s) * np.exp(-s)
+
+        n = self._delta(integrate_adaptive, f, (0.0, math.inf))
+        assert len(calls) > 1
+        assert n["refine_panels.calls"] == 1 and n["refine_panels.rounds"] == len(calls)
+
+    def test_lockstep_root(self):
+        roots = make_rng(3).uniform(0.1, 0.9, 16)
+        sizes = []
+
+        def g(idx, x):
+            sizes.append(idx.size)
+            return np.expm1(x - roots[idx])
+
+        lo, hi = np.zeros(16), np.ones(16)
+        n = self._delta(_lockstep_root, g, lo, hi, np.expm1(lo - roots), np.expm1(hi - roots), 1e-12)
+        assert len(sizes) > 1 and n["lockstep.steps"] == len(sizes) and n["lockstep.points"] == sum(sizes)
+
+    def test_eval_f_on_a_phirep(self):
+        spec = PhiRep(1.2, PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6)))
+        xi = np.array([1.0 + 0.5j, -2.0 + 0.1j, 0.3 - 1.0j, -0.4 - 0.2j])
+        eval_f(spec, xi)  # builds the kernel's cells
+        n = self._delta(eval_f, spec, xi)
+        assert n == {"eval_f.points": 4, "eval_f.core_calls": 1, "phi_kernel.passes": 1}

@@ -7,52 +7,49 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset, one cold spine ratio f_0.2^+(0.3)/f_0.2^+(1.5) on a fresh
   ``SpineStieltjes`` (its ``kappa`` of two terms): its refinement rounds
   (``estimate`` calls of ``refine_panels``), spine points solved (radii
-  passed to ``solve_spine``), its lockstep work (see below) and the median
-  wall time of five cold repeats;
+  passed to ``solve_spine``), its lockstep steps and points (see below) and
+  the median wall time of five cold repeats;
 * per preset, ``build_spine_table`` with ``SPINE_TABLE_N`` samples on
   ``default_spine_range``: the median wall time of five builds, the
   number of Z intervals, one build's ``solve_spine`` calls and radii, and
-  its lockstep work;
+  its lockstep work, split into the angle solve and the Z-crossing
+  refinement: the Z part is what ``spine._z_crossings`` does on the
+  table's radii, the angle part the rest of the build;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
   ``build_phi_table`` calls and the table's breakpoint count;
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
   0.2), "bd", "plus", 0.3, 1.5)``, of one cold ``kappa_ratio_tau`` at
   ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR``:
-  ``integrate_adaptive`` calls, refinement rounds (``eval_f`` calls: one
-  per panel estimate) and ``eval_f`` points;
+  contour integrals (``refine_panels`` calls), refinement rounds (panel
+  estimates, one ``eval_f`` call each) and ``eval_f`` points;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
   node count, atom count, total mass and the lockstep steps of its atom
-  solve (``zero_steps``; 0 in a checkout whose ``fluctuation`` has no
-  lockstep solver), or the name of the exception;
+  solve (``zero_steps``), or the name of the exception;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
-  the six joint queries): ``integrate_adaptive`` calls and wall time of each.
+  the six joint queries): contour integrals and wall time of each.
 * over the whole probe, the hits and misses of the memo of quadrature
   geometries (``numerics._GEOMETRY``);
 * L0, per family (one spec each, ``L0_SPECS``): the family-core calls
-  (outermost ``_eval_core``/``_prime_core`` calls) and phi-kernel passes
-  (``_cell_sums`` calls, wrapped on the class of ``rogers`` that defines
-  it) of one ``eval_f`` and one ``eval_f_prime`` on a mixed batch of
-  ``L0_BATCH`` points, half of them in each half-plane, and on one scalar
-  in the left half-plane, with the median wall time of ``L0_REPEATS`` calls
-  (counted without the wrappers).
+  (for f and f' together) and phi-kernel passes of one ``eval_f`` and one
+  ``eval_f_prime`` on a mixed batch of ``L0_BATCH`` points, half of them
+  in each half-plane, and on one scalar in the left half-plane, with the
+  median wall time of ``L0_REPEATS`` calls.
 
-Lockstep work is counted in the lockstep root solver (``_lockstep_root``)
-where ``spine`` and ``fluctuation`` hold it, split into the angle solve,
-the Z-crossing refinement (inside ``_z_crossings``) and, in
-``fluctuation``, the ``sup_tail`` atoms: per part, the lockstep steps
-(evaluations of the open brackets, one ``eval_f`` or ``_axis_limit`` call
-each) and the points evaluated in them.
+Every count is the difference of two ``levycm.numerics.work_counts()``
+snapshots around the call it measures (README, "Work counters").  Lockstep
+work is that of ``numerics._lockstep_root``: its steps (evaluations of the
+open brackets, one ``eval_f`` or ``_axis_limit`` call each) and the points
+evaluated in them.
 
-    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_15.json \\
+    python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
 
-The probe runs this file again with ``--probe`` in a fresh interpreter
-whose ``PYTHONPATH`` is the checkout's ``src``; its last stdout line is
-one JSON object.  Library functions are counted by wrapping them in each
-module that holds them, so one tool serves checkouts that import them
-in different places.
+The probe runs each checkout's own copy of this file with ``--probe`` in a
+fresh interpreter whose ``PYTHONPATH`` is the checkout's ``src``, so each
+side is counted the way its library counts; its last stdout line is one
+JSON object.
 """
 
 from __future__ import annotations
@@ -94,76 +91,13 @@ MC_CASES = (
 )
 
 
-def count_calls(name, weight=lambda *args: 1):
-    """Wrap ``name`` in the contour modules that hold it; returns the running count.
+def work(call, *args):
+    """``call(*args)`` and the ``numerics.work_counts()`` it added."""
+    from levycm.numerics import work_counts
 
-    ``weight(*args)`` is what one call adds (1: calls).
-    """
-    from levycm import fluctuation, wiener_hopf
-
-    count = [0]
-    for module in (fluctuation, wiener_hopf):
-        fn = getattr(module, name, None)
-        if fn is None:
-            continue
-
-        def traced(*args, fn=fn, **kwargs):
-            count[0] += weight(*args)
-            return fn(*args, **kwargs)
-
-        setattr(module, name, traced)
-    return count
-
-
-def count_lockstep(log):
-    """Wrap the lockstep solver: each call appends [part, steps, points] to ``log``.
-
-    The part is "zero" in ``fluctuation``; in ``spine`` it is "z" inside
-    ``_z_crossings`` (wrapped in ``spine`` and ``wiener_hopf``, which both
-    call it) and "theta" elsewhere.
-    """
-    import numpy as np
-
-    from levycm import fluctuation, spine, wiener_hopf
-
-    part = ["theta"]
-
-    def wrap(module, name, part_of):
-        fn = getattr(module, name, None)  # fluctuation bisected its atoms before it had one
-        if fn is None:
-            return
-
-        def traced(g, *args):
-            rec = [part_of(), 0, 0]
-            log.append(rec)
-
-            def counted(idx, x):
-                rec[1] += 1
-                rec[2] += int(np.size(x))
-                return g(idx, x)
-
-            return fn(counted, *args)
-
-        setattr(module, name, traced)
-
-    wrap(spine, "_lockstep_root", lambda: part[0])
-    wrap(fluctuation, "_lockstep_root", lambda: "zero")
-    z_crossings = spine._z_crossings
-
-    def z_traced(*args):
-        part[0] = "z"
-        try:
-            return z_crossings(*args)
-        finally:
-            part[0] = "theta"
-
-    spine._z_crossings = wiener_hopf._z_crossings = z_traced
-
-
-def lockstep_work(log):
-    """Steps and points of the spine calls in ``log``, per part."""
-    return {f"{part}_{what}": sum(rec[k] for rec in log if rec[0] == part)
-            for part in ("theta", "z") for k, what in ((1, "steps"), (2, "points"))}
+    before = work_counts()
+    out = call(*args)
+    return out, {k: v - before[k] for k, v in work_counts().items()}
 
 
 def spine_ratio(engine):
@@ -172,40 +106,30 @@ def spine_ratio(engine):
     return engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
 
 
-def table_work(spec, log):
+def table_work(spec):
     """Median ms of ``REPEATS`` spine-table builds, the Z intervals and one build's solves and
-    lockstep work (``log`` is the list that ``count_lockstep`` fills).
-
-    ``spine.solve_spine`` is the builder's global, so it is counted there.
-    """
-    import numpy as np
-
+    lockstep work: the Z-crossing steps are those of ``_z_crossings`` on the table's radii, the
+    angle steps the rest."""
     from levycm import spine
     from levycm.verify import default_spine_range
 
     lo, hi = default_spine_range(spec)
-    solve, radii = spine.solve_spine, []
-
-    def counted_solve(spec, r):
-        radii.append(int(np.size(r)))
-        return solve(spec, r)
-
-    spine.solve_spine = counted_solve
-    try:
-        times = []
-        for _ in range(REPEATS):
-            radii.clear()
-            log.clear()
-            t0 = time.perf_counter()
-            table = spine.build_spine_table(spec, lo, hi, SPINE_TABLE_N)
-            times.append(time.perf_counter() - t0)
-    finally:
-        spine.solve_spine = solve
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        table, build = work(spine.build_spine_table, spec, lo, hi, SPINE_TABLE_N)
+        times.append(time.perf_counter() - t0)
+    _, z = work(spine._z_crossings, spec, table.radii())
+    lockstep = {}
+    for what in ("steps", "points"):
+        lockstep[f"theta_{what}"] = build[f"lockstep.{what}"] - z[f"lockstep.{what}"]
+        lockstep[f"z_{what}"] = z[f"lockstep.{what}"]
     return {"ms": 1e3 * median(times), "z_intervals": len(table.z_intervals),
-            "solve_calls": len(radii), "solve_radii": sum(radii), "lockstep": lockstep_work(log)}
+            "solve_calls": build["solve_spine.calls"], "solve_radii": build["solve_spine.radii"],
+            "lockstep": lockstep}
 
 
-def contour_work(spec, integrals, rounds, points):
+def contour_work(spec):
     """Integrals, rounds and eval_f points of a cold bd ratio at tau = 0.2, a cold
     kappa_ratio_tau and a cold pr_laplace."""
     from levycm import fluctuation, shift_spec, wiener_hopf
@@ -220,47 +144,48 @@ def contour_work(spec, integrals, rounds, points):
         ("pr", lambda: fluctuation.pr_laplace(spec, sigma, pr_tau, pr_xi, pr_side)),
     ):
         wiener_hopf._BD_KAPPA.clear()
-        integrals[0] = rounds[0] = points[0] = 0
-        value = call()
-        out[label] = {"integrals": integrals[0], "rounds": rounds[0], "eval_f_points": points[0],
-                      "value": value}
+        value, n = work(call)
+        out[label] = {"integrals": n["refine_panels.calls"], "rounds": n["refine_panels.rounds"],
+                      "eval_f_points": n["eval_f.points"], "value": value}
     return out
 
 
-def sup_work(spec, log):
+def sup_work(spec):
     """Set-up ms, quadrature nodes, atoms, total mass and atom-solve lockstep steps of a cold
-    sup_tail evaluator, or the exception name (``log`` is the list that ``count_lockstep`` fills)."""
+    sup_tail evaluator, or the exception name."""
     from levycm import LevycmError, fluctuation
 
-    log.clear()
     t0 = time.perf_counter()
     try:
-        ev = fluctuation._sup_evaluator(spec, SUP_SIGMA)
+        ev, n = work(fluctuation._sup_evaluator, spec, SUP_SIGMA)
     except LevycmError as exc:
         return {"error": type(exc).__name__}
     return {"ms": 1e3 * (time.perf_counter() - t0), "nodes": int(ev.t.size - ev.atoms.size),
             "atoms": int(ev.atoms.size), "total_mass": float(ev.c.sum()),
-            "zero_steps": sum(rec[1] for rec in log if rec[0] == "zero")}
+            "zero_steps": n["lockstep.steps"]}
 
 
-def mc_work(calls):
-    """Per mc_exact case: integrate_adaptive calls and ms of a cold and a repeated job."""
+def mc_work():
+    """Per mc_exact case: contour integrals and ms of a cold and a repeated job."""
     from levycm import LevyAtomic, fluctuation
     from levycm.montecarlo import JointQuery, mc_estimates, simulate_sup_samples
 
     queries = [JointQuery(xi, tau) for xi in (0.5, 1.0, 2.0) for tau in (0.0, 1.0)]
+
+    def job(spec, sigma):
+        samples = simulate_sup_samples(spec, sigma, MC_PATHS, 1)
+        mc_estimates(samples, queries, seed=1)
+        for q in queries:
+            fluctuation.pr_laplace(spec, sigma, q.tau, q.xi)
+
     out = {}
     for label, kwargs, sigma in MC_CASES:
         spec = LevyAtomic(**kwargs)
         out[label] = {}
         for run in ("cold", "repeat"):
-            calls[0] = 0
             t0 = time.perf_counter()
-            samples = simulate_sup_samples(spec, sigma, MC_PATHS, 1)
-            mc_estimates(samples, queries, seed=1)
-            for q in queries:
-                fluctuation.pr_laplace(spec, sigma, q.tau, q.xi)
-            out[label][run] = {"integrals": calls[0], "ms": 1e3 * (time.perf_counter() - t0)}
+            _, n = work(job, spec, sigma)
+            out[label][run] = {"integrals": n["refine_panels.calls"], "ms": 1e3 * (time.perf_counter() - t0)}
     return out
 
 
@@ -269,7 +194,7 @@ def l0_work():
     the mixed batch and on the scalar."""
     import numpy as np
 
-    from levycm import PhiRep, PhiTable, eval_f, eval_f_prime, rogers, shift_spec
+    from levycm import PhiRep, PhiTable, eval_f, eval_f_prime, shift_spec
     from levycm.specio import SHOWCASE
 
     rng = np.random.default_rng(25)
@@ -278,103 +203,44 @@ def l0_work():
     points = {"batch": xi, "scalar": complex(xi[1])}
     specs = {family: shift_spec(SHOWCASE[preset] if preset else PhiRep(1.2, PhiTable(*table)), shift)
              for family, preset, table, shift in L0_SPECS}
-    calls = [(family, fn, label) for family in specs for fn in (eval_f, eval_f_prime) for label in points]
     out = {family: {"eval_f": {}, "eval_f_prime": {}} for family in specs}
-    for family, fn, label in calls:
-        spec, x = specs[family], points[label]
-        fn(spec, x)  # tables and cached spec properties are built outside the timing and the count
-        times = []
-        for _ in range(L0_REPEATS):
-            t0 = time.perf_counter()
-            fn(spec, x)
-            times.append(time.perf_counter() - t0)
-        out[family][fn.__name__][label] = {"us": 1e6 * median(times)}
-
-    count = {"core_calls": 0, "kernel_passes": 0}
-    depth = [0]
-
-    def core(fn):
-        def traced(*args, **kwargs):
-            count["core_calls"] += depth[0] == 0  # a ShiftedSpec's call on its base is the same call
-            depth[0] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        return traced
-
-    def kernel(fn):
-        def traced(*args, **kwargs):
-            count["kernel_passes"] += 1
-            return fn(*args, **kwargs)
-
-        return traced
-
-    cores = {name: getattr(rogers, name) for name in ("_eval_core", "_prime_core")}
-    kernels = {cls: vars(cls)["_cell_sums"] for cls in vars(rogers).values()
-               if isinstance(cls, type) and "_cell_sums" in vars(cls)}
-    for name, fn in cores.items():
-        setattr(rogers, name, core(fn))
-    for cls, fn in kernels.items():
-        cls._cell_sums = kernel(fn)
-    try:
-        for family, fn, label in calls:
-            count.update(core_calls=0, kernel_passes=0)
-            fn(specs[family], points[label])
-            out[family][fn.__name__][label].update(count)
-    finally:
-        for name, fn in cores.items():
-            setattr(rogers, name, fn)
-        for cls, fn in kernels.items():
-            cls._cell_sums = fn
+    for family, spec in specs.items():
+        for fn in (eval_f, eval_f_prime):
+            for label, x in points.items():
+                fn(spec, x)  # tables and cached spec properties are built outside the timing and the count
+                _, n = work(fn, spec, x)
+                times = []
+                for _ in range(L0_REPEATS):
+                    t0 = time.perf_counter()
+                    fn(spec, x)
+                    times.append(time.perf_counter() - t0)
+                out[family][fn.__name__][label] = {
+                    "us": 1e6 * median(times),
+                    "core_calls": n["eval_f.core_calls"] + n["eval_f_prime.core_calls"],
+                    "kernel_passes": n["phi_kernel.passes"]}
     return out
 
 
 def probe():
     """Monte Carlo job work, then spine-ratio, spine-table, contour, sup_tail and phi-table figures
     per preset (JSON on stdout)."""
-    import numpy as np
-
     from levycm import numerics, shift_spec, wiener_hopf
     from levycm.specio import SHOWCASE
 
-    integrals = count_calls("integrate_adaptive")
-    rounds = count_calls("eval_f")
-    points = count_calls("eval_f", lambda spec, xi: np.size(xi))
-    mc = mc_work(integrals)  # first, while every cache is cold
-    count = {"rounds": 0, "points": 0}
-    refine, solve = wiener_hopf.refine_panels, wiener_hopf.solve_spine
-
-    def counted_refine(estimate, *args, **kwargs):
-        def est(lo, hi):
-            count["rounds"] += 1
-            return estimate(lo, hi)
-
-        return refine(est, *args, **kwargs)
-
-    def counted_solve(spec, radii):
-        count["points"] += np.size(radii)
-        return solve(spec, radii)
-
-    wiener_hopf.refine_panels, wiener_hopf.solve_spine = counted_refine, counted_solve
-    log = []
-    count_lockstep(log)
+    mc = mc_work()  # first, while every cache is cold
     out = {}
     for name in sorted(SHOWCASE):
         times = []
         for _ in range(REPEATS):
-            count.update(rounds=0, points=0)
-            log.clear()
             t0 = time.perf_counter()
-            value = spine_ratio(wiener_hopf.SpineStieltjes(SHOWCASE[name]))
+            value, n = work(spine_ratio, wiener_hopf.SpineStieltjes(SHOWCASE[name]))
             times.append(time.perf_counter() - t0)
-        out[name] = {"rounds": count["rounds"], "spine_points": count["points"],
-                     "lockstep": lockstep_work(log),
+        out[name] = {"rounds": n["refine_panels.rounds"], "spine_points": n["solve_spine.radii"],
+                     "lockstep": {"steps": n["lockstep.steps"], "points": n["lockstep.points"]},
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
-                     "spine_table": table_work(SHOWCASE[name], log),
-                     "contour": contour_work(SHOWCASE[name], integrals, rounds, points),
-                     "sup_tail": sup_work(SHOWCASE[name], log)}
+                     "spine_table": table_work(SHOWCASE[name]),
+                     "contour": contour_work(SHOWCASE[name]),
+                     "sup_tail": sup_work(SHOWCASE[name])}
         for phi_tau in PHI_TAUS:
             spec = shift_spec(SHOWCASE[name], phi_tau)
             times = []
@@ -390,7 +256,7 @@ def probe():
 
 def run_probe(root):
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    res = subprocess.run([sys.executable, __file__, "--probe"], env=env, cwd=root,
+    res = subprocess.run([sys.executable, "tools/bench_spine.py", "--probe"], env=env, cwd=root,
                          capture_output=True, text=True, check=True)
     return json.loads(res.stdout.splitlines()[-1])
 
@@ -409,7 +275,7 @@ def main(argv=None):
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--out", default="BENCH_15.json")
+    ap.add_argument("--out", help="the JSON record to write (required without --probe)")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workloads", nargs="+", default=["wh_cold"])
     ap.add_argument("--seconds", type=float, default=10.0)
@@ -417,8 +283,8 @@ def main(argv=None):
     if args.probe:
         probe()
         return
-    if not (args.parent and args.change):
-        ap.error("PARENT_DIR and CHANGE_DIR are required")
+    if not (args.parent and args.change and args.out):
+        ap.error("PARENT_DIR, CHANGE_DIR and --out are required")
     sides = {"parent": args.parent, "change": args.change}
     probes = {side: run_probe(root) for side, root in sides.items()}
     doc = {
