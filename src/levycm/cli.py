@@ -124,22 +124,30 @@ def _cmd_factor(args):
     return 0
 
 
+def _pr_chain(method, tau, xi):
+    """The ratios ``pr_laplace`` computes: none at tau = xi = 0; one contour integral on the bd
+    route; else the temporal ratio (tau > 0) and the spatial ratio by ``method`` (xi > 0)."""
+    if method == "bd":
+        return ["bd_kappa"] if tau or xi else []
+    return ["kappa_ratio_tau"] * bool(tau) + [f"kappa_ratio_xi:{method}"] * bool(xi)
+
+
 def _cmd_fluct(args):
     spec = validate_spec(load_spec(args.spec))
     chain = []
     if args.query in ("sup-laplace", "pr") and args.xi is None:
         raise ValidationError("xi", f"{args.query} needs --xi")
     if args.query == "sup-laplace":
-        value = pr_laplace(spec, args.sigma, 0.0, args.xi, args.side)
-        chain = ["bd_kappa"] if args.xi else []  # one contour integral; none at xi = 0
+        value = pr_laplace(spec, args.sigma, 0.0, args.xi, args.side, args.method)
+        chain = _pr_chain(args.method, 0.0, args.xi)
         q = {"query": "sup-laplace", "sigma": args.sigma, "xi": args.xi, "side": args.side}
     elif args.query == "sup-tail":
         value = sup_tail(spec, args.sigma, args.x)
         chain = ["wh_boundary_measure"]  # axis values of f_sigma and the phi-route f_sigma^-
         q = {"query": "sup-tail", "sigma": args.sigma, "x": args.x}
     elif args.query == "pr":
-        value = pr_laplace(spec, args.sigma, args.tau, args.xi, args.side)
-        chain = ["bd_kappa"] if args.tau or args.xi else []
+        value = pr_laplace(spec, args.sigma, args.tau, args.xi, args.side, args.method)
+        chain = _pr_chain(args.method, args.tau, args.xi)
         q = {
             "query": "pr",
             "sigma": args.sigma,
@@ -164,7 +172,7 @@ def _cmd_fluct(args):
             if args.xi1 is None or args.xi2 is None:
                 raise ValidationError("xi1", "spatial ratio needs --xi1 --xi2 (and --tau)")
             value = kappa_ratio_xi(spec, args.tau, args.xi1, args.xi2, args.side, args.method)
-            chain = ["kappa_ratio_xi"]
+            chain = [f"kappa_ratio_xi:{args.method}"]
             q = {
                 "query": "kappa-ratio-xi",
                 "tau": args.tau,

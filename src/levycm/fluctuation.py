@@ -33,6 +33,7 @@ from .wiener_hopf import (
     MINUS,
     PLUS,
     _bd_kappa,
+    _check_side,
     get_factor_handle,
     get_spine_engine,
     wh_ratio,
@@ -119,6 +120,7 @@ def kappa_ratio_tau(spec, xi, tau1, tau2, side=PLUS):
     f(0+), plus A0/2, the Poisson-kernel mass that survives xi -> 0.
     Arguments must be finite.
     """
+    _check_side(side)
     tau1, tau2, xi = float(tau1), float(tau2), float(xi)
     if not (0.0 <= tau1 < math.inf and 0.0 <= tau2 < math.inf):
         raise DomainError("temporal arguments must be finite and >= 0")
@@ -332,6 +334,7 @@ def kappa_tau_ratio_family(spec, xi1, xi2, side=PLUS):
     Uses the spine Stieltjes representation, which is analytic in tau; with
     xi1 <= xi2 the result is a complete Bernstein function of tau.
     """
+    _check_side(side)
     engine = get_spine_engine(spec)
     return lambda tau: engine.kappa(((side, tau, xi1, 1), (side, tau, xi2, -1)))
 
@@ -363,5 +366,6 @@ def kappa_ratio_xi_function(spec, tau1, tau2, side=PLUS):
 
 def sigma_stieltjes_function(spec, xi, side=PLUS):
     """sigma -> kappa(sigma,0)/(sigma kappa(sigma,xi)); a Stieltjes function."""
+    _check_side(side)
     engine = get_spine_engine(spec)
     return lambda sigma: engine.kappa(((side, sigma, 0.0, 1), (side, sigma, xi, -1))) / sigma

@@ -442,57 +442,62 @@ class ShiftedSpec:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_core(spec: LevyAtomic, xi):
-    drift, jumps = spec._jumps
-    val = spec.a * xi * xi - 1j * drift * xi + spec.c
-    for s, rate in jumps:
-        val = val + rate * xi / (xi + 1j * s)
-    return val
-
-
-def _stable_core(spec: StableSum, xi):
-    val = np.zeros_like(xi)
-    for t in spec.terms:
-        rot = -1j if t.orientation == _MINUS_I else 1j
-        val = val + t.w * (rot * xi + t.m) ** t.alpha
-    return val
-
-
-def _rational_core(spec: RationalProduct, xi):
-    val = np.full_like(xi, spec.prefactor)
-    for f in spec.factors:
-        rot = -1j if f.orientation == _MINUS_I else 1j
-        base = rot * xi + f.m
-        val = val * base if f.exponent == 1 else val / base
-    return val
-
-
 _ROTATIONS = np.array([[-1j], [1j]])  # the rows -i xi and i xi at which E+ and E- are read
 
 
-def _phirep_core(spec: PhiRep, xi, prime=False):
-    """f = c exp(E+(-i xi) + E-(i xi)), both sides from one kernel pass; with ``prime``,
-    f' = f (log f)' with (log f)' = -i E+'(-i xi) + i E-'(i xi) from the same pass."""
-    xi = np.asarray(xi, dtype=complex)
-    e, de = spec.phi._pair._exponents(_ROTATIONS * xi.reshape(-1), prime)
-    val = spec.c * np.exp(e[0] + e[1])
-    if prime:
-        val = val * (1j * (de[1] - de[0]))
-    return val.reshape(xi.shape)
-
-
-def _eval_core(spec, xi):
-    """Evaluate on re(xi) >= 0 (axis included, without domain filtering)."""
+def _core(spec, xi, prime=False):
+    """f (f' if ``prime``) at a complex array ``xi`` with re(xi) >= 0 (axis included, without
+    domain filtering): the one dispatcher on the spec type, f and f' side by side per family."""
     if isinstance(spec, LevyAtomic):
-        return _atomic_core(spec, xi)
+        drift, jumps = spec._jumps
+        if prime:
+            val = 2.0 * spec.a * xi - 1j * drift
+            for s, rate in jumps:
+                val = val + rate * 1j * s / (xi + 1j * s) ** 2
+        else:
+            val = spec.a * xi * xi - 1j * drift * xi + spec.c
+            for s, rate in jumps:
+                val = val + rate * xi / (xi + 1j * s)
+        return val
     if isinstance(spec, StableSum):
-        return _stable_core(spec, xi)
-    if isinstance(spec, RationalProduct):
-        return _rational_core(spec, xi)
+        val = np.zeros_like(xi)
+        for t in spec.terms:
+            rot = -1j if t.orientation == _MINUS_I else 1j
+            if prime:
+                val = val + t.w * t.alpha * rot * (rot * xi + t.m) ** (t.alpha - 1.0)
+            else:
+                val = val + t.w * (rot * xi + t.m) ** t.alpha
+        return val
+    if isinstance(spec, RationalProduct):  # f' = f (log f)', (log f)' summed in the same loop
+        val, logd = np.full_like(xi, spec.prefactor), np.zeros_like(xi)
+        for f in spec.factors:
+            rot = -1j if f.orientation == _MINUS_I else 1j
+            base = rot * xi + f.m
+            val = val * base if f.exponent == 1 else val / base
+            if prime:
+                logd = logd + f.exponent * rot / base
+        if not prime:
+            return val
+        val = val * logd
+        if not np.isfinite(val).all():  # 0 inf where a numerator factor vanishes (on the axis)
+            for k, f in enumerate(spec.factors):
+                rot = -1j if f.orientation == _MINUS_I else 1j
+                zero = (rot * xi + f.m == 0.0) & (f.exponent == 1)
+                if np.any(zero):  # there the product rule leaves rot times the other factors
+                    rest = replace(spec, factors=spec.factors[:k] + spec.factors[k + 1 :])
+                    val[zero] = rot * _core(rest, xi[zero])
+        return val
     if isinstance(spec, PhiRep):
-        return _phirep_core(spec, xi)
-    if isinstance(spec, ShiftedSpec):
-        return spec.shift + _eval_core(spec.base, xi)
+        # f = c exp(E+(-i xi) + E-(i xi)), both sides from one kernel pass; with ``prime``,
+        # f' = f (log f)' with (log f)' = -i E+'(-i xi) + i E-'(i xi) from the same pass
+        e, de = spec.phi._pair._exponents(_ROTATIONS * xi.reshape(-1), prime)
+        val = spec.c * np.exp(e[0] + e[1])
+        if prime:
+            val = val * (1j * (de[1] - de[0]))
+        return val.reshape(xi.shape)
+    if isinstance(spec, ShiftedSpec):  # the shift is a constant: f' is the base's
+        val = _core(spec.base, xi, prime)
+        return val if prime else spec.shift + val
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
 
 
@@ -505,41 +510,6 @@ def eval_f(spec, xi):
     :class:`DomainError` is raised.
     """
     return _evaluate(spec, xi, prime=False)
-
-
-def _prime_core(spec, xi):
-    if isinstance(spec, LevyAtomic):
-        drift, jumps = spec._jumps
-        val = 2.0 * spec.a * xi - 1j * drift
-        for s, rate in jumps:
-            val = val + rate * 1j * s / (xi + 1j * s) ** 2
-        return val
-    if isinstance(spec, StableSum):
-        val = np.zeros_like(xi)
-        for t in spec.terms:
-            rot = -1j if t.orientation == _MINUS_I else 1j
-            val = val + t.w * t.alpha * rot * (rot * xi + t.m) ** (t.alpha - 1.0)
-        return val
-    if isinstance(spec, RationalProduct):
-        val = _rational_core(spec, xi)
-        logd = np.zeros_like(xi)
-        for f in spec.factors:
-            rot = -1j if f.orientation == _MINUS_I else 1j
-            logd = logd + f.exponent * rot / (rot * xi + f.m)
-        val = val * logd
-        if not np.isfinite(val).all():  # 0 inf where a numerator factor vanishes (on the axis)
-            for k, f in enumerate(spec.factors):
-                rot = -1j if f.orientation == _MINUS_I else 1j
-                zero = (rot * xi + f.m == 0.0) & (f.exponent == 1)
-                if np.any(zero):  # there the product rule leaves rot times the other factors
-                    rest = replace(spec, factors=spec.factors[:k] + spec.factors[k + 1 :])
-                    val[zero] = rot * _rational_core(rest, xi[zero])
-        return val
-    if isinstance(spec, PhiRep):
-        return _phirep_core(spec, xi, prime=True)
-    if isinstance(spec, ShiftedSpec):
-        return _prime_core(spec.base, xi)
-    raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
 
 
 def eval_f_prime(spec, xi):
@@ -557,7 +527,6 @@ def _evaluate(spec, xi, prime):
     re xi < 0 is mapped to -conj xi and its value reflected back (conj, or
     -conj for f').  Axis points take :func:`_axis_values`, all in one call.
     """
-    core = _prime_core if prime else _eval_core
     calls = "eval_f_prime.core_calls" if prime else "eval_f.core_calls"
     arr = np.asarray(xi, dtype=complex)
     flat = arr.reshape(-1)
@@ -565,7 +534,7 @@ def _evaluate(spec, xi, prime):
     right = flat.real > 0.0
     if right.all():  # the common case needs no masks
         _WORK[calls] += 1
-        out = np.asarray(core(spec, flat), dtype=complex)
+        out = np.asarray(_core(spec, flat, prime), dtype=complex)
     else:
         out = np.empty(flat.shape, dtype=complex)
         left = flat.real < 0.0
@@ -573,7 +542,7 @@ def _evaluate(spec, xi, prime):
         if off.any():
             sel = slice(None) if off.all() else off
             _WORK[calls] += 1
-            v = np.asarray(core(spec, np.where(left, -np.conj(flat), flat)[sel]), dtype=complex)
+            v = np.asarray(_core(spec, np.where(left, -np.conj(flat), flat)[sel], prime), dtype=complex)
             flip = left[sel]
             np.conjugate(v, out=v, where=flip)
             if prime:
@@ -898,11 +867,11 @@ def _axis_values(spec, y, prime):
     _WORK["eval_f.core_calls"] += 1
     _WORK["eval_f_prime.core_calls"] += prime
     with np.errstate(all="ignore"):
-        f = np.asarray(_eval_core(spec, xi), dtype=complex)
+        f = np.asarray(_core(spec, xi), dtype=complex)
         if not y.all():
             f[y == 0.0] = f_limits(spec).f_at_zero
         ok = np.isfinite(f) & (np.abs(f.imag) <= 1e-9 * (1.0 + np.abs(f))) & (f.real > 0.0)
-        v = np.asarray(_prime_core(spec, xi), dtype=complex) if prime else f.real + 0.0j
+        v = np.asarray(_core(spec, xi, True), dtype=complex) if prime else f.real + 0.0j
         ok &= np.isfinite(v)
     if not ok.all():
         k = np.flatnonzero(~ok)[0]
@@ -920,13 +889,12 @@ def _axis_limit(spec, y, prime=False):
     """
     y = np.asarray(y, dtype=float)
     xi = _on_axis(y)
-    core = _prime_core if prime else _eval_core
     with np.errstate(all="ignore"):
-        v = np.asarray(core(spec, xi), dtype=complex)
+        v = np.asarray(_core(spec, xi, prime), dtype=complex)
         bad = ~np.isfinite(v)
         if bad.any():
             xi[bad] += _AXIS_NUDGE * np.abs(xi.imag[bad])
-            v[bad] = core(spec, xi[bad])
+            v[bad] = _core(spec, xi[bad], prime)
     if not np.isfinite(v).all():
         raise EstimationError(f"boundary value not finite at y={xi.imag[~np.isfinite(v)]}")
     return v.reshape(y.shape)

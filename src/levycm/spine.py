@@ -96,14 +96,6 @@ def theta_at(spec, r):
     return float(_theta_array(spec, np.array([r]))[0])
 
 
-def _axis_lambda(spec, r, side):
-    """Profile value off Z: re f(+0 + i side r), the boundary value on the axis.
-
-    ``r`` and ``side`` are scalars or arrays of one shape.
-    """
-    return np.real(_axis_limit(spec, np.multiply(side, r)))
-
-
 def _profile_slope(spec, s):
     """d lambda / d log r at the radii of the spine samples ``s``.
 
@@ -153,8 +145,8 @@ def solve_spine(spec, radii):
 
     Angles come from one lockstep root solve (``_theta_array``, which
     ``theta_at`` shares), profile values from one ``eval_f`` call on the Z
-    points (f(zeta) must be real there to 1e-8) and one boundary evaluation
-    on the axis for the others.
+    points (f(zeta) must be real there to 1e-8) and, for the others, one
+    boundary evaluation re f(+0 + i r sign(theta)) on the axis.
     """
     if is_constant(spec):
         raise SpineUndefinedError("constant exponents have no spine")
@@ -185,7 +177,7 @@ def solve_spine(spec, radii):
             )
     out = ~in_z
     if out.any():
-        lam[out] = _axis_lambda(spec, r[out], np.where(theta[out] > 0.0, 1.0, -1.0))
+        lam[out] = _axis_limit(spec, np.where(theta[out] > 0.0, 1.0, -1.0) * r[out]).real
     return SpineSamples(r, theta, zeta, lam, in_z)
 
 

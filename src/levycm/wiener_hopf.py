@@ -69,6 +69,12 @@ PLUS = "plus"
 MINUS = "minus"
 _METHODS = ("bd", "spine", "phi")
 
+
+def _check_side(side):
+    if side not in (PLUS, MINUS):
+        raise ValueError("side must be 'plus' or 'minus'")
+
+
 # ---------------------------------------------------------------------------
 # boundary-angle table construction
 # ---------------------------------------------------------------------------
@@ -167,8 +173,7 @@ class FactorHandle:
     """
 
     def __init__(self, spec, side):
-        if side not in (PLUS, MINUS):
-            raise ValueError("side must be 'plus' or 'minus'")
+        _check_side(side)
         self.spec = spec
         self.side = side
         self.table = get_phi_table(spec)
@@ -541,8 +546,7 @@ def wh_ratio(spec, method, side, xi1, xi2):
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if side not in (PLUS, MINUS):
-        raise ValueError("side must be 'plus' or 'minus'")
+    _check_side(side)
     xi1 = float(xi1)
     xi2 = float(xi2)
     if not (0.0 <= xi1 < math.inf and 0.0 <= xi2 < math.inf):
@@ -599,8 +603,7 @@ def closed_form_factors(family, side, xi, **params):
     ``alpha``: factors sqrt(|c|) xi^(alpha rho) and sqrt(|c|)
     xi^(alpha (1 - rho)) with rho the positivity parameter.
     """
-    if side not in (PLUS, MINUS):
-        raise ValueError("side must be 'plus' or 'minus'")
+    _check_side(side)
     xi = float(xi)
     if family == "bm_drift":
         b = float(params.get("b", 0.0))

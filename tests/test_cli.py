@@ -8,6 +8,7 @@ import pytest
 
 from levycm import verify
 from levycm.cli import main
+from levycm.fluctuation import pr_laplace
 from levycm.rogers import LevyAtomic, LimitsResult, compensator_drift, validate_spec
 from levycm.specio import (
     SHOWCASE,
@@ -23,6 +24,10 @@ from levycm.specio import (
 from levycm.spine import build_spine_table
 from levycm.verify import default_spine_range
 from levycm.wiener_hopf import factor_pair, wh_product
+
+
+# a jump diffusion with two-sided exponential jumps (the Monte Carlo workload's jump_gauss)
+JUMP_GAUSS = LevyAtomic(a=0.3, b=-0.2, atoms=((1.0, 2.0), (-2.0, 4.0)))
 
 
 def run_cli(capsys, *args):
@@ -165,6 +170,34 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["n_failures"] == 0
 
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_verify_fluct_suite(self, capsys, name):
+        code, out = run_cli(capsys, "verify", f"preset:{name}", "--suite", "fluct")
+        assert code == 0
+        assert json.loads(out)["n_failures"] == 0
+
+    @pytest.mark.parametrize("spec", ["preset:bm_drift", "jump_gauss"])
+    def test_verify_mc_suite(self, capsys, tmp_path, spec):
+        if spec == "jump_gauss":
+            spec = str(tmp_path / "jump_gauss.json")
+            save_spec(JUMP_GAUSS, spec)
+        code, out = run_cli(capsys, "verify", spec, "--suite", "mc")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["suite"], doc["n_checks"], doc["n_failures"]) == ("monte-carlo", 4, 0)
+
+    def test_verify_core_suite_levy_khintchine(self, capsys, tmp_path):
+        """An atomic spec adds the jump-integral checks to the core suite."""
+        counts = []
+        for spec in (JUMP_GAUSS, LevyAtomic(a=JUMP_GAUSS.a, b=JUMP_GAUSS.b)):
+            path = tmp_path / "spec.json"
+            save_spec(spec, path)
+            code, out = run_cli(capsys, "verify", str(path), "--suite", "core")
+            doc = json.loads(out)
+            assert (code, doc["n_failures"]) == (0, 0)
+            counts.append(doc["n_checks"])
+        assert counts[0] - counts[1] == verify._LK_POINTS
+
     def test_factor_oracle(self, capsys):
         code, out = run_cli(
             capsys,
@@ -235,6 +268,28 @@ class TestCommands:
         code, out = run_cli(capsys, "fluct", str(spec), query, "--sigma", "0.5", *args)
         assert code == 0
         assert json.loads(out)["method_chain"] == chain
+
+    @pytest.mark.parametrize(
+        "query,method,tau,chain",
+        [
+            ("pr", "bd", 0.3, ["bd_kappa"]),
+            ("pr", "spine", 0.3, ["kappa_ratio_tau", "kappa_ratio_xi:spine"]),
+            ("pr", "phi", 0.3, ["kappa_ratio_tau", "kappa_ratio_xi:phi"]),
+            ("sup-laplace", "spine", 0.0, ["kappa_ratio_xi:spine"]),
+        ],
+        ids=["pr-bd", "pr-spine", "pr-phi", "sup-laplace-spine"],
+    )
+    def test_fluct_pr_takes_the_method(self, capsys, query, method, tau, chain):
+        """--method picks the pr_laplace route, and method_chain names it."""
+        extra = ("--tau", str(tau)) if query == "pr" else ()
+        code, out = run_cli(
+            capsys, "fluct", "preset:tempered_stable", query, "--sigma", "0.5", "--xi", "1",
+            "--method", method, *extra,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] == pr_laplace(SHOWCASE["tempered_stable"], 0.5, tau, 1.0, method=method)
+        assert doc["method_chain"] == chain
 
     @pytest.mark.parametrize("query", ["sup-laplace", "pr"])
     def test_fluct_without_xi_is_a_validation_error(self, capsys, query):

@@ -32,7 +32,7 @@ from levycm.fluctuation import (
     sup_tail,
 )
 from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
-from levycm.wiener_hopf import FactorHandle, factor_pair, wh_ratio
+from levycm.wiener_hopf import FactorHandle, closed_form_factors, factor_pair, wh_ratio
 
 from levycm.specio import SHOWCASE
 
@@ -208,6 +208,22 @@ class TestPrLaplace:
                 got = pr_laplace(spec, sigma, tau, xi, side)
                 assert got == pytest.approx(want.real, rel=1e-12), (side, sigma, tau, xi)
 
+    @pytest.mark.parametrize("method,tol", [("spine", 1e-12), ("phi", 1e-10)])
+    def test_bm_drift_closed_form_by_route(self, method, tol):
+        """The phi and spine routes: kappa_ratio_tau times the route's spatial ratio."""
+        spec = SHOWCASE["bm_drift"]  # xi^2/2 - i xi
+        for side in ("plus", "minus"):
+            for sigma, tau, xi in ((0.5, 0.8, 1.3), (2.0, 0.3, 0.1), (0.5, 0.0, 1.3), (0.7, 4.0, 0.0)):
+                want = (closed_form_factors("bm_drift", side, 0.0, b=1.0, sigma=sigma)
+                        / closed_form_factors("bm_drift", side, xi, b=1.0, sigma=tau + sigma))
+                got = pr_laplace(spec, sigma, tau, xi, side, method)
+                assert got == pytest.approx(want, rel=tol), (side, sigma, tau, xi)
+
+    def test_phi_route_needs_a_factor_at_zero(self):
+        """stable_asym's phi has inner support, so its phi-route factor vanishes at 0."""
+        with pytest.raises(DomainError):
+            pr_laplace(SHOWCASE["stable_asym"], 0.5, 0.8, 1.3, method="phi")
+
     def test_cold_query_is_one_integral(self, monkeypatch):
         wiener_hopf._BD_KAPPA.clear()
         calls = TestPrLaplaceReuse._count_integrals(monkeypatch)
@@ -240,6 +256,23 @@ class TestPrLaplace:
 )
 def test_nan_argument_is_a_domain_error(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kappa_ratio_tau(BM_DRIFT, 0.5, 1.2, 0.2, side="up"),
+        lambda: kappa_tau_ratio_family(BM_DRIFT, 0.5, 2.0, side="up"),
+        lambda: sigma_stieltjes_function(BM_DRIFT, 0.5, side="up"),
+    ],
+    ids=["kappa-ratio-tau", "tau-ratio-family", "sigma-stieltjes"],
+)
+def test_unknown_side_is_a_value_error(monkeypatch, call):
+    """The side is checked before any contour integral or spine engine is set up."""
+    for name in ("_bd_kappa", "get_spine_engine"):
+        monkeypatch.setattr(fluctuation, name, None)
+    with pytest.raises(ValueError, match="side must be"):
         call()
 
 

@@ -189,6 +189,13 @@ class TestContracts:
             make()
         assert info.value.field == field
 
+    @pytest.mark.parametrize("query", [object(), "laplace(xi=1)", (1.0,)], ids=["object", "label", "tuple"])
+    def test_unknown_query_rejected(self, query):
+        samples = simulate_sup_samples(BM, 0.5, 10, seed=0)
+        with pytest.raises(ValidationError) as info:
+            mc_estimates(samples, [LaplaceQuery(1.0), query])
+        assert info.value.field == "queries"
+
     def test_negative_tail_threshold_allowed(self):
         samples = simulate_sup_samples(BM, 0.5, 100, seed=9)
         assert mc_estimates(samples, [TailQuery(-1.0)])[0].mean == 1.0

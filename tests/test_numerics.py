@@ -131,6 +131,21 @@ class TestIntegrateAdaptive:
         assert len(sizes) <= 1 + splits
         assert sum(sizes) == sizes[0] + 30 * splits
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: QuadratureConfig(rel_tol=0.0),
+            lambda: QuadratureConfig(abs_tol=-1e-14),
+            lambda: QuadratureConfig(max_subdivisions=0),
+            lambda: QuadratureConfig(singular_points=(1.0, 0.0)),
+            lambda: integrate_adaptive(np.exp, (1.0, 1.0)),
+            lambda: integrate_adaptive(np.exp, (2.0, 1.0)),
+        ],
+        ids=["rel-tol", "abs-tol", "subdivisions", "singular-order", "empty", "inverted"],
+    )
+    def test_invalid_configuration_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestGeometryMemo:

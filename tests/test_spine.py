@@ -239,6 +239,11 @@ class TestSolveSpine:
         np.testing.assert_allclose(s.lam, lam, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(spine._profile_slope(spec, s), slope, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("radii", [np.ones((2, 2)), np.array(1.0)], ids=["2-d", "0-d"])
+    def test_rejects_radii_not_1d(self, fig_a, radii):
+        with pytest.raises(DomainError):
+            solve_spine(fig_a, radii)
+
     def test_rejects_bad_input(self, fig_a):
         with pytest.raises(SpineUndefinedError):
             solve_spine(LevyAtomic(c=1.0), np.array([1.0]))

@@ -21,10 +21,10 @@ from levycm import (
     shift_spec,
     validate_spec,
 )
-from levycm import fluctuation, numerics, rogers, wiener_hopf
+from levycm import fluctuation, numerics, wiener_hopf
 from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
 from levycm.numerics import _LRU, make_rng
-from levycm.rogers import axis_feature_points, compensator_drift
+from levycm.rogers import axis_feature_points, compensator_drift, estimate_phi
 from levycm.specio import SHOWCASE
 from levycm.spine import build_spine_table
 from levycm.verify import default_spine_range
@@ -60,21 +60,8 @@ PW_CONST_PHIREP = PhiRep(
 )
 
 
-def _loop_phi(spec, s):
-    """Reference: |Arg| of one scalar boundary value f(+0 - i s), retried beside a pole."""
-    for t in (0.0, 1e-13 * abs(s)):
-        try:
-            with np.errstate(all="ignore"):
-                v = complex(rogers._eval_core(spec, complex(t, -s)))
-        except (OverflowError, ZeroDivisionError):
-            continue
-        if math.isfinite(v.real) and math.isfinite(v.imag):
-            return abs(cmath.phase(v))
-    raise EstimationError(f"boundary value not finite at s={s}")
-
-
 def _recursive_phi_table(spec):
-    """Reference: the phi table refined cell by cell, depth first."""
+    """Reference: the phi table refined cell by cell, depth first, from scalar estimate_phi calls."""
     out_s, out_phi = [], []
     budget = [40000]
 
@@ -82,7 +69,7 @@ def _recursive_phi_table(spec):
         if budget[0] <= 0 or (s_hi - s_lo) <= 1e-10 * min(abs(s_lo), abs(s_hi)):
             return
         s_mid = math.copysign(math.sqrt(s_lo * s_hi), s_lo)
-        p_mid = _loop_phi(spec, s_mid)
+        p_mid = estimate_phi(spec, s_mid)
         budget[0] -= 1
         w = (s_mid - s_lo) / (s_hi - s_lo)
         p_interp = (1.0 - w) * p_lo + w * p_hi
@@ -105,7 +92,7 @@ def _recursive_phi_table(spec):
                 pts.add(fpt * (1.0 + rel))
                 pts.add(fpt * (1.0 - rel))
         grid = np.sort(np.asarray(sorted(pts)))
-        phis = [_loop_phi(spec, float(s)) for s in grid]
+        phis = [estimate_phi(spec, float(s)) for s in grid]
         for k in range(len(grid) - 1):
             out_s.append(float(grid[k]))
             out_phi.append(phis[k])
@@ -639,6 +626,25 @@ class TestRatioEntryPoint:
                     kappa_ratio_xi(spec, 0.5, x1, x2, side, method="phi")
         bd = kappa_ratio_xi(spec, 0.5, 0.0, 1.0, method="bd")
         assert kappa_ratio_xi(spec, 0.5, 0.0, 1.0, method="spine") == pytest.approx(bd, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: FactorHandle(F_SIG, "up"), ValueError),
+        (lambda: wh_ratio(F_SIG, "bd", "up", 1.0, 2.0), ValueError),
+        (lambda: wh_product(F_SIG, "cauchy", 1.0, 2.0), ValueError),
+        (lambda: closed_form_factors("bm_drift", "up", 1.0), ValueError),
+        (lambda: kappa_ratio_tau(LevyAtomic(a=0.5, b=1.0), 1.0, 0.0, 1.0), DomainError),
+    ],
+    ids=["handle-side", "ratio-side", "product-method", "closed-form-side", "bd-zero-tau-f0"],
+)
+def test_invalid_arguments_rejected_before_work(monkeypatch, call, error):
+    """An unknown side or method, or tau + f(0+) = 0 in a temporal product, raises up front."""
+    monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+    monkeypatch.setattr(wiener_hopf, "build_phi_table", None)  # no table is built
+    with pytest.raises(error):
+        call()
 
 
 class TestBdContourSeed:
