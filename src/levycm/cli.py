@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import LevycmError, ValidationError
-from .fluctuation import kappa_ratio_tau, kappa_ratio_xi, pr_laplace, sup_tail
+from .fluctuation import _pr_route, kappa_ratio_tau, kappa_ratio_xi, pr_laplace, sup_tail
 from .montecarlo import (
     JointQuery,
     LaplaceQuery,
@@ -124,14 +124,6 @@ def _cmd_factor(args):
     return 0
 
 
-def _pr_chain(method, tau, xi):
-    """The ratios ``pr_laplace`` computes: none at tau = xi = 0; one contour integral on the bd
-    route; else the temporal ratio (tau > 0) and the spatial ratio by ``method`` (xi > 0)."""
-    if method == "bd":
-        return ["bd_kappa"] if tau or xi else []
-    return ["kappa_ratio_tau"] * bool(tau) + [f"kappa_ratio_xi:{method}"] * bool(xi)
-
-
 def _cmd_fluct(args):
     spec = validate_spec(load_spec(args.spec))
     chain = []
@@ -139,7 +131,7 @@ def _cmd_fluct(args):
         raise ValidationError("xi", f"{args.query} needs --xi")
     if args.query == "sup-laplace":
         value = pr_laplace(spec, args.sigma, 0.0, args.xi, args.side, args.method)
-        chain = _pr_chain(args.method, 0.0, args.xi)
+        chain = list(_pr_route(0.0, args.xi, args.method))
         q = {"query": "sup-laplace", "sigma": args.sigma, "xi": args.xi, "side": args.side}
     elif args.query == "sup-tail":
         value = sup_tail(spec, args.sigma, args.x)
@@ -147,7 +139,7 @@ def _cmd_fluct(args):
         q = {"query": "sup-tail", "sigma": args.sigma, "x": args.x}
     elif args.query == "pr":
         value = pr_laplace(spec, args.sigma, args.tau, args.xi, args.side, args.method)
-        chain = _pr_chain(args.method, args.tau, args.xi)
+        chain = list(_pr_route(args.tau, args.xi, args.method))
         q = {
             "query": "pr",
             "sigma": args.sigma,
@@ -172,7 +164,7 @@ def _cmd_fluct(args):
             if args.xi1 is None or args.xi2 is None:
                 raise ValidationError("xi1", "spatial ratio needs --xi1 --xi2 (and --tau)")
             value = kappa_ratio_xi(spec, args.tau, args.xi1, args.xi2, args.side, args.method)
-            chain = [f"kappa_ratio_xi:{args.method}"]
+            chain = ["kappa_ratio_xi"]
             q = {
                 "query": "kappa-ratio-xi",
                 "tau": args.tau,

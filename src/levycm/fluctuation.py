@@ -152,18 +152,30 @@ def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):
     contour integral, ``_bd_kappa`` of (side, sigma, 0, +1), (side,
     tau+sigma, xi, -1).  The phi and spine routes multiply
     :func:`kappa_ratio_tau` (tau > 0) by their spatial ratio (xi > 0).
+    The steps taken are those :func:`_pr_route` lists.
     """
     q = SpaceTimeQuery(float(sigma), float(tau), float(xi), side)
-    if q.tau == q.xi == 0.0:
-        return 1.0
-    if method == "bd":
-        return _bd_kappa(spec, ((q.side, q.sigma, 0.0, 1), (q.side, q.tau + q.sigma, q.xi, -1)))
     value = 1.0
-    if q.tau > 0.0:
-        value /= kappa_ratio_tau(spec, 0.0, q.tau + q.sigma, q.sigma, side)
-    if q.xi > 0.0:
-        value /= kappa_ratio_xi(spec, q.tau + q.sigma, q.xi, 0.0, side, method)
+    for step in _pr_route(q.tau, q.xi, method):
+        if step == "bd_kappa":
+            value = _bd_kappa(spec, ((q.side, q.sigma, 0.0, 1), (q.side, q.tau + q.sigma, q.xi, -1)))
+        elif step == "kappa_ratio_tau":
+            value /= kappa_ratio_tau(spec, 0.0, q.tau + q.sigma, q.sigma, side)
+        else:
+            value /= kappa_ratio_xi(spec, q.tau + q.sigma, q.xi, 0.0, side, method)
     return value
+
+
+def _pr_route(tau, xi, method="bd"):
+    """The ratios :func:`pr_laplace` computes, in order, for tau, xi >= 0.
+
+    None at tau = xi = 0; ``bd_kappa`` (one contour integral) on the bd
+    route; else ``kappa_ratio_tau`` if tau > 0 and ``kappa_ratio_xi:<method>``
+    if xi > 0.
+    """
+    if method == "bd":
+        return ("bd_kappa",) if tau > 0.0 or xi > 0.0 else ()
+    return ("kappa_ratio_tau",) * (tau > 0.0) + (f"kappa_ratio_xi:{method}",) * (xi > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -384,12 +384,14 @@ class TestCommands:
         assert code == 0
         want = (1.0 + math.sqrt(2.0)) / (2.0 + math.sqrt(2.0))
         assert json.loads(out)["value"] == pytest.approx(want, rel=1e-8)
+        assert json.loads(out)["method_chain"] == ["kappa_ratio_xi"]
         code, out = run_cli(
             capsys, "fluct", str(spec), "kappa-ratio",
             "--xi", "0", "--tau1", "2", "--tau2", "1",
         )
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(math.sqrt(2.0), rel=1e-8)
+        assert json.loads(out)["method_chain"] == ["kappa_ratio_tau"]
 
     @pytest.mark.parametrize("xi1,xi2", [("1", "0"), ("0", "1")])
     @pytest.mark.parametrize("name", ["stable_asym", "stable_mixed"])

@@ -224,6 +224,17 @@ class TestPrLaplace:
         with pytest.raises(DomainError):
             pr_laplace(SHOWCASE["stable_asym"], 0.5, 0.8, 1.3, method="phi")
 
+    @pytest.mark.parametrize("method", ["bd", "phi", "spine"])
+    @pytest.mark.parametrize("tau,xi", [(0.0, 0.0), (0.8, 0.0), (0.0, 1.3), (0.8, 1.3)])
+    def test_takes_the_listed_route(self, monkeypatch, method, tau, xi):
+        """pr_laplace calls exactly the ratios fluctuation._pr_route lists, in order."""
+        called = []
+        for name, step in (("_bd_kappa", "bd_kappa"), ("kappa_ratio_tau", "kappa_ratio_tau"),
+                           ("kappa_ratio_xi", f"kappa_ratio_xi:{method}")):
+            monkeypatch.setattr(fluctuation, name, lambda *a, step=step: called.append(step) or 2.0)
+        pr_laplace(BM_DRIFT, 0.5, tau, xi, method=method)
+        assert tuple(called) == fluctuation._pr_route(tau, xi, method)
+
     def test_cold_query_is_one_integral(self, monkeypatch):
         wiener_hopf._BD_KAPPA.clear()
         calls = TestPrLaplaceReuse._count_integrals(monkeypatch)

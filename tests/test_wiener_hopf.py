@@ -21,10 +21,10 @@ from levycm import (
     shift_spec,
     validate_spec,
 )
-from levycm import fluctuation, numerics, wiener_hopf
+from levycm import fluctuation, numerics, rogers, wiener_hopf
 from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
 from levycm.numerics import _LRU, make_rng
-from levycm.rogers import axis_feature_points, compensator_drift, estimate_phi
+from levycm.rogers import axis_feature_points, compensator_drift
 from levycm.specio import SHOWCASE
 from levycm.spine import build_spine_table
 from levycm.verify import default_spine_range
@@ -60,8 +60,18 @@ PW_CONST_PHIREP = PhiRep(
 )
 
 
+def _loop_phi(spec, s):
+    """Reference: |Arg| of one boundary value f(+0 - i s) from the family core, retried beside a pole."""
+    for t in (0.0, 1e-13 * abs(s)):
+        with np.errstate(all="ignore"):
+            v = complex(rogers._core(spec, np.array([complex(t, -s)]))[0])
+        if math.isfinite(v.real) and math.isfinite(v.imag):
+            return abs(cmath.phase(v))
+    raise EstimationError(f"boundary value not finite at s={s}")
+
+
 def _recursive_phi_table(spec):
-    """Reference: the phi table refined cell by cell, depth first, from scalar estimate_phi calls."""
+    """Reference: the phi table refined cell by cell, depth first."""
     out_s, out_phi = [], []
     budget = [40000]
 
@@ -69,7 +79,7 @@ def _recursive_phi_table(spec):
         if budget[0] <= 0 or (s_hi - s_lo) <= 1e-10 * min(abs(s_lo), abs(s_hi)):
             return
         s_mid = math.copysign(math.sqrt(s_lo * s_hi), s_lo)
-        p_mid = estimate_phi(spec, s_mid)
+        p_mid = _loop_phi(spec, s_mid)
         budget[0] -= 1
         w = (s_mid - s_lo) / (s_hi - s_lo)
         p_interp = (1.0 - w) * p_lo + w * p_hi
@@ -92,7 +102,7 @@ def _recursive_phi_table(spec):
                 pts.add(fpt * (1.0 + rel))
                 pts.add(fpt * (1.0 - rel))
         grid = np.sort(np.asarray(sorted(pts)))
-        phis = [estimate_phi(spec, float(s)) for s in grid]
+        phis = [_loop_phi(spec, float(s)) for s in grid]
         for k in range(len(grid) - 1):
             out_s.append(float(grid[k]))
             out_phi.append(phis[k])
