@@ -32,6 +32,7 @@ from .rogers import _axis_limit, f_limits, shift_spec
 from .wiener_hopf import (
     MINUS,
     PLUS,
+    _METHODS,
     _bd_kappa,
     _check_side,
     get_factor_handle,
@@ -171,8 +172,11 @@ def _pr_route(tau, xi, method="bd"):
 
     None at tau = xi = 0; ``bd_kappa`` (one contour integral) on the bd
     route; else ``kappa_ratio_tau`` if tau > 0 and ``kappa_ratio_xi:<method>``
-    if xi > 0.
+    if xi > 0.  A method other than bd, phi or spine is a ``ValueError``,
+    whatever tau and xi are.
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method == "bd":
         return ("bd_kappa",) if tau > 0.0 or xi > 0.0 else ()
     return ("kappa_ratio_tau",) * (tau > 0.0) + (f"kappa_ratio_xi:{method}",) * (xi > 0.0)
@@ -231,10 +235,19 @@ class _SupTailEvaluator:
         return _lockstep_root(g, s[k], s[k + 1], -v.real[k], -v.real[k + 1], 1e-15 * s[k + 1])
 
     def density(self, t):
-        """Density m(t) >= 0 of the measure at an array of t > 0; 0 where f(+0 - it) is real."""
+        """Density m(t) >= 0 of the measure at an array of t > 0; 0 where f(+0 - it) is real.
+
+        The phi-route ratio is evaluated only where im f(+0 - it) != 0 (none of the nodes of a
+        finite-rank factor, such as a rational or atomic spec's); each point is summed on its
+        own, so those values are bitwise the ones of a pass over every node.
+        """
         v = _axis_limit(self.spec, -t)
-        im = np.abs(v.imag)
-        return self.f_zero * self._ratio(t) * im / (t * np.where(im > 0.0, np.abs(v) ** 2, 1.0))
+        m = np.zeros(t.shape)
+        on = v.imag != 0.0
+        if on.any():
+            t, v = t[on], v[on]
+            m[on] = self.f_zero * self._ratio(t) * np.abs(v.imag) / (t * np.abs(v) ** 2)
+        return m
 
     def _build_nodes(self):
         """Gauss-Kronrod nodes t and coefficients w m(t)/pi; :class:`QuadratureError` past 400 splits."""

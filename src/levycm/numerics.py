@@ -154,8 +154,10 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     the excess of the summed error over max(abs_tol, rel_tol |sum|) (every
     open panel with error when all fall short), within the ``max_splits``
     left: a globally adaptive batch (Berntsen, Espelid & Genz, ACM TOMS 17,
-    1991).  Left halves replace their parents and right halves are appended.
-    A panel at floating-point resolution is never split and keeps its estimate.
+    1991).  Left halves replace their parents and right halves are appended,
+    in buffers that double when full; the arrays returned are views of their
+    filled part.  A panel at floating-point resolution is never split and
+    keeps its estimate.
 
     Stops converged when the summed error meets the goal, and unconverged
     when ``max_splits`` is used up or no splittable panel has error left.
@@ -164,9 +166,13 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     _WORK["refine_panels.rounds"] += 1
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    value, err, rows = estimate(lo, hi)
+    # lo, hi, value, err, rows: the first n entries of buffers that double when full (the first
+    # round copies the initial arrays into new ones, so no array passed in is written to)
+    bufs = [np.asarray(a) for a in (lo, hi, *estimate(lo, hi))]
+    n = lo.size
     splits = 0
     while True:
+        lo, hi, value, err, rows = (b[:n] for b in bufs)
         err_sum = float(err.sum())
         goal = max(abs_tol, rel_tol * abs(value.sum()))
         mid = 0.5 * (lo + hi)
@@ -182,11 +188,15 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
         v2, e2, r2 = estimate(
             np.concatenate([lo[sel], mid[sel]]), np.concatenate([mid[sel], hi[sel]])
         )
-        lo, hi = np.append(lo, mid[sel]), np.append(hi, hi[sel])
-        hi[sel] = mid[sel]
-        value[sel], err[sel], rows[sel] = v2[:m], e2[:m], r2[:m]
-        value, err = np.append(value, v2[m:]), np.append(err, e2[m:])
-        rows = np.concatenate([rows, r2[m:]])
+        if n + m > len(bufs[0]):
+            size = max(2 * len(bufs[0]), n + m)
+            bufs = [np.concatenate([b[:n], np.empty((size - n, *b.shape[1:]), b.dtype)]) for b in bufs]
+        new = slice(n, n + m)  # right halves appended, left halves in place of their parents
+        bufs[0][new], bufs[1][new] = mid[sel], hi[sel]
+        bufs[2][new], bufs[3][new], bufs[4][new] = v2[m:], e2[m:], r2[m:]
+        bufs[1][sel] = mid[sel]
+        bufs[2][sel], bufs[3][sel], bufs[4][sel] = v2[:m], e2[:m], r2[:m]
+        n += m
         splits += m
     return PanelSum(value.sum(), err_sum, err_sum <= goal, lo, hi, rows)
 

@@ -91,8 +91,8 @@ class PhiTable:
     interpolation: str = PW_LINEAR
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(float(s) for s in self.breakpoints))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "breakpoints", tuple(map(float, self.breakpoints)))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     def validate(self):
         bp, vals = self.breakpoints, self.values
@@ -488,17 +488,29 @@ def _core(spec, xi, prime=False):
                     val[zero] = rot * _core(rest, xi[zero])
         return val
     if isinstance(spec, PhiRep):
-        # f = c exp(E+(-i xi) + E-(i xi)), both sides from one kernel pass; with ``prime``,
-        # f' = f (log f)' with (log f)' = -i E+'(-i xi) + i E-'(i xi) from the same pass
-        e, de = spec.phi._pair._exponents(_ROTATIONS * xi.reshape(-1), prime)
-        val = spec.c * np.exp(e[0] + e[1])
         if prime:
-            val = val * (1j * (de[1] - de[0]))
-        return val.reshape(xi.shape)
+            return _core_pair(spec, xi)[1]
+        # f = c exp(E+(-i xi) + E-(i xi)), both sides from one kernel pass
+        e = spec.phi._pair._exponents(_ROTATIONS * xi.reshape(-1))[0]
+        return (spec.c * np.exp(e[0] + e[1])).reshape(xi.shape)
     if isinstance(spec, ShiftedSpec):  # the shift is a constant: f' is the base's
         val = _core(spec.base, xi, prime)
         return val if prime else spec.shift + val
     raise TypeError(f"not a Rogers spec: {type(spec).__name__}")
+
+
+def _core_pair(spec, xi):
+    """f and f' at ``xi`` as :func:`_core` gives each (bitwise on the imaginary axis, where no
+    point makes every side's z real and > 0); on a PhiRep both come from one kernel pass."""
+    if isinstance(spec, ShiftedSpec):
+        val, der = _core_pair(spec.base, xi)
+        return spec.shift + val, der
+    if not isinstance(spec, PhiRep):
+        return _core(spec, xi), _core(spec, xi, True)
+    # f' = f (log f)' with (log f)' = -i E+'(-i xi) + i E-'(i xi) from the pass that gives f
+    e, de = spec.phi._pair._exponents(_ROTATIONS * xi.reshape(-1), True)
+    val = spec.c * np.exp(e[0] + e[1])
+    return val.reshape(xi.shape), (val * (1j * (de[1] - de[0]))).reshape(xi.shape)
 
 
 def eval_f(spec, xi):
@@ -867,11 +879,12 @@ def _axis_values(spec, y, prime):
     _WORK["eval_f.core_calls"] += 1
     _WORK["eval_f_prime.core_calls"] += prime
     with np.errstate(all="ignore"):
-        f = np.asarray(_core(spec, xi), dtype=complex)
+        f, d = _core_pair(spec, xi) if prime else (_core(spec, xi), None)
+        f = np.asarray(f, dtype=complex)
         if not y.all():
             f[y == 0.0] = f_limits(spec).f_at_zero
         ok = np.isfinite(f) & (np.abs(f.imag) <= 1e-9 * (1.0 + np.abs(f))) & (f.real > 0.0)
-        v = np.asarray(_core(spec, xi, True), dtype=complex) if prime else f.real + 0.0j
+        v = np.asarray(d, dtype=complex) if prime else f.real + 0.0j
         ok &= np.isfinite(v)
     if not ok.all():
         k = np.flatnonzero(~ok)[0]

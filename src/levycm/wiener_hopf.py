@@ -139,7 +139,7 @@ def build_phi_table(spec):
         p_lo, p_hi = np.concatenate([p_lo[split], p_mid]), np.concatenate([p_mid, p_hi[split]])
     s_all, keep = sorted_unique(np.concatenate(s_out), return_index=True)
     p_all = np.clip(np.concatenate(p_out)[keep], 0.0, math.pi)
-    return PhiTable(tuple(s_all), tuple(p_all), "piecewise-linear")
+    return PhiTable(s_all.tolist(), p_all.tolist(), "piecewise-linear")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from levycm.fluctuation import (
     sigma_stieltjes_function,
     sup_tail,
 )
-from levycm.numerics import QuadratureConfig, integrate_adaptive, make_rng
+from levycm.numerics import _LRU, QuadratureConfig, integrate_adaptive, make_rng, work_counts
+from levycm.rogers import _axis_limit
 from levycm.wiener_hopf import FactorHandle, closed_form_factors, factor_pair, wh_ratio
 
 from levycm.specio import SHOWCASE
@@ -235,6 +236,16 @@ class TestPrLaplace:
         pr_laplace(BM_DRIFT, 0.5, tau, xi, method=method)
         assert tuple(called) == fluctuation._pr_route(tau, xi, method)
 
+    @pytest.mark.parametrize("tau,xi", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.3), (0.8, 1.3)])
+    def test_unknown_method_is_a_value_error(self, monkeypatch, tau, xi):
+        """Checked before any ratio, whatever tau and xi are (the bd value came back at xi = 0)."""
+        for name in ("_bd_kappa", "kappa_ratio_tau", "kappa_ratio_xi"):
+            monkeypatch.setattr(fluctuation, name, None)
+        with pytest.raises(ValueError, match="unknown method 'nonsense'"):
+            pr_laplace(BM_DRIFT, 0.5, tau, xi, method="nonsense")
+        with pytest.raises(ValueError, match="unknown method"):
+            fluctuation._pr_route(tau, xi, "nonsense")
+
     def test_cold_query_is_one_integral(self, monkeypatch):
         wiener_hopf._BD_KAPPA.clear()
         calls = TestPrLaplaceReuse._count_integrals(monkeypatch)
@@ -374,6 +385,39 @@ class TestSupTail:
         ev = fluctuation._sup_evaluator(fig_a, 0.5)
         assert ev.t.size == ev.c.size == 1
         assert ev.t[0] == ev.atoms[0] and ev.c[0] == ev.masses[0]
+
+    @staticmethod
+    def _density_at_every_node(ev, t):
+        """The density with the phi-route ratio evaluated at every node, times 0 where
+        f(+0 - it) is real."""
+        v = _axis_limit(ev.spec, -t)
+        im = np.abs(v.imag)
+        return ev.f_zero * ev._ratio(t) * im / (t * np.where(im > 0.0, np.abs(v) ** 2, 1.0))
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("name", ["bm_drift", "rational_three_arcs", "tempered_stable"])
+    def test_density_only_where_nonzero(self, monkeypatch, name, shift, sigma):
+        """Skipping the ratio at the nodes where f(+0 - it) is real leaves every node and
+        coefficient bitwise those of a density that evaluates it everywhere."""
+        spec = shift_spec(SHOWCASE[name], shift)
+        ev = fluctuation._SupTailEvaluator(spec, sigma)
+        monkeypatch.setattr(fluctuation._SupTailEvaluator, "density", self._density_at_every_node)
+        ref = fluctuation._SupTailEvaluator(spec, sigma)
+        assert ev.t.size == ref.t.size > (1 if name == "tempered_stable" else 0)
+        assert ev.t.tobytes() == ref.t.tobytes() and ev.c.tobytes() == ref.c.tobytes()
+
+    @pytest.mark.parametrize("name", ["bm_drift", "rational_pole_pair"])
+    def test_zero_density_takes_no_ratio_pass(self, monkeypatch, name):
+        """A cold set-up on a spec whose measure is atoms only: the factor handle's two sides
+        (one pass each for their constants) and its anchor (two), then f-(t) at the atom.
+        The quadrature nodes, where f(+0 - it) is real, take none."""
+        for cache in ("_PHI_CACHE", "_HANDLE_CACHE"):
+            monkeypatch.setattr(wiener_hopf, cache, _LRU(4))
+        before = work_counts()["phi_kernel.passes"]
+        ev = fluctuation._SupTailEvaluator(SHOWCASE[name], 0.5)
+        assert ev.atoms.size == 1 and ev.t.size == 1
+        assert work_counts()["phi_kernel.passes"] - before == 5
 
     def test_unconverged_nodes_raise(self, monkeypatch):
         real = fluctuation.refine_panels

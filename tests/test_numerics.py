@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levycm import LevyAtomic, PhiRep, PhiTable, eval_f, numerics
+from levycm import LevyAtomic, PhiRep, PhiTable, eval_f, eval_f_prime, numerics, shift_spec
 from levycm.errors import DomainError, QuadratureError
 from levycm.numerics import (
     _LRU,
@@ -25,6 +25,7 @@ from levycm.numerics import (
     refine_panels,
     sorted_unique,
 )
+from levycm.rogers import _core
 from levycm.spine import solve_spine
 
 
@@ -239,6 +240,69 @@ class TestRefinePanels:
         order = np.argsort(res.lo)
         assert res.lo[order][0] == 0.0 and res.hi[order][-1] == 4.0
         np.testing.assert_array_equal(res.lo[order][1:], res.hi[order][:-1])
+
+    @staticmethod
+    def _appending(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
+        """The same rounds with every array grown by np.append / np.concatenate each round."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        value, err, rows = estimate(lo, hi)
+        splits = 0
+        while True:
+            err_sum = float(err.sum())
+            goal = max(abs_tol, rel_tol * abs(value.sum()))
+            mid = 0.5 * (lo + hi)
+            open_err = np.where((lo < mid) & (mid < hi), err, 0.0)
+            if err_sum <= goal or splits >= max_splits or not open_err.max() > 0.0:
+                break
+            worst = np.flatnonzero(open_err > 0.0)
+            worst = worst[np.argsort(-err[worst], kind="stable")]
+            cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
+            sel = worst[: min(cover, max_splits - splits)]
+            m = len(sel)
+            v2, e2, r2 = estimate(np.concatenate([lo[sel], mid[sel]]), np.concatenate([mid[sel], hi[sel]]))
+            lo, hi = np.append(lo, mid[sel]), np.append(hi, hi[sel])
+            hi[sel] = mid[sel]
+            value[sel], err[sel], rows[sel] = v2[:m], e2[:m], r2[:m]
+            value, err = np.append(value, v2[m:]), np.append(err, e2[m:])
+            rows = np.concatenate([rows, r2[m:]])
+            splits += m
+        return value.sum(), err_sum, err_sum <= goal, lo, hi, rows
+
+    @staticmethod
+    def _width_rows(width):
+        """A panel estimate with ``width`` columns of rows, error growing with the panel's width."""
+        def estimate(lo, hi):
+            h = hi - lo
+            rows = np.cos(np.add.outer(lo, np.arange(width)) * 3.0) * h[:, None]
+            return np.sin(5.0 * lo) * h, h ** 1.5 * (1.0 + np.abs(np.cos(7.0 * lo))), rows
+        return estimate
+
+    @pytest.mark.parametrize("case", ["gk15-real", "gk15-complex", "rows-1", "rows-4", "budget", "widths"])
+    def test_buffers_match_appending(self, case):
+        """Doubling buffers give every result bitwise the arrays grown round by round would:
+        GK15 rows (15 columns, real and complex), 1- and 4-column rows, a split budget that
+        runs out, and the engine tests' widths estimate."""
+        lo, hi = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 6.0])
+        args = {
+            "gk15-real": (gk15(lambda s: np.cos(9.0 * s) * np.exp(-s)), lo, hi, 1e-13, 0.0, 400),
+            "gk15-complex": (gk15(lambda s: np.exp((1j * 7.0 - 0.3) * s) / (0.05 + s)), lo, hi, 0.0, 1e-12, 400),
+            "rows-1": (self._width_rows(1), lo, hi, 1e-4, 0.0, 1000),
+            "rows-4": (self._width_rows(4), lo, hi, 1e-4, 0.0, 1000),
+            "budget": (self._width_rows(4), lo, hi, 1e-12, 0.0, 37),
+            "widths": (_widths, [0.0], [8.0], 1e-6, 0.0, 7),
+        }[case]
+        *rest, max_splits = args
+        lo_in, hi_in = np.array(rest[1], dtype=float), np.array(rest[2], dtype=float)
+        res = refine_panels(*rest, max_splits=max_splits)
+        want = self._appending(*rest, max_splits=max_splits)
+        assert len(res.lo) > 2 * len(lo_in)  # the buffers have grown more than once
+        got = (res.value, res.err, res.converged, res.lo, res.hi, res.rows)
+        for g, w in zip(got, want):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        # the panels passed in are left as they were
+        np.testing.assert_array_equal(np.asarray(rest[1], dtype=float), lo_in)
+        np.testing.assert_array_equal(np.asarray(rest[2], dtype=float), hi_in)
 
 
 def _recorded_root(g, lo, hi, tol):
@@ -574,3 +638,16 @@ class TestWorkCounts:
         eval_f(spec, xi)  # builds the kernel's cells
         n = self._delta(eval_f, spec, xi)
         assert n == {"eval_f.points": 4, "eval_f.core_calls": 1, "phi_kernel.passes": 1}
+
+    def test_axis_f_prime_on_a_phirep(self):
+        """f' on the imaginary axis is admitted by f there: both come from one kernel pass, and
+        f' is bitwise the family core's (an f pass, then an f' pass that computed f again, before)."""
+        spec = shift_spec(PhiRep(1, PhiTable((0.2, 1, 3), (0, 1, 0.5))), 0.5)
+        xi = np.array([-0.05j, -0.1j])
+        eval_f_prime(spec, xi)  # builds the kernel's cells
+        n = self._delta(eval_f_prime, spec, xi)
+        assert n["phi_kernel.passes"] == 1
+        assert n["eval_f.core_calls"] == n["eval_f_prime.core_calls"] == 1
+        got = eval_f_prime(spec, xi)
+        want = _core(spec, xi + 0.0, True)  # at +0.0 + i y, where the axis rule reads it
+        assert got.tobytes() == want.tobytes()

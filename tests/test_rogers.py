@@ -74,6 +74,17 @@ class TestValidation:
             validate_spec(PhiRep(1.0, PhiTable((0.0, 1.0), (4.0,), "piecewise-constant")))
         assert exc.value.field == "phi.values[0]"
 
+    def test_table_fields_are_float_tuples(self):
+        """Any sequence of numbers becomes a tuple of floats; an entry float() rejects raises
+        its own error at construction."""
+        table = PhiTable(np.array([-1.0, 0.5, 2.0]), [0, np.float32(1.5), 3])
+        assert table.breakpoints == (-1.0, 0.5, 2.0) and table.values == (0.0, 1.5, 3.0)
+        assert all(type(v) is float for v in table.breakpoints + table.values)
+        with pytest.raises(ValueError):
+            PhiTable(("x", 1.0), (0.0, 1.0))
+        with pytest.raises(TypeError):
+            PhiTable((None, 1.0), (0.0, 1.0))
+
     def test_canonical_atom_order(self):
         spec = validate_spec(LevyAtomic(atoms=((2.0, 1.0), (-1.0, 1.0))))
         assert spec.atoms[0][0] < spec.atoms[1][0]

@@ -24,8 +24,10 @@ Compares two checkouts of the repository, a parent and a change:
   estimates, one ``eval_f`` call each) and ``eval_f`` points;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
-  node count, atom count, total mass and the lockstep steps of its atom
-  solve (``zero_steps``), or the name of the exception;
+  node count, atom count, total mass, the lockstep steps of its atom
+  solve (``zero_steps``) and its phi-kernel passes (``kernel_passes``:
+  the factor handle's kernels, f^-(t) at the atoms and at the quadrature
+  nodes with density), or the name of the exception;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): contour integrals and wall time of each.
@@ -151,8 +153,8 @@ def contour_work(spec):
 
 
 def sup_work(spec):
-    """Set-up ms, quadrature nodes, atoms, total mass and atom-solve lockstep steps of a cold
-    sup_tail evaluator, or the exception name."""
+    """Set-up ms, quadrature nodes, atoms, total mass, atom-solve lockstep steps and phi-kernel
+    passes of a cold sup_tail evaluator, or the exception name."""
     from levycm import LevycmError, fluctuation
 
     t0 = time.perf_counter()
@@ -162,7 +164,7 @@ def sup_work(spec):
         return {"error": type(exc).__name__}
     return {"ms": 1e3 * (time.perf_counter() - t0), "nodes": int(ev.t.size - ev.atoms.size),
             "atoms": int(ev.atoms.size), "total_mass": float(ev.c.sum()),
-            "zero_steps": n["lockstep.steps"]}
+            "zero_steps": n["lockstep.steps"], "kernel_passes": n["phi_kernel.passes"]}
 
 
 def mc_work():
