@@ -208,9 +208,10 @@ class _SupTailEvaluator:
         if not self.f_minus_0 > 0.0:
             raise DomainError("f_sigma^-(0) must be positive")
         self.f_zero = f_limits(self.spec).f_at_zero
-        self.atoms = self._zeros()
-        slope = (1j * _axis_limit(self.spec, -self.atoms, prime=True)).real
-        self.masses = self.f_zero * self._ratio(self.atoms) / (self.atoms * slope)
+        self.atoms, self.masses = self._zeros(), np.zeros(0)
+        if self.atoms.size:  # no atom needs no boundary slope and no ratio pass
+            slope = (1j * _axis_limit(self.spec, -self.atoms, prime=True)).real
+            self.masses = self.f_zero * self._ratio(self.atoms) / (self.atoms * slope)
         t, c = self._build_nodes()
         t, c = np.concatenate([t, self.atoms]), np.concatenate([c, self.masses])
         self.t, self.c = t[c != 0.0], c[c != 0.0]

@@ -124,14 +124,9 @@ class PhiTable:
         return out if out.ndim else float(out)
 
     @cached_property
-    def _sides(self):
-        """The kernels of phi(t) and phi(-t), t > 0, built once per table."""
-        return _phi_side(self, 1.0), _phi_side(self, -1.0)
-
-    @cached_property
     def _pair(self):
-        """Both kernels in one, for the PhiRep exponent."""
-        return _AnglePair(*self._sides)
+        """The kernel of phi(t) and phi(-t), t > 0, in one record, built once per table."""
+        return _Cells(_phi_side(self, 1.0), _phi_side(self, -1.0))
 
 
 _BLOCK = 1 << 16  # points x cells per block of kernel temporaries
@@ -140,9 +135,10 @@ _BLOCK = 1 << 16  # points x cells per block of kernel temporaries
 class _Cells:
     """The cells of one or both sides of a boundary angle, integrated exactly cell by cell.
 
-    phi(t) on t > 0 is ``phi_in`` on (0, t[0]), linear from phi[k] to
-    phi[k+1] on [t[k], t[k+1]] (equal abscissae make a jump) and ``phi_out``
-    beyond t[-1].  A side's exponent is
+    A side is a polyline ``(t, phi, phi_in, phi_out)``: phi(t) on t > 0 is
+    ``phi_in`` on (0, t[0]), linear from phi[k] to phi[k+1] on
+    [t[k], t[k+1]] (equal abscissae make a jump) and ``phi_out`` beyond
+    t[-1].  A side's exponent is
 
         E(z) = (1/pi) int_0^inf phi(t) (1/(1+t) - 1/(z+t)) dt
 
@@ -158,13 +154,50 @@ class _Cells:
     vanishes around t = -z.
 
     The cell arrays ``a``, ``b``, ``pa``, ``pb``, ``w``, ``slope`` hold side
-    k in the columns ``cols[k]``.  The per-side constants are columns with
-    one row per side: ``dsums`` (the sum of dphi), ``j_ones`` (int
-    phi/(1+t)), ``e_zeros`` (E(0)), ``phi_outs`` and ``t_outs``;
-    ``out_rows`` selects the sides with phi_out != 0.
+    k in the columns ``cols[k]``; ``first`` is None for one side and True
+    on the first side's columns for two.  The per-side constants are
+    columns with one row per side: ``dsums`` (the sum of dphi), ``j_ones``
+    (int phi/(1+t), all sides from one kernel pass), ``e_zeros`` (E(0)),
+    ``phi_zeros`` (phi(0+)), ``phi_outs`` and ``t_outs``; ``out_rows``
+    selects the sides with phi_out != 0.
     """
 
-    first = None  # with two sides: True on the first side's columns
+    def __init__(self, *sides):
+        cells, consts, ends = [], [], [0]
+        for t, phi, phi_in, phi_out in sides:
+            consts.append((phi_in if t[0] > 0.0 else phi[0], phi_out, t[-1]))  # phi(0+), phi_out, t_out
+            t = np.concatenate([[0.0], t])
+            p = np.concatenate([[phi_in], phi])
+            keep = (t[1:] > t[:-1]) & ((p[:-1] != 0.0) | (p[1:] != 0.0))
+            cells.append((t[:-1][keep], t[1:][keep], p[:-1][keep], p[1:][keep]))
+            ends.append(ends[-1] + int(keep.sum()))
+        self.a, self.b, self.pa, self.pb = (np.concatenate(c) for c in zip(*cells))
+        self.w = self.b - self.a
+        dphi = self.pb - self.pa
+        self.slope = dphi / self.w
+        self.cols = tuple(slice(lo, hi) for lo, hi in zip(ends, ends[1:]))
+        self.first = None if len(sides) == 1 else np.arange(len(self.a)) < ends[1]
+        self.dsums = np.array([[dphi[c].sum()] for c in self.cols])
+        self.phi_zeros, self.phi_outs, self.t_outs = np.array(consts, dtype=float).T[:, :, None]
+        # z-free constants: int phi/(1+t) over the cells, and E(0)
+        self.j_ones = self._cell_sums(np.ones((len(sides), 1), dtype=complex), False)[0].real
+        e_zeros = []
+        for k, c in enumerate(self.cols):
+            a, w, pa, dp = self.a[c], self.w[c], self.pa[c], dphi[c]
+            inner = a > 0.0
+            x = w[inner] / a[inner]
+            lg = np.log1p(x)
+            j_zero = np.sum(pa[inner] * lg + dp[inner] * (1.0 - lg / x)) + np.sum(dp[~inner])
+            phi_out, t_out = self.phi_outs[k, 0], self.t_outs[k, 0]
+            outer = phi_out * math.log(t_out / (1.0 + t_out)) if phi_out != 0.0 and t_out > 0.0 else 0.0
+            e_zero = (self.j_ones[k, 0] - j_zero + outer) / math.pi
+            e_zeros.append(-math.inf if self.phi_zeros[k, 0] > 1e-9 else e_zero)
+        self.e_zeros = np.array(e_zeros)[:, None]
+
+    def exponent(self, z):
+        """E(z) of a one-side record at complex z (scalar or array)."""
+        z = np.asarray(z, dtype=complex)
+        return self._exponents(z.reshape(1, -1))[0][0].reshape(z.shape)
 
     def _cell_sums(self, z, prime):
         """Per side k, the sum over its cells of int phi/(z+t) dt at the points z[k] (one row of
@@ -252,66 +285,8 @@ class _Cells:
         return slice(None) if out.all() else np.flatnonzero(out) if out.any() else None
 
 
-class _AngleSide(_Cells):
-    """One side of a boundary angle: the cells of ``phi`` on the knots ``t`` (see :class:`_Cells`).
-
-    Its constants are also floats: ``phi_zero`` (phi(0+)), ``phi_out``,
-    ``t_out``, ``j_one`` and ``e_zero``.
-    """
-
-    cols = (slice(None),)
-
-    def __init__(self, t, phi, phi_in, phi_out):
-        t = np.asarray(t, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        self.phi_zero = float(phi_in if t[0] > 0.0 else phi[0])  # phi(0+)
-        self.phi_out = float(phi_out)
-        self.t_out = float(t[-1])
-        t = np.concatenate([[0.0], t])
-        p = np.concatenate([[phi_in], phi])
-        keep = (t[1:] > t[:-1]) & ((p[:-1] != 0.0) | (p[1:] != 0.0))
-        self.a, self.b = t[:-1][keep], t[1:][keep]
-        self.pa, self.pb = p[:-1][keep], p[1:][keep]
-        self.w = self.b - self.a
-        dphi = self.pb - self.pa
-        self.slope = dphi / self.w
-        self.dsums = np.array([[dphi.sum()]])
-        # z-free constants: int phi/(1+t) over the cells, and E(0)
-        self.j_one = float(self._cell_sums(np.ones((1, 1), dtype=complex), False)[0][0, 0].real)
-        inner = self.a > 0.0
-        x = self.w[inner] / self.a[inner]
-        lg = np.log1p(x)
-        j_zero = np.sum(self.pa[inner] * lg + dphi[inner] * (1.0 - lg / x))
-        j_zero += np.sum(dphi[~inner])
-        outer = 0.0
-        if self.phi_out != 0.0 and self.t_out > 0.0:
-            outer = self.phi_out * math.log(self.t_out / (1.0 + self.t_out))
-        self.e_zero = float(self.j_one - j_zero + outer) / math.pi
-        if self.phi_zero > 1e-9:
-            self.e_zero = -math.inf
-        self.j_ones, self.e_zeros, self.phi_outs, self.t_outs = (
-            np.array([[v]]) for v in (self.j_one, self.e_zero, self.phi_out, self.t_out)
-        )
-
-    def exponent(self, z):
-        """E(z) at complex z (scalar or array)."""
-        z = np.asarray(z, dtype=complex)
-        return self._exponents(z.reshape(1, -1))[0][0].reshape(z.shape)
-
-
-class _AnglePair(_Cells):
-    """Both sides of a PhiRep's boundary angle in one set of cells, the plus side's first."""
-
-    def __init__(self, plus, minus):
-        for name in ("a", "b", "pa", "pb", "w", "slope", "dsums", "j_ones", "e_zeros", "phi_outs", "t_outs"):
-            setattr(self, name, np.concatenate([getattr(plus, name), getattr(minus, name)]))
-        n = len(plus.a)
-        self.first = np.arange(len(self.a)) < n
-        self.cols = (slice(0, n), slice(n, None))
-
-
 def _phi_side(table: PhiTable, sign):
-    """The kernel of phi(sign t), t > 0, read off a table.
+    """The polyline (t, phi, phi_in, phi_out) of phi(sign t), t > 0, read off a table (see :class:`_Cells`).
 
     A cell straddling s = 0 is split at its value there, as ``value_at``
     interpolates it; a piecewise-constant table is a polyline with a jump at
@@ -327,7 +302,7 @@ def _phi_side(table: PhiTable, sign):
     else:
         phi0 = np.interp(0.0, bp, vals)
     pos = bp > 0.0
-    return _AngleSide(np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), phi0, vals[-1])
+    return np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), phi0, vals[-1]
 
 
 def _hash_once(cls):
@@ -535,6 +510,8 @@ def eval_f_prime(spec, xi):
 def _evaluate(spec, xi, prime):
     """f (f' if ``prime``) at the points of ``xi``; a scalar is a 1-element array.
 
+    A list, tuple or array gives an array shaped like it, a scalar a complex.
+
     Every point off the axis takes one family-core call: a point with
     re xi < 0 is mapped to -conj xi and its value reflected back (conj, or
     -conj for f').  Axis points take :func:`_axis_values`, all in one call.
@@ -562,7 +539,7 @@ def _evaluate(spec, xi, prime):
             out[sel] = v
         if not off.all():
             out[~off] = _axis_values(spec, flat.imag[~off], prime)
-    return out.reshape(arr.shape) if isinstance(xi, np.ndarray) else complex(out[0])
+    return out.reshape(arr.shape) if arr.ndim or isinstance(xi, np.ndarray) else complex(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -695,17 +672,17 @@ def _rational_limits(spec: RationalProduct):
 
 
 def _phirep_limits(spec: PhiRep):
-    plus, minus = spec.phi._sides
+    pair = spec.phi._pair
     # f(0+) = c exp(E+(0) + E-(0)); diverges to 0 unless phi vanishes at 0
-    if max(plus.phi_zero, minus.phi_zero) > 1e-12:
+    if pair.phi_zeros.max() > 1e-12:
         zero = 0.0
     else:
-        zero = spec.c * math.exp(plus.e_zero + minus.e_zero)
+        zero = spec.c * math.exp(pair.e_zeros.sum())
     # f(inf-) = c exp((1/pi) int phi(s) / (1+|s|) ds); diverges -> inf
-    if max(plus.phi_out, minus.phi_out) > 1e-12:
+    if pair.phi_outs.max() > 1e-12:
         inf = math.inf
     else:
-        inf = spec.c * math.exp((plus.j_one + minus.j_one) / math.pi)
+        inf = spec.c * math.exp(pair.j_ones.sum() / math.pi)
     return LimitsResult(zero, inf)
 
 

@@ -41,7 +41,7 @@ from .numerics import (
 from .report import VerifyReport
 from .rogers import (
     PhiTable,
-    _AngleSide,
+    _Cells,
     axis_feature_points,
     estimate_phi,
     eval_f,
@@ -160,7 +160,7 @@ def _factor_side(table: PhiTable, side):
         s_all, v_all = -s_all[::-1], v_all[::-1]
     mask = s_all > 0.0
     s, p = s_all[mask], v_all[mask]
-    return _AngleSide(s, p, p[0], p[-1])
+    return _Cells((s, p, p[0], p[-1]))
 
 
 class FactorHandle:

@@ -26,6 +26,8 @@ def showcase(letter):
 # a linear PhiRep table and a constant one, as in the eval_phirep benchmark
 LIN5 = PhiRep(1.2, PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"))
 CONST = PhiRep(1.0, PhiTable((-3.0, -0.5, 0.7, 4.0), (0.4, 1.9, 0.8), "piecewise-constant"))
+# phi = 0 on [-0.5, 0.5] and beyond its window: f(0+) and f(inf-) are finite and positive
+VANISHING = PhiRep(1.3, PhiTable((-4.0, -1.0, -0.5, 0.5, 1.0, 3.0), (0.0, 1.1, 0.0, 0.0, 0.8, 0.0)))
 
 
 def lin200():

@@ -14,11 +14,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from levycm import eval_f, eval_f_prime
+from levycm import eval_f, eval_f_prime, f_limits
+from levycm.rogers import _Cells, _phi_side
 from levycm.specio import SHOWCASE
 from levycm.wiener_hopf import get_factor_handle, get_phi_table
 
-from conftest import CONST, LIN5, lin200
+from conftest import CONST, LIN5, VANISHING, lin200
 
 DIGITS = 40
 
@@ -47,6 +48,15 @@ def _mp_side(cells, z, prime=False):
         return (alpha - beta) * _log1p(t, mp.mp.prec) - (alpha - beta * z) * lg
 
     total = mp.fsum(anti(b, al, be) - anti(a, al, be) for a, b, al, be in cells)
+    return total / mp.pi
+
+
+def _mp_j(cells):
+    """(1/pi) int_0^inf phi(t)/(1+t) dt of one side given as cells: E(z) as z -> inf."""
+    prec = mp.mp.prec
+    total = mp.fsum(
+        be * (b - a) + (al - be) * (_log1p(b, prec) - _log1p(a, prec)) for a, b, al, be in cells
+    )
     return total / mp.pi
 
 
@@ -134,6 +144,20 @@ class TestPhiRepOracle:
             assert _rel(got[k], _mp_phirep(LIN5, x, prime=True)) <= 1e-12, x
 
 
+class TestLimitsOracle:
+    def test_finite_limits(self):
+        """f(0+) = c exp(E+(0) + E-(0)) and f(inf-) = c exp((j+ + j-)/pi), j = int phi/(1+t),
+        where phi vanishes around s = 0 and beyond its window (cells of phi = 0 dropped)."""
+        lim = f_limits(VANISHING)
+        with mp.workdps(DIGITS):
+            sides = [[c for c in cells if c[2] or c[3]] for cells in _mp_phirep_sides(VANISHING.phi)]
+            zero = VANISHING.c * mp.exp(mp.fsum(_mp_side(cells, 0) for cells in sides))
+            inf = VANISHING.c * mp.exp(mp.fsum(_mp_j(cells) for cells in sides))
+        assert 0.0 < lim.f_at_zero < lim.f_at_infinity < math.inf
+        assert _rel(lim.f_at_zero, complex(zero)) <= 1e-12
+        assert _rel(lim.f_at_infinity, complex(inf)) <= 1e-12
+
+
 class TestFactorOracle:
     """Factor exponents on estimated tables: far, near the cut, just above breakpoints."""
 
@@ -176,7 +200,7 @@ class TestRealArgument:
     def test_exponent_against_quadrature(self, name, k):
         """Imaginary part exactly 0; 30-digit quadrature to 1e-13 (CONST has jump cells)."""
         table = {"lin5": LIN5, "const": CONST}[name].phi
-        side = table._sides[k]
+        side = _Cells(_phi_side(table, (1.0, -1.0)[k]))
         got = side.exponent(self.Z)
         assert (got.imag == 0.0).all()
         with mp.workdps(30):
@@ -188,7 +212,7 @@ class TestRealArgument:
     @pytest.mark.parametrize("k", [0, 1], ids=["plus", "minus"])
     def test_real_sum_equals_the_complex_path(self, k):
         """One complex point in the block sends it down the complex path: same real parts, bitwise."""
-        side = lin200().phi._sides[k]
+        side = _Cells(_phi_side(lin200().phi, (1.0, -1.0)[k]))
         real = side.exponent(self.Z)
         mixed = side.exponent(np.append(self.Z, 1.0j))[:-1]
         assert np.array_equal(real.real, mixed.real)

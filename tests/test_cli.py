@@ -170,6 +170,16 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["n_failures"] == 0
 
+    @pytest.mark.parametrize("suite", ["core", "fluct"])
+    def test_core_and_fluct_suites_compound_poisson(self, suite):
+        """A bounded exponent: core checks the finite f(inf-), fluct kappa-circ against quadrature."""
+        atoms = ((2.0, 3.0), (-1.5, 2.0))
+        rep = verify.run_suite(suite, LevyAtomic(b=compensator_drift(LevyAtomic(atoms=atoms)), atoms=atoms))
+        names = {c.name for c in rep.checks}
+        want = {"core": {"limit-infinity"}, "fluct": {"kappa-circ[0.5]", "kappa-circ[2.0]"}}[suite]
+        assert want <= names, names
+        assert rep.passed, rep.failures()
+
     @pytest.mark.parametrize("name", sorted(SHOWCASE))
     def test_verify_fluct_suite(self, capsys, name):
         code, out = run_cli(capsys, "verify", f"preset:{name}", "--suite", "fluct")

@@ -35,7 +35,7 @@ from levycm.numerics import _LRU, QuadratureConfig, integrate_adaptive, make_rng
 from levycm.rogers import _axis_limit
 from levycm.specio import SHOWCASE, load_spec, preset_path
 
-from conftest import CONST, LIN5, half_plane_samples, lin200, showcase
+from conftest import CONST, LIN5, VANISHING, half_plane_samples, lin200, showcase
 
 # bounded spec equal to xi / (xi + i): one atom with compensating drift
 BOUNDED = LevyAtomic(a=0.0, b=0.5, c=0.0, atoms=((1.0, math.pi),))
@@ -290,6 +290,21 @@ class TestReflection:
             assert type(got) is complex
             assert _bits(got) == _bits(fn(spec, np.array([x]))), (name, x)
 
+    @pytest.mark.parametrize("fn", [eval_f, eval_f_prime])
+    @pytest.mark.parametrize("name", sorted(REFLECTION_SPECS))
+    def test_sequence_is_the_array(self, name, fn):
+        """A list or tuple, flat or nested, gives the array call's values in its shape."""
+        spec = REFLECTION_SPECS[name]
+        xi = self._batch(spec, fn)[:24]
+        for arr in (xi, xi.reshape(4, 6)):
+            want = fn(spec, arr)
+            for seq in (arr.tolist(), tuple(arr.tolist())):
+                got = fn(spec, seq)
+                assert isinstance(got, np.ndarray) and got.shape == arr.shape, (name, type(seq))
+                assert _bits(got) == _bits(want), (name, type(seq))
+        zero_d = fn(spec, np.asarray(xi[0]))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == (), name
+
 
 class TestLevyDensity:
     def test_positive_side(self):
@@ -340,11 +355,15 @@ class TestLimits:
         assert lim.f_at_zero == pytest.approx(1.0 + 3.0 * math.sqrt(19.0))
 
     def test_limits_match_eval(self, fig_c, fig_e):
-        for spec in (fig_c, fig_e, BOUNDED):
+        for spec in (fig_c, fig_e, BOUNDED, VANISHING):
             lim = f_limits(spec)
             if math.isfinite(lim.f_at_zero) and lim.f_at_zero > 0:
                 assert eval_f(spec, 1e-8 + 0.0j).real == pytest.approx(
                     lim.f_at_zero, rel=1e-6
+                )
+            if math.isfinite(lim.f_at_infinity) and lim.f_at_infinity > 0:
+                assert eval_f(spec, 1e8 + 0.0j).real == pytest.approx(
+                    lim.f_at_infinity, rel=1e-6
                 )
 
 

@@ -37,7 +37,11 @@ Compares two checkouts of the repository, a parent and a change:
   (for f and f' together) and phi-kernel passes of one ``eval_f`` and one
   ``eval_f_prime`` on a mixed batch of ``L0_BATCH`` points, half of them
   in each half-plane, and on one scalar in the left half-plane, with the
-  median wall time of ``L0_REPEATS`` calls.
+  median wall time of ``L0_REPEATS`` calls;
+* L0, cold (``l0_cold``): the phi-kernel passes of ``f_limits`` on a
+  fresh ``PhiRep`` of the L0 table, and of the first ``eval_f`` (the mixed
+  batch) on another: building the table's kernel record is one pass, for
+  both sides' constants.
 
 Every count is the difference of two ``levycm.numerics.work_counts()``
 snapshots around the call it measures (README, "Work counters").  Lockstep
@@ -191,17 +195,33 @@ def mc_work():
     return out
 
 
-def l0_work():
-    """Per L0 family: core calls, phi-kernel passes and median us of eval_f and eval_f_prime on
-    the mixed batch and on the scalar."""
+def l0_batch():
+    """The mixed L0 batch: ``L0_BATCH`` seeded points, alternating between the half-planes."""
     import numpy as np
-
-    from levycm import PhiRep, PhiTable, eval_f, eval_f_prime, shift_spec
-    from levycm.specio import SHOWCASE
 
     rng = np.random.default_rng(25)
     xi = np.exp(rng.uniform(np.log(0.05), np.log(20.0), L0_BATCH)) * np.exp(1j * rng.uniform(-1.45, 1.45, L0_BATCH))
     xi[1::2] = -np.conj(xi[1::2])
+    return xi
+
+
+def l0_cold_work():
+    """Phi-kernel passes of f_limits and of the first eval_f, each on a fresh PhiRep of the L0 table."""
+    from levycm import PhiRep, PhiTable, eval_f, f_limits
+
+    table = next(t for family, _, t, _ in L0_SPECS if family == "phi_rep")
+    _, lim = work(f_limits, PhiRep(1.2, PhiTable(*table)))
+    _, first = work(eval_f, PhiRep(1.2, PhiTable(*table)), l0_batch())
+    return {"f_limits": lim["phi_kernel.passes"], "eval_f": first["phi_kernel.passes"]}
+
+
+def l0_work():
+    """Per L0 family: core calls, phi-kernel passes and median us of eval_f and eval_f_prime on
+    the mixed batch and on the scalar."""
+    from levycm import PhiRep, PhiTable, eval_f, eval_f_prime, shift_spec
+    from levycm.specio import SHOWCASE
+
+    xi = l0_batch()
     points = {"batch": xi, "scalar": complex(xi[1])}
     specs = {family: shift_spec(SHOWCASE[preset] if preset else PhiRep(1.2, PhiTable(*table)), shift)
              for family, preset, table, shift in L0_SPECS}
@@ -253,7 +273,8 @@ def probe():
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
                                                     "breakpoints": len(table.breakpoints)}
     geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
-    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "l0": l0_work()}))
+    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "l0": l0_work(),
+                      "l0_cold": l0_cold_work()}))
 
 
 def run_probe(root):
@@ -306,6 +327,7 @@ def main(argv=None):
         "geometry_memo": {side: p["geometry_memo"] for side, p in probes.items()},
         "l0_batch": L0_BATCH,
         "l0": {side: p["l0"] for side, p in probes.items()},
+        "l0_cold": {side: p.get("l0_cold") for side, p in probes.items()},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
     for w in args.workloads:
