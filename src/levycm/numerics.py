@@ -107,9 +107,11 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 # seed panel edges of a graded piece, as fractions of its length in v from its
-# singular end: quarters, then halves down to 2^-_SEED_DEPTH (see integrate_adaptive)
+# singular end: eighths down to a quarter, then halves down to 2^-_SEED_DEPTH (see
+# integrate_adaptive); the eighths halve the bulk panels, where every pole x = O(1)
+# of a bd contour integral sits, so that such an integral converges in its seed round
 _SEED_DEPTH = 16
-_SEED = np.append(0.75, 0.5 ** np.arange(1, _SEED_DEPTH + 1))
+_SEED = np.append(np.arange(7, 2, -1) / 8.0, 0.5 ** np.arange(2, _SEED_DEPTH + 1))
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,11 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
         lo, hi, value, err, rows = (b[:n] for b in bufs)
         err_sum = float(err.sum())
         goal = max(abs_tol, rel_tol * abs(value.sum()))
+        if err_sum <= goal or splits >= max_splits:
+            break
         mid = 0.5 * (lo + hi)
         open_err = np.where((lo < mid) & (mid < hi), err, 0.0)
-        if err_sum <= goal or splits >= max_splits or not open_err.max() > 0.0:
+        if not open_err.max() > 0.0:
             break
         worst = np.flatnonzero(open_err > 0.0)
         worst = worst[np.argsort(-err[worst], kind="stable")]
@@ -285,12 +289,16 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     s = o +- t/(1-t) from the finite end o of a half-line; the images of
     infinity are always treated as (potentially) singular endpoints, with
     1 - t and the distance of u to -+pi/2 the exact v^2 there.  Their pieces
-    and those at a singular s = 0 start graded down to 2^-_SEED_DEPTH of the
-    piece: refining one level per round from one panel per piece, the bd
-    contour integrals end 2^-12 to 2^-18 (median 2^-15) from infinity.  All
-    segments are refined together by :func:`refine_panels` with Gauss-Kronrod
-    15 panels; a node rounded onto a singular point, or where ds/dt
-    overflows, is not evaluated.
+    and those at a singular s = 0 start graded, in eighths of the piece down
+    to a quarter and then in halves down to 2^-_SEED_DEPTH: refining one
+    level per round from one panel per piece, the bd contour integrals end
+    2^-12 to 2^-18 (median 2^-15) from infinity.  All segments are refined
+    together by :func:`refine_panels` with Gauss-Kronrod 15 panels; a node
+    rounded onto a singular point, or where ds/dt overflows, is not
+    evaluated.  On the seed panels the integrand receives the read-only
+    array of their evaluable nodes kept with the geometry, the same values
+    on every call on the domain and the only read-only array it is passed,
+    so an integrand may keep its values there from one call to the next.
 
     Returns ``(value, err_estimate)``; raises :class:`QuadratureError` with
     the partial value attached when ``max_subdivisions`` is exhausted or a
@@ -306,7 +314,7 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
         w, s, weight, on = seed if lo is p_lo else nodes(lo, hi)
         skipped.append(not on.all())
         rows = np.zeros(on.shape, complex)
-        rows[on] = integrand(s[on]) * weight[on]
+        rows[on] = integrand(s) * weight
         return (*gk15_sums(lo, hi, w, rows), rows)
 
     res = refine_panels(
@@ -321,7 +329,8 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
 
 def _geometry(a, b, singular_points):
     """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights,
-    nodes s, weights ds/dp and evaluable nodes, the seed panels and, read-only, the map on them."""
+    evaluable nodes s, their weights ds/dp and the mask of evaluable nodes, the seed panels and,
+    read-only, the map on them."""
     sing = [s for s in singular_points if math.isfinite(s)]
     if math.isinf(a) and math.isinf(b):
 
@@ -359,7 +368,8 @@ def _geometry(a, b, singular_points):
         with np.errstate(all="ignore"):
             s, ds = to_s(x, gap)
             weight = ds * dx
-        return w, s, weight, (weight > 0.0) & (weight < math.inf)
+        on = (weight > 0.0) & (weight < math.inf)
+        return w, s[on], weight[on], on
 
     seed = nodes(p_lo, p_hi)
     for arr in (p_lo, p_hi, *seed):

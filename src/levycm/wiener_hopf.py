@@ -243,6 +243,9 @@ _BD_CFG = QuadratureConfig(
     rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=6000, singular_points=(0.0,)
 )
 _BD_KAPPA = _LRU(4096)  # (spec, terms) -> product, ~0.4 kB each besides the spec
+# on the seed nodes of the contour integral: (spec, None) -> f and (spec, quotient) -> its
+# principal log less its shift, ~10 kB each (README, "Caching")
+_BD_SEED = _LRU(64)
 
 
 def _bd_kappa(spec, terms):
@@ -259,7 +262,11 @@ def _bd_kappa(spec, terms):
     half the points.  Different tau_k need an unbounded exponent
     (:class:`MethodUnsupportedError`) and tau + f(0+) > 0
     (:class:`DomainError`).  Memoized on (spec, terms); a call that raises
-    stores nothing.
+    stores nothing.  On the seed nodes of the integral, which are the same in
+    every call, f is read from ``_BD_SEED`` once per spec and each quotient's
+    log less its shift once per (spec, quotient), bitwise the values computed
+    afresh.  A non-finite integrand value (a kernel that overflows at a node
+    next to x = 0) raises :class:`QuadratureError`.
     """
 
     def build():
@@ -281,17 +288,31 @@ def _bd_kappa(spec, terms):
             shared.setdefault(tuple((tau, s * sign) for tau, s in group), []).append((side, x, sign))
         parts = [(q, sum(s * S[tau] for tau, s in q), p) for q, p in shared.items()]
 
+        def log_less(f, quot, shift):  # principal log of the quotient, less its shift
+            q = quot[0][0] + f
+            for tau, s in quot[1:]:
+                q = q * (tau + f) if s > 0 else q / (tau + f)
+            return principal_log(q) - shift
+
         def integrand(x):
-            f = eval_f(spec, x + 0.0j)
+            seed = not x.flags.writeable  # the seed nodes (integrate_adaptive)
+            z = x + 0.0j
+            f = _BD_SEED.get((spec, None), eval_f, spec, z) if seed else eval_f(spec, z)
             total = 0.0
-            for quot, shift, poles_of in parts:
-                kern = 0.0
-                for side, a, sign in poles_of:
-                    kern = kern + (sign / (x - 1j * a) if side == PLUS else -sign / (x + 1j * a))
-                q = quot[0][0] + f
-                for tau, s in quot[1:]:
-                    q = q * (tau + f) if s > 0 else q / (tau + f)
-                total = total + kern * (principal_log(q) - shift)
+            with np.errstate(over="ignore", invalid="ignore"):  # the kernel of a pole at 0, at x ~ 0
+                for quot, shift, poles_of in parts:
+                    kern = 0.0
+                    for side, a, sign in poles_of:
+                        kern = kern + (sign / (x - 1j * a) if side == PLUS else -sign / (x + 1j * a))
+                    if seed:
+                        g = _BD_SEED.get((spec, quot), log_less, f, quot, shift)
+                    else:
+                        g = log_less(f, quot, shift)
+                    total = total + kern * g
+            bad = ~np.isfinite(total)
+            if bad.any():
+                at = float(x[bad][0])
+                raise QuadratureError(math.nan, math.inf, f"the bd integrand is not finite at x = {at!r}")
             return total.imag
 
         val, _ = integrate_adaptive(integrand, (0.0, math.inf), _BD_CFG)

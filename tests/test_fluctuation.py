@@ -173,6 +173,15 @@ class TestPrLaplace:
         with pytest.raises(ValidationError):
             pr_laplace(BM, -1.0, 0.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,sigma", [("stable_mixed", 1e-100), ("stable_asym", 1e-300)])
+    def test_overflowing_integrand_is_a_quadrature_error(self, name, sigma):
+        """The kernel of the pole at 0 overflows at the nodes next to x = 0, where the contour
+        walks for a tiny sigma: a QuadratureError naming the integrand, with no RuntimeWarning."""
+        wiener_hopf._BD_KAPPA.clear()
+        with pytest.raises(QuadratureError, match="bd integrand is not finite"):
+            pr_laplace(SHOWCASE[name], sigma, 0.0, 1.0)
+
     def test_cp_temporal_rejected(self):
         with pytest.raises(MethodUnsupportedError):
             pr_laplace(CP_UNIT, 0.5, 1.0, 1.0)

@@ -182,6 +182,24 @@ class TestGeometryMemo:
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
 
+    def test_seed_round_passes_the_entry_nodes(self):
+        """The seed round hands the integrand the entry's read-only node array, the same object
+        on every call; refinement rounds hand it fresh writeable arrays."""
+        seen = []
+
+        def f(s):
+            seen.append(s)
+            return np.cos(40.0 * s) * np.exp(-s)
+
+        numerics._GEOMETRY.clear()
+        cfg = QuadratureConfig(singular_points=(0.0,))
+        integrate_adaptive(f, (0.0, math.inf), cfg)
+        first = len(seen)
+        integrate_adaptive(f, (0.0, math.inf), cfg)
+        _, _, _, (_, s, _, _) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        assert first > 1 and seen[0] is s and seen[first] is s
+        assert all(x.flags.writeable for x in seen[1:first] + seen[first + 1:])
+
 def _widths(lo, hi):
     """Panel estimate for the engine tests: value hi - lo, error 1e-3 per unit width."""
     return hi - lo, 1e-3 * (hi - lo), np.zeros((len(lo), 1))

@@ -23,7 +23,7 @@ from levycm import (
 )
 from levycm import fluctuation, numerics, rogers, wiener_hopf
 from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
-from levycm.numerics import _LRU, make_rng
+from levycm.numerics import _LRU, make_rng, work_counts
 from levycm.rogers import axis_feature_points, compensator_drift
 from levycm.specio import SHOWCASE
 from levycm.spine import build_spine_table
@@ -713,6 +713,59 @@ class TestBdContourSeed:
                     got = wh_ratio(spec, "bd", side, x1, x1 * (1.0 + 1e-12))
                     assert got == pytest.approx(1.0, abs=1e-11), (shift, side, x1)
 
+    @pytest.mark.parametrize(
+        "name", ["bm_drift", "quadratic_over_pole", "rational_pole_pair", "stable_asym", "tempered_stable"]
+    )
+    def test_cold_pr_laplace_converges_in_its_seed_round(self, name):
+        """At the probe's arguments; the seed in quarters took 2 rounds on rational_pole_pair and
+        tempered_stable."""
+        wiener_hopf._BD_KAPPA.clear()
+        wiener_hopf._BD_SEED.clear()
+        before = work_counts()
+        fluctuation.pr_laplace(SHOWCASE[name], 0.5, 0.8, 1.3, "plus")
+        assert work_counts()["refine_panels.rounds"] - before["refine_panels.rounds"] == 1
+
+    @staticmethod
+    def _bd_values(spec, memos):
+        """bd ratios and products, tau-ratios and pr_laplace at tau = 0 and tau > 0 on both sides,
+        each integrated with ``memos`` cleared first."""
+        calls = [lambda: wh_product(spec, "bd", 0.3, 1.5)]
+        for side in ("plus", "minus"):
+            calls += [
+                lambda side=side: wh_ratio(spec, "bd", side, 0.3, 1.5),
+                lambda side=side: kappa_ratio_tau(spec, 0.3, 1.2, 0.2, side),
+                lambda side=side: fluctuation.pr_laplace(spec, 0.5, 0.0, 1.3, side),
+                lambda side=side: fluctuation.pr_laplace(spec, 0.5, 0.8, 1.3, side),
+            ]
+        out = []
+        for call in calls:
+            for memo in memos:
+                memo.clear()
+            out.append(call().hex())
+        return out
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_seed_memo_is_bitwise(self, name):
+        """Values read from the seed memo, filled by the preset and its +0.5 shift together, equal
+        those computed with it cleared, bit for bit."""
+        specs = (SHOWCASE[name], shift_spec(SHOWCASE[name], 0.5))
+        cold = [self._bd_values(spec, (wiener_hopf._BD_KAPPA, wiener_hopf._BD_SEED)) for spec in specs]
+        for spec in specs:
+            self._bd_values(spec, (wiener_hopf._BD_KAPPA,))
+        seed = wiener_hopf._BD_SEED
+        hits, misses = seed.hits, seed.misses
+        assert [self._bd_values(spec, (wiener_hopf._BD_KAPPA,)) for spec in specs] == cold
+        assert seed.misses == misses and seed.hits > hits
+
+    def test_seed_memo_stays_bounded(self, monkeypatch):
+        """Fed more specs than it holds, the memo evicts and the values do not move."""
+        specs = [shift_spec(SHOWCASE["tempered_stable"], 0.1 * k) for k in range(1, 6)]
+        want = [self._bd_values(spec, (wiener_hopf._BD_KAPPA,)) for spec in specs]
+        monkeypatch.setattr(wiener_hopf, "_BD_SEED", _LRU(4))
+        got = [self._bd_values(spec, (wiener_hopf._BD_KAPPA,)) for spec in specs]
+        assert got == want
+        assert len(wiener_hopf._BD_SEED) == 4 and wiener_hopf._BD_SEED.misses > 4
+
 
 class TestFactorizationCheck:
     def test_bm_drift(self, fig_a):
@@ -830,6 +883,6 @@ class TestCrossMethodInvariants:
     def test_every_cache_is_a_bounded_memo(self, fig_a):
         get_factor_handle(fig_a, "plus")
         memos = (wiener_hopf._PHI_CACHE, wiener_hopf._HANDLE_CACHE, wiener_hopf._ENGINE_CACHE,
-                 wiener_hopf._BD_KAPPA, fluctuation._SUP_CACHE)
+                 wiener_hopf._BD_KAPPA, wiener_hopf._BD_SEED, fluctuation._SUP_CACHE)
         assert all(isinstance(m, _LRU) and 0 <= len(m) <= m.maxsize for m in memos)
         assert fig_a in wiener_hopf._PHI_CACHE and (fig_a, "plus") in wiener_hopf._HANDLE_CACHE

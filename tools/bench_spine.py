@@ -19,9 +19,15 @@ Compares two checkouts of the repository, a parent and a change:
   ``build_phi_table`` calls and the table's breakpoint count;
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
   0.2), "bd", "plus", 0.3, 1.5)``, of one cold ``kappa_ratio_tau`` at
-  ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR``:
-  contour integrals (``refine_panels`` calls), refinement rounds (panel
-  estimates, one ``eval_f`` call each) and ``eval_f`` points;
+  ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR`` (cold: the memo of
+  products ``wiener_hopf._BD_KAPPA`` and the memo of seed-node values
+  ``wiener_hopf._BD_SEED`` cleared): contour integrals (``refine_panels``
+  calls), refinement rounds (panel estimates, one integrand call each) and
+  ``eval_f`` points; and of the same ``pr_laplace`` again with only
+  ``_BD_KAPPA`` cleared (``pr_warm``), with the hits and misses of
+  ``_BD_SEED`` in it: its seed round reads f and the logs from that memo;
+* the number of evaluable seed nodes of the bd contour integral
+  (``seed_nodes``), which a warm ``pr_laplace`` does not evaluate f on;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
   node count, atom count, total mass, the lockstep steps of its atom
@@ -42,6 +48,11 @@ Compares two checkouts of the repository, a parent and a change:
   fresh ``PhiRep`` of the L0 table, and of the first ``eval_f`` (the mixed
   batch) on another: building the table's kernel record is one pass, for
   both sides' constants.
+* on the change only (``seed_memo``), per workload: the hits and misses of
+  ``wiener_hopf._BD_SEED`` over one benchmark run's ops at seed 1 and the
+  run length given, in order, counting only the ops that reach the bd
+  contour integral (``MEMO_OPS``; no other op looks the memo up), with
+  ``_BD_KAPPA`` and ``_BD_SEED`` cleared at the start.
 
 Every count is the difference of two ``levycm.numerics.work_counts()``
 snapshots around the call it measures (README, "Work counters").  Lockstep
@@ -62,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -88,6 +100,8 @@ L0_SPECS = (
     ("phi_rep", None, ((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"), 0.0),
     ("shifted_phi_rep", None, ((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"), 0.5),
 )
+# op kinds (prefixes) of the benchmark's workloads that reach the bd contour integral
+MEMO_OPS = ("pr_laplace", "wh_ratio.bd", "mc_job.")
 _HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
 # (label, LevyAtomic keywords, sigma): the cases of the mc_exact workload
 MC_CASES = (
@@ -137,7 +151,7 @@ def table_work(spec):
 
 def contour_work(spec):
     """Integrals, rounds and eval_f points of a cold bd ratio at tau = 0.2, a cold
-    kappa_ratio_tau and a cold pr_laplace."""
+    kappa_ratio_tau, a cold pr_laplace and that pr_laplace on a warm seed memo."""
     from levycm import fluctuation, shift_spec, wiener_hopf
 
     x1, x2, side, tau = RATIO
@@ -150,9 +164,17 @@ def contour_work(spec):
         ("pr", lambda: fluctuation.pr_laplace(spec, sigma, pr_tau, pr_xi, pr_side)),
     ):
         wiener_hopf._BD_KAPPA.clear()
+        wiener_hopf._BD_SEED.clear()
         value, n = work(call)
         out[label] = {"integrals": n["refine_panels.calls"], "rounds": n["refine_panels.rounds"],
                       "eval_f_points": n["eval_f.points"], "value": value}
+    wiener_hopf._BD_KAPPA.clear()
+    seed = wiener_hopf._BD_SEED
+    hits, misses = seed.hits, seed.misses
+    value, n = work(fluctuation.pr_laplace, spec, sigma, pr_tau, pr_xi, pr_side)
+    out["pr_warm"] = {"integrals": n["refine_panels.calls"], "rounds": n["refine_panels.rounds"],
+                      "eval_f_points": n["eval_f.points"], "value": value,
+                      "seed_memo": {"hits": seed.hits - hits, "misses": seed.misses - misses}}
     return out
 
 
@@ -273,14 +295,38 @@ def probe():
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
                                                     "breakpoints": len(table.breakpoints)}
     geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
-    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "l0": l0_work(),
-                      "l0_cold": l0_cold_work()}))
+    seed_nodes = numerics._geometry(0.0, math.inf, (0.0,))[3][1].size  # built apart from the memo
+    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "seed_nodes": seed_nodes,
+                      "l0": l0_work(), "l0_cold": l0_cold_work()}))
 
 
-def run_probe(root):
+def memo_share(seconds):
+    """Hits, misses and hit share of the seed memo over the bd ops of one run of each workload
+    (JSON on stdout)."""
+    sys.path.insert(0, str(Path("bench").resolve()))
+    import workloads
+    from levycm import wiener_hopf
+
+    out = {}
+    for name in ("fluct_warm", "wh_cold", "mc_exact"):
+        load = workloads.WORKLOADS[name](1)
+        load.setup()
+        wiener_hopf._BD_KAPPA.clear()
+        memo = wiener_hopf._BD_SEED
+        memo.clear()
+        for r in range(load.rounds(seconds)):
+            for op in load.round(r):
+                if op.kind.startswith(MEMO_OPS):
+                    op.call()
+        out[name] = {"hits": memo.hits, "misses": memo.misses,
+                     "hit_share": memo.hits / max(1, memo.hits + memo.misses)}
+    print(json.dumps(out))
+
+
+def run_probe(root, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    res = subprocess.run([sys.executable, "tools/bench_spine.py", "--probe"], env=env, cwd=root,
-                         capture_output=True, text=True, check=True)
+    res = subprocess.run([sys.executable, "tools/bench_spine.py", *(args or ("--probe",))], env=env,
+                         cwd=root, capture_output=True, text=True, check=True)
     return json.loads(res.stdout.splitlines()[-1])
 
 
@@ -296,6 +342,7 @@ def run_bench(root, workload, seed, seconds):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--memo-share", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
     ap.add_argument("--out", help="the JSON record to write (required without --probe)")
@@ -305,6 +352,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.probe:
         probe()
+        return
+    if args.memo_share:
+        memo_share(args.seconds)
         return
     if not (args.parent and args.change and args.out):
         ap.error("PARENT_DIR, CHANGE_DIR and --out are required")
@@ -325,9 +375,12 @@ def main(argv=None):
         "mc_job_paths": MC_PATHS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
         "geometry_memo": {side: p["geometry_memo"] for side, p in probes.items()},
+        "seed_nodes": {side: p.get("seed_nodes") for side, p in probes.items()},
         "l0_batch": L0_BATCH,
         "l0": {side: p["l0"] for side, p in probes.items()},
         "l0_cold": {side: p.get("l0_cold") for side, p in probes.items()},
+        "seed_memo": {"seed": 1, "seconds": args.seconds, "ops": list(MEMO_OPS),
+                      "change": run_probe(args.change, "--memo-share", "--seconds", str(args.seconds))},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
     for w in args.workloads:
