@@ -107,11 +107,14 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 # seed panel edges of a graded piece, as fractions of its length in v from its
-# singular end: eighths down to a quarter, then halves down to 2^-_SEED_DEPTH (see
-# integrate_adaptive); the eighths halve the bulk panels, where every pole x = O(1)
-# of a bd contour integral sits, so that such an integral converges in its seed round
+# singular end: eighths down to a quarter, then factors of sqrt(2) (2 in the distance
+# to that end) down to 2^-8, then halves down to 2^-_SEED_DEPTH (see integrate_adaptive);
+# the eighths halve the bulk panels, where every pole x = O(1) of a bd contour integral
+# sits, and the factors of sqrt(2) the end panels, which resolve a pole of f as near as
+# x = 0.05 (rational_three_arcs), so that such an integral converges in its seed round
 _SEED_DEPTH = 16
-_SEED = np.append(np.arange(7, 2, -1) / 8.0, 0.5 ** np.arange(2, _SEED_DEPTH + 1))
+_SEED = np.concatenate([np.arange(7, 2, -1) / 8.0, 0.5 ** (np.arange(4, 16) / 2.0),
+                        0.5 ** np.arange(8, _SEED_DEPTH + 1)])
 
 
 @dataclass(frozen=True)
@@ -289,10 +292,12 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     s = o +- t/(1-t) from the finite end o of a half-line; the images of
     infinity are always treated as (potentially) singular endpoints, with
     1 - t and the distance of u to -+pi/2 the exact v^2 there.  Their pieces
-    and those at a singular s = 0 start graded, in eighths of the piece down
-    to a quarter and then in halves down to 2^-_SEED_DEPTH: refining one
-    level per round from one panel per piece, the bd contour integrals end
-    2^-12 to 2^-18 (median 2^-15) from infinity.  All segments are refined
+    and those at a singular s = 0 start graded, in v: in eighths of the piece
+    down to a quarter, then in factors of sqrt(2) (2 in s) down to 2^-8 and
+    in halves down to 2^-_SEED_DEPTH.  Refining one level per round from one
+    panel per piece, 232 of 288 bd contour integrals (8 presets and their
+    +0.5 shifts) end 2^-12 to 2^-20 (median 2^-15) from infinity, the rest
+    above 2^-4; from the seed, 265 end at its 2^-16.  All segments are refined
     together by :func:`refine_panels` with Gauss-Kronrod 15 panels; a node
     rounded onto a singular point, or where ds/dt overflows, is not
     evaluated.  On the seed panels the integrand receives the read-only

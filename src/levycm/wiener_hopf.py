@@ -244,7 +244,7 @@ _BD_CFG = QuadratureConfig(
 )
 _BD_KAPPA = _LRU(4096)  # (spec, terms) -> product, ~0.4 kB each besides the spec
 # on the seed nodes of the contour integral: (spec, None) -> f and (spec, quotient) -> its
-# principal log less its shift, ~10 kB each (README, "Caching")
+# principal log less its shift, ~13 kB each (README, "Caching")
 _BD_SEED = _LRU(64)
 
 

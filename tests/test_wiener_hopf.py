@@ -661,14 +661,16 @@ class TestBdContourSeed:
     """Cold contour integrals on the graded seed mesh of numerics.integrate_adaptive."""
 
     @pytest.mark.parametrize(
-        "name", ["bm_drift", "rational_three_arcs", "tempered_stable", "stable_asym"]
+        "name",
+        ["bm_drift", "rational_three_arcs", "rational_three_arcs_tight", "tempered_stable", "stable_asym"],
     )
     def test_cold_rounds(self, name, monkeypatch):
-        """A cold bd ratio and a cold temporal ratio each take at most 2 estimates.
+        """A cold bd ratio and a cold temporal ratio each take 1 estimate, the seed round.
 
         Without the seed, refinement reaches the ends one level per round;
         with it, but splitting only panels within 2x of the largest error per
-        round, rational_three_arcs took 5.
+        round, rational_three_arcs took 5, and with the end pieces seeded in
+        halves of v below a quarter, the three-arcs presets took 2.
         """
         rounds = []
         refine = numerics.refine_panels
@@ -688,7 +690,21 @@ class TestBdContourSeed:
                          lambda: kappa_ratio_tau(spec, 0.3, 1.2, 0.2, side)):
                 rounds.append(0)
                 call()
-        assert len(rounds) == 4 and max(rounds) <= 2, rounds
+        assert rounds == [1, 1, 1, 1], rounds
+
+    @pytest.mark.parametrize("name", ["rational_three_arcs", "rational_three_arcs_tight"])
+    def test_cold_pr_sweep_rounds(self, name):
+        """The 64 pr_laplace calls of the fluct_warm grid take at most 80 rounds in all, 1.25 a
+        call: the pole of f at 0.05i (0.06i) needs the end pieces seeded in factors of 2 of the
+        distance to their end; seeded in factors of 4 below a quarter, the sweep took 145 (141)."""
+        wiener_hopf._BD_KAPPA.clear()
+        wiener_hopf._BD_SEED.clear()
+        before = work_counts()["refine_panels.rounds"]
+        for sigma in (0.5, 2.0):
+            for tau in (0.0, 1.0):
+                for xi in np.geomspace(0.1, 5.0, 16):
+                    fluctuation.pr_laplace(SHOWCASE[name], sigma, tau, float(xi))
+        assert work_counts()["refine_panels.rounds"] - before <= 80
 
     @pytest.mark.parametrize("s", [1e-2, 1e2])
     @pytest.mark.parametrize("side", ["plus", "minus"])
@@ -818,6 +834,33 @@ class TestClosedForms:
     def test_inadmissible_rejected(self):
         with pytest.raises(DomainError):
             closed_form_factors("stable", "plus", 1.0, c=1j, alpha=1.8)
+
+
+class TestRationalClosedForm:
+    """At tau = 0 a RationalProduct's factors are products of its own factors: f+(x) is the
+    product over the minus-i factors (-i xi + m)^e at xi = i x, f- that over the plus-i ones."""
+
+    SPECS = {
+        **{name: SHOWCASE[name] for name in ("quadratic_over_pole", "rational_pole_pair",
+                                             "rational_three_arcs", "rational_three_arcs_tight")},
+        "rational_bounded": BOUNDED["rational_bounded"],
+    }
+    PAIRS = ((1e-6, 1e3), (1e3, 1e-6), (1e-6, 0.05), (0.3, 1.5), (2.0, 40.0), (1e-3, 7.0))
+
+    @staticmethod
+    def _ratio(spec, side, x1, x2):
+        own = "minus-i" if side == "plus" else "plus-i"
+        return math.prod(((x1 + f.m) / (x2 + f.m)) ** f.exponent
+                         for f in spec.factors if f.orientation == own)
+
+    @pytest.mark.parametrize("method, rel", [("bd", 1e-12), ("spine", 1e-12), ("phi", 1e-9)])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_ratio(self, name, side, method, rel):
+        spec = self.SPECS[name]
+        for x1, x2 in self.PAIRS:
+            want = self._ratio(spec, side, x1, x2)
+            assert wh_ratio(spec, method, side, x1, x2) == pytest.approx(want, rel=rel), (x1, x2)
 
 
 class TestCrossMethodInvariants:

@@ -26,6 +26,10 @@ Compares two checkouts of the repository, a parent and a change:
   ``eval_f`` points; and of the same ``pr_laplace`` again with only
   ``_BD_KAPPA`` cleared (``pr_warm``), with the hits and misses of
   ``_BD_SEED`` in it: its seed round reads f and the logs from that memo;
+* per preset, the refinement rounds of a cold sweep of ``pr_laplace``
+  over the grid of the ``fluct_warm`` workload (``pr_sweep``: sigma in
+  ``SWEEP_SIGMAS``, tau in ``SWEEP_TAUS``, ``SWEEP_N`` xi geometrically
+  spaced on ``SWEEP_XI``, both memos cleared before the first call);
 * the number of evaluable seed nodes of the bd contour integral
   (``seed_nodes``), which a warm ``pr_laplace`` does not evaluate f on;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
@@ -86,6 +90,11 @@ RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
 PHI_TAUS = (0.0, 0.2)
 TAU_RATIO = (0.3, 1.2, 0.2, "plus")  # xi, tau1, tau2, side
 PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
+# the pr_laplace grid of the fluct_warm workload, swept cold (pr_sweep)
+SWEEP_SIGMAS = (0.5, 2.0)
+SWEEP_TAUS = (0.0, 1.0)
+SWEEP_XI = (0.1, 5.0)
+SWEEP_N = 16
 SUP_SIGMA = 0.5
 SPINE_TABLE_N = 256  # samples of the probe's spine tables, as in the wh_cold workload
 REPEATS = 5
@@ -176,6 +185,20 @@ def contour_work(spec):
                       "eval_f_points": n["eval_f.points"], "value": value,
                       "seed_memo": {"hits": seed.hits - hits, "misses": seed.misses - misses}}
     return out
+
+
+def sweep_rounds(spec):
+    """Refinement rounds of the cold ``pr_laplace`` sweep (``SWEEP_*``)."""
+    import numpy as np
+
+    from levycm import fluctuation, wiener_hopf
+
+    wiener_hopf._BD_KAPPA.clear()
+    wiener_hopf._BD_SEED.clear()
+    calls = [(sigma, tau, float(xi)) for sigma in SWEEP_SIGMAS for tau in SWEEP_TAUS
+             for xi in np.geomspace(*SWEEP_XI, SWEEP_N)]
+    _, n = work(lambda: [fluctuation.pr_laplace(spec, *call) for call in calls])
+    return n["refine_panels.rounds"]
 
 
 def sup_work(spec):
@@ -284,6 +307,7 @@ def probe():
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
                      "spine_table": table_work(SHOWCASE[name]),
                      "contour": contour_work(SHOWCASE[name]),
+                     "pr_sweep": sweep_rounds(SHOWCASE[name]),
                      "sup_tail": sup_work(SHOWCASE[name])}
         for phi_tau in PHI_TAUS:
             spec = shift_spec(SHOWCASE[name], phi_tau)
@@ -370,7 +394,9 @@ def main(argv=None):
         "sup_tail_sigma": SUP_SIGMA,
         "contour": {"bd_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3]},
                     "tau_ratio": dict(zip(("xi", "tau1", "tau2", "side"), TAU_RATIO)),
-                    "pr": dict(zip(("sigma", "tau", "xi", "side"), PR))},
+                    "pr": dict(zip(("sigma", "tau", "xi", "side"), PR)),
+                    "pr_sweep": {"sigma": list(SWEEP_SIGMAS), "tau": list(SWEEP_TAUS),
+                                 "xi_geomspace": [*SWEEP_XI, SWEEP_N]}},
         "presets": {side: p["presets"] for side, p in probes.items()},
         "mc_job_paths": MC_PATHS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
