@@ -239,7 +239,7 @@ def gk15(fn):
     return estimate
 
 
-def _piecewise_axis(cuts, singular, graded=()):
+def _piecewise_axis(cuts, singular, graded=(), seed=_SEED):
     """Lay the segments between ``cuts`` end to end on one parameter axis p.
 
     Each segment is mapped plainly, or by x = anchor +- v^2 beside a
@@ -249,10 +249,11 @@ def _piecewise_axis(cuts, singular, graded=()):
     that a singular point there is resolved as finely as floating point
     allows; on an axis from 0 to a ``graded`` upper end (a half-line's t),
     the last piece goes before the origin instead, so that both ends are and
-    the map jumps there.  Pieces with a singular end in ``graded`` start at
-    ``_SEED``.  Returns the map p -> (x, dx/dp, gap), gap the distance to the
-    nearer axis end (exact v^2 beside a singular one), and the initial panels
-    (lo, hi) in p.
+    the map jumps there.  Pieces with a singular end in ``graded`` start
+    with edges at the fractions ``seed`` of their length in v from that end
+    (``_SEED`` by default).  Returns the map p -> (x, dx/dp, gap), gap the
+    distance to the nearer axis end (exact v^2 beside a singular one), and
+    the initial panels (lo, hi) in p.
     """
     pieces = []  # (x_lo, x_hi, kind); kind -1/+1: singular left/right end
     for a, b in zip(cuts, cuts[1:]):
@@ -269,7 +270,7 @@ def _piecewise_axis(cuts, singular, graded=()):
     anchor = np.where(kind == 1, x_hi, x_lo)  # and its image
     at_end = (kind != 0) & ((anchor == cuts[0]) | (anchor == cuts[-1]))
     seeded = (kind != 0) & np.array([a in graded for a in anchor])
-    seeds = ref[seeded, None] - (kind * np.diff(starts))[seeded, None] * _SEED
+    seeds = ref[seeded, None] - (kind * np.diff(starts))[seeded, None] * seed
     edges = np.sort(np.append(starts, seeds))
 
     def to_x(p):

@@ -103,19 +103,31 @@ def _profile_slope(spec, s):
     so the slope is Re w - theta' Im w = |w|^2 / Re w.  Off Z the profile is
     re f(+-i r) and the slope is r re(+-i f'(+-i r)), with f' the boundary
     value on the axis.  Where w is 0 in floating point (far out on a bounded
-    exponent) the slope is 0.
+    exponent) the slope is 0, and where |w|^2 overflows it is |w| (|w| / Re w).
     """
     slope = np.empty(s.r.shape)
     z = s.in_Z
     if z.any():
         w = eval_f_prime(spec, s.zeta[z]) * s.zeta[z]
         aw = np.abs(w)
-        slope[z] = np.divide(aw * aw, w.real, out=np.zeros(aw.shape), where=aw > 0.0)
+        with np.errstate(over="ignore"):
+            sq = aw * aw
+            fine = np.isfinite(sq)
+            big = np.divide(aw, w.real, out=np.zeros(aw.shape), where=~fine) * aw
+        slope[z] = np.divide(sq, w.real, out=big, where=fine & (aw > 0.0))
     out = ~z
     if out.any():
         y = np.where(s.theta[out] > 0.0, 1.0, -1.0) * s.r[out]
         slope[out] = np.real(1j * y * _axis_limit(spec, y, prime=True))
     return slope
+
+
+def _on_axis(spec, r):
+    """True where theta(r) is exactly +-pi/2: im f has one sign at both ends of the angle
+    bracket of ``_theta_array``, evaluated for all radii in one ``eval_f`` call."""
+    half = 0.5 * math.pi - _EDGE
+    g = eval_f(spec, np.multiply.outer(np.exp(1j * np.array([-half, half])), r)).imag
+    return np.sign(g[0]) * np.sign(g[1]) > 0.0
 
 
 def _theta_array(spec, r):

@@ -49,7 +49,7 @@ from .rogers import (
     is_constant,
     is_degenerate,
 )
-from .spine import _profile_slope, _z_crossings, solve_spine
+from .spine import _on_axis, _profile_slope, _z_crossings, solve_spine
 
 __all__ = [
     "build_phi_table",
@@ -203,7 +203,7 @@ class FactorHandle:
 
 _PHI_CACHE = _LRU(64)  # spec -> table, 0.14-0.25 MB each (README, "Caching")
 _HANDLE_CACHE = _LRU(64)  # (spec, side) -> handle, up to 0.11 MB besides its table
-_ENGINE_CACHE = _LRU(16)  # spec -> engine, 60-90 kB of spine sample arrays after one ratio
+_ENGINE_CACHE = _LRU(16)  # spec -> engine, 26-79 kB of spine sample arrays after one ratio
 
 
 def get_phi_table(spec):
@@ -335,8 +335,30 @@ _SPINE_PAD = 40.0  # log-radius margin of the panels beyond the kernel's scales
 # (angles certified to a 1e-12 bracket, amplified near the cut): they still
 # enter the value but not the error, which they would hold above the goal
 _SPINE_NOISE = 1e-10
+# seed panels: unit panels on the kernel's scales widened by _SPINE_WINDOW, then panels
+# doubling in width out to the ends of the range (the integrand decays like
+# e^{-|u - log x|} away from the scales); the pieces beside a cut are halved toward it
+# three times in u and those beside a Z boundary split in quarters of v
+_SPINE_WINDOW = 2
+_SPINE_OUT = 2.0 ** np.arange(6)
+_SPINE_CUT_SEED = 0.5 ** np.arange(1, 4)
+_SPINE_Z_SEED = np.array([0.75, 0.5, 0.25])
 _Z_SCAN_STEP = 1.0 / 16.0  # log-radius step of the grid that brackets the Z boundaries
 _Z_MERGE = 1e-12  # the locator's resolution in log r
+_Z_SIDES = np.array([-1e-3, 1e-3])  # log-radius offsets at which a Z boundary meets the axis
+
+
+def _toward(edges, ends, fracs):
+    """Points that split each piece between consecutive sorted ``edges`` at the fractions
+    ``fracs`` of its length from each of its ends in ``ends``; a piece with both ends there is
+    halved first."""
+    a, b = edges[:-1], edges[1:]
+    left, right = np.isin(a, ends), np.isin(b, ends)
+    both = left & right
+    half = np.where(both, 0.5, 1.0) * (b - a)
+    step = half[:, None] * fracs
+    return np.concatenate([(0.5 * (a + b))[both], (a[:, None] + step)[left].ravel(),
+                           (b[:, None] - step)[right].ravel()])
 
 
 class SpineStieltjes:
@@ -346,11 +368,13 @@ class SpineStieltjes:
     Arg(zeta(r) -+ i x_k), plus n pi on (0, R) for a net count n of
     plus-side factors, against d lambda / (lambda + tau).  One integrator
     serves every tau, real >= 0 or complex off the cut: Gauss-Kronrod 15
-    panels in u = log r, with the Z boundaries as edges, on
-    g(u) lambda'(u) / (lambda(u) + tau) with the exact profile slope
-    lambda' (``spine._profile_slope``), refined by
-    :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12 on
-    the exponent; a missed goal raises :class:`QuadratureError`.  Spine
+    panels in u = log r on g(u) lambda'(u) / (lambda(u) + tau) with the
+    exact profile slope lambda' (``spine._profile_slope``).  The seed
+    panels are sized to the integrand, unit panels around the kernel's
+    scales and wider ones away from them, with graded pieces beside every
+    jump, axis feature and Z boundary (:meth:`_integral`); they are refined
+    by :func:`~levycm.numerics.refine_panels` to an absolute goal of 1e-12
+    on the exponent, and a missed goal raises :class:`QuadratureError`.  Spine
     samples (zeta, lambda, lambda') are kept in arrays sorted by log-radius,
     and each panel estimate solves its misses in one batch
     (``solve_spine``); nodes of identical panels are identical, so a family
@@ -379,9 +403,10 @@ class SpineStieltjes:
         miss = known[np.minimum(j, known.size - 1)] != u if known.size else np.ones(u.shape, bool)
         if miss.any():
             new = sorted_unique(u[miss])
-            s = solve_spine(self.spec, np.exp(new))
+            with np.errstate(over="ignore", invalid="ignore"):  # f overflows far out; estimate raises
+                s = solve_spine(self.spec, np.exp(new))
+                cols = (new, s.zeta, s.lam, _profile_slope(self.spec, s))
             at = np.searchsorted(known, new)
-            cols = (new, s.zeta, s.lam, _profile_slope(self.spec, s))
             self._samples = tuple(np.insert(a, at, c) for a, c in zip(self._samples, cols))
             j = np.searchsorted(self._samples[0], u)
         return tuple(a[j] for a in self._samples[1:])
@@ -390,30 +415,43 @@ class SpineStieltjes:
         """Sorted log-radii of the Z boundaries in [u_lo, u_hi] bracketed by a scan at step 1/16.
 
         ``spine._z_crossings`` on the scan grid, the locator that
-        ``build_spine_table`` uses too.  The result depends on the range
-        alone, so every tau reuses it.
+        ``build_spine_table`` uses too.  A crossing is kept only where the
+        spine lies on the axis (``spine._on_axis``) at 1e-3 to one side of
+        it: where theta merely approaches +-pi/2 without reaching it, the
+        crossing of pi/2 - ANGLE_TOL has no kink.  The result depends on
+        the range alone, so every tau reuses it.
         """
         key = (u_lo, u_hi)
         if key not in self._z_cache:
-            r = np.exp(np.arange(u_lo / _Z_SCAN_STEP, u_hi / _Z_SCAN_STEP + 1.0) * _Z_SCAN_STEP)
-            self._z_cache[key] = sorted_unique(np.log(_z_crossings(self.spec, r)))
+            with np.errstate(over="ignore", invalid="ignore"):  # f overflows far out
+                r = np.exp(np.arange(u_lo / _Z_SCAN_STEP, u_hi / _Z_SCAN_STEP + 1.0) * _Z_SCAN_STEP)
+                u = sorted_unique(np.log(_z_crossings(self.spec, r)))
+                axis = _on_axis(self.spec, np.exp(u[:, None] + _Z_SIDES)).any(axis=1)
+            self._z_cache[key] = u[axis]
         return self._z_cache[key]
 
     def _integral(self, gfun, scales, jumps, tau):
         """int_0^inf g(r) d log(lambda(r) + tau) for tau >= 0 or complex tau off the cut.
 
-        The panels cover u = log r from log(min scales) - 40 to
-        log(max scales) + 40.  Their edges are the integers, the log-radii of
-        the jumps of g and of the spec's axis features (the spine makes
-        narrow excursions into Z around poles on the axis, and GK nodes crowd
-        at panel ends), and the Z boundaries u* that ``_z_edges`` locates; a
-        boundary within 1e-12 of a cut is moved onto the cut, so that a jump
-        of g stays where it is.  At u* the spine leaves the axis with a
-        square-root kink in theta, so zeta, g and lambda' are smooth in
-        sqrt|u - u*| on the Z side, and lambda' jumps there.  The panels
-        beside u* are therefore mapped by u = u* +- v^2
-        (``numerics._piecewise_axis``) and integrated in v.  A Z interval the
-        scan misses is resolved by the refinement alone.
+        The panels cover u = log r from u_lo = floor(log(min scales) - 40)
+        to u_hi = ceil(log(max scales) + 40).  The integrand decays like
+        e^{-|u - log x|} away from the scales x, so the seed has unit panels
+        only on the integers from floor(log(min scales)) - 2 to
+        ceil(log(max scales)) + 2, and from there edges 1, 2, 4, ..., 32
+        further out, then u_lo and u_hi.  The cuts are edges too: the
+        log-radii of the jumps of g and of the spec's axis features (the
+        spine makes narrow excursions into Z around poles on the axis, and
+        GK nodes crowd at panel ends), and the Z boundaries u* that
+        ``_z_edges`` locates; a boundary within 1e-12 of a cut is moved onto
+        the cut, so that a jump of g stays where it is.  The pieces beside a
+        cut that is no Z boundary get edges at 1/2, 1/4 and 1/8 of their
+        length from it (a piece between two such cuts is halved first).  At
+        u* the spine leaves the axis with a square-root kink in theta, so
+        zeta, g and lambda' are smooth in sqrt|u - u*| on the Z side, and
+        lambda' jumps there.  The pieces beside u* are therefore mapped by
+        u = u* +- v^2 (``numerics._piecewise_axis``), seeded in quarters of
+        their length in v and integrated in v.  A Z interval the scan misses
+        is resolved by the refinement alone.
 
         A panel's estimate is Kronrod on g dv/dp with v = log(lambda + tau)
         on the panel axis p, plus a check against v at the panel ends: what
@@ -426,19 +464,26 @@ class SpineStieltjes:
         which adds g (log(lambda + tau) - log(f(0+) + tau)) there (nothing
         when f(0+) + tau = 0, where g(0+) must vanish); above it g decays
         like 1/r and is dropped.  Raises :class:`QuadratureError` when the
-        refinement misses its goal.
+        refinement misses its goal, or naming the radius where a panel's
+        values are not finite (f overflows there).
         """
-        u_lo = math.floor(math.log(min(scales)) - _SPINE_PAD)
-        u_hi = math.ceil(math.log(max(scales)) + _SPINE_PAD)
+        s_lo, s_hi = math.log(min(scales)), math.log(max(scales))
+        u_lo, u_hi = math.floor(s_lo - _SPINE_PAD), math.ceil(s_hi + _SPINE_PAD)
+        w_lo, w_hi = math.floor(s_lo) - _SPINE_WINDOW, math.ceil(s_hi) + _SPINE_WINDOW
+        base = np.concatenate([[u_lo], w_lo - _SPINE_OUT, np.arange(w_lo, w_hi + 1.0),
+                               w_hi + _SPINE_OUT, [u_hi]])
         cuts = np.log(jumps + self._features)
-        edges = sorted_unique(np.append(np.arange(u_lo, u_hi + 1.0), cuts[(cuts > u_lo) & (cuts < u_hi)]))
+        cuts = cuts[(cuts > u_lo) & (cuts < u_hi)]
+        edges = sorted_unique(np.append(base[(base >= u_lo) & (base <= u_hi)], cuts))
         # a Z boundary within the locator's resolution of a cut is that cut:
         # a jump of g stays exactly where it is
         zb = self._z_edges(u_lo, u_hi)
         near = edges[np.abs(edges[:, None] - zb).argmin(axis=0)]
         zb = np.where(np.abs(near - zb) <= _Z_MERGE, near, zb)
         edges = sorted_unique(np.append(edges, zb))
-        to_u, p_lo, p_hi = _piecewise_axis(edges.tolist(), set(zb.tolist()))
+        edges = sorted_unique(np.append(edges, _toward(edges, cuts[~np.isin(cuts, zb)], _SPINE_CUT_SEED)))
+        z = set(zb.tolist())
+        to_u, p_lo, p_hi = _piecewise_axis(edges.tolist(), z, z, _SPINE_Z_SEED)
 
         def estimate(lo, hi):
             x, w = gk15_nodes(lo, hi)
@@ -446,11 +491,18 @@ class SpineStieltjes:
             u, du, _ = to_u(np.concatenate([x.ravel(), lo, hi]))
             zeta, lam, slope = self._tl(u)
             g = gfun(zeta, np.exp(u))
+            with np.errstate(over="ignore", invalid="ignore"):  # where f overflowed
+                dv = slope[:n] * du[:n] / (lam[:n] + tau)
+                v = np.log(lam[n:] + tau)
+                bad = ~np.isfinite(g * np.concatenate([dv, v]))
+            if bad.any():
+                at = math.exp(u[bad][0])
+                raise QuadratureError(math.nan, math.inf, f"the spine integrand is not finite at r = {at!r}")
             g_nodes = g[:n].reshape(x.shape)
-            dv = (slope[:n] * du[:n] / (lam[:n] + tau)).reshape(x.shape)
+            dv = dv.reshape(x.shape)
             rows = g_nodes * dv
             value, err = gk15_sums(lo, hi, w, rows)
-            v_lo, v_hi = np.log(lam[n:] + tau).reshape(2, -1)
+            v_lo, v_hi = v.reshape(2, -1)
             missed = v_hi - v_lo - np.sum(w * dv, axis=1)
             spread = np.ptp(np.column_stack([g_nodes, g[n:].reshape(2, -1).T]), axis=1)
             err += spread * np.where(np.abs(missed) > _SPINE_NOISE, np.abs(missed), 0.0)

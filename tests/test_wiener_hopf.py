@@ -26,6 +26,7 @@ from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
 from levycm.numerics import _LRU, make_rng, work_counts
 from levycm.rogers import axis_feature_points, compensator_drift
 from levycm.specio import SHOWCASE
+from levycm import spine
 from levycm.spine import build_spine_table
 from levycm.verify import default_spine_range
 from levycm.wiener_hopf import (
@@ -449,6 +450,130 @@ class TestSpineZEdges:
         got = got[(got > r0) & (got < r1)]
         assert got.size == want.size
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_kept_boundaries_meet_the_axis(self, letter):
+        """Every kept boundary on log r in [-42, 41] has the spine on the axis 1e-3 to exactly one
+        side of it: 12 on the presets."""
+        spec = showcase(letter)
+        u = wiener_hopf.SpineStieltjes(spec)._z_edges(-42, 41)
+        assert u.size == {"a": 1, "b": 0, "c": 1, "d": 0, "e": 1, "f": 1, "g": 6, "h": 2}[letter]
+        on = spine._on_axis(spec, np.exp(u[:, None] + np.array([-1e-3, 1e-3])))
+        assert np.all(on.sum(axis=1) == 1)
+
+    def test_asymptotic_crossings_dropped(self):
+        """stable_mixed's theta crosses pi/2 - ANGLE_TOL at log r = -25.19 and 29.82 without
+        reaching the axis on either side: no kink, so no edge."""
+        spec = showcase("d")
+        r = np.exp(np.arange(-42 * 16, 41 * 16 + 1) / 16.0)
+        raw = np.sort(np.log(spine._z_crossings(spec, r)))
+        np.testing.assert_allclose(raw, [-25.19, 29.82], atol=0.01)
+        assert not spine._on_axis(spec, np.exp(raw[:, None] + np.array([-1e-3, 1e-3]))).any()
+        assert wiener_hopf.SpineStieltjes(spec)._z_edges(-42, 41).size == 0
+
+
+# refinement rounds of each preset's cold probe ratio f_0.2^+(0.3)/f_0.2^+(1.5) from the graded
+# seed, which left every integer of the range an edge before (3 or 4 rounds but on
+# tempered_stable, stable_asym and rational_three_arcs_tight)
+_SEED_ROUNDS = {"a": 2, "b": 2, "c": 1, "d": 3, "e": 2, "f": 2, "g": 2, "h": 2}
+
+
+class TestSpineSeed:
+    """The seed panels of the spine integral: unit panels on the kernel's scales, panels doubling
+    in width beyond them, and graded pieces beside every cut and Z boundary."""
+
+    @staticmethod
+    def _probe(spec):
+        return wiener_hopf.SpineStieltjes(spec).kappa((("plus", 0.2, 0.3, 1), ("plus", 0.2, 1.5, -1)))
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_cold_probe_rounds(self, letter):
+        before = work_counts()["refine_panels.rounds"]
+        self._probe(showcase(letter))
+        assert work_counts()["refine_panels.rounds"] - before <= min(3, _SEED_ROUNDS[letter])
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_ratio_matches_bd(self, letter, tau):
+        spec = shift_spec(showcase(letter), tau) if tau else showcase(letter)
+        for side in ("plus", "minus"):
+            for x1, x2 in ((0.3, 1.5), (2.0, 0.05), (1e-3, 10.0)):
+                want = wh_ratio(spec, "bd", side, x1, x2)
+                got = wh_ratio(spec, "spine", side, x1, x2)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (side, x1, x2)
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_edges(self, letter, monkeypatch):
+        """Every jump, axis feature and kept Z boundary in the range is a seed edge; the Z
+        boundaries are the square-root ends; unit edges span the scales 0.3, 1 and 1.5 widened by
+        2, and edges double their distance from there to the ends."""
+        seen = []
+        axis = wiener_hopf._piecewise_axis
+        record = lambda cuts, *a: seen.append((cuts, a[0])) or axis(cuts, *a)
+        monkeypatch.setattr(wiener_hopf, "_piecewise_axis", record)
+        spec = showcase(letter)
+        self._probe(spec)
+        ((edges, singular),) = seen
+        u_lo, u_hi = edges[0], edges[-1]
+        assert (u_lo, u_hi) == (-42.0, 41.0)
+        cuts = np.log(np.array([0.3, 1.5] + [abs(p) for p in axis_feature_points(spec)]))
+        assert set(cuts[(cuts > u_lo) & (cuts < u_hi)].tolist()) <= set(edges)
+        zb = wiener_hopf.SpineStieltjes(spec)._z_edges(u_lo, u_hi)
+        assert singular <= set(edges) and len(singular) == zb.size
+        np.testing.assert_allclose(sorted(singular), zb, rtol=0.0, atol=1e-12)
+        doubling = [-4.0 - 2.0**k for k in range(6)] + [3.0 + 2.0**k for k in range(6)]
+        assert set(np.arange(-4.0, 4.0).tolist() + doubling) <= set(edges)
+        assert not {-7.0, -9.0, 6.0, 8.0} & set(edges)
+
+
+def _bm_ratio(side, x2):
+    """bm_drift's closed-form f^side(1)/f^side(x2)."""
+    return closed_form_factors("bm_drift", side, 1.0, b=1.0) / closed_form_factors("bm_drift", side, x2, b=1.0)
+
+
+class TestSpineOverflow:
+    """bm_drift's spine ratio far out: |w|^2 of the profile slope overflows from r ~ e^271 and f
+    itself from r ~ e^354, neither with a RuntimeWarning (an error under Tier-1's filter)."""
+
+    @pytest.mark.parametrize("x2", [1e50, 1e100, 1e150])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_returns_or_raises(self, fig_a, side, x2):
+        want = _bm_ratio(side, x2)
+        try:
+            got = wh_ratio(fig_a, "spine", side, 1.0, x2)
+        except QuadratureError as err:
+            assert "not finite at r = " in str(err)
+            assert x2 == 1e150
+        else:
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+_BD_FAR_OUT = "FOUND (CHANGES.md): the bd route is silently wrong at large arguments on bm_drift"
+
+
+class TestBdLargeArguments:
+    """bd ratios and pr_laplace far out on bm_drift, against the closed forms.
+
+    Right up to x = 1e28.  Beyond, the pole's structure lies inside the seed's last panel at
+    infinity, whose smallest Kronrod node maps to x ~ 3e14, no panel error reveals it, and the
+    value silently drops the factor at x (CHANGES.md, FOUND: "the bd route is silently wrong at
+    large arguments on bm_drift").
+    """
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_ratio_to_1e28(self, fig_a, side):
+        assert wh_ratio(fig_a, "bd", side, 1.0, 1e28) == pytest.approx(_bm_ratio(side, 1e28), rel=1e-10)
+
+    @pytest.mark.xfail(strict=True, reason=_BD_FAR_OUT)
+    @pytest.mark.parametrize("side,x2", [("plus", 1e30), ("minus", 1e29)])
+    def test_ratio_far_out(self, fig_a, side, x2):
+        assert wh_ratio(fig_a, "bd", side, 1.0, x2) == pytest.approx(_bm_ratio(side, x2), rel=1e-10)
+
+    @pytest.mark.xfail(strict=True, reason=_BD_FAR_OUT)
+    def test_pr_laplace_far_out(self, fig_a):
+        m = math.sqrt(1.0 + 2.0 * 0.5) - 1.0  # kappa^+(sigma, xi) ~ xi + m on bm_drift
+        assert fluctuation.pr_laplace(fig_a, 0.5, 0.0, 1e29) == pytest.approx(m / (1e29 + m), rel=1e-10)
 
 
 def _dict_tl(self, u):

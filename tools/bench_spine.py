@@ -7,8 +7,10 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset, one cold spine ratio f_0.2^+(0.3)/f_0.2^+(1.5) on a fresh
   ``SpineStieltjes`` (its ``kappa`` of two terms): its refinement rounds
   (``estimate`` calls of ``refine_panels``), spine points solved (radii
-  passed to ``solve_spine``), its lockstep steps and points (see below) and
-  the median wall time of five cold repeats;
+  passed to ``solve_spine``), the radii its seed round solved
+  (``seed_radii``: those of the first ``estimate`` call, counted on one more
+  cold ratio), its lockstep steps and points (see below) and the median wall
+  time of five cold repeats;
 * per preset, ``build_spine_table`` with ``SPINE_TABLE_N`` samples on
   ``default_spine_range``: the median wall time of five builds, the
   number of Z intervals, one build's ``solve_spine`` calls and radii, and
@@ -52,6 +54,11 @@ Compares two checkouts of the repository, a parent and a change:
   fresh ``PhiRep`` of the L0 table, and of the first ``eval_f`` (the mixed
   batch) on another: building the table's kernel record is one pass, for
   both sides' constants.
+* on both sides (``wh_cold_spine``), run by this file against each
+  checkout's library: the refinement rounds, spine radii and lockstep steps
+  summed over the spine-ratio ops (``wh_ratio.spine``) of one ``wh_cold``
+  benchmark run at seed 1 and the run length given, in order, with the
+  engine memo cleared at the start;
 * on the change only (``seed_memo``), per workload: the hits and misses of
   ``wiener_hopf._BD_SEED`` over one benchmark run's ops at seed 1 and the
   run length given, in order, counting only the ops that reach the bd
@@ -133,6 +140,31 @@ def spine_ratio(engine):
     """The probe's spine ratio."""
     x1, x2, side, tau = RATIO
     return engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
+
+
+def seed_radii(spec):
+    """Spine radii that the seed round of the probe's spine ratio solves on a fresh engine."""
+    from levycm import wiener_hopf
+    from levycm.numerics import work_counts
+
+    seed = []
+    refine = wiener_hopf.refine_panels
+
+    def counted(estimate, *args, **kwargs):
+        def first(lo, hi):
+            before = work_counts()["solve_spine.radii"]
+            out = estimate(lo, hi)
+            seed.append(work_counts()["solve_spine.radii"] - before)
+            return out
+
+        return refine(first, *args, **kwargs)
+
+    wiener_hopf.refine_panels = counted
+    try:
+        spine_ratio(wiener_hopf.SpineStieltjes(spec))
+    finally:
+        wiener_hopf.refine_panels = refine
+    return seed[0]
 
 
 def table_work(spec):
@@ -303,6 +335,7 @@ def probe():
             value, n = work(spine_ratio, wiener_hopf.SpineStieltjes(SHOWCASE[name]))
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": n["refine_panels.rounds"], "spine_points": n["solve_spine.radii"],
+                     "seed_radii": seed_radii(SHOWCASE[name]),
                      "lockstep": {"steps": n["lockstep.steps"], "points": n["lockstep.points"]},
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
                      "spine_table": table_work(SHOWCASE[name]),
@@ -347,9 +380,31 @@ def memo_share(seconds):
     print(json.dumps(out))
 
 
-def run_probe(root, *args):
+def wh_cold_spine(seconds):
+    """Rounds, spine radii and lockstep steps summed over the spine-ratio ops of one wh_cold
+    run at seed 1 (JSON on stdout)."""
+    sys.path.insert(0, str(Path("bench").resolve()))
+    import workloads
+    from levycm import wiener_hopf
+
+    load = workloads.WORKLOADS["wh_cold"](1)
+    load.setup()
+    wiener_hopf._ENGINE_CACHE.clear()
+    total = {"ops": 0, "rounds": 0, "spine_points": 0, "lockstep_steps": 0}
+    for r in range(load.rounds(seconds)):
+        for op in load.round(r):
+            if op.kind == "wh_ratio.spine":
+                _, n = work(op.call)
+                total["ops"] += 1
+                total["rounds"] += n["refine_panels.rounds"]
+                total["spine_points"] += n["solve_spine.radii"]
+                total["lockstep_steps"] += n["lockstep.steps"]
+    print(json.dumps(total))
+
+
+def run_probe(root, *args, script="tools/bench_spine.py"):
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    res = subprocess.run([sys.executable, "tools/bench_spine.py", *(args or ("--probe",))], env=env,
+    res = subprocess.run([sys.executable, script, *(args or ("--probe",))], env=env,
                          cwd=root, capture_output=True, text=True, check=True)
     return json.loads(res.stdout.splitlines()[-1])
 
@@ -367,6 +422,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--memo-share", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--wh-cold-spine", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
     ap.add_argument("--out", help="the JSON record to write (required without --probe)")
@@ -379,6 +435,9 @@ def main(argv=None):
         return
     if args.memo_share:
         memo_share(args.seconds)
+        return
+    if args.wh_cold_spine:
+        wh_cold_spine(args.seconds)
         return
     if not (args.parent and args.change and args.out):
         ap.error("PARENT_DIR, CHANGE_DIR and --out are required")
@@ -407,6 +466,10 @@ def main(argv=None):
         "l0_cold": {side: p.get("l0_cold") for side, p in probes.items()},
         "seed_memo": {"seed": 1, "seconds": args.seconds, "ops": list(MEMO_OPS),
                       "change": run_probe(args.change, "--memo-share", "--seconds", str(args.seconds))},
+        "wh_cold_spine": {"seed": 1, "seconds": args.seconds,
+                          **{side: run_probe(root, "--wh-cold-spine", "--seconds", str(args.seconds),
+                                             script=str(Path(__file__).resolve()))
+                             for side, root in sides.items()}},
         "bench": {w: {side: {} for side in sides} for w in args.workloads},
     }
     for w in args.workloads:
