@@ -126,7 +126,14 @@ class PhiTable:
     @cached_property
     def _pair(self):
         """The kernel of phi(t) and phi(-t), t > 0, in one record, built once per table."""
-        return _Cells(_phi_side(self, 1.0), _phi_side(self, -1.0))
+        return _Cells(*_phi_sides(self, False))
+
+    @cached_property
+    def _factors(self):
+        """The kernel of the Wiener-Hopf factors f+ and f- of a ``build_phi_table`` table in one
+        record, built once per table: each side on its own breakpoints, the innermost value
+        held across the inner gap."""
+        return _Cells(*_phi_sides(self, True))
 
 
 _BLOCK = 1 << 16  # points x cells per block of kernel temporaries
@@ -193,6 +200,22 @@ class _Cells:
             e_zero = (self.j_ones[k, 0] - j_zero + outer) / math.pi
             e_zeros.append(-math.inf if self.phi_zeros[k, 0] > 1e-9 else e_zero)
         self.e_zeros = np.array(e_zeros)[:, None]
+
+    def side(self, k):
+        """Side k as a one-side record on views of this record's arrays, with no kernel pass."""
+        one, cells, row = object.__new__(_Cells), self.cols[k], slice(k, k + 1)
+        for name in ("a", "b", "pa", "pb", "w", "slope"):
+            setattr(one, name, getattr(self, name)[cells])
+        for name in ("dsums", "j_ones", "e_zeros", "phi_zeros", "phi_outs", "t_outs"):
+            setattr(one, name, getattr(self, name)[row])
+        one.cols, one.first = (slice(None),), None
+        return one
+
+    @cached_property
+    def e_one(self):
+        """E+(-i) + E-(i) of a two-side record, the exponent at xi = 1, from one pass."""
+        e = self._exponents(_ROTATIONS)[0]
+        return complex(e[0, 0] + e[1, 0])
 
     def exponent(self, z):
         """E(z) of a one-side record at complex z (scalar or array)."""
@@ -285,24 +308,30 @@ class _Cells:
         return slice(None) if out.all() else np.flatnonzero(out) if out.any() else None
 
 
-def _phi_side(table: PhiTable, sign):
-    """The polyline (t, phi, phi_in, phi_out) of phi(sign t), t > 0, read off a table (see :class:`_Cells`).
+def _phi_sides(table: PhiTable, hold):
+    """The polylines (t, phi, phi_in, phi_out) of phi(t) and phi(-t), t > 0, read off a table
+    (see :class:`_Cells`).
 
-    A cell straddling s = 0 is split at its value there, as ``value_at``
-    interpolates it; a piecewise-constant table is a polyline with a jump at
-    every interior breakpoint.
+    The inner rule is ``hold``: False interpolates phi across s = 0 as
+    ``value_at`` does, a cell straddling it split at its value there; True
+    continues the innermost value over the inner gap (0, t[1]).  A
+    piecewise-constant table is a polyline with a jump at every interior
+    breakpoint.
     """
-    bp = sign * np.asarray(table.breakpoints)
-    vals = np.asarray(table.values)
-    if sign < 0.0:
-        bp, vals = bp[::-1], vals[::-1]
-    if table.interpolation == PW_CONSTANT:
-        phi0 = vals[min(max(np.searchsorted(bp, 0.0, side="right") - 1, 0), len(vals) - 1)]
-        bp, vals = np.repeat(bp, 2)[1:-1], np.repeat(vals, 2)
-    else:
-        phi0 = np.interp(0.0, bp, vals)
-    pos = bp > 0.0
-    return np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), phi0, vals[-1]
+    sides, bp_all, v_all = [], np.asarray(table.breakpoints), np.asarray(table.values)
+    for sign in (1.0, -1.0):
+        bp, vals = sign * bp_all, v_all
+        if sign < 0.0:
+            bp, vals = bp[::-1], vals[::-1]
+        if table.interpolation == PW_CONSTANT:
+            phi0 = vals[min(max(np.searchsorted(bp, 0.0, side="right") - 1, 0), len(vals) - 1)]
+            bp, vals = np.repeat(bp, 2)[1:-1], np.repeat(vals, 2)
+        else:
+            phi0 = np.interp(0.0, bp, vals)
+        pos = bp > 0.0
+        phi0 = vals[pos][0] if hold else phi0
+        sides.append((np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), phi0, vals[-1]))
+    return sides
 
 
 def _hash_once(cls):

@@ -41,7 +41,6 @@ from .numerics import (
 from .report import VerifyReport
 from .rogers import (
     PhiTable,
-    _Cells,
     axis_feature_points,
     estimate_phi,
     eval_f,
@@ -147,26 +146,14 @@ def build_phi_table(spec):
 # ---------------------------------------------------------------------------
 
 
-def _factor_side(table: PhiTable, side):
-    """The boundary-angle kernel of one factor from a :func:`build_phi_table` table.
-
-    It uses the side's own breakpoints (at least 513): the inner gap
-    (0, s_first) continues the innermost value, with no interpolation across
-    s = 0.
-    """
-    s_all = np.asarray(table.breakpoints)
-    v_all = np.asarray(table.values)
-    if side == MINUS:
-        s_all, v_all = -s_all[::-1], v_all[::-1]
-    mask = s_all > 0.0
-    s, p = s_all[mask], v_all[mask]
-    return _Cells((s, p, p[0], p[-1]))
-
-
 class FactorHandle:
     """Evaluator for one Wiener-Hopf factor under c+ = c- = sqrt(c).
 
-    The representation constant c is anchored at xi = 1 so that the two
+    Both sides read the table's one record of factor kernels
+    (``PhiTable._factors``): each side's breakpoints of the
+    :func:`build_phi_table` table, the innermost value held across the
+    inner gap (0, s_first), with no interpolation across s = 0.  The
+    representation constant c is anchored at xi = 1 so that the two
     factors reconstruct f exactly there.  Ratios and products against the
     complementary handle are unchanged when ``scale`` is multiplied by some
     kappa and the other handle's divided by it.
@@ -177,13 +164,10 @@ class FactorHandle:
         self.spec = spec
         self.side = side
         self.table = get_phi_table(spec)
-        self._side = _factor_side(self.table, side)
-        other = _factor_side(self.table, MINUS if side == PLUS else PLUS)
-        # anchor: f(1) = c exp(E+(-i) + E-(i)) under f(xi) = f+(-i xi) f-(i xi)
-        z_own = -1j if side == PLUS else 1j
-        e_tot = self._side.exponent(z_own) + other.exponent(-z_own)
-        f1 = eval_f(spec, 1.0 + 0.0j)
-        self.c_const = abs(f1 * cmath.exp(-complex(e_tot)))
+        factors = self.table._factors
+        self._side = factors.side(0 if side == PLUS else 1)
+        # anchor: f(1) = c exp(E+(-i) + E-(i)) under f(xi) = f+(-i xi) f-(i xi), one pass per table
+        self.c_const = abs(eval_f(spec, 1.0 + 0.0j) * cmath.exp(-factors.e_one))
         self.scale = math.sqrt(self.c_const)
 
     def eval(self, xi):
@@ -600,9 +584,13 @@ def _kappa(spec, method, terms, R=None):
         return _bd_kappa(spec, terms)
     if method == "spine":
         return get_spine_engine(spec).kappa(terms, R)
+    vals = {}  # side -> its terms' values, from one evaluation
+    for side in dict.fromkeys(t[0] for t in terms):
+        xs = np.array([t[2] for t in terms if t[0] == side], dtype=complex)
+        vals[side] = iter(get_factor_handle(spec, side).eval(xs).tolist())
     num = den = 1.0
-    for side, _, x, s in terms:
-        v = get_factor_handle(spec, side).eval(complex(x))
+    for side, _, _, s in terms:
+        v = next(vals[side])
         if v == 0.0:
             raise DomainError("the phi-route factor vanishes at xi = 0 (phi has inner support)")
         num, den = (num * v, den) if s > 0 else (num, den * v)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from levycm import eval_f, eval_f_prime, f_limits
-from levycm.rogers import _Cells, _phi_side
+from levycm.rogers import _Cells, _phi_sides
 from levycm.specio import SHOWCASE
 from levycm.wiener_hopf import get_factor_handle, get_phi_table
 
@@ -200,7 +200,7 @@ class TestRealArgument:
     def test_exponent_against_quadrature(self, name, k):
         """Imaginary part exactly 0; 30-digit quadrature to 1e-13 (CONST has jump cells)."""
         table = {"lin5": LIN5, "const": CONST}[name].phi
-        side = _Cells(_phi_side(table, (1.0, -1.0)[k]))
+        side = _Cells(_phi_sides(table, False)[k])
         got = side.exponent(self.Z)
         assert (got.imag == 0.0).all()
         with mp.workdps(30):
@@ -212,7 +212,7 @@ class TestRealArgument:
     @pytest.mark.parametrize("k", [0, 1], ids=["plus", "minus"])
     def test_real_sum_equals_the_complex_path(self, k):
         """One complex point in the block sends it down the complex path: same real parts, bitwise."""
-        side = _Cells(_phi_side(lin200().phi, (1.0, -1.0)[k]))
+        side = _Cells(_phi_sides(lin200().phi, False)[k])
         real = side.exponent(self.Z)
         mixed = side.exponent(np.append(self.Z, 1.0j))[:-1]
         assert np.array_equal(real.real, mixed.real)

@@ -418,15 +418,15 @@ class TestSupTail:
 
     @pytest.mark.parametrize("name", ["bm_drift", "rational_pole_pair"])
     def test_zero_density_takes_no_ratio_pass(self, monkeypatch, name):
-        """A cold set-up on a spec whose measure is atoms only: the factor handle's two sides
-        (one pass each for their constants) and its anchor (two), then f-(t) at the atom.
-        The quadrature nodes, where f(+0 - it) is real, take none."""
+        """A cold set-up on a spec whose measure is atoms only: the table's record of both
+        factor sides (one pass for their constants) and the pair's anchor (one), then f-(t) at
+        the atom.  The quadrature nodes, where f(+0 - it) is real, take none."""
         for cache in ("_PHI_CACHE", "_HANDLE_CACHE"):
             monkeypatch.setattr(wiener_hopf, cache, _LRU(4))
         before = work_counts()["phi_kernel.passes"]
         ev = fluctuation._SupTailEvaluator(SHOWCASE[name], 0.5)
         assert ev.atoms.size == 1 and ev.t.size == 1
-        assert work_counts()["phi_kernel.passes"] - before == 5
+        assert work_counts()["phi_kernel.passes"] - before == 3
 
     def test_unconverged_nodes_raise(self, monkeypatch):
         real = fluctuation.refine_panels

@@ -988,6 +988,57 @@ class TestRationalClosedForm:
             assert wh_ratio(spec, method, side, x1, x2) == pytest.approx(want, rel=rel), (x1, x2)
 
 
+def _two_record_handle(spec, side):
+    """Reference factor kernel and scale: one one-side record per side, read off the table
+    apart (its breakpoints on that side, the innermost value held across the inner gap), and
+    the anchor at xi = 1 from a one-point pass on each."""
+    table = get_phi_table(spec)
+
+    def record(side):
+        s, v = np.asarray(table.breakpoints), np.asarray(table.values)
+        if side == "minus":
+            s, v = -s[::-1], v[::-1]
+        s, p = s[s > 0.0], v[s > 0.0]
+        return rogers._Cells((s, p, p[0], p[-1]))
+
+    own, other = record(side), record("minus" if side == "plus" else "plus")
+    z = -1j if side == "plus" else 1j
+    e = own.exponent(z) + other.exponent(-z)
+    return own, math.sqrt(abs(eval_f(spec, 1.0 + 0.0j) * cmath.exp(-complex(e))))
+
+
+class TestFactorRecord:
+    """The handles of one table read one two-sided record of its factor kernels."""
+
+    XI = np.array([0.0, 1e-6, 0.3, 1.0, 7.5, 1e4, 0.3 + 0.2j, 2.0 - 1.0j, 5.0j, -1.0 + 0.5j])
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_handles_match_two_records(self, name, shift):
+        """Scales and values, in arrays and one point at a time, bitwise those of a record per
+        side; a phi-route ratio is the quotient of the single-point values."""
+        spec = shift_spec(SHOWCASE[name], shift)
+        for side in ("plus", "minus"):
+            handle = get_factor_handle(spec, side)
+            own, scale = _two_record_handle(spec, side)
+            want = scale * np.exp(own.exponent(self.XI))
+            assert handle.scale == scale
+            assert handle.eval(self.XI).tobytes() == want.tobytes()
+            assert all(handle.eval(complex(x)) == w for x, w in zip(self.XI, want.tolist()))
+            quot = handle.eval(0.3 + 0.0j) / handle.eval(1.5 + 0.0j)
+            assert wh_ratio(spec, "phi", side, 0.3, 1.5) == float(quot.real)
+
+    def test_cold_pair_takes_two_passes(self, monkeypatch):
+        """On a cached table: the record's constants, then the pair's anchor, one pass each."""
+        spec = shift_spec(SHOWCASE["tempered_stable"], 0.3)
+        for cache in ("_PHI_CACHE", "_HANDLE_CACHE"):
+            monkeypatch.setattr(wiener_hopf, cache, _LRU(4))
+        get_phi_table(spec)
+        before = work_counts()["phi_kernel.passes"]
+        factor_pair(spec)
+        assert work_counts()["phi_kernel.passes"] - before == 2
+
+
 class TestCrossMethodInvariants:
     @pytest.mark.parametrize("letter", ["a", "b", "e"])
     def test_method_agreement(self, letter):
