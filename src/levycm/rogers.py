@@ -229,18 +229,28 @@ class _Cells:
         Returns two arrays shaped like z, the second None without ``prime``.
         All sides take one pass: each cell reads its own side's z, and each
         side is summed over its own columns, so its sums are bitwise those
-        of a pass over its cells alone.
+        of a pass over its cells alone.  Where every point of the call is
+        real and > 0 and ``prime`` is not asked, each cell is
+        dphi + L (pa - slope (z + a)) with L = log1p(w/(z + a)) real, and the
+        imaginary parts are 0.
         """
         _WORK["phi_kernel.passes"] += 1
-        n = z.shape[1]
+        real = not prime and not z.imag.any() and (z.real > 0.0).all()
+        n, z = z.shape[1], z.real if real else z
         re_sum, im_sum = np.empty(z.shape), np.zeros(z.shape)
         der = np.empty(z.shape, dtype=complex) if prime else None
         rows = max(1, _BLOCK // max(1, len(self.a)))
         for lo in range(0, n, rows):
             zk = z[:, lo : lo + rows, None]
             zb = zk[0] if self.first is None else np.where(self.first, zk[0], zk[1])
+            if real:  # x = w/(z + a) > 0
+                y = zb + self.a
+                re = np.log1p(self.w / y)
+                re *= np.subtract(self.pa, np.multiply(self.slope, y, out=y), out=y)
+                for k, cols in enumerate(self.cols):
+                    np.add.reduce(re[:, cols], axis=1, out=re_sum[k, lo : lo + rows])
+                continue
             zi = zb.imag
-            real = not prime and not zk.imag.any() and (zk.real > 0.0).all()  # then every im L is +-0
             yr = zb.real + self.a  # y = z + a
             d = self.w / (yr * yr + zi * zi)
             xr = yr * d  # x = w/y
@@ -248,7 +258,7 @@ class _Cells:
             # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
             with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
                 lr = 0.5 * np.log1p(2.0 * xr + r2)
-            li = np.zeros_like(lr) if real else np.arctan2(-zi * d, 1.0 + xr)
+            li = np.arctan2(-zi * d, 1.0 + xr)
             far = r2 >= 0.25
             if far.any():
                 rr, cc = np.nonzero(far)
@@ -257,15 +267,13 @@ class _Cells:
                 lr[far], li[far] = lf.real, lf.imag
             # pa L + dphi (1 - L/x) = dphi + L (pa - slope y), as 1/x = y/w
             c, sz = self.pa - self.slope * yr, self.slope * zi
-            re = lr * c if real else lr * c + li * sz
-            im = None if real else li * c - lr * sz  # li sz = +-0 if real
+            re, im = lr * c + li * sz, li * c - lr * sz
             if prime:
                 y, lg = yr + 1j * zi, lr + 1j * li
                 terms = self.pa / y - self.pb / (zb + self.b) + self.slope * lg
             for k, cols in enumerate(self.cols):
                 np.add.reduce(re[:, cols], axis=1, out=re_sum[k, lo : lo + rows])
-                if not real:
-                    np.add.reduce(im[:, cols], axis=1, out=im_sum[k, lo : lo + rows])
+                np.add.reduce(im[:, cols], axis=1, out=im_sum[k, lo : lo + rows])
                 if prime:
                     np.add.reduce(terms[:, cols], axis=1, out=der[k, lo : lo + rows])
         re_sum += self.dsums
