@@ -161,7 +161,8 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     left: a globally adaptive batch (Berntsen, Espelid & Genz, ACM TOMS 17,
     1991).  Left halves replace their parents and right halves are appended,
     in buffers that double when full; the arrays returned are views of their
-    filled part.  A panel at floating-point resolution is never split and
+    filled part, or with no split the arrays passed in and those of the
+    first estimate.  A panel at floating-point resolution is never split and
     keeps its estimate.
 
     Stops converged when the summed error meets the goal, and unconverged
@@ -177,7 +178,7 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     n = lo.size
     splits = 0
     while True:
-        lo, hi, value, err, rows = (b[:n] for b in bufs)
+        lo, hi, value, err, rows = (b[:n] for b in bufs) if splits else bufs
         err_sum = float(err.sum())
         goal = max(abs_tol, rel_tol * abs(value.sum()))
         if err_sum <= goal or splits >= max_splits:
@@ -319,8 +320,11 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     def estimate(lo, hi):  # refine_panels passes the seed panels on as they are
         w, s, weight, on = seed if lo is p_lo else nodes(lo, hi)
         skipped.append(not on.all())
-        rows = np.zeros(on.shape, complex)
-        rows[on] = integrand(s) * weight
+        if skipped[-1]:
+            rows = np.zeros(on.shape, complex)
+            rows[on] = integrand(s) * weight
+        else:
+            rows = np.asarray(integrand(s) * weight, complex).reshape(on.shape)
         return (*gk15_sums(lo, hi, w, rows), rows)
 
     res = refine_panels(
@@ -329,7 +333,7 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     value = complex(res.value)
     if not res.converged or any(skipped):
         raise QuadratureError(value, res.err)
-    _, w = gk15_nodes(res.lo, res.hi)
+    w = seed[0] if res.lo is p_lo else gk15_nodes(res.lo, res.hi)[1]  # no split: the seed's weights
     return value, max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
 
 
@@ -404,7 +408,7 @@ def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
     its signs and ratios of its values, so -g gives the same points.
     """
     ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
-    out = np.select(ends, [lo, hi, lo, hi], np.nan)
+    out = np.where(ends[0] | ends[2], lo, np.where(ends[1] | ends[3], hi, np.nan))  # glo = 0 first
     idx = np.flatnonzero(~np.logical_or.reduce(ends))
     tol = np.broadcast_to(tol, lo.shape)[idx]
     a, b, fa, fb = lo[idx], hi[idx], glo[idx], ghi[idx]  # a: the latest point, b: the far end

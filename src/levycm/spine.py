@@ -149,7 +149,7 @@ def _theta_array(spec, r):
     lo, hi = np.full(r.shape, -half + _EDGE), np.full(r.shape, half - _EDGE)
     glo, ghi = g(r, np.stack([lo, hi]))
     theta = _lockstep_root(lambda idx, x: g(r[idx], x), lo, hi, glo, ghi, _THETA_TOL)
-    return np.select([(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0)], [-half, half], theta)
+    return np.where((glo > 0.0) & (ghi > 0.0), -half, np.where((glo < 0.0) & (ghi < 0.0), half, theta))
 
 
 def solve_spine(spec, radii):

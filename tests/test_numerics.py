@@ -200,6 +200,59 @@ class TestGeometryMemo:
         assert first > 1 and seen[0] is s and seen[first] is s
         assert all(x.flags.writeable for x in seen[1:first] + seen[first + 1:])
 
+    @staticmethod
+    def _seed_round(monkeypatch, f, domain, cfg, deep=False):
+        """One integrate_adaptive call on a fresh geometry memo: its result (or the exception it
+        raised), the rows of its seed round, refine_panels' panels in and result, and the
+        geometry.  ``deep`` extends the graded seed with halves down to 2^-593 in v, where the
+        map to a half-line's infinite end overflows and seed nodes are not evaluable."""
+        monkeypatch.setattr(numerics, "_GEOMETRY", _LRU(2))
+        if deep:
+            axis = numerics._piecewise_axis
+            extra = 0.5 ** np.arange(17.0, 600.0, 16.0)
+            monkeypatch.setattr(numerics, "_piecewise_axis",
+                                lambda cuts, sing, graded=(): axis(cuts, sing, graded, np.append(numerics._SEED, extra)))
+        rows, runs = [], []
+        sums, refine = numerics.gk15_sums, numerics.refine_panels
+        monkeypatch.setattr(numerics, "gk15_sums", lambda lo, hi, w, r: rows.append(r) or sums(lo, hi, w, r))
+
+        def spy(estimate, lo, hi, *args, **kwargs):
+            runs.append((lo, hi, refine(estimate, lo, hi, *args, **kwargs)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(numerics, "refine_panels", spy)
+        try:
+            out = integrate_adaptive(f, domain, cfg)
+        except QuadratureError as exc:
+            out = exc
+        return out, rows[0], runs[0], numerics._geometry(*domain, cfg.singular_points)
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["evaluable", "unevaluable"])
+    def test_seed_rows_match_the_mask(self, monkeypatch, deep):
+        """Seed rows bitwise those built by the mask (zeros where a node is not evaluable),
+        complex also where the integrand is real; with an unevaluable node the call raises."""
+        f = lambda s: np.exp(-s) / (0.1 + (s - 1.0) ** 2)
+        cfg = QuadratureConfig(singular_points=(0.0,))
+        out, rows, _, (_, _, _, (_, s, weight, on)) = self._seed_round(
+            monkeypatch, f, (0.0, math.inf), cfg, deep)
+        assert on.all() != deep
+        want = np.zeros(on.shape, complex)
+        want[on] = f(s) * weight
+        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+        assert isinstance(out, QuadratureError) == deep
+
+    def test_seed_exit_and_error_floor(self, monkeypatch):
+        """A seed round that meets the goal: refine_panels returns the seed panels themselves,
+        and the error floor from the seed's Kronrod weights is bitwise that of gk15_nodes."""
+        f = lambda s: np.exp(-s)
+        cfg = QuadratureConfig(singular_points=(0.0,))
+        (value, err), _, (lo, hi, res), _ = self._seed_round(monkeypatch, f, (0.0, math.inf), cfg)
+        assert res.lo is lo and res.hi is hi and res.converged
+        _, w = numerics.gk15_nodes(lo, hi)
+        assert value == complex(res.value)
+        assert err == max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
+
+
 def _widths(lo, hi):
     """Panel estimate for the engine tests: value hi - lo, error 1e-3 per unit width."""
     return hi - lo, 1e-3 * (hi - lo), np.zeros((len(lo), 1))
@@ -294,6 +347,24 @@ class TestRefinePanels:
             rows = np.cos(np.add.outer(lo, np.arange(width)) * 3.0) * h[:, None]
             return np.sin(5.0 * lo) * h, h ** 1.5 * (1.0 + np.abs(np.cos(7.0 * lo))), rows
         return estimate
+
+    def test_first_estimate_meeting_the_goal_is_returned(self):
+        """No split: the panels passed in and the first estimate's arrays themselves, bitwise
+        what the appending reference returns."""
+        lo, hi = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 6.0])
+        first = []
+
+        def estimate(lo, hi):
+            first.append(gk15(lambda s: np.cos(2.0 * s))(lo, hi))
+            return first[-1]
+
+        res = refine_panels(estimate, lo, hi, 1e-6, max_splits=10)
+        want = self._appending(gk15(lambda s: np.cos(2.0 * s)), lo, hi, 1e-6, max_splits=10)
+        assert len(first) == 1 and res.converged
+        assert res.lo is lo and res.hi is hi and res.rows is first[0][2]
+        for g, w in zip((res.value, res.err, res.converged, res.lo, res.hi, res.rows), want):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("case", ["gk15-real", "gk15-complex", "rows-1", "rows-4", "budget", "widths"])
     def test_buffers_match_appending(self, case):
