@@ -161,9 +161,8 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     left: a globally adaptive batch (Berntsen, Espelid & Genz, ACM TOMS 17,
     1991).  Left halves replace their parents and right halves are appended,
     in buffers that double when full; the arrays returned are views of their
-    filled part, or with no split the arrays passed in and those of the
-    first estimate.  A panel at floating-point resolution is never split and
-    keeps its estimate.
+    filled part (with no split, the arrays in and first estimated).  A panel
+    at floating-point resolution is never split and keeps its estimate.
 
     Stops converged when the summed error meets the goal, and unconverged
     when ``max_splits`` is used up or no splittable panel has error left.

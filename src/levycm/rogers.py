@@ -126,14 +126,12 @@ class PhiTable:
     @cached_property
     def _pair(self):
         """The kernel of phi(t) and phi(-t), t > 0, in one record, built once per table."""
-        return _Cells(*_phi_sides(self, False))
+        return _Cells(_phi_side(self, 1.0, False), _phi_side(self, -1.0, False))
 
     @cached_property
     def _factors(self):
-        """The kernel of the Wiener-Hopf factors f+ and f- of a ``build_phi_table`` table in one
-        record, built once per table: each side on its own breakpoints, the innermost value
-        held across the inner gap."""
-        return _Cells(*_phi_sides(self, True))
+        """The kernel of the factors f+ and f-, built once per table: the innermost value held."""
+        return _Cells(_phi_side(self, 1.0, True), _phi_side(self, -1.0, True))
 
 
 _BLOCK = 1 << 16  # points x cells per block of kernel temporaries
@@ -142,10 +140,9 @@ _BLOCK = 1 << 16  # points x cells per block of kernel temporaries
 class _Cells:
     """The cells of one or both sides of a boundary angle, integrated exactly cell by cell.
 
-    A side is a polyline ``(t, phi, phi_in, phi_out)``: phi(t) on t > 0 is
-    ``phi_in`` on (0, t[0]), linear from phi[k] to phi[k+1] on
-    [t[k], t[k+1]] (equal abscissae make a jump) and ``phi_out`` beyond
-    t[-1].  A side's exponent is
+    A side is a polyline ``(t, phi, phi_out)`` from t[0] = 0: phi(t) on
+    t > 0 is linear from phi[k] to phi[k+1] on [t[k], t[k+1]] (equal
+    abscissae make a jump) and ``phi_out`` beyond t[-1].  A side's exponent is
 
         E(z) = (1/pi) int_0^inf phi(t) (1/(1+t) - 1/(z+t)) dt
 
@@ -171,10 +168,8 @@ class _Cells:
 
     def __init__(self, *sides):
         cells, consts, ends = [], [], [0]
-        for t, phi, phi_in, phi_out in sides:
-            consts.append((phi_in if t[0] > 0.0 else phi[0], phi_out, t[-1]))  # phi(0+), phi_out, t_out
-            t = np.concatenate([[0.0], t])
-            p = np.concatenate([[phi_in], phi])
+        for t, p, phi_out in sides:
+            consts.append((p[0], phi_out, t[-1]))  # phi(0+), phi_out, t_out
             keep = (t[1:] > t[:-1]) & ((p[:-1] != 0.0) | (p[1:] != 0.0))
             cells.append((t[:-1][keep], t[1:][keep], p[:-1][keep], p[1:][keep]))
             ends.append(ends[-1] + int(keep.sum()))
@@ -203,19 +198,18 @@ class _Cells:
 
     def side(self, k):
         """Side k as a one-side record on views of this record's arrays, with no kernel pass."""
-        one, cells, row = object.__new__(_Cells), self.cols[k], slice(k, k + 1)
-        for name in ("a", "b", "pa", "pb", "w", "slope"):
-            setattr(one, name, getattr(self, name)[cells])
-        for name in ("dsums", "j_ones", "e_zeros", "phi_zeros", "phi_outs", "t_outs"):
-            setattr(one, name, getattr(self, name)[row])
+        one, c, r = object.__new__(_Cells), self.cols[k], slice(k, k + 1)
+        one.a, one.b, one.pa, one.pb = self.a[c], self.b[c], self.pa[c], self.pb[c]
+        one.w, one.slope = self.w[c], self.slope[c]
+        one.dsums, one.j_ones, one.e_zeros = self.dsums[r], self.j_ones[r], self.e_zeros[r]
+        one.phi_zeros, one.phi_outs, one.t_outs = self.phi_zeros[r], self.phi_outs[r], self.t_outs[r]
         one.cols, one.first = (slice(None),), None
         return one
 
     @cached_property
     def e_one(self):
         """E+(-i) + E-(i) of a two-side record, the exponent at xi = 1, from one pass."""
-        e = self._exponents(_ROTATIONS)[0]
-        return complex(e[0, 0] + e[1, 0])
+        return complex(self._exponents(_ROTATIONS)[0].sum())
 
     def exponent(self, z):
         """E(z) of a one-side record at complex z (scalar or array)."""
@@ -229,10 +223,8 @@ class _Cells:
         Returns two arrays shaped like z, the second None without ``prime``.
         All sides take one pass: each cell reads its own side's z, and each
         side is summed over its own columns, so its sums are bitwise those
-        of a pass over its cells alone.  Where every point of the call is
-        real and > 0 and ``prime`` is not asked, each cell is
-        dphi + L (pa - slope (z + a)) with L = log1p(w/(z + a)) real, and the
-        imaginary parts are 0.
+        of a pass over its cells alone; at real z > 0 (every point) without
+        ``prime`` each cell is dphi + L (pa - slope (z + a)), L = log1p(w/(z + a)).
         """
         _WORK["phi_kernel.passes"] += 1
         real = not prime and not z.imag.any() and (z.real > 0.0).all()
@@ -247,33 +239,32 @@ class _Cells:
                 y = zb + self.a
                 re = np.log1p(self.w / y)
                 re *= np.subtract(self.pa, np.multiply(self.slope, y, out=y), out=y)
-                for k, cols in enumerate(self.cols):
-                    np.add.reduce(re[:, cols], axis=1, out=re_sum[k, lo : lo + rows])
-                continue
-            zi = zb.imag
-            yr = zb.real + self.a  # y = z + a
-            d = self.w / (yr * yr + zi * zi)
-            xr = yr * d  # x = w/y
-            r2 = self.w * d  # |x|^2
-            # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
-            with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
-                lr = 0.5 * np.log1p(2.0 * xr + r2)
-            li = np.arctan2(-zi * d, 1.0 + xr)
-            far = r2 >= 0.25
-            if far.any():
-                rr, cc = np.nonzero(far)
-                zf = zb[rr, 0] if self.first is None else zb[rr, cc]
-                lf = np.log((zf + self.b[cc]) / (zf + self.a[cc]))
-                lr[far], li[far] = lf.real, lf.imag
-            # pa L + dphi (1 - L/x) = dphi + L (pa - slope y), as 1/x = y/w
-            c, sz = self.pa - self.slope * yr, self.slope * zi
-            re, im = lr * c + li * sz, li * c - lr * sz
-            if prime:
-                y, lg = yr + 1j * zi, lr + 1j * li
-                terms = self.pa / y - self.pb / (zb + self.b) + self.slope * lg
+            else:
+                zi = zb.imag
+                yr = zb.real + self.a  # y = z + a
+                d = self.w / (yr * yr + zi * zi)
+                xr = yr * d  # x = w/y
+                r2 = self.w * d  # |x|^2
+                # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
+                with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
+                    lr = 0.5 * np.log1p(2.0 * xr + r2)
+                li = np.arctan2(-zi * d, 1.0 + xr)
+                far = r2 >= 0.25
+                if far.any():
+                    rr, cc = np.nonzero(far)
+                    zf = zb[rr, 0] if self.first is None else zb[rr, cc]
+                    lf = np.log((zf + self.b[cc]) / (zf + self.a[cc]))
+                    lr[far], li[far] = lf.real, lf.imag
+                # pa L + dphi (1 - L/x) = dphi + L (pa - slope y), as 1/x = y/w
+                c, sz = self.pa - self.slope * yr, self.slope * zi
+                re, im = lr * c + li * sz, li * c - lr * sz
+                if prime:
+                    y, lg = yr + 1j * zi, lr + 1j * li
+                    terms = self.pa / y - self.pb / (zb + self.b) + self.slope * lg
             for k, cols in enumerate(self.cols):
                 np.add.reduce(re[:, cols], axis=1, out=re_sum[k, lo : lo + rows])
-                np.add.reduce(im[:, cols], axis=1, out=im_sum[k, lo : lo + rows])
+                if not real:
+                    np.add.reduce(im[:, cols], axis=1, out=im_sum[k, lo : lo + rows])
                 if prime:
                     np.add.reduce(terms[:, cols], axis=1, out=der[k, lo : lo + rows])
         re_sum += self.dsums
@@ -316,30 +307,25 @@ class _Cells:
         return slice(None) if out.all() else np.flatnonzero(out) if out.any() else None
 
 
-def _phi_sides(table: PhiTable, hold):
-    """The polylines (t, phi, phi_in, phi_out) of phi(t) and phi(-t), t > 0, read off a table
-    (see :class:`_Cells`).
+def _phi_side(table: PhiTable, sign, hold):
+    """The polyline (t, phi, phi_out) of phi(sign t), t > 0, read off a table (see :class:`_Cells`).
 
-    The inner rule is ``hold``: False interpolates phi across s = 0 as
-    ``value_at`` does, a cell straddling it split at its value there; True
-    continues the innermost value over the inner gap (0, t[1]).  A
-    piecewise-constant table is a polyline with a jump at every interior
-    breakpoint.
+    A cell straddling s = 0 is split at its value there, as ``value_at``
+    interpolates it (with ``hold``, the innermost value is held inside t[1]);
+    a piecewise-constant table is a polyline with a jump at every interior breakpoint.
     """
-    sides, bp_all, v_all = [], np.asarray(table.breakpoints), np.asarray(table.values)
-    for sign in (1.0, -1.0):
-        bp, vals = sign * bp_all, v_all
-        if sign < 0.0:
-            bp, vals = bp[::-1], vals[::-1]
-        if table.interpolation == PW_CONSTANT:
-            phi0 = vals[min(max(np.searchsorted(bp, 0.0, side="right") - 1, 0), len(vals) - 1)]
-            bp, vals = np.repeat(bp, 2)[1:-1], np.repeat(vals, 2)
-        else:
-            phi0 = np.interp(0.0, bp, vals)
-        pos = bp > 0.0
-        phi0 = vals[pos][0] if hold else phi0
-        sides.append((np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), phi0, vals[-1]))
-    return sides
+    bp = sign * np.asarray(table.breakpoints)
+    vals = np.asarray(table.values)
+    if sign < 0.0:
+        bp, vals = bp[::-1], vals[::-1]
+    if table.interpolation == PW_CONSTANT:
+        phi0 = vals[min(max(np.searchsorted(bp, 0.0, side="right") - 1, 0), len(vals) - 1)]
+        bp, vals = np.repeat(bp, 2)[1:-1], np.repeat(vals, 2)
+    else:
+        phi0 = np.interp(0.0, bp, vals)
+    pos = bp > 0.0
+    phi0 = vals[pos][0] if hold else phi0
+    return np.append(0.0, bp[pos]), np.append(phi0, vals[pos]), vals[-1]
 
 
 def _hash_once(cls):

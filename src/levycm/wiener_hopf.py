@@ -149,10 +149,7 @@ def build_phi_table(spec):
 class FactorHandle:
     """Evaluator for one Wiener-Hopf factor under c+ = c- = sqrt(c).
 
-    Both sides read the table's one record of factor kernels
-    (``PhiTable._factors``): each side's breakpoints of the
-    :func:`build_phi_table` table, the innermost value held across the
-    inner gap (0, s_first), with no interpolation across s = 0.  The
+    Both sides read the table's one record ``PhiTable._factors``.  The
     representation constant c is anchored at xi = 1 so that the two
     factors reconstruct f exactly there.  Ratios and products against the
     complementary handle are unchanged when ``scale`` is multiplied by some
@@ -164,10 +161,9 @@ class FactorHandle:
         self.spec = spec
         self.side = side
         self.table = get_phi_table(spec)
-        factors = self.table._factors
-        self._side = factors.side(0 if side == PLUS else 1)
+        self._side = self.table._factors.side(0 if side == PLUS else 1)
         # anchor: f(1) = c exp(E+(-i) + E-(i)) under f(xi) = f+(-i xi) f-(i xi), one pass per table
-        self.c_const = abs(eval_f(spec, 1.0 + 0.0j) * cmath.exp(-factors.e_one))
+        self.c_const = abs(eval_f(spec, 1.0 + 0.0j) * cmath.exp(-self.table._factors.e_one))
         self.scale = math.sqrt(self.c_const)
 
     def eval(self, xi):

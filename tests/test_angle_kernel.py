@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from levycm import eval_f, eval_f_prime, f_limits
-from levycm.rogers import _Cells, _phi_sides
+from levycm.rogers import _Cells, _phi_side
 from levycm.specio import SHOWCASE
 from levycm.wiener_hopf import get_factor_handle, get_phi_table
 
@@ -200,7 +200,7 @@ class TestRealArgument:
     def test_exponent_against_quadrature(self, name, k):
         """Imaginary part exactly 0; 30-digit quadrature to 1e-13 (CONST has jump cells)."""
         table = {"lin5": LIN5, "const": CONST}[name].phi
-        side = _Cells(_phi_sides(table, False)[k])
+        side = _Cells(_phi_side(table, (1.0, -1.0)[k], False))
         got = side.exponent(self.Z)
         assert (got.imag == 0.0).all()
         with mp.workdps(30):
@@ -216,7 +216,7 @@ class TestRealArgument:
         log1p of |1 + x|^2 - 1 and arctan2, log((z+b)/(z+a)) where |x| >= 1/2), relative to
         their terms, and E within 1e-14 of the 40-digit oracle."""
         table = lin200().phi
-        side = _Cells(_phi_sides(table, False)[k])
+        side = _Cells(_phi_side(table, (1.0, -1.0)[k], False))
         z = np.array([1e-8, 1.0, 1e8])
         y = z[:, None] + side.a
         x = side.w / y

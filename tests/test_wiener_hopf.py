@@ -999,7 +999,7 @@ def _two_record_handle(spec, side):
         if side == "minus":
             s, v = -s[::-1], v[::-1]
         s, p = s[s > 0.0], v[s > 0.0]
-        return rogers._Cells((s, p, p[0], p[-1]))
+        return rogers._Cells((np.append(0.0, s), np.append(p[0], p), p[-1]))
 
     own, other = record(side), record("minus" if side == "plus" else "plus")
     z = -1j if side == "plus" else 1j

@@ -54,6 +54,10 @@ Compares two checkouts of the repository, a parent and a change:
   fresh ``PhiRep`` of the L0 table, and of the first ``eval_f`` (the mixed
   batch) on another: building the table's kernel record is one pass, for
   both sides' constants.
+* L2, cold (``factor_pair``): the phi-kernel passes and wall time of one
+  ``factor_pair`` on ``PAIR``, its phi table built beforehand and no
+  handle cached: the table's record of both factor sides is one pass, the
+  pair's anchor another.
 * on both sides (``wh_cold_spine``), run by this file against each
   checkout's library: the refinement rounds, spine radii and lockstep steps
   summed over the spine-ratio ops (``wh_ratio.spine``) of one ``wh_cold``
@@ -116,6 +120,7 @@ L0_SPECS = (
     ("phi_rep", None, ((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"), 0.0),
     ("shifted_phi_rep", None, ((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6), "piecewise-linear"), 0.5),
 )
+PAIR = ("tempered_stable", 0.3)  # preset and shift of the cold factor_pair
 # op kinds (prefixes) of the benchmark's workloads that reach the bd contour integral
 MEMO_OPS = ("pr_laplace", "wh_ratio.bd", "mc_job.")
 _HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
@@ -320,6 +325,20 @@ def l0_work():
     return out
 
 
+def pair_work():
+    """Phi-kernel passes and ms of one cold factor_pair on ``PAIR``, its table built first."""
+    from levycm import shift_spec, wiener_hopf
+    from levycm.specio import SHOWCASE
+
+    spec = shift_spec(SHOWCASE[PAIR[0]], PAIR[1])
+    wiener_hopf._PHI_CACHE.clear()
+    wiener_hopf._HANDLE_CACHE.clear()
+    wiener_hopf.get_phi_table(spec)
+    t0 = time.perf_counter()
+    _, n = work(wiener_hopf.factor_pair, spec)
+    return {"kernel_passes": n["phi_kernel.passes"], "ms": 1e3 * (time.perf_counter() - t0)}
+
+
 def probe():
     """Monte Carlo job work, then spine-ratio, spine-table, contour, sup_tail and phi-table figures
     per preset (JSON on stdout)."""
@@ -354,7 +373,7 @@ def probe():
     geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
     seed_nodes = numerics._geometry(0.0, math.inf, (0.0,))[3][1].size  # built apart from the memo
     print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "seed_nodes": seed_nodes,
-                      "l0": l0_work(), "l0_cold": l0_cold_work()}))
+                      "l0": l0_work(), "l0_cold": l0_cold_work(), "factor_pair": pair_work()}))
 
 
 def memo_share(seconds):
@@ -464,6 +483,8 @@ def main(argv=None):
         "l0_batch": L0_BATCH,
         "l0": {side: p["l0"] for side, p in probes.items()},
         "l0_cold": {side: p.get("l0_cold") for side, p in probes.items()},
+        "factor_pair": {"preset": PAIR[0], "shift": PAIR[1],
+                        **{side: p.get("factor_pair") for side, p in probes.items()}},
         "seed_memo": {"seed": 1, "seconds": args.seconds, "ops": list(MEMO_OPS),
                       "change": run_probe(args.change, "--memo-share", "--seconds", str(args.seconds))},
         "wh_cold_spine": {"seed": 1, "seconds": args.seconds,
