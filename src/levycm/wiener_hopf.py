@@ -181,8 +181,8 @@ class FactorHandle:
     __call__ = eval
 
 
-_PHI_CACHE = _LRU(64)  # spec -> table, 0.14-0.25 MB each (README, "Caching")
-_HANDLE_CACHE = _LRU(64)  # (spec, side) -> handle, up to 0.11 MB besides its table
+_PHI_CACHE = _LRU(64)  # spec -> table, 0.14-0.25 MB each and its factor record (README, "Caching")
+_HANDLE_CACHE = _LRU(64)  # (spec, side) -> handle, ~2 kB besides its table
 _ENGINE_CACHE = _LRU(16)  # spec -> engine, 26-79 kB of spine sample arrays after one ratio
 
 
