@@ -36,6 +36,7 @@ from .wiener_hopf import (
     _bd_kappa,
     _check_side,
     get_factor_handle,
+    get_phi_table,
     get_spine_engine,
     wh_ratio,
 )
@@ -197,15 +198,18 @@ class _SupTailEvaluator:
     and an atom f(0+) [f-(t0)/f-(0)] / (t0 re(i f'(+0 - it0))) at each zero
     t0 > 0 of f(-it).  Nodes ``t`` and coefficients ``c`` (w m / pi, then
     ``atoms`` and ``masses``; only the pairs with c != 0) give
-    P(M > x) = sum c exp(-x t).  Raises :class:`DomainError` where the
-    phi-route f-(0) vanishes.
+    P(M > x) = sum c exp(-x t).  The ratio f-(t)/f-(0) = exp(E-(t) - E-(0))
+    is read off the phi table's record of the factor kernels, whatever the
+    factor's normalization; :class:`DomainError` where E-(0) = -inf (the
+    phi-route f-(0) vanishes).
     """
 
     def __init__(self, spec, sigma):
         self.spec = shift_spec(spec, float(sigma))
-        self.handle = get_factor_handle(self.spec, MINUS)
-        self.f_minus_0 = complex(self.handle.eval(0.0 + 0.0j)).real
-        if not self.f_minus_0 > 0.0:
+        self.table = get_phi_table(self.spec)
+        self.minus = self.table._factors.side(1)
+        self.e_minus_0 = float(self.minus.e_zeros[0, 0])
+        if not self.e_minus_0 > -math.inf:
             raise DomainError("f_sigma^-(0) must be positive")
         self.f_zero = f_limits(self.spec).f_at_zero
         self.atoms, self.masses = self._zeros(), np.zeros(0)
@@ -217,23 +221,23 @@ class _SupTailEvaluator:
         self.t, self.c = t[c != 0.0], c[c != 0.0]
 
     def _ratio(self, t):
-        """f-(t)/f-(0) at an array of t >= 0, in one handle evaluation."""
-        return self.handle.eval(t).real / self.f_minus_0
+        """f-(t)/f-(0) at an array of t > 0, in one kernel pass."""
+        return np.exp(self.minus.exponent(t).real - self.e_minus_0)
 
     def _zeros(self):
         """Zeros t0 > 0 of f(-it) in the cells of the phi table (split there to 1e-10 relative) where
-        f(+0 - is) is real at both ends and falls from > 0 to <= 0 (a pole rises): one lockstep
-        solve of -re f(+0 - it) (an ``_axis_limit`` call a step) to final brackets of 1e-15 t."""
-        s = np.asarray(self.handle.table.breakpoints)
-        s = s[s > 0.0]
-        v = _axis_limit(self.spec, -s)
-        real = v.imag == 0.0
-        k = np.flatnonzero(real[:-1] & real[1:] & (v.real[:-1] > 0.0) & (v.real[1:] <= 0.0))
+        phi goes from 0 to pi, that is f(+0 - is) is real at both ends and falls from > 0 to <= 0
+        (a pole rises): one lockstep solve of -re f(+0 - it) (an ``_axis_limit`` call a step) to
+        final brackets of 1e-15 t."""
+        s, p = np.asarray(self.table.breakpoints), np.asarray(self.table.values)
+        k = np.flatnonzero((s[:-1] > 0.0) & (p[:-1] == 0.0) & (p[1:] == math.pi))
+        lo, hi = s[k], s[k + 1]
+        g_lo, g_hi = -_axis_limit(self.spec, -np.concatenate([lo, hi])).real.reshape(2, -1)
 
         def g(idx, t):
             return -_axis_limit(self.spec, -t).real
 
-        return _lockstep_root(g, s[k], s[k + 1], -v.real[k], -v.real[k + 1], 1e-15 * s[k + 1])
+        return _lockstep_root(g, lo, hi, g_lo, g_hi, 1e-15 * hi)
 
     def density(self, t):
         """Density m(t) >= 0 of the measure at an array of t > 0; 0 where f(+0 - it) is real.

@@ -163,7 +163,8 @@ class _Cells:
     columns with one row per side: ``dsums`` (the sum of dphi), ``j_ones``
     (int phi/(1+t), all sides from one kernel pass), ``e_zeros`` (E(0)),
     ``phi_zeros`` (phi(0+)), ``phi_outs`` and ``t_outs``; ``out_rows``
-    selects the sides with phi_out != 0.
+    selects the sides with phi_out != 0, and past |z| = ``far`` no cell is
+    summed (:meth:`_exponents`).
     """
 
     def __init__(self, *sides):
@@ -195,6 +196,7 @@ class _Cells:
             e_zero = (self.j_ones[k, 0] - j_zero + outer) / math.pi
             e_zeros.append(-math.inf if self.phi_zeros[k, 0] > 1e-9 else e_zero)
         self.e_zeros = np.array(e_zeros)[:, None]
+        self.far = max(2.0**500, 2.0**60 * self.t_outs.max())
 
     def side(self, k):
         """Side k as a one-side record on views of this record's arrays, with no kernel pass."""
@@ -203,7 +205,7 @@ class _Cells:
         one.w, one.slope = self.w[c], self.slope[c]
         one.dsums, one.j_ones, one.e_zeros = self.dsums[r], self.j_ones[r], self.e_zeros[r]
         one.phi_zeros, one.phi_outs, one.t_outs = self.phi_zeros[r], self.phi_outs[r], self.t_outs[r]
-        one.cols, one.first = (slice(None),), None
+        one.cols, one.first, one.far = (slice(None),), None, self.far
         return one
 
     @cached_property
@@ -279,16 +281,20 @@ class _Cells:
         There E = E(0): -inf where phi(0+) > 1e-9; below that, the constant
         part of phi on a cell touching t = 0 is dropped as negligible (its
         integral diverges there).  E' is not defined there; the kernel's
-        value is returned.
+        value is returned.  Past |z| = ``far`` (2^500, or 2^60 times the last
+        breakpoint) the cells add below 2^-60 of E and E', and their terms
+        overflow: their sums are taken as 0, and the constants give E.
         """
         nz = z[0] != 0.0
-        if not prime and not nz.all():
-            out = np.empty(z.shape, dtype=complex)
-            out[...] = self.e_zeros
-            if nz.any():
-                out[:, nz] = self._exponents(z[:, nz])[0]
-            return out, None
-        val, der = self._cell_sums(z, prime)
+        run = ~(np.abs(z[0]) > self.far) & (nz | prime)  # the points whose cells are summed
+        if run.all():
+            val, der = self._cell_sums(z, prime)
+        else:
+            val, der = np.zeros(z.shape, dtype=complex), np.zeros(z.shape, dtype=complex)
+            if run.any():
+                val[:, run], d = self._cell_sums(z[:, run], prime)
+                if prime:
+                    der[:, run] = d
         val = self.j_ones - val
         o = self.out_rows
         if o is not None:
@@ -668,44 +674,30 @@ def f_limits(spec) -> LimitsResult:
 
 
 def _rational_limits(spec: RationalProduct):
-    zero_order = sum(f.exponent for f in spec.factors if f.m == 0.0)
-    degree = sum(f.exponent for f in spec.factors)
-    if zero_order > 0:
-        zero = 0.0
-    elif zero_order < 0:
-        zero = math.inf
-    else:
-        val = complex(spec.prefactor)
-        for f in spec.factors:
-            rot = -1j if f.orientation == _MINUS_I else 1j
-            base = rot * 0.0 + f.m if f.m > 0.0 else rot
-            val = val * base if f.exponent == 1 else val / base
-        zero = max(val.real, 0.0)
-    if degree > 0:
-        inf = math.inf
-    elif degree < 0:
-        inf = 0.0
-    else:
-        val = complex(spec.prefactor)
-        for f in spec.factors:
-            rot = -1j if f.orientation == _MINUS_I else 1j
-            val = val * rot if f.exponent == 1 else val / rot
-        inf = max(val.real, 0.0)
+    """f(0+) and f(inf-) from the orders of f at 0 and at inf and, where an order is 0, its
+    leading coefficient; both coefficients are accumulated in one pass over the factors."""
+    zero_order = degree = 0
+    at_zero = at_inf = complex(spec.prefactor)
+    for f in spec.factors:
+        rot = -1j if f.orientation == _MINUS_I else 1j
+        base = rot * 0.0 + f.m if f.m > 0.0 else rot
+        zero_order += f.exponent if f.m == 0.0 else 0
+        degree += f.exponent
+        if f.exponent == 1:
+            at_zero, at_inf = at_zero * base, at_inf * rot
+        else:
+            at_zero, at_inf = at_zero / base, at_inf / rot
+    zero = 0.0 if zero_order > 0 else math.inf if zero_order < 0 else max(at_zero.real, 0.0)
+    inf = math.inf if degree > 0 else 0.0 if degree < 0 else max(at_inf.real, 0.0)
     return LimitsResult(zero, inf)
 
 
 def _phirep_limits(spec: PhiRep):
+    """f(0+) = c exp(E+(0) + E-(0)), 0 where a side has inner support (E(0) = -inf, see
+    :class:`_Cells`), and f(inf-) = c exp((1/pi) int phi(s)/(1 + |s|) ds), inf where phi_out != 0."""
     pair = spec.phi._pair
-    # f(0+) = c exp(E+(0) + E-(0)); diverges to 0 unless phi vanishes at 0
-    if pair.phi_zeros.max() > 1e-12:
-        zero = 0.0
-    else:
-        zero = spec.c * math.exp(pair.e_zeros.sum())
-    # f(inf-) = c exp((1/pi) int phi(s) / (1+|s|) ds); diverges -> inf
-    if pair.phi_outs.max() > 1e-12:
-        inf = math.inf
-    else:
-        inf = spec.c * math.exp(pair.j_ones.sum() / math.pi)
+    zero = spec.c * math.exp(pair.e_zeros.sum())
+    inf = math.inf if pair.out_rows is not None else spec.c * math.exp(pair.j_ones.sum() / math.pi)
     return LimitsResult(zero, inf)
 
 

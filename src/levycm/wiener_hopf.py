@@ -160,10 +160,10 @@ class FactorHandle:
         _check_side(side)
         self.spec = spec
         self.side = side
-        self.table = get_phi_table(spec)
-        self._side = self.table._factors.side(0 if side == PLUS else 1)
+        factors = get_phi_table(spec)._factors
+        self._side = factors.side(0 if side == PLUS else 1)
         # anchor: f(1) = c exp(E+(-i) + E-(i)) under f(xi) = f+(-i xi) f-(i xi), one pass per table
-        self.c_const = abs(eval_f(spec, 1.0 + 0.0j) * cmath.exp(-self.table._factors.e_one))
+        self.c_const = abs(eval_f(spec, 1.0 + 0.0j) * cmath.exp(-factors.e_one))
         self.scale = math.sqrt(self.c_const)
 
     def eval(self, xi):

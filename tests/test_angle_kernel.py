@@ -14,10 +14,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from levycm import eval_f, eval_f_prime, f_limits
+from levycm import PhiRep, PhiTable, eval_f, eval_f_prime, f_limits, shift_spec
 from levycm.rogers import _Cells, _phi_side
 from levycm.specio import SHOWCASE
-from levycm.wiener_hopf import get_factor_handle, get_phi_table
+from levycm.wiener_hopf import closed_form_factors, get_factor_handle, get_phi_table, wh_ratio
 
 from conftest import CONST, LIN5, VANISHING, lin200
 
@@ -237,3 +237,69 @@ class TestRealArgument:
             oracle = [_mp_side(cells, zk).real for zk in z]
         for zk, g, w in zip(z, e.real, oracle):
             assert abs(g - float(w)) <= 1e-14 * max(1.0, abs(float(w))), (k, zk)
+
+
+class TestLimitsFromTheRecord:
+    """f_limits reads E(0) and the outer terms off the table's record: phi(0+) > 1e-9 makes E(0)
+    = -inf, and any phi_out != 0 makes f unbounded, with no cut-off of its own."""
+
+    def test_small_inner_angle(self):
+        """phi(0+) = 5e-11 is below the record's 1e-9: f(0+) is finite, the limit of f at 0."""
+        spec = PhiRep(1.0, PhiTable((-2.0, -0.5, 0.5, 2.0), (1.0, 5e-11, 5e-11, 1.0)))
+        zero = f_limits(spec).f_at_zero
+        assert 0.0 < zero < math.inf
+        assert abs(zero - eval_f(spec, 1e-12).real) <= 1e-8 * zero
+        assert eval_f(spec, 0.0) == zero
+
+    def test_small_outer_angle(self):
+        """phi_out = 5e-13: f grows like xi^(5e-13/pi), so f(inf-) is infinite."""
+        table = VANISHING.phi
+        spec = PhiRep(VANISHING.c, PhiTable(table.breakpoints, table.values[:-1] + (5e-13,)))
+        assert math.isfinite(f_limits(VANISHING).f_at_infinity)
+        assert f_limits(spec).f_at_infinity == math.inf
+
+
+# bounded, with phi(0+) != 0 on both sides: the cells' dphi do not sum to 0 on either side
+BOUNDED = PhiRep(1.0, PhiTable((-3.0, -1.0, 0.5, 2.0), (0.0, 1.2, 0.9, 0.0)))
+FAR = [1e150, 1e155, 1e200, 1e298, 1e299, 1e300, 1e307]
+
+
+class TestFarField:
+    """Past 2^500 the cells add nothing to E that a double holds, and their terms overflow: the
+    record's constants give E, with no RuntimeWarning (an error in this suite)."""
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_bm_drift_factor(self, side):
+        """f^side(xi)/f^side(1) against the closed form (xi + k)/(1 + k) on both axes: the quotient
+        stays at its value at 1e10 (the table's own error, within 1e-11 on the plus side)."""
+        spec = shift_spec(SHOWCASE["bm_drift"], 0.5)
+        f0, f1 = (closed_form_factors("bm_drift", side, x, b=1.0, sigma=0.5) for x in (0.0, 1.0))
+        k = f0 / (f1 - f0)
+        handle = get_factor_handle(spec, side)
+        for axis in (1.0, 1j):
+            q = [complex(handle.eval(axis * x) / handle.eval(1.0)) / ((axis * x + k) / (1.0 + k))
+                 for x in [1e10] + FAR]
+            assert all(abs(v - q[0]) <= 2e-13 for v in q), (axis, q)
+            assert side == "minus" or abs(q[0] - 1.0) <= 1e-11, q[0]
+
+    def test_bm_drift_ratio(self):
+        spec = shift_spec(SHOWCASE["bm_drift"], 0.5)
+        k = math.sqrt(2.0) - 1.0
+        want = (1.0 + k) / (1e299 + k)
+        assert abs(wh_ratio(spec, "phi", "plus", 1.0, 1e299) - want) <= 1e-11 * want
+
+    def test_bounded_phirep(self):
+        """f(xi) tends to f(inf-); the kernel's value and derivative at 2^500 and past it."""
+        inf = f_limits(BOUNDED).f_at_infinity
+        assert math.isfinite(inf)
+        for xi in (1e155, 1e155j, 1e300, -1e300 + 1e300j):
+            assert abs(eval_f(BOUNDED, xi) - inf) <= 1e-13 * inf, xi
+            assert eval_f_prime(BOUNDED, xi) == 0.0
+
+    def test_the_cut_is_per_point(self):
+        """A batch mixing near and far points gives each point its value on its own."""
+        xi = np.array([0.3 + 0.1j, 1.0 + 1e155j, 2.0, 1e300, -1e200 + 1.0j])
+        for spec in (LIN5, BOUNDED):
+            for f in (eval_f, eval_f_prime):
+                got = f(spec, xi)
+                assert got.tobytes() == np.array([f(spec, complex(x)) for x in xi]).tobytes()

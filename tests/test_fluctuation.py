@@ -31,7 +31,7 @@ from levycm.fluctuation import (
     sigma_stieltjes_function,
     sup_tail,
 )
-from levycm.numerics import _LRU, QuadratureConfig, integrate_adaptive, make_rng, work_counts
+from levycm.numerics import _LRU, QuadratureConfig, _lockstep_root, integrate_adaptive, make_rng, work_counts
 from levycm.rogers import _axis_limit
 from levycm.wiener_hopf import FactorHandle, closed_form_factors, factor_pair, wh_ratio
 
@@ -419,14 +419,15 @@ class TestSupTail:
     @pytest.mark.parametrize("name", ["bm_drift", "rational_pole_pair"])
     def test_zero_density_takes_no_ratio_pass(self, monkeypatch, name):
         """A cold set-up on a spec whose measure is atoms only: the table's record of both
-        factor sides (one pass for their constants) and the pair's anchor (one), then f-(t) at
-        the atom.  The quadrature nodes, where f(+0 - it) is real, take none."""
+        factor sides (one pass for their constants), then f-(t) at the atom.  No factor handle
+        is built, and the quadrature nodes, where f(+0 - it) is real, take no pass."""
         for cache in ("_PHI_CACHE", "_HANDLE_CACHE"):
             monkeypatch.setattr(wiener_hopf, cache, _LRU(4))
         before = work_counts()["phi_kernel.passes"]
         ev = fluctuation._SupTailEvaluator(SHOWCASE[name], 0.5)
         assert ev.atoms.size == 1 and ev.t.size == 1
-        assert work_counts()["phi_kernel.passes"] - before == 3
+        assert work_counts()["phi_kernel.passes"] - before == 2
+        assert len(wiener_hopf._HANDLE_CACHE) == 0
 
     def test_unconverged_nodes_raise(self, monkeypatch):
         real = fluctuation.refine_panels
@@ -448,6 +449,50 @@ class TestSupTail:
         assert calls == []
         assert second.value is not first.value
         assert str(second.value) == str(first.value)
+
+
+class _HandleEvaluator(fluctuation._SupTailEvaluator):
+    """The set-up through a normalized factor handle: f-(t)/f-(0) as a quotient of handle values,
+    and the atoms bracketed by a scan of f(+0 - is) at every positive breakpoint of the table."""
+
+    def _ratio(self, t):
+        handle = FactorHandle(self.spec, "minus")
+        return handle.eval(t).real / complex(handle.eval(0.0 + 0.0j)).real
+
+    def _zeros(self):
+        s = np.asarray(wiener_hopf.get_phi_table(self.spec).breakpoints)
+        s = s[s > 0.0]
+        v = _axis_limit(self.spec, -s)
+        real = v.imag == 0.0
+        k = np.flatnonzero(real[:-1] & real[1:] & (v.real[:-1] > 0.0) & (v.real[1:] <= 0.0))
+
+        def g(idx, t):
+            return -_axis_limit(self.spec, -t).real
+
+        return _lockstep_root(g, s[k], s[k + 1], -v.real[k], -v.real[k + 1], 1e-15 * s[k + 1])
+
+
+class TestSupTailRecord:
+    """The set-up reads E-(0) and E-(t) off the table's record of the factor kernels and brackets
+    the atoms on the table's phi values."""
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_matches_the_handle_set_up(self, name, shift):
+        """Atoms and nodes bitwise, coefficients and masses within 1e-15 of the handle's set-up;
+        the same set-ups raise, where the handle's f-(0) is 0."""
+        spec = shift_spec(SHOWCASE[name], shift)
+        for sigma in (0.5, 1.3, 2.0):
+            handle = FactorHandle(shift_spec(spec, sigma), "minus")
+            if not complex(handle.eval(0.0 + 0.0j)).real > 0.0:
+                with pytest.raises(DomainError, match="f_sigma"):
+                    fluctuation._SupTailEvaluator(spec, sigma)
+                continue
+            ev, ref = fluctuation._SupTailEvaluator(spec, sigma), _HandleEvaluator(spec, sigma)
+            assert ev.atoms.tobytes() == ref.atoms.tobytes()
+            assert ev.t.tobytes() == ref.t.tobytes()
+            assert np.all(np.abs(ev.c - ref.c) <= 1e-15 * np.abs(ref.c))
+            assert np.all(np.abs(ev.masses - ref.masses) <= 1e-15 * ref.masses)
 
 
 class TestCorollaryA:

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import mpmath as mp
 import numpy as np
@@ -365,6 +365,53 @@ class TestLimits:
                 assert eval_f(spec, 1e8 + 0.0j).real == pytest.approx(
                     lim.f_at_infinity, rel=1e-6
                 )
+
+
+def _two_loop_rational_limits(spec):
+    """f(0+) and f(inf-) of a RationalProduct, each leading coefficient in a loop of its own."""
+    zero_order = sum(f.exponent for f in spec.factors if f.m == 0.0)
+    degree = sum(f.exponent for f in spec.factors)
+    zero = inf = None
+    if zero_order == 0:
+        val = complex(spec.prefactor)
+        for f in spec.factors:
+            rot = -1j if f.orientation == "minus-i" else 1j
+            base = rot * 0.0 + f.m if f.m > 0.0 else rot
+            val = val * base if f.exponent == 1 else val / base
+        zero = max(val.real, 0.0)
+    if degree == 0:
+        val = complex(spec.prefactor)
+        for f in spec.factors:
+            rot = -1j if f.orientation == "minus-i" else 1j
+            val = val * rot if f.exponent == 1 else val / rot
+        inf = max(val.real, 0.0)
+    zero = 0.0 if zero_order > 0 else math.inf if zero_order < 0 else zero
+    inf = math.inf if degree > 0 else 0.0 if degree < 0 else inf
+    return zero, inf
+
+
+class TestRationalLimits:
+    def test_one_pass_matches_two_loops(self):
+        """Both limits bitwise those of a loop per coefficient, on the rational presets, their
+        shifts and seeded products whose orders at 0 and at inf are 0 in about half the draws."""
+        specs = [SHOWCASE[k] for k in sorted(SHOWCASE) if isinstance(SHOWCASE[k], RationalProduct)]
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            factors = tuple(
+                (str(rng.choice(["minus-i", "plus-i"])), float(rng.choice([0.0, rng.uniform(0.1, 3.0)])),
+                 int(rng.choice([-1, 1])))
+                for _ in range(int(rng.integers(0, 5)))
+            )
+            specs.append(RationalProduct(float(rng.uniform(0.1, 3.0)), factors))
+        orders = set()
+        for spec in specs:
+            want = _two_loop_rational_limits(spec)
+            for shift in (0.0, 0.5):
+                got = astuple(f_limits(shift_spec(spec, shift)))
+                shifted = [v + shift for v in want] if shift else want
+                assert [v.hex() for v in got] == [v.hex() for v in shifted], (spec, shift)
+            orders.add(tuple(math.isfinite(v) and v > 0.0 for v in want))
+        assert orders == {(a, b) for a in (False, True) for b in (False, True)}
 
 
 class TestPredicates:

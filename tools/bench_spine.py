@@ -7,10 +7,8 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset, one cold spine ratio f_0.2^+(0.3)/f_0.2^+(1.5) on a fresh
   ``SpineStieltjes`` (its ``kappa`` of two terms): its refinement rounds
   (``estimate`` calls of ``refine_panels``), spine points solved (radii
-  passed to ``solve_spine``), the radii its seed round solved
-  (``seed_radii``: those of the first ``estimate`` call, counted on one more
-  cold ratio), its lockstep steps and points (see below) and the median wall
-  time of five cold repeats;
+  passed to ``solve_spine``), its lockstep steps and points (see below) and
+  the median wall time of five cold repeats;
 * per preset, ``build_spine_table`` with ``SPINE_TABLE_N`` samples on
   ``default_spine_range``: the median wall time of five builds, the
   number of Z intervals, one build's ``solve_spine`` calls and radii, and
@@ -38,8 +36,8 @@ Compares two checkouts of the repository, a parent and a change:
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
   node count, atom count, total mass, the lockstep steps of its atom
   solve (``zero_steps``) and its phi-kernel passes (``kernel_passes``:
-  the factor handle's kernels, f^-(t) at the atoms and at the quadrature
-  nodes with density), or the name of the exception;
+  the constants of the phi table's factor record, f^-(t) at the atoms and
+  at the quadrature nodes with density), or the name of the exception;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
   the six joint queries): contour integrals and wall time of each.
@@ -145,31 +143,6 @@ def spine_ratio(engine):
     """The probe's spine ratio."""
     x1, x2, side, tau = RATIO
     return engine.kappa(((side, tau, x1, 1), (side, tau, x2, -1)))
-
-
-def seed_radii(spec):
-    """Spine radii that the seed round of the probe's spine ratio solves on a fresh engine."""
-    from levycm import wiener_hopf
-    from levycm.numerics import work_counts
-
-    seed = []
-    refine = wiener_hopf.refine_panels
-
-    def counted(estimate, *args, **kwargs):
-        def first(lo, hi):
-            before = work_counts()["solve_spine.radii"]
-            out = estimate(lo, hi)
-            seed.append(work_counts()["solve_spine.radii"] - before)
-            return out
-
-        return refine(first, *args, **kwargs)
-
-    wiener_hopf.refine_panels = counted
-    try:
-        spine_ratio(wiener_hopf.SpineStieltjes(spec))
-    finally:
-        wiener_hopf.refine_panels = refine
-    return seed[0]
 
 
 def table_work(spec):
@@ -354,7 +327,6 @@ def probe():
             value, n = work(spine_ratio, wiener_hopf.SpineStieltjes(SHOWCASE[name]))
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": n["refine_panels.rounds"], "spine_points": n["solve_spine.radii"],
-                     "seed_radii": seed_radii(SHOWCASE[name]),
                      "lockstep": {"steps": n["lockstep.steps"], "points": n["lockstep.points"]},
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
                      "spine_table": table_work(SHOWCASE[name]),
