@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +138,7 @@ class QuadratureConfig:
         object.__setattr__(self, "singular_points", pts)
 
 
-@dataclass(frozen=True)
-class PanelSum:
+class PanelSum(NamedTuple):
     """Summed value and error of :func:`refine_panels` and its final panels."""
 
     value: complex
@@ -173,13 +173,13 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     hi = np.asarray(hi, dtype=float)
     # lo, hi, value, err, rows: the first n entries of buffers that double when full (the first
     # round copies the initial arrays into new ones, so no array passed in is written to)
-    bufs = [np.asarray(a) for a in (lo, hi, *estimate(lo, hi))]
+    bufs = [lo, hi, *map(np.asarray, estimate(lo, hi))]
     n = lo.size
     splits = 0
     while True:
         lo, hi, value, err, rows = (b[:n] for b in bufs) if splits else bufs
-        err_sum = float(err.sum())
-        goal = max(abs_tol, rel_tol * abs(value.sum()))
+        err_sum, total = float(np.add.reduce(err)), np.add.reduce(value)
+        goal = max(abs_tol, rel_tol * abs(total))
         if err_sum <= goal or splits >= max_splits:
             break
         mid = 0.5 * (lo + hi)
@@ -205,7 +205,7 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
         bufs[2][sel], bufs[3][sel], bufs[4][sel] = v2[:m], e2[:m], r2[:m]
         n += m
         splits += m
-    return PanelSum(value.sum(), err_sum, err_sum <= goal, lo, hi, rows)
+    return PanelSum(total, err_sum, err_sum <= goal, lo, hi, rows)
 
 
 def gk15_nodes(lo, hi):
@@ -304,7 +304,9 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     evaluated.  On the seed panels the integrand receives the read-only
     array of their evaluable nodes kept with the geometry, the same values
     on every call on the domain and the only read-only array it is passed,
-    so an integrand may keep its values there from one call to the next.
+    so an integrand may keep its values there from one call to the next,
+    and their panel sums are one ``einsum`` of the Kronrod and Kronrod -
+    Gauss weights kept there.  Rows keep the integrand's dtype.
 
     Returns ``(value, err_estimate)``; raises :class:`QuadratureError` with
     the partial value attached when ``max_subdivisions`` is exhausted or a
@@ -317,13 +319,15 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     skipped = []
 
     def estimate(lo, hi):  # refine_panels passes the seed panels on as they are
-        w, s, weight, on = seed if lo is p_lo else nodes(lo, hi)
-        skipped.append(not on.all())
-        if skipped[-1]:
-            rows = np.zeros(on.shape, complex)
-            rows[on] = integrand(s) * weight
-        else:
-            rows = np.asarray(integrand(s) * weight, complex).reshape(on.shape)
+        w, s, weight, on, full = seed if lo is p_lo else nodes(lo, hi)
+        skipped.append(not full)
+        vals = np.asarray(integrand(s)) * weight  # rows in the integrand's dtype
+        rows = vals.reshape(on.shape) if full else np.zeros(on.shape, vals.dtype)
+        if not full:
+            rows[on] = vals
+        if lo is p_lo:  # the seed's Kronrod and Kronrod - Gauss weights: both sums in one einsum
+            k, dk = np.einsum("ipj,pj->ip", w, rows)
+            return k, np.abs(dk), rows
         return (*gk15_sums(lo, hi, w, rows), rows)
 
     res = refine_panels(
@@ -332,14 +336,14 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     value = complex(res.value)
     if not res.converged or any(skipped):
         raise QuadratureError(value, res.err)
-    w = seed[0] if res.lo is p_lo else gk15_nodes(res.lo, res.hi)[1]  # no split: the seed's weights
-    return value, max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
+    w = seed[0][0] if res.lo is p_lo else 0.5 * (res.hi - res.lo)[:, None] * _WK  # the Kronrod weights
+    return value, max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
 
 
 def _geometry(a, b, singular_points):
-    """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights,
-    evaluable nodes s, their weights ds/dp and the mask of evaluable nodes, the seed panels and,
-    read-only, the map on them."""
+    """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights, evaluable
+    nodes s, their weights ds/dp, the mask of evaluable nodes and whether all are, the seed panels
+    and, read-only, the map on them, the Kronrod weights stacked with the Kronrod - Gauss ones."""
     sing = [s for s in singular_points if math.isfinite(s)]
     if math.isinf(a) and math.isinf(b):
 
@@ -378,10 +382,12 @@ def _geometry(a, b, singular_points):
             s, ds = to_s(x, gap)
             weight = ds * dx
         on = (weight > 0.0) & (weight < math.inf)
-        return w, s[on], weight[on], on
+        return w, s[on], weight[on], on, bool(on.all())
 
-    seed = nodes(p_lo, p_hi)
-    for arr in (p_lo, p_hi, *seed):
+    w, *seed = nodes(p_lo, p_hi)
+    wg = 0.5 * (p_hi - p_lo)[:, None] * np.bincount(_GAUSS_IDX, _WG, 15)  # Gauss, on the Kronrod nodes
+    seed = (np.stack([w, w - wg]), *seed)
+    for arr in (p_lo, p_hi, *seed[:4]):
         arr.setflags(write=False)
     return nodes, p_lo, p_hi, seed
 

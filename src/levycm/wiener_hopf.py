@@ -34,7 +34,6 @@ from .numerics import (
     gk15_nodes,
     gk15_sums,
     integrate_adaptive,
-    principal_log,
     refine_panels,
     sorted_unique,
 )
@@ -224,8 +223,24 @@ _BD_CFG = QuadratureConfig(
 )
 _BD_KAPPA = _LRU(4096)  # (spec, terms) -> product, ~0.4 kB each besides the spec
 # on the seed nodes of the contour integral: (spec, None) -> f and (spec, quotient) -> its
-# principal log less its shift, ~13 kB each (README, "Caching")
+# log |q| less its shift and arg q, two real rows, ~13 kB each (README, "Caching")
 _BD_SEED = _LRU(64)
+
+
+def _pole_kernel(x, c, b):
+    """re and im of c/(x - i b) = c (x + i b)/(x^2 + b^2) at x > 0 (im None at b = 0), scaled by
+    max(x, |b|) as in Smith's division (CACM 5, 1962): it over- or underflows only where that does."""
+    if b == 0.0:
+        return c / x, None
+    m = np.maximum(x, abs(b))
+    xs, bs = x / m, b / m
+    scl = c / (x * xs + b * bs)
+    return xs * scl, bs * scl
+
+
+def _plus(a, b):
+    """a + b, where None stands for 0."""
+    return b if a is None else a if b is None else a + b
 
 
 def _bd_kappa(spec, terms):
@@ -233,67 +248,70 @@ def _bd_kappa(spec, terms):
 
     With S_tau = log(tau + f(0+)) (0 where tau + f(0+) = 0), the log of the
     product is (1/2) sum_k s_k S_{tau_k} + (1/pi) int_0^inf im(sum kern g) dx,
-    summed over the poles (side, x): kern = 1/(x - i a) on the plus side and
+    summed over the poles (side, a): kern = 1/(x - i a) on the plus side and
     -1/(x + i a) on the minus side, g the principal log of the one quotient
     prod (tau_k + f)^{s_k} over the terms at the pole, minus their
     sum s_k S_{tau_k}.  Poles whose quotients agree up to a sign (those of a
     ratio) share one log, their kernels summed first.  By the reflection
     f(-x) = conj f(x) this is the contour integral over the real line at
-    half the points.  Different tau_k need an unbounded exponent
-    (:class:`MethodUnsupportedError`) and tau + f(0+) > 0
-    (:class:`DomainError`).  Memoized on (spec, terms); a call that raises
-    stores nothing.  On the seed nodes of the integral, which are the same in
-    every call, f is read from ``_BD_SEED`` once per spec and each quotient's
-    log less its shift once per (spec, quotient), bitwise the values computed
-    afresh.  A non-finite integrand value (a kernel that overflows at a node
-    next to x = 0) raises :class:`QuadratureError`.
+    half the points, here of the real re kern im g + im kern re g (kernels of
+    :func:`_pole_kernel`, g as the rows log |q| - shift and arg q).  Different
+    tau_k need an unbounded exponent (:class:`MethodUnsupportedError`) and
+    tau + f(0+) > 0, and no quotient may meet (-inf, 0] (:class:`DomainError`).
+    Memoized on (spec, terms); a call that raises stores nothing.  On the seed
+    nodes of the integral, the same in every call, f is read from ``_BD_SEED``
+    once per spec and each quotient's two rows once per (spec, quotient),
+    bitwise the values computed afresh.  A non-finite integrand value (a
+    kernel that overflows at a node next to x = 0) raises :class:`QuadratureError`.
     """
 
     def build():
         lim = f_limits(spec)
-        taus = {tau for _, tau, _, _ in terms}
-        if len(taus) > 1:
+        f0 = lim.f_at_zero
+        S = {tau: math.log(tau + f0) if tau + f0 > 0.0 else 0.0 for _, tau, _, _ in terms}
+        if len(S) > 1:
             if math.isfinite(lim.f_at_infinity):
                 raise MethodUnsupportedError("temporal ratios need an unbounded exponent; compound Poisson "
                                              "specs route through kappa_circ and the product identity")
-            if min(taus) + lim.f_at_zero <= 0.0:
+            if min(S) + f0 <= 0.0:
                 raise DomainError("tau + f(0+) must be positive for every temporal argument")
-        S = {tau: math.log(tau + lim.f_at_zero) if tau + lim.f_at_zero > 0.0 else 0.0 for tau in taus}
         poles = {}  # (side, x) -> [(tau, s)]
         for side, tau, x, s in terms:
             poles.setdefault((side, x), []).append((tau, s))
-        shared = {}  # quotient ((tau, s), ...) led by s = +1 -> [(side, x, sign)]
-        for (side, x), group in poles.items():
+        # quotient ((tau, s), ...) led by s = +1 -> (quotient, shift, poles (c, b)): kern = c/(x - i b)
+        parts = {}
+        for (side, a), group in poles.items():
             sign = group[0][1]
-            shared.setdefault(tuple((tau, s * sign) for tau, s in group), []).append((side, x, sign))
-        parts = [(q, sum(s * S[tau] for tau, s in q), p) for q, p in shared.items()]
+            quot = tuple([(tau, s * sign) for tau, s in group])
+            parts.setdefault(quot, (quot, sum([s * S[tau] for tau, s in quot]), []))[2].append(
+                (sign, a) if side == PLUS else (-sign, -a))
 
-        def log_less(f, quot, shift):  # principal log of the quotient, less its shift
+        def log_less(f, quot, shift):  # log |quotient| less its shift, and arg quotient
             q = quot[0][0] + f
             for tau, s in quot[1:]:
                 q = q * (tau + f) if s > 0 else q / (tau + f)
-            return principal_log(q) - shift
+            if not q.real.min() > 0.0 and ((q.imag == 0.0) & (q.real <= 0.0)).any():
+                raise DomainError("principal_log is undefined on (-inf, 0]")
+            return np.log(np.hypot(q.real, q.imag)) - shift, np.arctan2(q.imag, q.real)
 
         def integrand(x):
-            seed = not x.flags.writeable  # the seed nodes (integrate_adaptive)
-            z = x + 0.0j
-            f = _BD_SEED.get((spec, None), eval_f, spec, z) if seed else eval_f(spec, z)
-            total = 0.0
+            # f and the logs on the seed nodes (read-only, integrate_adaptive) are kept in _BD_SEED
+            get = _BD_SEED.get if not x.flags.writeable else lambda key, fn, *args: fn(*args)
+            f = get((spec, None), eval_f, spec, x)
+            total = None
             with np.errstate(over="ignore", invalid="ignore"):  # the kernel of a pole at 0, at x ~ 0
-                for quot, shift, poles_of in parts:
-                    kern = 0.0
-                    for side, a, sign in poles_of:
-                        kern = kern + (sign / (x - 1j * a) if side == PLUS else -sign / (x + 1j * a))
-                    if seed:
-                        g = _BD_SEED.get((spec, quot), log_less, f, quot, shift)
-                    else:
-                        g = log_less(f, quot, shift)
-                    total = total + kern * g
-            bad = ~np.isfinite(total)
-            if bad.any():
-                at = float(x[bad][0])
+                for quot, shift, poles_of in parts.values():
+                    k_re = k_im = None  # sum c/(x - i b) over the poles of the quotient
+                    for c, b in poles_of:
+                        re, im = _pole_kernel(x, c, b)
+                        k_re, k_im = _plus(k_re, re), _plus(k_im, im)
+                    g_re, g_im = get((spec, quot), log_less, f, quot, shift)
+                    total = _plus(total, k_re * g_im if k_im is None else k_re * g_im + k_im * g_re)
+                finite = math.isfinite(np.add.reduce(total)) or np.isfinite(total).all()  # the sum first
+            if not finite:
+                at = float(x[~np.isfinite(total)][0])
                 raise QuadratureError(math.nan, math.inf, f"the bd integrand is not finite at x = {at!r}")
-            return total.imag
+            return total
 
         val, _ = integrate_adaptive(integrand, (0.0, math.inf), _BD_CFG)
         return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val.real / math.pi)

@@ -175,9 +175,10 @@ class TestGeometryMemo:
             integrate_adaptive(lambda s: np.exp(-s), (0.0, math.inf), QuadratureConfig(singular_points=sing))
         assert (len(numerics._GEOMETRY), numerics._GEOMETRY.misses, numerics._GEOMETRY.hits) == (2, 2, 1)
         plain = numerics._GEOMETRY.get((0.0, math.inf, ()), None)
-        _, p_lo, p_hi, seed = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        _, p_lo, p_hi, (*arrays, full) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
         assert not np.array_equal(plain[1], p_lo)
-        for arr in (p_lo, p_hi, *seed):
+        assert full is True and len(arrays) == 4
+        for arr in (p_lo, p_hi, *arrays):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -196,7 +197,7 @@ class TestGeometryMemo:
         integrate_adaptive(f, (0.0, math.inf), cfg)
         first = len(seen)
         integrate_adaptive(f, (0.0, math.inf), cfg)
-        _, _, _, (_, s, _, _) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        _, _, _, (_, s, *_) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
         assert first > 1 and seen[0] is s and seen[first] is s
         assert all(x.flags.writeable for x in seen[1:first] + seen[first + 1:])
 
@@ -213,11 +214,15 @@ class TestGeometryMemo:
             monkeypatch.setattr(numerics, "_piecewise_axis",
                                 lambda cuts, sing, graded=(): axis(cuts, sing, graded, np.append(numerics._SEED, extra)))
         rows, runs = [], []
-        sums, refine = numerics.gk15_sums, numerics.refine_panels
-        monkeypatch.setattr(numerics, "gk15_sums", lambda lo, hi, w, r: rows.append(r) or sums(lo, hi, w, r))
+        refine = numerics.refine_panels
 
         def spy(estimate, lo, hi, *args, **kwargs):
-            runs.append((lo, hi, refine(estimate, lo, hi, *args, **kwargs)))
+            def est(lo, hi):
+                out = estimate(lo, hi)
+                rows.append(out[2])
+                return out
+
+            runs.append((lo, hi, refine(est, lo, hi, *args, **kwargs)))
             return runs[-1][2]
 
         monkeypatch.setattr(numerics, "refine_panels", spy)
@@ -229,28 +234,55 @@ class TestGeometryMemo:
 
     @pytest.mark.parametrize("deep", [False, True], ids=["evaluable", "unevaluable"])
     def test_seed_rows_match_the_mask(self, monkeypatch, deep):
-        """Seed rows bitwise those built by the mask (zeros where a node is not evaluable),
-        complex also where the integrand is real; with an unevaluable node the call raises."""
+        """Seed rows bitwise those built by the mask (zeros where a node is not evaluable), in the
+        integrand's dtype, and the entry's flag of every node evaluable; with an unevaluable node
+        the call raises."""
         f = lambda s: np.exp(-s) / (0.1 + (s - 1.0) ** 2)
         cfg = QuadratureConfig(singular_points=(0.0,))
-        out, rows, _, (_, _, _, (_, s, weight, on)) = self._seed_round(
+        out, rows, _, (_, _, _, (_, s, weight, on, full)) = self._seed_round(
             monkeypatch, f, (0.0, math.inf), cfg, deep)
-        assert on.all() != deep
-        want = np.zeros(on.shape, complex)
+        assert on.all() != deep and full == on.all()
+        want = np.zeros(on.shape)
         want[on] = f(s) * weight
         assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
         assert isinstance(out, QuadratureError) == deep
 
     def test_seed_exit_and_error_floor(self, monkeypatch):
-        """A seed round that meets the goal: refine_panels returns the seed panels themselves,
-        and the error floor from the seed's Kronrod weights is bitwise that of gk15_nodes."""
+        """A seed round that meets the goal: refine_panels returns the seed panels themselves, the
+        seed's Kronrod weights are bitwise those of gk15_nodes, its Kronrod - Gauss weights give
+        gk15_sums' panel values and errors, and the error floor is one einsum of the Kronrod
+        weights over |rows|."""
         f = lambda s: np.exp(-s)
         cfg = QuadratureConfig(singular_points=(0.0,))
-        (value, err), _, (lo, hi, res), _ = self._seed_round(monkeypatch, f, (0.0, math.inf), cfg)
+        (value, err), rows, (lo, hi, res), (_, _, _, (wk, *_)) = self._seed_round(
+            monkeypatch, f, (0.0, math.inf), cfg)
         assert res.lo is lo and res.hi is hi and res.converged
         _, w = numerics.gk15_nodes(lo, hi)
+        assert np.array_equal(wk[0], w) and wk.shape == (2, *w.shape)
+        k, e = numerics.gk15_sums(lo, hi, w, rows)
+        scale = np.sum(np.abs(w * rows), axis=1)
+        assert abs(res.value - k.sum()) <= 1e-15 * scale.sum()
+        dk = np.einsum("ipj,pj->ip", wk, rows)[1]
+        np.testing.assert_allclose(np.abs(dk), e, rtol=0.0, atol=1e-15 * scale.max())
         assert value == complex(res.value)
-        assert err == max(res.err, 1e-16 * float(np.sum(np.abs(w * res.rows))))
+        assert err == max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
+
+    @pytest.mark.parametrize(
+        "f,seed_exit",
+        [(lambda s: np.exp(-s), True), (lambda s: np.exp(-s) / (1e-4 + (s - 1.0) ** 2), False)],
+        ids=["seed-exit", "refined"],
+    )
+    def test_real_and_complex_integrands_agree(self, f, seed_exit):
+        """A real integrand and its complex cast give the same value and error to 1 ulp of the
+        value (f > 0: the integral of |f|, the scale of their rounding)."""
+        cfg = QuadratureConfig(singular_points=(0.0,))
+        before = numerics.work_counts()["refine_panels.rounds"]
+        value, err = integrate_adaptive(f, (0.0, math.inf), cfg)
+        assert (numerics.work_counts()["refine_panels.rounds"] - before == 1) == seed_exit
+        cast, cast_err = integrate_adaptive(lambda s: f(s).astype(complex), (0.0, math.inf), cfg)
+        ulp = math.ulp(value.real)
+        assert value.imag == cast.imag == 0.0
+        assert abs(value.real - cast.real) <= ulp and abs(err - cast_err) <= ulp
 
 
 def _widths(lo, hi):

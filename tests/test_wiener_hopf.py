@@ -908,6 +908,95 @@ class TestBdContourSeed:
         assert len(wiener_hopf._BD_SEED) == 4 and wiener_hopf._BD_SEED.misses > 4
 
 
+def _complex_bd_kappa(spec, terms):
+    """``wiener_hopf._bd_kappa`` with the complex integrand it had before its integrand was real:
+    the principal log of each quotient and the kernels 1/(x - i a) (plus side) and -1/(x + i a)
+    (minus side) in complex arithmetic, on the same seed, configuration and refinement."""
+    f0 = rogers.f_limits(spec).f_at_zero
+    S = {tau: math.log(tau + f0) if tau + f0 > 0.0 else 0.0 for _, tau, _, _ in terms}
+    poles = {}
+    for side, tau, x, s in terms:
+        poles.setdefault((side, x), []).append((tau, s))
+    shared = {}
+    for (side, x), group in poles.items():
+        sign = group[0][1]
+        shared.setdefault(tuple((tau, s * sign) for tau, s in group), []).append((side, x, sign))
+
+    def integrand(x):
+        f = eval_f(spec, x + 0.0j)
+        total = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for quot, poles_of in shared.items():
+                kern = 0.0
+                for side, a, sign in poles_of:
+                    kern = kern + (sign / (x - 1j * a) if side == "plus" else -sign / (x + 1j * a))
+                q = quot[0][0] + f
+                for tau, s in quot[1:]:
+                    q = q * (tau + f) if s > 0 else q / (tau + f)
+                total = total + kern * (numerics.principal_log(q) - sum(s * S[tau] for tau, s in quot))
+        return total.imag
+
+    val, _ = numerics.integrate_adaptive(integrand, (0.0, math.inf), wiener_hopf._BD_CFG)
+    return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val.real / math.pi)
+
+
+class TestBdRealIntegrand:
+    """The bd contour integrand in real arithmetic: Smith-scaled pole kernels, each quotient's log
+    as the two real rows log |q| - shift and arg q."""
+
+    @staticmethod
+    def _terms(side):
+        """bd ratio, product, tau-ratio and pr_laplace (tau = 0 and tau > 0) terms on one side."""
+        other = "minus" if side == "plus" else "plus"
+        return [((side, 0.0, 0.3, 1), (side, 0.0, 1.5, -1)),
+                ((side, 0.0, 0.3, 1), (other, 0.0, 1.5, 1)),
+                ((side, 1.2, 0.3, 1), (side, 0.2, 0.3, -1)),
+                ((side, 0.5, 0.0, 1), (side, 0.5, 1.3, -1)),
+                ((side, 0.5, 0.0, 1), (side, 1.3, 1.3, -1))]
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_parity_with_the_complex_integrand(self, name):
+        """Within 1e-14 of the complex integrand's values, in as many refinement rounds."""
+        for shift in (0.0, 0.5):
+            spec = shift_spec(SHOWCASE[name], shift)
+            for side in ("plus", "minus"):
+                for terms in self._terms(side):
+                    got = []
+                    for call in (wiener_hopf._bd_kappa, _complex_bd_kappa):
+                        wiener_hopf._BD_KAPPA.clear()
+                        wiener_hopf._BD_SEED.clear()
+                        before = work_counts()["refine_panels.rounds"]
+                        got.append((call(spec, terms), work_counts()["refine_panels.rounds"] - before))
+                    (real, rounds), (want, want_rounds) = got
+                    assert real == pytest.approx(want, rel=1e-14, abs=0.0), (shift, terms)
+                    assert rounds == want_rounds, (shift, terms)
+
+    @pytest.mark.parametrize("f,error", [(-2.0 + 0.0j, DomainError), (-2.0 + 1e-300j, QuadratureError)])
+    def test_quotient_on_the_cut(self, monkeypatch, f, error):
+        """A quotient on (-inf, 0] at a node is a DomainError; one just off the cut is not (a
+        constant f is no exponent: its integral does not converge)."""
+        monkeypatch.setattr(wiener_hopf, "eval_f", lambda spec, x: np.full(np.shape(x), f))
+        monkeypatch.setattr(wiener_hopf, "_BD_SEED", _LRU(4))
+        monkeypatch.setattr(wiener_hopf, "_BD_KAPPA", _LRU(4))
+        with pytest.raises(error):
+            wiener_hopf._bd_kappa(SHOWCASE["bm_drift"], (("plus", 0.5, 0.0, 1), ("plus", 0.5, 1.3, -1)))
+
+    def test_pole_kernel_at_extreme_x(self):
+        """The pole term c (x im g + b re g)/(x^2 + b^2) against im(c/(x - i b) g): within 1e-15
+        wherever the complex form is finite, at x where x^2 over- or underflows."""
+        x = np.array([1e-300, 1e-200, 1e-160, 1e160, 1e200])
+        for b in (0.0, 1e-3, -1e-3, 1.0, -1.0, 1e3, -1e3):
+            for c in (1, -1):
+                re, im = wiener_hopf._pole_kernel(x, c, b)
+                for g in (0.7 - 0.3j, -1.2 + 2.5j, 3.0 + 0.0j):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = (c / (x - 1j * b) * g).imag
+                    got = re * g.imag + (0.0 if im is None else im * g.real)
+                    finite = np.isfinite(want)
+                    assert finite.any()
+                    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0.0)
+
+
 class TestFactorizationCheck:
     def test_bm_drift(self, fig_a):
         rng = make_rng(4)

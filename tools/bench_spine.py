@@ -26,6 +26,10 @@ Compares two checkouts of the repository, a parent and a change:
   ``eval_f`` points; and of the same ``pr_laplace`` again with only
   ``_BD_KAPPA`` cleared (``pr_warm``), with the hits and misses of
   ``_BD_SEED`` in it: its seed round reads f and the logs from that memo;
+  and the median wall time of ``WARM_N`` warm ``pr_laplace`` calls at PR's
+  sigma and side, each with ``_BD_KAPPA`` cleared, at fresh xi and tau = 0
+  (``us_tau0``) and at fresh xi and fresh tau (``us_tau``), drawn
+  log-uniformly from the ranges of the ``fluct_warm`` workload;
 * per preset, the refinement rounds of a cold sweep of ``pr_laplace``
   over the grid of the ``fluct_warm`` workload (``pr_sweep``: sigma in
   ``SWEEP_SIGMAS``, tau in ``SWEEP_TAUS``, ``SWEEP_N`` xi geometrically
@@ -56,7 +60,7 @@ Compares two checkouts of the repository, a parent and a change:
   ``factor_pair`` on ``PAIR``, its phi table built beforehand and no
   handle cached: the table's record of both factor sides is one pass, the
   pair's anchor another.
-* on both sides (``wh_cold_spine``), run by this file against each
+* on both sides (``wh_cold_spine``), also run by this file against each
   checkout's library: the refinement rounds, spine radii and lockstep steps
   summed over the spine-ratio ops (``wh_ratio.spine``) of one ``wh_cold``
   benchmark run at seed 1 and the run length given, in order, with the
@@ -76,9 +80,9 @@ evaluated in them.
     python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
 
-The probe runs each checkout's own copy of this file with ``--probe`` in a
-fresh interpreter whose ``PYTHONPATH`` is the checkout's ``src``, so each
-side is counted the way its library counts; its last stdout line is one
+The probe runs this file with ``--probe`` in a fresh interpreter whose
+``PYTHONPATH`` is the checkout's ``src``, so each side's library is measured
+the same way and counted the way it counts; its last stdout line is one
 JSON object.
 """
 
@@ -99,6 +103,9 @@ RATIO = (0.3, 1.5, "plus", 0.2)  # x1, x2, side, tau
 PHI_TAUS = (0.0, 0.2)
 TAU_RATIO = (0.3, 1.2, 0.2, "plus")  # xi, tau1, tau2, side
 PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
+WARM_N = 50  # warm pr_laplace calls per preset and tau kind, at fresh arguments
+WARM_XI = (0.1, 5.0)  # log-uniform ranges of xi and tau > 0, as in the fluct_warm workload
+WARM_TAU = (0.1, 3.0)
 # the pr_laplace grid of the fluct_warm workload, swept cold (pr_sweep)
 SWEEP_SIGMAS = (0.5, 2.0)
 SWEEP_TAUS = (0.0, 1.0)
@@ -193,8 +200,29 @@ def contour_work(spec):
     value, n = work(fluctuation.pr_laplace, spec, sigma, pr_tau, pr_xi, pr_side)
     out["pr_warm"] = {"integrals": n["refine_panels.calls"], "rounds": n["refine_panels.rounds"],
                       "eval_f_points": n["eval_f.points"], "value": value,
-                      "seed_memo": {"hits": seed.hits - hits, "misses": seed.misses - misses}}
+                      "seed_memo": {"hits": seed.hits - hits, "misses": seed.misses - misses},
+                      "us_tau0": warm_us(spec, False), "us_tau": warm_us(spec, True)}
     return out
+
+
+def warm_us(spec, fresh_tau):
+    """Median us of ``WARM_N`` warm pr_laplace calls at PR's sigma and side, at fresh xi and at
+    tau = 0 or a fresh tau, with ``_BD_KAPPA`` cleared before each."""
+    import numpy as np
+
+    from levycm import fluctuation, wiener_hopf
+
+    sigma, _, _, side = PR
+    rng = np.random.default_rng(37)
+    log_uniform = lambda lo, hi: float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+    times = []
+    for _ in range(WARM_N):
+        tau, xi = log_uniform(*WARM_TAU) if fresh_tau else 0.0, log_uniform(*WARM_XI)
+        wiener_hopf._BD_KAPPA.clear()
+        t0 = time.perf_counter()
+        fluctuation.pr_laplace(spec, sigma, tau, xi, side)
+        times.append(time.perf_counter() - t0)
+    return 1e6 * median(times)
 
 
 def sweep_rounds(spec):
@@ -433,7 +461,7 @@ def main(argv=None):
     if not (args.parent and args.change and args.out):
         ap.error("PARENT_DIR, CHANGE_DIR and --out are required")
     sides = {"parent": args.parent, "change": args.change}
-    probes = {side: run_probe(root) for side, root in sides.items()}
+    probes = {side: run_probe(root, script=str(Path(__file__).resolve())) for side, root in sides.items()}
     doc = {
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
@@ -445,6 +473,8 @@ def main(argv=None):
         "contour": {"bd_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3]},
                     "tau_ratio": dict(zip(("xi", "tau1", "tau2", "side"), TAU_RATIO)),
                     "pr": dict(zip(("sigma", "tau", "xi", "side"), PR)),
+                    "pr_warm_us": {"calls": WARM_N, "xi_log_uniform": list(WARM_XI),
+                                   "tau_log_uniform": list(WARM_TAU)},
                     "pr_sweep": {"sigma": list(SWEEP_SIGMAS), "tau": list(SWEEP_TAUS),
                                  "xi_geomspace": [*SWEEP_XI, SWEEP_N]}},
         "presets": {side: p["presets"] for side, p in probes.items()},
