@@ -11,13 +11,21 @@ inverse-Gaussian mixture), only for the piece that attains the supremum.
 Paths are simulated a shard at a time in one array pass: all jump counts,
 times and sizes of the shard, then all segments of all its paths, with
 per-path reductions for the supremum and its first attaining candidate.
-Samples come back as columns in one ``SupSamples`` record, deterministic
-for a fixed (seed, shard_size).
+The jump times are put in path-then-time order by one sort of the values
+and a stable (radix, for up to 65536 paths) sort of their path indices;
+each path's winning candidate is found by one ``searchsorted`` over the
+candidates that attain a supremum.  Samples come back as columns in one
+``SupSamples`` record, deterministic for a fixed (seed, shard_size); a
+negative or non-integral seed, and a non-integral path count or shard
+size, are rejected before any draw.  ``mc_estimates`` evaluates all
+queries into one block and reduces it with one mean and one standard
+deviation call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +42,8 @@ __all__ = [
     "simulate_sup_samples",
     "mc_estimates",
 ]
+
+_BLOCK = 1 << 16  # query rows x samples per block of estimator values
 
 
 @dataclass(frozen=True)
@@ -99,11 +109,11 @@ def _ig_sample(rng, mu, lam):
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
     y = rng.standard_normal(mu.shape) ** 2
-    x = mu + mu * mu * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
-        4.0 * mu * lam * y + (mu * y) ** 2
-    )
+    mu_sq = mu * mu
+    two_lam = 2.0 * lam
+    x = mu + mu_sq * y / two_lam - (mu / two_lam) * np.sqrt(4.0 * mu * lam * y + (mu * y) ** 2)
     u = rng.uniform(size=mu.shape)
-    return np.where(u <= mu / (mu + x), x, mu * mu / np.where(x > 0, x, 1.0))
+    return np.where(u <= mu / (mu + x), x, mu_sq / np.where(x > 0, x, 1.0))
 
 
 def _bridge_max(rng, w, var_dt):
@@ -123,22 +133,24 @@ def _bridge_argmax(rng, m, w, dt, v):
     m = np.asarray(m, dtype=float)
     w = np.asarray(w, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    a = m / math.sqrt(v)
-    b = (m - w) / math.sqrt(v)
-    a = np.clip(a, 1e-300, None)
-    b = np.clip(b, 1e-300, None)
+    a = np.maximum(m / math.sqrt(v), 1e-300)
+    b = np.maximum((m - w) / math.sqrt(v), 1e-300)
     pick = rng.uniform(size=m.shape) < a / (a + b)
-    mu1 = b / a
-    lam1 = b * b / dt
-    g_direct = _ig_sample(rng, mu1, lam1)
-    mu2 = a / b
-    lam2 = a * a / dt
-    g_recip = 1.0 / _ig_sample(rng, mu2, lam2)
-    g = np.where(pick, g_direct, g_recip)
-    t = dt / (1.0 + g)
+    g_direct = _ig_sample(rng, b / a, b * b / dt)
+    g_recip = 1.0 / _ig_sample(rng, a / b, a * a / dt)
+    t = dt / (1.0 + np.where(pick, g_direct, g_recip))
     t = np.where(m <= 1e-14 * np.abs(w), 0.0, t)
     t = np.where(np.abs(m - w) <= 1e-14 * np.abs(m), dt, t)
     return t
+
+
+def _whole(name, value):
+    """``value`` as an int: an integer, or a float with an integral value such as 1e5."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(name, f"must be an integer, got {value!r}")
 
 
 def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
@@ -159,18 +171,22 @@ def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
         )
     if not 0.0 < sigma < math.inf:
         raise ValidationError("sigma", "must be finite and positive")
-    n = int(n)
+    n = _whole("n", n)
     if n < 1:
         raise ValidationError("n", "need at least one path")
+    shard_size = _whole("shard_size", shard_size)
     if shard_size < 1:
         raise ValidationError("shard_size", "need at least one path per shard")
+    seed = _whole("seed", seed)
+    if seed < 0:
+        raise ValidationError("seed", "must be >= 0")
     rates, scales, signs = _mixture(spec)
     drift = spec._jumps[0]
     blocks = []
     n_shards = (n + shard_size - 1) // shard_size
     for shard in range(n_shards):
         m = min(shard_size, n - shard * shard_size)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), shard])))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shard])))
         if len(rates) == 0:
             blocks.append(_simulate_diffusion_block(spec, drift, sigma, m, rng))
         else:
@@ -214,6 +230,19 @@ def _path_cumsum(step, first):
     return np.cumsum(restart)
 
 
+def _path_sorted(u, path, m):
+    """``u`` grouped by path and ascending within each: ``u[np.lexsort((u, path))]``.
+
+    One sort of the values, then a stable sort of their path indices held in
+    the smallest unsigned dtype that fits ``m`` paths, which numpy sorts by
+    radix up to 16 bits.  Tied values are equal, so the result is bitwise
+    that of ``lexsort``.
+    """
+    order = np.argsort(u)
+    key = path[order].astype(np.min_scalar_type(m - 1))
+    return u[order[np.argsort(key, kind="stable")]]
+
+
 def _simulate_jump_block(spec, drift, rates, scales, signs, sigma, m, rng):
     """Jump paths: every segment of every path of the shard at once.
 
@@ -232,22 +261,21 @@ def _simulate_jump_block(spec, drift, rates, scales, signs, sigma, m, rng):
     comps = rng.choice(len(rates), size=path.size, p=rates / total_rate)
     # sizes are i.i.d. and independent of the times: sorting the times alone suffices
     sizes = signs[comps] * rng.exponential(size=path.size) / scales[comps]
-    times = u[np.lexsort((u, path))]
+    times = _path_sorted(u, path, m)
 
     n_seg = counts + 1
     first = np.cumsum(n_seg) - n_seg
     last = first + counts
-    has_jump = np.ones(path.size + m, dtype=bool)
-    has_jump[last] = False
-    end = np.empty(has_jump.size)
-    end[has_jump] = times
+    at = np.arange(path.size) + path  # the segment ending at each jump
+    end = np.empty(path.size + m)
+    end[at] = times
     end[last] = horizon
     begin = np.empty_like(end)
     begin[1:] = end[:-1]
     begin[first] = 0.0
     dt = end - begin
     jump = np.zeros_like(end)
-    jump[has_jump] = sizes
+    jump[at] = sizes
 
     if v > 0.0:
         w = drift * dt + np.sqrt(v * dt) * rng.standard_normal(dt.size)
@@ -260,25 +288,43 @@ def _simulate_jump_block(spec, drift, rates, scales, signs, sigma, m, rng):
     start[1:] = after[:-1]
     start[first] = 0.0
 
-    cand = np.empty(2 * dt.size)
-    cand[0::2] = start + rise
-    cand[1::2] = after
-    cand[2 * last + 1] = -np.inf
-    sup = np.maximum(np.maximum.reduceat(cand, 2 * first), 0.0)
-    hit = cand == np.repeat(sup, 2 * n_seg)
-    win = np.minimum.reduceat(np.where(hit, np.arange(cand.size), cand.size), 2 * first)
+    peak = start + rise
+    after[last] = -np.inf  # the last segment has no jump
+    sup = np.maximum(np.maximum.reduceat(np.maximum(peak, after), first), 0.0)
+    # candidate 2k is segment k's peak, 2k + 1 the value after its jump; a path
+    # with sup > 0 attains it, and its winner is its first candidate that does
+    seg_sup = np.repeat(sup, n_seg)
+    hit = np.empty(2 * dt.size, dtype=bool)
+    np.equal(peak, seg_sup, out=hit[0::2])
+    np.equal(after, seg_sup, out=hit[1::2])
+    hits = np.flatnonzero(hit)
+    pos = np.flatnonzero(sup > 0.0)
+    win = hits[np.searchsorted(hits, 2 * first[pos])]
 
     tmax = np.zeros(m)
-    pos = np.flatnonzero(sup > 0.0)
-    seg = win[pos] // 2
+    seg = win // 2
     # a jump candidate is attained at the segment end, and so is a linear
     # piece's that wins: with drift <= 0 it would tie the candidate before it
     tmax[pos] = end[seg]
     if v > 0.0:
-        inner = win[pos] % 2 == 0
+        inner = win % 2 == 0
         pos, seg = pos[inner], seg[inner]
         tmax[pos] = begin[seg] + _bridge_argmax(rng, rise[seg], w[seg], dt[seg], v)
     return sup, tmax, horizon, killed
+
+
+def _query_row(q, sup, tmax, out):
+    """Write query ``q``'s functional of every sample into ``out``; return its label."""
+    if isinstance(q, LaplaceQuery):
+        np.exp(-q.xi * sup, out=out)
+        return f"laplace(xi={q.xi:g})"
+    if isinstance(q, TailQuery):
+        np.greater(sup, q.x, out=out)
+        return f"tail(x={q.x:g})"
+    if isinstance(q, JointQuery):
+        np.exp(-q.xi * sup - q.tau * tmax, out=out)
+        return f"joint(xi={q.xi:g},tau={q.tau:g})"
+    raise ValidationError("queries", f"unknown query {q!r}")
 
 
 def mc_estimates(samples, queries, seed=0):
@@ -286,26 +332,24 @@ def mc_estimates(samples, queries, seed=0):
 
     Killed samples contribute their lifetime supremum and argmax time: the
     kill rate is part of the exponent, so analytic comparisons against the
-    same spec match this convention.
+    same spec match this convention.  The queries' values fill one
+    (queries x samples) block, at most ``_BLOCK`` values at a time (one row
+    when a row alone is larger), and each block takes one ``mean`` and one
+    ``std`` call along its rows.
     """
     n = len(samples)
     if n == 0:
         raise ValidationError("samples", "need at least one sample")
     sup, tmax = samples.sup_value, samples.argmax_time
+    queries = list(queries)
+    rows = max(1, _BLOCK // n)
     out = []
-    for q in queries:
-        if isinstance(q, LaplaceQuery):
-            y = np.exp(-q.xi * sup)
-            label = f"laplace(xi={q.xi:g})"
-        elif isinstance(q, TailQuery):
-            y = (sup > q.x).astype(float)
-            label = f"tail(x={q.x:g})"
-        elif isinstance(q, JointQuery):
-            y = np.exp(-q.xi * sup - q.tau * tmax)
-            label = f"joint(xi={q.xi:g},tau={q.tau:g})"
-        else:
-            raise ValidationError("queries", f"unknown query {q!r}")
-        mean = float(np.mean(y))
-        se = float(np.std(y, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        out.append(McEstimate(mean, se, n, int(seed), label))
+    for lo in range(0, len(queries), rows):
+        block = queries[lo:lo + rows]
+        y = np.empty((len(block), n))
+        labels = [_query_row(q, sup, tmax, row) for q, row in zip(block, y)]
+        means = y.mean(axis=1)
+        ses = y.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(len(block))
+        out += [McEstimate(float(mean), float(se), n, int(seed), label)
+                for mean, se, label in zip(means, ses, labels)]
     return out

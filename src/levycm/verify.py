@@ -54,6 +54,7 @@ __all__ = [
 _SEED = 20260809  # the sample stream of every suite
 _SPINE_N = 256  # spine table samples of suite_spine
 _MC_SIGMA, _MC_N = 0.7, 50000  # killing rate and path count of suite_mc
+_MC_QUERIES = (LaplaceQuery(0.5), LaplaceQuery(1.0), LaplaceQuery(2.0), JointQuery(1.0, 1.0))
 _LK_POINTS = 10  # real points of the Levy-Khintchine check
 
 
@@ -257,14 +258,10 @@ def suite_mc(spec, tol=3.0):
     if not isinstance(spec, LevyAtomic):
         raise MethodUnsupportedError("mc suite needs an atomic-measure spec")
     samples = simulate_sup_samples(spec, _MC_SIGMA, _MC_N, _SEED)
-    queries = [LaplaceQuery(0.5), LaplaceQuery(1.0), LaplaceQuery(2.0), JointQuery(1.0, 1.0)]
-    ests = mc_estimates(samples, queries, seed=_SEED)
-    for est in ests:
-        if est.query.startswith("laplace"):
-            xi = float(est.query.split("=")[1].rstrip(")"))
-            ana = pr_laplace(spec, _MC_SIGMA, 0.0, xi)
-        else:
-            ana = pr_laplace(spec, _MC_SIGMA, 1.0, 1.0)
+    ests = mc_estimates(samples, _MC_QUERIES, seed=_SEED)
+    for q, est in zip(_MC_QUERIES, ests):
+        tau = q.tau if isinstance(q, JointQuery) else 0.0
+        ana = pr_laplace(spec, _MC_SIGMA, tau, q.xi)
         z = abs(est.mean - ana) / est.std_error if est.std_error > 0 else 0.0
         rep.add(est.query, tol - z, {"mc": est.mean, "analytic": ana, "z": z}, tol=0.0)
     return rep

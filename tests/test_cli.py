@@ -362,8 +362,10 @@ class TestCommands:
             (("--joint", "1,-2"), "tau"),
             (("--laplace", "nan"), "xi"),
             (("--tail", "nan"), "x"),
+            (("--seed", "-1"), "seed"),
         ],
-        ids=["joint-one", "joint-text", "joint-nan", "joint-negative", "laplace-nan", "tail-nan"],
+        ids=["joint-one", "joint-text", "joint-nan", "joint-negative", "laplace-nan", "tail-nan",
+             "seed-negative"],
     )
     def test_mc_query_validation(self, capsys, args, field):
         code, out = run_cli(capsys, "mc", "preset:bm_drift", "--sigma", "0.5", "--n", "10", *args)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levycm import LevyAtomic, MethodUnsupportedError, StableSum, ValidationError
+from levycm import LevyAtomic, MethodUnsupportedError, StableSum, ValidationError, montecarlo, verify
 from levycm.fluctuation import pr_laplace
 from levycm.montecarlo import (
     JointQuery,
@@ -15,6 +15,7 @@ from levycm.montecarlo import (
     _bridge_max,
     _horizons,
     _mixture,
+    _path_cumsum,
     mc_estimates,
     simulate_sup_samples,
 )
@@ -72,6 +73,92 @@ def _loop_sampler(spec, sigma, n, seed):
             t_prev = t_next
         sup[i], tmax[i] = best, t_best
     return sup, tmax
+
+
+def _ref_ig_sample(rng, mu, lam):
+    y = rng.standard_normal(mu.shape) ** 2
+    x = mu + mu * mu * y / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
+        4.0 * mu * lam * y + (mu * y) ** 2
+    )
+    u = rng.uniform(size=mu.shape)
+    return np.where(u <= mu / (mu + x), x, mu * mu / np.where(x > 0, x, 1.0))
+
+
+def _ref_bridge_argmax(rng, m, w, dt, v):
+    """Reference bridge argmax: the sampler's draws and arithmetic, one temporary per step."""
+    a = m / math.sqrt(v)
+    b = (m - w) / math.sqrt(v)
+    a = np.clip(a, 1e-300, None)
+    b = np.clip(b, 1e-300, None)
+    pick = rng.uniform(size=m.shape) < a / (a + b)
+    mu1 = b / a
+    lam1 = b * b / dt
+    g_direct = _ref_ig_sample(rng, mu1, lam1)
+    mu2 = a / b
+    lam2 = a * a / dt
+    g_recip = 1.0 / _ref_ig_sample(rng, mu2, lam2)
+    g = np.where(pick, g_direct, g_recip)
+    t = dt / (1.0 + g)
+    t = np.where(m <= 1e-14 * np.abs(w), 0.0, t)
+    t = np.where(np.abs(m - w) <= 1e-14 * np.abs(m), dt, t)
+    return t
+
+
+def _lexsort_block(spec, drift, rates, scales, signs, sigma, m, rng):
+    """Reference jump block: times ordered by ``lexsort``, winners by ``minimum.reduceat``."""
+    horizon, killed = _horizons(spec, sigma, m, rng)
+    v = 2.0 * spec.a
+    total_rate = float(np.sum(rates))
+    counts = rng.poisson(total_rate * horizon)
+    path = np.repeat(np.arange(m), counts)
+    u = rng.uniform(size=path.size) * horizon[path]
+    comps = rng.choice(len(rates), size=path.size, p=rates / total_rate)
+    sizes = signs[comps] * rng.exponential(size=path.size) / scales[comps]
+    times = u[np.lexsort((u, path))]
+
+    n_seg = counts + 1
+    first = np.cumsum(n_seg) - n_seg
+    last = first + counts
+    has_jump = np.ones(path.size + m, dtype=bool)
+    has_jump[last] = False
+    end = np.empty(has_jump.size)
+    end[has_jump] = times
+    end[last] = horizon
+    begin = np.empty_like(end)
+    begin[1:] = end[:-1]
+    begin[first] = 0.0
+    dt = end - begin
+    jump = np.zeros_like(end)
+    jump[has_jump] = sizes
+
+    if v > 0.0:
+        w = drift * dt + np.sqrt(v * dt) * rng.standard_normal(dt.size)
+        rise = _bridge_max(rng, w, v * dt)
+    else:
+        w = drift * dt
+        rise = np.maximum(w, 0.0)
+    after = _path_cumsum(w + jump, first)
+    start = np.empty_like(after)
+    start[1:] = after[:-1]
+    start[first] = 0.0
+
+    cand = np.empty(2 * dt.size)
+    cand[0::2] = start + rise
+    cand[1::2] = after
+    cand[2 * last + 1] = -np.inf
+    sup = np.maximum(np.maximum.reduceat(cand, 2 * first), 0.0)
+    hit = cand == np.repeat(sup, 2 * n_seg)
+    win = np.minimum.reduceat(np.where(hit, np.arange(cand.size), cand.size), 2 * first)
+
+    tmax = np.zeros(m)
+    pos = np.flatnonzero(sup > 0.0)
+    seg = win[pos] // 2
+    tmax[pos] = end[seg]
+    if v > 0.0:
+        inner = win[pos] % 2 == 0
+        pos, seg = pos[inner], seg[inner]
+        tmax[pos] = begin[seg] + _ref_bridge_argmax(rng, rise[seg], w[seg], dt[seg], v)
+    return sup, tmax, horizon, killed
 
 
 def _ks_pvalue(x, y):
@@ -210,6 +297,30 @@ class TestContracts:
             simulate_sup_samples(HYPER_CP, 0.5, 10, seed=0, shard_size=shard_size)
         assert info.value.field == "shard_size"
 
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (dict(seed=-1), "seed"),
+            (dict(seed=2.5), "seed"),
+            (dict(n=1.5), "n"),
+            (dict(n=math.nan), "n"),
+            (dict(shard_size=1.5), "shard_size"),
+            (dict(shard_size=math.inf), "shard_size"),
+        ],
+        ids=["seed-negative", "seed-fraction", "n-fraction", "n-nan", "shard-fraction", "shard-inf"],
+    )
+    def test_counts_and_seed_validated(self, monkeypatch, args, field):
+        """Rejected before any draw: the sampler's first draw would raise a TypeError."""
+        monkeypatch.setattr(montecarlo, "_horizons", None)
+        with pytest.raises(ValidationError) as info:
+            simulate_sup_samples(HYPER_CP, 0.5, **{"n": 10, "seed": 0, **args})
+        assert info.value.field == field
+
+    def test_integral_floats_accepted(self):
+        a = simulate_sup_samples(HYPER_CP, 0.5, 1e3, seed=3.0, shard_size=4e2)
+        b = simulate_sup_samples(HYPER_CP, 0.5, 1000, seed=3, shard_size=400)
+        assert len(a) == 1000 and _same(a, b)
+
     @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0])
     def test_killing_rate_validated(self, sigma):
         with pytest.raises(ValidationError) as info:
@@ -237,6 +348,57 @@ class TestContracts:
         assert 1.30 <= se_small / se_big <= 1.52
 
 
+# the three specs of the benchmark's Monte Carlo jobs, a killed spec, and one whose
+# rate is so small that a shard has no jump
+PARITY_SPECS = [
+    (LevyAtomic(a=0.5, b=0.5), 0.5),
+    (HYPER_CP, 0.7),
+    (CP_GAUSS, 0.6),
+    (LevyAtomic(a=0.2, b=0.3, c=0.4, atoms=((1.5, 1.0), (-0.5, 0.3))), 0.5),
+    (LevyAtomic(a=0.1, b=0.2, c=0.0, atoms=((1e-9, 1e-20),)), 0.5),
+]
+
+
+class TestParity:
+    """The sampler and the estimators against plain references (lexsort, minimum.reduceat,
+    one mean and std per query), bitwise."""
+
+    @pytest.mark.parametrize("shard_size,n", [(1, 50), (700, 1500), (50000, 70000), (70000, 70000)])
+    @pytest.mark.parametrize("case", range(len(PARITY_SPECS)),
+                             ids=["diffusion", "jump", "jump-gauss", "killed", "no-jump"])
+    def test_samples_match_lexsort_reference(self, monkeypatch, case, shard_size, n):
+        """Every column bitwise equal; a 70000-path shard needs a 32-bit path key, off the
+        16-bit radix sort."""
+        spec, sigma = PARITY_SPECS[case]
+        got = simulate_sup_samples(spec, sigma, n, seed=case, shard_size=shard_size)
+        monkeypatch.setattr(montecarlo, "_simulate_jump_block", _lexsort_block)
+        monkeypatch.setattr(montecarlo, "_bridge_argmax", _ref_bridge_argmax)
+        want = simulate_sup_samples(spec, sigma, n, seed=case, shard_size=shard_size)
+        assert _same(got, want)
+
+    def test_no_jump_spec_draws_no_jump(self):
+        spec, sigma = PARITY_SPECS[-1]
+        rates, _, _ = _mixture(spec)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([len(PARITY_SPECS) - 1, 0])))
+        horizon, _ = _horizons(spec, sigma, 70000, rng)
+        assert rng.poisson(float(np.sum(rates)) * horizon).sum() == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 2000, 20000, 70000])
+    def test_estimates_match_per_query_reductions(self, n):
+        samples = simulate_sup_samples(CP_GAUSS, 0.6, n, seed=17)
+        sup, tmax = samples.sup_value, samples.argmax_time
+        queries = [LaplaceQuery(0.5), TailQuery(0.3), JointQuery(1.0, 2.0), TailQuery(-1.0),
+                   JointQuery(0.0, 0.0), LaplaceQuery(2.0)]
+        values = [np.exp(-0.5 * sup), (sup > 0.3).astype(float), np.exp(-1.0 * sup - 2.0 * tmax),
+                  (sup > -1.0).astype(float), np.exp(-0.0 * sup - 0.0 * tmax), np.exp(-2.0 * sup)]
+        ests = mc_estimates(samples, queries, seed=17)
+        for est, y in zip(ests, values):
+            se = float(np.std(y, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            assert (est.mean, est.std_error, est.n, est.seed) == (float(np.mean(y)), se, n, 17)
+        assert [e.query for e in ests] == ["laplace(xi=0.5)", "tail(x=0.3)", "joint(xi=1,tau=2)",
+                                           "tail(x=-1)", "joint(xi=0,tau=0)", "laplace(xi=2)"]
+
+
 class TestCrossValidation:
     @pytest.mark.parametrize(
         "spec,sigma,seed",
@@ -251,6 +413,17 @@ class TestCrossValidation:
         est = mc_estimates(samples, [JointQuery(1.0, 1.0)])[0]
         ana = pr_laplace(spec, sigma, 1.0, 1.0)
         assert abs(est.mean - ana) <= 3.5 * est.std_error
+
+    def test_verify_suite_uses_the_query_arguments(self, monkeypatch):
+        """An estimate's label rounds xi to 6 digits; the analytic side must not."""
+        queries = (LaplaceQuery(0.123456789), JointQuery(1.23456789, 0.5))
+        monkeypatch.setattr(verify, "_MC_QUERIES", queries)
+        monkeypatch.setattr(verify, "_MC_N", 2000)
+        rep = verify.suite_mc(HYPER_CP)
+        want = [pr_laplace(HYPER_CP, verify._MC_SIGMA, 0.0, 0.123456789),
+                pr_laplace(HYPER_CP, verify._MC_SIGMA, 0.5, 1.23456789)]
+        assert [c.witness["analytic"] for c in rep.checks] == want
+        assert [c.name for c in rep.checks] == ["laplace(xi=0.123457)", "joint(xi=1.23457,tau=0.5)"]
 
     def test_infimum_side(self):
         """The mirrored spec samples the infimum transform."""

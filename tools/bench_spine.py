@@ -44,7 +44,10 @@ Compares two checkouts of the repository, a parent and a change:
   at the quadrature nodes with density), or the name of the exception;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
   (``MC_PATHS`` paths, ``mc_estimates`` and the analytic ``pr_laplace`` of
-  the six joint queries): contour integrals and wall time of each.
+  the six joint queries): contour integrals and wall time of each; then
+  the median wall times of the job's two Monte Carlo steps, apart, over
+  ``MC_REPEATS`` jobs: ``simulate_sup_samples`` (``sampler_ms``) and
+  ``mc_estimates`` (``estimates_ms``).
 * over the whole probe, the hits and misses of the memo of quadrature
   geometries (``numerics._GEOMETRY``);
 * L0, per family (one spec each, ``L0_SPECS``): the family-core calls
@@ -115,6 +118,7 @@ SUP_SIGMA = 0.5
 SPINE_TABLE_N = 256  # samples of the probe's spine tables, as in the wh_cold workload
 REPEATS = 5
 MC_PATHS = 2000  # paths per job, as in the mc_exact workload
+MC_REPEATS = 50  # timed sampler and estimator calls per mc_exact case
 L0_BATCH = 64  # points of the mixed L0 batch, as in the eval_phirep workload
 L0_REPEATS = 200
 # (family, preset name or None, PhiTable arguments of a PhiRep with c = 1.2, shift)
@@ -255,7 +259,8 @@ def sup_work(spec):
 
 
 def mc_work():
-    """Per mc_exact case: contour integrals and ms of a cold and a repeated job."""
+    """Per mc_exact case: contour integrals and ms of a cold and a repeated job, and median ms of
+    the sampler and of the estimators."""
     from levycm import LevyAtomic, fluctuation
     from levycm.montecarlo import JointQuery, mc_estimates, simulate_sup_samples
 
@@ -275,6 +280,16 @@ def mc_work():
             t0 = time.perf_counter()
             _, n = work(job, spec, sigma)
             out[label][run] = {"integrals": n["refine_panels.calls"], "ms": 1e3 * (time.perf_counter() - t0)}
+        sampler, estimates = [], []
+        for _ in range(MC_REPEATS):
+            t0 = time.perf_counter()
+            samples = simulate_sup_samples(spec, sigma, MC_PATHS, 1)
+            t1 = time.perf_counter()
+            mc_estimates(samples, queries, seed=1)
+            sampler.append(t1 - t0)
+            estimates.append(time.perf_counter() - t1)
+        out[label]["sampler_ms"] = 1e3 * median(sampler)
+        out[label]["estimates_ms"] = 1e3 * median(estimates)
     return out
 
 
@@ -479,6 +494,7 @@ def main(argv=None):
                                  "xi_geomspace": [*SWEEP_XI, SWEEP_N]}},
         "presets": {side: p["presets"] for side, p in probes.items()},
         "mc_job_paths": MC_PATHS,
+        "mc_job_repeats": MC_REPEATS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
         "geometry_memo": {side: p["geometry_memo"] for side, p in probes.items()},
         "seed_nodes": {side: p.get("seed_nodes") for side, p in probes.items()},
