@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ValidationError
-from .numerics import _LRU, _lockstep_root, gk15, gk15_nodes, refine_panels
+from .numerics import _LRU, gk15, gk15_nodes, refine_panels
 from .report import VerifyReport
 from .rogers import _axis_limit, f_limits, shift_spec
 from .wiener_hopf import (
@@ -196,8 +196,8 @@ class _SupTailEvaluator:
     By f+(-t + i0) = conj f(+0 - it) / f-(t) it has the density
     m(t) = f(0+) [f-(t)/f-(0)] |im f(+0 - it)| / (t |f(+0 - it)|^2) >= 0
     and an atom f(0+) [f-(t0)/f-(0)] / (t0 re(i f'(+0 - it0))) at each zero
-    t0 > 0 of f(-it).  Nodes ``t`` and coefficients ``c`` (w m / pi, then
-    ``atoms`` and ``masses``; only the pairs with c != 0) give
+    t0 > 0 of f(-it), a jump of the phi table.  Nodes ``t`` and coefficients
+    ``c`` (w m / pi, then ``atoms`` and ``masses``; only c != 0) give
     P(M > x) = sum c exp(-x t).  The ratio f-(t)/f-(0) = exp(E-(t) - E-(0))
     is read off the phi table's record of the factor kernels, whatever the
     factor's normalization; :class:`DomainError` where E-(0) = -inf (the
@@ -225,19 +225,9 @@ class _SupTailEvaluator:
         return np.exp(self.minus.exponent(t).real - self.e_minus_0)
 
     def _zeros(self):
-        """Zeros t0 > 0 of f(-it) in the cells of the phi table (split there to 1e-10 relative) where
-        phi goes from 0 to pi, that is f(+0 - is) is real at both ends and falls from > 0 to <= 0
-        (a pole rises): one lockstep solve of -re f(+0 - it) (an ``_axis_limit`` call a step) to
-        final brackets of 1e-15 t."""
+        """Zeros t0 > 0 of f(-it): midpoints of the table's jumps of phi from 0 to pi at s > 0."""
         s, p = np.asarray(self.table.breakpoints), np.asarray(self.table.values)
-        k = np.flatnonzero((s[:-1] > 0.0) & (p[:-1] == 0.0) & (p[1:] == math.pi))
-        lo, hi = s[k], s[k + 1]
-        g_lo, g_hi = -_axis_limit(self.spec, -np.concatenate([lo, hi])).real.reshape(2, -1)
-
-        def g(idx, t):
-            return -_axis_limit(self.spec, -t).real
-
-        return _lockstep_root(g, lo, hi, g_lo, g_hi, 1e-15 * hi)
+        return 0.5 * (s[:-1] + s[1:])[(s[:-1] > 0.0) & (p[:-1] == 0.0) & (p[1:] == math.pi)]
 
     def density(self, t):
         """Density m(t) >= 0 of the measure at an array of t > 0; 0 where f(+0 - it) is real.

@@ -53,6 +53,7 @@ _WORK = dict.fromkeys((
     "eval_f.core_calls",
     "eval_f_prime.core_calls",
     "phi_kernel.passes",
+    "estimate_phi.calls",
 ), 0)
 
 

@@ -244,14 +244,12 @@ class _Cells:
             else:
                 zi = zb.imag
                 yr = zb.real + self.a  # y = z + a
-                d = self.w / (yr * yr + zi * zi)
-                xr = yr * d  # x = w/y
-                r2 = self.w * d  # |x|^2
-                # L = log((z+b)/(z+a)) = log1p(x) in real arithmetic where |x| < 1/2
+                n2 = yr * yr + zi * zi  # |y|^2
+                # L = log1p(x), x = w/y, in reals where |x| < 1/2, with no w/|y|^2 (subnormal far out)
                 with np.errstate(divide="ignore", invalid="ignore"):  # x near -1 is redone below
-                    lr = 0.5 * np.log1p(2.0 * xr + r2)
-                li = np.arctan2(-zi * d, 1.0 + xr)
-                far = r2 >= 0.25
+                    lr = 0.5 * np.log1p((yr + yr + self.w) * self.w / n2)
+                li = np.arctan2(-zi * self.w, n2 + yr * self.w)
+                far = 4.0 * self.w * self.w >= n2  # |x| >= 1/2
                 if far.any():
                     rr, cc = np.nonzero(far)
                     zf = zb[rr, 0] if self.first is None else zb[rr, cc]
@@ -915,6 +913,7 @@ def estimate_phi(spec, s):
     s_arr = np.asarray(s, dtype=float)
     if (s_arr == 0.0).any():
         raise DomainError("phi is defined for s != 0")
+    _WORK["estimate_phi.calls"] += 1
     phi = np.abs(np.angle(_axis_limit(spec, -s_arr)))
     return float(phi) if s_arr.ndim == 0 else phi
 

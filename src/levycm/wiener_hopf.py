@@ -30,6 +30,7 @@ from .errors import (
 from .numerics import (
     _LRU,
     QuadratureConfig,
+    _lockstep_root,
     _piecewise_axis,
     gk15_nodes,
     gk15_sums,
@@ -40,6 +41,7 @@ from .numerics import (
 from .report import VerifyReport
 from .rogers import (
     PhiTable,
+    _axis_limit,
     axis_feature_points,
     estimate_phi,
     eval_f,
@@ -86,7 +88,6 @@ _PHI_RINGS = np.array([1e-3, 1e-6, 1e-9])
 # cell test |phi_mid - interp| * min(log-width, 1): a local integral-error proxy
 _PHI_REFINE_TOL = 2e-7
 _PHI_MIN_WIDTH = 1e-10  # relative width below which a cell is not examined
-_PHI_JUMP = 0.25  # midpoint miss (rad) that marks a jump, split down to the width floor
 _PHI_MAX_POINTS = 40000  # refinement estimates per table
 
 
@@ -96,15 +97,15 @@ def build_phi_table(spec):
     The seed grid is log-spaced on each side of s = 0 (no cell crosses it)
     with points at relative distance 1e-3, 1e-6 and 1e-9 on both sides of
     every axis feature, so that narrow jump pairs cannot hide inside one
-    cell.  It is refined one level at a time: every cell wider than 1e-10
-    relative gets its geometric midpoint, all midpoints of a level are
-    estimated in one :func:`estimate_phi` call, and a cell is split where
-    the width-weighted interpolation error |phi_mid - interp| *
-    min(log-width, 1) exceeds 2e-7 (kinks) or the miss exceeds 0.25 rad:
-    a jump of phi (a zero or pole of f on the imaginary axis) is a sharp
-    step, split down to the width floor.  Raises
-    :class:`EstimationError` when the 40 000-estimate budget runs out with
-    cells still to examine.
+    cell.  Each level (one :func:`estimate_phi` call) gives every cell wider
+    than 1e-10 relative its geometric midpoint and splits it where
+    |phi_mid - interp| * min(log-width, 1) > 2e-7 (a kink).  A jump cell,
+    whose ends read exactly 0 and pi (a zero or pole of f on the axis),
+    leaves the refinement where it appears; all are solved in one
+    ``_lockstep_root`` call on re f(+0 - is) to final brackets of w, the
+    largest power of two <= 1e-15 min |s| of the cell, and each root r gets
+    the breakpoints r -+ w/2 with the cell's end values.  Raises
+    :class:`EstimationError` when the 40 000-estimate budget runs out.
     """
     base = np.geomspace(_PHI_S_MIN, _PHI_S_MAX, _PHI_N_BASE + 1)
     f = np.asarray(axis_feature_points(spec), dtype=float)
@@ -112,12 +113,14 @@ def build_phi_table(spec):
     rings = f * np.concatenate([1.0 + _PHI_RINGS, 1.0 - _PHI_RINGS])
     s = sorted_unique(np.concatenate([-base, base, rings.ravel()]))
     p = estimate_phi(spec, s)
-    s_out, p_out = [s], [p]
+    out = [(s, p)]  # (breakpoints, phi) of the seed, each level and the jumps
     start = np.delete(np.arange(s.size - 1), np.searchsorted(s, 0.0) - 1)  # no cell across s = 0
     lo, hi, p_lo, p_hi = s[start], s[start + 1], p[start], p[start + 1]
-    budget = _PHI_MAX_POINTS
+    jumps, budget = [], _PHI_MAX_POINTS
     while True:
-        wide = hi - lo > _PHI_MIN_WIDTH * np.minimum(np.abs(lo), np.abs(hi))
+        jump = np.abs(p_hi - p_lo) == math.pi  # phi is in [0, pi]: the ends are exactly 0 and pi
+        jumps.append(np.stack([lo, hi, p_lo, p_hi])[:, jump])
+        wide = ~jump & (hi - lo > _PHI_MIN_WIDTH * np.minimum(np.abs(lo), np.abs(hi)))
         lo, hi, p_lo, p_hi = lo[wide], hi[wide], p_lo[wide], p_hi[wide]
         if not lo.size:
             break
@@ -129,14 +132,20 @@ def build_phi_table(spec):
         w = (mid - lo) / (hi - lo)
         width_u = np.log(np.where(lo > 0.0, hi / lo, lo / hi))
         miss = np.abs(p_mid - ((1.0 - w) * p_lo + w * p_hi))
-        split = (miss * np.minimum(width_u, 1.0) > _PHI_REFINE_TOL) | (miss > _PHI_JUMP)
-        s_out.append(mid)
-        p_out.append(p_mid)
+        split = miss * np.minimum(width_u, 1.0) > _PHI_REFINE_TOL
+        out.append((mid, p_mid))
         mid, p_mid = mid[split], p_mid[split]
         lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         p_lo, p_hi = np.concatenate([p_lo[split], p_mid]), np.concatenate([p_mid, p_hi[split]])
-    s_all, keep = sorted_unique(np.concatenate(s_out), return_index=True)
-    p_all = np.clip(np.concatenate(p_out)[keep], 0.0, math.pi)
+    lo, hi, p_lo, p_hi = np.concatenate(jumps, axis=1)
+    if lo.size:
+        w = np.ldexp(0.5, np.frexp(1e-15 * np.minimum(np.abs(lo), np.abs(hi)))[1])  # 2^k <= 1e-15 min|s|
+        g = lambda idx, x: _axis_limit(spec, -x).real
+        root = _lockstep_root(g, lo, hi, g(None, lo), g(None, hi), w)
+        out += [(root - 0.5 * w, p_lo), (root + 0.5 * w, p_hi)]
+    s_all, p_all = (np.concatenate(v) for v in zip(*out))
+    s_all, keep = sorted_unique(s_all, return_index=True)
+    p_all = np.clip(p_all[keep], 0.0, math.pi)
     return PhiTable(s_all.tolist(), p_all.tolist(), "piecewise-linear")
 
 

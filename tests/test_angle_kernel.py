@@ -282,6 +282,15 @@ class TestFarField:
             assert all(abs(v - q[0]) <= 2e-13 for v in q), (axis, q)
             assert side == "minus" or abs(q[0] - 1.0) <= 1e-11, q[0]
 
+    def test_narrow_jump_cell(self):
+        """A step of phi from 0 to pi at t = 1 over a 2^-50-wide cell, as a phi table's solved jump:
+        E(z) = log((z + 1)/2) to 1e-15 relative also at |z| ~ 1e150, where w/|z|^2 is subnormal."""
+        t = np.array([0.0, 1.0, 1.0 + 2.0**-50, 10.0])
+        side = _Cells((t, np.array([0.0, 0.0, math.pi, math.pi]), math.pi))
+        for z in (1e150j, 1e150 + 1.0j, 1e149 * (1.0 + 1.0j), 3.0 + 4.0j, 1e8 - 1e8j):
+            want = np.log((z + 1.0) / 2.0)
+            assert abs(complex(side.exponent(z)) - want) <= 1e-15 * abs(want), z
+
     def test_bm_drift_ratio(self):
         spec = shift_spec(SHOWCASE["bm_drift"], 0.5)
         k = math.sqrt(2.0) - 1.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levycm import LevyAtomic, PhiRep, PhiTable, eval_f, eval_f_prime, numerics, shift_spec
+from levycm import LevyAtomic, PhiRep, PhiTable, estimate_phi, eval_f, eval_f_prime, numerics, shift_spec
 from levycm.errors import DomainError, QuadratureError
 from levycm.numerics import (
     _LRU,
@@ -752,6 +752,11 @@ class TestWorkCounts:
         lo, hi = np.zeros(16), np.ones(16)
         n = self._delta(_lockstep_root, g, lo, hi, np.expm1(lo - roots), np.expm1(hi - roots), 1e-12)
         assert len(sizes) > 1 and n["lockstep.steps"] == len(sizes) and n["lockstep.points"] == sum(sizes)
+
+    def test_estimate_phi(self):
+        """One count a call, whatever its points; its boundary values count no eval_f work."""
+        n = self._delta(estimate_phi, LevyAtomic(a=0.5, b=1.0, c=0.5), np.array([-2.0, 0.5, 3.0]))
+        assert n == {"estimate_phi.calls": 1}
 
     def test_eval_f_on_a_phirep(self):
         spec = PhiRep(1.2, PhiTable((-5.0, -1.0, 0.5, 2.0, 8.0), (0.2, 1.4, 0.9, 2.0, 0.6)))

@@ -17,13 +17,14 @@ from levycm import (
     RationalFactor,
     RationalProduct,
     StableSum,
+    estimate_phi,
     eval_f,
     shift_spec,
     validate_spec,
 )
 from levycm import fluctuation, numerics, rogers, wiener_hopf
 from levycm.fluctuation import kappa_ratio_tau, kappa_ratio_xi
-from levycm.numerics import _LRU, make_rng, work_counts
+from levycm.numerics import _LRU, _lockstep_root, make_rng, work_counts
 from levycm.rogers import axis_feature_points, compensator_drift
 from levycm.specio import SHOWCASE
 from levycm import spine
@@ -61,22 +62,37 @@ PW_CONST_PHIREP = PhiRep(
 )
 
 
-def _loop_phi(spec, s):
-    """Reference: |Arg| of one boundary value f(+0 - i s) from the family core, retried beside a pole."""
+def _loop_value(spec, s):
+    """Reference: one boundary value f(+0 - i s) from the family core, retried beside a pole."""
     for t in (0.0, 1e-13 * abs(s)):
         with np.errstate(all="ignore"):
             v = complex(rogers._core(spec, np.array([complex(t, -s)]))[0])
         if math.isfinite(v.real) and math.isfinite(v.imag):
-            return abs(cmath.phase(v))
+            return v
     raise EstimationError(f"boundary value not finite at s={s}")
 
 
+def _loop_phi(spec, s):
+    """Reference: |Arg| of one boundary value f(+0 - i s)."""
+    return abs(cmath.phase(_loop_value(spec, s)))
+
+
 def _recursive_phi_table(spec):
-    """Reference: the phi table refined cell by cell, depth first."""
+    """Reference: the phi table refined cell by cell, depth first, each jump cell (ends exactly 0
+    and pi) solved on its own by the lockstep solver."""
     out_s, out_phi = [], []
     budget = [40000]
 
+    def jump(s_lo, s_hi, p_lo, p_hi, sink):
+        width = 2.0 ** (math.frexp(1e-15 * min(abs(s_lo), abs(s_hi)))[1] - 1)
+        ends = [np.array([_loop_value(spec, s).real]) for s in (s_lo, s_hi)]
+        g = lambda idx, x: np.array([_loop_value(spec, float(x[0])).real])
+        r = float(_lockstep_root(g, np.array([s_lo]), np.array([s_hi]), *ends, width)[0])
+        sink += [(r - 0.5 * width, p_lo), (r + 0.5 * width, p_hi)]
+
     def refine(s_lo, s_hi, p_lo, p_hi, sink):
+        if {p_lo, p_hi} == {0.0, math.pi}:
+            return jump(s_lo, s_hi, p_lo, p_hi, sink)
         if budget[0] <= 0 or (s_hi - s_lo) <= 1e-10 * min(abs(s_lo), abs(s_hi)):
             return
         s_mid = math.copysign(math.sqrt(s_lo * s_hi), s_lo)
@@ -86,7 +102,7 @@ def _recursive_phi_table(spec):
         p_interp = (1.0 - w) * p_lo + w * p_hi
         width_u = math.log(s_hi / s_lo) if s_lo > 0 else math.log(s_lo / s_hi)
         miss = abs(p_mid - p_interp)
-        if miss * min(abs(width_u), 1.0) > 2e-7 or miss > 0.25:
+        if miss * min(abs(width_u), 1.0) > 2e-7:
             refine(s_lo, s_mid, p_lo, p_mid, sink)
             sink.append((s_mid, p_mid))
             refine(s_mid, s_hi, p_mid, p_hi, sink)
@@ -169,16 +185,88 @@ class TestPhiTable:
         ids=[*STEP_ANGLE, "jump", "jump_gauss"],
     )
     def test_piecewise_constant_angles_match_bd(self, spec):
-        """phi is a step function in {0, pi} here: the table route meets the bd route at 1e-10."""
+        """phi is a step function in {0, pi} here: the table route meets the bd route at 1e-12."""
         for side in ("plus", "minus"):
-            for x1, x2 in ((0.3, 1.5), (2.0, 0.7), (5.0, 0.1)):
+            for x1, x2 in ((0.3, 1.5), (2.0, 0.7), (5.0, 0.1), (1e-3, 1e3)):
                 want = wh_ratio(spec, "bd", side, x1, x2)
-                assert wh_ratio(spec, "phi", side, x1, x2) == pytest.approx(want, rel=1e-10)
+                assert wh_ratio(spec, "phi", side, x1, x2) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_shifted_bm_drift_matches_closed_form(self, side):
+        """bm_drift + 0.5: the phi route's f^side(x)/f^side(1) within 1e-13 of the closed form, out
+        to x = 1e100; the table's error at its jumps would carry to every x."""
+        spec = shift_spec(SHOWCASE["bm_drift"], 0.5)
+        cf = lambda x: closed_form_factors("bm_drift", side, x, b=1.0, sigma=0.5)
+        for x in (1e-3, 0.5, 3.0, 1e3, 1e6, 1e100):
+            want = cf(x) / cf(1.0)
+            assert wh_ratio(spec, "phi", side, x, 1.0) == pytest.approx(want, rel=1e-13), x
 
     def test_exhausted_budget_raises(self, fig_a, monkeypatch):
         monkeypatch.setattr(wiener_hopf, "_PHI_MAX_POINTS", 100)
         with pytest.raises(EstimationError):
             wiener_hopf.build_phi_table(fig_a)
+
+
+class TestPhiJumps:
+    """Each jump cell of the table (ends exactly 0 and pi) is solved once, by the lockstep solver:
+    its two breakpoints straddle the root within 1e-15 |s| and read back exactly 0 and pi."""
+
+    @staticmethod
+    def _build(spec, monkeypatch):
+        """The table, the solver's brackets and roots, and the work counts of one build."""
+        seen = []
+
+        def recorded(g, lo, hi, *rest):
+            out = numerics._lockstep_root(g, lo, hi, *rest)
+            seen.append((lo.copy(), hi.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(wiener_hopf, "_lockstep_root", recorded)
+        before = work_counts()
+        table = wiener_hopf.build_phi_table(spec)
+        n = {k: v - before[k] for k, v in work_counts().items()}
+        monkeypatch.undo()
+        lo, hi, root = (np.concatenate(v) for v in zip(*seen)) if seen else (np.zeros(0),) * 3
+        return table, lo, hi, root, n, len(seen)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_jump_points(self, name, tau, monkeypatch):
+        spec = shift_spec(SHOWCASE[name], tau)
+        table, lo, hi, root, n, solves = self._build(spec, monkeypatch)
+        s, p = np.asarray(table.breakpoints), np.asarray(table.values)
+        k = np.flatnonzero((np.abs(np.diff(p)) == math.pi) & (s[:-1] * s[1:] > 0.0))  # no cell across 0
+        assert n["estimate_phi.calls"] <= 8
+        assert solves == (1 if k.size else 0) and k.size == root.size
+        assert k.size == 0 or n["lockstep.steps"] >= 1
+        left, right = s[k], s[k + 1]
+        assert np.all(right - left <= 1e-15 * np.minimum(np.abs(left), np.abs(right)))
+        assert np.all((lo < left) & (right < hi))
+        assert (0.5 * (left + right)).tobytes() == root.tobytes()  # the midpoint is the root
+        assert estimate_phi(spec, left).tobytes() == p[k].tobytes()
+        assert estimate_phi(spec, right).tobytes() == p[k + 1].tobytes()
+
+    def test_estimate_phi_calls(self):
+        """24 tables (8 presets x tau in {0, 0.5, 2}) take at most 120 estimate_phi calls."""
+        before = work_counts()["estimate_phi.calls"]
+        for name in SHOWCASE:
+            for tau in (0.0, 0.5, 2.0):
+                wiener_hopf.build_phi_table(shift_spec(SHOWCASE[name], tau))
+        assert work_counts()["estimate_phi.calls"] - before <= 120
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_atoms_are_the_table_jumps(self, name, sigma):
+        """The sup_tail atoms are bitwise the midpoints of the table's 0 -> pi jumps at s > 0."""
+        try:
+            ev = fluctuation._SupTailEvaluator(SHOWCASE[name], sigma)
+        except DomainError:
+            assert name.startswith("stable")
+            return
+        table = wiener_hopf.build_phi_table(shift_spec(SHOWCASE[name], sigma))
+        s, p = np.asarray(table.breakpoints), np.asarray(table.values)
+        k = np.flatnonzero((s[:-1] > 0.0) & (p[:-1] == 0.0) & (p[1:] == math.pi))
+        assert ev.atoms.tobytes() == (0.5 * (s[k] + s[k + 1])).tobytes()
 
 
 class TestRatio:

@@ -16,7 +16,11 @@ Compares two checkouts of the repository, a parent and a change:
   refinement: the Z part is what ``spine._z_crossings`` does on the
   table's radii, the angle part the rest of the build;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
-  ``build_phi_table`` calls and the table's breakpoint count;
+  ``build_phi_table`` calls, the table's breakpoint count and, for the
+  last build, its ``estimate_phi`` calls (one per refinement level; None
+  on a library that does not count them), its lockstep steps (the one
+  solve of its jump cells) and its jumps (adjacent breakpoints on one
+  side of s = 0 reading 0 and pi);
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
   0.2), "bd", "plus", 0.3, 1.5)``, of one cold ``kappa_ratio_tau`` at
   ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR`` (cold: the memo of
@@ -38,8 +42,9 @@ Compares two checkouts of the repository, a parent and a change:
   (``seed_nodes``), which a warm ``pr_laplace`` does not evaluate f on;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
-  node count, atom count, total mass, the lockstep steps of its atom
-  solve (``zero_steps``) and its phi-kernel passes (``kernel_passes``:
+  node count, atom count, total mass, its lockstep steps (``zero_steps``:
+  the jump solve of its cold phi table, whose jumps are the atoms) and
+  its phi-kernel passes (``kernel_passes``:
   the constants of the phi table's factor record, f^-(t) at the atoms and
   at the quadrature nodes with density), or the name of the exception;
 * per case of the ``mc_exact`` workload, one cold and one repeated job
@@ -358,6 +363,8 @@ def pair_work():
 def probe():
     """Monte Carlo job work, then spine-ratio, spine-table, contour, sup_tail and phi-table figures
     per preset (JSON on stdout)."""
+    import numpy as np
+
     from levycm import numerics, shift_spec, wiener_hopf
     from levycm.specio import SHOWCASE
 
@@ -381,10 +388,14 @@ def probe():
             times = []
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
-                table = wiener_hopf.build_phi_table(spec)
+                table, n = work(wiener_hopf.build_phi_table, spec)
                 times.append(time.perf_counter() - t0)
+            s, p = np.asarray(table.breakpoints), np.asarray(table.values)
+            jumps = int(np.sum((np.abs(np.diff(p)) == math.pi) & (s[:-1] * s[1:] > 0.0)))
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
-                                                    "breakpoints": len(table.breakpoints)}
+                                                    "breakpoints": len(table.breakpoints),
+                                                    "estimate_phi_calls": n.get("estimate_phi.calls"),
+                                                    "lockstep_steps": n["lockstep.steps"], "jumps": jumps}
     geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
     seed_nodes = numerics._geometry(0.0, math.inf, (0.0,))[3][1].size  # built apart from the memo
     print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "seed_nodes": seed_nodes,
