@@ -154,17 +154,23 @@ def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):
     contour integral, ``_bd_kappa`` of (side, sigma, 0, +1), (side,
     tau+sigma, xi, -1).  The phi and spine routes multiply
     :func:`kappa_ratio_tau` (tau > 0) by their spatial ratio (xi > 0).
-    The steps taken are those :func:`_pr_route` lists.
+    The steps taken are those :func:`_pr_route` lists.  Arguments that
+    :class:`SpaceTimeQuery` rejects raise its :class:`ValidationError`.
     """
-    q = SpaceTimeQuery(float(sigma), float(tau), float(xi), side)
+    sigma, tau, xi = float(sigma), float(tau), float(xi)
+    if not (0.0 < sigma < math.inf and 0.0 <= tau < math.inf and 0.0 <= xi < math.inf
+            and side in (PLUS, MINUS)):
+        SpaceTimeQuery(sigma, tau, xi, side)  # raises, naming the first argument it rejects
+    if method == "bd":
+        if not (tau > 0.0 or xi > 0.0):
+            return 1.0
+        return _bd_kappa(spec, ((side, sigma, 0.0, 1), (side, tau + sigma, xi, -1)))
     value = 1.0
-    for step in _pr_route(q.tau, q.xi, method):
-        if step == "bd_kappa":
-            value = _bd_kappa(spec, ((q.side, q.sigma, 0.0, 1), (q.side, q.tau + q.sigma, q.xi, -1)))
-        elif step == "kappa_ratio_tau":
-            value /= kappa_ratio_tau(spec, 0.0, q.tau + q.sigma, q.sigma, side)
+    for step in _pr_route(tau, xi, method):
+        if step == "kappa_ratio_tau":
+            value /= kappa_ratio_tau(spec, 0.0, tau + sigma, sigma, side)
         else:
-            value /= kappa_ratio_xi(spec, q.tau + q.sigma, q.xi, 0.0, side, method)
+            value /= kappa_ratio_xi(spec, tau + sigma, xi, 0.0, side, method)
     return value
 
 

@@ -258,7 +258,10 @@ def _simulate_jump_block(spec, drift, rates, scales, signs, sigma, m, rng):
     counts = rng.poisson(total_rate * horizon)
     path = np.repeat(np.arange(m), counts)
     u = rng.uniform(size=path.size) * horizon[path]
-    comps = rng.choice(len(rates), size=path.size, p=rates / total_rate)
+    # the inverse CDF of Generator.choice(len(rates), size, p=rates / total_rate), on the same
+    # uniform draw, without its validation of p
+    cdf = np.cumsum(rates / total_rate)
+    comps = (cdf / cdf[-1]).searchsorted(rng.random(path.size), side="right")
     # sizes are i.i.d. and independent of the times: sorting the times alone suffices
     sizes = signs[comps] * rng.exponential(size=path.size) / scales[comps]
     times = _path_sorted(u, path, m)

@@ -54,6 +54,7 @@ _WORK = dict.fromkeys((
     "eval_f_prime.core_calls",
     "phi_kernel.passes",
     "estimate_phi.calls",
+    "integrate_adaptive.mapped_panels",
 ), 0)
 
 
@@ -164,6 +165,11 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     in buffers that double when full; the arrays returned are views of their
     filled part (with no split, the arrays in and first estimated).  A panel
     at floating-point resolution is never split and keeps its estimate.
+    When the largest open error alone covers the excess, that panel is the
+    round's one split, with no sort of the errors.  A split that outgrows
+    the buffers (the first one copies the arrays passed in and first
+    estimated) builds each buffer in one concatenation that already holds
+    its right halves.
 
     Stops converged when the summed error meets the goal, and unconverged
     when ``max_splits`` is used up or no splittable panel has error left.
@@ -185,24 +191,29 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
             break
         mid = 0.5 * (lo + hi)
         open_err = np.where((lo < mid) & (mid < hi), err, 0.0)
-        if not open_err.max() > 0.0:
+        top = int(open_err.argmax())  # the first of the largest, as the stable sort below puts it
+        if not open_err[top] > 0.0:
             break
-        worst = np.flatnonzero(open_err > 0.0)
-        worst = worst[np.argsort(-err[worst], kind="stable")]
-        cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
-        sel = worst[: min(cover, max_splits - splits)]
-        m = len(sel)
+        if open_err[top] >= err_sum - goal:  # the cumulative sum below would stop at its first entry
+            sel, m = slice(top, top + 1), 1
+        else:
+            worst = np.flatnonzero(open_err > 0.0)
+            worst = worst[np.argsort(-err[worst], kind="stable")]
+            cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
+            sel = worst[: min(cover, max_splits - splits)]
+            m = len(sel)
         _WORK["refine_panels.rounds"] += 1
-        v2, e2, r2 = estimate(
-            np.concatenate([lo[sel], mid[sel]]), np.concatenate([mid[sel], hi[sel]])
-        )
+        left, right = mid[sel], hi[sel]
+        v2, e2, r2 = estimate(np.concatenate([lo[sel], left]), np.concatenate([left, right]))
+        parts = (left, right, v2[m:], e2[m:], r2[m:])  # right halves appended, left halves in place
         if n + m > len(bufs[0]):
             size = max(2 * len(bufs[0]), n + m)
-            bufs = [np.concatenate([b[:n], np.empty((size - n, *b.shape[1:]), b.dtype)]) for b in bufs]
-        new = slice(n, n + m)  # right halves appended, left halves in place of their parents
-        bufs[0][new], bufs[1][new] = mid[sel], hi[sel]
-        bufs[2][new], bufs[3][new], bufs[4][new] = v2[m:], e2[m:], r2[m:]
-        bufs[1][sel] = mid[sel]
+            bufs = [np.concatenate([b[:n], part, np.empty((size - n - m, *b.shape[1:]), b.dtype)])
+                    for b, part in zip(bufs, parts)]
+        else:
+            for b, part in zip(bufs, parts):
+                b[n : n + m] = part
+        bufs[1][sel] = left
         bufs[2][sel], bufs[3][sel], bufs[4][sel] = v2[:m], e2[:m], r2[:m]
         n += m
         splits += m
@@ -220,7 +231,7 @@ def gk15_sums(lo, hi, w, rows):
 
     ``w`` are the Kronrod weights from :func:`gk15_nodes`, one row per panel.
     """
-    k = np.sum(w * rows, axis=1)
+    k = np.add.reduce(w * rows, axis=1)
     g = 0.5 * (hi - lo) * (rows[:, _GAUSS_IDX] @ _WG)
     return k, np.abs(k - g)
 
@@ -307,7 +318,10 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     on every call on the domain and the only read-only array it is passed,
     so an integrand may keep its values there from one call to the next,
     and their panel sums are one ``einsum`` of the Kronrod and Kronrod -
-    Gauss weights kept there.  Rows keep the integrand's dtype.
+    Gauss weights kept there.  A refinement round whose panels are all
+    halves of seed panels reads their node map from the geometry by index;
+    any other round maps its panels (``integrate_adaptive.mapped_panels``).
+    Rows keep the integrand's dtype.
 
     Returns ``(value, err_estimate)``; raises :class:`QuadratureError` with
     the partial value attached when ``max_subdivisions`` is exhausted or a
@@ -316,11 +330,16 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     if cfg is None:
         cfg = QuadratureConfig()
     key = (*domain, cfg.singular_points)
-    nodes, p_lo, p_hi, seed = _GEOMETRY.get(key, _geometry, *key)
+    nodes, p_lo, p_hi, seed, halves = _GEOMETRY.get(key, _geometry, *key)
     skipped = []
 
     def estimate(lo, hi):  # refine_panels passes the seed panels on as they are
-        w, s, weight, on, full = seed if lo is p_lo else nodes(lo, hi)
+        if lo is p_lo:
+            w, s, weight, on, full = seed
+        else:
+            w, s, weight, on = _mapped(nodes, halves, lo, hi)
+            full = bool(on.all())
+            s, weight = (s.ravel(), weight.ravel()) if full else (s[on], weight[on])
         skipped.append(not full)
         vals = np.asarray(integrand(s)) * weight  # rows in the integrand's dtype
         rows = vals.reshape(on.shape) if full else np.zeros(on.shape, vals.dtype)
@@ -341,10 +360,25 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     return value, max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
 
 
+def _mapped(nodes, halves, lo, hi):
+    """The map ``nodes`` of the panels [lo, hi], uncompressed: read from the geometry's ``halves``
+    by index when every panel is a half of a seed panel, else mapped here (counted in
+    ``integrate_adaptive.mapped_panels``)."""
+    h_lo, h_hi, *maps = halves
+    j = np.minimum(np.searchsorted(h_lo, lo), h_lo.size - 1)
+    if ((h_lo[j] == lo) & (h_hi[j] == hi)).all():
+        return [arr[j] for arr in maps]
+    _WORK["integrate_adaptive.mapped_panels"] += lo.size
+    return nodes(lo, hi)
+
+
 def _geometry(a, b, singular_points):
-    """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights, evaluable
-    nodes s, their weights ds/dp, the mask of evaluable nodes and whether all are, the seed panels
-    and, read-only, the map on them, the Kronrod weights stacked with the Kronrod - Gauss ones."""
+    """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights, nodes
+    s, weights ds/dp (any value where a node is not evaluable) and the mask of evaluable nodes, one
+    row per panel; the seed panels; read-only, the map on them (the Kronrod weights stacked with the
+    Kronrod - Gauss ones, the evaluable nodes and their weights, the mask and whether every node is
+    evaluable); and, read-only, the halves of the seed panels (left and right of each in turn, so
+    their lower ends ascend) with the map on them, bitwise what the map gives on demand."""
     sing = [s for s in singular_points if math.isfinite(s)]
     if math.isinf(a) and math.isinf(b):
 
@@ -382,15 +416,17 @@ def _geometry(a, b, singular_points):
         with np.errstate(all="ignore"):
             s, ds = to_s(x, gap)
             weight = ds * dx
-        on = (weight > 0.0) & (weight < math.inf)
-        return w, s[on], weight[on], on, bool(on.all())
+        return w, s, weight, (weight > 0.0) & (weight < math.inf)
 
-    w, *seed = nodes(p_lo, p_hi)
+    w, s, weight, on = nodes(p_lo, p_hi)
     wg = 0.5 * (p_hi - p_lo)[:, None] * np.bincount(_GAUSS_IDX, _WG, 15)  # Gauss, on the Kronrod nodes
-    seed = (np.stack([w, w - wg]), *seed)
-    for arr in (p_lo, p_hi, *seed[:4]):
+    seed = (np.stack([w, w - wg]), s[on], weight[on], on, bool(on.all()))
+    mid = 0.5 * (p_lo + p_hi)  # as refine_panels splits
+    h_lo, h_hi = np.stack([p_lo, mid], axis=1).ravel(), np.stack([mid, p_hi], axis=1).ravel()
+    halves = (h_lo, h_hi, *nodes(h_lo, h_hi))
+    for arr in (p_lo, p_hi, *seed[:4], *halves):
         arr.setflags(write=False)
-    return nodes, p_lo, p_hi, seed
+    return nodes, p_lo, p_hi, seed, halves
 
 
 def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
@@ -563,4 +599,4 @@ class _LRU:
         self.misses = 0
 
 
-_GEOMETRY = _LRU(8)  # (a, b, singular points) -> _geometry, 17 kB on a half-line (README)
+_GEOMETRY = _LRU(8)  # (a, b, singular points) -> _geometry, 77 kB on (0, inf) with singular point 0 (README)

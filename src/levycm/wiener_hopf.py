@@ -231,8 +231,8 @@ _BD_CFG = QuadratureConfig(
     rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=6000, singular_points=(0.0,)
 )
 _BD_KAPPA = _LRU(4096)  # (spec, terms) -> product, ~0.4 kB each besides the spec
-# on the seed nodes of the contour integral: (spec, None) -> f and (spec, quotient) -> its
-# log |q| less its shift and arg q, two real rows, ~13 kB each (README, "Caching")
+# spec -> f_limits; on the seed nodes of the contour integral: (spec, None) -> f, (spec, quotient)
+# -> its log |q| less its shift and arg q, two real rows, ~13 kB each, and None -> 1/x (README, "Caching")
 _BD_SEED = _LRU(64)
 
 
@@ -242,9 +242,14 @@ def _pole_kernel(x, c, b):
     if b == 0.0:
         return c / x, None
     m = np.maximum(x, abs(b))
-    xs, bs = x / m, b / m
-    scl = c / (x * xs + b * bs)
-    return xs * scl, bs * scl
+    xs = x / m
+    bs = np.divide(b, m, out=m)  # the same arithmetic in place, in the arrays made here
+    scl = x * xs
+    scl += b * bs
+    np.divide(c, scl, out=scl)
+    xs *= scl
+    bs *= scl
+    return xs, bs
 
 
 def _plus(a, b):
@@ -267,65 +272,83 @@ def _bd_kappa(spec, terms):
     :func:`_pole_kernel`, g as the rows log |q| - shift and arg q).  Different
     tau_k need an unbounded exponent (:class:`MethodUnsupportedError`) and
     tau + f(0+) > 0, and no quotient may meet (-inf, 0] (:class:`DomainError`).
-    Memoized on (spec, terms); a call that raises stores nothing.  On the seed
-    nodes of the integral, the same in every call, f is read from ``_BD_SEED``
-    once per spec and each quotient's two rows once per (spec, quotient),
-    bitwise the values computed afresh.  A non-finite integrand value (a
-    kernel that overflows at a node next to x = 0) raises :class:`QuadratureError`.
+    Memoized on (spec, terms); a call that raises stores nothing.  ``_BD_SEED``
+    keeps f(0+) and f(inf-) once per spec and, on the seed nodes of the
+    integral, the same in every call, f once per spec, each quotient's two
+    rows once per (spec, quotient) and the kernel 1/x of a pole at 0, bitwise
+    the values computed afresh.  A non-finite integrand value (a kernel that
+    overflows at a node next to x = 0) raises :class:`QuadratureError`.
     """
+    return _BD_KAPPA.get((spec, terms), _bd_integral, spec, terms)
 
-    def build():
-        lim = f_limits(spec)
-        f0 = lim.f_at_zero
-        S = {tau: math.log(tau + f0) if tau + f0 > 0.0 else 0.0 for _, tau, _, _ in terms}
-        if len(S) > 1:
-            if math.isfinite(lim.f_at_infinity):
-                raise MethodUnsupportedError("temporal ratios need an unbounded exponent; compound Poisson "
-                                             "specs route through kappa_circ and the product identity")
-            if min(S) + f0 <= 0.0:
-                raise DomainError("tau + f(0+) must be positive for every temporal argument")
-        poles = {}  # (side, x) -> [(tau, s)]
-        for side, tau, x, s in terms:
-            poles.setdefault((side, x), []).append((tau, s))
-        # quotient ((tau, s), ...) led by s = +1 -> (quotient, shift, poles (c, b)): kern = c/(x - i b)
-        parts = {}
-        for (side, a), group in poles.items():
-            sign = group[0][1]
-            quot = tuple([(tau, s * sign) for tau, s in group])
-            parts.setdefault(quot, (quot, sum([s * S[tau] for tau, s in quot]), []))[2].append(
-                (sign, a) if side == PLUS else (-sign, -a))
 
-        def log_less(f, quot, shift):  # log |quotient| less its shift, and arg quotient
-            q = quot[0][0] + f
-            for tau, s in quot[1:]:
-                q = q * (tau + f) if s > 0 else q / (tau + f)
-            if not q.real.min() > 0.0 and ((q.imag == 0.0) & (q.real <= 0.0)).any():
-                raise DomainError("principal_log is undefined on (-inf, 0]")
-            return np.log(np.hypot(q.real, q.imag)) - shift, np.arctan2(q.imag, q.real)
+def _bd_integral(spec, terms):
+    """The :func:`_bd_kappa` of ``terms``, by its one contour integral."""
+    lim = _BD_SEED.get(spec, f_limits, spec)
+    f0 = lim.f_at_zero
+    S, poles = {}, {}  # tau -> S_tau; (side, x) -> [(tau, s)]
+    for side, tau, x, s in terms:
+        S[tau] = math.log(tau + f0) if tau + f0 > 0.0 else 0.0
+        poles.setdefault((side, x), []).append((tau, s))
+    if len(S) > 1:
+        if math.isfinite(lim.f_at_infinity):
+            raise MethodUnsupportedError("temporal ratios need an unbounded exponent; compound Poisson "
+                                         "specs route through kappa_circ and the product identity")
+        if min(S) + f0 <= 0.0:
+            raise DomainError("tau + f(0+) must be positive for every temporal argument")
+    parts = {}  # quotient ((tau, s), ...) led by s = +1 -> its poles (c, b), c = +-1: kern = c/(x - i b)
+    for (side, a), group in poles.items():
+        sign = group[0][1]
+        parts.setdefault(tuple([(tau, s * sign) for tau, s in group]), []).append(
+            (sign, a) if side == PLUS else (-sign, -a))
 
-        def integrand(x):
-            # f and the logs on the seed nodes (read-only, integrate_adaptive) are kept in _BD_SEED
-            get = _BD_SEED.get if not x.flags.writeable else lambda key, fn, *args: fn(*args)
-            f = get((spec, None), eval_f, spec, x)
-            total = None
+    def integrand(x):
+        if x.flags.writeable:  # a refinement round's nodes
+            f = eval_f(spec, x)
             with np.errstate(over="ignore", invalid="ignore"):  # the kernel of a pole at 0, at x ~ 0
-                for quot, shift, poles_of in parts.values():
-                    k_re = k_im = None  # sum c/(x - i b) over the poles of the quotient
-                    for c, b in poles_of:
-                        re, im = _pole_kernel(x, c, b)
-                        k_re, k_im = _plus(k_re, re), _plus(k_im, im)
-                    g_re, g_im = get((spec, quot), log_less, f, quot, shift)
-                    total = _plus(total, k_re * g_im if k_im is None else k_re * g_im + k_im * g_re)
+                total = _bd_total(x, parts, lambda quot: _log_less(f, quot, S))
                 finite = math.isfinite(np.add.reduce(total)) or np.isfinite(total).all()  # the sum first
-            if not finite:
-                at = float(x[~np.isfinite(total)][0])
-                raise QuadratureError(math.nan, math.inf, f"the bd integrand is not finite at x = {at!r}")
-            return total
+        else:  # the seed nodes (read-only, integrate_adaptive), where no kernel overflows
+            f = _BD_SEED.get((spec, None), eval_f, spec, x)
+            total = _bd_total(x, parts, lambda quot: _BD_SEED.get((spec, quot), _log_less, f, quot, S),
+                              _BD_SEED.get(None, np.divide, 1.0, x))
+            finite = math.isfinite(np.add.reduce(total)) or np.isfinite(total).all()
+        if not finite:
+            at = float(x[~np.isfinite(total)][0])
+            raise QuadratureError(math.nan, math.inf, f"the bd integrand is not finite at x = {at!r}")
+        return total
 
-        val, _ = integrate_adaptive(integrand, (0.0, math.inf), _BD_CFG)
-        return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val.real / math.pi)
+    val, _ = integrate_adaptive(integrand, (0.0, math.inf), _BD_CFG)
+    return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val.real / math.pi)
 
-    return _BD_KAPPA.get((spec, terms), build)
+
+def _log_less(f, quot, S):
+    """log |q| less its shift sum s S_tau, and arg q, for the quotient q = prod (tau + f)^s of ``quot``."""
+    q = quot[0][0] + f
+    for tau, s in quot[1:]:
+        q = q * (tau + f) if s > 0 else q / (tau + f)
+    if not q.real.min() > 0.0 and ((q.imag == 0.0) & (q.real <= 0.0)).any():
+        raise DomainError("principal_log is undefined on (-inf, 0]")
+    shift = sum([s * S[tau] for tau, s in quot])
+    return np.log(np.hypot(q.real, q.imag)) - shift, np.arctan2(q.imag, q.real)
+
+
+def _bd_total(x, parts, logs, inv=None):
+    """The bd integrand at the nodes x: sum over the quotients of ``parts`` of re kern im g + im kern re g,
+    with ``logs(quot)`` the rows of g and ``inv``, when given, 1/x (the kernel of a pole at 0 is c inv,
+    c = +-1, bitwise c/x)."""
+    total = None
+    for quot, poles_of in parts.items():
+        k_re = k_im = None  # sum c/(x - i b) over the poles of the quotient
+        for c, b in poles_of:
+            if b == 0.0 and inv is not None:
+                re, im = inv if c > 0 else -inv, None
+            else:
+                re, im = _pole_kernel(x, c, b)
+            k_re, k_im = _plus(k_re, re), _plus(k_im, im)
+        g_re, g_im = logs(quot)
+        total = _plus(total, k_re * g_im if k_im is None else k_re * g_im + k_im * g_re)
+    return total
 
 
 # ---------------------------------------------------------------------------

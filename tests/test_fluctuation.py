@@ -16,7 +16,7 @@ from levycm import (
     f_limits,
     shift_spec,
 )
-from levycm import fluctuation, wiener_hopf
+from levycm import fluctuation, numerics, wiener_hopf
 from levycm.fluctuation import (
     CmCheckConfig,
     cm_cbf_check,
@@ -191,6 +191,27 @@ class TestPrLaplace:
         with pytest.raises(ValidationError):
             pr_laplace(BM_DRIFT, 0.5, tau, xi)
 
+    @pytest.mark.parametrize("method", ["bd", "phi"])
+    @pytest.mark.parametrize(
+        "sigma,tau,xi,side,field",
+        [(0.0, 1.0, 1.0, "plus", "sigma"), (-1.0, 1.0, 1.0, "plus", "sigma"),
+         (math.nan, 1.0, 1.0, "plus", "sigma"), (math.inf, 1.0, 1.0, "plus", "sigma"),
+         (0.5, -1.0, 1.0, "plus", "tau"), (0.5, math.nan, 1.0, "plus", "tau"), (0.5, math.inf, 1.0, "plus", "tau"),
+         (0.5, 1.0, -1e-300, "plus", "xi"), (0.5, 1.0, math.nan, "plus", "xi"), (0.5, 1.0, math.inf, "plus", "xi"),
+         (0.5, 1.0, 1.0, "up", "side"), (0.5, 0.0, 0.0, None, "side"),
+         (-1.0, math.nan, -1.0, "up", "sigma"), (0.5, -1.0, math.nan, "up", "tau"), (0.5, 1.0, -1.0, "up", "xi")],
+    )
+    def test_rejected_argument_names_its_field(self, sigma, tau, xi, side, field, method):
+        """A ValidationError naming the first argument SpaceTimeQuery rejects (sigma, tau, xi, side),
+        with its message, before any integral and whatever the method."""
+        with pytest.raises(ValidationError) as want:
+            fluctuation.SpaceTimeQuery(sigma, tau, xi, side)
+        before = work_counts()["refine_panels.calls"]
+        with pytest.raises(ValidationError) as got:
+            pr_laplace(BM_DRIFT, sigma, tau, xi, side, method)
+        assert got.value.field == want.value.field == field and got.value.message == want.value.message
+        assert work_counts()["refine_panels.calls"] == before
+
     @pytest.mark.parametrize(
         "sigma,tau,xi", [(0.5, math.inf, 1.0), (0.5, 1.0, math.inf), (math.inf, 1.0, 1.0)]
     )
@@ -349,6 +370,42 @@ class TestPrLaplaceReuse:
         assert (HYPER_CP, (("plus", 0.7, 0.0, 1), ("plus", 1.0 + 0.7, 0.5, -1))) in wiener_hopf._BD_KAPPA
         assert (BM_DRIFT, (("minus", 2.0, 0.5, 1), ("minus", 0.5, 0.5, -1))) in wiener_hopf._BD_KAPPA
         assert len(wiener_hopf._BD_KAPPA) == 2
+
+    # warm calls whose bd contour integral refines past its seed round: 2, 2, 3, 3, 5 and 4 rounds,
+    # which map 0, 0, 2, 0, 4 and 2 panels on demand
+    REFINING = [("tempered_stable", 2.0, 0.78, 0.6), ("tempered_stable", 2.0, 1.25, 1.0),
+                ("tempered_stable", 2.0, 2.49, 2.2), ("rational_three_arcs", 0.5, 1.0, 2.3),
+                ("rational_three_arcs", 0.5, 1.0, 2.97), ("rational_three_arcs", 0.5, 1.0, 3.85)]
+
+    @pytest.mark.parametrize("name,sigma,tau,xi", REFINING)
+    def test_refining_warm_call_is_the_cold_one(self, monkeypatch, name, sigma, tau, xi):
+        """A warm call (only the memo of products cleared) that refines is bitwise the cold call
+        (the seed memo and the quadrature-geometry memo cleared too), in as many rounds, and the call
+        with every refinement panel mapped on demand, as before the geometry kept the seed halves;
+        its first refinement round, which splits seed panels only, maps no panel."""
+        spec = SHOWCASE[name]
+
+        def run(*memos):
+            for memo in (wiener_hopf._BD_KAPPA, *memos):
+                memo.clear()
+            before = work_counts()
+            value = pr_laplace(spec, sigma, tau, xi)
+            n = {k: v - before[k] for k, v in work_counts().items()}
+            return value.hex(), n["refine_panels.rounds"], n["integrate_adaptive.mapped_panels"]
+
+        cold = run(wiener_hopf._BD_SEED, numerics._GEOMETRY)
+        warm = run()
+        assert warm == cold and warm[1] >= 2 and (warm[1] > 2 or warm[2] == 0)
+        geometry = numerics._geometry  # no seed half to read: every refinement panel is mapped
+
+        def mapped_only(*key):
+            *entry, (_, _, *halves) = geometry(*key)
+            return (*entry, (np.array([math.inf]), np.array([math.inf]), *(arr[:1] for arr in halves)))
+
+        monkeypatch.setattr(numerics, "_GEOMETRY", _LRU(2))
+        monkeypatch.setattr(numerics, "_geometry", mapped_only)
+        on_demand = run(wiener_hopf._BD_SEED)
+        assert on_demand[:2] == warm[:2] and on_demand[2] > warm[2]
 
     def test_failed_ratio_not_cached(self):
         wiener_hopf._BD_KAPPA.clear()

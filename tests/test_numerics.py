@@ -175,10 +175,10 @@ class TestGeometryMemo:
             integrate_adaptive(lambda s: np.exp(-s), (0.0, math.inf), QuadratureConfig(singular_points=sing))
         assert (len(numerics._GEOMETRY), numerics._GEOMETRY.misses, numerics._GEOMETRY.hits) == (2, 2, 1)
         plain = numerics._GEOMETRY.get((0.0, math.inf, ()), None)
-        _, p_lo, p_hi, (*arrays, full) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        _, p_lo, p_hi, (*arrays, full), halves = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
         assert not np.array_equal(plain[1], p_lo)
-        assert full is True and len(arrays) == 4
-        for arr in (p_lo, p_hi, *arrays):
+        assert full is True and len(arrays) == 4 and len(halves) == 6
+        for arr in (p_lo, p_hi, *arrays, *halves):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -197,9 +197,18 @@ class TestGeometryMemo:
         integrate_adaptive(f, (0.0, math.inf), cfg)
         first = len(seen)
         integrate_adaptive(f, (0.0, math.inf), cfg)
-        _, _, _, (_, s, *_) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        _, _, _, (_, s, *_), _ = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
         assert first > 1 and seen[0] is s and seen[first] is s
         assert all(x.flags.writeable for x in seen[1:first] + seen[first + 1:])
+
+    @staticmethod
+    def _deepen(monkeypatch):
+        """Extend the graded seed with halves down to 2^-593 in v, where the map to a half-line's
+        infinite end overflows and seed nodes are not evaluable."""
+        axis = numerics._piecewise_axis
+        extra = 0.5 ** np.arange(17.0, 600.0, 16.0)
+        monkeypatch.setattr(numerics, "_piecewise_axis",
+                            lambda cuts, sing, graded=(): axis(cuts, sing, graded, np.append(numerics._SEED, extra)))
 
     @staticmethod
     def _seed_round(monkeypatch, f, domain, cfg, deep=False):
@@ -209,10 +218,7 @@ class TestGeometryMemo:
         map to a half-line's infinite end overflows and seed nodes are not evaluable."""
         monkeypatch.setattr(numerics, "_GEOMETRY", _LRU(2))
         if deep:
-            axis = numerics._piecewise_axis
-            extra = 0.5 ** np.arange(17.0, 600.0, 16.0)
-            monkeypatch.setattr(numerics, "_piecewise_axis",
-                                lambda cuts, sing, graded=(): axis(cuts, sing, graded, np.append(numerics._SEED, extra)))
+            TestGeometryMemo._deepen(monkeypatch)
         rows, runs = [], []
         refine = numerics.refine_panels
 
@@ -239,7 +245,7 @@ class TestGeometryMemo:
         the call raises."""
         f = lambda s: np.exp(-s) / (0.1 + (s - 1.0) ** 2)
         cfg = QuadratureConfig(singular_points=(0.0,))
-        out, rows, _, (_, _, _, (_, s, weight, on, full)) = self._seed_round(
+        out, rows, _, (_, _, _, (_, s, weight, on, full), _) = self._seed_round(
             monkeypatch, f, (0.0, math.inf), cfg, deep)
         assert on.all() != deep and full == on.all()
         want = np.zeros(on.shape)
@@ -254,7 +260,7 @@ class TestGeometryMemo:
         weights over |rows|."""
         f = lambda s: np.exp(-s)
         cfg = QuadratureConfig(singular_points=(0.0,))
-        (value, err), rows, (lo, hi, res), (_, _, _, (wk, *_)) = self._seed_round(
+        (value, err), rows, (lo, hi, res), (_, _, _, (wk, *_), _) = self._seed_round(
             monkeypatch, f, (0.0, math.inf), cfg)
         assert res.lo is lo and res.hi is hi and res.converged
         _, w = numerics.gk15_nodes(lo, hi)
@@ -266,6 +272,64 @@ class TestGeometryMemo:
         np.testing.assert_allclose(np.abs(dk), e, rtol=0.0, atol=1e-15 * scale.max())
         assert value == complex(res.value)
         assert err == max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["evaluable", "unevaluable"])
+    @pytest.mark.parametrize(
+        "domain,sing",
+        [((0.0, math.inf), (0.0,)), ((0.0, math.inf), ()), ((-math.inf, math.inf), (0.0,)),
+         ((-math.inf, 1.0), ()), ((-1.0, 3.0), (0.0, 0.5))],
+        ids=["half-line-singular", "half-line", "full-line", "left-half-line", "interval"],
+    )
+    def test_premapped_halves_are_the_map(self, monkeypatch, domain, sing, deep):
+        """The entry's halves of the seed panels, left and right of each in turn, are bitwise the
+        geometry's map of those panels, one at a time and in a refinement round's batch of left
+        halves then right halves; with the seed extended where the map to infinity overflows, their
+        mask marks the same nodes unevaluable."""
+        if deep:
+            self._deepen(monkeypatch)
+        nodes, p_lo, p_hi, (*_, full), (h_lo, h_hi, *halves) = numerics._geometry(*domain, sing)
+        mid = 0.5 * (p_lo + p_hi)
+        assert h_lo.tobytes() == np.stack([p_lo, mid], axis=1).tobytes()
+        assert h_hi.tobytes() == np.stack([mid, p_hi], axis=1).tobytes()
+        on = halves[3]
+        assert on.all() == full == (not deep or all(map(math.isfinite, domain)))
+        for k in range(h_lo.size):
+            *one, mask = nodes(h_lo[k:k + 1], h_hi[k:k + 1])
+            assert mask[0].tobytes() == on[k].tobytes()
+            for got, want in zip(halves, one):
+                assert got[k][on[k]].tobytes() == want[0][on[k]].tobytes()
+        sel = np.arange(0, p_lo.size, 3)
+        batch = np.concatenate([2 * sel, 2 * sel + 1])
+        *mapped, mask = nodes(np.concatenate([p_lo[sel], mid[sel]]), np.concatenate([mid[sel], p_hi[sel]]))
+        assert mask.tobytes() == on[batch].tobytes()
+        for got, want in zip(halves, mapped):
+            assert got[batch][mask].tobytes() == want[mask].tobytes()
+
+    def test_rounds_of_seed_halves_map_no_panel(self, monkeypatch):
+        """integrate_adaptive maps on demand (integrate_adaptive.mapped_panels) the panels of each
+        refinement round whose panels are not all halves of seed panels, and no panel of the first
+        refinement round, which splits seed panels only."""
+        rounds = []
+        refine = numerics.refine_panels
+
+        def spy(estimate, lo, hi, *args, **kwargs):
+            def est(lo, hi):
+                rounds.append((lo.copy(), hi.copy()))
+                return estimate(lo, hi)
+
+            return refine(est, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "refine_panels", spy)
+        cfg = QuadratureConfig(singular_points=(0.0,))
+        f = lambda s: np.exp(-s) / (1e-6 + (s - 1.0) ** 2)
+        before = numerics.work_counts()["integrate_adaptive.mapped_panels"]
+        integrate_adaptive(f, (0.0, math.inf), cfg)
+        mapped = numerics.work_counts()["integrate_adaptive.mapped_panels"] - before
+        _, _, _, _, (h_lo, h_hi, *_) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        halves = set(zip(h_lo.tolist(), h_hi.tolist()))
+        other = [len(lo) * (not set(zip(lo.tolist(), hi.tolist())) <= halves) for lo, hi in rounds[1:]]
+        assert len(rounds) >= 3 and other[0] == 0 and 0 < sum(other) < sum(len(lo) for lo, _ in rounds[1:])
+        assert mapped == sum(other)
 
     @pytest.mark.parametrize(
         "f,seed_exit",
@@ -343,6 +407,25 @@ class TestRefinePanels:
         order = np.argsort(res.lo)
         assert res.lo[order][0] == 0.0 and res.hi[order][-1] == 4.0
         np.testing.assert_array_equal(res.lo[order][1:], res.hi[order][:-1])
+
+    def test_largest_error_alone_is_the_first_of_equals(self):
+        """Equal largest errors, each covering the excess alone: the round splits the first of
+        them only, as the stable sort of the errors orders them, bitwise what the appending
+        reference returns."""
+        sizes = []
+
+        def estimate(lo, hi):
+            sizes.append(lo.size)
+            return hi - lo, np.where(hi - lo == 1.0, 0.5, 1e-3), np.zeros((lo.size, 1))
+
+        args = (np.arange(3.0), np.arange(1.0, 4.0), 1.1)
+        res = refine_panels(estimate, *args, max_splits=20)
+        assert sizes == [3, 2] and res.converged
+        assert res.lo.tolist() == [0.0, 1.0, 2.0, 0.5] and res.hi.tolist() == [0.5, 2.0, 3.0, 1.0]
+        want = self._appending(estimate, *args, max_splits=20)
+        for g, w in zip((res.value, res.err, res.converged, res.lo, res.hi, res.rows), want):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @staticmethod
     def _appending(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):

@@ -29,11 +29,17 @@ Compares two checkouts of the repository, a parent and a change:
   calls), refinement rounds (panel estimates, one integrand call each) and
   ``eval_f`` points; and of the same ``pr_laplace`` again with only
   ``_BD_KAPPA`` cleared (``pr_warm``), with the hits and misses of
-  ``_BD_SEED`` in it: its seed round reads f and the logs from that memo;
-  and the median wall time of ``WARM_N`` warm ``pr_laplace`` calls at PR's
-  sigma and side, each with ``_BD_KAPPA`` cleared, at fresh xi and tau = 0
-  (``us_tau0``) and at fresh xi and fresh tau (``us_tau``), drawn
-  log-uniformly from the ranges of the ``fluct_warm`` workload;
+  ``_BD_SEED`` in it (its seed round reads f and the logs from that memo)
+  and the panels its refinement rounds map on demand
+  (``integrate_adaptive.mapped_panels``; None on a library that does not
+  count them); and the median wall time of ``WARM_N`` warm ``pr_laplace``
+  calls at PR's sigma and side, each with ``_BD_KAPPA`` cleared, at fresh
+  xi and tau = 0 (``us_tau0``) and at fresh xi and fresh tau (``us_tau``),
+  drawn log-uniformly from the ranges of the ``fluct_warm`` workload;
+* per warm ``pr_laplace`` call of ``REFINING`` (spec, sigma, tau, xi), whose
+  contour integral refines past its seed round (``pr_warm_refine``): its
+  rounds and the panels it maps on demand, with only ``_BD_KAPPA`` cleared
+  after a first call, and the median wall time of ``WARM_N`` such calls;
 * per preset, the refinement rounds of a cold sweep of ``pr_laplace``
   over the grid of the ``fluct_warm`` workload (``pr_sweep``: sigma in
   ``SWEEP_SIGMAS``, tau in ``SWEEP_TAUS``, ``SWEEP_N`` xi geometrically
@@ -114,6 +120,10 @@ PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
 WARM_N = 50  # warm pr_laplace calls per preset and tau kind, at fresh arguments
 WARM_XI = (0.1, 5.0)  # log-uniform ranges of xi and tau > 0, as in the fluct_warm workload
 WARM_TAU = (0.1, 3.0)
+# warm pr_laplace calls (preset, sigma, tau, xi) that refine: 2, 2, 3, 3, 5 and 4 rounds
+REFINING = (("tempered_stable", 2.0, 0.78, 0.6), ("tempered_stable", 2.0, 1.25, 1.0),
+            ("tempered_stable", 2.0, 2.49, 2.2), ("rational_three_arcs", 0.5, 1.0, 2.3),
+            ("rational_three_arcs", 0.5, 1.0, 2.97), ("rational_three_arcs", 0.5, 1.0, 3.85))
 # the pr_laplace grid of the fluct_warm workload, swept cold (pr_sweep)
 SWEEP_SIGMAS = (0.5, 2.0)
 SWEEP_TAUS = (0.0, 1.0)
@@ -210,7 +220,30 @@ def contour_work(spec):
     out["pr_warm"] = {"integrals": n["refine_panels.calls"], "rounds": n["refine_panels.rounds"],
                       "eval_f_points": n["eval_f.points"], "value": value,
                       "seed_memo": {"hits": seed.hits - hits, "misses": seed.misses - misses},
+                      "mapped_panels": n.get("integrate_adaptive.mapped_panels"),
                       "us_tau0": warm_us(spec, False), "us_tau": warm_us(spec, True)}
+    return out
+
+
+def refining_work():
+    """Rounds, panels mapped on demand and median us of each warm ``REFINING`` call."""
+    from levycm import fluctuation, wiener_hopf
+    from levycm.specio import SHOWCASE
+
+    out = []
+    for name, sigma, tau, xi in REFINING:
+        call = lambda: fluctuation.pr_laplace(SHOWCASE[name], sigma, tau, xi)
+        call()
+        wiener_hopf._BD_KAPPA.clear()
+        _, n = work(call)
+        times = []
+        for _ in range(WARM_N):
+            wiener_hopf._BD_KAPPA.clear()
+            t0 = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - t0)
+        out.append({"preset": name, "sigma": sigma, "tau": tau, "xi": xi, "rounds": n["refine_panels.rounds"],
+                    "mapped_panels": n.get("integrate_adaptive.mapped_panels"), "us": 1e6 * median(times)})
     return out
 
 
@@ -399,7 +432,8 @@ def probe():
     geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
     seed_nodes = numerics._geometry(0.0, math.inf, (0.0,))[3][1].size  # built apart from the memo
     print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "seed_nodes": seed_nodes,
-                      "l0": l0_work(), "l0_cold": l0_cold_work(), "factor_pair": pair_work()}))
+                      "pr_warm_refine": refining_work(), "l0": l0_work(), "l0_cold": l0_cold_work(),
+                      "factor_pair": pair_work()}))
 
 
 def memo_share(seconds):
@@ -509,6 +543,7 @@ def main(argv=None):
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
         "geometry_memo": {side: p["geometry_memo"] for side, p in probes.items()},
         "seed_nodes": {side: p.get("seed_nodes") for side, p in probes.items()},
+        "pr_warm_refine": {side: p.get("pr_warm_refine") for side, p in probes.items()},
         "l0_batch": L0_BATCH,
         "l0": {side: p["l0"] for side, p in probes.items()},
         "l0_cold": {side: p.get("l0_cold") for side, p in probes.items()},
