@@ -54,7 +54,8 @@ _WORK = dict.fromkeys((
     "eval_f_prime.core_calls",
     "phi_kernel.passes",
     "estimate_phi.calls",
-    "integrate_adaptive.mapped_panels",
+    "bd_sum.calls",
+    "bd_sum.nodes",
 ), 0)
 
 
@@ -112,9 +113,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 # seed panel edges of a graded piece, as fractions of its length in v from its
 # singular end: eighths down to a quarter, then factors of sqrt(2) (2 in the distance
 # to that end) down to 2^-8, then halves down to 2^-_SEED_DEPTH (see integrate_adaptive);
-# the eighths halve the bulk panels, where every pole x = O(1) of a bd contour integral
-# sits, and the factors of sqrt(2) the end panels, which resolve a pole of f as near as
-# x = 0.05 (rational_three_arcs), so that such an integral converges in its seed round
+# the verify quadratures converge without it too, in 3-4 times the rounds
 _SEED_DEPTH = 16
 _SEED = np.concatenate([np.arange(7, 2, -1) / 8.0, 0.5 ** (np.arange(4, 16) / 2.0),
                         0.5 ** np.arange(8, _SEED_DEPTH + 1)])
@@ -307,21 +306,10 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     1 - t and the distance of u to -+pi/2 the exact v^2 there.  Their pieces
     and those at a singular s = 0 start graded, in v: in eighths of the piece
     down to a quarter, then in factors of sqrt(2) (2 in s) down to 2^-8 and
-    in halves down to 2^-_SEED_DEPTH.  Refining one level per round from one
-    panel per piece, 232 of 288 bd contour integrals (8 presets and their
-    +0.5 shifts) end 2^-12 to 2^-20 (median 2^-15) from infinity, the rest
-    above 2^-4; from the seed, 265 end at its 2^-16.  All segments are refined
-    together by :func:`refine_panels` with Gauss-Kronrod 15 panels; a node
-    rounded onto a singular point, or where ds/dt overflows, is not
-    evaluated.  On the seed panels the integrand receives the read-only
-    array of their evaluable nodes kept with the geometry, the same values
-    on every call on the domain and the only read-only array it is passed,
-    so an integrand may keep its values there from one call to the next,
-    and their panel sums are one ``einsum`` of the Kronrod and Kronrod -
-    Gauss weights kept there.  A refinement round whose panels are all
-    halves of seed panels reads their node map from the geometry by index;
-    any other round maps its panels (``integrate_adaptive.mapped_panels``).
-    Rows keep the integrand's dtype.
+    in halves down to 2^-_SEED_DEPTH.  All segments are refined together by
+    :func:`refine_panels` with Gauss-Kronrod 15 panels; a node rounded onto
+    a singular point, or where ds/dt overflows, is not evaluated.  Rows keep
+    the integrand's dtype.
 
     Returns ``(value, err_estimate)``; raises :class:`QuadratureError` with
     the partial value attached when ``max_subdivisions`` is exhausted or a
@@ -330,24 +318,17 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     if cfg is None:
         cfg = QuadratureConfig()
     key = (*domain, cfg.singular_points)
-    nodes, p_lo, p_hi, seed, halves = _GEOMETRY.get(key, _geometry, *key)
+    nodes, p_lo, p_hi = _GEOMETRY.get(key, _geometry, *key)
     skipped = []
 
-    def estimate(lo, hi):  # refine_panels passes the seed panels on as they are
-        if lo is p_lo:
-            w, s, weight, on, full = seed
-        else:
-            w, s, weight, on = _mapped(nodes, halves, lo, hi)
-            full = bool(on.all())
-            s, weight = (s.ravel(), weight.ravel()) if full else (s[on], weight[on])
+    def estimate(lo, hi):
+        w, s, weight, on = nodes(lo, hi)
+        full = bool(on.all())
         skipped.append(not full)
-        vals = np.asarray(integrand(s)) * weight  # rows in the integrand's dtype
-        rows = vals.reshape(on.shape) if full else np.zeros(on.shape, vals.dtype)
+        vals = np.asarray(integrand(s.ravel() if full else s[on])) * (weight.ravel() if full else weight[on])
+        rows = vals.reshape(on.shape) if full else np.zeros(on.shape, vals.dtype)  # the integrand's dtype
         if not full:
             rows[on] = vals
-        if lo is p_lo:  # the seed's Kronrod and Kronrod - Gauss weights: both sums in one einsum
-            k, dk = np.einsum("ipj,pj->ip", w, rows)
-            return k, np.abs(dk), rows
         return (*gk15_sums(lo, hi, w, rows), rows)
 
     res = refine_panels(
@@ -356,29 +337,14 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     value = complex(res.value)
     if not res.converged or any(skipped):
         raise QuadratureError(value, res.err)
-    w = seed[0][0] if res.lo is p_lo else 0.5 * (res.hi - res.lo)[:, None] * _WK  # the Kronrod weights
+    w = 0.5 * (res.hi - res.lo)[:, None] * _WK  # the Kronrod weights
     return value, max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
-
-
-def _mapped(nodes, halves, lo, hi):
-    """The map ``nodes`` of the panels [lo, hi], uncompressed: read from the geometry's ``halves``
-    by index when every panel is a half of a seed panel, else mapped here (counted in
-    ``integrate_adaptive.mapped_panels``)."""
-    h_lo, h_hi, *maps = halves
-    j = np.minimum(np.searchsorted(h_lo, lo), h_lo.size - 1)
-    if ((h_lo[j] == lo) & (h_hi[j] == hi)).all():
-        return [arr[j] for arr in maps]
-    _WORK["integrate_adaptive.mapped_panels"] += lo.size
-    return nodes(lo, hi)
 
 
 def _geometry(a, b, singular_points):
     """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights, nodes
     s, weights ds/dp (any value where a node is not evaluable) and the mask of evaluable nodes, one
-    row per panel; the seed panels; read-only, the map on them (the Kronrod weights stacked with the
-    Kronrod - Gauss ones, the evaluable nodes and their weights, the mask and whether every node is
-    evaluable); and, read-only, the halves of the seed panels (left and right of each in turn, so
-    their lower ends ascend) with the map on them, bitwise what the map gives on demand."""
+    row per panel; and, read-only, the seed panels."""
     sing = [s for s in singular_points if math.isfinite(s)]
     if math.isinf(a) and math.isinf(b):
 
@@ -418,15 +384,9 @@ def _geometry(a, b, singular_points):
             weight = ds * dx
         return w, s, weight, (weight > 0.0) & (weight < math.inf)
 
-    w, s, weight, on = nodes(p_lo, p_hi)
-    wg = 0.5 * (p_hi - p_lo)[:, None] * np.bincount(_GAUSS_IDX, _WG, 15)  # Gauss, on the Kronrod nodes
-    seed = (np.stack([w, w - wg]), s[on], weight[on], on, bool(on.all()))
-    mid = 0.5 * (p_lo + p_hi)  # as refine_panels splits
-    h_lo, h_hi = np.stack([p_lo, mid], axis=1).ravel(), np.stack([mid, p_hi], axis=1).ravel()
-    halves = (h_lo, h_hi, *nodes(h_lo, h_hi))
-    for arr in (p_lo, p_hi, *seed[:4], *halves):
+    for arr in (p_lo, p_hi):
         arr.setflags(write=False)
-    return nodes, p_lo, p_hi, seed, halves
+    return nodes, p_lo, p_hi
 
 
 def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
@@ -599,4 +559,4 @@ class _LRU:
         self.misses = 0
 
 
-_GEOMETRY = _LRU(8)  # (a, b, singular points) -> _geometry, 77 kB on (0, inf) with singular point 0 (README)
+_GEOMETRY = _LRU(8)  # (a, b, singular points) -> _geometry, its node map and seed panels (README)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import copy
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,11 @@ from .errors import (
 )
 from .numerics import (
     _LRU,
-    QuadratureConfig,
+    _WORK,
     _lockstep_root,
     _piecewise_axis,
     gk15_nodes,
     gk15_sums,
-    integrate_adaptive,
     refine_panels,
     sorted_unique,
 )
@@ -225,130 +225,232 @@ def factor_pair(spec, kappa=1.0):
 # Baxter-Donsker route
 # ---------------------------------------------------------------------------
 
-# the one contour integral of every kappa product; abs_tol sits at the roundoff
-# floor of near-zero exponents (x1 ~ x2, tau1 ~ tau2)
-_BD_CFG = QuadratureConfig(
-    rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=6000, singular_points=(0.0,)
-)
+_BD_H = 0.2  # the trapezoidal sums of _bd_sum are on u_k = k h, |k| <= _BD_END (x a normal float)
+_BD_END = 3540
+_BD_X = np.exp(np.arange(-_BD_END, _BD_END + 1) * _BD_H)
+_BD_NEAR = 1280  # f is first evaluated on |k| <= _BD_NEAR (|u| <= 256), the whole grid once needed
+_BD_CUT = 1e-18  # a term is negligible at most _BD_CUT max(1, |T_h|)
+_BD_PAD = 240  # nodes (48 in u) past which a kernel's x/|b| or |b|/x times |g| <= 750 is below the cut
+_BD_EDGE = 8  # the outer band of terms on each side of a window that must be negligible
+_BD_NOISE = 88  # nodes below a pole, and _BD_EDGE more, where rounding in g times x/|b| is negligible
+_BD_GOAL = 1e-12  # T_h's error goal: |T_h - T_2h| <= sqrt(_BD_GOAL) max(1, |T_h|)
 _BD_KAPPA = _LRU(4096)  # (spec, terms) -> product, ~0.4 kB each besides the spec
-# spec -> f_limits; on the seed nodes of the contour integral: (spec, None) -> f, (spec, quotient)
-# -> its log |q| less its shift and arg q, two real rows, ~13 kB each, and None -> 1/x (README, "Caching")
-_BD_SEED = _LRU(64)
+_BD_GRID = _LRU(8)  # spec -> _BdGrid, 32 B a node of its run and 16 B for each cached row (README)
 
 
-def _pole_kernel(x, c, b):
-    """re and im of c/(x - i b) = c (x + i b)/(x^2 + b^2) at x > 0 (im None at b = 0), scaled by
-    max(x, |b|) as in Smith's division (CACM 5, 1962): it over- or underflows only where that does."""
-    if b == 0.0:
-        return c / x, None
-    m = np.maximum(x, abs(b))
-    xs = x / m
-    bs = np.divide(b, m, out=m)  # the same arithmetic in place, in the arrays made here
-    scl = x * xs
-    scl += b * bs
-    np.divide(c, scl, out=scl)
-    xs *= scl
-    bs *= scl
-    return xs, bs
+class _BdGrid:
+    """One spec's f = fr + i fi on its run [lo, hi] of the bd grid: the nodes around x = 1 where f
+    is finite and nonzero, first within |k| <= ``_BD_NEAR``, on the whole grid once :meth:`widen`
+    finds a window that needs a node past an ``open`` end (none unusable there).  ``rise`` is the
+    largest |f - f(0+)| up to each node and ``fall`` the smallest |f| from it on; ``below`` keeps
+    the last 16 low ends read off ``rise``, and ``rows`` log |q| - S_tau and arg q of the last 4
+    quotients of one tau with a pole at 0 (the sigma quotient of ``pr_laplace``)."""
+
+    def __init__(self, spec):
+        lim = f_limits(spec)
+        self.spec, self.f0, self.bounded = spec, lim.f_at_zero, math.isfinite(lim.f_at_infinity)
+        self._run(_BD_NEAR)
+
+    def _run(self, n):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the run ends before them
+            f = eval_f(self.spec, _BD_X[_BD_END - n:_BD_END + n + 1])
+        bad = np.flatnonzero(~(np.isfinite(f) & (f != 0.0))) - n
+        below, above = bad[bad < 0], bad[bad >= 0]
+        self.lo, self.hi = int(below.max(initial=-n - 1)) + 1, int(above.min(initial=n + 1)) - 1
+        self.open = (not below.size and n < _BD_END, not above.size and n < _BD_END)
+        f = f[self.lo + n:self.hi + n + 1]
+        self.fr, self.fi, self.fr_min = f.real.copy(), f.imag.copy(), float(f.real.min(initial=math.inf))
+        self.rise = np.maximum.accumulate(np.abs(f - self.f0))
+        self.fall = np.minimum.accumulate(np.abs(f[::-1]))[::-1].copy()  # contiguous, for searchsorted
+        self.rows, self.below = _LRU(4), _LRU(16)
+
+    def widen(self, lo, hi):
+        """Whether [lo, hi] reaches past an open end of the run, which then becomes the whole grid's."""
+        out = (lo < self.lo and self.open[0]) or (hi > self.hi and self.open[1])
+        if out:
+            self._run(_BD_END)
+        return out
 
 
-def _plus(a, b):
-    """a + b, where None stands for 0."""
-    return b if a is None else a if b is None else a + b
+def _pole_kernels(x, lo, c0, others, vanishing):
+    """re and im of c0 + sum c x/(x - i b) over a quotient's poles (c, b) ``others`` (b != 0) at the
+    nodes x of a window from node lo, c0 the sum of c over its poles at 0: each term is
+    c r (r + i)/(r^2 + 1), r = x/b, bounded by |c| (r clipped to +-1e150, past which it is c to all
+    digits).  re is C - sum c/(r^2 + 1), C = c0 + sum c, exactly C where x >> |b|, so that terms that
+    cancel toward infinity cancel exactly; where g does not vanish toward 0 (not ``vanishing``), re
+    is c0 + sum c r^2/(r^2 + 1) below the geometric mean of the |b|, to keep its digits there."""
+    p = 0 if vanishing else min(max(0, math.ceil(
+        sum([math.log(abs(b)) for _, b in others]) / (len(others) * _BD_H)) - lo), x.size)
+    re = im = None
+    for c, b in others:
+        r = (x if x[-1] <= 1e150 * abs(b) else np.minimum(x, 1e150 * abs(b))) / b
+        d = r * r
+        d += 1.0
+        np.divide(c, d, out=d)  # c/(r^2 + 1)
+        im_b = r * d
+        if p:
+            r *= im_b  # c r^2/(r^2 + 1)
+            r[p:] = d[p:]
+            d = r
+        re, im = (d, im_b) if re is None else (re + d, im + im_b)
+    np.subtract(c0 + sum([c for c, _ in others]), re[p:], out=re[p:])
+    if p and c0:
+        re[:p] += c0
+    return re, im
 
 
 def _bd_kappa(spec, terms):
     """prod_k kappa^{side_k}(tau_k, x_k)^{s_k} for ``terms`` (side_k, tau_k, x_k, s_k), s_k = +-1.
 
-    With S_tau = log(tau + f(0+)) (0 where tau + f(0+) = 0), the log of the
-    product is (1/2) sum_k s_k S_{tau_k} + (1/pi) int_0^inf im(sum kern g) dx,
-    summed over the poles (side, a): kern = 1/(x - i a) on the plus side and
-    -1/(x + i a) on the minus side, g the principal log of the one quotient
-    prod (tau_k + f)^{s_k} over the terms at the pole, minus their
-    sum s_k S_{tau_k}.  Poles whose quotients agree up to a sign (those of a
-    ratio) share one log, their kernels summed first.  By the reflection
-    f(-x) = conj f(x) this is the contour integral over the real line at
-    half the points, here of the real re kern im g + im kern re g (kernels of
-    :func:`_pole_kernel`, g as the rows log |q| - shift and arg q).  Different
-    tau_k need an unbounded exponent (:class:`MethodUnsupportedError`) and
-    tau + f(0+) > 0, and no quotient may meet (-inf, 0] (:class:`DomainError`).
-    Memoized on (spec, terms); a call that raises stores nothing.  ``_BD_SEED``
-    keeps f(0+) and f(inf-) once per spec and, on the seed nodes of the
-    integral, the same in every call, f once per spec, each quotient's two
-    rows once per (spec, quotient) and the kernel 1/x of a pole at 0, bitwise
-    the values computed afresh.  A non-finite integrand value (a kernel that
-    overflows at a node next to x = 0) raises :class:`QuadratureError`.
+    With S_tau = log(tau + f(0+)) (0 where that is 0), its log is (1/2) sum_k s_k S_{tau_k} + T/pi,
+    T = int_0^inf im(sum kern g) dx over the poles (side, a): kern = 1/(x - i a) on the plus side
+    and -1/(x + i a) on the minus side, g the principal log of the one quotient
+    prod (tau + f)^{s_k} over the terms at the pole, less their sum s_k S_{tau_k} (poles whose
+    quotients agree up to a sign share one g); by f(-x) = conj f(x) this is the contour integral
+    over the real line at half the points.  T is :func:`_bd_sum`'s.  Different tau_k need an
+    unbounded exponent (:class:`MethodUnsupportedError`) and tau + f(0+) > 0, and no quotient may
+    meet (-inf, 0] (:class:`DomainError`).  Memoized on (spec, terms); a call that raises stores
+    nothing.
     """
     return _BD_KAPPA.get((spec, terms), _bd_integral, spec, terms)
 
 
 def _bd_integral(spec, terms):
-    """The :func:`_bd_kappa` of ``terms``, by its one contour integral."""
-    lim = _BD_SEED.get(spec, f_limits, spec)
-    f0 = lim.f_at_zero
+    plan = _bd_plan(spec, terms)
+    return math.exp(0.5 * sum([s * plan[1][tau] for _, tau, _, s in terms]) + _bd_sum(*plan)[0] / math.pi)
+
+
+def _bd_plan(spec, terms):
+    """The grid, S_tau by tau, the quotients ((tau, s), ...) of ``terms`` (led by s = +1), each with
+    [c0, [(c, b), ...]] (the sum of c over its poles at 0 and its other poles, kern = c/(x - i b)),
+    and the window [lo, hi] of :func:`_bd_window`; the checks of :func:`_bd_kappa` are made here."""
+    grid = _BD_GRID.get(spec, _BdGrid, spec)
     S, poles = {}, {}  # tau -> S_tau; (side, x) -> [(tau, s)]
     for side, tau, x, s in terms:
-        S[tau] = math.log(tau + f0) if tau + f0 > 0.0 else 0.0
+        S[tau] = math.log(tau + grid.f0) if tau + grid.f0 > 0.0 else 0.0
         poles.setdefault((side, x), []).append((tau, s))
     if len(S) > 1:
-        if math.isfinite(lim.f_at_infinity):
+        if grid.bounded:
             raise MethodUnsupportedError("temporal ratios need an unbounded exponent; compound Poisson "
                                          "specs route through kappa_circ and the product identity")
-        if min(S) + f0 <= 0.0:
+        if min(S) + grid.f0 <= 0.0:
             raise DomainError("tau + f(0+) must be positive for every temporal argument")
-    parts = {}  # quotient ((tau, s), ...) led by s = +1 -> its poles (c, b), c = +-1: kern = c/(x - i b)
+    parts = {}
     for (side, a), group in poles.items():
         sign = group[0][1]
-        parts.setdefault(tuple([(tau, s * sign) for tau, s in group]), []).append(
-            (sign, a) if side == PLUS else (-sign, -a))
-
-    def integrand(x):
-        if x.flags.writeable:  # a refinement round's nodes
-            f = eval_f(spec, x)
-            with np.errstate(over="ignore", invalid="ignore"):  # the kernel of a pole at 0, at x ~ 0
-                total = _bd_total(x, parts, lambda quot: _log_less(f, quot, S))
-                finite = math.isfinite(np.add.reduce(total)) or np.isfinite(total).all()  # the sum first
-        else:  # the seed nodes (read-only, integrate_adaptive), where no kernel overflows
-            f = _BD_SEED.get((spec, None), eval_f, spec, x)
-            total = _bd_total(x, parts, lambda quot: _BD_SEED.get((spec, quot), _log_less, f, quot, S),
-                              _BD_SEED.get(None, np.divide, 1.0, x))
-            finite = math.isfinite(np.add.reduce(total)) or np.isfinite(total).all()
-        if not finite:
-            at = float(x[~np.isfinite(total)][0])
-            raise QuadratureError(math.nan, math.inf, f"the bd integrand is not finite at x = {at!r}")
-        return total
-
-    val, _ = integrate_adaptive(integrand, (0.0, math.inf), _BD_CFG)
-    return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val.real / math.pi)
+        part = parts.setdefault(tuple([(tau, s * sign) for tau, s in group]), [0, []])
+        c = sign if side == PLUS else -sign
+        if a:
+            part[1].append((c, a if side == PLUS else -a))
+        else:
+            part[0] += c
+    lo, hi = _bd_window(grid, parts)
+    if grid.widen(lo, hi):
+        lo, hi = _bd_window(grid, parts)
+    return grid, S, parts, max(lo, grid.lo), min(hi, grid.hi)
 
 
-def _log_less(f, quot, S):
-    """log |q| less its shift sum s S_tau, and arg q, for the quotient q = prod (tau + f)^s of ``quot``."""
-    q = quot[0][0] + f
-    for tau, s in quot[1:]:
-        q = q * (tau + f) if s > 0 else q / (tau + f)
-    if not q.real.min() > 0.0 and ((q.imag == 0.0) & (q.real <= 0.0)).any():
-        raise DomainError("principal_log is undefined on (-inf, 0]")
-    shift = sum([s * S[tau] for tau, s in quot])
-    return np.log(np.hypot(q.real, q.imag)) - shift, np.arctan2(q.imag, q.real)
+def _bd_window(grid, parts):
+    """The nodes [lo, hi] out of which every term of ``parts`` is below the cut, by bounds met
+    ``_BD_EDGE`` nodes inside.  Below: where every tau + f(0+) > 0, |g| <= 2 n |f - f(0+)|/
+    min(tau + f(0+)) for n taus, read off ``rise``, and (as g is known to 750 eps) ``_BD_NOISE``
+    nodes below the smallest |b|; else (tau = f(0+) = 0, |g| <= 750) ``_BD_PAD`` nodes below it.  Above: the kernels less their sum C_q decay like |b|/x
+    (``_BD_PAD`` nodes above the largest |b|), and sum_q C_q arg q = sum_tau w_tau arg(tau + f),
+    sum w_tau = 0, is at most 2 sum |w_tau (tau - tau_0)|/|f| (tau_0 the smallest), read off
+    ``fall``."""
+    lo = hi = 0
+    low, w = math.inf, {}  # the smallest (tau + f(0+))/n; tau -> w_tau
+    for quot, (c0, others) in parts.items():
+        moduli = [abs(b) for _, b in others]
+        first = min(quot)[0] + grid.f0
+        if first > 0.0:
+            low = min(low, first / len(quot))
+        if moduli:  # below the poles, g's rounding (< 750 eps) times x/|b| is below the cut 16 in u down
+            lo = min(lo, math.floor(math.log(min(moduli)) / _BD_H) - (_BD_NOISE if first > 0.0 else _BD_PAD))
+            hi = max(hi, math.ceil(math.log(max(moduli)) / _BD_H) + _BD_PAD + _BD_EDGE)
+        C = c0 + sum([c for c, _ in others])
+        for tau, s in quot:
+            w[tau] = w.get(tau, 0) + s * C
+    if low < math.inf:
+        lo = min(lo, grid.lo - _BD_EDGE + int(grid.below.get(low, np.searchsorted, grid.rise, 0.5 * _BD_CUT * low)))
+    ref = min(w)
+    spread = sum([abs(c * (tau - ref)) for tau, c in w.items()])
+    if spread:
+        hi = max(hi, grid.lo + _BD_EDGE + int(np.searchsorted(grid.fall, 2.0 * spread / _BD_CUT)))
+    return lo, hi
 
 
-def _bd_total(x, parts, logs, inv=None):
-    """The bd integrand at the nodes x: sum over the quotients of ``parts`` of re kern im g + im kern re g,
-    with ``logs(quot)`` the rows of g and ``inv``, when given, 1/x (the kernel of a pole at 0 is c inv,
-    c = +-1, bitwise c/x)."""
+def _bd_sum(grid, S, parts, lo, hi):
+    """T_h, its nested error |T_h - T_2h| and its window [lo, hi], for a plan of :func:`_bd_plan`.
+
+    In u = log x the integrand x im(kern g) is analytic in the strip |Im u| < pi/2 (a pole of kern,
+    or a zero or pole of f on the imaginary axis, sits on its edge), so T_h = h sum_k x_k
+    im(kern g)(x_k), h = 0.2, misses by about e^{-pi^2/h} and its sum over the even k, T_2h, by
+    about the square root of that (Trefethen & Weideman, SIAM Rev. 56, 2014).  x kern is formed
+    bounded (:func:`_pole_kernels`); a pole at 0 adds c arg q.  :class:`QuadratureError` where an
+    outer band of ``_BD_EDGE`` terms of the window is not negligible, where T_h is not finite, and
+    where the nested error exceeds sqrt(1e-12) max(1, |T_h|), as T_h's own error is about its square.
+    """
+    _WORK["bd_sum.calls"] += 1
+    if hi - lo < 4 * _BD_EDGE:
+        raise QuadratureError(math.nan, math.inf, "f is not finite and nonzero near the bd sum's scales")
+    t = _bd_terms(grid, S, parts, lo, hi)
+    value = _BD_H * float(np.add.reduce(t))
+    if not math.isfinite(value):
+        raise QuadratureError(value, math.inf, "the bd sum is not finite")
+    for end, band in ((lo, t[:_BD_EDGE]), (hi, t[-_BD_EDGE:])):
+        if abs(band).max() > _BD_CUT * max(1.0, abs(value)):
+            at = float(_BD_X[end + _BD_END])
+            raise QuadratureError(value, math.inf, f"the bd terms are not negligible at x = {at!r}, an end of "
+                                                   "the window (or of the nodes where f is finite and nonzero)")
+    err = abs(value - 2.0 * _BD_H * float(np.add.reduce(t[lo & 1::2])))  # T_2h: the even k
+    if not err <= math.sqrt(_BD_GOAL) * max(1.0, abs(value)):
+        raise QuadratureError(value, err, "the bd sum's nested error misses its goal")
+    return value, err, lo, hi
+
+
+def _bd_terms(grid, S, parts, lo, hi):
+    """x_k im(sum kern g)(x_k) at the nodes k in [lo, hi] of ``grid``."""
+    _WORK["bd_sum.nodes"] += hi - lo + 1
+    i, j = lo - grid.lo, hi - grid.lo + 1
     total = None
-    for quot, poles_of in parts.items():
-        k_re = k_im = None  # sum c/(x - i b) over the poles of the quotient
-        for c, b in poles_of:
-            if b == 0.0 and inv is not None:
-                re, im = inv if c > 0 else -inv, None
-            else:
-                re, im = _pole_kernel(x, c, b)
-            k_re, k_im = _plus(k_re, re), _plus(k_im, im)
-        g_re, g_im = logs(quot)
-        total = _plus(total, k_re * g_im if k_im is None else k_re * g_im + k_im * g_re)
+    for quot, (c0, others) in parts.items():
+        if c0 and len(quot) == 1:
+            g_re, g_im = grid.rows.get(quot, _log_less, grid, quot, S, 0, None)
+            g_re, g_im = g_re[i:j], g_im[i:j]
+        else:
+            g_re, g_im = _log_less(grid, quot, S, i, j)
+        if others:
+            x = _BD_X[lo + _BD_END:hi + _BD_END + 1]
+            k_re, k_im = _pole_kernels(x, lo, c0, others, min(quot)[0] + grid.f0 > 0.0)
+            part = k_re * g_im
+            part += k_im * g_re
+        else:
+            part = g_im if c0 == 1 else c0 * g_im
+        total = part if total is None else total + part
     return total
+
+
+def _log_less(grid, quot, S, i, j):
+    """log |q| less its shift sum s S_tau, and arg q, for the quotient q = prod (tau + f)^s of ``quot``
+    on the nodes [i, j) of the run: n = sum s logs of q0 = tau_0 + f, the first factor's, then
+    s log(1 + w) by log1p for each other factor, w = (tau - tau_0)/q0, so that a q near 1 keeps
+    its digits."""
+    t0 = quot[0][0]
+    q_re, q_im = t0 + grid.fr[i:j], grid.fi[i:j]
+    if not t0 + grid.fr_min > 0.0 and ((q_im == 0.0) & (q_re <= 0.0)).any():
+        raise DomainError("principal_log is undefined on (-inf, 0]")
+    g_re, g_im, n = np.log(np.hypot(q_re, q_im)) - S[t0], np.arctan2(q_im, q_re), sum([s for _, s in quot])
+    if len(quot) == 1:  # s = +1
+        return g_re, g_im
+    g_re, g_im = n * g_re, n * g_im
+    m = np.hypot(q_re, q_im)
+    c, d = q_re / m / m, -q_im / m / m  # 1/q0
+    for tau, s in quot[1:]:
+        w_re, w_im = (tau - t0) * c, (tau - t0) * d
+        g_re = g_re + s * (0.5 * np.log1p(w_re * (2.0 + w_re) + w_im * w_im) - (S[tau] - S[t0]))
+        g_im = g_im + s * np.arctan2(w_im, 1.0 + w_re)
+    return g_re, g_im
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,11 @@ class TestPrLaplace:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name,sigma", [("stable_mixed", 1e-100), ("stable_asym", 1e-300)])
     def test_overflowing_integrand_is_a_quadrature_error(self, name, sigma):
-        """The kernel of the pole at 0 overflows at the nodes next to x = 0, where the contour
-        walks for a tiny sigma: a QuadratureError naming the integrand, with no RuntimeWarning."""
+        """For a tiny sigma the terms of the pole at 0 decay only where f(x) << sigma, below the
+        smallest normal x (f ~ x^0.2 and x^0.5 at 0): a QuadratureError naming where the grid
+        ends, with no RuntimeWarning, never a value."""
         wiener_hopf._BD_KAPPA.clear()
-        with pytest.raises(QuadratureError, match="bd integrand is not finite"):
+        with pytest.raises(QuadratureError, match="bd terms are not negligible at x = 3.3"):
             pr_laplace(SHOWCASE[name], sigma, 0.0, 1.0)
 
     def test_cp_temporal_rejected(self):
@@ -206,17 +207,18 @@ class TestPrLaplace:
         with its message, before any integral and whatever the method."""
         with pytest.raises(ValidationError) as want:
             fluctuation.SpaceTimeQuery(sigma, tau, xi, side)
-        before = work_counts()["refine_panels.calls"]
+        before = work_counts()
         with pytest.raises(ValidationError) as got:
             pr_laplace(BM_DRIFT, sigma, tau, xi, side, method)
         assert got.value.field == want.value.field == field and got.value.message == want.value.message
-        assert work_counts()["refine_panels.calls"] == before
+        after = work_counts()
+        assert all(after[k] == before[k] for k in ("refine_panels.calls", "bd_sum.calls"))
 
     @pytest.mark.parametrize(
         "sigma,tau,xi", [(0.5, math.inf, 1.0), (0.5, 1.0, math.inf), (math.inf, 1.0, 1.0)]
     )
     def test_infinite_argument_rejected(self, monkeypatch, sigma, tau, xi):
-        monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+        monkeypatch.setattr(wiener_hopf, "_bd_sum", None)  # no contour integral is summed
         with pytest.raises(ValidationError):
             pr_laplace(BM_DRIFT, sigma, tau, xi)
 
@@ -338,10 +340,8 @@ class TestPrLaplaceReuse:
     @staticmethod
     def _count_integrals(monkeypatch):
         calls = []
-        real = wiener_hopf.integrate_adaptive  # every contour integral runs through _bd_kappa
-        monkeypatch.setattr(
-            wiener_hopf, "integrate_adaptive", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
+        real = wiener_hopf._bd_sum  # every contour integral runs through _bd_kappa
+        monkeypatch.setattr(wiener_hopf, "_bd_sum", lambda *a, **k: calls.append(1) or real(*a, **k))
         return calls
 
     def test_mc_job_work(self, monkeypatch):
@@ -371,18 +371,16 @@ class TestPrLaplaceReuse:
         assert (BM_DRIFT, (("minus", 2.0, 0.5, 1), ("minus", 0.5, 0.5, -1))) in wiener_hopf._BD_KAPPA
         assert len(wiener_hopf._BD_KAPPA) == 2
 
-    # warm calls whose bd contour integral refines past its seed round: 2, 2, 3, 3, 5 and 4 rounds,
-    # which map 0, 0, 2, 0, 4 and 2 panels on demand
+    # warm calls whose contour integral refined past its seed round under the adaptive quadrature
     REFINING = [("tempered_stable", 2.0, 0.78, 0.6), ("tempered_stable", 2.0, 1.25, 1.0),
                 ("tempered_stable", 2.0, 2.49, 2.2), ("rational_three_arcs", 0.5, 1.0, 2.3),
                 ("rational_three_arcs", 0.5, 1.0, 2.97), ("rational_three_arcs", 0.5, 1.0, 3.85)]
 
     @pytest.mark.parametrize("name,sigma,tau,xi", REFINING)
-    def test_refining_warm_call_is_the_cold_one(self, monkeypatch, name, sigma, tau, xi):
-        """A warm call (only the memo of products cleared) that refines is bitwise the cold call
-        (the seed memo and the quadrature-geometry memo cleared too), in as many rounds, and the call
-        with every refinement panel mapped on demand, as before the geometry kept the seed halves;
-        its first refinement round, which splits seed panels only, maps no panel."""
+    def test_refining_warm_call_is_the_cold_one(self, name, sigma, tau, xi):
+        """A warm call (only the memo of products cleared) is bitwise the cold call (the grid memo
+        cleared too, so f and the sigma quotient's rows are computed afresh), with no f evaluation
+        and its terms formed on one window, as many as the cold call's."""
         spec = SHOWCASE[name]
 
         def run(*memos):
@@ -391,21 +389,11 @@ class TestPrLaplaceReuse:
             before = work_counts()
             value = pr_laplace(spec, sigma, tau, xi)
             n = {k: v - before[k] for k, v in work_counts().items()}
-            return value.hex(), n["refine_panels.rounds"], n["integrate_adaptive.mapped_panels"]
+            return value.hex(), n["bd_sum.calls"], n["bd_sum.nodes"], n["eval_f.core_calls"]
 
-        cold = run(wiener_hopf._BD_SEED, numerics._GEOMETRY)
+        cold = run(wiener_hopf._BD_GRID)
         warm = run()
-        assert warm == cold and warm[1] >= 2 and (warm[1] > 2 or warm[2] == 0)
-        geometry = numerics._geometry  # no seed half to read: every refinement panel is mapped
-
-        def mapped_only(*key):
-            *entry, (_, _, *halves) = geometry(*key)
-            return (*entry, (np.array([math.inf]), np.array([math.inf]), *(arr[:1] for arr in halves)))
-
-        monkeypatch.setattr(numerics, "_GEOMETRY", _LRU(2))
-        monkeypatch.setattr(numerics, "_geometry", mapped_only)
-        on_demand = run(wiener_hopf._BD_SEED)
-        assert on_demand[:2] == warm[:2] and on_demand[2] > warm[2]
+        assert warm[:3] == cold[:3] and cold[3] == 1 and warm[3] == 0
 
     def test_failed_ratio_not_cached(self):
         wiener_hopf._BD_KAPPA.clear()

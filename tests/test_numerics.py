@@ -175,31 +175,12 @@ class TestGeometryMemo:
             integrate_adaptive(lambda s: np.exp(-s), (0.0, math.inf), QuadratureConfig(singular_points=sing))
         assert (len(numerics._GEOMETRY), numerics._GEOMETRY.misses, numerics._GEOMETRY.hits) == (2, 2, 1)
         plain = numerics._GEOMETRY.get((0.0, math.inf, ()), None)
-        _, p_lo, p_hi, (*arrays, full), halves = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
+        _, p_lo, p_hi = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
         assert not np.array_equal(plain[1], p_lo)
-        assert full is True and len(arrays) == 4 and len(halves) == 6
-        for arr in (p_lo, p_hi, *arrays, *halves):
+        for arr in (p_lo, p_hi):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
-
-    def test_seed_round_passes_the_entry_nodes(self):
-        """The seed round hands the integrand the entry's read-only node array, the same object
-        on every call; refinement rounds hand it fresh writeable arrays."""
-        seen = []
-
-        def f(s):
-            seen.append(s)
-            return np.cos(40.0 * s) * np.exp(-s)
-
-        numerics._GEOMETRY.clear()
-        cfg = QuadratureConfig(singular_points=(0.0,))
-        integrate_adaptive(f, (0.0, math.inf), cfg)
-        first = len(seen)
-        integrate_adaptive(f, (0.0, math.inf), cfg)
-        _, _, _, (_, s, *_), _ = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
-        assert first > 1 and seen[0] is s and seen[first] is s
-        assert all(x.flags.writeable for x in seen[1:first] + seen[first + 1:])
 
     @staticmethod
     def _deepen(monkeypatch):
@@ -213,9 +194,10 @@ class TestGeometryMemo:
     @staticmethod
     def _seed_round(monkeypatch, f, domain, cfg, deep=False):
         """One integrate_adaptive call on a fresh geometry memo: its result (or the exception it
-        raised), the rows of its seed round, refine_panels' panels in and result, and the
-        geometry.  ``deep`` extends the graded seed with halves down to 2^-593 in v, where the
-        map to a half-line's infinite end overflows and seed nodes are not evaluable."""
+        raised), the rows of its seed round, refine_panels' panels in and result, and the map of
+        the seed panels (Kronrod weights, nodes, weights and mask).  ``deep`` extends the graded
+        seed with halves down to 2^-593 in v, where the map to a half-line's infinite end
+        overflows and seed nodes are not evaluable."""
         monkeypatch.setattr(numerics, "_GEOMETRY", _LRU(2))
         if deep:
             TestGeometryMemo._deepen(monkeypatch)
@@ -236,100 +218,36 @@ class TestGeometryMemo:
             out = integrate_adaptive(f, domain, cfg)
         except QuadratureError as exc:
             out = exc
-        return out, rows[0], runs[0], numerics._geometry(*domain, cfg.singular_points)
+        nodes, p_lo, p_hi = numerics._geometry(*domain, cfg.singular_points)
+        return out, rows[0], runs[0], nodes(p_lo, p_hi)
 
     @pytest.mark.parametrize("deep", [False, True], ids=["evaluable", "unevaluable"])
     def test_seed_rows_match_the_mask(self, monkeypatch, deep):
         """Seed rows bitwise those built by the mask (zeros where a node is not evaluable), in the
-        integrand's dtype, and the entry's flag of every node evaluable; with an unevaluable node
-        the call raises."""
+        integrand's dtype; with an unevaluable node the call raises."""
         f = lambda s: np.exp(-s) / (0.1 + (s - 1.0) ** 2)
         cfg = QuadratureConfig(singular_points=(0.0,))
-        out, rows, _, (_, _, _, (_, s, weight, on, full), _) = self._seed_round(
-            monkeypatch, f, (0.0, math.inf), cfg, deep)
-        assert on.all() != deep and full == on.all()
+        out, rows, _, (_, s, weight, on) = self._seed_round(monkeypatch, f, (0.0, math.inf), cfg, deep)
+        assert on.all() != deep
         want = np.zeros(on.shape)
-        want[on] = f(s) * weight
+        want[on] = f(s[on]) * weight[on]
         assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
         assert isinstance(out, QuadratureError) == deep
 
     def test_seed_exit_and_error_floor(self, monkeypatch):
-        """A seed round that meets the goal: refine_panels returns the seed panels themselves, the
-        seed's Kronrod weights are bitwise those of gk15_nodes, its Kronrod - Gauss weights give
-        gk15_sums' panel values and errors, and the error floor is one einsum of the Kronrod
-        weights over |rows|."""
+        """A seed round that meets the goal: refine_panels returns the seed panels themselves, their
+        sums are gk15_sums' on the Kronrod weights of gk15_nodes, and the error floor is one einsum of
+        those weights over |rows|."""
         f = lambda s: np.exp(-s)
         cfg = QuadratureConfig(singular_points=(0.0,))
-        (value, err), rows, (lo, hi, res), (_, _, _, (wk, *_), _) = self._seed_round(
-            monkeypatch, f, (0.0, math.inf), cfg)
+        (value, err), rows, (lo, hi, res), (wk, *_) = self._seed_round(monkeypatch, f, (0.0, math.inf), cfg)
         assert res.lo is lo and res.hi is hi and res.converged
         _, w = numerics.gk15_nodes(lo, hi)
-        assert np.array_equal(wk[0], w) and wk.shape == (2, *w.shape)
-        k, e = numerics.gk15_sums(lo, hi, w, rows)
-        scale = np.sum(np.abs(w * rows), axis=1)
-        assert abs(res.value - k.sum()) <= 1e-15 * scale.sum()
-        dk = np.einsum("ipj,pj->ip", wk, rows)[1]
-        np.testing.assert_allclose(np.abs(dk), e, rtol=0.0, atol=1e-15 * scale.max())
+        assert np.array_equal(wk, w)
+        k, _ = numerics.gk15_sums(lo, hi, w, rows)
+        assert res.value == np.add.reduce(k)
         assert value == complex(res.value)
         assert err == max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
-
-    @pytest.mark.parametrize("deep", [False, True], ids=["evaluable", "unevaluable"])
-    @pytest.mark.parametrize(
-        "domain,sing",
-        [((0.0, math.inf), (0.0,)), ((0.0, math.inf), ()), ((-math.inf, math.inf), (0.0,)),
-         ((-math.inf, 1.0), ()), ((-1.0, 3.0), (0.0, 0.5))],
-        ids=["half-line-singular", "half-line", "full-line", "left-half-line", "interval"],
-    )
-    def test_premapped_halves_are_the_map(self, monkeypatch, domain, sing, deep):
-        """The entry's halves of the seed panels, left and right of each in turn, are bitwise the
-        geometry's map of those panels, one at a time and in a refinement round's batch of left
-        halves then right halves; with the seed extended where the map to infinity overflows, their
-        mask marks the same nodes unevaluable."""
-        if deep:
-            self._deepen(monkeypatch)
-        nodes, p_lo, p_hi, (*_, full), (h_lo, h_hi, *halves) = numerics._geometry(*domain, sing)
-        mid = 0.5 * (p_lo + p_hi)
-        assert h_lo.tobytes() == np.stack([p_lo, mid], axis=1).tobytes()
-        assert h_hi.tobytes() == np.stack([mid, p_hi], axis=1).tobytes()
-        on = halves[3]
-        assert on.all() == full == (not deep or all(map(math.isfinite, domain)))
-        for k in range(h_lo.size):
-            *one, mask = nodes(h_lo[k:k + 1], h_hi[k:k + 1])
-            assert mask[0].tobytes() == on[k].tobytes()
-            for got, want in zip(halves, one):
-                assert got[k][on[k]].tobytes() == want[0][on[k]].tobytes()
-        sel = np.arange(0, p_lo.size, 3)
-        batch = np.concatenate([2 * sel, 2 * sel + 1])
-        *mapped, mask = nodes(np.concatenate([p_lo[sel], mid[sel]]), np.concatenate([mid[sel], p_hi[sel]]))
-        assert mask.tobytes() == on[batch].tobytes()
-        for got, want in zip(halves, mapped):
-            assert got[batch][mask].tobytes() == want[mask].tobytes()
-
-    def test_rounds_of_seed_halves_map_no_panel(self, monkeypatch):
-        """integrate_adaptive maps on demand (integrate_adaptive.mapped_panels) the panels of each
-        refinement round whose panels are not all halves of seed panels, and no panel of the first
-        refinement round, which splits seed panels only."""
-        rounds = []
-        refine = numerics.refine_panels
-
-        def spy(estimate, lo, hi, *args, **kwargs):
-            def est(lo, hi):
-                rounds.append((lo.copy(), hi.copy()))
-                return estimate(lo, hi)
-
-            return refine(est, lo, hi, *args, **kwargs)
-
-        monkeypatch.setattr(numerics, "refine_panels", spy)
-        cfg = QuadratureConfig(singular_points=(0.0,))
-        f = lambda s: np.exp(-s) / (1e-6 + (s - 1.0) ** 2)
-        before = numerics.work_counts()["integrate_adaptive.mapped_panels"]
-        integrate_adaptive(f, (0.0, math.inf), cfg)
-        mapped = numerics.work_counts()["integrate_adaptive.mapped_panels"] - before
-        _, _, _, _, (h_lo, h_hi, *_) = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
-        halves = set(zip(h_lo.tolist(), h_hi.tolist()))
-        other = [len(lo) * (not set(zip(lo.tolist(), hi.tolist())) <= halves) for lo, hi in rounds[1:]]
-        assert len(rounds) >= 3 and other[0] == 0 and 0 < sum(other) < sum(len(lo) for lo, _ in rounds[1:])
-        assert mapped == sum(other)
 
     @pytest.mark.parametrize(
         "f,seed_exit",
@@ -823,6 +741,16 @@ class TestWorkCounts:
         n = self._delta(integrate_adaptive, f, (0.0, math.inf))
         assert len(calls) > 1
         assert n["refine_panels.calls"] == 1 and n["refine_panels.rounds"] == len(calls)
+
+    def test_bd_sum(self):
+        """One bd_sum.calls a contour integral, and bd_sum.nodes the terms it formed: its window."""
+        from levycm import wiener_hopf
+
+        plan = wiener_hopf._bd_plan(LevyAtomic(a=0.5, b=0.5), (("plus", 0.0, 0.3, 1), ("plus", 0.0, 1.5, -1)))
+        before = numerics.work_counts()
+        _, _, lo, hi = wiener_hopf._bd_sum(*plan)
+        n = {k: v - before[k] for k, v in numerics.work_counts().items() if v != before[k]}
+        assert n == {"bd_sum.calls": 1, "bd_sum.nodes": hi - lo + 1}
 
     def test_lockstep_root(self):
         roots = make_rng(3).uniform(0.1, 0.9, 16)

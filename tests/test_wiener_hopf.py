@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -343,7 +344,7 @@ class TestProduct:
          (1.0, 2.0, math.inf)],
     )
     def test_non_finite_arguments_rejected(self, monkeypatch, method, xi1, xi2, R):
-        monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+        monkeypatch.setattr(wiener_hopf, "_bd_sum", None)  # no contour integral is summed
         with pytest.raises(DomainError):
             wh_product(F_SIG, method, xi1, xi2, R)
 
@@ -637,31 +638,36 @@ class TestSpineOverflow:
             assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
-_BD_FAR_OUT = "FOUND (CHANGES.md): the bd route is silently wrong at large arguments on bm_drift"
-
-
 class TestBdLargeArguments:
     """bd ratios and pr_laplace far out on bm_drift, against the closed forms.
 
-    Right up to x = 1e28.  Beyond, the pole's structure lies inside the seed's last panel at
-    infinity, whose smallest Kronrod node maps to x ~ 3e14, no panel error reveals it, and the
-    value silently drops the factor at x (CHANGES.md, FOUND: "the bd route is silently wrong at
-    large arguments on bm_drift").
+    The trapezoidal sum's window reaches past every pole whatever its scale, so a pole at 1e30 is
+    no different from one at 1.  f overflows past x ~ 1e154, where the grid's run of finite f
+    ends: a window that needs nodes beyond it raises.
     """
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_ratio_to_1e28(self, fig_a, side):
         assert wh_ratio(fig_a, "bd", side, 1.0, 1e28) == pytest.approx(_bm_ratio(side, 1e28), rel=1e-10)
 
-    @pytest.mark.xfail(strict=True, reason=_BD_FAR_OUT)
     @pytest.mark.parametrize("side,x2", [("plus", 1e30), ("minus", 1e29)])
     def test_ratio_far_out(self, fig_a, side, x2):
         assert wh_ratio(fig_a, "bd", side, 1.0, x2) == pytest.approx(_bm_ratio(side, x2), rel=1e-10)
 
-    @pytest.mark.xfail(strict=True, reason=_BD_FAR_OUT)
     def test_pr_laplace_far_out(self, fig_a):
         m = math.sqrt(1.0 + 2.0 * 0.5) - 1.0  # kappa^+(sigma, xi) ~ xi + m on bm_drift
         assert fluctuation.pr_laplace(fig_a, 0.5, 0.0, 1e29) == pytest.approx(m / (1e29 + m), rel=1e-10)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("x2", [1e50, 1e100, 1e120, 1e140, 1e150])
+    def test_ratio_to_1e150_or_raises(self, fig_a, side, x2):
+        """Within 1e-10 of the closed form, or a QuadratureError naming where f stops being finite."""
+        try:
+            got = wh_ratio(fig_a, "bd", side, 1.0, x2)
+        except QuadratureError as err:
+            assert "not negligible" in str(err) and x2 >= 1e140
+        else:
+            assert got == pytest.approx(_bm_ratio(side, x2), rel=1e-10, abs=0.0)
 
 
 def _dict_tl(self, u):
@@ -826,7 +832,7 @@ class TestRatioEntryPoint:
 
     @pytest.mark.parametrize("method", ["bd", "spine", "phi"])
     def test_infinite_argument_rejected(self, monkeypatch, method):
-        monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+        monkeypatch.setattr(wiener_hopf, "_bd_sum", None)  # no contour integral is summed
         for side in ("plus", "minus"):
             for x1, x2 in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)):
                 with pytest.raises(DomainError):
@@ -864,65 +870,57 @@ class TestRatioEntryPoint:
 )
 def test_invalid_arguments_rejected_before_work(monkeypatch, call, error):
     """An unknown side or method, or tau + f(0+) = 0 in a temporal product, raises up front."""
-    monkeypatch.setattr(wiener_hopf, "integrate_adaptive", None)  # nothing is integrated
+    monkeypatch.setattr(wiener_hopf, "_bd_sum", None)  # no contour integral is summed
     monkeypatch.setattr(wiener_hopf, "build_phi_table", None)  # no table is built
     with pytest.raises(error):
         call()
 
 
+def _bd_run(call):
+    """``call()``, its eval_f core calls, its bd sums and the nodes their terms were formed at."""
+    before = work_counts()
+    value = call()
+    n = {k: v - before[k] for k, v in work_counts().items()}
+    return value, n["eval_f.core_calls"], n["bd_sum.calls"], n["bd_sum.nodes"]
+
+
 class TestBdContourSeed:
-    """Cold contour integrals on the graded seed mesh of numerics.integrate_adaptive."""
+    """Contour integrals as trapezoidal sums on the fixed grid of wiener_hopf._bd_sum: f once per
+    spec, windows placed so that no sum grows, and values that no memo moves."""
 
     @pytest.mark.parametrize(
         "name",
         ["bm_drift", "rational_three_arcs", "rational_three_arcs_tight", "tempered_stable", "stable_asym"],
     )
-    def test_cold_rounds(self, name, monkeypatch):
-        """A cold bd ratio and a cold temporal ratio each take 1 estimate, the seed round.
-
-        Without the seed, refinement reaches the ends one level per round;
-        with it, but splitting only panels within 2x of the largest error per
-        round, rational_three_arcs took 5, and with the end pieces seeded in
-        halves of v below a quarter, the three-arcs presets took 2.
-        """
-        rounds = []
-        refine = numerics.refine_panels
-
-        def counted(estimate, *args, **kwargs):
-            def est(lo, hi):
-                rounds[-1] += 1
-                return estimate(lo, hi)
-
-            return refine(est, *args, **kwargs)
-
-        monkeypatch.setattr(numerics, "refine_panels", counted)
-        spec = SHOWCASE[name]
+    def test_cold_rounds(self, name):
+        """A cold bd ratio and a cold temporal ratio each take one f evaluation on the grid, and
+        each sum's terms are formed on its first window alone."""
         for side in ("plus", "minus"):
-            wiener_hopf._BD_KAPPA.clear()
-            for call in (lambda: wh_ratio(shift_spec(spec, 0.2), "bd", side, 0.3, 1.5),
-                         lambda: kappa_ratio_tau(spec, 0.3, 1.2, 0.2, side)):
-                rounds.append(0)
-                call()
-        assert rounds == [1, 1, 1, 1], rounds
+            for spec, call in ((shift_spec(SHOWCASE[name], 0.2), lambda spec: wh_ratio(spec, "bd", side, 0.3, 1.5)),
+                               (SHOWCASE[name], lambda spec: kappa_ratio_tau(spec, 0.3, 1.2, 0.2, side))):
+                wiener_hopf._BD_KAPPA.clear()
+                wiener_hopf._BD_GRID.clear()
+                _, f_calls, sums, nodes = _bd_run(lambda: call(spec))
+                assert (f_calls, sums) == (1, 1)
+                terms = next(iter(wiener_hopf._BD_KAPPA._links))[1]
+                _, _, lo, hi = wiener_hopf._bd_sum(*wiener_hopf._bd_plan(spec, terms))
+                assert nodes == hi - lo + 1
 
     @pytest.mark.parametrize("name", ["rational_three_arcs", "rational_three_arcs_tight"])
     def test_cold_pr_sweep_rounds(self, name):
-        """The 64 pr_laplace calls of the fluct_warm grid take at most 80 rounds in all, 1.25 a
-        call: the pole of f at 0.05i (0.06i) needs the end pieces seeded in factors of 2 of the
-        distance to their end; seeded in factors of 4 below a quarter, the sweep took 145 (141)."""
+        """The 64 pr_laplace calls of the fluct_warm grid evaluate f once in all, and form at most
+        600 terms a call (the adaptive seed took 80 rounds of 810 nodes and more)."""
         wiener_hopf._BD_KAPPA.clear()
-        wiener_hopf._BD_SEED.clear()
-        before = work_counts()["refine_panels.rounds"]
-        for sigma in (0.5, 2.0):
-            for tau in (0.0, 1.0):
-                for xi in np.geomspace(0.1, 5.0, 16):
-                    fluctuation.pr_laplace(SHOWCASE[name], sigma, tau, float(xi))
-        assert work_counts()["refine_panels.rounds"] - before <= 80
+        wiener_hopf._BD_GRID.clear()
+        calls = [(sigma, tau, float(xi)) for sigma in (0.5, 2.0) for tau in (0.0, 1.0)
+                 for xi in np.geomspace(0.1, 5.0, 16)]
+        _, f_calls, sums, nodes = _bd_run(lambda: [fluctuation.pr_laplace(SHOWCASE[name], *c) for c in calls])
+        assert (f_calls, sums) == (1, 64) and nodes <= 600 * 64
 
     @pytest.mark.parametrize("s", [1e-2, 1e2])
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_half_stable_scaling(self, s, side):
-        """f(s xi) = s^(1/2) f(xi) on the strictly 1/2-stable stable_asym moves the graded ends."""
+        """f(s xi) = s^(1/2) f(xi) on the strictly 1/2-stable stable_asym moves the windows."""
         spec = SHOWCASE["stable_asym"]
         r = s**-0.5
         for xi, tau1, tau2 in ((0.7, 1.3, 0.4), (2.0, 0.2, 3.0)):
@@ -934,7 +932,7 @@ class TestBdContourSeed:
 
     @pytest.mark.parametrize("name", sorted(SHOWCASE))
     def test_near_equal_arguments_converge(self, name):
-        """x2 = x1 (1 + 1e-12): an exponent of ~1e-12 meets the absolute goal of 1e-14."""
+        """x2 = x1 (1 + 1e-12): an exponent of ~1e-12 meets the absolute goal."""
         for shift in (0.0, 0.5):
             spec = shift_spec(SHOWCASE[name], shift)
             for side in ("plus", "minus"):
@@ -946,18 +944,19 @@ class TestBdContourSeed:
         "name", ["bm_drift", "quadratic_over_pole", "rational_pole_pair", "stable_asym", "tempered_stable"]
     )
     def test_cold_pr_laplace_converges_in_its_seed_round(self, name):
-        """At the probe's arguments; the seed in quarters took 2 rounds on rational_pole_pair and
-        tempered_stable."""
+        """At the probe's arguments the sum is formed on its first window, with a nested error
+        |T_h - T_2h| below 1e-9 |T_h|."""
         wiener_hopf._BD_KAPPA.clear()
-        wiener_hopf._BD_SEED.clear()
-        before = work_counts()
-        fluctuation.pr_laplace(SHOWCASE[name], 0.5, 0.8, 1.3, "plus")
-        assert work_counts()["refine_panels.rounds"] - before["refine_panels.rounds"] == 1
+        wiener_hopf._BD_GRID.clear()
+        terms = (("plus", 0.5, 0.0, 1), ("plus", 1.3, 1.3, -1))
+        _, _, sums, nodes = _bd_run(lambda: fluctuation.pr_laplace(SHOWCASE[name], 0.5, 0.8, 1.3, "plus"))
+        value, err, lo, hi = wiener_hopf._bd_sum(*wiener_hopf._bd_plan(SHOWCASE[name], terms))
+        assert sums == 1 and nodes == hi - lo + 1 and err <= 1e-9 * abs(value)
 
     @staticmethod
     def _bd_values(spec, memos):
         """bd ratios and products, tau-ratios and pr_laplace at tau = 0 and tau > 0 on both sides,
-        each integrated with ``memos`` cleared first."""
+        each summed with ``memos`` cleared first."""
         calls = [lambda: wh_product(spec, "bd", 0.3, 1.5)]
         for side in ("plus", "minus"):
             calls += [
@@ -975,31 +974,75 @@ class TestBdContourSeed:
 
     @pytest.mark.parametrize("name", sorted(SHOWCASE))
     def test_seed_memo_is_bitwise(self, name):
-        """Values read from the seed memo, filled by the preset and its +0.5 shift together, equal
-        those computed with it cleared, bit for bit."""
+        """Values read through the grid memo (f and the recurring rows), filled by the preset and
+        its +0.5 shift together, equal those computed with it cleared, bit for bit."""
         specs = (SHOWCASE[name], shift_spec(SHOWCASE[name], 0.5))
-        cold = [self._bd_values(spec, (wiener_hopf._BD_KAPPA, wiener_hopf._BD_SEED)) for spec in specs]
+        cold = [self._bd_values(spec, (wiener_hopf._BD_KAPPA, wiener_hopf._BD_GRID)) for spec in specs]
         for spec in specs:
             self._bd_values(spec, (wiener_hopf._BD_KAPPA,))
-        seed = wiener_hopf._BD_SEED
-        hits, misses = seed.hits, seed.misses
+        grid = wiener_hopf._BD_GRID
+        hits, misses = grid.hits, grid.misses
         assert [self._bd_values(spec, (wiener_hopf._BD_KAPPA,)) for spec in specs] == cold
-        assert seed.misses == misses and seed.hits > hits
+        assert grid.misses == misses and grid.hits > hits
 
     def test_seed_memo_stays_bounded(self, monkeypatch):
-        """Fed more specs than it holds, the memo evicts and the values do not move."""
+        """Fed more specs than it holds, the grid memo evicts, and a spec summed again after its
+        eviction gives bitwise the values it gave before."""
         specs = [shift_spec(SHOWCASE["tempered_stable"], 0.1 * k) for k in range(1, 6)]
         want = [self._bd_values(spec, (wiener_hopf._BD_KAPPA,)) for spec in specs]
-        monkeypatch.setattr(wiener_hopf, "_BD_SEED", _LRU(4))
-        got = [self._bd_values(spec, (wiener_hopf._BD_KAPPA,)) for spec in specs]
-        assert got == want
-        assert len(wiener_hopf._BD_SEED) == 4 and wiener_hopf._BD_SEED.misses > 4
+        monkeypatch.setattr(wiener_hopf, "_BD_GRID", _LRU(4))
+        got = [self._bd_values(spec, (wiener_hopf._BD_KAPPA,)) for spec in specs + specs[:1]]
+        assert got == want + want[:1]
+        assert len(wiener_hopf._BD_GRID) == 4 and wiener_hopf._BD_GRID.misses > 5
+
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_window_holds_every_term_above_its_cut(self, name):
+        """Every term outside a sum's window, over the grid's whole run, is at most the cut."""
+        spec = shift_spec(SHOWCASE[name], 0.5)
+        for side in ("plus", "minus"):
+            for terms in TestBdRealIntegrand._terms(side):
+                grid, S, parts, _, _ = plan = wiener_hopf._bd_plan(spec, terms)
+                value, _, lo, hi = wiener_hopf._bd_sum(*plan)
+                t = wiener_hopf._bd_terms(grid, S, parts, grid.lo, grid.hi)
+                k = np.arange(grid.lo, grid.hi + 1)
+                outside = np.abs(t[(k < lo) | (k > hi)])
+                assert outside.max(initial=0.0) <= wiener_hopf._BD_CUT * max(1.0, abs(value)), terms
+
+
+class TestBdNestedError:
+    """|T_h - T_2h| bounds the miss of T_h against closed forms."""
+
+    @staticmethod
+    def _check(spec, terms, want):
+        grid, S, parts, lo, hi = plan = wiener_hopf._bd_plan(spec, terms)
+        value, err, _, _ = wiener_hopf._bd_sum(*plan)
+        shift = 0.5 * sum(s * S[tau] for _, tau, _, s in terms)
+        miss = abs(shift + value / math.pi - math.log(want)) * math.pi  # in units of T
+        assert miss <= err + 64 * np.finfo(float).eps * max(1.0, abs(value)), (terms, miss, err)
+        assert err <= 1e-6 * max(1.0, abs(value))
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_bm_drift(self, side):
+        for sigma in (0.5, 2.0):
+            spec = LevyAtomic(a=0.5, b=0.7, c=sigma)
+            for x1, x2 in ((0.3, 2.5), (1e-3, 1e3), (2.0, 1e20)):
+                f1, f2 = (closed_form_factors("bm_drift", side, x, b=0.7, sigma=sigma) for x in (x1, x2))
+                self._check(spec, ((side, 0.0, x1, 1), (side, 0.0, x2, -1)), f1 / f2)
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.7])
+    def test_stable(self, alpha):
+        spec = validate_spec(StableSum(((1.0, 0.0, alpha, "plus-i"),)))
+        c = eval_f(spec, 1.0 + 0.0j)
+        for side in ("plus", "minus"):
+            for x1, x2 in ((0.3, 2.5), (4.0, 1e-6)):
+                f1, f2 = (closed_form_factors("stable", side, x, c=c, alpha=alpha) for x in (x1, x2))
+                self._check(spec, ((side, 0.0, x1, 1), (side, 0.0, x2, -1)), f1 / f2)
 
 
 def _complex_bd_kappa(spec, terms):
-    """``wiener_hopf._bd_kappa`` with the complex integrand it had before its integrand was real:
-    the principal log of each quotient and the kernels 1/(x - i a) (plus side) and -1/(x + i a)
-    (minus side) in complex arithmetic, on the same seed, configuration and refinement."""
+    """``wiener_hopf._bd_kappa`` with a complex integrand: the principal log of each quotient and
+    the kernels 1/(x - i a) (plus side) and -1/(x + i a) (minus side) in complex arithmetic,
+    times x, summed by the trapezoidal rule on the window of the real sum."""
     f0 = rogers.f_limits(spec).f_at_zero
     S = {tau: math.log(tau + f0) if tau + f0 > 0.0 else 0.0 for _, tau, _, _ in terms}
     poles = {}
@@ -1009,28 +1052,26 @@ def _complex_bd_kappa(spec, terms):
     for (side, x), group in poles.items():
         sign = group[0][1]
         shared.setdefault(tuple((tau, s * sign) for tau, s in group), []).append((side, x, sign))
-
-    def integrand(x):
-        f = eval_f(spec, x + 0.0j)
-        total = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for quot, poles_of in shared.items():
-                kern = 0.0
-                for side, a, sign in poles_of:
-                    kern = kern + (sign / (x - 1j * a) if side == "plus" else -sign / (x + 1j * a))
-                q = quot[0][0] + f
-                for tau, s in quot[1:]:
-                    q = q * (tau + f) if s > 0 else q / (tau + f)
-                total = total + kern * (numerics.principal_log(q) - sum(s * S[tau] for tau, s in quot))
-        return total.imag
-
-    val, _ = numerics.integrate_adaptive(integrand, (0.0, math.inf), wiener_hopf._BD_CFG)
-    return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val.real / math.pi)
+    *_, lo, hi = wiener_hopf._bd_plan(spec, terms)
+    _, _, lo, hi = wiener_hopf._bd_sum(*wiener_hopf._bd_plan(spec, terms))
+    x = np.exp(np.arange(lo, hi + 1) * wiener_hopf._BD_H)
+    f = eval_f(spec, x + 0.0j)
+    total = 0.0
+    for quot, poles_of in shared.items():
+        kern = 0.0
+        for side, a, sign in poles_of:
+            kern = kern + (sign / (x - 1j * a) if side == "plus" else -sign / (x + 1j * a))
+        q = quot[0][0] + f
+        for tau, s in quot[1:]:
+            q = q * (tau + f) if s > 0 else q / (tau + f)
+        total = total + x * kern * (numerics.principal_log(q) - sum(s * S[tau] for tau, s in quot))
+    val = wiener_hopf._BD_H * np.sum(total.imag)
+    return math.exp(0.5 * sum(s * S[tau] for _, tau, _, s in terms) + val / math.pi)
 
 
 class TestBdRealIntegrand:
-    """The bd contour integrand in real arithmetic: Smith-scaled pole kernels, each quotient's log
-    as the two real rows log |q| - shift and arg q."""
+    """The bd contour integrand in real arithmetic: bounded pole kernels x kern, each quotient's
+    log as the two real rows log |q| - shift and arg q (by log1p past the first factor)."""
 
     @staticmethod
     def _terms(side):
@@ -1044,45 +1085,46 @@ class TestBdRealIntegrand:
 
     @pytest.mark.parametrize("name", sorted(SHOWCASE))
     def test_parity_with_the_complex_integrand(self, name):
-        """Within 1e-14 of the complex integrand's values, in as many refinement rounds."""
+        """Within 1e-14 of the complex integrand summed on the same window."""
         for shift in (0.0, 0.5):
             spec = shift_spec(SHOWCASE[name], shift)
             for side in ("plus", "minus"):
                 for terms in self._terms(side):
-                    got = []
-                    for call in (wiener_hopf._bd_kappa, _complex_bd_kappa):
-                        wiener_hopf._BD_KAPPA.clear()
-                        wiener_hopf._BD_SEED.clear()
-                        before = work_counts()["refine_panels.rounds"]
-                        got.append((call(spec, terms), work_counts()["refine_panels.rounds"] - before))
-                    (real, rounds), (want, want_rounds) = got
-                    assert real == pytest.approx(want, rel=1e-14, abs=0.0), (shift, terms)
-                    assert rounds == want_rounds, (shift, terms)
+                    wiener_hopf._BD_KAPPA.clear()
+                    real = wiener_hopf._bd_kappa(spec, terms)
+                    assert real == pytest.approx(_complex_bd_kappa(spec, terms), rel=1e-14, abs=0.0), (shift, terms)
 
     @pytest.mark.parametrize("f,error", [(-2.0 + 0.0j, DomainError), (-2.0 + 1e-300j, QuadratureError)])
     def test_quotient_on_the_cut(self, monkeypatch, f, error):
         """A quotient on (-inf, 0] at a node is a DomainError; one just off the cut is not (a
-        constant f is no exponent: its integral does not converge)."""
+        constant f is no exponent: its sum does not converge)."""
         monkeypatch.setattr(wiener_hopf, "eval_f", lambda spec, x: np.full(np.shape(x), f))
-        monkeypatch.setattr(wiener_hopf, "_BD_SEED", _LRU(4))
+        monkeypatch.setattr(wiener_hopf, "_BD_GRID", _LRU(4))
         monkeypatch.setattr(wiener_hopf, "_BD_KAPPA", _LRU(4))
         with pytest.raises(error):
             wiener_hopf._bd_kappa(SHOWCASE["bm_drift"], (("plus", 0.5, 0.0, 1), ("plus", 0.5, 1.3, -1)))
 
     def test_pole_kernel_at_extreme_x(self):
-        """The pole term c (x im g + b re g)/(x^2 + b^2) against im(c/(x - i b) g): within 1e-15
-        wherever the complex form is finite, at x where x^2 over- or underflows."""
-        x = np.array([1e-300, 1e-200, 1e-160, 1e160, 1e200])
-        for b in (0.0, 1e-3, -1e-3, 1.0, -1.0, 1e3, -1e3):
-            for c in (1, -1):
-                re, im = wiener_hopf._pole_kernel(x, c, b)
-                for g in (0.7 - 0.3j, -1.2 + 2.5j, 3.0 + 0.0j):
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        want = (c / (x - 1j * b) * g).imag
-                    got = re * g.imag + (0.0 if im is None else im * g.real)
-                    finite = np.isfinite(want)
-                    assert finite.any()
-                    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0.0)
+        """c0 + sum x c/(x - i b) over one or two poles against the complex form, at x from 1e-308
+        to 1e307 where x^2 and r^2 over- or underflow: finite and bounded, im within 4e-15 relative,
+        and re within 1e-13 relative wherever it decays (toward infinity; toward x = 0 where the
+        second form is asked for), else within 1e-15 absolute.  r clipped at 1e150 leaves im
+        1e-150 absolute."""
+        x = wiener_hopf._BD_X  # the whole grid, nodes -3540 to 3540
+        for b in (1e-3, -1.0, 1e3, 1e-250, -1e250):
+            for poles, c0 in (([(1, b)], 0), ([(-1, b)], 1), ([(1, b), (-1, 3.0 * b)], 0)):
+                for vanishing in (True, False):
+                    re, im = wiener_hopf._pole_kernels(x, -3540, c0, poles, vanishing)
+                    assert np.isfinite(re).all() and np.isfinite(im).all()
+                    assert np.abs(re).max() <= 2.0 + 1e-15 and np.abs(im).max() <= 2.0
+                    for k in range(0, x.size, 251):
+                        with mpmath.workdps(1300):  # re cancels to 1e-1116 at x = 1e-308, b = 1e250
+                            want = c0 + sum(mpmath.mpf(c) * x[k] / (x[k] - 1j * mpmath.mpf(bb)) for c, bb in poles)
+                            w_re, w_im = float(want.real), float(want.imag)
+                        assert abs(float(im[k]) - w_im) <= 4e-15 * abs(w_im) + 2e-150, (b, poles, k)
+                        loose = vanishing and x[k] < abs(b)  # the first form, where it need not decay
+                        assert abs(float(re[k]) - w_re) <= 1e-13 * abs(w_re) + (1e-15 if loose else 1e-300), \
+                            (b, poles, c0, vanishing, k)
 
 
 class TestFactorizationCheck:
@@ -1280,6 +1322,6 @@ class TestCrossMethodInvariants:
     def test_every_cache_is_a_bounded_memo(self, fig_a):
         get_factor_handle(fig_a, "plus")
         memos = (wiener_hopf._PHI_CACHE, wiener_hopf._HANDLE_CACHE, wiener_hopf._ENGINE_CACHE,
-                 wiener_hopf._BD_KAPPA, wiener_hopf._BD_SEED, fluctuation._SUP_CACHE)
+                 wiener_hopf._BD_KAPPA, wiener_hopf._BD_GRID, fluctuation._SUP_CACHE)
         assert all(isinstance(m, _LRU) and 0 <= len(m) <= m.maxsize for m in memos)
         assert fig_a in wiener_hopf._PHI_CACHE and (fig_a, "plus") in wiener_hopf._HANDLE_CACHE

@@ -24,28 +24,30 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
   0.2), "bd", "plus", 0.3, 1.5)``, of one cold ``kappa_ratio_tau`` at
   ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR`` (cold: the memo of
-  products ``wiener_hopf._BD_KAPPA`` and the memo of seed-node values
-  ``wiener_hopf._BD_SEED`` cleared): contour integrals (``refine_panels``
-  calls), refinement rounds (panel estimates, one integrand call each) and
-  ``eval_f`` points; and of the same ``pr_laplace`` again with only
-  ``_BD_KAPPA`` cleared (``pr_warm``), with the hits and misses of
-  ``_BD_SEED`` in it (its seed round reads f and the logs from that memo)
-  and the panels its refinement rounds map on demand
-  (``integrate_adaptive.mapped_panels``; None on a library that does not
-  count them); and the median wall time of ``WARM_N`` warm ``pr_laplace``
-  calls at PR's sigma and side, each with ``_BD_KAPPA`` cleared, at fresh
-  xi and tau = 0 (``us_tau0``) and at fresh xi and fresh tau (``us_tau``),
-  drawn log-uniformly from the ranges of the ``fluct_warm`` workload;
-* per warm ``pr_laplace`` call of ``REFINING`` (spec, sigma, tau, xi), whose
-  contour integral refines past its seed round (``pr_warm_refine``): its
-  rounds and the panels it maps on demand, with only ``_BD_KAPPA`` cleared
-  after a first call, and the median wall time of ``WARM_N`` such calls;
-* per preset, the refinement rounds of a cold sweep of ``pr_laplace``
-  over the grid of the ``fluct_warm`` workload (``pr_sweep``: sigma in
-  ``SWEEP_SIGMAS``, tau in ``SWEEP_TAUS``, ``SWEEP_N`` xi geometrically
-  spaced on ``SWEEP_XI``, both memos cleared before the first call);
-* the number of evaluable seed nodes of the bd contour integral
-  (``seed_nodes``), which a warm ``pr_laplace`` does not evaluate f on;
+  products ``wiener_hopf._BD_KAPPA`` and the memo of grid values
+  ``wiener_hopf._BD_GRID`` cleared): contour integrals (``bd_sum.calls``, or
+  ``refine_panels.calls`` on a library without the trapezoidal sum),
+  ``eval_f`` points and core calls, the nodes at which the sums formed
+  their terms (``bd_sum.nodes``; None where not counted), and the window
+  [lo, hi] of grid nodes, the sum T_h and its nested error |T_h - T_2h|
+  (``wiener_hopf._bd_sum``; None where it does not exist); the same for
+  that ``pr_laplace`` again with only ``_BD_KAPPA`` cleared (``pr_warm``),
+  with the hits and misses of ``_BD_GRID`` in it; and the median wall time
+  of ``WARM_N`` warm ``pr_laplace`` calls at PR's sigma and side, each with
+  ``_BD_KAPPA`` cleared, at fresh xi and tau = 0 (``us_tau0``) and at fresh
+  xi and fresh tau (``us_tau``), drawn log-uniformly from the ranges of the
+  ``fluct_warm`` workload;
+* per warm ``pr_laplace`` call of ``REFINING`` (spec, sigma, tau, xi), calls
+  that refined past the seed round of the adaptive quadrature the sum
+  replaced (``pr_warm_refine``): its work as for ``pr_warm``, with only
+  ``_BD_KAPPA`` cleared after a first call, and the median wall time of
+  ``WARM_N`` such calls;
+* per preset, the cold sweep of ``pr_laplace`` over the grid of the
+  ``fluct_warm`` workload (``pr_sweep``: sigma in ``SWEEP_SIGMAS``, tau in
+  ``SWEEP_TAUS``, ``SWEEP_N`` xi geometrically spaced on ``SWEEP_XI``, both
+  memos cleared before the first call): its contour integrals, ``eval_f``
+  core calls and nodes, and its refinement rounds (on a library with the
+  adaptive bd quadrature);
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
   node count, atom count, total mass, its lockstep steps (``zero_steps``:
@@ -59,8 +61,6 @@ Compares two checkouts of the repository, a parent and a change:
   the median wall times of the job's two Monte Carlo steps, apart, over
   ``MC_REPEATS`` jobs: ``simulate_sup_samples`` (``sampler_ms``) and
   ``mc_estimates`` (``estimates_ms``).
-* over the whole probe, the hits and misses of the memo of quadrature
-  geometries (``numerics._GEOMETRY``);
 * L0, per family (one spec each, ``L0_SPECS``): the family-core calls
   (for f and f' together) and phi-kernel passes of one ``eval_f`` and one
   ``eval_f_prime`` on a mixed batch of ``L0_BATCH`` points, half of them
@@ -79,11 +79,17 @@ Compares two checkouts of the repository, a parent and a change:
   summed over the spine-ratio ops (``wh_ratio.spine``) of one ``wh_cold``
   benchmark run at seed 1 and the run length given, in order, with the
   engine memo cleared at the start;
-* on the change only (``seed_memo``), per workload: the hits and misses of
-  ``wiener_hopf._BD_SEED`` over one benchmark run's ops at seed 1 and the
+* on the change only (``grid_memo``), per workload: the hits and misses of
+  ``wiener_hopf._BD_GRID`` over one benchmark run's ops at seed 1 and the
   run length given, in order, counting only the ops that reach the bd
   contour integral (``MEMO_OPS``; no other op looks the memo up), with
-  ``_BD_KAPPA`` and ``_BD_SEED`` cleared at the start.
+  ``_BD_KAPPA`` and ``_BD_GRID`` cleared at the start.
+
+The probe runs ``PROBE_ROUNDS`` times on each side, the two sides alternating
+(parent, change, change, parent, ...), and every wall time (keys ``ms``,
+``us``, ``us_tau0``, ``us_tau``, ``sampler_ms``, ``estimates_ms``) is the
+median of its runs, so that a change of the host's speed during the record
+falls on both sides; counts are those of the first run.
 
 Every count is the difference of two ``levycm.numerics.work_counts()``
 snapshots around the call it measures (README, "Work counters").  Lockstep
@@ -120,7 +126,7 @@ PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
 WARM_N = 50  # warm pr_laplace calls per preset and tau kind, at fresh arguments
 WARM_XI = (0.1, 5.0)  # log-uniform ranges of xi and tau > 0, as in the fluct_warm workload
 WARM_TAU = (0.1, 3.0)
-# warm pr_laplace calls (preset, sigma, tau, xi) that refine: 2, 2, 3, 3, 5 and 4 rounds
+# warm pr_laplace calls (preset, sigma, tau, xi) that took 2, 2, 3, 3, 5 and 4 rounds of the adaptive bd quadrature
 REFINING = (("tempered_stable", 2.0, 0.78, 0.6), ("tempered_stable", 2.0, 1.25, 1.0),
             ("tempered_stable", 2.0, 2.49, 2.2), ("rational_three_arcs", 0.5, 1.0, 2.3),
             ("rational_three_arcs", 0.5, 1.0, 2.97), ("rational_three_arcs", 0.5, 1.0, 3.85))
@@ -147,6 +153,8 @@ L0_SPECS = (
 PAIR = ("tempered_stable", 0.3)  # preset and shift of the cold factor_pair
 # op kinds (prefixes) of the benchmark's workloads that reach the bd contour integral
 MEMO_OPS = ("pr_laplace", "wh_ratio.bd", "mc_job.")
+PROBE_ROUNDS = 3  # probe runs a side, alternating between the sides
+TIMED = ("ms", "us", "us_tau0", "us_tau", "sampler_ms", "estimates_ms")  # the probe's wall times
 _HYPER_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
 # (label, LevyAtomic keywords, sigma): the cases of the mc_exact workload
 MC_CASES = (
@@ -194,39 +202,60 @@ def table_work(spec):
             "lockstep": lockstep}
 
 
+def grid_memo():
+    """The memo of the bd sum's grid values, or of the seed-node values on a library without the sum."""
+    from levycm import wiener_hopf
+
+    return wiener_hopf._BD_GRID if hasattr(wiener_hopf, "_BD_GRID") else wiener_hopf._BD_SEED
+
+
+def bd_work(n, spec=None, terms=None):
+    """The contour work in the work counts ``n``, with the window and nested error of the sum of
+    ``terms`` on ``spec`` where the library has ``wiener_hopf._bd_sum``."""
+    from levycm import wiener_hopf
+
+    out = {"integrals": n.get("bd_sum.calls", 0) + n["refine_panels.calls"], "nodes": n.get("bd_sum.nodes"),
+           "eval_f_points": n["eval_f.points"], "f_calls": n["eval_f.core_calls"], "window": None, "sum": None,
+           "err": None}
+    if terms is not None and hasattr(wiener_hopf, "_bd_sum"):
+        total, err, lo, hi = wiener_hopf._bd_sum(*wiener_hopf._bd_plan(spec, terms))
+        out.update(window=[lo, hi], sum=total, err=err)
+    return out
+
+
 def contour_work(spec):
-    """Integrals, rounds and eval_f points of a cold bd ratio at tau = 0.2, a cold
-    kappa_ratio_tau, a cold pr_laplace and that pr_laplace on a warm seed memo."""
+    """Contour work of a cold bd ratio at tau = 0.2, a cold kappa_ratio_tau, a cold pr_laplace and
+    that pr_laplace on a warm grid memo."""
     from levycm import fluctuation, shift_spec, wiener_hopf
 
     x1, x2, side, tau = RATIO
     xi, tau1, tau2, tau_side = TAU_RATIO
     sigma, pr_tau, pr_xi, pr_side = PR
+    pr_terms = ((pr_side, sigma, 0.0, 1), (pr_side, pr_tau + sigma, pr_xi, -1))
+    memo = grid_memo()
     out = {}
-    for label, call in (
-        ("bd_ratio", lambda: wiener_hopf.wh_ratio(shift_spec(spec, tau), "bd", side, x1, x2)),
-        ("tau_ratio", lambda: fluctuation.kappa_ratio_tau(spec, xi, tau1, tau2, tau_side)),
-        ("pr", lambda: fluctuation.pr_laplace(spec, sigma, pr_tau, pr_xi, pr_side)),
+    for label, call, on, terms in (
+        ("bd_ratio", lambda: wiener_hopf.wh_ratio(shift_spec(spec, tau), "bd", side, x1, x2),
+         shift_spec(spec, tau), ((side, 0.0, x1, 1), (side, 0.0, x2, -1))),
+        ("tau_ratio", lambda: fluctuation.kappa_ratio_tau(spec, xi, tau1, tau2, tau_side),
+         spec, ((tau_side, tau1, xi, 1), (tau_side, tau2, xi, -1))),
+        ("pr", lambda: fluctuation.pr_laplace(spec, sigma, pr_tau, pr_xi, pr_side), spec, pr_terms),
     ):
         wiener_hopf._BD_KAPPA.clear()
-        wiener_hopf._BD_SEED.clear()
+        memo.clear()
         value, n = work(call)
-        out[label] = {"integrals": n["refine_panels.calls"], "rounds": n["refine_panels.rounds"],
-                      "eval_f_points": n["eval_f.points"], "value": value}
+        out[label] = {**bd_work(n, on, terms), "value": value}
     wiener_hopf._BD_KAPPA.clear()
-    seed = wiener_hopf._BD_SEED
-    hits, misses = seed.hits, seed.misses
+    hits, misses = memo.hits, memo.misses
     value, n = work(fluctuation.pr_laplace, spec, sigma, pr_tau, pr_xi, pr_side)
-    out["pr_warm"] = {"integrals": n["refine_panels.calls"], "rounds": n["refine_panels.rounds"],
-                      "eval_f_points": n["eval_f.points"], "value": value,
-                      "seed_memo": {"hits": seed.hits - hits, "misses": seed.misses - misses},
-                      "mapped_panels": n.get("integrate_adaptive.mapped_panels"),
+    grid = {"hits": memo.hits - hits, "misses": memo.misses - misses}
+    out["pr_warm"] = {**bd_work(n, spec, pr_terms), "value": value, "grid_memo": grid,
                       "us_tau0": warm_us(spec, False), "us_tau": warm_us(spec, True)}
     return out
 
 
 def refining_work():
-    """Rounds, panels mapped on demand and median us of each warm ``REFINING`` call."""
+    """Contour work and median us of each warm ``REFINING`` call."""
     from levycm import fluctuation, wiener_hopf
     from levycm.specio import SHOWCASE
 
@@ -242,8 +271,9 @@ def refining_work():
             t0 = time.perf_counter()
             call()
             times.append(time.perf_counter() - t0)
-        out.append({"preset": name, "sigma": sigma, "tau": tau, "xi": xi, "rounds": n["refine_panels.rounds"],
-                    "mapped_panels": n.get("integrate_adaptive.mapped_panels"), "us": 1e6 * median(times)})
+        terms = (("plus", sigma, 0.0, 1), ("plus", tau + sigma, xi, -1))
+        out.append({"preset": name, "sigma": sigma, "tau": tau, "xi": xi,
+                    **bd_work(n, SHOWCASE[name], terms), "us": 1e6 * median(times)})
     return out
 
 
@@ -267,18 +297,18 @@ def warm_us(spec, fresh_tau):
     return 1e6 * median(times)
 
 
-def sweep_rounds(spec):
-    """Refinement rounds of the cold ``pr_laplace`` sweep (``SWEEP_*``)."""
+def sweep_work(spec):
+    """Contour work of the cold ``pr_laplace`` sweep (``SWEEP_*``)."""
     import numpy as np
 
     from levycm import fluctuation, wiener_hopf
 
     wiener_hopf._BD_KAPPA.clear()
-    wiener_hopf._BD_SEED.clear()
+    grid_memo().clear()
     calls = [(sigma, tau, float(xi)) for sigma in SWEEP_SIGMAS for tau in SWEEP_TAUS
              for xi in np.geomspace(*SWEEP_XI, SWEEP_N)]
     _, n = work(lambda: [fluctuation.pr_laplace(spec, *call) for call in calls])
-    return n["refine_panels.rounds"]
+    return {**bd_work(n), "rounds": n["refine_panels.rounds"]}
 
 
 def sup_work(spec):
@@ -317,7 +347,8 @@ def mc_work():
         for run in ("cold", "repeat"):
             t0 = time.perf_counter()
             _, n = work(job, spec, sigma)
-            out[label][run] = {"integrals": n["refine_panels.calls"], "ms": 1e3 * (time.perf_counter() - t0)}
+            out[label][run] = {"integrals": n.get("bd_sum.calls", 0) + n["refine_panels.calls"],
+                               "ms": 1e3 * (time.perf_counter() - t0)}
         sampler, estimates = [], []
         for _ in range(MC_REPEATS):
             t0 = time.perf_counter()
@@ -398,7 +429,7 @@ def probe():
     per preset (JSON on stdout)."""
     import numpy as np
 
-    from levycm import numerics, shift_spec, wiener_hopf
+    from levycm import shift_spec, wiener_hopf
     from levycm.specio import SHOWCASE
 
     mc = mc_work()  # first, while every cache is cold
@@ -414,7 +445,7 @@ def probe():
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
                      "spine_table": table_work(SHOWCASE[name]),
                      "contour": contour_work(SHOWCASE[name]),
-                     "pr_sweep": sweep_rounds(SHOWCASE[name]),
+                     "pr_sweep": sweep_work(SHOWCASE[name]),
                      "sup_tail": sup_work(SHOWCASE[name])}
         for phi_tau in PHI_TAUS:
             spec = shift_spec(SHOWCASE[name], phi_tau)
@@ -429,15 +460,12 @@ def probe():
                                                     "breakpoints": len(table.breakpoints),
                                                     "estimate_phi_calls": n.get("estimate_phi.calls"),
                                                     "lockstep_steps": n["lockstep.steps"], "jumps": jumps}
-    geometry = {"hits": numerics._GEOMETRY.hits, "misses": numerics._GEOMETRY.misses}
-    seed_nodes = numerics._geometry(0.0, math.inf, (0.0,))[3][1].size  # built apart from the memo
-    print(json.dumps({"presets": out, "mc_job": mc, "geometry_memo": geometry, "seed_nodes": seed_nodes,
-                      "pr_warm_refine": refining_work(), "l0": l0_work(), "l0_cold": l0_cold_work(),
-                      "factor_pair": pair_work()}))
+    print(json.dumps({"presets": out, "mc_job": mc, "pr_warm_refine": refining_work(), "l0": l0_work(),
+                      "l0_cold": l0_cold_work(), "factor_pair": pair_work()}))
 
 
 def memo_share(seconds):
-    """Hits, misses and hit share of the seed memo over the bd ops of one run of each workload
+    """Hits, misses and hit share of the grid memo over the bd ops of one run of each workload
     (JSON on stdout)."""
     sys.path.insert(0, str(Path("bench").resolve()))
     import workloads
@@ -448,7 +476,7 @@ def memo_share(seconds):
         load = workloads.WORKLOADS[name](1)
         load.setup()
         wiener_hopf._BD_KAPPA.clear()
-        memo = wiener_hopf._BD_SEED
+        memo = wiener_hopf._BD_GRID
         memo.clear()
         for r in range(load.rounds(seconds)):
             for op in load.round(r):
@@ -488,6 +516,18 @@ def run_probe(root, *args, script="tools/bench_spine.py"):
     return json.loads(res.stdout.splitlines()[-1])
 
 
+def merged(docs):
+    """The first of the probe documents ``docs``, each wall time (a key in ``TIMED``) replaced by
+    the median of its values over all of them."""
+    first = docs[0]
+    if isinstance(first, dict):
+        return {k: median(d[k] for d in docs) if k in TIMED and isinstance(v, (int, float)) else
+                merged([d[k] for d in docs]) for k, v in first.items()}
+    if isinstance(first, list):
+        return [merged(list(items)) for items in zip(*docs)]
+    return first
+
+
 def run_bench(root, workload, seed, seconds):
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -521,7 +561,11 @@ def main(argv=None):
     if not (args.parent and args.change and args.out):
         ap.error("PARENT_DIR, CHANGE_DIR and --out are required")
     sides = {"parent": args.parent, "change": args.change}
-    probes = {side: run_probe(root, script=str(Path(__file__).resolve())) for side, root in sides.items()}
+    runs = {side: [] for side in sides}
+    for k in range(2 * PROBE_ROUNDS):  # parent, change, change, parent, ...
+        side = list(sides)[(k + k // 2) % 2]
+        runs[side].append(run_probe(sides[side], script=str(Path(__file__).resolve())))
+    probes = {side: merged(docs) for side, docs in runs.items()}
     doc = {
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
@@ -541,15 +585,14 @@ def main(argv=None):
         "mc_job_paths": MC_PATHS,
         "mc_job_repeats": MC_REPEATS,
         "mc_job": {side: p["mc_job"] for side, p in probes.items()},
-        "geometry_memo": {side: p["geometry_memo"] for side, p in probes.items()},
-        "seed_nodes": {side: p.get("seed_nodes") for side, p in probes.items()},
         "pr_warm_refine": {side: p.get("pr_warm_refine") for side, p in probes.items()},
         "l0_batch": L0_BATCH,
         "l0": {side: p["l0"] for side, p in probes.items()},
         "l0_cold": {side: p.get("l0_cold") for side, p in probes.items()},
         "factor_pair": {"preset": PAIR[0], "shift": PAIR[1],
                         **{side: p.get("factor_pair") for side, p in probes.items()}},
-        "seed_memo": {"seed": 1, "seconds": args.seconds, "ops": list(MEMO_OPS),
+        "probe_rounds": PROBE_ROUNDS,
+        "grid_memo": {"seed": 1, "seconds": args.seconds, "ops": list(MEMO_OPS),
                       "change": run_probe(args.change, "--memo-share", "--seconds", str(args.seconds))},
         "wh_cold_spine": {"seed": 1, "seconds": args.seconds,
                           **{side: run_probe(root, "--wh-cold-spine", "--seconds", str(args.seconds),

@@ -1,0 +1,153 @@
+"""Value sweep: how far each bd value moved between two checkouts of the repository.
+
+Evaluates one fixed grid of bd-route values in each checkout, each in a fresh
+interpreter whose ``PYTHONPATH`` is that checkout's ``src`` (the parent's
+first), with numpy and the public API only:
+
+* ``ratio``: ``wh_ratio(spec, "bd", side, x1, x2)`` at the probe's pair
+  (0.3, 1.5) and at (1, x) and (x, 1) for x = 10^k, k = -30 ... 30;
+* ``product``: ``wh_product(spec, "bd", x1, x2)`` at (0.3, 1.5) and at (x, 1);
+* ``tau_ratio``: ``kappa_ratio_tau(spec, xi, 1.2, 0.2, side)`` at xi = 0.3
+  and at xi = x;
+* ``pr_laplace``: ``pr_laplace(spec, sigma, tau, xi, side)`` at sigma in
+  {0.5, 2}, tau in {0, 1} and xi in ``PR_XI``;
+
+each on the 8 presets and their +0.5 shifts, on both sides (products take
+none); and ``pr_sweep``: the cold sweep of ``tools/bench_spine.py``, the
+8 x 64 ``pr_laplace`` calls of the ``fluct_warm`` grid on the presets (plus
+side).  For each family it writes the number of calls, how many are bitwise
+equal (``float.hex``), the largest relative move |change - parent| / |parent|
+with both values' ``float.hex`` and the call's arguments, the largest move per
+preset, and the calls that raise on one side only (with the exception names).
+
+    python tools/value_sweep.py PARENT_DIR CHANGE_DIR [--out SWEEP.json] [--into BENCH_<n>.json]
+
+``--into`` adds the sweep to an existing JSON record under the key
+``value_sweep``.  A checkout swept against itself reads all-bitwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DECADES = [10.0**k for k in range(-30, 31)]
+PAIR = (0.3, 1.5)
+TAUS = (1.2, 0.2)  # tau1, tau2 of the tau-ratios
+SHIFTS = (0.0, 0.5)
+PR_SIGMAS = (0.5, 2.0)
+PR_TAUS = (0.0, 1.0)
+PR_XI = (1e-3, 0.1, 0.7, 1.3, 5.0, 1e3)
+SWEEP = ((0.5, 2.0), (0.0, 1.0), (0.1, 5.0), 16)  # sigmas, taus, xi geomspace range and count
+
+
+def grid(presets):
+    """The (family, preset, call arguments) of every value, in a fixed order."""
+    import numpy as np
+
+    out = []
+    for name in sorted(presets):
+        for shift in SHIFTS:
+            out += [("product", name, (shift, x1, x2)) for x1, x2 in [PAIR] + [(x, 1.0) for x in DECADES]]
+            for side in ("plus", "minus"):
+                pairs = [PAIR] + [(1.0, x) for x in DECADES] + [(x, 1.0) for x in DECADES]
+                out += [("ratio", name, (shift, side, x1, x2)) for x1, x2 in pairs if x1 != x2]
+                out += [("tau_ratio", name, (shift, side, xi, *TAUS)) for xi in [PAIR[0]] + DECADES]
+                out += [("pr_laplace", name, (shift, side, sigma, tau, xi))
+                        for sigma in PR_SIGMAS for tau in PR_TAUS for xi in PR_XI]
+        sigmas, taus, (lo, hi), n = SWEEP
+        out += [("pr_sweep", name, (0.0, "plus", sigma, tau, float(xi)))
+                for sigma in sigmas for tau in taus for xi in np.geomspace(lo, hi, n)]
+    return out
+
+
+def evaluate():
+    """Each (family, preset, arguments) of :func:`grid` with its value's ``float.hex`` and None, or
+    None and the name of the exception it raised (JSON on stdout)."""
+    from levycm import LevycmError, shift_spec
+    from levycm.fluctuation import kappa_ratio_tau, pr_laplace
+    from levycm.specio import SHOWCASE
+    from levycm.wiener_hopf import wh_product, wh_ratio
+
+    calls = {
+        "ratio": lambda spec, side, x1, x2: wh_ratio(spec, "bd", side, x1, x2),
+        "product": lambda spec, x1, x2: wh_product(spec, "bd", x1, x2),
+        "tau_ratio": lambda spec, side, xi, t1, t2: kappa_ratio_tau(spec, xi, t1, t2, side),
+        "pr_laplace": lambda spec, side, sigma, tau, xi: pr_laplace(spec, sigma, tau, xi, side),
+        "pr_sweep": lambda spec, side, sigma, tau, xi: pr_laplace(spec, sigma, tau, xi, side),
+    }
+    out = []
+    for family, name, (shift, *args) in grid(SHOWCASE):
+        try:
+            value, error = float(calls[family](shift_spec(SHOWCASE[name], shift), *args)).hex(), None
+        except (LevycmError, ArithmeticError) as exc:
+            value, error = None, type(exc).__name__
+        out.append([family, name, [shift, *args], value, error])
+    print(json.dumps(out))
+
+
+def run(root):
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+    res = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--evaluate"], env=env,
+                         cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def compare(parent, change):
+    """Per family: calls, bitwise-equal values, the largest relative move overall and per preset,
+    and the calls that raise on one side only."""
+    out = {}
+    for (family, name, args, p, p_err), (*key, c, c_err) in zip(parent, change):
+        assert [family, name, args] == key, (family, name, args, key)
+        rec = out.setdefault(family, {"calls": 0, "bitwise": 0, "raised_both": 0, "max_rel": None,
+                                      "max_rel_by_preset": {}, "raised_one_side": []})
+        rec["calls"] += 1
+        if p_err and c_err:
+            rec["raised_both"] += 1
+            rec["bitwise"] += p_err == c_err
+            continue
+        if p_err or c_err:
+            rec["raised_one_side"].append({"preset": name, "args": args, "parent": p or p_err,
+                                           "change": c or c_err})
+            continue
+        rec["bitwise"] += p == c
+        a, b = float.fromhex(p), float.fromhex(c)
+        move = 0.0 if p == c else abs(b - a) / abs(a) if a else float("inf")
+        by = rec["max_rel_by_preset"]
+        by[name] = max(by.get(name, 0.0), move)
+        if rec["max_rel"] is None or move > rec["max_rel"]["move"]:
+            rec["max_rel"] = {"move": move, "preset": name, "args": args, "parent": p, "change": c}
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--evaluate", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--out", help="write the sweep here (JSON)")
+    ap.add_argument("--into", help="add the sweep to this JSON record under 'value_sweep'")
+    args = ap.parse_args(argv)
+    if args.evaluate:
+        evaluate()
+        return
+    if not (args.parent and args.change):
+        ap.error("PARENT_DIR and CHANGE_DIR are required")
+    doc = {"decades": [DECADES[0], DECADES[-1]], "shifts": list(SHIFTS), "pr_xi": list(PR_XI),
+           "families": compare(run(args.parent), run(args.change))}
+    text = json.dumps(doc, indent=1)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    if args.into:
+        record = json.loads(Path(args.into).read_text())
+        record["value_sweep"] = doc
+        Path(args.into).write_text(json.dumps(record, indent=1) + "\n")
+    print(json.dumps(doc))
+
+
+if __name__ == "__main__":
+    main()
