@@ -909,7 +909,7 @@ class TestBdContourSeed:
     @pytest.mark.parametrize("name", ["rational_three_arcs", "rational_three_arcs_tight"])
     def test_cold_pr_sweep_rounds(self, name):
         """The 64 pr_laplace calls of the fluct_warm grid evaluate f once in all, and form at most
-        600 terms a call (the adaptive seed took 80 rounds of 810 nodes and more)."""
+        600 terms a call."""
         wiener_hopf._BD_KAPPA.clear()
         wiener_hopf._BD_GRID.clear()
         calls = [(sigma, tau, float(xi)) for sigma in (0.5, 2.0) for tau in (0.0, 1.0)
