@@ -1,10 +1,12 @@
 """Shared numerical kernels.
 
-One batched adaptive panel engine (:func:`refine_panels`), which runs every
-adaptive quadrature of the package: Gauss-Kronrod quadrature on lines,
-half-lines and finite intervals with declared singular abscissae (seeded
-with panels graded toward infinity and s = 0), the spine Stieltjes integrals
-and the supremum-tail node table.  One lockstep root solver
+One batched adaptive panel engine (:func:`refine_panels`) behind every
+adaptive quadrature of the package: the spine Stieltjes integrals, the
+supremum-tail node table and :func:`integrate_adaptive`, Gauss-Kronrod
+quadrature on lines, half-lines and finite intervals with declared singular
+abscissae, which the verification suites use as their reference quadrature
+(the bd contour integrals are trapezoidal sums of their own, in
+``wiener_hopf``).  One lockstep root solver
 (:func:`_lockstep_root`) behind every root of the package.  Also the
 principal complex logarithm, a sorted unique that keeps ``numpy.ma``
 unimported, a deterministic 64-bit-seeded generator and
@@ -110,13 +112,6 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
-# seed panel edges of a graded piece, as fractions of its length in v from its
-# singular end: eighths down to a quarter, then factors of sqrt(2) (2 in the distance
-# to that end) down to 2^-8, then halves down to 2^-_SEED_DEPTH (see integrate_adaptive);
-# the verify quadratures converge without it too, in 3-4 times the rounds
-_SEED_DEPTH = 16
-_SEED = np.concatenate([np.arange(7, 2, -1) / 8.0, 0.5 ** (np.arange(4, 16) / 2.0),
-                        0.5 ** np.arange(8, _SEED_DEPTH + 1)])
 
 
 @dataclass(frozen=True)
@@ -160,15 +155,10 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     the excess of the summed error over max(abs_tol, rel_tol |sum|) (every
     open panel with error when all fall short), within the ``max_splits``
     left: a globally adaptive batch (Berntsen, Espelid & Genz, ACM TOMS 17,
-    1991).  Left halves replace their parents and right halves are appended,
-    in buffers that double when full; the arrays returned are views of their
-    filled part (with no split, the arrays in and first estimated).  A panel
-    at floating-point resolution is never split and keeps its estimate.
-    When the largest open error alone covers the excess, that panel is the
-    round's one split, with no sort of the errors.  A split that outgrows
-    the buffers (the first one copies the arrays passed in and first
-    estimated) builds each buffer in one concatenation that already holds
-    its right halves.
+    1991).  Each round builds new arrays, in which left halves replace their
+    parents and right halves are appended (with no split, the arrays in and
+    first estimated are returned).  A panel at floating-point resolution is
+    never split and keeps its estimate.
 
     Stops converged when the summed error meets the goal, and unconverged
     when ``max_splits`` is used up or no splittable panel has error left.
@@ -177,44 +167,28 @@ def refine_panels(estimate, lo, hi, abs_tol, rel_tol=0.0, *, max_splits):
     _WORK["refine_panels.rounds"] += 1
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    # lo, hi, value, err, rows: the first n entries of buffers that double when full (the first
-    # round copies the initial arrays into new ones, so no array passed in is written to)
-    bufs = [lo, hi, *map(np.asarray, estimate(lo, hi))]
-    n = lo.size
+    value, err, rows = map(np.asarray, estimate(lo, hi))
     splits = 0
     while True:
-        lo, hi, value, err, rows = (b[:n] for b in bufs) if splits else bufs
         err_sum, total = float(np.add.reduce(err)), np.add.reduce(value)
         goal = max(abs_tol, rel_tol * abs(total))
         if err_sum <= goal or splits >= max_splits:
             break
         mid = 0.5 * (lo + hi)
         open_err = np.where((lo < mid) & (mid < hi), err, 0.0)
-        top = int(open_err.argmax())  # the first of the largest, as the stable sort below puts it
-        if not open_err[top] > 0.0:
+        if not open_err.max() > 0.0:
             break
-        if open_err[top] >= err_sum - goal:  # the cumulative sum below would stop at its first entry
-            sel, m = slice(top, top + 1), 1
-        else:
-            worst = np.flatnonzero(open_err > 0.0)
-            worst = worst[np.argsort(-err[worst], kind="stable")]
-            cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
-            sel = worst[: min(cover, max_splits - splits)]
-            m = len(sel)
+        worst = np.flatnonzero(open_err > 0.0)
+        worst = worst[np.argsort(-err[worst], kind="stable")]
+        cover = int(np.searchsorted(np.cumsum(err[worst]), err_sum - goal)) + 1
+        sel = worst[: min(cover, max_splits - splits)]
+        m = len(sel)
         _WORK["refine_panels.rounds"] += 1
         left, right = mid[sel], hi[sel]
         v2, e2, r2 = estimate(np.concatenate([lo[sel], left]), np.concatenate([left, right]))
-        parts = (left, right, v2[m:], e2[m:], r2[m:])  # right halves appended, left halves in place
-        if n + m > len(bufs[0]):
-            size = max(2 * len(bufs[0]), n + m)
-            bufs = [np.concatenate([b[:n], part, np.empty((size - n - m, *b.shape[1:]), b.dtype)])
-                    for b, part in zip(bufs, parts)]
-        else:
-            for b, part in zip(bufs, parts):
-                b[n : n + m] = part
-        bufs[1][sel] = left
-        bufs[2][sel], bufs[3][sel], bufs[4][sel] = v2[:m], e2[:m], r2[:m]
-        n += m
+        lo, hi, value, err, rows = (np.concatenate([old, new]) for old, new in zip(
+            (lo, hi, value, err, rows), (left, right, v2[m:], e2[m:], r2[m:])))
+        hi[sel], value[sel], err[sel], rows[sel] = left, v2[:m], e2[:m], r2[:m]
         splits += m
     return PanelSum(total, err_sum, err_sum <= goal, lo, hi, rows)
 
@@ -250,7 +224,7 @@ def gk15(fn):
     return estimate
 
 
-def _piecewise_axis(cuts, singular, graded=(), seed=_SEED):
+def _piecewise_axis(cuts, singular, seed=()):
     """Lay the segments between ``cuts`` end to end on one parameter axis p.
 
     Each segment is mapped plainly, or by x = anchor +- v^2 beside a
@@ -258,13 +232,12 @@ def _piecewise_axis(cuts, singular, graded=(), seed=_SEED):
     inverse square-root singularity there; the map is continuous and
     increasing.  The axis origin sits at the piece end nearest x = 0, so
     that a singular point there is resolved as finely as floating point
-    allows; on an axis from 0 to a ``graded`` upper end (a half-line's t),
+    allows; on an axis from 0 to a singular upper end (a half-line's t),
     the last piece goes before the origin instead, so that both ends are and
-    the map jumps there.  Pieces with a singular end in ``graded`` start
-    with edges at the fractions ``seed`` of their length in v from that end
-    (``_SEED`` by default).  Returns the map p -> (x, dx/dp, gap), gap the
-    distance to the nearer axis end (exact v^2 beside a singular one), and
-    the initial panels (lo, hi) in p.
+    the map jumps there.  Pieces with a singular end start with edges at the
+    fractions ``seed`` of their length in v from that end.  Returns the map
+    p -> (x, dx/dp, gap), gap the distance to the nearer axis end (exact v^2
+    beside a singular one), and the initial panels (lo, hi) in p.
     """
     pieces = []  # (x_lo, x_hi, kind); kind -1/+1: singular left/right end
     for a, b in zip(cuts, cuts[1:]):
@@ -273,15 +246,14 @@ def _piecewise_axis(cuts, singular, graded=(), seed=_SEED):
             pieces += [(a, 0.5 * (a + b), -1), (0.5 * (a + b), b, 1)]
         else:
             pieces.append((a, b, int(right) - int(left)))
-    wrap = cuts[0] == 0.0 and cuts[-1] in graded
+    wrap = cuts[0] == 0.0 and cuts[-1] in singular
     x_lo, x_hi, kind = map(np.array, zip(*(pieces[-1:] + pieces[:-1] if wrap else pieces)))
     starts = np.concatenate([[0.0], np.cumsum(np.where(kind, np.sqrt(x_hi - x_lo), x_hi - x_lo))])
     starts -= starts[1] if wrap else starts[np.argmin(np.abs(np.append(x_lo, x_hi[-1])))]
     ref = np.where(kind == 1, starts[1:], starts[:-1])  # v = 0 on the axis
     anchor = np.where(kind == 1, x_hi, x_lo)  # and its image
     at_end = (kind != 0) & ((anchor == cuts[0]) | (anchor == cuts[-1]))
-    seeded = (kind != 0) & np.array([a in graded for a in anchor])
-    seeds = ref[seeded, None] - (kind * np.diff(starts))[seeded, None] * seed
+    seeds = (ref[:, None] - (kind * np.diff(starts))[:, None] * seed)[kind != 0]
     edges = np.sort(np.append(starts, seeds))
 
     def to_x(p):
@@ -303,26 +275,54 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     domains are compactified first: s = tan(u) for the full line and
     s = o +- t/(1-t) from the finite end o of a half-line; the images of
     infinity are always treated as (potentially) singular endpoints, with
-    1 - t and the distance of u to -+pi/2 the exact v^2 there.  Their pieces
-    and those at a singular s = 0 start graded, in v: in eighths of the piece
-    down to a quarter, then in factors of sqrt(2) (2 in s) down to 2^-8 and
-    in halves down to 2^-_SEED_DEPTH.  All segments are refined together by
-    :func:`refine_panels` with Gauss-Kronrod 15 panels; a node rounded onto
-    a singular point, or where ds/dt overflows, is not evaluated.  Rows keep
-    the integrand's dtype.
+    1 - t and the distance of u to -+pi/2 the exact v^2 there.  Each piece
+    between those points starts as one panel, and all are refined together
+    by :func:`refine_panels` with Gauss-Kronrod 15 panels; a node rounded
+    onto a singular point, or where ds/dt overflows, is not evaluated.  Rows
+    keep the integrand's dtype.  The map is built on every call.
 
-    Returns ``(value, err_estimate)``; raises :class:`QuadratureError` with
-    the partial value attached when ``max_subdivisions`` is exhausted or a
-    node was not evaluated.
+    Returns ``(value, err_estimate)``, the estimate at least 1e-16 times the
+    Kronrod sum of |integrand| (the rounding floor); raises
+    :class:`QuadratureError` with the partial value attached when
+    ``max_subdivisions`` is exhausted or a node was not evaluated.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    key = (*domain, cfg.singular_points)
-    nodes, p_lo, p_hi = _GEOMETRY.get(key, _geometry, *key)
+    a, b = domain
+    sing = [s for s in cfg.singular_points if math.isfinite(s)]
+    if math.isinf(a) and math.isinf(b):
+
+        def to_s(u, gap):  # s = tan(u) and ds/du
+            s = np.where(gap < 0.5, np.sign(u) / np.tan(gap), np.tan(u))
+            return s, 1.0 + s * s
+
+        lo, hi = -0.5 * math.pi, 0.5 * math.pi
+        singular = {lo, hi, *(math.atan(s) for s in sing)}
+    elif math.isinf(a) or math.isinf(b):
+        o, sgn = (a, 1.0) if math.isinf(b) else (b, -1.0)
+
+        def to_s(t, gap):  # s = o +- t/(1-t) and ds/dt
+            w = np.where(t > 0.5, gap, 1.0 - t)
+            return o + sgn * t / w, w**-2.0
+
+        lo, hi = 0.0, 1.0
+        singular = {hi, *(d / (1.0 + d) for d in (sgn * (s - o) for s in sing) if d >= 0.0)}
+    else:
+        to_s = lambda x, gap: (x, 1.0)
+        lo, hi = float(a), float(b)
+        singular = set(sing)
+    if lo >= hi:
+        raise ValueError("empty or inverted integration domain")
+    to_x, p_lo, p_hi = _piecewise_axis(sorted({lo, hi, *(u for u in singular if lo < u < hi)}), singular)
     skipped = []
 
     def estimate(lo, hi):
-        w, s, weight, on = nodes(lo, hi)
+        p, w = gk15_nodes(lo, hi)
+        x, dx, gap = to_x(p)
+        with np.errstate(all="ignore"):
+            s, ds = to_s(x, gap)
+            weight = ds * dx
+        on = (weight > 0.0) & (weight < math.inf)
         full = bool(on.all())
         skipped.append(not full)
         vals = np.asarray(integrand(s.ravel() if full else s[on])) * (weight.ravel() if full else weight[on])
@@ -339,54 +339,6 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
         raise QuadratureError(value, res.err)
     w = 0.5 * (res.hi - res.lo)[:, None] * _WK  # the Kronrod weights
     return value, max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
-
-
-def _geometry(a, b, singular_points):
-    """For :func:`integrate_adaptive` on (a, b): the map from panels to their Kronrod weights, nodes
-    s, weights ds/dp (any value where a node is not evaluable) and the mask of evaluable nodes, one
-    row per panel; and, read-only, the seed panels."""
-    sing = [s for s in singular_points if math.isfinite(s)]
-    if math.isinf(a) and math.isinf(b):
-
-        def to_s(u, gap):  # s = tan(u) and ds/du
-            s = np.where(gap < 0.5, np.sign(u) / np.tan(gap), np.tan(u))
-            return s, 1.0 + s * s
-
-        lo, hi = -0.5 * math.pi, 0.5 * math.pi
-        singular = {lo, hi, *(math.atan(s) for s in sing)}
-        graded = {lo, hi, 0.0}
-    elif math.isinf(a) or math.isinf(b):
-        o, sgn = (a, 1.0) if math.isinf(b) else (b, -1.0)
-
-        def to_s(t, gap):  # s = o +- t/(1-t) and ds/dt
-            w = np.where(t > 0.5, gap, 1.0 - t)
-            return o + sgn * t / w, w**-2.0
-
-        lo, hi = 0.0, 1.0
-        singular = {hi, *(d / (1.0 + d) for d in (sgn * (s - o) for s in sing) if d >= 0.0)}
-        graded = {hi, 0.0} if o == 0.0 else {hi}
-    else:
-        to_s = lambda x, gap: (x, 1.0)
-        lo, hi = float(a), float(b)
-        singular = set(sing)
-        graded = {0.0}
-    if lo >= hi:
-        raise ValueError("empty or inverted integration domain")
-
-    cuts = sorted({lo, hi, *(u for u in singular if lo < u < hi)})
-    to_x, p_lo, p_hi = _piecewise_axis(cuts, singular, graded)
-
-    def nodes(lo, hi):
-        p, w = gk15_nodes(lo, hi)
-        x, dx, gap = to_x(p)
-        with np.errstate(all="ignore"):
-            s, ds = to_s(x, gap)
-            weight = ds * dx
-        return w, s, weight, (weight > 0.0) & (weight < math.inf)
-
-    for arr in (p_lo, p_hi):
-        arr.setflags(write=False)
-    return nodes, p_lo, p_hi
 
 
 def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
@@ -557,6 +509,3 @@ class _LRU:
         self._root[:] = [self._root, self._root, None, None]
         self.hits = 0
         self.misses = 0
-
-
-_GEOMETRY = _LRU(8)  # (a, b, singular points) -> _geometry, its node map and seed panels (README)

@@ -809,19 +809,21 @@ def validate_spec(spec):
 
 
 def levy_density(spec: LevyAtomic, x):
-    """Density of the Levy measure at x != 0 (completely monotone per side)."""
+    """Density of the Levy measure at x != 0 (completely monotone per side).
+
+    A float for a scalar x, an array for an array; raises
+    :class:`DomainError` where any x is 0.
+    """
     if not isinstance(spec, LevyAtomic):
         raise TypeError("levy_density applies to LevyAtomic specs only")
-    x = float(x)
-    if x == 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x == 0.0).any():
         raise DomainError("Levy density is undefined at x = 0")
-    total = 0.0
+    total = np.zeros(x.shape)
     for s, w in spec.atoms:
-        if x > 0.0 and s > 0.0:
-            total += w * math.exp(-s * x)
-        elif x < 0.0 and s < 0.0:
-            total += w * math.exp(-abs(s) * abs(x))
-    return total / math.pi
+        total = total + np.where(np.sign(x) == np.sign(s), w * np.exp(-abs(s) * np.abs(x)), 0.0)
+    total = total / math.pi
+    return float(total) if total.ndim == 0 else total
 
 
 def axis_feature_points(spec):

@@ -106,16 +106,14 @@ def suite_core(spec, tol=1e-10):
 def _levy_khintchine_consistency(spec: LevyAtomic):
     """eval_f against direct quadrature of the jump-integral form."""
     rep = VerifyReport("levy-khintchine")
-    s_min = min(abs(s) for s, _ in spec.atoms)
 
     def make_integrand(xi):
         def integrand(x):
-            nu = np.array([levy_density(spec, float(v)) for v in np.atleast_1d(x)])
             return (
                 1.0
                 - np.exp(1j * xi * x)
                 + 1j * xi * (1.0 - np.exp(-np.abs(x))) * np.sign(x)
-            ) * nu
+            ) * levy_density(spec, x)
 
         return integrand
 

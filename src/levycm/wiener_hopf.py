@@ -615,7 +615,7 @@ class SpineStieltjes:
         edges = sorted_unique(np.append(edges, zb))
         edges = sorted_unique(np.append(edges, _toward(edges, cuts[~np.isin(cuts, zb)], _SPINE_CUT_SEED)))
         z = set(zb.tolist())
-        to_u, p_lo, p_hi = _piecewise_axis(edges.tolist(), z, z, _SPINE_Z_SEED)
+        to_u, p_lo, p_hi = _piecewise_axis(edges.tolist(), z, _SPINE_Z_SEED)
 
         def estimate(lo, hi):
             x, w = gk15_nodes(lo, hi)

@@ -11,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levycm import LevyAtomic, PhiRep, PhiTable, estimate_phi, eval_f, eval_f_prime, numerics, shift_spec
+from levycm import (
+    LevyAtomic,
+    PhiRep,
+    PhiTable,
+    estimate_phi,
+    eval_f,
+    eval_f_prime,
+    f_limits,
+    numerics,
+    shift_spec,
+    verify,
+)
 from levycm.errors import DomainError, QuadratureError
 from levycm.numerics import (
     _LRU,
@@ -25,7 +36,7 @@ from levycm.numerics import (
     refine_panels,
     sorted_unique,
 )
-from levycm.rogers import _core
+from levycm.rogers import _core, compensator_drift
 from levycm.spine import solve_spine
 
 
@@ -149,60 +160,14 @@ class TestIntegrateAdaptive:
             call()
 
 
-class TestGeometryMemo:
-    """The seed geometry of integrate_adaptive is built once per domain and singular points."""
-
-    @pytest.mark.parametrize(
-        "f,domain,sing",
-        [
-            (lambda s: np.exp(-s) / (0.01 + (s - 1.0) ** 2), (0.0, math.inf), ()),
-            (lambda s: np.exp(-s) * s**-0.5, (0.0, math.inf), (0.0,)),
-            (lambda s: 1.0 / (1e-2 + (s - 0.3) ** 2), (-math.inf, math.inf), (0.0,)),
-        ],
-        ids=["half-line", "half-line-singular", "full-line"],
-    )
-    def test_cold_and_warm_agree(self, f, domain, sing):
-        cfg = QuadratureConfig(singular_points=sing)
-        numerics._GEOMETRY.clear()
-        cold = integrate_adaptive(f, domain, cfg)
-        warm = integrate_adaptive(f, domain, cfg)
-        assert (numerics._GEOMETRY.misses, numerics._GEOMETRY.hits) == (1, 1)
-        assert warm == cold
-
-    def test_entries_read_only_and_keyed_by_singular_points(self):
-        numerics._GEOMETRY.clear()
-        for sing in ((0.0,), (), (0.0,)):
-            integrate_adaptive(lambda s: np.exp(-s), (0.0, math.inf), QuadratureConfig(singular_points=sing))
-        assert (len(numerics._GEOMETRY), numerics._GEOMETRY.misses, numerics._GEOMETRY.hits) == (2, 2, 1)
-        plain = numerics._GEOMETRY.get((0.0, math.inf, ()), None)
-        _, p_lo, p_hi = numerics._GEOMETRY.get((0.0, math.inf, (0.0,)), None)
-        assert not np.array_equal(plain[1], p_lo)
-        for arr in (p_lo, p_hi):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 0.0
+class TestIntegrateAdaptiveRows:
+    """What integrate_adaptive hands refine_panels: its rows, their dtype and the error floor."""
 
     @staticmethod
-    def _deepen(monkeypatch):
-        """Extend the graded seed with halves down to 2^-593 in v, where the map to a half-line's
-        infinite end overflows and seed nodes are not evaluable."""
-        axis = numerics._piecewise_axis
-        extra = 0.5 ** np.arange(17.0, 600.0, 16.0)
-        monkeypatch.setattr(numerics, "_piecewise_axis",
-                            lambda cuts, sing, graded=(): axis(cuts, sing, graded, np.append(numerics._SEED, extra)))
-
-    @staticmethod
-    def _seed_round(monkeypatch, f, domain, cfg, deep=False):
-        """One integrate_adaptive call on a fresh geometry memo: its result (or the exception it
-        raised), the rows of its seed round, refine_panels' panels in and result, and the map of
-        the seed panels (Kronrod weights, nodes, weights and mask).  ``deep`` extends the graded
-        seed with halves down to 2^-593 in v, where the map to a half-line's infinite end
-        overflows and seed nodes are not evaluable."""
-        monkeypatch.setattr(numerics, "_GEOMETRY", _LRU(2))
-        if deep:
-            TestGeometryMemo._deepen(monkeypatch)
-        rows, runs = [], []
-        refine = numerics.refine_panels
+    def _rounds(monkeypatch, f, domain, cfg):
+        """One integrate_adaptive call: its result (or the exception it raised), the rows of every
+        round, the points the integrand got in each, and refine_panels' panels in and result."""
+        rows, points, runs = [], [], []
 
         def spy(estimate, lo, hi, *args, **kwargs):
             def est(lo, hi):
@@ -210,61 +175,105 @@ class TestGeometryMemo:
                 rows.append(out[2])
                 return out
 
-            runs.append((lo, hi, refine(est, lo, hi, *args, **kwargs)))
+            runs.append((lo, hi, refine_panels(est, lo, hi, *args, **kwargs)))
             return runs[-1][2]
+
+        def g(s):
+            points.append(s.size)
+            return f(s)
 
         monkeypatch.setattr(numerics, "refine_panels", spy)
         try:
-            out = integrate_adaptive(f, domain, cfg)
+            out = integrate_adaptive(g, domain, cfg)
         except QuadratureError as exc:
             out = exc
-        nodes, p_lo, p_hi = numerics._geometry(*domain, cfg.singular_points)
-        return out, rows[0], runs[0], nodes(p_lo, p_hi)
-
-    @pytest.mark.parametrize("deep", [False, True], ids=["evaluable", "unevaluable"])
-    def test_seed_rows_match_the_mask(self, monkeypatch, deep):
-        """Seed rows bitwise those built by the mask (zeros where a node is not evaluable), in the
-        integrand's dtype; with an unevaluable node the call raises."""
-        f = lambda s: np.exp(-s) / (0.1 + (s - 1.0) ** 2)
-        cfg = QuadratureConfig(singular_points=(0.0,))
-        out, rows, _, (_, s, weight, on) = self._seed_round(monkeypatch, f, (0.0, math.inf), cfg, deep)
-        assert on.all() != deep
-        want = np.zeros(on.shape)
-        want[on] = f(s[on]) * weight[on]
-        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
-        assert isinstance(out, QuadratureError) == deep
-
-    def test_seed_exit_and_error_floor(self, monkeypatch):
-        """A seed round that meets the goal: refine_panels returns the seed panels themselves, their
-        sums are gk15_sums' on the Kronrod weights of gk15_nodes, and the error floor is one einsum of
-        those weights over |rows|."""
-        f = lambda s: np.exp(-s)
-        cfg = QuadratureConfig(singular_points=(0.0,))
-        (value, err), rows, (lo, hi, res), (wk, *_) = self._seed_round(monkeypatch, f, (0.0, math.inf), cfg)
-        assert res.lo is lo and res.hi is hi and res.converged
-        _, w = numerics.gk15_nodes(lo, hi)
-        assert np.array_equal(wk, w)
-        k, _ = numerics.gk15_sums(lo, hi, w, rows)
-        assert res.value == np.add.reduce(k)
-        assert value == complex(res.value)
-        assert err == max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
+        return out, rows, points, runs[0]
 
     @pytest.mark.parametrize(
-        "f,seed_exit",
-        [(lambda s: np.exp(-s), True), (lambda s: np.exp(-s) / (1e-4 + (s - 1.0) ** 2), False)],
-        ids=["seed-exit", "refined"],
+        "f,skips",
+        [(lambda s: np.exp(-s) / (0.1 + (s - 1.0) ** 2), False), (lambda s: (1.0 + s) ** -1.05, True)],
+        ids=["evaluable", "unevaluable"],
     )
-    def test_real_and_complex_integrands_agree(self, f, seed_exit):
-        """A real integrand and its complex cast give the same value and error to 1 ulp of the
-        value (f > 0: the integral of |f|, the scale of their rounding)."""
+    def test_rows_match_the_mask(self, monkeypatch, f, skips):
+        """Rows in the integrand's dtype with one value per node evaluated and zeros elsewhere.  A
+        tail heavier than 1/s^1.1 drives the refinement to t -> 1, where ds/dt overflows and nodes
+        are not evaluated: the call raises with a finite partial value and error."""
         cfg = QuadratureConfig(singular_points=(0.0,))
-        before = numerics.work_counts()["refine_panels.rounds"]
-        value, err = integrate_adaptive(f, (0.0, math.inf), cfg)
-        assert (numerics.work_counts()["refine_panels.rounds"] - before == 1) == seed_exit
-        cast, cast_err = integrate_adaptive(lambda s: f(s).astype(complex), (0.0, math.inf), cfg)
-        ulp = math.ulp(value.real)
-        assert value.imag == cast.imag == 0.0
-        assert abs(value.real - cast.real) <= ulp and abs(err - cast_err) <= ulp
+        out, rows, points, _ = self._rounds(monkeypatch, f, (0.0, math.inf), cfg)
+        skipped = [r.size - n for r, n in zip(rows, points)]
+        assert any(skipped) == skips and isinstance(out, QuadratureError) == skips
+        assert all(r.dtype == np.float64 and r.shape[1] == 15 for r in rows)
+        assert all(np.count_nonzero(r) <= n and r.size - np.count_nonzero(r) >= k
+                   for r, n, k in zip(rows, points, skipped))
+        if skips:
+            assert math.isfinite(abs(out.value)) and math.isfinite(out.err_estimate)
+
+    def test_error_floor(self, monkeypatch):
+        """A first estimate that meets the goal: refine_panels returns the panels passed in, and the
+        error reported is the floor, one einsum of the Kronrod weights over |rows|, above the
+        Kronrod - Gauss sum."""
+        f = lambda s: (1.0 + s) ** -1.5
+        (value, err), rows, _, (lo, hi, res) = self._rounds(monkeypatch, f, (0.0, math.inf), QuadratureConfig())
+        assert len(rows) == 1 and res.lo is lo and res.hi is hi and res.converged
+        _, w = numerics.gk15_nodes(lo, hi)
+        assert value == complex(res.value) == pytest.approx(2.0, rel=1e-15)
+        assert err == 1e-16 * float(np.einsum("pj,pj->", w, np.abs(rows[0]))) > res.err
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda s: np.exp(-s) * np.cos(3.0 * s), lambda s: np.exp(-s) / (1e-4 + (s - 1.0) ** 2)],
+        ids=["smooth", "peaked"],
+    )
+    def test_real_and_complex_integrands_agree(self, monkeypatch, f):
+        """A real integrand and its complex cast give the same value and error to 1 ulp of the
+        integral of |f| (the scale of their rounding), with rows in each one's dtype."""
+        cfg = QuadratureConfig(singular_points=(0.0,))
+        (value, err), rows, _, _ = self._rounds(monkeypatch, f, (0.0, math.inf), cfg)
+        cast = lambda s: f(s).astype(complex)
+        (z, z_err), z_rows, _, _ = self._rounds(monkeypatch, cast, (0.0, math.inf), cfg)
+        assert {r.dtype for r in rows} == {np.dtype(float)} and {r.dtype for r in z_rows} == {np.dtype(complex)}
+        ulp = math.ulp(integrate_adaptive(lambda s: np.abs(f(s)), (0.0, math.inf), cfg)[0].real)
+        assert value.imag == z.imag == 0.0
+        assert abs(value.real - z.real) <= ulp and abs(err - z_err) <= ulp
+
+
+_ATOMS = ((2.0, 3.0), (-1.5, 2.0))
+
+
+class TestVerifyQuadratures:
+    """integrate_adaptive's error estimate bounds its miss on the integrands of verify's checks."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LevyAtomic(a=0.3, b=-0.2, atoms=((1.0, 2.0), (-2.0, 4.0))),
+         LevyAtomic(b=compensator_drift(LevyAtomic(atoms=_ATOMS)), atoms=_ATOMS),
+         LevyAtomic(a=0.3, b=0.1, atoms=((0.05, 1.0), (-40.0, 2.0)))],
+        ids=["jump-gauss", "compound-poisson", "far-atoms"],
+    )
+    def test_levy_khintchine(self, monkeypatch, spec):
+        """The jump integral of each check against eval_f less its Gaussian and drift part."""
+        calls = []
+        real = verify.integrate_adaptive
+        monkeypatch.setattr(verify, "integrate_adaptive", lambda *a: calls.append(real(*a)) or calls[-1])
+        rep = verify._levy_khintchine_consistency(spec)
+        assert rep.passed and len(calls) == len(rep.checks) == verify._LK_POINTS
+        for check, (value, err) in zip(rep.checks, calls):
+            xi = check.witness["xi"]
+            exact = eval_f(spec, complex(xi)) - (spec.a * xi**2 - 1j * spec.b * xi + spec.c)
+            assert abs(value - exact) <= err, (xi, value, exact, err)
+
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_frullani(self, monkeypatch, tau):
+        """kappa-circ's Frullani integral against log((tau + lam)/(1 + lam)), at the compound
+        Poisson spec's lam = f(inf-)."""
+        calls = []
+        real = verify.integrate_adaptive
+        monkeypatch.setattr(verify, "integrate_adaptive", lambda *a: calls.append(real(*a)) or calls[-1])
+        lam = f_limits(LevyAtomic(b=compensator_drift(LevyAtomic(atoms=_ATOMS)), atoms=_ATOMS)).f_at_infinity
+        verify._kappa_circ_quadrature(lam, tau)
+        (value, err), = calls
+        assert value.imag == 0.0
+        assert abs(value.real - math.log((tau + lam) / (1.0 + lam))) <= err
 
 
 def _widths(lo, hi):
@@ -401,7 +410,7 @@ class TestRefinePanels:
 
     @pytest.mark.parametrize("case", ["gk15-real", "gk15-complex", "rows-1", "rows-4", "budget", "widths"])
     def test_buffers_match_appending(self, case):
-        """Doubling buffers give every result bitwise the arrays grown round by round would:
+        """Every result bitwise what the reference, which grows its arrays by np.append, gives:
         GK15 rows (15 columns, real and complex), 1- and 4-column rows, a split budget that
         runs out, and the engine tests' widths estimate."""
         lo, hi = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 6.0])
@@ -417,7 +426,7 @@ class TestRefinePanels:
         lo_in, hi_in = np.array(rest[1], dtype=float), np.array(rest[2], dtype=float)
         res = refine_panels(*rest, max_splits=max_splits)
         want = self._appending(*rest, max_splits=max_splits)
-        assert len(res.lo) > 2 * len(lo_in)  # the buffers have grown more than once
+        assert len(res.lo) > 2 * len(lo_in)  # many splits
         got = (res.value, res.err, res.converged, res.lo, res.hi, res.rows)
         for g, w in zip(got, want):
             g, w = np.asarray(g), np.asarray(w)

@@ -319,6 +319,22 @@ class TestLevyDensity:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             levy_density(LevyAtomic(atoms=((1.0, 1.0),)), 0.0)
+        with pytest.raises(DomainError):
+            levy_density(LevyAtomic(atoms=((1.0, 1.0),)), np.array([-1.0, 0.0, 2.0]))
+
+    def test_array_matches_scalars(self):
+        """One array call gives each point's scalar value, in the array's shape; a scalar gives a
+        float.  Both agree to 4 ulp with the sum over the atoms of one side, point by point."""
+        spec = LevyAtomic(atoms=((1.0, 2.0), (0.5, 1.0), (-3.0, 5.0)))
+        x = np.array([[-2.0, -1e-3, 1e-3], [0.7, 40.0, -800.0]])
+        got = levy_density(spec, x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        scalars = [levy_density(spec, float(v)) for v in x.ravel()]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_array_equal(got.ravel(), scalars)
+        loop = [sum(w * math.exp(-abs(s * v)) for s, w in spec.atoms if s * v > 0.0) / math.pi for v in x.ravel()]
+        np.testing.assert_allclose(scalars, loop, rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert scalars[-1] == 0.0
 
     def test_jump_integral_consistency(self):
         """eval_f agrees with direct quadrature of the jump-integral form."""
@@ -326,11 +342,10 @@ class TestLevyDensity:
         cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-13, singular_points=(0.0,))
         for xi in np.linspace(0.25, 3.0, 10):
             def integrand(x, xi=xi):
-                nu = np.array([levy_density(spec, float(v)) for v in np.atleast_1d(x)])
                 return (
                     1.0 - np.exp(1j * xi * x)
                     + 1j * xi * (1.0 - np.exp(-np.abs(x))) * np.sign(x)
-                ) * nu
+                ) * levy_density(spec, x)
 
             jump, _ = integrate_adaptive(integrand, (-math.inf, math.inf), cfg)
             direct = spec.a * xi**2 - 1j * spec.b * xi + spec.c + jump

@@ -17,26 +17,23 @@ Compares two checkouts of the repository, a parent and a change:
   table's radii, the angle part the rest of the build;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
   ``build_phi_table`` calls, the table's breakpoint count and, for the
-  last build, its ``estimate_phi`` calls (one per refinement level; None
-  on a library that does not count them), its lockstep steps (the one
-  solve of its jump cells) and its jumps (adjacent breakpoints on one
-  side of s = 0 reading 0 and pi);
+  last build, its ``estimate_phi`` calls (one per refinement level), its
+  lockstep steps (the one solve of its jump cells) and its jumps (adjacent
+  breakpoints on one side of s = 0 reading 0 and pi);
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
   0.2), "bd", "plus", 0.3, 1.5)``, of one cold ``kappa_ratio_tau`` at
   ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR`` (cold: the memo of
   products ``wiener_hopf._BD_KAPPA`` and the memo of grid values
-  ``wiener_hopf._BD_GRID`` cleared): contour integrals (``bd_sum.calls``, or
-  ``refine_panels.calls`` on a library without the trapezoidal sum),
+  ``wiener_hopf._BD_GRID`` cleared): contour integrals (``bd_sum.calls``),
   ``eval_f`` points and core calls, the nodes at which the sums formed
-  their terms (``bd_sum.nodes``; None where not counted), and the window
-  [lo, hi] of grid nodes, the sum T_h and its nested error |T_h - T_2h|
-  (``wiener_hopf._bd_sum``; None where it does not exist); the same for
-  that ``pr_laplace`` again with only ``_BD_KAPPA`` cleared (``pr_warm``),
-  with the hits and misses of ``_BD_GRID`` in it; and the median wall time
-  of ``WARM_N`` warm ``pr_laplace`` calls at PR's sigma and side, each with
-  ``_BD_KAPPA`` cleared, at fresh xi and tau = 0 (``us_tau0``) and at fresh
-  xi and fresh tau (``us_tau``), drawn log-uniformly from the ranges of the
-  ``fluct_warm`` workload;
+  their terms (``bd_sum.nodes``), and the window [lo, hi] of grid nodes,
+  the sum T_h and its nested error |T_h - T_2h| (``wiener_hopf._bd_sum``);
+  the same for that ``pr_laplace`` again with only ``_BD_KAPPA`` cleared
+  (``pr_warm``), with the hits and misses of ``_BD_GRID`` in it; and the
+  median wall time of ``WARM_N`` warm ``pr_laplace`` calls at PR's sigma
+  and side, each with ``_BD_KAPPA`` cleared, at fresh xi and tau = 0
+  (``us_tau0``) and at fresh xi and fresh tau (``us_tau``), drawn
+  log-uniformly from the ranges of the ``fluct_warm`` workload;
 * per warm ``pr_laplace`` call of ``REFINING`` (spec, sigma, tau, xi), calls
   that refined past the seed round of the adaptive quadrature the sum
   replaced (``pr_warm_refine``): its work as for ``pr_warm``, with only
@@ -46,8 +43,7 @@ Compares two checkouts of the repository, a parent and a change:
   ``fluct_warm`` workload (``pr_sweep``: sigma in ``SWEEP_SIGMAS``, tau in
   ``SWEEP_TAUS``, ``SWEEP_N`` xi geometrically spaced on ``SWEEP_XI``, both
   memos cleared before the first call): its contour integrals, ``eval_f``
-  core calls and nodes, and its refinement rounds (on a library with the
-  adaptive bd quadrature);
+  core calls and nodes;
 * per preset, the cold ``sup_tail`` set-up at ``SUP_SIGMA`` (the
   evaluator of ``fluctuation._sup_evaluator``): its wall time, quadrature
   node count, atom count, total mass, its lockstep steps (``zero_steps``:
@@ -202,22 +198,14 @@ def table_work(spec):
             "lockstep": lockstep}
 
 
-def grid_memo():
-    """The memo of the bd sum's grid values, or of the seed-node values on a library without the sum."""
-    from levycm import wiener_hopf
-
-    return wiener_hopf._BD_GRID if hasattr(wiener_hopf, "_BD_GRID") else wiener_hopf._BD_SEED
-
-
 def bd_work(n, spec=None, terms=None):
     """The contour work in the work counts ``n``, with the window and nested error of the sum of
-    ``terms`` on ``spec`` where the library has ``wiener_hopf._bd_sum``."""
+    ``terms`` on ``spec`` where they are given."""
     from levycm import wiener_hopf
 
-    out = {"integrals": n.get("bd_sum.calls", 0) + n["refine_panels.calls"], "nodes": n.get("bd_sum.nodes"),
-           "eval_f_points": n["eval_f.points"], "f_calls": n["eval_f.core_calls"], "window": None, "sum": None,
-           "err": None}
-    if terms is not None and hasattr(wiener_hopf, "_bd_sum"):
+    out = {"integrals": n["bd_sum.calls"], "nodes": n["bd_sum.nodes"], "eval_f_points": n["eval_f.points"],
+           "f_calls": n["eval_f.core_calls"], "window": None, "sum": None, "err": None}
+    if terms is not None:
         total, err, lo, hi = wiener_hopf._bd_sum(*wiener_hopf._bd_plan(spec, terms))
         out.update(window=[lo, hi], sum=total, err=err)
     return out
@@ -232,7 +220,7 @@ def contour_work(spec):
     xi, tau1, tau2, tau_side = TAU_RATIO
     sigma, pr_tau, pr_xi, pr_side = PR
     pr_terms = ((pr_side, sigma, 0.0, 1), (pr_side, pr_tau + sigma, pr_xi, -1))
-    memo = grid_memo()
+    memo = wiener_hopf._BD_GRID
     out = {}
     for label, call, on, terms in (
         ("bd_ratio", lambda: wiener_hopf.wh_ratio(shift_spec(spec, tau), "bd", side, x1, x2),
@@ -304,11 +292,11 @@ def sweep_work(spec):
     from levycm import fluctuation, wiener_hopf
 
     wiener_hopf._BD_KAPPA.clear()
-    grid_memo().clear()
+    wiener_hopf._BD_GRID.clear()
     calls = [(sigma, tau, float(xi)) for sigma in SWEEP_SIGMAS for tau in SWEEP_TAUS
              for xi in np.geomspace(*SWEEP_XI, SWEEP_N)]
     _, n = work(lambda: [fluctuation.pr_laplace(spec, *call) for call in calls])
-    return {**bd_work(n), "rounds": n["refine_panels.rounds"]}
+    return bd_work(n)
 
 
 def sup_work(spec):
@@ -347,8 +335,7 @@ def mc_work():
         for run in ("cold", "repeat"):
             t0 = time.perf_counter()
             _, n = work(job, spec, sigma)
-            out[label][run] = {"integrals": n.get("bd_sum.calls", 0) + n["refine_panels.calls"],
-                               "ms": 1e3 * (time.perf_counter() - t0)}
+            out[label][run] = {"integrals": n["bd_sum.calls"], "ms": 1e3 * (time.perf_counter() - t0)}
         sampler, estimates = [], []
         for _ in range(MC_REPEATS):
             t0 = time.perf_counter()
@@ -458,7 +445,7 @@ def probe():
             jumps = int(np.sum((np.abs(np.diff(p)) == math.pi) & (s[:-1] * s[1:] > 0.0)))
             out[name]["phi_table"][str(phi_tau)] = {"ms": 1e3 * median(times),
                                                     "breakpoints": len(table.breakpoints),
-                                                    "estimate_phi_calls": n.get("estimate_phi.calls"),
+                                                    "estimate_phi_calls": n["estimate_phi.calls"],
                                                     "lockstep_steps": n["lockstep.steps"], "jumps": jumps}
     print(json.dumps({"presets": out, "mc_job": mc, "pr_warm_refine": refining_work(), "l0": l0_work(),
                       "l0_cold": l0_cold_work(), "factor_pair": pair_work()}))

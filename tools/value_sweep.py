@@ -1,8 +1,10 @@
-"""Value sweep: how far each bd value moved between two checkouts of the repository.
+"""Value sweep: how far each value of the bd, spine, phi and sup_tail routes moved between two
+checkouts of the repository.
 
-Evaluates one fixed grid of bd-route values in each checkout, each in a fresh
+Evaluates one fixed grid of values in each checkout, each in a fresh
 interpreter whose ``PYTHONPATH`` is that checkout's ``src`` (the parent's
-first), with numpy and the public API only:
+first), with numpy and the public API only (``sup_table`` and the atom
+families read the ``fluctuation._sup_evaluator`` behind ``sup_tail``):
 
 * ``ratio``: ``wh_ratio(spec, "bd", side, x1, x2)`` at the probe's pair
   (0.3, 1.5) and at (1, x) and (x, 1) for x = 10^k, k = -30 ... 30;
@@ -11,14 +13,23 @@ first), with numpy and the public API only:
   and at xi = x;
 * ``pr_laplace``: ``pr_laplace(spec, sigma, tau, xi, side)`` at sigma in
   {0.5, 2}, tau in {0, 1} and xi in ``PR_XI``;
+* ``spine_ratio`` and ``phi_ratio``: ``wh_ratio`` on the spine and phi
+  routes at the pairs of ``ratio``;
+* ``sup_tail``: ``sup_tail(spec, sigma, x)`` at sigma in ``SUP_SIGMAS`` and
+  x in ``SUP_X``; ``sup_atoms`` and ``sup_masses``: the atoms of the
+  supremum's measure and their masses, and ``sup_table``: its node table
+  (the nodes t, then the coefficients c), each one list value per sigma;
 
-each on the 8 presets and their +0.5 shifts, on both sides (products take
-none); and ``pr_sweep``: the cold sweep of ``tools/bench_spine.py``, the
-8 x 64 ``pr_laplace`` calls of the ``fluct_warm`` grid on the presets (plus
-side).  For each family it writes the number of calls, how many are bitwise
-equal (``float.hex``), the largest relative move |change - parent| / |parent|
-with both values' ``float.hex`` and the call's arguments, the largest move per
-preset, and the calls that raise on one side only (with the exception names).
+each on the 8 presets and their +0.5 shifts, on both sides (products and
+the sup_tail families take none); and ``pr_sweep``: the cold sweep of
+``tools/bench_spine.py``, the 8 x 64 ``pr_laplace`` calls of the
+``fluct_warm`` grid on the presets (plus side).  For each family it writes
+the number of calls, how many are bitwise equal (``float.hex``; a list value
+in every entry), the largest relative move |change - parent| / |parent|
+with both values' ``float.hex`` (of the entry that moved most, and its
+index, in a list value; a list whose length changed moved infinitely) and
+the call's arguments, the largest move per preset, and the calls that raise
+on one side only (with the exception names).
 
     python tools/value_sweep.py PARENT_DIR CHANGE_DIR [--out SWEEP.json] [--into BENCH_<n>.json]
 
@@ -31,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from operator import attrgetter
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +55,8 @@ PR_SIGMAS = (0.5, 2.0)
 PR_TAUS = (0.0, 1.0)
 PR_XI = (1e-3, 0.1, 0.7, 1.3, 5.0, 1e3)
 SWEEP = ((0.5, 2.0), (0.0, 1.0), (0.1, 5.0), 16)  # sigmas, taus, xi geomspace range and count
+SUP_SIGMAS = (0.5, 1.3, 2.0)
+SUP_X = (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
 
 
 def grid(presets):
@@ -55,35 +69,55 @@ def grid(presets):
             out += [("product", name, (shift, x1, x2)) for x1, x2 in [PAIR] + [(x, 1.0) for x in DECADES]]
             for side in ("plus", "minus"):
                 pairs = [PAIR] + [(1.0, x) for x in DECADES] + [(x, 1.0) for x in DECADES]
-                out += [("ratio", name, (shift, side, x1, x2)) for x1, x2 in pairs if x1 != x2]
+                out += [(family, name, (shift, side, x1, x2))
+                        for family in ("ratio", "spine_ratio", "phi_ratio") for x1, x2 in pairs if x1 != x2]
                 out += [("tau_ratio", name, (shift, side, xi, *TAUS)) for xi in [PAIR[0]] + DECADES]
                 out += [("pr_laplace", name, (shift, side, sigma, tau, xi))
                         for sigma in PR_SIGMAS for tau in PR_TAUS for xi in PR_XI]
+            for sigma in SUP_SIGMAS:
+                out += [(family, name, (shift, sigma)) for family in ("sup_atoms", "sup_masses", "sup_table")]
+                out += [("sup_tail", name, (shift, sigma, x)) for x in SUP_X]
         sigmas, taus, (lo, hi), n = SWEEP
         out += [("pr_sweep", name, (0.0, "plus", sigma, tau, float(xi)))
                 for sigma in sigmas for tau in taus for xi in np.geomspace(lo, hi, n)]
     return out
 
 
+def hexed(value):
+    """``float.hex`` of a number, or the list of them for an array."""
+    import numpy as np
+
+    value = np.asarray(value, dtype=float)
+    return float(value).hex() if value.ndim == 0 else [float(v).hex() for v in value.ravel()]
+
+
 def evaluate():
-    """Each (family, preset, arguments) of :func:`grid` with its value's ``float.hex`` and None, or
+    """Each (family, preset, arguments) of :func:`grid` with its value's :func:`hexed` and None, or
     None and the name of the exception it raised (JSON on stdout)."""
+    import numpy as np
+
     from levycm import LevycmError, shift_spec
-    from levycm.fluctuation import kappa_ratio_tau, pr_laplace
+    from levycm.fluctuation import _sup_evaluator, kappa_ratio_tau, pr_laplace, sup_tail
     from levycm.specio import SHOWCASE
     from levycm.wiener_hopf import wh_product, wh_ratio
 
     calls = {
         "ratio": lambda spec, side, x1, x2: wh_ratio(spec, "bd", side, x1, x2),
+        "spine_ratio": lambda spec, side, x1, x2: wh_ratio(spec, "spine", side, x1, x2),
+        "phi_ratio": lambda spec, side, x1, x2: wh_ratio(spec, "phi", side, x1, x2),
         "product": lambda spec, x1, x2: wh_product(spec, "bd", x1, x2),
         "tau_ratio": lambda spec, side, xi, t1, t2: kappa_ratio_tau(spec, xi, t1, t2, side),
         "pr_laplace": lambda spec, side, sigma, tau, xi: pr_laplace(spec, sigma, tau, xi, side),
         "pr_sweep": lambda spec, side, sigma, tau, xi: pr_laplace(spec, sigma, tau, xi, side),
+        "sup_tail": sup_tail,
+        "sup_atoms": lambda spec, sigma: _sup_evaluator(spec, sigma).atoms,
+        "sup_masses": lambda spec, sigma: _sup_evaluator(spec, sigma).masses,
+        "sup_table": lambda spec, sigma: np.concatenate(attrgetter("t", "c")(_sup_evaluator(spec, sigma))),
     }
     out = []
     for family, name, (shift, *args) in grid(SHOWCASE):
         try:
-            value, error = float(calls[family](shift_spec(SHOWCASE[name], shift), *args)).hex(), None
+            value, error = hexed(calls[family](shift_spec(SHOWCASE[name], shift), *args)), None
         except (LevycmError, ArithmeticError) as exc:
             value, error = None, type(exc).__name__
         out.append([family, name, [shift, *args], value, error])
@@ -115,13 +149,24 @@ def compare(parent, change):
                                            "change": c or c_err})
             continue
         rec["bitwise"] += p == c
-        a, b = float.fromhex(p), float.fromhex(c)
-        move = 0.0 if p == c else abs(b - a) / abs(a) if a else float("inf")
+        move, where = moved(p, c)
         by = rec["max_rel_by_preset"]
         by[name] = max(by.get(name, 0.0), move)
         if rec["max_rel"] is None or move > rec["max_rel"]["move"]:
-            rec["max_rel"] = {"move": move, "preset": name, "args": args, "parent": p, "change": c}
+            rec["max_rel"] = {"move": move, "preset": name, "args": args, **where}
     return out
+
+
+def moved(p, c):
+    """The largest relative move between two :func:`hexed` values, and the two ``float.hex`` it is
+    read off (with the entry's index in a list value)."""
+    if isinstance(p, str):
+        a, b = float.fromhex(p), float.fromhex(c)
+        return 0.0 if p == c else abs(b - a) / abs(a) if a else float("inf"), {"parent": p, "change": c}
+    if len(p) != len(c):
+        return float("inf"), {"parent_len": len(p), "change_len": len(c)}
+    move, k = max(((moved(x, y)[0], k) for k, (x, y) in enumerate(zip(p, c))), default=(0.0, None))
+    return move, {"index": k, "parent": p[k] if p else None, "change": c[k] if c else None}
 
 
 def main(argv=None):
