@@ -316,7 +316,7 @@ def main(argv=None):
         return args.fn(args)
     except ValidationError as exc:
         return _error("validation", exc.message, exc.field)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory or unreadable
         return _error("io", str(exc), "spec")
     except LevycmError as exc:
         return _error(type(exc).__name__, str(exc))

@@ -21,6 +21,7 @@ abscissae and return an array of values (real or complex).
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -460,52 +461,38 @@ class _LRU:
     stores and returns ``build(*args)``; a build that raises stores nothing.
     ``hits`` and ``misses`` count ``get`` calls since the last ``clear()``.
     ``key in memo`` and ``len(memo)`` neither count nor refresh an entry.
-    Entries are links [prev, next, key, value] of a circular list, oldest
-    first after the root, so a hit hashes the key once: one dict lookup,
-    then the link moves to the newest end.
+    Entries live in an ``OrderedDict``, oldest first: a hit moves its key to
+    the newest end, and a miss past the bound pops the oldest.
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_links", "_root")
+    __slots__ = ("maxsize", "hits", "misses", "_entries")
 
     def __init__(self, maxsize):
         self.maxsize = maxsize
-        self._links = {}
-        self._root = []
+        self._entries = OrderedDict()
         self.clear()
 
     def get(self, key, build, *args):
-        link = self._links.get(key)
-        root = self._root
-        if link is not None:
-            prev, nxt, _, value = link
-            prev[1] = nxt
-            nxt[0] = prev
-            last = root[0]
-            last[1] = root[0] = link
-            link[0] = last
-            link[1] = root
+        entries = self._entries
+        value = entries.get(key, entries)  # the dict itself is never a stored value
+        if value is not entries:
+            entries.move_to_end(key)
             self.hits += 1
             return value
         self.misses += 1
-        value = build(*args)
-        last = root[0]
-        last[1] = root[0] = self._links[key] = [last, root, key, value]
-        if len(self._links) > self.maxsize:
-            oldest = root[1]
-            root[1] = oldest[1]
-            oldest[1][0] = root
-            del self._links[oldest[2]]
+        value = entries[key] = build(*args)
+        if len(entries) > self.maxsize:
+            entries.popitem(last=False)
         return value
 
     def __contains__(self, key):
-        return key in self._links
+        return key in self._entries
 
     def __len__(self):
-        return len(self._links)
+        return len(self._entries)
 
     def clear(self):
         """Drop every entry and zero the counters."""
-        self._links.clear()
-        self._root[:] = [self._root, self._root, None, None]
+        self._entries.clear()
         self.hits = 0
         self.misses = 0

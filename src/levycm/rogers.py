@@ -100,8 +100,8 @@ class PhiTable:
             raise ValidationError("phi.interpolation", f"unknown tag {self.interpolation!r}")
         if len(bp) < 2:
             raise ValidationError("phi.breakpoints", "need at least two breakpoints")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValidationError("phi.breakpoints", "must be strictly increasing")
+        if not (all(map(math.isfinite, bp)) and all(b1 < b2 for b1, b2 in zip(bp, bp[1:]))):
+            raise ValidationError("phi.breakpoints", "must be finite and strictly increasing")
         want = len(bp) - 1 if self.interpolation == PW_CONSTANT else len(bp)
         if len(vals) != want:
             raise ValidationError(
@@ -706,22 +706,24 @@ def _phirep_limits(spec: PhiRep):
 
 def _structural_validate(spec):
     if isinstance(spec, LevyAtomic):
-        if spec.a < 0.0:
-            raise ValidationError("a", "Gaussian coefficient must be >= 0")
-        if spec.c < 0.0:
-            raise ValidationError("c", "kill rate must be >= 0")
+        if not 0.0 <= spec.a < math.inf:
+            raise ValidationError("a", "Gaussian coefficient must be finite and >= 0")
+        if not math.isfinite(spec.b):
+            raise ValidationError("b", "drift must be finite")
+        if not 0.0 <= spec.c < math.inf:
+            raise ValidationError("c", "kill rate must be finite and >= 0")
         for k, (s, w) in enumerate(spec.atoms):
             if s == 0.0 or not math.isfinite(s):
                 raise ValidationError(f"atoms[{k}].s", "atom location must be finite and nonzero")
-            if not w > 0.0:
-                raise ValidationError(f"atoms[{k}].w", "atom weight must be positive")
+            if not 0.0 < w < math.inf:
+                raise ValidationError(f"atoms[{k}].w", "atom weight must be finite and positive")
         return replace(spec, atoms=tuple(sorted(spec.atoms)))
     if isinstance(spec, StableSum):
         for k, t in enumerate(spec.terms):
-            if t.w < 0.0:
-                raise ValidationError(f"terms[{k}].w", "weight must be >= 0")
-            if t.m < 0.0:
-                raise ValidationError(f"terms[{k}].m", "tempering must be >= 0")
+            if not 0.0 <= t.w < math.inf:
+                raise ValidationError(f"terms[{k}].w", "weight must be finite and >= 0")
+            if not 0.0 <= t.m < math.inf:
+                raise ValidationError(f"terms[{k}].m", "tempering must be finite and >= 0")
             if not (0.0 < t.alpha <= 2.0):
                 raise ValidationError(f"terms[{k}].alpha", "alpha must lie in (0, 2]")
             if t.orientation not in _ORIENTATIONS:
@@ -735,13 +737,13 @@ def _structural_validate(spec):
         )
         return StableSum(terms)
     if isinstance(spec, RationalProduct):
-        if not spec.prefactor > 0.0:
-            raise ValidationError("prefactor", "must be positive")
+        if not 0.0 < spec.prefactor < math.inf:
+            raise ValidationError("prefactor", "must be finite and positive")
         for k, f in enumerate(spec.factors):
             if f.orientation not in _ORIENTATIONS:
                 raise ValidationError(f"factors[{k}].orientation", f"unknown tag {f.orientation!r}")
-            if f.m < 0.0:
-                raise ValidationError(f"factors[{k}].m", "must be >= 0")
+            if not 0.0 <= f.m < math.inf:
+                raise ValidationError(f"factors[{k}].m", "must be finite and >= 0")
             if f.exponent not in (-1, 1):
                 raise ValidationError(f"factors[{k}].exponent", "must be -1 or +1")
         factors = tuple(
@@ -749,8 +751,8 @@ def _structural_validate(spec):
         )
         return RationalProduct(spec.prefactor, factors)
     if isinstance(spec, PhiRep):
-        if not spec.c > 0.0:
-            raise ValidationError("c", "must be positive")
+        if not 0.0 < spec.c < math.inf:
+            raise ValidationError("c", "must be finite and positive")
         spec.phi.validate()
         return spec
     if isinstance(spec, ShiftedSpec):

@@ -15,6 +15,7 @@ from importlib import resources
 
 from .errors import ValidationError
 from .rogers import (
+    PW_LINEAR,
     LevyAtomic,
     PhiRep,
     PhiTable,
@@ -22,6 +23,7 @@ from .rogers import (
     RationalProduct,
     StableSum,
     StableTerm,
+    _structural_validate,
 )
 
 __all__ = [
@@ -116,70 +118,63 @@ def spec_to_dict(spec):
 
 
 def _need(d, key, field, kind=(int, float)):
-    if key not in d:
-        raise ValidationError(field, "missing field")
-    v = d[key]
-    if kind is not None and not isinstance(v, kind):
-        raise ValidationError(field, f"expected {kind}, got {type(v).__name__}")
-    return v
+    """``d[key]`` of a type in ``kind``; a number comes back as a float, +-inf past the float range."""
+    try:
+        v = d[key]
+    except (KeyError, IndexError):
+        raise ValidationError(field, "missing field") from None
+    if not isinstance(v, kind):
+        want = " or ".join(t.__name__ for t in kind)
+        raise ValidationError(field, f"expected {want}, got {type(v).__name__}")
+    if kind != (int, float):
+        return v
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _items(d, key, field, kind=(dict,)):
+    """The entries of the JSON list ``d[key]``, each read by :func:`_need` as ``field[k]``."""
+    items = _need(d, key, field, (list,))
+    return [_need(items, k, f"{field}[{k}]", kind) for k in range(len(items))]
 
 
 def spec_from_dict(d):
+    """The spec of a JSON document as written, not reordered.
+
+    Types are checked here, every range rule by ``rogers._structural_validate``; both raise
+    :class:`ValidationError` naming the field.
+    """
     if not isinstance(d, dict):
         raise ValidationError("", "spec document must be a JSON object")
     kind = d.get("type")
     if kind == "levy_atomic":
-        atoms = []
-        for k, entry in enumerate(d.get("atoms", [])):
-            s = _need(entry, "s", f"atoms[{k}].s")
-            w = _need(entry, "w", f"atoms[{k}].w")
-            if not w > 0:
-                raise ValidationError(f"atoms[{k}].w", "atom weight must be positive")
-            if s == 0 or not math.isfinite(s):
-                raise ValidationError(f"atoms[{k}].s", "atom location must be finite and nonzero")
-            atoms.append((float(s), float(w)))
-        a = float(d.get("a", 0.0))
-        b = float(d.get("b", 0.0))
-        c = float(d.get("c", 0.0))
-        if a < 0:
-            raise ValidationError("a", "must be >= 0")
-        if c < 0:
-            raise ValidationError("c", "must be >= 0")
-        return LevyAtomic(a=a, b=b, c=c, atoms=tuple(atoms))
-    if kind == "stable_sum":
-        terms = []
-        for k, entry in enumerate(d.get("terms", [])):
-            w = _need(entry, "w", f"terms[{k}].w")
-            m = _need(entry, "m", f"terms[{k}].m")
-            alpha = _need(entry, "alpha", f"terms[{k}].alpha")
-            orientation = _need(entry, "orientation", f"terms[{k}].orientation", (str,))
-            if not (0 < alpha <= 2):
-                raise ValidationError(f"terms[{k}].alpha", "must lie in (0, 2]")
-            terms.append(StableTerm(float(w), float(m), float(alpha), orientation))
-        return StableSum(tuple(terms))
-    if kind == "rational_product":
-        factors = []
-        for k, entry in enumerate(d.get("factors", [])):
-            orientation = _need(entry, "orientation", f"factors[{k}].orientation", (str,))
-            m = _need(entry, "m", f"factors[{k}].m")
-            expo = _need(entry, "exponent", f"factors[{k}].exponent", (int,))
-            if expo not in (-1, 1):
-                raise ValidationError(f"factors[{k}].exponent", "must be -1 or +1")
-            factors.append(RationalFactor(orientation, float(m), int(expo)))
-        pref = _need(d, "prefactor", "prefactor")
-        return RationalProduct(float(pref), tuple(factors))
-    if kind == "phi_table":
+        d = {"a": 0.0, "b": 0.0, "c": 0.0, "atoms": [], **d}
+        atoms = [(_need(e, "s", f"atoms[{k}].s"), _need(e, "w", f"atoms[{k}].w"))
+                 for k, e in enumerate(_items(d, "atoms", "atoms"))]
+        spec = LevyAtomic(_need(d, "a", "a"), _need(d, "b", "b"), _need(d, "c", "c"), tuple(atoms))
+    elif kind == "stable_sum":
+        spec = StableSum(tuple(
+            StableTerm(*[_need(e, key, f"terms[{k}].{key}") for key in ("w", "m", "alpha")],
+                       _need(e, "orientation", f"terms[{k}].orientation", (str,)))
+            for k, e in enumerate(_items({"terms": [], **d}, "terms", "terms"))))
+    elif kind == "rational_product":
+        factors = tuple(RationalFactor(_need(e, "orientation", f"factors[{k}].orientation", (str,)),
+                                       _need(e, "m", f"factors[{k}].m"),
+                                       int(_need(e, "exponent", f"factors[{k}].exponent", (int,))))
+                        for k, e in enumerate(_items({"factors": [], **d}, "factors", "factors")))
+        spec = RationalProduct(_need(d, "prefactor", "prefactor"), factors)
+    elif kind == "phi_table":
         c = _need(d, "c", "c")
-        phi = d.get("phi")
-        if not isinstance(phi, dict):
-            raise ValidationError("phi", "missing phi table")
-        table = PhiTable(
-            tuple(phi.get("breakpoints", ())),
-            tuple(phi.get("values", ())),
-            phi.get("interpolation", "piecewise-linear"),
-        )
-        return PhiRep(float(c), table)
-    raise ValidationError("type", f"unknown spec type {kind!r}")
+        phi = {"interpolation": PW_LINEAR, **_need(d, "phi", "phi", (dict,))}
+        spec = PhiRep(c, PhiTable(tuple(_items(phi, "breakpoints", "phi.breakpoints", (int, float))),
+                                  tuple(_items(phi, "values", "phi.values", (int, float))),
+                                  _need(phi, "interpolation", "phi.interpolation", (str,))))
+    else:
+        raise ValidationError("type", f"unknown spec type {kind!r}")
+    _structural_validate(spec)
+    return spec
 
 
 def load_spec(path):
@@ -188,7 +183,7 @@ def load_spec(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also a file not in UTF-8, or nested past the stack
             raise ValidationError("", f"invalid JSON: {exc}") from exc
     return spec_from_dict(doc)
 

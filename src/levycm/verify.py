@@ -187,10 +187,9 @@ def suite_wh(spec, tol=1e-4):
     upper = radii * np.exp(1j * angles)
     for handle, name in ((plus, "plus"), (minus, "minus")):
         worst = math.inf
-        for z in upper:
-            val = complex(handle.eval(complex(z)))
+        for z, val in zip(upper.tolist(), handle.eval(upper).tolist()):
             arg_h = cmath.phase(val)
-            worst = min(worst, arg_h, cmath.phase(complex(z)) - arg_h)
+            worst = min(worst, arg_h, cmath.phase(z) - arg_h)
         rep.add(f"cbf-sampling-{name}", worst, tol=1e-6)
 
     k1, m1 = factor_pair(spec, kappa=7.0)

@@ -308,9 +308,10 @@ def _bd_kappa(spec, terms):
     prod (tau + f)^{s_k} over the terms at the pole, less their sum s_k S_{tau_k} (poles whose
     quotients agree up to a sign share one g); by f(-x) = conj f(x) this is the contour integral
     over the real line at half the points.  T is :func:`_bd_sum`'s.  Different tau_k need an
-    unbounded exponent (:class:`MethodUnsupportedError`) and tau + f(0+) > 0, and no quotient may
-    meet (-inf, 0] (:class:`DomainError`).  Memoized on (spec, terms); a call that raises stores
-    nothing.
+    unbounded exponent (:class:`MethodUnsupportedError`) and tau + f(0+) > 0, no quotient may
+    meet (-inf, 0] (:class:`DomainError`), and no pole x_k may lie past the run of nodes where f
+    is finite and nonzero (:class:`QuadratureError`).  Memoized on (spec, terms); a call that
+    raises stores nothing.
     """
     return _BD_KAPPA.get((spec, terms), _bd_integral, spec, terms)
 
@@ -347,6 +348,10 @@ def _bd_plan(spec, terms):
     lo, hi = _bd_window(grid, parts)
     if grid.widen(lo, hi):
         lo, hi = _bd_window(grid, parts)
+    for _, _, x, _ in terms:  # a pole past the run has its whole band of terms unformed
+        if x and not grid.lo <= math.log(x) / _BD_H <= grid.hi:
+            raise QuadratureError(math.nan, math.inf, f"the pole at x = {x!r} lies past an end of the "
+                                                      "nodes where f is finite and nonzero")
     return grid, S, parts, max(lo, grid.lo), min(hi, grid.hi)
 
 

@@ -6,7 +6,15 @@ import os
 
 import pytest
 
-from levycm import verify
+from levycm import (
+    PhiRep,
+    PhiTable,
+    RationalProduct,
+    ShiftedSpec,
+    StableSum,
+    ValidationError,
+    verify,
+)
 from levycm.cli import main
 from levycm.fluctuation import pr_laplace
 from levycm.rogers import LevyAtomic, LimitsResult, compensator_drift, validate_spec
@@ -78,6 +86,123 @@ class TestSpecIo:
         )
         save_spec(linear, path)
         assert load_spec(path) == linear
+
+
+NAN, INF = math.nan, math.inf
+_TERM = {"w": 1.0, "m": 0.0, "alpha": 0.5, "orientation": "minus-i"}
+_FACTOR = {"orientation": "plus-i", "m": 2.0, "exponent": -1}
+
+
+def _phi(breakpoints, values, interpolation="piecewise-linear", c=1.0):
+    return PhiRep(c, PhiTable(breakpoints, values, interpolation))
+
+
+# (spec or JSON document, field): a spec breaks one rule of rogers._structural_validate or
+# PhiTable.validate; a document, one type rule of specio.spec_from_dict or a number past the floats
+SPEC_RULES = [
+    (LevyAtomic(a=NAN, b=0.5), "a"),
+    (LevyAtomic(a=-1.0), "a"),
+    (LevyAtomic(b=INF), "b"),
+    (LevyAtomic(b=NAN), "b"),
+    (LevyAtomic(c=-1.0), "c"),
+    (LevyAtomic(c=INF), "c"),
+    (LevyAtomic(atoms=((0.0, 1.0),)), "atoms[0].s"),
+    (LevyAtomic(atoms=((NAN, 1.0),)), "atoms[0].s"),
+    (LevyAtomic(atoms=((1.0, -1.0),)), "atoms[0].w"),
+    (LevyAtomic(atoms=((1.0, INF),)), "atoms[0].w"),
+    (StableSum(((NAN, 0.0, 0.5, "minus-i"),)), "terms[0].w"),
+    (StableSum(((-1.0, 0.0, 0.5, "minus-i"),)), "terms[0].w"),
+    (StableSum(((1.0, INF, 0.5, "minus-i"),)), "terms[0].m"),
+    (StableSum(((1.0, 0.0, 2.5, "minus-i"),)), "terms[0].alpha"),
+    (StableSum(((1.0, 0.0, NAN, "minus-i"),)), "terms[0].alpha"),
+    (StableSum(((1.0, 0.0, 0.5, "up"),)), "terms[0].orientation"),
+    (StableSum(((1.0, 1.0, 1.5, "minus-i"),)), "terms[0].m"),
+    (RationalProduct(NAN, ()), "prefactor"),
+    (RationalProduct(0.0, ()), "prefactor"),
+    (RationalProduct(INF, ()), "prefactor"),
+    (RationalProduct(1.0, (("down", 2.0, -1),)), "factors[0].orientation"),
+    (RationalProduct(1.0, (("plus-i", NAN, -1),)), "factors[0].m"),
+    (RationalProduct(1.0, (("plus-i", -2.0, -1),)), "factors[0].m"),
+    (RationalProduct(1.0, (("plus-i", 2.0, 2),)), "factors[0].exponent"),
+    (_phi((-1.0, 1.0), (1.0, 1.0), c=NAN), "c"),
+    (_phi((-1.0, 1.0), (1.0, 1.0), c=0.0), "c"),
+    (_phi((-1.0, 1.0), (1.0, 1.0), "cubic"), "phi.interpolation"),
+    (_phi((1.0,), (1.0,)), "phi.breakpoints"),
+    (_phi((-1.0, NAN, 1.0), (1.0, 1.0, 1.0)), "phi.breakpoints"),
+    (_phi((-1.0, INF), (1.0, 1.0)), "phi.breakpoints"),
+    (_phi((1.0, -1.0), (1.0, 1.0)), "phi.breakpoints"),
+    (_phi((-1.0, 1.0), (1.0,)), "phi.values"),
+    (_phi((-1.0, 1.0), (1.0, 4.0)), "phi.values[1]"),
+    (_phi((-1.0, 1.0), (NAN,), "piecewise-constant"), "phi.values[0]"),
+    (ShiftedSpec(LevyAtomic(a=0.5), NAN), "shift"),
+    (ShiftedSpec(LevyAtomic(a=-0.5), 1.0), "a"),
+    ("bm_drift", "type"),
+    ({"type": "levy_atomic", "a": "x"}, "a"),
+    ({"type": "levy_atomic", "b": None}, "b"),
+    ({"type": "levy_atomic", "a": 10**400}, "a"),
+    ({"type": "levy_atomic", "atoms": [1, 2]}, "atoms[0]"),
+    ({"type": "levy_atomic", "atoms": {"s": 1.0, "w": 1.0}}, "atoms"),
+    ({"type": "levy_atomic", "atoms": [{"s": 1.0, "w": "1"}]}, "atoms[0].w"),
+    ({"type": "levy_atomic", "atoms": [{"w": 1.0}]}, "atoms[0].s"),
+    ({"type": "stable_sum", "terms": [dict(_TERM, m=[0.0])]}, "terms[0].m"),
+    ({"type": "stable_sum", "terms": [dict(_TERM, orientation=1)]}, "terms[0].orientation"),
+    ({"type": "stable_sum", "terms": "w"}, "terms"),
+    ({"type": "rational_product", "factors": [_FACTOR]}, "prefactor"),
+    ({"type": "rational_product", "prefactor": 1.0, "factors": [dict(_FACTOR, exponent=1.0)]},
+     "factors[0].exponent"),
+    ({"type": "rational_product", "prefactor": 1.0, "factors": [[]]}, "factors[0]"),
+    ({"type": "phi_table", "c": 1.0, "phi": {"breakpoints": [0, "q"], "values": [1, 1]}}, "phi.breakpoints[1]"),
+    ({"type": "phi_table", "c": 1.0, "phi": {"breakpoints": [0, 1], "values": 1}}, "phi.values"),
+    ({"type": "phi_table", "c": 1.0, "phi": {"breakpoints": [0, 1], "values": [1, 1], "interpolation": 0}},
+     "phi.interpolation"),
+    ({"type": "phi_table", "c": 1.0, "phi": [0, 1]}, "phi"),
+    ({"type": "phi_table", "phi": {"breakpoints": [0, 1], "values": [1, 1]}}, "c"),
+    ({"type": "cubic"}, "type"),
+    ([], ""),
+]
+
+
+class TestSpecRules:
+    """Every rule that admits a spec, each broken alone.  A spec goes through ``validate_spec`` and,
+    written as a spec file, through ``levycm eval``; a JSON document through ``spec_from_dict`` and
+    ``levycm eval``.  Both raise ``ValidationError`` naming the field, and the command exits 2 with
+    the JSON error envelope and nothing on stderr.  Shifted specs and non-specs have no spec file."""
+
+    @pytest.mark.parametrize("case,field", SPEC_RULES, ids=[f"{k}-{f}" for k, (_, f) in enumerate(SPEC_RULES)])
+    def test_rule_names_its_field(self, capsys, tmp_path, case, field):
+        parse = validate_spec if not isinstance(case, (dict, list)) else spec_from_dict
+        with pytest.raises(ValidationError) as exc:
+            parse(case)
+        assert exc.value.field == field
+        if isinstance(case, (str, ShiftedSpec)):
+            return
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(case if parse is spec_from_dict else spec_to_dict(case)))
+        code = main(["eval", str(path), "--xi", "1,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        doc = json.loads(captured.out)
+        assert doc == {"code": "validation", "message": exc.value.message, "field": field}
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "nested"])
+    def test_unreadable_spec_file(self, capsys, tmp_path, kind):
+        """A spec path that is no JSON document exits 2 with the envelope, not a traceback."""
+        path = tmp_path / "spec.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe" if kind == "not-utf8" else b"[" * 100_000)
+        code = main(["eval", str(path), "--xi", "1,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert set(json.loads(captured.out)) == {"code", "message", "field"}
+
+    def test_parsed_spec_is_not_reordered(self):
+        """A spec file's terms stay in its order: the rational presets are not canonical, and their
+        values are built on the order as written."""
+        spec = SHOWCASE["rational_three_arcs"]
+        assert spec.factors != validate_spec(spec).factors
+        assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
 class TestCommands:

@@ -669,6 +669,35 @@ class TestBdLargeArguments:
         else:
             assert got == pytest.approx(_bm_ratio(side, x2), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("x", [1e180, 1e200, 1e300])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_pole_past_the_run(self, fig_a, shift, side, x):
+        """From x ~ 1e180 a pole's whole band of terms lies past the run of finite f, where no term
+        is formed: each entry point meets the closed form to 1e-10 or raises, where the sum over
+        the rest read 0.7071 for f^+(1)/f^+(1e200) (closed form 1e-200)."""
+        spec = shift_spec(fig_a, shift)
+        cf = lambda s, xi, sigma=0.0: closed_form_factors("bm_drift", s, xi, b=1.0, sigma=shift + sigma)
+        x1, x2 = (x, 1.0) if side == "plus" else (1.0, x)
+        calls = [
+            (lambda: wh_ratio(spec, "bd", side, 1.0, x), cf(side, 1.0) / cf(side, x)),
+            (lambda: wh_product(spec, "bd", x1, x2), cf("plus", x1) * cf("minus", x2)),
+            (lambda: kappa_ratio_tau(spec, x, 1.2, 0.2, side), cf(side, x, 1.2) / cf(side, x, 0.2)),
+            (lambda: fluctuation.pr_laplace(spec, 0.5, 0.0, x, side), cf(side, 0.0, 0.5) / cf(side, x, 0.5)),
+        ]
+        for call, want in calls:
+            try:
+                got = call()
+            except QuadratureError:
+                continue
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_sum_overflow_raises(self, fig_a):
+        """tau = 1e308 overflows tau + f on the far nodes: the sum is not finite, and raises."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # numpy's own warnings on the way
+            with pytest.raises(QuadratureError, match="the bd sum is not finite"):
+                kappa_ratio_tau(fig_a, 1.0, 1e308, 0.5)
+
 
 def _dict_tl(self, u):
     """A per-log-radius dict of spine samples, the store SpineStieltjes kept before its sorted arrays."""
@@ -902,7 +931,7 @@ class TestBdContourSeed:
                 wiener_hopf._BD_GRID.clear()
                 _, f_calls, sums, nodes = _bd_run(lambda: call(spec))
                 assert (f_calls, sums) == (1, 1)
-                terms = next(iter(wiener_hopf._BD_KAPPA._links))[1]
+                terms = next(iter(wiener_hopf._BD_KAPPA._entries))[1]
                 _, _, lo, hi = wiener_hopf._bd_sum(*wiener_hopf._bd_plan(spec, terms))
                 assert nodes == hi - lo + 1
 

@@ -9,10 +9,12 @@ families read the ``fluctuation._sup_evaluator`` behind ``sup_tail``):
 * ``ratio``: ``wh_ratio(spec, "bd", side, x1, x2)`` at the probe's pair
   (0.3, 1.5) and at (1, x) and (x, 1) for x = 10^k, k = -30 ... 30;
 * ``product``: ``wh_product(spec, "bd", x1, x2)`` at (0.3, 1.5) and at (x, 1);
+  ``spine_product`` and ``phi_product``: the same on the spine and phi routes;
 * ``tau_ratio``: ``kappa_ratio_tau(spec, xi, 1.2, 0.2, side)`` at xi = 0.3
   and at xi = x;
 * ``pr_laplace``: ``pr_laplace(spec, sigma, tau, xi, side)`` at sigma in
-  {0.5, 2}, tau in {0, 1} and xi in ``PR_XI``;
+  {0.5, 2}, tau in {0, 1} and xi in ``PR_XI``; ``spine_pr_laplace`` and
+  ``phi_pr_laplace``: the same on the spine and phi routes;
 * ``spine_ratio`` and ``phi_ratio``: ``wh_ratio`` on the spine and phi
   routes at the pairs of ``ratio``;
 * ``sup_tail``: ``sup_tail(spec, sigma, x)`` at sigma in ``SUP_SIGMAS`` and
@@ -66,13 +68,15 @@ def grid(presets):
     out = []
     for name in sorted(presets):
         for shift in SHIFTS:
-            out += [("product", name, (shift, x1, x2)) for x1, x2 in [PAIR] + [(x, 1.0) for x in DECADES]]
+            out += [(family, name, (shift, x1, x2)) for family in ("product", "spine_product", "phi_product")
+                    for x1, x2 in [PAIR] + [(x, 1.0) for x in DECADES]]
             for side in ("plus", "minus"):
                 pairs = [PAIR] + [(1.0, x) for x in DECADES] + [(x, 1.0) for x in DECADES]
                 out += [(family, name, (shift, side, x1, x2))
                         for family in ("ratio", "spine_ratio", "phi_ratio") for x1, x2 in pairs if x1 != x2]
                 out += [("tau_ratio", name, (shift, side, xi, *TAUS)) for xi in [PAIR[0]] + DECADES]
-                out += [("pr_laplace", name, (shift, side, sigma, tau, xi))
+                out += [(family, name, (shift, side, sigma, tau, xi))
+                        for family in ("pr_laplace", "spine_pr_laplace", "phi_pr_laplace")
                         for sigma in PR_SIGMAS for tau in PR_TAUS for xi in PR_XI]
             for sigma in SUP_SIGMAS:
                 out += [(family, name, (shift, sigma)) for family in ("sup_atoms", "sup_masses", "sup_table")]
@@ -101,14 +105,22 @@ def evaluate():
     from levycm.specio import SHOWCASE
     from levycm.wiener_hopf import wh_product, wh_ratio
 
+    # one call per route: the family's arguments after the spec, then the route
+    ratio = lambda method: lambda spec, side, x1, x2: wh_ratio(spec, method, side, x1, x2)
+    product = lambda method: lambda spec, x1, x2: wh_product(spec, method, x1, x2)
+    pr = lambda method: lambda spec, side, sigma, tau, xi: pr_laplace(spec, sigma, tau, xi, side, method)
     calls = {
-        "ratio": lambda spec, side, x1, x2: wh_ratio(spec, "bd", side, x1, x2),
-        "spine_ratio": lambda spec, side, x1, x2: wh_ratio(spec, "spine", side, x1, x2),
-        "phi_ratio": lambda spec, side, x1, x2: wh_ratio(spec, "phi", side, x1, x2),
-        "product": lambda spec, x1, x2: wh_product(spec, "bd", x1, x2),
+        "ratio": ratio("bd"),
+        "spine_ratio": ratio("spine"),
+        "phi_ratio": ratio("phi"),
+        "product": product("bd"),
+        "spine_product": product("spine"),
+        "phi_product": product("phi"),
         "tau_ratio": lambda spec, side, xi, t1, t2: kappa_ratio_tau(spec, xi, t1, t2, side),
-        "pr_laplace": lambda spec, side, sigma, tau, xi: pr_laplace(spec, sigma, tau, xi, side),
-        "pr_sweep": lambda spec, side, sigma, tau, xi: pr_laplace(spec, sigma, tau, xi, side),
+        "pr_laplace": pr("bd"),
+        "spine_pr_laplace": pr("spine"),
+        "phi_pr_laplace": pr("phi"),
+        "pr_sweep": pr("bd"),
         "sup_tail": sup_tail,
         "sup_atoms": lambda spec, sigma: _sup_evaluator(spec, sigma).atoms,
         "sup_masses": lambda spec, sigma: _sup_evaluator(spec, sigma).masses,
