@@ -52,6 +52,7 @@ _WORK = dict.fromkeys((
     "solve_spine.radii",
     "lockstep.steps",
     "lockstep.points",
+    "lockstep.float_steps",
     "eval_f.points",
     "eval_f.core_calls",
     "eval_f_prime.core_calls",
@@ -342,6 +343,12 @@ def integrate_adaptive(integrand, domain, cfg: QuadratureConfig | None = None):
     return value, max(res.err, 1e-16 * float(np.einsum("pj,pj->", w, np.abs(res.rows))))
 
 
+# open brackets at or below which a lockstep solve finishes per bracket in Python floats: a
+# numpy step costs ~55 us whatever its batch, a float step ~7 us plus ~1.3 us a bracket
+# (2-core x86-64 host, a g of one numpy call), so the two cross near 36 brackets
+_FLOAT_BRACKETS = 32
+
+
 def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
     """Roots of ``g`` on the brackets [lo, hi], solved in lockstep.
 
@@ -361,6 +368,12 @@ def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
     midpoint is not strictly inside, with the point itself at an exact zero
     of g, and after ``max_steps`` steps.  The steps use g only through
     its signs and ratios of its values, so -g gives the same points.
+
+    The steps run on numpy arrays of the open brackets while more than
+    ``_FLOAT_BRACKETS`` are open, and from then on per bracket in Python
+    floats (:func:`_float_steps`), with g still called once a step on all
+    open brackets.  Both paths make the same IEEE operations in the same
+    order, so every root, step and point is the same whichever path takes it.
     """
     ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
     out = np.where(ends[0] | ends[2], lo, np.where(ends[1] | ends[3], hi, np.nan))  # glo = 0 first
@@ -378,8 +391,8 @@ def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
             idx, a, b, d, fa, fb, t, tol, w0, w = (
                 v[go] for v in (idx, a, b, d, fa, fb, t, tol, w0, w)
             )
-        if not idx.size:
-            return out
+        if idx.size <= _FLOAT_BRACKETS:
+            return _float_steps(g, out, idx, (a, b, d, fa, fb, t, tol, w0), k, max_steps)
         tl = 0.5 * tol / w
         t = np.where(w > w0 * 2.0 ** (-0.5 * (k + 1)), 0.5, np.minimum(np.maximum(t, tl), 1.0 - tl))
         x = a + t * d
@@ -399,6 +412,66 @@ def _lockstep_root(g, lo, hi, glo, ghi, tol, max_steps=200):
             t = fa / dcb * ((c - a) / d * fb / (fc - fa) - fc / dab)
             t[~iqi] = 0.5
     out[idx] = 0.5 * (a + b)
+    return out
+
+
+def _float_steps(g, out, idx, state, k0, max_steps):
+    """Steps k0, k0 + 1, ... of :func:`_lockstep_root` on its open brackets ``idx``, each
+    bracket's ``state`` (a, b, d, fa, fb, t, tol, w0) in Python floats; the roots go into ``out``.
+
+    Every bracket is open at step k0.  Each operation is the array path's on one element, in
+    its order: max and min keep numpy's NaN and tie rules, and the interpolation is tried only
+    where its divisors c - b and fc - fb are nonzero and 0 <= xi <= 1, the cases where numpy's
+    inf or NaN (or the NaN of a negative's square root) fail its test, so that no float
+    operation divides by 0 or takes the root of a negative.  With such a test passed, d,
+    fb - fa and fc - fa are nonzero too.
+    """
+    rows = [[i, *v] for i, *v in zip(idx.tolist(), *(s.tolist() for s in state))]
+    at = idx
+    for k in range(k0, max_steps):
+        if not rows:
+            return out
+        cut, xs = 2.0 ** (-0.5 * (k + 1)), []
+        for row in rows:
+            _, a, b, d, fa, fb, t, tol, w0 = row
+            w = abs(d)
+            if w > w0 * cut:
+                t = 0.5
+            else:
+                tl = 0.5 * tol / w
+                t = t if t > tl or t != t else tl  # np.maximum(t, tl)
+                t = t if t < 1.0 - tl or t != t else 1.0 - tl  # np.minimum(t, 1 - tl)
+            xs.append(a + t * d)
+        _WORK["lockstep.steps"] += 1
+        _WORK["lockstep.float_steps"] += 1
+        _WORK["lockstep.points"] += len(rows)
+        gxs = g(at, np.array(xs)).tolist()
+        kept = []
+        for row, x, gx in zip(rows, xs, gxs):
+            _, a, b, d, fa, fb, t, tol, w0 = row
+            if (gx < 0.0) == (fa < 0.0):  # x replaces a
+                c, fc = a, fa
+            else:  # a becomes the far end b
+                c, fc, b, fb = b, fb, a, fa
+            if gx == 0.0:
+                b = x
+            a, fa, d = x, gx, b - x
+            dab, dcb, cb = fb - fa, fc - fb, c - b
+            t = 0.5
+            if cb != 0.0 and dcb != 0.0:
+                xi, phi = -d / cb, -dab / dcb
+                if 0.0 <= xi <= 1.0 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+                    t = fa / dcb * ((c - a) / d * fb / (fc - fa) - fc / dab)
+            row[1:7] = a, b, d, fa, fb, t
+            mid = 0.5 * (a + b)
+            if abs(d) > tol and mid != a and mid != b:
+                kept.append(row)
+            else:
+                out[row[0]] = mid
+        if len(kept) < len(rows):
+            rows, at = kept, np.array([row[0] for row in kept], dtype=idx.dtype)
+    for row in rows:
+        out[row[0]] = 0.5 * (row[1] + row[2])
     return out
 
 

@@ -269,17 +269,17 @@ def classify_point(spec, xi):
             return ON_SPINE
         return D_PLUS if v.imag > 0.0 else D_MINUS
 
-    r = abs(xi.imag)
+    if is_constant(spec):
+        raise SpineUndefinedError("constant exponents have no spine")
     up = xi.imag > 0.0
     half = 0.5 * math.pi
-    theta = theta_at(spec, r)
-    hugging = half - abs(theta) <= ANGLE_TOL and (theta > 0.0) == up
-    if not hugging:
+    hugs = lambda t: half - abs(t) <= ANGLE_TOL and (t > 0.0) == up
+    # the angle at r = |xi| and at r (1 -+ 1e-3) in one lockstep solve; the first is theta_at's
+    theta, *near = _theta_array(spec, abs(xi.imag) * np.array([1.0, 1.0 - 1e-3, 1.0 + 1e-3])).tolist()
+    if not hugs(theta):
         return D_PLUS if up else D_MINUS
-    # spine touches this axis point; interior iff it hugs a neighbourhood,
-    # r (1 -+ 1e-3), both solved in one lockstep batch
-    near = _theta_array(spec, r * np.array([1.0 - 1e-3, 1.0 + 1e-3]))
-    if all(half - abs(t) <= ANGLE_TOL and (t > 0.0) == up for t in near.tolist()):
+    # the spine touches this axis point; interior iff it hugs a neighbourhood
+    if all(map(hugs, near)):
         return D_MINUS if up else D_PLUS
     return ON_SPINE
 

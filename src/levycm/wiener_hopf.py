@@ -259,7 +259,8 @@ class _BdGrid:
         self.lo, self.hi = int(below.max(initial=-n - 1)) + 1, int(above.min(initial=n + 1)) - 1
         self.open = (not below.size and n < _BD_END, not above.size and n < _BD_END)
         f = f[self.lo + n:self.hi + n + 1]
-        self.fr, self.fi, self.fr_min = f.real.copy(), f.imag.copy(), float(f.real.min(initial=math.inf))
+        self.fr, self.fi = f.real.copy(), f.imag.copy()
+        self.fr_min, self.fr_max = float(f.real.min(initial=math.inf)), float(f.real.max(initial=-math.inf))
         self.rise = np.maximum.accumulate(np.abs(f - self.f0))
         self.fall = np.minimum.accumulate(np.abs(f[::-1]))[::-1].copy()  # contiguous, for searchsorted
         self.rows, self.below = _LRU(4), _LRU(16)
@@ -440,8 +441,12 @@ def _log_less(grid, quot, S, i, j):
     """log |q| less its shift sum s S_tau, and arg q, for the quotient q = prod (tau + f)^s of ``quot``
     on the nodes [i, j) of the run: n = sum s logs of q0 = tau_0 + f, the first factor's, then
     s log(1 + w) by log1p for each other factor, w = (tau - tau_0)/q0, so that a q near 1 keeps
-    its digits."""
+    its digits.  :class:`QuadratureError` where tau_0 + f overflows on [i, j)."""
     t0 = quot[0][0]
+    if t0 + grid.fr_max == math.inf:
+        with np.errstate(over="ignore"):
+            if np.isinf(t0 + grid.fr[i:j]).any():
+                raise QuadratureError(math.nan, math.inf, "the bd sum is not finite: tau + f overflows")
     q_re, q_im = t0 + grid.fr[i:j], grid.fi[i:j]
     if not t0 + grid.fr_min > 0.0 and ((q_im == 0.0) & (q_re <= 0.0)).any():
         raise DomainError("principal_log is undefined on (-inf, 0]")

@@ -532,6 +532,100 @@ class TestLockstepRoot:
         assert len(steps) == 3 and capped[0] == 0.5 * (a + b) and b - a > 1e-12
 
 
+def _array_lockstep(g, lo, hi, glo, ghi, tol, max_steps=200):
+    """``_lockstep_root`` as it ran on numpy arrays alone, the reference of ``TestLockstepParity``:
+    the roots, with the steps taken and the points evaluated."""
+    steps = points = 0
+    ends = [(glo > 0.0) & (ghi > 0.0), (glo < 0.0) & (ghi < 0.0), glo == 0.0, ghi == 0.0]
+    out = np.where(ends[0] | ends[2], lo, np.where(ends[1] | ends[3], hi, np.nan))
+    idx = np.flatnonzero(~np.logical_or.reduce(ends))
+    tol = np.broadcast_to(tol, lo.shape)[idx]
+    a, b, fa, fb = lo[idx], hi[idx], glo[idx], ghi[idx]
+    d = b - a
+    w0 = np.abs(d)
+    t = np.full(idx.shape, 0.5)
+    for k in range(max_steps):
+        w, mid = np.abs(d), 0.5 * (a + b)
+        go = (w > tol) & (mid != a) & (mid != b)
+        if not go.all():
+            out[idx[~go]] = mid[~go]
+            idx, a, b, d, fa, fb, t, tol, w0, w = (
+                v[go] for v in (idx, a, b, d, fa, fb, t, tol, w0, w)
+            )
+        if not idx.size:
+            return out, steps, points
+        tl = 0.5 * tol / w
+        t = np.where(w > w0 * 2.0 ** (-0.5 * (k + 1)), 0.5, np.minimum(np.maximum(t, tl), 1.0 - tl))
+        x = a + t * d
+        steps, points = steps + 1, points + idx.size
+        gx = g(idx, x)
+        same = (gx < 0.0) == (fa < 0.0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(gx == 0.0, x, np.where(same, b, a)), np.where(same, fb, fa)
+        a, fa, d = x, gx, b - x
+        with np.errstate(all="ignore"):
+            dab, dcb = fb - fa, fc - fb
+            xi, phi = -d / (c - b), -dab / dcb
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = fa / dcb * ((c - a) / d * fb / (fc - fa) - fc / dab)
+            t[~iqi] = 0.5
+    out[idx] = 0.5 * (a + b)
+    return out, steps, points
+
+
+K = numerics._FLOAT_BRACKETS
+
+
+class TestLockstepParity:
+    """The lockstep solver, which ends a solve in Python floats once at most K brackets are
+    open, against its array-only reference: the same roots bitwise in the same steps and points."""
+
+    FNS = {
+        "steep": lambda x: np.tanh(1e6 * x),
+        "flat": lambda x: x**9,
+        "step": lambda x: np.where(x < 0.0, -1.0, 1.0),
+        "expm1": np.expm1,
+        "plateau": lambda x: np.where(np.abs(x) < 1e-3, 0.0, x),  # exact zeros at step points
+    }
+
+    @staticmethod
+    def _brackets(n, seed):
+        """Brackets of ``n`` kinds (mixed for n > 1): a sign change (kinds 0-2), g > 0 and g < 0 at
+        both ends, a zero at lo, at hi, at the first step point (the midpoint), and a bracket one
+        ulp wide; the roots of g(x) = fn(x - root), and the ends' g where they are given."""
+        rng = make_rng(seed)
+        lo = rng.uniform(-2.0, 0.0, n)
+        hi = lo + rng.choice([3.0, 1.0, 1e-9], n)
+        roots = rng.uniform(lo, hi)
+        kind = rng.integers(0, 10, n) if n > 1 else np.zeros(1, int)
+        roots = np.select([kind == 3, kind == 4, kind == 5, kind == 6, kind == 7],
+                          [lo - 1.0, hi + 1.0, lo, hi, lo + 0.5 * (hi - lo)], roots)
+        tiny = kind == 8
+        hi[tiny] = np.nextafter(lo[tiny], math.inf)
+        return lo, hi, roots, tiny
+
+    @pytest.mark.parametrize("n", [1, K, K + 1, 300])
+    @pytest.mark.parametrize("name", sorted(FNS))
+    def test_bitwise_the_array_solver(self, name, n):
+        fn = self.FNS[name]
+        lo, hi, roots, tiny = self._brackets(n, 11 + n)
+        rng = make_rng(5)
+        every = np.arange(n)
+        for sign in (1.0, -1.0):
+            g = lambda idx, x: sign * fn(x - roots[idx])
+            glo, ghi = g(every, lo), g(every, hi)
+            glo[tiny], ghi[tiny] = -sign, sign  # a sign change within one ulp
+            for tol in (1e-12, rng.choice([1e-2, 1e-8, 1e-12, 0.0], n)):
+                for cap in (200, 3):
+                    want, steps, points = _array_lockstep(g, lo, hi, glo, ghi, tol, cap)
+                    before = numerics.work_counts()
+                    got = _lockstep_root(g, lo, hi, glo, ghi, tol, cap)
+                    n_steps = numerics.work_counts()["lockstep.steps"] - before["lockstep.steps"]
+                    n_points = numerics.work_counts()["lockstep.points"] - before["lockstep.points"]
+                    assert got.tobytes() == want.tobytes(), (sign, tol, cap)
+                    assert (n_steps, n_points) == (steps, points), (sign, tol, cap)
+
+
 class TestBisectMonotone:
     def test_is_the_one_bracket_solve(self):
         """Bitwise ``_lockstep_root`` on the one bracket, with ``max_iter`` as its step cap."""
@@ -772,6 +866,22 @@ class TestWorkCounts:
         lo, hi = np.zeros(16), np.ones(16)
         n = self._delta(_lockstep_root, g, lo, hi, np.expm1(lo - roots), np.expm1(hi - roots), 1e-12)
         assert len(sizes) > 1 and n["lockstep.steps"] == len(sizes) and n["lockstep.points"] == sum(sizes)
+
+    def test_lockstep_float_steps(self):
+        """The steps taken in Python floats: every step once at most K brackets are open."""
+        roots = make_rng(3).uniform(0.1, 0.9, 4 * K)
+        sizes = []
+
+        def g(idx, x):
+            sizes.append(idx.size)
+            return np.expm1(x - roots[idx])
+
+        lo, hi = np.zeros(4 * K), np.ones(4 * K)
+        tol = np.where(np.arange(4 * K) < 2 * K, 1e-4, 1e-12)  # half the brackets close early
+        n = self._delta(_lockstep_root, g, lo, hi, np.expm1(lo - roots), np.expm1(hi - roots), tol)
+        floats = sum([s <= K for s in sizes])
+        assert 0 < floats < len(sizes) and all(s <= K for s in sizes[-floats:])
+        assert n["lockstep.float_steps"] == floats and n["lockstep.steps"] == len(sizes)
 
     def test_estimate_phi(self):
         """One count a call, whatever its points; its boundary values count no eval_f work."""

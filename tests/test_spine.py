@@ -338,14 +338,14 @@ class TestClassifyPoint:
         assert classify_point(fig_a, 0.5j) == "D_minus"
         assert classify_point(fig_a, -0.5j) == "D_minus"
 
-    def test_hugging_axis_point_two_solves(self, fig_a, monkeypatch):
-        """The angle at r and both neighbour angles r (1 -+ 1e-3) take two lockstep solves.
+    def test_hugging_axis_point_one_solve(self, fig_a, monkeypatch):
+        """The angle at r and both neighbour angles r (1 -+ 1e-3) take one lockstep solve.
 
-        The neighbour batch gives each angle bitwise as ``theta_at`` does.
+        The batch gives each angle bitwise as ``theta_at`` does.
         """
         r = 0.5
-        near = [theta_at(fig_a, r * (1.0 - 1e-3)), theta_at(fig_a, r * (1.0 + 1e-3))]
-        assert near == spine._theta_array(fig_a, r * np.array([1.0 - 1e-3, 1.0 + 1e-3])).tolist()
+        alone = [theta_at(fig_a, r * m) for m in (1.0, 1.0 - 1e-3, 1.0 + 1e-3)]
+        assert alone == spine._theta_array(fig_a, r * np.array([1.0, 1.0 - 1e-3, 1.0 + 1e-3])).tolist()
         calls = []
         root = spine._lockstep_root
 
@@ -355,7 +355,7 @@ class TestClassifyPoint:
 
         monkeypatch.setattr(spine, "_lockstep_root", counted)
         assert classify_point(fig_a, r * 1j) == "D_minus"
-        assert len(calls) == 2, calls
+        assert calls == [3], calls
 
     def test_zero_rejected(self, fig_a):
         with pytest.raises(DomainError):

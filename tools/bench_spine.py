@@ -7,14 +7,17 @@ Compares two checkouts of the repository, a parent and a change:
 * per preset, one cold spine ratio f_0.2^+(0.3)/f_0.2^+(1.5) on a fresh
   ``SpineStieltjes`` (its ``kappa`` of two terms): its refinement rounds
   (``estimate`` calls of ``refine_panels``), spine points solved (radii
-  passed to ``solve_spine``), its lockstep steps and points (see below) and
-  the median wall time of five cold repeats;
+  passed to ``solve_spine``), its lockstep steps, points and float steps
+  (see below) and the median wall time of five cold repeats;
+* per preset, one ``lambda_at`` at ``LAMBDA_R``: its lockstep steps and
+  float steps;
 * per preset, ``build_spine_table`` with ``SPINE_TABLE_N`` samples on
   ``default_spine_range``: the median wall time of five builds, the
   number of Z intervals, one build's ``solve_spine`` calls and radii, and
-  its lockstep work, split into the angle solve and the Z-crossing
-  refinement: the Z part is what ``spine._z_crossings`` does on the
-  table's radii, the angle part the rest of the build;
+  its lockstep work (steps, points and float steps), split into the angle
+  solve and the Z-crossing refinement: the Z part is what
+  ``spine._z_crossings`` does on the table's radii, the angle part the
+  rest of the build;
 * per preset and shift tau in ``PHI_TAUS``, the median wall time of five
   ``build_phi_table`` calls, the table's breakpoint count and, for the
   last build, its ``estimate_phi`` calls (one per refinement level), its
@@ -72,9 +75,9 @@ Compares two checkouts of the repository, a parent and a change:
   pair's anchor another.
 * on both sides (``wh_cold_spine``), also run by this file against each
   checkout's library: the refinement rounds, spine radii and lockstep steps
-  summed over the spine-ratio ops (``wh_ratio.spine``) of one ``wh_cold``
-  benchmark run at seed 1 and the run length given, in order, with the
-  engine memo cleared at the start;
+  and float steps summed over the spine-ratio ops (``wh_ratio.spine``) of
+  one ``wh_cold`` benchmark run at seed 1 and the run length given, in
+  order, with the engine memo cleared at the start;
 * on the change only (``grid_memo``), per workload: the hits and misses of
   ``wiener_hopf._BD_GRID`` over one benchmark run's ops at seed 1 and the
   run length given, in order, counting only the ops that reach the bd
@@ -90,8 +93,9 @@ falls on both sides; counts are those of the first run.
 Every count is the difference of two ``levycm.numerics.work_counts()``
 snapshots around the call it measures (README, "Work counters").  Lockstep
 work is that of ``numerics._lockstep_root``: its steps (evaluations of the
-open brackets, one ``eval_f`` or ``_axis_limit`` call each) and the points
-evaluated in them.
+open brackets, one ``eval_f`` or ``_axis_limit`` call each), the points
+evaluated in them and its float steps, the steps taken per bracket in Python
+floats once at most ``numerics._FLOAT_BRACKETS`` brackets are open.
 
     python tools/bench_spine.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \\
         [--seeds 1 2 3] [--workloads wh_cold] [--seconds 10]
@@ -112,6 +116,7 @@ import platform
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from statistics import median
 
@@ -132,6 +137,7 @@ SWEEP_TAUS = (0.0, 1.0)
 SWEEP_XI = (0.1, 5.0)
 SWEEP_N = 16
 SUP_SIGMA = 0.5
+LAMBDA_R = 3.0  # the radius of the probe's lambda_at call, where every preset's angle bracket is open
 SPINE_TABLE_N = 256  # samples of the probe's spine tables, as in the wh_cold workload
 REPEATS = 5
 MC_PATHS = 2000  # paths per job, as in the mc_exact workload
@@ -161,12 +167,13 @@ MC_CASES = (
 
 
 def work(call, *args):
-    """``call(*args)`` and the ``numerics.work_counts()`` it added."""
+    """``call(*args)`` and the ``numerics.work_counts()`` it added; a count that the checkout's
+    library does not keep reads 0."""
     from levycm.numerics import work_counts
 
     before = work_counts()
     out = call(*args)
-    return out, {k: v - before[k] for k, v in work_counts().items()}
+    return out, Counter({k: v - before[k] for k, v in work_counts().items()})
 
 
 def spine_ratio(engine):
@@ -190,12 +197,20 @@ def table_work(spec):
         times.append(time.perf_counter() - t0)
     _, z = work(spine._z_crossings, spec, table.radii())
     lockstep = {}
-    for what in ("steps", "points"):
+    for what in ("steps", "points", "float_steps"):
         lockstep[f"theta_{what}"] = build[f"lockstep.{what}"] - z[f"lockstep.{what}"]
         lockstep[f"z_{what}"] = z[f"lockstep.{what}"]
     return {"ms": 1e3 * median(times), "z_intervals": len(table.z_intervals),
             "solve_calls": build["solve_spine.calls"], "solve_radii": build["solve_spine.radii"],
             "lockstep": lockstep}
+
+
+def lambda_work(spec):
+    """The lockstep steps and float steps of one ``lambda_at`` at ``LAMBDA_R``."""
+    from levycm import spine
+
+    _, n = work(spine.lambda_at, spec, LAMBDA_R)
+    return {"steps": n["lockstep.steps"], "float_steps": n["lockstep.float_steps"]}
 
 
 def bd_work(n, spec=None, terms=None):
@@ -428,7 +443,9 @@ def probe():
             value, n = work(spine_ratio, wiener_hopf.SpineStieltjes(SHOWCASE[name]))
             times.append(time.perf_counter() - t0)
         out[name] = {"rounds": n["refine_panels.rounds"], "spine_points": n["solve_spine.radii"],
-                     "lockstep": {"steps": n["lockstep.steps"], "points": n["lockstep.points"]},
+                     "lockstep": {"steps": n["lockstep.steps"], "points": n["lockstep.points"],
+                                  "float_steps": n["lockstep.float_steps"]},
+                     "lambda_at": lambda_work(SHOWCASE[name]),
                      "ms": 1e3 * median(times), "value": value, "phi_table": {},
                      "spine_table": table_work(SHOWCASE[name]),
                      "contour": contour_work(SHOWCASE[name]),
@@ -475,8 +492,8 @@ def memo_share(seconds):
 
 
 def wh_cold_spine(seconds):
-    """Rounds, spine radii and lockstep steps summed over the spine-ratio ops of one wh_cold
-    run at seed 1 (JSON on stdout)."""
+    """Rounds, spine radii, lockstep steps and float steps summed over the spine-ratio ops of one
+    wh_cold run at seed 1 (JSON on stdout)."""
     sys.path.insert(0, str(Path("bench").resolve()))
     import workloads
     from levycm import wiener_hopf
@@ -484,7 +501,7 @@ def wh_cold_spine(seconds):
     load = workloads.WORKLOADS["wh_cold"](1)
     load.setup()
     wiener_hopf._ENGINE_CACHE.clear()
-    total = {"ops": 0, "rounds": 0, "spine_points": 0, "lockstep_steps": 0}
+    total = {"ops": 0, "rounds": 0, "spine_points": 0, "lockstep_steps": 0, "lockstep_float_steps": 0}
     for r in range(load.rounds(seconds)):
         for op in load.round(r):
             if op.kind == "wh_ratio.spine":
@@ -493,6 +510,7 @@ def wh_cold_spine(seconds):
                 total["rounds"] += n["refine_panels.rounds"]
                 total["spine_points"] += n["solve_spine.radii"]
                 total["lockstep_steps"] += n["lockstep.steps"]
+                total["lockstep_float_steps"] += n["lockstep.float_steps"]
     print(json.dumps(total))
 
 
@@ -558,6 +576,7 @@ def main(argv=None):
                     "platform": platform.platform()},
         "spine_ratio": {"x1": RATIO[0], "x2": RATIO[1], "side": RATIO[2], "tau": RATIO[3],
                         "repeats": REPEATS},
+        "lambda_at_r": LAMBDA_R,
         "spine_table": {"n": SPINE_TABLE_N, "repeats": REPEATS},
         "phi_table_taus": list(PHI_TAUS),
         "sup_tail_sigma": SUP_SIGMA,
