@@ -11,7 +11,7 @@ import math
 
 from levycm import LevyAtomic
 from levycm.specio import SHOWCASE
-from levycm.wiener_hopf import closed_form_factors, wh_product, wh_ratio
+from levycm.wiener_hopf import MINUS, PLUS, closed_form_factors, get_spine_engine, wh_product, wh_ratio
 
 print("drifted diffusion with constant shift: quadratic closed form")
 for b in (0.0, 1.0, -1.0):
@@ -33,8 +33,9 @@ print(f"  closed-form oracle ratio: {oracle:.10f}")
 
 print("\nproducts f+(x1) f-(x2) are split-radius free:")
 spec = LevyAtomic(a=0.5, b=1.0, c=1.0)
+engine = get_spine_engine(spec)
 for R in (0.0, 0.3, 1.0, 5.0):
-    print(f"  R={R}: {wh_product(spec, 'spine', 1.0, 1.0, R=R):.12f}")
+    print(f"  R={R}: {engine.kappa(((PLUS, 0.0, 1.0, 1), (MINUS, 0.0, 1.0, 1)), R):.12f}")
 print(f"  bd  : {wh_product(spec, 'bd', 1.0, 1.0):.12f}")
 print(f"  quadratic oracle: {0.5 * math.sqrt(3.0) * (2.0 + math.sqrt(3.0)):.12f}")
 

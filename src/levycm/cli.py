@@ -2,14 +2,16 @@
 
 Subcommands: ``eval``, ``spine``, ``factor``, ``fluct``, ``mc``, ``verify``.
 Spec files are JSON documents (see :mod:`levycm.specio`); ``preset:NAME``
-refers to a bundled example.  All numeric output is JSON with floats at 17
-significant digits; exit codes are 0 (success), 1 (verification failures,
-report still written) and 2 (input errors, JSON error envelope on stdout).
+refers to a bundled example.  Numeric output is JSON with each float in
+Python's shortest round-trip repr (CSV tables at 17 significant digits);
+exit codes are 0 (success), 1 (verification failures, report still
+written) and 2 (input errors, JSON error envelope on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .errors import LevycmError, ValidationError
@@ -24,7 +26,6 @@ from .montecarlo import (
 from .rogers import eval_f, shift_spec, validate_spec
 from .specio import (
     complex_to_dict,
-    dumps_canonical,
     format_float,
     load_spec,
     preset_names,
@@ -38,7 +39,7 @@ __all__ = ["main"]
 
 
 def _emit(obj, out_path=None):
-    text = dumps_canonical(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -47,7 +48,7 @@ def _emit(obj, out_path=None):
 
 
 def _error(code, message, field=""):
-    sys.stdout.write(dumps_canonical({"code": code, "message": message, "field": field}) + "\n")
+    sys.stdout.write(json.dumps({"code": code, "message": message, "field": field}) + "\n")
     return 2
 
 

@@ -42,7 +42,6 @@ from .wiener_hopf import (
 )
 
 __all__ = [
-    "SpaceTimeQuery",
     "CmCheckConfig",
     "kappa_ratio_xi",
     "kappa_ratio_tau",
@@ -56,26 +55,6 @@ __all__ = [
     "kappa_ratio_xi_function",
     "sigma_stieltjes_function",
 ]
-
-
-@dataclass(frozen=True)
-class SpaceTimeQuery:
-    """Arguments of a space-time ladder-exponent query."""
-
-    sigma: float
-    tau: float
-    xi: float
-    side: str = PLUS
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise ValidationError("sigma", "killing intensity must be finite and positive")
-        if not 0.0 <= self.tau < math.inf:
-            raise ValidationError("tau", "must be finite and >= 0")
-        if not 0.0 <= self.xi < math.inf:
-            raise ValidationError("xi", "must be finite and >= 0")
-        if self.side not in (PLUS, MINUS):
-            raise ValidationError("side", "must be 'plus' or 'minus'")
 
 
 @dataclass(frozen=True)
@@ -154,13 +133,19 @@ def pr_laplace(spec, sigma, tau, xi, side=PLUS, method="bd"):
     contour integral, ``_bd_kappa`` of (side, sigma, 0, +1), (side,
     tau+sigma, xi, -1).  The phi and spine routes multiply
     :func:`kappa_ratio_tau` (tau > 0) by their spatial ratio (xi > 0).
-    The steps taken are those :func:`_pr_route` lists.  Arguments that
-    :class:`SpaceTimeQuery` rejects raise its :class:`ValidationError`.
+    The steps taken are those :func:`_pr_route` lists.  A sigma that is not
+    finite and > 0, a tau or xi that is not finite and >= 0, or an unknown
+    side raises :class:`ValidationError` naming the first of them.
     """
     sigma, tau, xi = float(sigma), float(tau), float(xi)
-    if not (0.0 < sigma < math.inf and 0.0 <= tau < math.inf and 0.0 <= xi < math.inf
-            and side in (PLUS, MINUS)):
-        SpaceTimeQuery(sigma, tau, xi, side)  # raises, naming the first argument it rejects
+    if not 0.0 < sigma < math.inf:
+        raise ValidationError("sigma", "killing intensity must be finite and positive")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError("tau", "must be finite and >= 0")
+    if not 0.0 <= xi < math.inf:
+        raise ValidationError("xi", "must be finite and >= 0")
+    if side not in (PLUS, MINUS):
+        raise ValidationError("side", "must be 'plus' or 'minus'")
     if method == "bd":
         if not (tau > 0.0 or xi > 0.0):
             return 1.0
@@ -365,10 +350,9 @@ def kappa_tau_ratio_family(spec, xi1, xi2, side=PLUS):
     return lambda tau: engine.kappa(((side, tau, xi1, 1), (side, tau, xi2, -1)))
 
 
-def kappa_product_family(spec, xi1, xi2, R=None):
+def kappa_product_family(spec, xi1, xi2):
     """tau -> kappa-circle(tau) kappa^+(tau, xi1) kappa^-(tau, xi2)."""
-    if R is None:
-        R = math.sqrt(max(float(xi1), 1e-6) * max(float(xi2), 1e-6))
+    R = math.sqrt(max(float(xi1), 1e-6) * max(float(xi2), 1e-6))  # the spine split radius
     engine, f0 = get_spine_engine(spec), f_limits(spec).f_at_zero
     return lambda tau: engine.kappa(((PLUS, tau, xi1, 1), (MINUS, tau, xi2, 1)), R) / (1.0 + f0)
 

@@ -15,11 +15,10 @@ The jump times are put in path-then-time order by one sort of the values
 and a stable (radix, for up to 65536 paths) sort of their path indices;
 each path's winning candidate is found by one ``searchsorted`` over the
 candidates that attain a supremum.  Samples come back as columns in one
-``SupSamples`` record, deterministic for a fixed (seed, shard_size); a
-negative or non-integral seed, and a non-integral path count or shard
-size, are rejected before any draw.  ``mc_estimates`` evaluates all
-queries into one block and reduces it with one mean and one standard
-deviation call.
+``SupSamples`` record, deterministic for a fixed seed; a negative or
+non-integral seed, and a non-integral path count, are rejected before
+any draw.  ``mc_estimates`` evaluates all queries into one block and
+reduces it with one mean and one standard deviation call.
 """
 
 from __future__ import annotations
@@ -153,15 +152,18 @@ def _whole(name, value):
     raise ValidationError(name, f"must be an integer, got {value!r}")
 
 
-def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
+_SHARD = 50000  # paths a shard at most
+
+
+def simulate_sup_samples(spec, sigma, n, seed):
     """Supremum and argmax-time samples over Exp(sigma) horizons, as columns.
 
     Returns one ``SupSamples`` record with an entry per path.  Each shard of
-    at most ``shard_size`` paths is simulated in one array pass by the child
-    generator seeded by (seed, k) for shard k, and shards are concatenated
-    in order, so the output is identical run to run for a fixed
-    (seed, shard_size), and every complete shard is the same in any run
-    that reaches it.  Values differ from versions that sampled one path at
+    at most ``_SHARD`` = 50000 paths is simulated in one array pass by the
+    child generator seeded by (seed, k) for shard k, and shards are
+    concatenated in order, so the output is identical run to run for a
+    fixed seed, and every complete shard is the same in any run that
+    reaches it.  Values differ from versions that sampled one path at
     a time: the random stream is consumed in another order.  Killing
     (rate c) truncates the horizon; the supremum is over the lifetime.
     """
@@ -174,18 +176,15 @@ def simulate_sup_samples(spec, sigma, n, seed, shard_size=50000):
     n = _whole("n", n)
     if n < 1:
         raise ValidationError("n", "need at least one path")
-    shard_size = _whole("shard_size", shard_size)
-    if shard_size < 1:
-        raise ValidationError("shard_size", "need at least one path per shard")
     seed = _whole("seed", seed)
     if seed < 0:
         raise ValidationError("seed", "must be >= 0")
     rates, scales, signs = _mixture(spec)
     drift = spec._jumps[0]
     blocks = []
-    n_shards = (n + shard_size - 1) // shard_size
+    n_shards = (n + _SHARD - 1) // _SHARD
     for shard in range(n_shards):
-        m = min(shard_size, n - shard * shard_size)
+        m = min(_SHARD, n - shard * _SHARD)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, shard])))
         if len(rates) == 0:
             blocks.append(_simulate_diffusion_block(spec, drift, sigma, m, rng))

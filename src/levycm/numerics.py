@@ -475,20 +475,19 @@ def _float_steps(g, out, idx, state, k0, max_steps):
     return out
 
 
-def bisect_monotone(g, lo, hi, tol=1e-12, max_iter=200, *, glo=None, ghi=None):
+def bisect_monotone(g, lo, hi, tol=1e-12, max_iter=200):
     """Root of a nondecreasing scalar ``g`` on finite [lo, hi]: :func:`_lockstep_root` on one bracket.
 
     If g has constant sign on the interval, the matching endpoint is
     returned: ``lo`` when g > 0 throughout, ``hi`` when g < 0 throughout.
     The bracket is kept by signs alone, so any function with a single
-    upward sign change is acceptable.  A caller that has already evaluated
-    g(lo) or g(hi) passes it as ``glo``/``ghi`` and that endpoint is not
-    evaluated again.  ``max_iter`` caps the evaluations inside the interval.
+    upward sign change is acceptable.  ``max_iter`` caps the evaluations
+    inside the interval.
     """
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("bisect_monotone requires finite lo < hi")
     one = lambda v: np.array([float(v)])
-    ends = one(g(lo) if glo is None else glo), one(g(hi) if ghi is None else ghi)
+    ends = one(g(lo)), one(g(hi))
     root = _lockstep_root(lambda idx, x: one(g(float(x[0]))), one(lo), one(hi), *ends, tol, max_iter)
     return float(root[0])
 

@@ -619,10 +619,10 @@ def is_degenerate(spec):
     return abs(v.real) <= 1e-13 * abs(v)
 
 
-def is_symmetric(spec, tol=1e-12):
+def is_symmetric(spec):
     for x in (0.5, 1.0, math.sqrt(2.0), 7.3):
         v = eval_f(spec, complex(x))
-        if abs(v.imag) > tol * (1.0 + abs(v)):
+        if abs(v.imag) > 1e-12 * (1.0 + abs(v)):
             return False
     return True
 

@@ -1,10 +1,12 @@
-"""Spec JSON schema, canonical serialization and bundled presets.
+"""Spec JSON schema and bundled presets.
 
 A spec file is a JSON document with ``"type"`` in {"levy_atomic",
 "stable_sum", "rational_product", "phi_table"} and payload fields named as
 in the corresponding dataclass; complex numbers are {"re": x, "im": y}.
-All floating-point output is formatted with 17 significant digits so that
-identical requests produce byte-identical artifacts.
+JSON output is plain ``json.dumps``: every float is Python's shortest
+repr that reads back to the same float, so identical requests produce
+byte-identical artifacts.  CSV output formats floats with 17 significant
+digits through :func:`format_float`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "spec_from_dict",
     "load_spec",
     "save_spec",
-    "dumps_canonical",
     "format_float",
     "complex_to_dict",
     "SHOWCASE",
@@ -42,35 +43,6 @@ __all__ = [
 
 def format_float(x):
     return format(float(x), ".17g")
-
-
-def _canon(obj):
-    if isinstance(obj, float):
-        return RawFloat(format_float(obj))
-    if isinstance(obj, complex):
-        return {"re": RawFloat(format_float(obj.real)), "im": RawFloat(format_float(obj.imag))}
-    if isinstance(obj, dict):
-        return {k: _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    return obj
-
-
-class RawFloat(float):
-    """Float carrying a fixed decimal rendering for canonical JSON output."""
-
-    def __new__(cls, text):
-        self = super().__new__(cls, float(text))
-        self.text = text
-        return self
-
-    def __repr__(self):
-        return self.text
-
-
-def dumps_canonical(obj, indent=None):
-    """JSON text with every float at 17 significant digits."""
-    return json.dumps(_canon(obj), indent=indent, sort_keys=False)
 
 
 def complex_to_dict(z):
@@ -190,7 +162,7 @@ def load_spec(path):
 
 def save_spec(spec, path):
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(spec_to_dict(spec), indent=2))
+        fh.write(json.dumps(spec_to_dict(spec), indent=2))
         fh.write("\n")
 
 

@@ -240,12 +240,15 @@ def build_spine_table(spec, r_min, r_max, n):
 
     The interval ends are the grid ends where the end samples lie in Z and,
     in order between them, the crossings of ``_z_crossings`` on the grid;
-    every crossing enters or leaves Z, so the ends pair up in turn.
+    every crossing enters or leaves Z, so the ends pair up in turn.  ``n``
+    must be an integer >= 16, an integral float admitted (:class:`DomainError`).
     """
     if not 0.0 < r_min < r_max < math.inf:
         raise DomainError("need 0 < r_min < r_max < inf")
     if n < 16:
         raise DomainError("need n >= 16")
+    if not float(n).is_integer():  # also nan and inf; an integral float such as 20.0 is n = 20
+        raise DomainError(f"n must be an integer, got {n!r}")
     radii = np.geomspace(r_min, r_max, int(n))
     s = solve_spine(spec, radii)
     cross = np.sort(_z_crossings(spec, radii))

@@ -16,7 +16,6 @@ are what the public operations return.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 from typing import NamedTuple
 
@@ -209,16 +208,9 @@ def get_spine_engine(spec) -> "SpineStieltjes":
     return _ENGINE_CACHE.get(spec, SpineStieltjes, spec)
 
 
-def factor_pair(spec, kappa=1.0):
-    """Plus and minus handles with scales kappa sqrt(c) and sqrt(c)/kappa.
-
-    They are copies of the cached handles, which keep their scales.
-    """
-    plus = copy.copy(get_factor_handle(spec, PLUS))
-    minus = copy.copy(get_factor_handle(spec, MINUS))
-    plus.scale *= kappa
-    minus.scale /= kappa
-    return plus, minus
+def factor_pair(spec):
+    """The cached plus and minus handles, each of scale sqrt(c)."""
+    return get_factor_handle(spec, PLUS), get_factor_handle(spec, MINUS)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +433,8 @@ def _log_less(grid, quot, S, i, j):
     """log |q| less its shift sum s S_tau, and arg q, for the quotient q = prod (tau + f)^s of ``quot``
     on the nodes [i, j) of the run: n = sum s logs of q0 = tau_0 + f, the first factor's, then
     s log(1 + w) by log1p for each other factor, w = (tau - tau_0)/q0, so that a q near 1 keeps
-    its digits.  :class:`QuadratureError` where tau_0 + f overflows on [i, j)."""
+    its digits.  :class:`QuadratureError` where tau_0 + f overflows on [i, j), or where |w| may
+    pass 2^511, past which the log1p argument |1 + w|^2 - 1 can overflow."""
     t0 = quot[0][0]
     if t0 + grid.fr_max == math.inf:
         with np.errstate(over="ignore"):
@@ -455,6 +448,8 @@ def _log_less(grid, quot, S, i, j):
         return g_re, g_im
     g_re, g_im = n * g_re, n * g_im
     m = np.hypot(q_re, q_im)
+    if max([abs(tau - t0) for tau, _ in quot[1:]]) > 2.0**511 * float(m.min()):
+        raise QuadratureError(math.nan, math.inf, "the bd sum is not finite: (tau - tau_0)/(tau_0 + f) overflows")
     c, d = q_re / m / m, -q_im / m / m  # 1/q0
     for tau, s in quot[1:]:
         w_re, w_im = (tau - t0) * c, (tau - t0) * d
@@ -777,10 +772,10 @@ def wh_ratio(spec, method, side, xi1, xi2):
     return _kappa(spec, method, ((side, 0.0, xi1, 1), (side, 0.0, xi2, -1)))
 
 
-def wh_product(spec, method, xi1, xi2, R=None):
+def wh_product(spec, method, xi1, xi2):
     """f+(xi1) f-(xi2) under c+ c- = c: the :func:`_kappa` of (plus, 0, xi1, +1), (minus, 0, xi2, +1).
 
-    ``R`` >= 0 is the spine-route split radius, sqrt(xi1 xi2) by default.
+    The spine route splits its integral at R = sqrt(xi1 xi2); the value does not depend on R.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -788,10 +783,7 @@ def wh_product(spec, method, xi1, xi2, R=None):
     xi2 = float(xi2)
     if not (0.0 < xi1 < math.inf and 0.0 < xi2 < math.inf):
         raise DomainError("wh_product needs finite xi1, xi2 > 0")
-    R = math.sqrt(xi1 * xi2) if R is None else float(R)
-    if not 0.0 <= R < math.inf:
-        raise DomainError("the split radius R must be finite and >= 0")
-    return _kappa(spec, method, ((PLUS, 0.0, xi1, 1), (MINUS, 0.0, xi2, 1)), R)
+    return _kappa(spec, method, ((PLUS, 0.0, xi1, 1), (MINUS, 0.0, xi2, 1)), math.sqrt(xi1 * xi2))
 
 
 def factorization_check(spec, samples, tol=1e-4) -> VerifyReport:

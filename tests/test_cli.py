@@ -17,10 +17,9 @@ from levycm import (
 )
 from levycm.cli import main
 from levycm.fluctuation import pr_laplace
-from levycm.rogers import LevyAtomic, LimitsResult, compensator_drift, validate_spec
+from levycm.rogers import LevyAtomic, LimitsResult, compensator_drift, eval_f, validate_spec
 from levycm.specio import (
     SHOWCASE,
-    dumps_canonical,
     format_float,
     load_spec,
     preset_names,
@@ -362,7 +361,7 @@ class TestCommands:
         cross = complex(plus.eval(1.0 + 0j) * minus.eval(2.0 + 0j)).real
         want = {"method": "bd", "side": "plus", "xi1": 1.0, "xi2": 2.0, "tau": 0.0, "product": True,
                 "value": value, "err_estimate": abs(value - cross)}
-        assert out == dumps_canonical(want, indent=2) + "\n"
+        assert out == json.dumps(want, indent=2) + "\n"
 
     @pytest.mark.parametrize("method,cross", [("spine", "bd"), ("phi", "bd")])
     def test_factor_product_cross_route(self, capsys, method, cross):
@@ -503,6 +502,31 @@ class TestCommands:
         assert code == 2
         doc = json.loads(out)
         assert (doc["code"], doc["field"]) == ("validation", "tol")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_verify_rejects_a_tolerance_out_of_range(self, capsys, tol):
+        """A tolerance that is not finite and >= 0 is an input error naming tol, not a failed check."""
+        code, out = run_cli(capsys, "verify", "preset:bm_drift", "--suite", "core", "--tol", tol)
+        assert code == 2
+        doc = json.loads(out)
+        assert set(doc) == {"code", "message", "field"}
+        assert (doc["code"], doc["field"]) == ("validation", "tol")
+
+    def test_verify_admits_a_zero_tolerance(self, capsys):
+        code, out = run_cli(capsys, "verify", "preset:bm_drift", "--suite", "core", "--tol", "0")
+        assert code in (0, 1) and json.loads(out)["n_checks"] > 0
+
+    def test_json_floats_are_shortest_repr(self, capsys):
+        """Each float of an artifact is written as repr(float) and reads back to the library's value bitwise."""
+        code, out = run_cli(capsys, "eval", "preset:stable_asym", "--xi", "0.3,0.1")
+        assert code == 0
+        tokens = []
+        doc = json.loads(out, parse_float=lambda t: tokens.append(t) or float(t))
+        assert len(tokens) == 10 and all(t == repr(float(t)) for t in tokens)  # 6 in the spec
+        assert '"re": 0.3,' in out and doc["xi"] == {"re": 0.3, "im": 0.1}
+        value = eval_f(SHOWCASE["stable_asym"], 0.3 + 0.1j)
+        got = (doc["value"]["re"], doc["value"]["im"])
+        assert [v.hex() for v in got] == [value.real.hex(), value.imag.hex()]
 
     def test_fluct_artifact_has_no_made_up_error(self, capsys, tmp_path):
         spec = tmp_path / "bm.json"

@@ -203,14 +203,14 @@ class TestPrLaplace:
          (-1.0, math.nan, -1.0, "up", "sigma"), (0.5, -1.0, math.nan, "up", "tau"), (0.5, 1.0, -1.0, "up", "xi")],
     )
     def test_rejected_argument_names_its_field(self, sigma, tau, xi, side, field, method):
-        """A ValidationError naming the first argument SpaceTimeQuery rejects (sigma, tau, xi, side),
-        with its message, before any integral and whatever the method."""
-        with pytest.raises(ValidationError) as want:
-            fluctuation.SpaceTimeQuery(sigma, tau, xi, side)
+        """A ValidationError naming the first argument rejected (sigma, tau, xi, side), with its
+        message, before any integral and whatever the method."""
+        message = {"sigma": "killing intensity must be finite and positive", "tau": "must be finite and >= 0",
+                   "xi": "must be finite and >= 0", "side": "must be 'plus' or 'minus'"}[field]
         before = work_counts()
         with pytest.raises(ValidationError) as got:
             pr_laplace(BM_DRIFT, sigma, tau, xi, side, method)
-        assert got.value.field == want.value.field == field and got.value.message == want.value.message
+        assert (got.value.field, got.value.message) == (field, message)
         after = work_counts()
         assert all(after[k] == before[k] for k in ("refine_panels.calls", "bd_sum.calls"))
 

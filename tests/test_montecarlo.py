@@ -243,10 +243,11 @@ class TestContracts:
         b = simulate_sup_samples(BM, 0.5, 100, seed=8)
         assert not _same(a, b)
 
-    def test_shard_prefix(self):
+    def test_shard_prefix(self, monkeypatch):
         k = 40
-        long = simulate_sup_samples(CP_GAUSS, 0.6, 3 * k + 5, seed=35, shard_size=k)
-        short = simulate_sup_samples(CP_GAUSS, 0.6, k, seed=35, shard_size=k)
+        monkeypatch.setattr(montecarlo, "_SHARD", k)
+        long = simulate_sup_samples(CP_GAUSS, 0.6, 3 * k + 5, seed=35)
+        short = simulate_sup_samples(CP_GAUSS, 0.6, k, seed=35)
         assert len(long) == 3 * k + 5 and len(short) == k
         assert all(np.array_equal(getattr(long, c)[:k], getattr(short, c)) for c in COLUMNS)
 
@@ -291,12 +292,6 @@ class TestContracts:
         with pytest.raises(ValidationError):
             simulate_sup_samples(HYPER_CP, 0.5, 0, seed=0)
 
-    @pytest.mark.parametrize("shard_size", [0, -5])
-    def test_shard_size_validated(self, shard_size):
-        with pytest.raises(ValidationError) as info:
-            simulate_sup_samples(HYPER_CP, 0.5, 10, seed=0, shard_size=shard_size)
-        assert info.value.field == "shard_size"
-
     @pytest.mark.parametrize(
         "args,field",
         [
@@ -304,10 +299,8 @@ class TestContracts:
             (dict(seed=2.5), "seed"),
             (dict(n=1.5), "n"),
             (dict(n=math.nan), "n"),
-            (dict(shard_size=1.5), "shard_size"),
-            (dict(shard_size=math.inf), "shard_size"),
         ],
-        ids=["seed-negative", "seed-fraction", "n-fraction", "n-nan", "shard-fraction", "shard-inf"],
+        ids=["seed-negative", "seed-fraction", "n-fraction", "n-nan"],
     )
     def test_counts_and_seed_validated(self, monkeypatch, args, field):
         """Rejected before any draw: the sampler's first draw would raise a TypeError."""
@@ -316,9 +309,10 @@ class TestContracts:
             simulate_sup_samples(HYPER_CP, 0.5, **{"n": 10, "seed": 0, **args})
         assert info.value.field == field
 
-    def test_integral_floats_accepted(self):
-        a = simulate_sup_samples(HYPER_CP, 0.5, 1e3, seed=3.0, shard_size=4e2)
-        b = simulate_sup_samples(HYPER_CP, 0.5, 1000, seed=3, shard_size=400)
+    def test_integral_floats_accepted(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SHARD", 400)
+        a = simulate_sup_samples(HYPER_CP, 0.5, 1e3, seed=3.0)
+        b = simulate_sup_samples(HYPER_CP, 0.5, 1000, seed=3)
         assert len(a) == 1000 and _same(a, b)
 
     @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0])
@@ -370,10 +364,11 @@ class TestParity:
         """Every column bitwise equal; a 70000-path shard needs a 32-bit path key, off the
         16-bit radix sort."""
         spec, sigma = PARITY_SPECS[case]
-        got = simulate_sup_samples(spec, sigma, n, seed=case, shard_size=shard_size)
+        monkeypatch.setattr(montecarlo, "_SHARD", shard_size)
+        got = simulate_sup_samples(spec, sigma, n, seed=case)
         monkeypatch.setattr(montecarlo, "_simulate_jump_block", _lexsort_block)
         monkeypatch.setattr(montecarlo, "_bridge_argmax", _ref_bridge_argmax)
-        want = simulate_sup_samples(spec, sigma, n, seed=case, shard_size=shard_size)
+        want = simulate_sup_samples(spec, sigma, n, seed=case)
         assert _same(got, want)
 
     def test_no_jump_spec_draws_no_jump(self):

@@ -655,18 +655,6 @@ class TestBisectMonotone:
         with pytest.raises(ValueError):
             bisect_monotone(lambda x: x, 1.0, 1.0)
 
-    def test_known_endpoints_not_reevaluated(self):
-        seen = []
-
-        def g(x):
-            seen.append(x)
-            return x - 0.3
-
-        got = bisect_monotone(g, 0.0, 1.0, 1e-12, glo=-0.3, ghi=0.7)
-        assert got == bisect_monotone(lambda x: x - 0.3, 0.0, 1.0, 1e-12)
-        assert 0.0 not in seen and 1.0 not in seen
-        assert bisect_monotone(g, 0.0, 1.0, glo=0.5, ghi=2.0) == 0.0
-
     @given(st.floats(-5, 5), st.floats(0.1, 5))
     @settings(max_examples=50, deadline=None)
     def test_bracketing(self, root, width):

@@ -109,6 +109,16 @@ class TestNonFiniteRadius:
         with pytest.raises(DomainError):
             build_spine_table(fig_a, 0.1, r, 64)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 20.5])
+    def test_build_spine_table_count(self, fig_a, n):
+        """A sample count that is not finite or not integral is a DomainError, not truncated."""
+        with pytest.raises(DomainError):
+            build_spine_table(fig_a, 0.1, 10.0, n)
+
+    def test_build_spine_table_integral_float_count(self, fig_a):
+        got, want = build_spine_table(fig_a, 0.1, 10.0, 20.0), build_spine_table(fig_a, 0.1, 10.0, 20)
+        assert got.radii().tobytes() == want.radii().tobytes() and got.z_intervals == want.z_intervals
+
     @pytest.mark.parametrize("xi", [complex(0.0, math.inf), complex(math.nan, 1.0), complex(1.0, math.nan)])
     def test_classify_point(self, fig_a, xi):
         with pytest.raises(DomainError):
@@ -440,9 +450,7 @@ def _refine_z_boundary(spec, r_in, r_out):
     lo, hi = (r_in, r_out) if r_in < r_out else (r_out, r_in)
     blo, bhi = b(lo), b(hi)
     sign_flip = 1.0 if bhi > blo else -1.0
-    return numerics.bisect_monotone(
-        lambda r: sign_flip * b(r), lo, hi, tol=1e-12 * hi, glo=sign_flip * blo, ghi=sign_flip * bhi
-    )
+    return numerics.bisect_monotone(lambda r: sign_flip * b(r), lo, hi, tol=1e-12 * hi)
 
 
 def _loop_z_intervals(spec, radii, in_z):
