@@ -12,6 +12,7 @@ envelope on stdout).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -58,9 +59,12 @@ def _parse_complex(text):
     if len(parts) != 2:
         raise ValidationError("xi", "expected 're,im'")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        xi = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise ValidationError("xi", f"malformed number: {exc}") from exc
+    if not cmath.isfinite(xi):
+        raise ValidationError("xi", f"both parts must be finite, got {text!r}")
+    return xi
 
 
 def _cmd_eval(args):

@@ -75,7 +75,7 @@ PW_LINEAR = "piecewise-linear"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhiTable:
     """Sampled boundary-angle function phi(s) in [0, pi].
 
@@ -83,59 +83,54 @@ class PhiTable:
     window; outside the window phi is extrapolated as the constant boundary
     value.  For piecewise-constant tables ``values`` holds one value per
     cell (``len(breakpoints) - 1``); for piecewise-linear tables one value
-    per breakpoint.
+    per breakpoint.  Both are read-only float64 arrays, copies of the
+    sequences given with -0.0 read as 0.0, and a table equals and hashes as
+    any table of the same arrays and tag.
     """
 
-    breakpoints: tuple
-    values: tuple
+    breakpoints: np.ndarray
+    values: np.ndarray
     interpolation: str = PW_LINEAR
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(map(float, self.breakpoints)))
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        for name in ("breakpoints", "values"):
+            a = np.array(getattr(self, name), dtype=float)
+            a += 0.0  # -0.0 + 0.0 is +0.0
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other):
+        return isinstance(other, PhiTable) and self.interpolation == other.interpolation and (
+            np.array_equal(self.breakpoints, other.breakpoints) and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        return hash((self.breakpoints.tobytes(), self.values.tobytes(), self.interpolation))
 
     def validate(self):
         bp, vals = self.breakpoints, self.values
         if self.interpolation not in (PW_CONSTANT, PW_LINEAR):
             raise ValidationError("phi.interpolation", f"unknown tag {self.interpolation!r}")
-        if len(bp) < 2:
-            raise ValidationError("phi.breakpoints", "need at least two breakpoints")
-        if not (all(map(math.isfinite, bp)) and all(b1 < b2 for b1, b2 in zip(bp, bp[1:]))):
+        if bp.ndim != 1 or bp.size < 2:
+            raise ValidationError("phi.breakpoints", "need a sequence of at least two breakpoints")
+        if not (np.isfinite(bp).all() and (bp[1:] > bp[:-1]).all()):
             raise ValidationError("phi.breakpoints", "must be finite and strictly increasing")
-        want = len(bp) - 1 if self.interpolation == PW_CONSTANT else len(bp)
-        if len(vals) != want:
-            raise ValidationError(
-                "phi.values", f"expected {want} values for {self.interpolation}, got {len(vals)}"
-            )
-        for k, v in enumerate(vals):
-            if not (0.0 <= v <= math.pi + 1e-15):
-                raise ValidationError(f"phi.values[{k}]", "phi values must lie in [0, pi]")
+        want = bp.size - 1 if self.interpolation == PW_CONSTANT else bp.size
+        if vals.ndim != 1 or vals.size != want:
+            raise ValidationError("phi.values", f"expected {want} values for {self.interpolation}, got {vals.size}")
+        bad = ~((vals >= 0.0) & (vals <= math.pi + 1e-15))
+        if bad.any():
+            raise ValidationError(f"phi.values[{bad.argmax()}]", "phi values must lie in [0, pi]")
 
     def value_at(self, s):
         """phi(s), with constant extrapolation beyond the window."""
         s = np.asarray(s, dtype=float)
-        bp = np.asarray(self.breakpoints)
-        vals = np.asarray(self.values)
+        bp, vals = self.breakpoints, self.values
         if self.interpolation == PW_CONSTANT:
             idx = np.clip(np.searchsorted(bp, s, side="right") - 1, 0, len(vals) - 1)
             out = vals[idx]
         else:
             out = np.interp(s, bp, vals)
         return out if out.ndim else float(out)
-
-    @classmethod
-    def _built(cls, s, p):
-        """The piecewise-linear table of the float arrays ``s`` (strictly increasing) and ``p``
-        in [0, pi], with its record ``_factors`` formed from the arrays themselves: the fields
-        are their tuples of floats as ``__post_init__`` would make them, and no array but the
-        record's outlives the call.  The record comes first, so that its temporaries and the
-        tuples are never held together."""
-        table = cls.__new__(cls)
-        table.__dict__["_factors"] = _phi_cells(s, p, PW_LINEAR, True)  # the cached_property's slot
-        object.__setattr__(table, "breakpoints", tuple(s.tolist()))
-        object.__setattr__(table, "values", tuple(p.tolist()))
-        object.__setattr__(table, "interpolation", PW_LINEAR)
-        return table
 
     @cached_property
     def _pair(self):
@@ -327,13 +322,13 @@ class _Cells:
 
 def _phi_side(bp, vals, interpolation, sign, hold):
     """The polyline (t, phi, phi_out) of phi(sign t), t > 0, read off a table's breakpoints ``bp``
-    and values ``vals``, arrays or the table's tuples (see :class:`_Cells`).
+    and values ``vals`` (see :class:`_Cells`).
 
     A cell straddling s = 0 is split at its value there, as ``value_at``
     interpolates it (with ``hold``, the innermost value is held inside t[1]);
     a piecewise-constant table is a polyline with a jump at every interior breakpoint.
     """
-    bp, vals = sign * np.asarray(bp), np.asarray(vals)  # a tuple's arrays live for one side only
+    bp = sign * bp
     if sign < 0.0:
         bp, vals = bp[::-1], vals[::-1]
     if interpolation == PW_CONSTANT:
@@ -550,8 +545,8 @@ def eval_f(spec, xi):
 
     Points with re(xi) < 0 use the reflection f(-conj(xi)) = conj(f(xi)).
     Points on the imaginary axis are admitted only where the boundary value
-    there is finite and in (0, inf) (:func:`_axis_values`); otherwise a
-    :class:`DomainError` is raised.
+    there is finite and in (0, inf) (:func:`_axis_values`); otherwise, and
+    at a point with a part that is not finite, a :class:`DomainError` is raised.
     """
     return _evaluate(spec, xi, prime=False)
 
@@ -578,10 +573,12 @@ def _evaluate(spec, xi, prime):
     flat = arr.reshape(-1)
     _WORK["eval_f.points"] += flat.size
     right = flat.real > 0.0
-    if right.all():  # the common case needs no masks
+    if right.all() and np.isfinite(flat).all():  # the common case needs no masks
         _WORK[calls] += 1
         out = np.asarray(_core(spec, flat, prime), dtype=complex)
     else:
+        if not np.isfinite(flat).all():  # a NaN real part would read as an axis point, +inf as a right one
+            raise DomainError(f"xi={flat[~np.isfinite(flat)][0]} is not a finite point")
         out = np.empty(flat.shape, dtype=complex)
         left = flat.real < 0.0
         off = right | left
@@ -635,7 +632,7 @@ def is_constant(spec):
     if isinstance(spec, RationalProduct):
         return not spec.factors
     if isinstance(spec, PhiRep):
-        return all(v == 0.0 for v in spec.phi.values)
+        return not spec.phi.values.any()
     if isinstance(spec, ShiftedSpec):
         return is_constant(spec.base)
     return False
@@ -879,7 +876,7 @@ def axis_feature_points(spec):
             if f.m > 0.0:
                 pts.add(f.m if f.orientation == _MINUS_I else -f.m)
     elif isinstance(spec, PhiRep):
-        pts.update(spec.phi.breakpoints)
+        pts.update(spec.phi.breakpoints.tolist())
     elif isinstance(spec, ShiftedSpec):
         pts.update(axis_feature_points(spec.base))
     return tuple(sorted(p for p in pts if p != 0.0))

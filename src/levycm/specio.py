@@ -81,8 +81,8 @@ def spec_to_dict(spec):
             "type": "phi_table",
             "c": spec.c,
             "phi": {
-                "breakpoints": list(spec.phi.breakpoints),
-                "values": list(spec.phi.values),
+                "breakpoints": spec.phi.breakpoints.tolist(),
+                "values": spec.phi.values.tolist(),
                 "interpolation": spec.phi.interpolation,
             },
         }
@@ -140,8 +140,8 @@ def spec_from_dict(d):
     elif kind == "phi_table":
         c = _need(d, "c", "c")
         phi = {"interpolation": PW_LINEAR, **_need(d, "phi", "phi", (dict,))}
-        spec = PhiRep(c, PhiTable(tuple(_items(phi, "breakpoints", "phi.breakpoints", (int, float))),
-                                  tuple(_items(phi, "values", "phi.values", (int, float))),
+        spec = PhiRep(c, PhiTable(_items(phi, "breakpoints", "phi.breakpoints", (int, float)),
+                                  _items(phi, "values", "phi.values", (int, float)),
                                   _need(phi, "interpolation", "phi.interpolation", (str,))))
     else:
         raise ValidationError("type", f"unknown spec type {kind!r}")

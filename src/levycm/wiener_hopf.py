@@ -106,15 +106,9 @@ def build_phi_table(spec):
     ``_lockstep_root`` call on re f(+0 - is) to final brackets of w, the
     largest power of two <= 1e-15 min |s| of the cell, and each root r gets
     the breakpoints r -+ w/2 with the cell's end values.  The table's
-    record of both factor sides (``PhiTable._factors``) is formed from the
-    final arrays, once the refinement's arrays are gone.  Raises
-    :class:`EstimationError` when the 40 000-estimate budget runs out.
+    record of both factor sides (``PhiTable._factors``) is formed with it.
+    Raises :class:`EstimationError` when the 40 000-estimate budget runs out.
     """
-    return PhiTable._built(*_phi_arrays(spec))
-
-
-def _phi_arrays(spec):
-    """The breakpoints and values of the :func:`build_phi_table` table, as float arrays."""
     f = np.asarray(axis_feature_points(spec), dtype=float)
     f = f[(np.abs(f) > _PHI_S_MIN) & (np.abs(f) < _PHI_S_MAX), None]
     rings = f * np.concatenate([1.0 + _PHI_RINGS, 1.0 - _PHI_RINGS])
@@ -152,7 +146,9 @@ def _phi_arrays(spec):
         out += [(root - 0.5 * w, p_lo), (root + 0.5 * w, p_hi)]
     s_all, p_all = (np.concatenate(v) for v in zip(*out))
     s_all, keep = sorted_unique(s_all, return_index=True)
-    return s_all, np.clip(p_all[keep], 0.0, math.pi)
+    table = PhiTable(s_all, np.clip(p_all[keep], 0.0, math.pi))
+    table._factors  # so a cold factor_pair on a built table takes one kernel pass, its anchor
+    return table
 
 
 # ---------------------------------------------------------------------------

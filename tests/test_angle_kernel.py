@@ -254,7 +254,7 @@ class TestLimitsFromTheRecord:
     def test_small_outer_angle(self):
         """phi_out = 5e-13: f grows like xi^(5e-13/pi), so f(inf-) is infinite."""
         table = VANISHING.phi
-        spec = PhiRep(VANISHING.c, PhiTable(table.breakpoints, table.values[:-1] + (5e-13,)))
+        spec = PhiRep(VANISHING.c, PhiTable(table.breakpoints, np.append(table.values[:-1], 5e-13)))
         assert math.isfinite(f_limits(VANISHING).f_at_infinity)
         assert f_limits(spec).f_at_infinity == math.inf
 

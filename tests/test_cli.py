@@ -438,8 +438,9 @@ class TestCommands:
             (("fluct", "pr", "--tau", "nan", "--xi", "0"), "validation", "tau"),
             (("factor", "--xi1", "nan", "--xi2", "1"), "DomainError", ""),
             (("factor", "--xi1", "1", "--xi2", "2", "--tau", "nan"), "validation", "tau"),
+            (("eval", "--xi", "nan,1"), "validation", "xi"),
         ],
-        ids=["pr-xi", "pr-tau", "factor-xi1", "factor-tau"],
+        ids=["pr-xi", "pr-tau", "factor-xi1", "factor-tau", "eval-xi"],
     )
     def test_nan_argument_is_an_input_error(self, capsys, args, code, field):
         command, *rest = args
@@ -464,10 +465,11 @@ class TestCommands:
             (("fluct", "sup-tail", "--sigma", "inf"), "validation", "sigma"),
             (("fluct", "sup-tail", "--sigma", "0.5", "--x", "inf"), "DomainError", ""),
             (("mc", "--sigma", "inf", "--n", "10"), "validation", "sigma"),
+            (("eval", "--xi", "inf,0"), "validation", "xi"),
         ],
         ids=["factor-xi1", "factor-spine-xi2", "factor-phi-xi1", "product-xi1", "product-spine-xi2",
              "pr-tau", "sup-laplace-xi", "kappa-tau1", "factor-tau", "sup-tail-sigma", "sup-tail-x",
-             "mc-sigma"],
+             "mc-sigma", "eval-xi"],
     )
     def test_infinite_argument_is_a_quiet_input_error(self, capsys, args, code, field):
         command, *rest = args

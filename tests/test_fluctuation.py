@@ -1,6 +1,7 @@
 """Space-time ladder ratios, the compound-Poisson factor, inversion, cones."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -33,11 +34,11 @@ from levycm.fluctuation import (
 )
 from levycm.numerics import _LRU, QuadratureConfig, _lockstep_root, integrate_adaptive, make_rng, work_counts
 from levycm.rogers import _axis_limit
-from levycm.wiener_hopf import FactorHandle, closed_form_factors, factor_pair, wh_ratio
+from levycm.wiener_hopf import FactorHandle, closed_form_factors, factor_pair, get_phi_table, wh_ratio
 
-from levycm.specio import SHOWCASE
+from levycm.specio import SHOWCASE, spec_from_dict, spec_to_dict
 
-from conftest import showcase, sup_laplace, upper_half_samples
+from conftest import VANISHING, showcase, sup_laplace, upper_half_samples
 
 BM = LevyAtomic(a=0.5)  # f = xi^2 / 2
 BM_DRIFT = LevyAtomic(a=0.5, b=1.0)
@@ -538,6 +539,19 @@ class TestSupTailRecord:
             assert ev.t.tobytes() == ref.t.tobytes()
             assert np.all(np.abs(ev.c - ref.c) <= 1e-15 * np.abs(ref.c))
             assert np.all(np.abs(ev.masses - ref.masses) <= 1e-15 * ref.masses)
+
+    def test_spec_read_back_hits_the_caches(self, monkeypatch):
+        """A PhiRep read back from its JSON equals the original, so its phi table and its sup_tail
+        set-up are the original's cache entries, not new builds."""
+        monkeypatch.setattr(wiener_hopf, "_PHI_CACHE", _LRU(4))
+        monkeypatch.setattr(fluctuation, "_SUP_CACHE", _LRU(4))
+        tail, table = sup_tail(VANISHING, 0.5, 1.0), get_phi_table(VANISHING)
+        back = spec_from_dict(json.loads(json.dumps(spec_to_dict(VANISHING))))
+        assert back is not VANISHING and back.phi is not VANISHING.phi
+        misses = (wiener_hopf._PHI_CACHE.misses, fluctuation._SUP_CACHE.misses)
+        assert get_phi_table(back) is table and sup_tail(back, 0.5, 1.0) == tail
+        assert (wiener_hopf._PHI_CACHE.misses, fluctuation._SUP_CACHE.misses) == misses
+        assert wiener_hopf._PHI_CACHE.hits == fluctuation._SUP_CACHE.hits == 1
 
 
 class TestCorollaryA:

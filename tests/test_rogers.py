@@ -74,16 +74,48 @@ class TestValidation:
             validate_spec(PhiRep(1.0, PhiTable((0.0, 1.0), (4.0,), "piecewise-constant")))
         assert exc.value.field == "phi.values[0]"
 
-    def test_table_fields_are_float_tuples(self):
-        """Any sequence of numbers becomes a tuple of floats; an entry float() rejects raises
-        its own error at construction."""
-        table = PhiTable(np.array([-1.0, 0.5, 2.0]), [0, np.float32(1.5), 3])
-        assert table.breakpoints == (-1.0, 0.5, 2.0) and table.values == (0.0, 1.5, 3.0)
-        assert all(type(v) is float for v in table.breakpoints + table.values)
+    def test_table_fields_are_read_only_float_arrays(self):
+        """Any sequence of numbers becomes a read-only float64 array, a copy of it; an entry numpy
+        cannot read as a float raises its own error at construction, and None reads as NaN,
+        which validation rejects."""
+        bp = np.array([-1.0, 0.5, 2.0])
+        table = PhiTable(bp, [0, np.float32(1.5), 3])
+        for field, want in ((table.breakpoints, [-1.0, 0.5, 2.0]), (table.values, [0.0, 1.5, 3.0])):
+            assert field.dtype == np.float64 and field.tolist() == want and not field.flags.writeable
+        bp[0] = -2.0
+        assert table.breakpoints[0] == -1.0
         with pytest.raises(ValueError):
             PhiTable(("x", 1.0), (0.0, 1.0))
-        with pytest.raises(TypeError):
-            PhiTable((None, 1.0), (0.0, 1.0))
+        with pytest.raises(ValidationError) as exc:
+            PhiTable((None, 1.0), (0.0, 1.0)).validate()
+        assert exc.value.field == "phi.breakpoints"
+
+    def test_table_fields_cannot_be_assigned(self):
+        table = PhiTable((-1.0, 0.5, 2.0), (0.0, 1.5, 3.0))
+        with pytest.raises(AttributeError):
+            table.breakpoints = (0.0, 1.0)
+        with pytest.raises(ValueError):
+            table.values[0] = 1.0
+        assert table.values.tolist() == [0.0, 1.5, 3.0]
+
+    def test_tables_compare_and_hash_by_value(self):
+        """A tuple, a list and an array of the same numbers make equal tables of equal hash, and
+        -0.0 reads as 0.0; another value or tag makes a different table."""
+        bp, vals = (-1.0, 0.0, 2.0), (0.0, 1.5, 3.0)
+        tables = [PhiTable(bp, vals), PhiTable(list(bp), list(vals)), PhiTable(np.array(bp), np.array(vals)),
+                  PhiTable((-1.0, -0.0, 2.0), (-0.0, 1.5, 3.0))]
+        assert all(t == tables[0] and hash(t) == hash(tables[0]) for t in tables)
+        assert math.copysign(1.0, tables[-1].breakpoints[1]) == 1.0
+        assert PhiRep(1.0, tables[0]) == PhiRep(1.0, tables[-1])
+        assert PhiTable(bp, (0.0, 1.5, 2.0)) != tables[0]
+        assert PhiTable(bp, vals[:2], "piecewise-constant") != PhiTable(bp, vals[:2] + (0.0,))
+        assert tables[0] != bp
+
+    @pytest.mark.parametrize("bp", [1.0, [[-1.0, 0.5], [1.0, 2.0]]])
+    def test_table_needs_one_dimensional_breakpoints(self, bp):
+        with pytest.raises(ValidationError) as exc:
+            validate_spec(PhiRep(1.0, PhiTable(bp, (0.0, 1.0))))
+        assert exc.value.field == "phi.breakpoints"
 
     def test_canonical_atom_order(self):
         spec = validate_spec(LevyAtomic(atoms=((2.0, 1.0), (-1.0, 1.0))))
@@ -172,6 +204,25 @@ class TestEval:
         spec = PhiRep(2.0, table)
         for xi in (0.5 + 0.0j, 2.0 + 0.0j, 1.0 + 1.0j, 0.3 - 2.0j):
             assert eval_f(spec, xi) == pytest.approx(2.0 * xi**1.2, rel=1e-12)
+
+
+class TestNonFinitePoints:
+    """A point with a part that is not finite is outside the domain: a NaN real part would read
+    as an axis point and +inf as a right one, so eval_f and eval_f_prime raise there, for a scalar
+    and for such a point among finite ones."""
+
+    POINTS = [complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, 1.0),
+              complex(-math.inf, 1.0), complex(1.0, math.inf)]
+
+    @pytest.mark.parametrize("evaluate", [eval_f, eval_f_prime])
+    @pytest.mark.parametrize("xi", POINTS, ids=["nan+1j", "1+nanj", "inf+1j", "-inf+1j", "1+infj"])
+    @pytest.mark.parametrize("name", sorted(SHOWCASE))
+    def test_raises(self, name, xi, evaluate):
+        spec = SHOWCASE[name]
+        with pytest.raises(DomainError, match="not a finite point"):
+            evaluate(spec, xi)
+        with pytest.raises(DomainError, match="not a finite point"):
+            evaluate(spec, np.array([1.0 + 1.0j, xi, -2.0 + 0.5j]))
 
 
 class TestAxisRule:

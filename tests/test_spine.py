@@ -1,6 +1,7 @@
 """Spine angle, monotone profile, region classification, invariants."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from levycm import (
     shift_spec,
 )
 from levycm import numerics, spine, verify
+from levycm.errors import LevycmError
 from levycm.numerics import make_rng
 from levycm.report import VerifyReport
 from levycm.specio import SHOWCASE
@@ -123,6 +125,21 @@ class TestNonFiniteRadius:
     def test_classify_point(self, fig_a, xi):
         with pytest.raises(DomainError):
             classify_point(fig_a, xi)
+
+
+    @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: build_spine_table(bm_drift, 1, 1e300, 16) "
+                                           "returns lambda = inf at r = 1e160 and -inf from r = 1e180 on")
+    def test_overflowing_samples_are_not_silent(self, fig_a):
+        """Past r ~ 1e154 bm_drift's f = xi^2/2 - i xi overflows: the table raises a LevycmError or
+        its samples are finite, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                table = build_spine_table(fig_a, 1.0, 1e300, 16)
+            except LevycmError:
+                return
+        s = table.samples
+        assert all(np.isfinite(a).all() for a in (s.theta, s.zeta, s.lam))
 
 
 class TestLockstepRoot:

@@ -1343,18 +1343,18 @@ class TestFactorRecord:
     @pytest.mark.parametrize("shift", [0.0, 0.5])
     @pytest.mark.parametrize("name", sorted(SHOWCASE))
     def test_built_record_is_the_fields_record(self, name, shift):
-        """A built table's record, formed from its arrays, is bitwise the record of np.asarray of
-        its tuple fields; the fields are tuples of floats, and the table equals, and hashes as, the
-        one built from them.  The sup_tail atoms read off the record are the jumps of the fields."""
+        """A built table's record, formed with the table, is bitwise the record of its fields; the
+        fields are read-only float64 arrays, and the table equals, and hashes as, the one built
+        from them.  The sup_tail atoms read off the record are the jumps of the fields."""
         table = build_phi_table(shift_spec(SHOWCASE[name], shift))
-        s, p = np.asarray(table.breakpoints), np.asarray(table.values)
+        s, p = table.breakpoints, table.values
         want = rogers._phi_cells(s, p, table.interpolation, True)
         got = table._factors
         for key in self._RECORD:
             assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
         assert (got.cols, got.far) == (want.cols, want.far)
-        assert all(type(v) is float for v in table.breakpoints + table.values)
-        same = PhiTable(table.breakpoints, table.values, table.interpolation)
+        assert all(a.dtype == np.float64 and not a.flags.writeable for a in (s, p))
+        same = PhiTable(tuple(s.tolist()), tuple(p.tolist()), table.interpolation)
         assert same == table and hash(same) == hash(table)
         jumps = 0.5 * (s[:-1] + s[1:])[(s[:-1] > 0.0) & (p[:-1] == 0.0) & (p[1:] == math.pi)]
         assert fluctuation._zeros(got.side(0)).tobytes() == jumps.tobytes()

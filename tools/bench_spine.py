@@ -22,8 +22,11 @@ Compares two checkouts of the repository, a parent and a change:
   (``factor_ms``: the table and its factor record ``PhiTable._factors``),
   the table's breakpoint count and, for the last build, its
   ``estimate_phi`` calls (one per refinement level), its lockstep steps
-  (the one solve of its jump cells) and its jumps (adjacent breakpoints on
-  one side of s = 0 reading 0 and pi);
+  (the one solve of its jump cells), its jumps (adjacent breakpoints on
+  one side of s = 0 reading 0 and pi) and the bytes of its two data fields
+  (``field_bytes``: ``breakpoints.nbytes + values.nbytes``, 16 a breakpoint
+  where the table holds its data once; for tuple fields, the tuples and
+  their floats);
 * per preset, the contour work of one cold bd ``wh_ratio(shift_spec(spec,
   0.2), "bd", "plus", 0.3, 1.5)``, of one cold ``kappa_ratio_tau`` at
   ``TAU_RATIO`` and of one cold ``pr_laplace`` at ``PR`` (cold: the memo of
@@ -38,11 +41,10 @@ Compares two checkouts of the repository, a parent and a change:
   and side, each with ``_BD_KAPPA`` cleared, at fresh xi and tau = 0
   (``us_tau0``) and at fresh xi and fresh tau (``us_tau``), drawn
   log-uniformly from the ranges of the ``fluct_warm`` workload;
-* per warm ``pr_laplace`` call of ``REFINING`` (spec, sigma, tau, xi), calls
-  that refined past the seed round of the adaptive quadrature the sum
-  replaced (``pr_warm_refine``): its work as for ``pr_warm``, with only
-  ``_BD_KAPPA`` cleared after a first call, and the median wall time of
-  ``WARM_N`` such calls;
+* per ``pr_laplace`` call of ``REFINING`` (spec, sigma, tau, xi), six warm
+  calls at fixed arguments (``pr_warm_refine``): its work as for
+  ``pr_warm``, with only ``_BD_KAPPA`` cleared after a first call, and the
+  median wall time of ``WARM_N`` such calls;
 * per preset, the cold sweep of ``pr_laplace`` over the grid of the
   ``fluct_warm`` workload (``pr_sweep``: sigma in ``SWEEP_SIGMAS``, tau in
   ``SWEEP_TAUS``, ``SWEEP_N`` xi geometrically spaced on ``SWEEP_XI``, both
@@ -128,7 +130,7 @@ PR = (0.5, 0.8, 1.3, "plus")  # sigma, tau, xi, side
 WARM_N = 50  # warm pr_laplace calls per preset and tau kind, at fresh arguments
 WARM_XI = (0.1, 5.0)  # log-uniform ranges of xi and tau > 0, as in the fluct_warm workload
 WARM_TAU = (0.1, 3.0)
-# warm pr_laplace calls (preset, sigma, tau, xi) that took 2, 2, 3, 3, 5 and 4 rounds of the adaptive bd quadrature
+# six warm pr_laplace calls (preset, sigma, tau, xi) at fixed arguments, each one trapezoidal sum
 REFINING = (("tempered_stable", 2.0, 0.78, 0.6), ("tempered_stable", 2.0, 1.25, 1.0),
             ("tempered_stable", 2.0, 2.49, 2.2), ("rational_three_arcs", 0.5, 1.0, 2.3),
             ("rational_three_arcs", 0.5, 1.0, 2.97), ("rational_three_arcs", 0.5, 1.0, 3.85))
@@ -407,6 +409,12 @@ def l0_work():
     return out
 
 
+def field_bytes(table):
+    """Bytes of a phi table's breakpoints and values: an array's buffer, or a tuple and its floats."""
+    return sum(f.nbytes if hasattr(f, "nbytes") else sys.getsizeof(f) + sum(map(sys.getsizeof, f))
+               for f in (table.breakpoints, table.values))
+
+
 def pair_work():
     """Phi-kernel passes and ms of one cold factor_pair on ``PAIR``, its table built first."""
     from levycm import shift_spec, wiener_hopf
@@ -461,7 +469,8 @@ def probe():
                                                     "factor_ms": 1e3 * median(factor_times),
                                                     "breakpoints": len(table.breakpoints),
                                                     "estimate_phi_calls": n["estimate_phi.calls"],
-                                                    "lockstep_steps": n["lockstep.steps"], "jumps": jumps}
+                                                    "lockstep_steps": n["lockstep.steps"], "jumps": jumps,
+                                                    "field_bytes": field_bytes(table)}
     print(json.dumps({"presets": out, "mc_job": mc, "pr_warm_refine": refining_work(), "l0": l0_work(),
                       "l0_cold": l0_cold_work(), "factor_pair": pair_work()}))
 
